@@ -80,19 +80,6 @@ def _freshv(base: str, *exprs) -> str:
 # ---------------------------------------------------------------------------
 # value-type encodings
 
-VALUE_CTORS = ("Unit", "Prod", "Zero", "Sum", "ExistsV", "Mu", "Nu", "ExistsC")
-COMP_CTORS = (
-    "UnitC",
-    "ProdC",
-    "ZeroC",
-    "Oplus",
-    "Copower",
-    "ExistsVC",
-    "ExistsCC",
-    "MuC",
-    "NuC",
-)
-
 
 def encode_value_type(ctor: str, args: Sequence = ()) -> TypeExpr:
     """Expand a definable value type to its polymorphic definition."""

@@ -18,7 +18,7 @@ with bitmask ``i + 1``.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import product
 from typing import Iterable, Optional, Sequence
 
@@ -27,6 +27,22 @@ class ModelError(Exception):
     pass
 
 
+def _hash_once(cls):
+    """Compute a frozen dataclass's field hash once, at construction: these
+    values sit inside every interpretation cache key.  Pickling goes back
+    through the constructor, so a copy in another process hashes afresh."""
+    init, field_hash = cls.__init__, cls.__hash__
+
+    def __init__(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        object.__setattr__(self, "_hash", field_hash(self))
+
+    cls.__init__, cls.__hash__ = __init__, lambda self: self._hash
+    cls.__reduce__ = lambda self: (cls, tuple(getattr(self, f.name) for f in fields(cls)))
+    return cls
+
+
+@_hash_once
 @dataclass(frozen=True)
 class FinSet:
     size: int
@@ -57,6 +73,7 @@ class Bound:
 # monads
 
 
+@_hash_once
 @dataclass(frozen=True)
 class MonadSpec:
     key: str  # "identity" | "exception" | "powerset"
@@ -124,13 +141,13 @@ class MonadSpec:
 # algebras
 
 
+@_hash_once
 @dataclass(frozen=True)
 class Alg:
     monad: MonadSpec
     carrier: FinSet
     raise_points: tuple[int, ...] = ()
     or_table: tuple[tuple[int, ...], ...] = ()
-    em_map: Optional[tuple[int, ...]] = None
 
     def __post_init__(self):
         n = self.carrier.size
@@ -165,14 +182,6 @@ def semilattice_laws_hold(table: Sequence[Sequence[int]]) -> bool:
     return True
 
 
-def check_algebra(alg: Alg) -> None:
-    """Validate the equational laws of the algebra's operation tables."""
-    if alg.monad.key == "powerset" and not semilattice_laws_hold(alg.or_table):
-        raise ModelError("or table violates the semilattice laws")
-    if alg.em_map is not None:
-        check_em_map(alg)
-
-
 def em_map_of(alg: Alg) -> tuple[int, ...]:
     """Derive the structure map T(carrier) -> carrier from the operation tables."""
     m, n = alg.monad, alg.carrier.size
@@ -189,31 +198,6 @@ def em_map_of(alg: Alg) -> tuple[int, ...]:
             acc = alg.op_or(acc, e)
         out.append(acc)
     return tuple(out)
-
-
-def check_em_map(alg: Alg) -> None:
-    """The optional structure map must agree with the tables and the monad.
-
-    Checks xi . unit = id and the multiplication square xi . T(xi) = xi . mu,
-    both exhaustively on the (finite) relevant carriers.
-    """
-    xi = alg.em_map
-    assert xi is not None
-    m, a = alg.monad, alg.carrier
-    derived = em_map_of(alg)
-    if tuple(xi) != derived:
-        raise ModelError("structure map disagrees with the operation tables")
-    eta = m.unit(a)
-    for i in range(a.size):
-        if xi[eta[i]] != i:
-            raise ModelError("structure map does not retract the unit")
-    ta = m.apply(a)
-    t_xi = m.tmap(xi, ta, a)
-    mu = m.extend(tuple(range(ta.size)), ta, a)  # join: extend of the identity
-    tta = m.apply(ta)
-    for i in range(tta.size):
-        if xi[t_xi[i]] != xi[mu[i]]:
-            raise ModelError("structure map fails the multiplication square")
 
 
 def enumerate_sets(b: Bound) -> list[FinSet]:

@@ -14,6 +14,12 @@ registered).  Projection at other objects goes through a transport
 isomorphism when an isomorphic representative exists, and raises
 ``OutOfBoundError`` otherwise.  All enumerations are deterministic, so
 interpretation is reproducible bit for bit.
+
+Interpretations are cached per model, keyed by a type and the
+environment restricted to the type's free variables.  Types (``kernel``)
+and environments (``TypeEnv``, ``RelEnv``, each memoizing its restrictions)
+are interned, so a key hashes in O(1) and compares by identity.  Build both
+only through their constructors and never mutate them.
 """
 
 from __future__ import annotations
@@ -27,12 +33,15 @@ from . import encodings
 from . import finmodel as fm
 from . import typecheck as tc
 from .kernel import (
+    CSORT,
+    VSORT,
     App,
     Arrow,
     Const,
     CVar,
     ForallC,
     ForallV,
+    Interned,
     Judgment,
     Kind,
     Lam,
@@ -48,8 +57,9 @@ from .kernel import (
     Var,
     classify_type,
     free_term_vars,
-    free_type_vars,
+    free_type_var_keys,
     fresh_name,
+    hash_consed,
     subst_term,
 )
 
@@ -159,14 +169,14 @@ def apply_sem(sem: SemSet, f: int, x: int) -> int:
 # environments
 
 
-VSORT, CSORT = "v", "c"
-
-
-@dataclass(frozen=True)
-class TypeEnv:
+@hash_consed
+class TypeEnv(Interned):
     """Immutable map from sorted type variables to sets / algebras."""
 
     items: tuple = ()
+
+    def __post_init__(self):
+        object.__setattr__(self, "_memo", {})  # set and restrict results
 
     def get(self, sort: str, name: str):
         for (s, n), v in self.items:
@@ -175,8 +185,19 @@ class TypeEnv:
         raise InterpError(f"type variable {'^' if sort == CSORT else ''}{name} not in environment")
 
     def set(self, sort: str, name: str, value) -> "TypeEnv":
-        rest = tuple(it for it in self.items if it[0] != (sort, name))
-        return TypeEnv(tuple(sorted(rest + (((sort, name), value),))))
+        key = (sort, name, value)
+        env = self._memo.get(key)
+        if env is None:
+            rest = tuple(it for it in self.items if it[0] != (sort, name))
+            env = self._memo[key] = TypeEnv(tuple(sorted(rest + (((sort, name), value),))))
+        return env
+
+    def restrict(self, keys: frozenset) -> "TypeEnv":
+        """The bindings of the ``(sort, name)`` keys in ``keys``."""
+        env = self._memo.get(keys)
+        if env is None:
+            env = self._memo[keys] = TypeEnv(tuple(it for it in self.items if it[0] in keys))
+        return env
 
 
 def type_env(vvars: dict = {}, cvars: dict = {}) -> TypeEnv:
@@ -186,11 +207,14 @@ def type_env(vvars: dict = {}, cvars: dict = {}) -> TypeEnv:
     return TypeEnv(tuple(sorted(items, key=lambda it: it[0])))
 
 
-@dataclass(frozen=True)
-class RelEnv:
+@hash_consed
+class RelEnv(Interned):
     rho1: TypeEnv
     rho2: TypeEnv
     rels: tuple = ()  # ((sort, name), frozenset of pairs), sorted
+
+    def __post_init__(self):
+        object.__setattr__(self, "_memo", {})  # restrict results
 
     def rel(self, sort: str, name: str) -> frozenset:
         for (s, n), r in self.rels:
@@ -209,6 +233,14 @@ class RelEnv:
             self.rho2.set(sort, name, right),
             tuple(sorted(rest + (((sort, name), rel),))),
         )
+
+    def restrict(self, keys: frozenset) -> "RelEnv":
+        """Both environments and the relations, restricted to ``keys``."""
+        env = self._memo.get(keys)
+        if env is None:
+            rels = tuple(it for it in self.rels if it[0] in keys)
+            env = self._memo[keys] = RelEnv(self.rho1.restrict(keys), self.rho2.restrict(keys), rels)
+        return env
 
 
 def _diag_of(value) -> frozenset:
@@ -363,6 +395,9 @@ class Model:
         self.constants: dict[str, tuple[TypeExpr, str]] = {
             sig.name: (sig.scheme, sig.denotation_key) for sig in constants
         }
+        self.constant_schemes: dict[str, TypeExpr] = {
+            name: scheme for name, (scheme, _) in self.constants.items()
+        }
         self._vty: dict = {}
         self._cty: dict = {}
         self._rel: dict = {}
@@ -375,10 +410,6 @@ class Model:
                 self.register_free_algebra(s)
 
     # -- objects ---------------------------------------------------------
-
-    @property
-    def constant_schemes(self) -> dict[str, TypeExpr]:
-        return {name: scheme for name, (scheme, _) in self.constants.items()}
 
     def register_free_algebra(self, a: fm.FinSet) -> int:
         """Append the algebra on T A (deduplicated); returns its object index."""
@@ -431,18 +462,11 @@ class Model:
 
     # -- value-type interpretation ----------------------------------------
 
-    def _restrict(self, env: TypeEnv, ty: TypeExpr):
-        fvs = free_type_vars(ty)
-        keys = {(VSORT if isinstance(v, VVar) else CSORT, v.name) for v in fvs}
-        return tuple(it for it in env.items if it[0] in keys)
-
     def interp_vtype(self, env: TypeEnv, ty: TypeExpr) -> SemSet:
-        key = (ty, self._restrict(env, ty))
-        hit = self._vty.get(key)
-        if hit is not None:
-            return hit
-        sem = self._interp_vtype(env, ty)
-        self._vty[key] = sem
+        key = (ty, env.restrict(free_type_var_keys(ty)))
+        sem = self._vty.get(key)
+        if sem is None:
+            sem = self._vty[key] = self._interp_vtype(env, ty)
         return sem
 
     def _interp_vtype(self, env: TypeEnv, ty: TypeExpr) -> SemSet:
@@ -496,13 +520,17 @@ class Model:
     # -- computation-type interpretation -----------------------------------
 
     def interp_ctype(self, env: TypeEnv, ty: TypeExpr) -> fm.Alg:
-        key = (ty, self._restrict(env, ty))
+        key = (ty, env.restrict(free_type_var_keys(ty)))
         hit = self._cty.get(key)
         if hit is not None:
             return hit
         alg = self._interp_ctype(env, ty)
         sem = self.interp_vtype(env, ty)
-        assert alg.carrier.size == sem.size, "algebra carrier must match the set interpretation"
+        if alg.carrier.size != sem.size:
+            raise InterpError(
+                f"algebra carrier of {ty} has {alg.carrier.size} elements,"
+                f" but its set interpretation has {sem.size}"
+            )
         self._cty[key] = alg
         return alg
 
@@ -566,22 +594,11 @@ class Model:
 
     # -- relational interpretation ----------------------------------------
 
-    def _restrict_rel(self, rho: RelEnv, ty: TypeExpr):
-        fvs = free_type_vars(ty)
-        keys = {(VSORT if isinstance(v, VVar) else CSORT, v.name) for v in fvs}
-        return (
-            tuple(it for it in rho.rho1.items if it[0] in keys),
-            tuple(it for it in rho.rho2.items if it[0] in keys),
-            tuple(it for it in rho.rels if it[0] in keys),
-        )
-
     def interp_rel(self, rho: RelEnv, ty: TypeExpr) -> RelView:
-        key = (ty, self._restrict_rel(rho, ty))
-        hit = self._rel.get(key)
-        if hit is not None:
-            return hit
-        view = self._interp_rel(rho, ty)
-        self._rel[key] = view
+        key = (ty, rho.restrict(free_type_var_keys(ty)))
+        view = self._rel.get(key)
+        if view is None:
+            view = self._rel[key] = self._interp_rel(rho, ty)
         return view
 
     def _interp_rel(self, rho: RelEnv, ty: TypeExpr) -> RelView:
@@ -817,7 +834,8 @@ class Model:
             raise OutOfBoundError(
                 f"no registered algebra isomorphic to carrier size {target.carrier.size}"
             )
-        assert all(r == results[0] for r in results), "projection depends on the isomorphism"
+        if any(r != results[0] for r in results):
+            raise InterpError(f"projection at {body} depends on the isomorphism: {results}")
         return results[0]
 
 
@@ -922,7 +940,8 @@ class Model:
             for which in (0, 1):
                 tm = encodings.two_value(which)
                 vals.append(self._eval(tm, (), None, TypeEnv(), {}))
-            assert vals[0] != vals[1], "the two boolean values must be distinct"
+            if vals[0] == vals[1]:
+                raise InterpError(f"the two boolean values coincide: both are {vals[0]}")
             self._two = (vals[0], vals[1])
         return self._two
 

@@ -14,10 +14,17 @@ is a computation type exactly when its codomain is.
 Judgments ``gamma | delta |- t : B`` carry an ordinary context plus an
 optional stoup ``delta``: at most one binding, restricted to
 computation types, forcing a computation-type result.
+
+Interning invariant: the core type constructors (``VVar``, ``CVar``,
+``Arrow``, ``Lolli``, ``ForallV``, ``ForallC``) are hash-consed (Filliatre &
+Conchon, "Type-Safe Modular Hash-Consing", 2006), so structurally equal
+types are one object, and caches (notably ``interp.Model``'s) key on them
+by identity.  Build types only through those constructors; never mutate one.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Optional, Union
@@ -36,41 +43,103 @@ class KindError(Exception):
 # types
 
 
-@dataclass(frozen=True)
+class Interned:
+    """Base of hash-consed values: see ``hash_consed``."""
+
+    def __reduce__(self):  # copies and unpickled values are interned too
+        return type(self), tuple(getattr(self, f) for f in self.__match_args__)
+
+
+def hash_consed(cls):
+    """Make ``cls`` (an ``Interned``) a frozen dataclass whose constructor
+    returns the unique live instance with the given field values, so
+    equality is identity and hashing is O(1).
+
+    The table holds instances weakly, so one no one uses any more is freed
+    as usual.  Like the ``__init__`` that ``dataclass`` writes, the
+    constructor is generated per class: types are built in the innermost
+    loops of term generation and type checking, where the overhead of a
+    generic ``*args`` constructor shows.
+    """
+    cls = dataclass(frozen=True, eq=False)(cls)
+    fields = cls.__match_args__
+    sets = "".join(f"\n        _set(node, {f!r}, {f})" for f in fields)
+    if hasattr(cls, "__post_init__"):
+        sets += "\n        node.__post_init__()"
+    namespace: dict = {}
+    exec(_NEW.format(params=", ".join(fields), sets=sets), globals(), namespace)
+    namespace["__new__"].__defaults__ = cls.__init__.__defaults__
+    cls.__new__, cls.__init__ = namespace["__new__"], object.__init__
+    return cls
+
+
+_NEW = """
+def __new__(cls, {params}):
+    key = (cls, {params})
+    ref = _INTERNED.get(key)
+    node = None if ref is None else ref()
+    if node is None:
+        node = _new(cls){sets}
+        ref = _INTERNED[key] = _KeyedRef(node, _forget)
+        ref.key = key
+    return node
+"""
+_INTERNED: dict = {}  # (class, *fields) -> weak reference to the instance
+_new, _set = object.__new__, object.__setattr__
+
+
+class _KeyedRef(weakref.ref):
+    """A weak reference that knows its table key, to drop it when it dies."""
+
+    __slots__ = ("key",)
+
+
+def _forget(ref: _KeyedRef) -> None:
+    if _INTERNED.get(ref.key) is ref:
+        del _INTERNED[ref.key]
+
+
+VSORT, CSORT = "v", "c"  # the two sorts of type variable, as environment keys
+
+
 class TypeExpr:
-    pass
+    """Base of type syntax: the interned core constructors and surface sugar."""
+
+    _fv = None  # free variables as nodes, cached on first use (core only)
+    _fvk = None  # the same as (sort, name) keys
+    _kind = None  # the kind, cached on first use (core only)
 
 
-@dataclass(frozen=True)
-class VVar(TypeExpr):
+@hash_consed
+class VVar(TypeExpr, Interned):
     name: str
 
 
-@dataclass(frozen=True)
-class CVar(TypeExpr):
+@hash_consed
+class CVar(TypeExpr, Interned):
     name: str
 
 
-@dataclass(frozen=True)
-class Arrow(TypeExpr):
+@hash_consed
+class Arrow(TypeExpr, Interned):
     dom: TypeExpr
     cod: TypeExpr
 
 
-@dataclass(frozen=True)
-class Lolli(TypeExpr):
+@hash_consed
+class Lolli(TypeExpr, Interned):
     dom: TypeExpr
     cod: TypeExpr
 
 
-@dataclass(frozen=True)
-class ForallV(TypeExpr):
+@hash_consed
+class ForallV(TypeExpr, Interned):
     binder: str
     body: TypeExpr
 
 
-@dataclass(frozen=True)
-class ForallC(TypeExpr):
+@hash_consed
+class ForallC(TypeExpr, Interned):
     binder: str
     body: TypeExpr
 
@@ -80,8 +149,17 @@ def classify_type(t: TypeExpr) -> Kind:
 
     Total and deterministic on well-formed trees.  Raises KindError when a
     ``-o`` has a non-computation operand, since no well-formed type may
-    contain one.
+    contain one.  The kind of a core type is computed once.
     """
+    kind = getattr(t, "_kind", None)
+    if kind is None:
+        kind = _classify(t)
+        if isinstance(t, Interned):
+            object.__setattr__(t, "_kind", kind)
+    return kind
+
+
+def _classify(t: TypeExpr) -> Kind:
     if isinstance(t, VVar):
         return Kind.VALUE
     if isinstance(t, CVar):
@@ -104,21 +182,30 @@ def classify_type(t: TypeExpr) -> Kind:
     raise KindError(f"not a type expression: {t!r}")
 
 
-def is_computation_type(t: TypeExpr) -> bool:
-    return classify_type(t) is Kind.COMPUTATION
-
-
 def free_type_vars(t: TypeExpr) -> frozenset[Union[VVar, CVar]]:
     """Free type variables of ``t``, as variable nodes (sort included)."""
+    if t._fv is not None:
+        return t._fv
     if isinstance(t, (VVar, CVar)):
-        return frozenset([t])
+        return frozenset([t])  # not cached: a cycle would delay freeing the node
     if isinstance(t, (Arrow, Lolli)):
-        return free_type_vars(t.dom) | free_type_vars(t.cod)
-    if isinstance(t, ForallV):
-        return free_type_vars(t.body) - {VVar(t.binder)}
-    if isinstance(t, ForallC):
-        return free_type_vars(t.body) - {CVar(t.binder)}
-    raise KindError(f"not a core type expression: {t!r}")
+        fv = free_type_vars(t.dom) | free_type_vars(t.cod)
+    elif isinstance(t, ForallV):
+        fv = free_type_vars(t.body) - {VVar(t.binder)}
+    elif isinstance(t, ForallC):
+        fv = free_type_vars(t.body) - {CVar(t.binder)}
+    else:
+        raise KindError(f"not a core type expression: {t!r}")
+    object.__setattr__(t, "_fv", fv)
+    return fv
+
+
+def free_type_var_keys(t: TypeExpr) -> frozenset[tuple[str, str]]:
+    """Free type variables of ``t`` as ``(sort, name)`` environment keys."""
+    if t._fvk is None:
+        keys = {(VSORT if isinstance(v, VVar) else CSORT, v.name) for v in free_type_vars(t)}
+        object.__setattr__(t, "_fvk", frozenset(keys))
+    return t._fvk
 
 
 def all_type_var_names(x: Union["TypeExpr", "TermExpr"]) -> frozenset[str]:
@@ -264,13 +351,6 @@ class TyAppC(TermExpr):
 @dataclass(frozen=True)
 class Const(TermExpr):
     name: str
-
-
-def ty_app(fn: TermExpr, arg: TypeExpr) -> TermExpr:
-    """Build the type application node matching the argument's class."""
-    if classify_type(arg) is Kind.COMPUTATION:
-        return TyAppC(fn, arg)
-    return TyAppV(fn, arg)
 
 
 def free_term_vars(t: TermExpr) -> frozenset[str]:
@@ -444,6 +524,8 @@ def _alpha_tm(a: TermExpr, b: TermExpr, tya, tyb, tma, tmb, depth: int) -> bool:
 
 def alpha_eq(a: Expr, b: Expr) -> bool:
     """Equality modulo consistent renaming of bound variables."""
+    if a is b:  # interned types: identical, so alpha-equivalent
+        return True
     if isinstance(a, TypeExpr) and isinstance(b, TypeExpr):
         return _alpha_ty(a, b, {}, {}, 0)
     if isinstance(a, TermExpr) and isinstance(b, TermExpr):

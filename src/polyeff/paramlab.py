@@ -670,7 +670,8 @@ def verify_encoding_props(model: ip.Model) -> VerificationReport:
 
     The model must have free algebras registered: coproduct mediation is
     only unique once the enumeration contains algebras rich enough to cut
-    non-standard families out of the encoded sum.
+    non-standard families out of the encoded sum.  For the same reason a
+    sum isomorphic to no registered algebra makes the suite out of bound.
     """
     t0 = time.perf_counter()
     failures = []
@@ -699,6 +700,14 @@ def verify_encoding_props(model: ip.Model) -> VerificationReport:
                 sum_alg = model.interp_ctype(tyenv, oplus_ty)
             except ip.OutOfBoundError as exc:
                 return _out_of_bound("encoding-props", model, t0, str(exc))
+            # mediation is unique only if some registered algebra can stand
+            # for the sum itself; otherwise the bound, not the law, decides
+            if not any(model._algebra_isos(alg_c, sum_alg, limit=1) for alg_c in model.algebras):
+                return _out_of_bound(
+                    "encoding-props", model, t0,
+                    f"the encoded sum of algebras {ia} and {ib} has {sum_alg.carrier.size}"
+                    " elements and is isomorphic to no registered algebra",
+                )
             inl_v = model._eval(inl_t, (), None, tyenv, {})
             inr_v = model._eval(inr_t, (), None, tyenv, {})
             inl_sem = model.interp_vtype(tyenv, Lolli(CVar("A"), oplus_ty))

@@ -661,9 +661,3 @@ def print_type(t: TypeExpr) -> str:
 
 def print_term(t: TermExpr) -> str:
     return _pm(t, _TM_LAM)
-
-
-def print_expr(x: Union[TypeExpr, TermExpr]) -> str:
-    if isinstance(x, TypeExpr):
-        return print_type(x)
-    return print_term(x)

@@ -138,9 +138,9 @@ def _synth(gamma: Ctx, delta: Stoup, t: TermExpr, constants: Constants) -> TypeE
     result = _synth_node(gamma, delta, t, constants)
     # conclusion well-formedness after every rule application: a nonempty
     # stoup forces a computation-type result
-    if delta is not None:
-        assert classify_type(result) is Kind.COMPUTATION, (
-            f"internal: stoup judgment produced value type {result}"
+    if delta is not None and classify_type(result) is not Kind.COMPUTATION:
+        raise TypingError(
+            ErrorCode.STOUP_VIOLATION, f"stoup judgment produced value type {result}"
         )
     return result
 

@@ -170,20 +170,6 @@ def test_monad_laws_small():
         assert rep.ok, rep.failures[:3]
 
 
-def test_structure_map_agrees_with_tables():
-    alg, _ = fm.free_algebra(EXC, fm.FinSet(2))
-    xi = fm.em_map_of(alg)
-    with_map = fm.Alg(EXC, alg.carrier, raise_points=alg.raise_points, em_map=xi)
-    fm.check_em_map(with_map)
-    bad = fm.Alg(EXC, alg.carrier, raise_points=alg.raise_points,
-                 em_map=tuple(0 for _ in xi))
-    with pytest.raises(fm.ModelError):
-        fm.check_em_map(bad)
-    palg, _ = fm.free_algebra(POW, fm.FinSet(2))
-    fm.check_em_map(fm.Alg(POW, palg.carrier, or_table=palg.or_table,
-                           em_map=fm.em_map_of(palg)))
-
-
 def test_algebra_shape_validation():
     with pytest.raises(fm.ModelError):
         fm.Alg(EXC, fm.FinSet(2))  # missing the distinguished point

@@ -1,0 +1,118 @@
+"""Hash-consed types and interned environments.
+
+Structurally equal types and environments must be one object, so the
+interpretation caches can key on them by identity.
+"""
+
+import copy
+import gc
+import pickle
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from polyeff import finmodel as fm
+from polyeff import interp as ip
+from polyeff import kernel
+from polyeff.kernel import (
+    Arrow,
+    CVar,
+    ForallV,
+    Kind,
+    Lolli,
+    VVar,
+    free_type_var_keys,
+    free_type_vars,
+)
+from polyeff.randterms import TermGenerator
+
+EXC = fm.MonadSpec("exception", ("e",))
+
+
+def rebuild(t):
+    """A fresh construction of ``t``, node by node."""
+    if isinstance(t, (VVar, CVar)):
+        return type(t)(t.name)
+    if isinstance(t, (Arrow, Lolli)):
+        return type(t)(rebuild(t.dom), rebuild(t.cod))
+    return type(t)(t.binder, rebuild(t.body))
+
+
+def reference_free_vars(t) -> set:
+    """Free variables as (sort, name), by a plain uncached walk."""
+    if isinstance(t, VVar):
+        return {("v", t.name)}
+    if isinstance(t, CVar):
+        return {("c", t.name)}
+    if isinstance(t, (Arrow, Lolli)):
+        return reference_free_vars(t.dom) | reference_free_vars(t.cod)
+    sort = "v" if isinstance(t, ForallV) else "c"
+    return reference_free_vars(t.body) - {(sort, t.binder)}
+
+
+types = st.builds(
+    lambda seed, depth, want: TermGenerator(seed, max_type_depth=depth).random_type(want=want),
+    st.integers(0, 2**32 - 1),
+    st.integers(0, 4),
+    st.sampled_from([None, Kind.VALUE, Kind.COMPUTATION]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(types)
+def test_rebuilt_type_is_the_same_object(t):
+    assert rebuild(t) is t
+    assert hash(rebuild(t)) == hash(t)
+
+
+@settings(max_examples=200, deadline=None)
+@given(types)
+def test_cached_free_vars_match_an_uncached_walk(t):
+    expected = reference_free_vars(t)
+    sorts = {VVar: "v", CVar: "c"}
+    assert {(sorts[type(v)], v.name) for v in free_type_vars(t)} == expected
+    assert free_type_var_keys(t) == expected
+
+
+def test_types_are_immutable():
+    with pytest.raises(AttributeError):
+        Arrow(VVar("X"), VVar("X")).dom = VVar("Y")
+
+
+def test_copies_are_interned_and_unused_values_are_freed():
+    t = ForallV("Z9", Arrow(VVar("Z9"), CVar("P")))
+    assert copy.deepcopy(t) is t
+    assert pickle.loads(pickle.dumps(t)) is t
+    env = ip.type_env({"Z9": fm.FinSet(1)})
+    assert pickle.loads(pickle.dumps(env)) is env
+    del t, env
+    gc.collect()
+    assert not any("Z9" in key for key in kernel._INTERNED)
+
+
+def test_environments_are_interned():
+    a, b = fm.FinSet(1), fm.FinSet(2)
+    env = ip.TypeEnv().set(ip.VSORT, "X", a).set(ip.VSORT, "Y", b)
+    assert env is ip.type_env({"Y": fm.FinSet(2), "X": fm.FinSet(1)})
+    assert env.restrict(frozenset({(ip.VSORT, "X")})) is ip.TypeEnv().set(ip.VSORT, "X", a)
+    rho = ip.RelEnv(ip.TypeEnv(), ip.TypeEnv()).set(ip.VSORT, "X", a, b, frozenset({(0, 1)}))
+    again = ip.RelEnv(ip.TypeEnv(), ip.TypeEnv()).set(ip.VSORT, "X", a, b, frozenset({(0, 1)}))
+    assert rho is again
+    assert ip.diag_relenv(env) is ip.diag_relenv(ip.type_env({"X": a, "Y": b}))
+
+
+def test_relation_carrier_check_runs_for_every_distinct_binding():
+    a, b = fm.FinSet(1), fm.FinSet(2)
+    empty = ip.RelEnv(ip.TypeEnv(), ip.TypeEnv())
+    empty.set(ip.VSORT, "X", a, b, frozenset({(0, 1)}))
+    with pytest.raises(ip.InterpError, match="escapes its carriers"):
+        empty.set(ip.VSORT, "X", a, b, frozenset({(1, 0)}))
+
+
+def test_cache_keys_are_shared_across_equal_environments():
+    model = ip.Model(EXC, 2)
+    ty = Arrow(VVar("X"), VVar("X"))
+    env1 = ip.type_env({"X": fm.FinSet(2), "Y": fm.FinSet(0)})
+    env2 = ip.type_env({"X": fm.FinSet(2), "Y": fm.FinSet(1)})
+    assert model.interp_vtype(env1, ty) is model.interp_vtype(env2, ty)
+    assert len(model._vty) == 2  # X -> X and X

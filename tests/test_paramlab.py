@@ -114,6 +114,18 @@ def test_encoding_props(exc_free):
     assert rep.status == "verified", rep.witness
 
 
+def test_encoding_props_sum_outside_the_bound_is_out_of_bound():
+    # identity monad at bound 2: the encoded sum of the 1- and 2-element
+    # algebras has 4 elements, and no registered algebra is that large
+    model = pl.build_model(fm.ModelConfig("identity", (), 2, True))
+    rep = pl.verify_encoding_props(model)
+    assert rep.status == "out-of-bound"
+    assert rep.witness == {
+        "detail": "the encoded sum of algebras 1 and 2 has 4 elements"
+        " and is isomorphic to no registered algebra"
+    }
+
+
 def test_identity_extension(exc_plain):
     rep = pl.verify_identity_extension(exc_plain)
     assert rep.status == "verified", rep.witness

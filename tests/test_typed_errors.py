@@ -1,0 +1,55 @@
+"""Semantic checks raise typed errors, so they survive ``python -O``.
+
+Each test drives one check into failure and expects its exception class.
+No test here relies on a bare ``assert``: the file is also run under
+``python -O -m pytest``, where assert statements are compiled away.
+"""
+
+import pytest
+
+from polyeff import finmodel as fm
+from polyeff import interp as ip
+from polyeff import typecheck as tc
+from polyeff.kernel import CVar, Var, VVar
+
+EXC = fm.MonadSpec("exception", ("e",))
+IDM = fm.MonadSpec("identity")
+
+
+class SkewedModel(ip.Model):
+    """Interprets every computation type on a carrier one element too large."""
+
+    def _interp_ctype(self, env, ty):
+        alg = super()._interp_ctype(env, ty)
+        return fm.Alg(self.monad, fm.FinSet(alg.carrier.size + 1), raise_points=alg.raise_points)
+
+
+def test_ctype_carrier_must_match_the_set_interpretation():
+    model = SkewedModel(EXC, 1)
+    env = ip.type_env({}, {"P": model.algebras[0]})
+    with pytest.raises(ip.InterpError, match="carrier"):
+        model.interp_ctype(env, CVar("P"))
+
+
+def test_projection_must_not_depend_on_the_isomorphism():
+    # a family picking element 0 of every algebra is not parametric: the two
+    # automorphisms of the 2-element set transport it to different elements
+    model = ip.Model(IDM, 2)
+    comps = tuple(ip.AtomSem(alg.carrier.size) for alg in model.algebras)
+    poly = ip.PolySem(1, True, comps, ((0,) * len(comps),))
+    target = fm.Alg(IDM, fm.FinSet(2, labels=("a", "b")))  # registered only up to iso
+    with pytest.raises(ip.InterpError, match="depends on the isomorphism"):
+        model.project_poly(poly, 0, target, "X", CVar("X"), ip.TypeEnv())
+
+
+def test_the_two_booleans_must_be_distinct():
+    # with carriers of at most one element, [[1 + 1]] collapses to one point
+    with pytest.raises(ip.InterpError, match="coincide"):
+        ip.Model(IDM, 1).two_values()
+
+
+def test_stoup_judgment_must_produce_a_computation_type():
+    # synth does not validate the stoup itself, so a value-type stoup
+    # reaches the conclusion check
+    with pytest.raises(tc.TypingError, match="stoup judgment produced value type"):
+        tc.synth((), ("x", VVar("X")), Var("x"))
