@@ -27,6 +27,10 @@ class ModelError(Exception):
     pass
 
 
+class OutOfBoundError(ModelError):
+    """An enumeration or an object lies beyond what the model can reach."""
+
+
 def _hash_once(cls):
     """Compute a frozen dataclass's field hash once, at construction: these
     values sit inside every interpretation cache key.  Pickling goes back
@@ -264,16 +268,26 @@ def is_homomorphism(table: Sequence[int], dom: Alg, cod: Alg) -> bool:
 
 
 def enumerate_homs(dom: Alg, cod: Alg, cap: int = 1_000_000) -> list[tuple[int, ...]]:
-    """All homomorphism tables dom -> cod, in lexicographic order."""
-    n, mcod = dom.carrier.size, cod.carrier.size
-    if mcod == 0:
-        return [] if n > 0 else [()]
-    if mcod ** n > cap:
-        raise ModelError(f"hom space too large: {mcod}^{n}")
+    """All homomorphism tables dom -> cod, in lexicographic order.
+
+    Exception points are pinned first, so only the free positions are
+    enumerated; more than ``cap`` choices raise ``OutOfBoundError``.
+    """
+    forced: dict[int, int] = {}
+    for p, q in zip(dom.raise_points, cod.raise_points):
+        if forced.setdefault(p, q) != q:
+            return []
+    table = [forced.get(i, 0) for i in range(dom.carrier.size)]
+    free = [i for i in range(len(table)) if i not in forced]
+    m = cod.carrier.size
+    if m ** len(free) > cap:
+        raise OutOfBoundError(f"hom space too large: {m}^{len(free)}")
     out = []
-    for tbl in product(range(mcod), repeat=n):
-        if is_homomorphism(tbl, dom, cod):
-            out.append(tbl)
+    for choice in product(range(m), repeat=len(free)):
+        for p, v in zip(free, choice):
+            table[p] = v
+        if is_homomorphism(table, dom, cod):
+            out.append(tuple(table))
     return out
 
 
@@ -309,14 +323,6 @@ class Rel:
                 raise ModelError(f"pair {(x, y)} escapes {self.left.size}x{self.right.size}")
 
 
-def diagonal(a: FinSet) -> Rel:
-    return Rel(a, a, frozenset((i, i) for i in range(a.size)))
-
-
-def opposite(r: Rel) -> Rel:
-    return Rel(r.right, r.left, frozenset((y, x) for x, y in r.pairs))
-
-
 def preimage(f: Sequence[int], g: Sequence[int], r: Rel) -> Rel:
     """(f,g)^-1 R = { (x,y) | (f x, g y) in R }."""
     pairs = frozenset(
@@ -326,11 +332,6 @@ def preimage(f: Sequence[int], g: Sequence[int], r: Rel) -> Rel:
         if (f[x], g[y]) in r.pairs
     )
     return Rel(FinSet(len(f)), FinSet(len(g)), pairs)
-
-
-def graph_rel(f: Sequence[int], a: FinSet, b: FinSet) -> Rel:
-    """Graph f = (f, id)^-1 of the diagonal."""
-    return preimage(f, tuple(range(b.size)), diagonal(b))
 
 
 def product_alg(a: Alg, b: Alg) -> Alg:

@@ -24,7 +24,6 @@ only through their constructors and never mutate them.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from itertools import product
 from typing import Callable, Optional, Sequence
@@ -67,8 +66,7 @@ NAIVE_FAMILY_CAP = 1_000_000
 ITER_CAP = 400_000
 
 
-class OutOfBoundError(Exception):
-    """The requested object has no isomorphic representative in the model."""
+OutOfBoundError = fm.OutOfBoundError
 
 
 class InterpError(Exception):
@@ -159,10 +157,6 @@ class PolySem(SemSet):
         if idx is None:
             raise InterpError("family is not parametric")
         return idx
-
-
-def apply_sem(sem: SemSet, f: int, x: int) -> int:
-    return sem.apply(f, x)  # type: ignore[attr-defined]
 
 
 # ---------------------------------------------------------------------------
@@ -337,39 +331,60 @@ class ForallRel(RelView):
         self._memo: dict = {}
         self._pairs: Optional[frozenset] = None
 
-    def contains(self, a: int, b: int) -> bool:
+    def contains(self, a: int, b: int, related=None) -> bool:
+        """``related`` is a ``Model.relatedness`` test shared by a sweep;
+        without one, a test is built for this pair and dropped after it."""
         hit = self._memo.get((a, b))
-        if hit is not None:
-            return hit
-        model, sort = self.model, self.sort
-        objs = model.objects(sort)
-        fam_a = self.left.fams[a]  # type: ignore[attr-defined]
-        fam_b = self.right.fams[b]  # type: ignore[attr-defined]
-        ok = True
-        for i in range(len(objs)):
-            for j in range(len(objs)):
-                for q in model.rels_for_pair(sort, i, j):
-                    rho2 = self.rho.set(sort, self.binder, objs[i], objs[j], q)
-                    view = model.interp_rel(rho2, self.body)
-                    if not view.contains(fam_a[i], fam_b[j]):
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        self._memo[(a, b)] = ok
-        return ok
+        if hit is None:
+            if related is None:
+                related = self.model.relatedness(self.rho, self.sort, self.binder, self.body)
+            fam_a = self.left.fams[a]  # type: ignore[attr-defined]
+            fam_b = self.right.fams[b]  # type: ignore[attr-defined]
+            k = len(fam_a)
+            hit = self._memo[(a, b)] = all(
+                related(i, j, fam_a[i], fam_b[j]) for i in range(k) for j in range(k)
+            )
+        return hit
 
     def pairs(self) -> frozenset:
         if self._pairs is None:
+            related = self.model.relatedness(self.rho, self.sort, self.binder, self.body)
             self._pairs = frozenset(
                 (a, b)
                 for a in range(self.left.size)
                 for b in range(self.right.size)
-                if self.contains(a, b)
+                if self.contains(a, b, related)
             )
         return self._pairs
+
+
+def pairwise_search(sizes: Sequence[int], ok: Callable[[int, int, int, int], bool]
+                    ) -> tuple[tuple[int, ...], ...]:
+    """Every tuple ``t`` with ``t[i] < sizes[i]`` and ``ok(i, j, t[i], t[j])``
+    for all positions ``i`` and ``j``, sorted.
+
+    Positions are fixed smallest domain first.  A candidate must pass
+    ``ok(i, i, c, c)``, then both directions against every fixed position.
+    Reaching a position whose domain exceeds ``ITER_CAP`` raises
+    ``OutOfBoundError``.
+    """
+    order = sorted(range(len(sizes)), key=lambda i: (sizes[i], i))
+    partial: list[tuple[int, ...]] = [()]
+    for pos, i in enumerate(order):
+        if sizes[i] > ITER_CAP:
+            raise OutOfBoundError(f"component space too large to enumerate: {sizes[i]}")
+        cands = [c for c in range(sizes[i]) if ok(i, i, c, c)]
+        fixed = order[:pos]
+        partial = [
+            asg + (c,)
+            for asg in partial
+            for c in cands
+            if all(ok(j, i, u, c) and ok(i, j, c, u) for j, u in zip(fixed, asg))
+        ]
+        if not partial:
+            return ()
+    at = sorted(range(len(order)), key=order.__getitem__)
+    return tuple(sorted(tuple(asg[p] for p in at) for asg in partial))
 
 
 # ---------------------------------------------------------------------------
@@ -494,28 +509,7 @@ class Model:
         raise InterpError(f"cannot interpret type {ty!r}")
 
     def _hom_tables(self, dom: fm.Alg, cod: fm.Alg) -> tuple[tuple[int, ...], ...]:
-        n, m = dom.carrier.size, cod.carrier.size
-        if m == 0:
-            return ((),) if n == 0 else ()
-        # pin exception points first; enumerate only the free positions
-        forced: dict[int, int] = {}
-        if self.monad.key == "exception":
-            for p, q in zip(dom.raise_points, cod.raise_points):
-                if forced.setdefault(p, q) != q:
-                    return ()
-        free_pos = [i for i in range(n) if i not in forced]
-        if m ** len(free_pos) > ITER_CAP:
-            raise OutOfBoundError(f"hom space too large: {m}^{len(free_pos)}")
-        out = []
-        for choice in product(range(m), repeat=len(free_pos)):
-            table = [0] * n
-            for p, q in forced.items():
-                table[p] = q
-            for p, v in zip(free_pos, choice):
-                table[p] = v
-            if fm.is_homomorphism(table, dom, cod):
-                out.append(tuple(table))
-        return tuple(sorted(out))
+        return tuple(fm.enumerate_homs(dom, cod, ITER_CAP))
 
     # -- computation-type interpretation -----------------------------------
 
@@ -617,72 +611,42 @@ class Model:
             return ForallRel(self, rho, sort, ty.binder, ty.body, left, right)
         raise InterpError(f"cannot interpret type {ty!r}")
 
-    def interp_rel_pairs(self, rho: RelEnv, ty: TypeExpr) -> fm.Rel:
-        """Materialized relation, as an explicit pair set."""
-        view = self.interp_rel(rho, ty)
-        return fm.Rel(fm.FinSet(view.left.size), fm.FinSet(view.right.size), view.pairs())
-
     # -- parametric families ------------------------------------------------
 
-    def _family_rel(self, env: TypeEnv, sort: str, binder: str, body: TypeExpr,
-                    i: int, j: int, q: frozenset) -> RelView:
+    def relatedness(self, rho: RelEnv, sort: str, binder: str, body: TypeExpr
+                    ) -> Callable[[int, int, int, int], bool]:
+        """``related(i, j, u, v)``: the components ``u`` of ``body`` at object
+        ``i`` and ``v`` at object ``j`` are related under every admissible
+        relation between the two objects, with ``rho`` on the other variables.
+
+        Each relation view is built on first use and kept only as long as
+        the returned function.
+        """
         objs = self.objects(sort)
-        rho = diag_relenv(env).set(sort, binder, objs[i], objs[j], q)
-        return self.interp_rel(rho, body)
+        per_pair: dict = {}  # (i, j) -> (relations, views built so far, in order)
+
+        def related(i: int, j: int, u: int, v: int) -> bool:
+            hit = per_pair.get((i, j))
+            if hit is None:
+                hit = per_pair[(i, j)] = (self.rels_for_pair(sort, i, j), [])
+            rels, views = hit
+            for view in views:
+                if not view.contains(u, v):
+                    return False
+            for q in rels[len(views):]:
+                view = self.interp_rel(rho.set(sort, binder, objs[i], objs[j], q), body)
+                views.append(view)
+                if not view.contains(u, v):
+                    return False
+            return True
+
+        return related
 
     def _families(self, env: TypeEnv, sort: str, binder: str, body: TypeExpr,
                   comps: Sequence[SemSet]) -> tuple[tuple[int, ...], ...]:
-        """All component tuples that preserve every admissible relation.
-
-        Objects are processed in ascending component order; candidates are
-        pruned by self-relations first and against previously fixed
-        components immediately after.
-        """
-        k = len(comps)
-        if k == 0:
-            return ((),)
-        order = sorted(range(k), key=lambda i: (comps[i].size, i))
-        partial: list[tuple[int, ...]] = [()]
-        for pos, oi in enumerate(order):
-            if comps[oi].size > ITER_CAP:
-                raise OutOfBoundError(
-                    f"component space too large to enumerate: {comps[oi].size}"
-                )
-            cands = list(range(comps[oi].size))
-            for q in self.rels_for_pair(sort, oi, oi):
-                view = self._family_rel(env, sort, binder, body, oi, oi, q)
-                cands = [c for c in cands if view.contains(c, c)]
-                if not cands:
-                    break
-            if not cands:
-                return ()
-            grown: list[tuple[int, ...]] = []
-            for asg in partial:
-                for c in cands:
-                    ok = True
-                    for prev_pos in range(pos):
-                        oj = order[prev_pos]
-                        cp = asg[prev_pos]
-                        for q in self.rels_for_pair(sort, oj, oi):
-                            if not self._family_rel(env, sort, binder, body, oj, oi, q).contains(cp, c):
-                                ok = False
-                                break
-                        if ok:
-                            for q in self.rels_for_pair(sort, oi, oj):
-                                if not self._family_rel(env, sort, binder, body, oi, oj, q).contains(c, cp):
-                                    ok = False
-                                    break
-                        if not ok:
-                            break
-                    if ok:
-                        grown.append(asg + (c,))
-            partial = grown
-            if not partial:
-                return ()
-        inv = [0] * k
-        for pos, oi in enumerate(order):
-            inv[oi] = pos
-        return tuple(sorted(tuple(asg[inv[i]] for i in range(k)) for asg in partial))
+        """All component tuples that preserve every admissible relation."""
+        related = self.relatedness(diag_relenv(env), sort, binder, body)
+        return pairwise_search([c.size for c in comps], related)
 
     def enumerate_families_naive(self, env: TypeEnv, ty: TypeExpr) -> tuple[tuple[int, ...], ...]:
         """Oracle tier: filter the full component product by all constraints."""
@@ -696,23 +660,12 @@ class Model:
             total *= c.size
         if total > NAIVE_FAMILY_CAP:
             raise OutOfBoundError(f"naive family space too large: {total}")
-        out = []
-        for fam in product(*(range(c.size) for c in comps)):
-            ok = True
-            for i in range(len(objs)):
-                for j in range(len(objs)):
-                    for q in self.rels_for_pair(sort, i, j):
-                        view = self._family_rel(env, sort, ty.binder, ty.body, i, j, q)
-                        if not view.contains(fam[i], fam[j]):
-                            ok = False
-                            break
-                    if not ok:
-                        break
-                if not ok:
-                    break
-            if ok:
-                out.append(fam)
-        return tuple(sorted(out))
+        related = self.relatedness(diag_relenv(env), sort, ty.binder, ty.body)
+        k = len(comps)
+        return tuple(
+            fam for fam in product(*(range(c.size) for c in comps))
+            if all(related(i, j, fam[i], fam[j]) for i in range(k) for j in range(k))
+        )
 
     # -- transport ----------------------------------------------------------
 
@@ -740,7 +693,7 @@ class Model:
 
             def go(f: int) -> int:
                 table = [
-                    cod_fwd(apply_sem(src, f, dom_back(y)))
+                    cod_fwd(src.apply(f, dom_back(y)))  # type: ignore[attr-defined]
                     for y in range(dst.dom.size)  # type: ignore[attr-defined]
                 ]
                 return dst.encode(table)  # type: ignore[attr-defined]
@@ -892,7 +845,7 @@ class Model:
             sem = self.interp_vtype(tyenv, head_ty)
             fval = self._eval(t.fn, gamma, dfn, tyenv, tmenv)
             aval = self._eval(t.arg, gamma, darg, tyenv, tmenv)
-            return apply_sem(sem, fval, aval)
+            return sem.apply(fval, aval)  # type: ignore[attr-defined]
         if isinstance(t, (TyLamV, TyLamC)):
             sort = VSORT if isinstance(t, TyLamV) else CSORT
             forall_ty = tc.synth(gamma, delta, t, consts)
@@ -1081,10 +1034,3 @@ def semset_to_json(model: Model, sem: SemSet):
         return {"kind": "families", "size": sem.size,
                 "objects": len(model.algebras) if sem.csort else len(model.sets)}
     raise InterpError(f"cannot dump {sem!r}")
-
-
-def dump_value(model: Model, sem: SemSet, idx: int) -> str:
-    return json.dumps(
-        {"set": semset_to_json(model, sem), "value": decode_value(model, sem, idx).to_json()},
-        sort_keys=True,
-    )

@@ -24,6 +24,7 @@ by identity.  Build types only through those constructors; never mutate one.
 
 from __future__ import annotations
 
+import itertools
 import weakref
 from dataclasses import dataclass
 from enum import Enum
@@ -534,8 +535,13 @@ def alpha_eq(a: Expr, b: Expr) -> bool:
 
 
 def alpha_canonical(t: TypeExpr) -> TypeExpr:
-    """Rename bound variables to a canonical numbering (for set-based dedup)."""
-    counter = [0]
+    """Rename bound variables to a canonical numbering (for set-based dedup).
+
+    The canonical names ``b0, b1, ...`` skip every free name of ``t``, so no
+    free variable is captured.
+    """
+    free = {name for _, name in free_type_var_keys(t)}
+    names = (name for name in (f"b{i}" for i in itertools.count()) if name not in free)
 
     def go(t: TypeExpr, env: dict) -> TypeExpr:
         if isinstance(t, (VVar, CVar)):
@@ -544,8 +550,7 @@ def alpha_canonical(t: TypeExpr) -> TypeExpr:
             return type(t)(go(t.dom, env), go(t.cod, env))
         if isinstance(t, (ForallV, ForallC)):
             sort = VVar if isinstance(t, ForallV) else CVar
-            name = f"b{counter[0]}"
-            counter[0] += 1
+            name = next(names)
             env2 = dict(env)
             env2[(sort, t.binder)] = sort(name)
             return type(t)(name, go(t.body, env2))

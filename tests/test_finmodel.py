@@ -85,6 +85,28 @@ def test_semilattice_hom_tables_by_exhaustion():
     assert fm.enumerate_homs(mn, mx) == [tuple(t) for t in oracle]
 
 
+@pytest.mark.parametrize("monad", [IDM, EXC, EXC2, POW], ids=lambda m: f"{m.key}{m.n_exc}")
+def test_enumerate_homs_matches_brute_force(monad):
+    # every algebra at bound 2 plus the free algebras on 0, 1 and 2 points,
+    # against a filter of the full table product, order included
+    algs = fm.enumerate_algebras(monad, fm.Bound(2))
+    algs += [fm.free_algebra(monad, fm.FinSet(n))[0] for n in range(3)]
+    for dom in algs:
+        for cod in algs:
+            brute = [t for t in product(range(cod.carrier.size), repeat=dom.carrier.size)
+                     if fm.is_homomorphism(t, dom, cod)]
+            assert fm.enumerate_homs(dom, cod) == brute
+
+
+def test_enumerate_homs_caps_only_the_free_positions():
+    dom, _ = fm.free_algebra(EXC, fm.FinSet(2))  # three elements, the last one pinned
+    cod = fm.Alg(EXC, fm.FinSet(2), raise_points=(0,))
+    assert len(fm.enumerate_homs(dom, cod, cap=4)) == 4
+    with pytest.raises(fm.OutOfBoundError, match=r"2\^2"):
+        fm.enumerate_homs(dom, cod, cap=3)
+    assert issubclass(fm.OutOfBoundError, fm.ModelError)
+
+
 def test_carries_subalgebra():
     alg = fm.Alg(EXC, fm.FinSet(2), raise_points=(1,))
     assert fm.carries_subalgebra({0, 1}, alg)
@@ -145,13 +167,11 @@ def test_closure_is_a_closure_operator():
 
 def test_relation_operations():
     a = fm.FinSet(2)
-    diag = fm.diagonal(a)
-    assert fm.opposite(diag).pairs == diag.pairs
     r = fm.Rel(a, a, frozenset({(0, 1)}))
     assert fm.preimage((0, 1), (0, 1), r).pairs == r.pairs
-    f = (1, 0)
-    assert fm.graph_rel(f, a, a).pairs == fm.preimage(f, (0, 1), diag).pairs
-    assert fm.graph_rel(f, a, a).pairs == frozenset({(0, 1), (1, 0)})
+    # the graph of f is the preimage of the diagonal along (f, id)
+    diag = fm.Rel(a, a, frozenset({(0, 0), (1, 1)}))
+    assert fm.preimage((1, 0), (0, 1), diag).pairs == frozenset({(0, 1), (1, 0)})
 
 
 def test_preimage_of_admissible_relation_along_homs_is_admissible():

@@ -3,13 +3,19 @@
 from itertools import product
 
 import pytest
+from hypothesis import given, strategies as st
 
 from polyeff import encodings as enc
 from polyeff import finmodel as fm
 from polyeff import interp as ip
+from polyeff import paramlab as pl
 from polyeff import typecheck as tc
 from polyeff.kernel import (
+    CSORT,
+    VSORT,
     CVar,
+    ForallC,
+    ForallV,
     Judgment,
     Var,
     VVar,
@@ -134,8 +140,9 @@ def test_graph_relation_on_endomaps(model):
 
 def test_materialized_relation_matches_view(model):
     env = ip.type_env({"B": fm.FinSet(2)})
-    rel = model.interp_rel_pairs(ip.diag_relenv(env), parse_type("B -> B"))
-    assert rel.pairs == frozenset((i, i) for i in range(4))
+    view = model.interp_rel(ip.diag_relenv(env), parse_type("B -> B"))
+    assert view.pairs() == frozenset((i, i) for i in range(4))
+    assert all(view.contains(f, g) == (f == g) for f in range(4) for g in range(4))
 
 
 def test_identity_function_denotation(model):
@@ -379,8 +386,10 @@ def test_value_dump_shapes(free_model):
     decoded = ip.decode_value(model, sem, val)
     assert decoded.kind == "fun"
     assert decoded.to_json() == [0, 1]
-    blob = ip.dump_value(model, sem, val)
-    assert '"value": [0, 1]' in blob
+    assert ip.semset_to_json(model, sem) == {
+        "kind": "functions", "size": 4,
+        "dom": {"kind": "set", "size": 2}, "cod": {"kind": "set", "size": 2},
+    }
 
 
 def test_transport_graph_is_the_graph_relation(model):
@@ -437,3 +446,55 @@ def test_hom_encoding_rejects_non_homomorphisms(model):
     assert non_hom not in sem.tables
     with pytest.raises(ip.InterpError):
         sem.encode(non_hom)
+
+
+# -- the family search --------------------------------------------------------
+
+
+@given(
+    st.lists(st.integers(0, 3), max_size=4),
+    st.sets(st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 2), st.integers(0, 2)),
+            max_size=24),
+)
+def test_pairwise_search_matches_product_filter(sizes, unrelated):
+    def ok(i, j, u, v):
+        return (i, j, u, v) not in unrelated
+
+    k = len(sizes)
+    brute = tuple(t for t in product(*(range(n) for n in sizes))
+                  if all(ok(i, j, t[i], t[j]) for i in range(k) for j in range(k)))
+    assert ip.pairwise_search(sizes, ok) == brute
+
+
+def test_pairwise_search_raises_only_at_a_reached_position():
+    def ok(i, j, u, v):
+        return True
+
+    with pytest.raises(ip.OutOfBoundError):
+        ip.pairwise_search([2, ip.ITER_CAP + 1], ok)
+    # an empty domain ends the search before the oversized one is reached
+    assert ip.pairwise_search([0, ip.ITER_CAP + 1], ok) == ()
+    assert ip.pairwise_search([], ok) == ((),)
+
+
+def test_naive_oracle_on_the_identity_extension_battery(model):
+    # the naive product filter agrees with the search on every quantified
+    # type of the battery whose component product fits the budget; the
+    # encoded products and sums at |X| = 2 (65536 tuples) do not
+    budget = 4096
+    envs = [ip.type_env({"X": x, "Y": fm.FinSet(2)}, {"P": p, "Q": model.algebras[0]})
+            for x in model.sets[1:3] for p in model.algebras[:2]]
+    compared = 0
+    for ty in pl.identity_extension_battery():
+        if not isinstance(ty, (ForallV, ForallC)):
+            continue
+        sort = VSORT if isinstance(ty, ForallV) else CSORT
+        for env in envs:
+            total = 1
+            for obj in model.objects(sort):
+                total *= model.interp_vtype(env.set(sort, ty.binder, obj), ty.body).size
+            if total > budget:
+                continue
+            assert model.enumerate_families_naive(env, ty) == model.interp_vtype(env, ty).fams, ty
+            compared += 1
+    assert compared == 52

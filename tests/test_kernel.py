@@ -1,6 +1,9 @@
 """Syntax-level properties: classification, substitution, alpha-equivalence."""
 
+import itertools
+
 import pytest
+from hypothesis import given, strategies as st
 
 from polyeff.kernel import (
     Arrow,
@@ -170,6 +173,48 @@ def test_alpha_canonical_is_alpha_invariant():
     a = parse_type("forall X. forall Y. X -> Y")
     b = parse_type("forall U. forall V. U -> V")
     assert alpha_canonical(a) == alpha_canonical(b)
+
+
+def test_alpha_canonical_avoids_free_names():
+    # a canonical binder named like a free variable would capture it
+    a = parse_type("forall X. X -> b0")
+    b = parse_type("forall X. X -> X")
+    assert not alpha_eq(a, b)
+    assert alpha_canonical(a) is not alpha_canonical(b)
+    assert alpha_canonical(a) is alpha_canonical(parse_type("forall Y. Y -> b0"))
+
+
+NAMES = st.sampled_from(["X", "Y", "b0", "b1"])
+types = st.recursive(
+    st.builds(VVar, NAMES) | st.builds(CVar, NAMES),
+    lambda inner: (
+        st.builds(Arrow, inner, inner)
+        | st.builds(Lolli, inner, inner)
+        | st.builds(ForallV, NAMES, inner)
+        | st.builds(ForallC, NAMES, inner)
+    ),
+    max_leaves=8,
+)
+
+
+def rename_binders(t, names):
+    """``t`` with its binders renamed in turn from ``names``, capture and all."""
+    def go(t, env):
+        if isinstance(t, (VVar, CVar)):
+            return type(t)(env.get((type(t), t.name), t.name))
+        if isinstance(t, (Arrow, Lolli)):
+            return type(t)(go(t.dom, env), go(t.cod, env))
+        sort = VVar if isinstance(t, ForallV) else CVar
+        new = next(names)
+        return type(t)(new, go(t.body, {**env, (sort, t.binder): new}))
+
+    return go(t, {})
+
+
+@given(types, types, st.lists(NAMES, min_size=1, max_size=4), st.booleans())
+def test_alpha_canonical_decides_alpha_eq(s, other, names, renamed):
+    t = rename_binders(s, itertools.cycle(names)) if renamed else other
+    assert (alpha_canonical(s) is alpha_canonical(t)) == alpha_eq(s, t)
 
 
 def test_judgment_validation():

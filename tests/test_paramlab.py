@@ -194,8 +194,9 @@ def test_verified_reports_are_reproducible(exc_free):
     assert a == b
 
 
-def test_enumerate_parametric_elements_decodes(exc_free):
-    vals = pl.enumerate_parametric_elements(exc_free, pl.nary_op_type(0))
+def test_parametric_elements_decode(exc_free):
+    poly = exc_free.interp_vtype(ip.TypeEnv(), pl.nary_op_type(0))
+    vals = [ip.decode_value(exc_free, poly, i) for i in range(poly.size)]
     assert len(vals) == 1
     assert vals[0].kind == "poly"
 
