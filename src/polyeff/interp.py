@@ -20,13 +20,28 @@ environment restricted to the type's free variables.  Types (``kernel``)
 and environments (``TypeEnv``, ``RelEnv``, each memoizing its restrictions)
 are interned, so a key hashes in O(1) and compares by identity.  Build both
 only through their constructors and never mutate them.
+
+A relation view (``AtomRel``, ``FunRel``, ``ForallRel``) has one
+materialized form, ``rows()``: a tuple of int bitmasks in which bit ``b``
+of ``rows()[a]`` is set iff ``a`` and ``b`` are related.  It is built once,
+on the first ``rows()`` or ``pairs()``, and only when ``left.size *
+right.size <= ITER_CAP``; above that ``rows()`` raises ``OutOfBoundError``.
+``pairs()`` is derived from the rows on each call and never stored.
+``FunRel.contains`` never materializes its own view: it reads its
+codomain's rows (bit ``g(y)`` of ``rows[f(x)]``), so the recursion stops
+after one level; it keeps only its domain's related pairs, as the list it
+walks.  ``ForallRel.contains`` reads the view's own rows whenever they fit,
+since one pair costs k * k relatedness tests over k registered objects.
+No view stores its relation twice: relation environments keep the pair
+sets they were given, and a view keeps only its rows.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from itertools import product
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from . import encodings
 from . import finmodel as fm
@@ -61,6 +76,7 @@ from .kernel import (
     hash_consed,
     subst_term,
 )
+from .surface import print_type
 
 NAIVE_FAMILY_CAP = 1_000_000
 ITER_CAP = 400_000
@@ -109,6 +125,28 @@ class FunSem(SemSet):
     def table(self, f: int) -> tuple[int, ...]:
         return tuple(self.apply(f, x) for x in range(self.dom.size))
 
+    def each_table(self) -> Iterator[tuple[int, ...]]:
+        """The table of every element, in index order."""
+        return (t[::-1] for t in product(range(self.cod.size), repeat=self.dom.size))
+
+    def preimages(self) -> list[list[int]]:
+        """``preimages()[y][c]``: the mask of the functions that send y to c.
+
+        Digit y of an index is c on runs of ``n**y`` indices that repeat
+        every ``n**(y+1)``, so each mask is one run, doubled along.
+        """
+        n = self.cod.size
+        return [[_repeat(((1 << n**y) - 1) << (c * n**y), n ** (y + 1), self.size) for c in range(n)]
+                for y in range(self.dom.size)]
+
+
+def _repeat(pattern: int, period: int, total: int) -> int:
+    """``pattern`` repeated every ``period`` bits, cut to ``total`` bits."""
+    while period < total:
+        pattern |= pattern << period
+        period *= 2
+    return pattern & ((1 << total) - 1)
+
 
 def fun_sem(dom: SemSet, cod: SemSet) -> FunSem:
     return FunSem(cod.size**dom.size, dom, cod)
@@ -136,6 +174,17 @@ class HomSem(SemSet):
 
     def table(self, f: int) -> tuple[int, ...]:
         return self.tables[f]
+
+    def each_table(self) -> Iterator[tuple[int, ...]]:
+        return iter(self.tables)
+
+    def preimages(self) -> list[list[int]]:
+        """``preimages()[y][c]``: the mask of the homomorphisms that send y to c."""
+        cols: list[list[list[int]]] = [[[] for _ in range(self.cod.size)] for _ in range(self.dom.size)]
+        for h, table in enumerate(self.tables):
+            for y, c in enumerate(table):
+                cols[y][c].append(h)
+        return [[_mask(hs, self.size) for hs in col] for col in cols]
 
 
 @dataclass(eq=False)
@@ -263,99 +312,183 @@ class Env:
 # relation views
 
 
+def _mask(bits: Iterable[int], n: int) -> int:
+    """The int whose set bits, each below ``n``, are ``bits``."""
+    buf = bytearray((n + 7) >> 3)
+    for b in bits:
+        buf[b >> 3] |= 1 << (b & 7)
+    return int.from_bytes(buf, "little")
+
+
+def _bits(row: int) -> Sequence[int]:
+    """The set bits of ``row``, ascending."""
+    if row < 256:
+        return _BYTE_BITS[row]
+    return [b for b, c in enumerate(bin(row)[:1:-1]) if c == "1"]
+
+
+_BYTE_BITS = tuple(tuple(b for b in range(8) if r >> b & 1) for r in range(256))
+
+
 class RelView:
-    left: SemSet
-    right: SemSet
+    """The relation of ``ty`` between the domains ``left`` and ``right``:
+    ``rows()`` is its one materialized form, ``contains`` tests one pair."""
+
+    __slots__ = ("ty", "left", "right", "_rows")  # a model holds tens of thousands of views
+
+    def __init__(self, ty: TypeExpr, left: SemSet, right: SemSet):
+        self.ty, self.left, self.right = ty, left, right
+        self._rows: Optional[tuple[int, ...]] = None
+
+    def fits(self) -> bool:
+        """Whether ``rows()`` can be built within ``ITER_CAP`` (or already is)."""
+        return self._rows is not None or self.left.size * self.right.size <= ITER_CAP
+
+    def rows(self) -> tuple[int, ...]:
+        """Bit ``b`` of ``rows()[a]`` is set iff ``a`` and ``b`` are related."""
+        if self._rows is None:
+            if not self.fits():
+                raise OutOfBoundError(
+                    f"relation at {print_type(self.ty)} is too large to materialize:"
+                    f" {self.left.size} x {self.right.size} pairs, more than ITER_CAP ({ITER_CAP})"
+                )
+            self._rows = self._build_rows()
+        return self._rows
+
+    def _build_rows(self) -> tuple[int, ...]:
+        raise NotImplementedError
 
     def contains(self, a: int, b: int) -> bool:
         raise NotImplementedError
 
     def pairs(self) -> frozenset:
-        raise NotImplementedError
+        """The related pairs, derived from ``rows()`` on every call."""
+        return frozenset((a, b) for a, row in enumerate(self.rows()) for b in _bits(row))
 
 
 class AtomRel(RelView):
-    def __init__(self, left: SemSet, right: SemSet, pairs: frozenset):
-        self.left, self.right = left, right
-        self._pairs = pairs
+    """The relation an environment binds to a type variable."""
+
+    __slots__ = ()
+
+    def __init__(self, ty: TypeExpr, left: SemSet, right: SemSet, pairs: frozenset):
+        super().__init__(ty, left, right)
+        rows = [0] * left.size
+        for a, b in pairs:
+            rows[a] |= 1 << b
+        self._rows = tuple(rows)
 
     def contains(self, a: int, b: int) -> bool:
-        return (a, b) in self._pairs
+        return self._rows[a] >> b & 1  # type: ignore[index]
 
-    def pairs(self) -> frozenset:
-        return self._pairs
+    pairs = RelView.pairs  # named here too, so perfbench traces it per view class
 
 
 class FunRel(RelView):
     """Related functions map related arguments to related results."""
 
-    def __init__(self, left: SemSet, right: SemSet, dom_rel: RelView, cod_rel: RelView):
-        self.left, self.right = left, right
+    __slots__ = ("dom_rel", "cod_rel", "_walk")
+
+    def __init__(self, ty: TypeExpr, left: SemSet, right: SemSet, dom_rel: RelView, cod_rel: RelView):
+        super().__init__(ty, left, right)
         self.dom_rel, self.cod_rel = dom_rel, cod_rel
-        self._dom_pairs: Optional[tuple] = None
-        self._pairs: Optional[frozenset] = None
+        self._walk: Optional[tuple[tuple[int, ...], Optional[tuple[int, ...]]]] = None
+
+    def walk(self) -> tuple[tuple[int, ...], Optional[tuple[int, ...]]]:
+        """What ``contains`` and ``rows`` read: the domain's related pairs
+        in order, flat (``x0, y0, x1, y1, ...``), and the codomain's rows,
+        or None when they do not fit."""
+        if self._walk is None:
+            pairs = tuple(
+                v for x, row in enumerate(self.dom_rel.rows()) for y in _bits(row) for v in (x, y)
+            )
+            cod = self.cod_rel
+            self._walk = (pairs, cod.rows() if pairs and cod.fits() else None)
+        return self._walk
 
     def contains(self, f: int, g: int) -> bool:
-        if self._dom_pairs is None:
-            self._dom_pairs = tuple(sorted(self.dom_rel.pairs()))
-        cod = self.cod_rel
-        l, r = self.left, self.right
-        for x, y in self._dom_pairs:
-            if not cod.contains(l.apply(f, x), r.apply(g, y)):  # type: ignore[attr-defined]
+        """Reads this view's rows if built, else the codomain's rows when
+        they fit, so the recursion stops after one level."""
+        if self._rows is not None:
+            return self._rows[f] >> g & 1
+        pairs, rows = self._walk or self.walk()
+        l, r, it = self.left, self.right, iter(pairs)
+        if rows is not None:
+            for x, y in zip(it, it):
+                if not rows[l.apply(f, x)] >> r.apply(g, y) & 1:  # type: ignore[attr-defined]
+                    return False
+            return True
+        for x, y in zip(it, it):
+            if not self.cod_rel.contains(l.apply(f, x), r.apply(g, y)):  # type: ignore[attr-defined]
                 return False
         return True
 
-    def pairs(self) -> frozenset:
-        if self._pairs is None:
-            if self.left.size * self.right.size > ITER_CAP:
-                raise OutOfBoundError(
-                    f"relation too large to materialize: {self.left.size}x{self.right.size}"
-                )
-            self._pairs = frozenset(
-                (f, g)
-                for f in range(self.left.size)
-                for g in range(self.right.size)
-                if self.contains(f, g)
-            )
-        return self._pairs
+    def _build_rows(self) -> tuple[int, ...]:
+        l, r = self.left, self.right
+        pairs, cod_rows = self.walk()
+        full = (1 << r.size) - 1
+        if not pairs:
+            return (full,) * l.size
+        if cod_rows is None:
+            return tuple(_mask((g for g in range(r.size) if self.contains(f, g)), r.size)
+                         for f in range(l.size))
+        # to[y][a]: the g whose value at y is related to a (preimages are
+        # disjoint, so their sum is their union)
+        to = [[sum(pre_y[c] for c in _bits(row)) for row in cod_rows] for pre_y in r.preimages()]  # type: ignore[attr-defined]
+        rows = []
+        for ft in l.each_table():  # type: ignore[attr-defined]
+            m = full
+            it = iter(pairs)
+            for x, y in zip(it, it):
+                m &= to[y][ft[x]]
+                if not m:
+                    break
+            rows.append(m)
+        return tuple(rows)
+
+    pairs = RelView.pairs
 
 
 class ForallRel(RelView):
     """Related families have related components at every pair of objects
     under every admissible relation."""
 
-    def __init__(self, model: "Model", rho: RelEnv, sort: str, binder: str, body: TypeExpr,
-                 left: SemSet, right: SemSet):
-        self.model, self.rho, self.sort, self.binder, self.body = model, rho, sort, binder, body
-        self.left, self.right = left, right
-        self._memo: dict = {}
-        self._pairs: Optional[frozenset] = None
+    __slots__ = ("_model", "rho")
 
-    def contains(self, a: int, b: int, related=None) -> bool:
-        """``related`` is a ``Model.relatedness`` test shared by a sweep;
-        without one, a test is built for this pair and dropped after it."""
-        hit = self._memo.get((a, b))
-        if hit is None:
-            if related is None:
-                related = self.model.relatedness(self.rho, self.sort, self.binder, self.body)
-            fam_a = self.left.fams[a]  # type: ignore[attr-defined]
-            fam_b = self.right.fams[b]  # type: ignore[attr-defined]
+    def __init__(self, model: "Model", rho: RelEnv, ty: TypeExpr, left: SemSet, right: SemSet):
+        super().__init__(ty, left, right)
+        # the model holds its views, so a view holds it weakly: a dropped
+        # model is then freed at once rather than by the cycle collector
+        self._model, self.rho = weakref.ref(model), rho
+
+    def _related_families(self) -> Callable[[tuple[int, ...], tuple[int, ...]], bool]:
+        """Whether two families are related, by one shared relatedness test."""
+        ty = self.ty
+        sort = VSORT if isinstance(ty, ForallV) else CSORT
+        related = self._model().relatedness(self.rho, sort, ty.binder, ty.body)  # type: ignore[union-attr, attr-defined]
+
+        def test(fam_a: tuple[int, ...], fam_b: tuple[int, ...]) -> bool:
             k = len(fam_a)
-            hit = self._memo[(a, b)] = all(
-                related(i, j, fam_a[i], fam_b[j]) for i in range(k) for j in range(k)
-            )
-        return hit
+            return all(related(i, j, fam_a[i], fam_b[j]) for i in range(k) for j in range(k))
 
-    def pairs(self) -> frozenset:
-        if self._pairs is None:
-            related = self.model.relatedness(self.rho, self.sort, self.binder, self.body)
-            self._pairs = frozenset(
-                (a, b)
-                for a in range(self.left.size)
-                for b in range(self.right.size)
-                if self.contains(a, b, related)
-            )
-        return self._pairs
+        return test
+
+    def contains(self, a: int, b: int) -> bool:
+        """Reads this view's rows whenever they fit: a query costs k * k
+        relatedness tests, and the few families make the rows small."""
+        if self.fits():
+            return self.rows()[a] >> b & 1
+        return self._related_families()(self.left.fams[a], self.right.fams[b])  # type: ignore[attr-defined]
+
+    def _build_rows(self) -> tuple[int, ...]:
+        related = self._related_families()
+        right_fams = self.right.fams  # type: ignore[attr-defined]
+        return tuple(
+            _mask((b for b, fam_b in enumerate(right_fams) if related(fam_a, fam_b)), self.right.size)
+            for fam_a in self.left.fams  # type: ignore[attr-defined]
+        )
+
+    pairs = RelView.pairs
 
 
 def pairwise_search(sizes: Sequence[int], ok: Callable[[int, int, int, int], bool]
@@ -366,13 +499,15 @@ def pairwise_search(sizes: Sequence[int], ok: Callable[[int, int, int, int], boo
     Positions are fixed smallest domain first.  A candidate must pass
     ``ok(i, i, c, c)``, then both directions against every fixed position.
     Reaching a position whose domain exceeds ``ITER_CAP`` raises
-    ``OutOfBoundError``.
+    ``OutOfBoundError`` naming that position as a component.
     """
     order = sorted(range(len(sizes)), key=lambda i: (sizes[i], i))
     partial: list[tuple[int, ...]] = [()]
     for pos, i in enumerate(order):
         if sizes[i] > ITER_CAP:
-            raise OutOfBoundError(f"component space too large to enumerate: {sizes[i]}")
+            raise OutOfBoundError(
+                f"component {i} has {sizes[i]} candidates, more than ITER_CAP ({ITER_CAP})"
+            )
         cands = [c for c in range(sizes[i]) if ok(i, i, c, c)]
         fixed = order[:pos]
         partial = [
@@ -599,16 +734,15 @@ class Model:
         left = self.interp_vtype(rho.rho1, ty)
         right = self.interp_vtype(rho.rho2, ty)
         if isinstance(ty, VVar):
-            return AtomRel(left, right, rho.rel(VSORT, ty.name))
+            return AtomRel(ty, left, right, rho.rel(VSORT, ty.name))
         if isinstance(ty, CVar):
-            return AtomRel(left, right, rho.rel(CSORT, ty.name))
+            return AtomRel(ty, left, right, rho.rel(CSORT, ty.name))
         if isinstance(ty, (Arrow, Lolli)):
             dom_rel = self.interp_rel(rho, ty.dom)
             cod_rel = self.interp_rel(rho, ty.cod)
-            return FunRel(left, right, dom_rel, cod_rel)
+            return FunRel(ty, left, right, dom_rel, cod_rel)
         if isinstance(ty, (ForallV, ForallC)):
-            sort = VSORT if isinstance(ty, ForallV) else CSORT
-            return ForallRel(self, rho, sort, ty.binder, ty.body, left, right)
+            return ForallRel(self, rho, ty, left, right)
         raise InterpError(f"cannot interpret type {ty!r}")
 
     # -- parametric families ------------------------------------------------
@@ -646,7 +780,14 @@ class Model:
                   comps: Sequence[SemSet]) -> tuple[tuple[int, ...], ...]:
         """All component tuples that preserve every admissible relation."""
         related = self.relatedness(diag_relenv(env), sort, binder, body)
-        return pairwise_search([c.size for c in comps], related)
+        try:
+            return pairwise_search([c.size for c in comps], related)
+        except OutOfBoundError as exc:
+            ty = ForallV(binder, body) if sort == VSORT else ForallC(binder, body)
+            objs = "sets" if sort == VSORT else "algebras"
+            raise OutOfBoundError(
+                f"family search for {print_type(ty)} over the registered {objs}: {exc}"
+            ) from exc
 
     def enumerate_families_naive(self, env: TypeEnv, ty: TypeExpr) -> tuple[tuple[int, ...], ...]:
         """Oracle tier: filter the full component product by all constraints."""

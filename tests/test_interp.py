@@ -3,7 +3,7 @@
 from itertools import product
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, event, given, strategies as st
 
 from polyeff import encodings as enc
 from polyeff import finmodel as fm
@@ -13,10 +13,12 @@ from polyeff import typecheck as tc
 from polyeff.kernel import (
     CSORT,
     VSORT,
+    Arrow,
     CVar,
     ForallC,
     ForallV,
     Judgment,
+    Lolli,
     Var,
     VVar,
 )
@@ -479,22 +481,183 @@ def test_pairwise_search_raises_only_at_a_reached_position():
 
 def test_naive_oracle_on_the_identity_extension_battery(model):
     # the naive product filter agrees with the search on every quantified
-    # type of the battery whose component product fits the budget; the
-    # encoded products and sums at |X| = 2 (65536 tuples) do not
-    budget = 4096
+    # type of the battery, in every environment of the suite; the encoded
+    # products and sums at |X| = 2 filter 65536 tuples each
     envs = [ip.type_env({"X": x, "Y": fm.FinSet(2)}, {"P": p, "Q": model.algebras[0]})
             for x in model.sets[1:3] for p in model.algebras[:2]]
     compared = 0
     for ty in pl.identity_extension_battery():
         if not isinstance(ty, (ForallV, ForallC)):
             continue
-        sort = VSORT if isinstance(ty, ForallV) else CSORT
         for env in envs:
-            total = 1
-            for obj in model.objects(sort):
-                total *= model.interp_vtype(env.set(sort, ty.binder, obj), ty.body).size
-            if total > budget:
-                continue
             assert model.enumerate_families_naive(env, ty) == model.interp_vtype(env, ty).fams, ty
             compared += 1
-    assert compared == 52
+    assert compared == 56
+
+
+# -- bit-row relations against the per-pair definition -------------------------
+
+
+def _related_by_definition(model, rho, ty, a, b, memo):
+    """The clauses of the relational interpretation, one pair at a time:
+    variables look up their relation, related functions map every related
+    argument pair to related results, and related families have related
+    components under every admissible relation between every two objects."""
+    key = (ty, rho, a, b)
+    if key not in memo:
+        if isinstance(ty, (VVar, CVar)):
+            out = (a, b) in rho.rel(VSORT if isinstance(ty, VVar) else CSORT, ty.name)
+        elif isinstance(ty, (Arrow, Lolli)):
+            left, right = model.interp_vtype(rho.rho1, ty), model.interp_vtype(rho.rho2, ty)
+            out = all(
+                _related_by_definition(model, rho, ty.cod, left.apply(a, x), right.apply(b, y), memo)
+                for x in range(left.dom.size) for y in range(right.dom.size)
+                if _related_by_definition(model, rho, ty.dom, x, y, memo)
+            )
+        else:
+            sort = VSORT if isinstance(ty, ForallV) else CSORT
+            objs = model.objects(sort)
+            fam_a = model.interp_vtype(rho.rho1, ty).fams[a]
+            fam_b = model.interp_vtype(rho.rho2, ty).fams[b]
+            out = all(
+                _related_by_definition(model, rho.set(sort, ty.binder, objs[i], objs[j], q),
+                                       ty.body, fam_a[i], fam_b[j], memo)
+                for i in range(len(objs)) for j in range(len(objs))
+                for q in model.rels_for_pair(sort, i, j)
+            )
+        memo[key] = out
+    return memo[key]
+
+
+def _value_types(depth):
+    """Types over the set variables X, Y and the algebra variables ^P, ^Q."""
+    atoms = st.sampled_from([VVar("X"), CVar("P")])
+    if depth == 0:
+        return atoms
+    sub, comp = _value_types(depth - 1), _comp_types(depth - 1)
+    return st.one_of(
+        atoms,
+        st.builds(Arrow, sub, sub),
+        st.builds(Lolli, comp, comp),
+        st.builds(ForallV, st.just("Y"), st.builds(Arrow, st.just(VVar("Y")), sub)),
+        st.builds(ForallC, st.just("Q"), st.builds(Arrow, sub, st.just(CVar("Q")))),
+    )
+
+
+def _comp_types(depth):
+    atoms = st.just(CVar("P"))
+    if depth == 0:
+        return atoms
+    sub, comp = _value_types(depth - 1), _comp_types(depth - 1)
+    return st.one_of(
+        atoms,
+        st.builds(Arrow, sub, comp),
+        st.builds(ForallV, st.just("Y"), st.builds(Arrow, st.just(VVar("Y")), comp)),
+    )
+
+
+@st.composite
+def _relenvs(draw, model):
+    """X and ^P bound to a drawn pair of objects and an admissible relation."""
+    rho = ip.RelEnv(ip.TypeEnv(), ip.TypeEnv())
+    for sort, name, objs in ((VSORT, "X", model.sets[1:]), (CSORT, "P", model.algebras)):
+        i = draw(st.integers(0, len(objs) - 1))
+        j = draw(st.integers(0, len(objs) - 1))
+        ii, jj = model.objects(sort).index(objs[i]), model.objects(sort).index(objs[j])
+        rels = model.rels_for_pair(sort, ii, jj)
+        rho = rho.set(sort, name, objs[i], objs[j], draw(st.sampled_from(rels)))
+    return rho
+
+
+def _check_view_against_definition(model, rho, ty):
+    view = model._interp_rel(rho, ty)  # a fresh view, past the cache
+    n, m = view.left.size, view.right.size
+    memo: dict = {}
+    want = frozenset((a, b) for a in range(n) for b in range(m)
+                     if _related_by_definition(model, rho, ty, a, b, memo))
+    if not isinstance(view, ip.AtomRel):
+        assert view._rows is None
+    assert frozenset((a, b) for a in range(n) for b in range(m) if view.contains(a, b)) == want
+    if isinstance(view, ip.FunRel):
+        assert view._rows is None  # contains read the codomain, not this view
+    rows = view.rows()
+    assert len(rows) == n and all(0 <= row < 1 << m for row in rows)
+    assert all(bool(rows[a] >> b & 1) == ((a, b) in want) for a in range(n) for b in range(m))
+    assert view.pairs() == want
+
+
+@given(st.data())
+def test_bit_rows_match_the_per_pair_definition(model, data):
+    ty = data.draw(_value_types(2))
+    rho = data.draw(_relenvs(model))
+    try:
+        left = model.interp_vtype(rho.rho1, ty)
+        right = model.interp_vtype(rho.rho2, ty)
+    except ip.OutOfBoundError:
+        assume(False)
+    assume(left.size * right.size <= 256)
+    event(type(ty).__name__)
+    _check_view_against_definition(model, rho, ty)
+
+
+def test_contains_reads_past_a_codomain_too_large_to_materialize(model):
+    # the codomain relates 2^16-element function spaces (2^32 pairs), so
+    # contains recurses into it instead of reading its rows
+    ty = parse_type("X -> ((X -> X) -> X) -> X")
+    a = model.sets[2]
+    rho = ip.RelEnv(ip.TypeEnv(), ip.TypeEnv()).set(VSORT, "X", a, a, frozenset({(0, 1), (1, 1)}))
+    view = model._interp_rel(rho, ty)
+    assert not view.cod_rel.fits()
+    sem = model.interp_vtype(rho.rho1, ty)
+    inner = sem.cod
+    memo: dict = {}
+    samples = [0, 1, inner.size - 1, 12345, 40000]
+    for u in samples:
+        for v in samples:
+            f = sem.encode([u, u])
+            g = sem.encode([v, v])
+            assert bool(view.contains(f, g)) == _related_by_definition(model, rho, ty, f, g, memo)
+    assert view._rows is None
+    with pytest.raises(ip.OutOfBoundError) as err:
+        view.rows()
+    assert str(err.value) == (
+        "relation at X -> ((X -> X) -> X) -> X is too large to materialize:"
+        " 4294967296 x 4294967296 pairs, more than ITER_CAP (400000)"
+    )
+
+
+@pytest.mark.parametrize("cap, src", [
+    (3, "forall Y. Y -> X"),  # two families each side: 4 cells
+    (3, "^P -o (X -> ^Q)"),  # 1 cell, but 16 in its codomain
+    (16, "X -> (X -> X) -> X"),  # 16 x 16 cells in its codomain
+])
+def test_lazy_paths_under_a_lowered_cap(model, monkeypatch, cap, src):
+    # past a lowered cap, views are answered pair by pair; a view that fits
+    # over a codomain that does not builds its rows through contains
+    monkeypatch.setattr(ip, "ITER_CAP", cap)
+    a = model.sets[2]
+    rho = ip.RelEnv(ip.TypeEnv(), ip.TypeEnv())
+    rho = rho.set(VSORT, "X", a, a, frozenset({(0, 0), (1, 0), (1, 1)}))
+    rho = rho.set(CSORT, "P", model.algebras[0], model.algebras[0], frozenset({(0, 0)}))
+    rho = rho.set(CSORT, "Q", model.algebras[2], model.algebras[2], frozenset({(0, 0), (1, 1)}))
+    ty = parse_type(src)
+    view = model._interp_rel(rho, ty)
+    if view.fits():
+        assert not view.cod_rel.fits()
+        _check_view_against_definition(model, rho, ty)
+        return
+    memo: dict = {}
+    for x in range(min(view.left.size, 6)):
+        for y in range(min(view.right.size, 6)):
+            assert bool(view.contains(x, y)) == _related_by_definition(model, rho, ty, x, y, memo)
+    with pytest.raises(ip.OutOfBoundError):
+        view.pairs()
+
+
+def test_family_search_names_the_type_and_the_object_past_the_cap(free_model):
+    with pytest.raises(ip.OutOfBoundError) as err:
+        free_model.interp_vtype(ip.TypeEnv(), parse_type("forall ^X. (^X -> ^X) -> ^X"))
+    assert str(err.value) == (
+        "family search for forall ^X. (^X -> ^X) -> ^X over the registered algebras:"
+        " component 3 has 7625597484987 candidates, more than ITER_CAP (400000)"
+    )
