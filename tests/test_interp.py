@@ -3,7 +3,7 @@
 from itertools import product
 
 import pytest
-from hypothesis import assume, event, given, strategies as st
+from hypothesis import assume, event, given, settings, strategies as st
 
 from polyeff import encodings as enc
 from polyeff import finmodel as fm
@@ -586,6 +586,7 @@ def _check_view_against_definition(model, rho, ty):
     assert view.pairs() == want
 
 
+@settings(deadline=None)  # an example may run a family search on first use of its type
 @given(st.data())
 def test_bit_rows_match_the_per_pair_definition(model, data):
     ty = data.draw(_value_types(2))
