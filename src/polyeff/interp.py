@@ -24,16 +24,16 @@ only through their constructors and never mutate them.
 A relation view (``AtomRel``, ``FunRel``, ``ForallRel``) has one
 materialized form, ``rows()``: a tuple of int bitmasks in which bit ``b``
 of ``rows()[a]`` is set iff ``a`` and ``b`` are related.  It is built once,
-on the first ``rows()`` or ``pairs()``, and only when ``left.size *
-right.size <= ITER_CAP``; above that ``rows()`` raises ``OutOfBoundError``.
+by the first ``rows()`` call, and only when ``left.size * right.size <=
+ITER_CAP``; above that ``rows()`` raises ``OutOfBoundError``.
 ``pairs()`` is derived from the rows on each call and never stored.
 ``FunRel.contains`` never materializes its own view: it reads its
 codomain's rows (bit ``g(y)`` of ``rows[f(x)]``), so the recursion stops
 after one level; it keeps only its domain's related pairs, as the list it
 walks.  ``ForallRel.contains`` reads the view's own rows whenever they fit,
 since one pair costs k * k relatedness tests over k registered objects.
-No view stores its relation twice: relation environments keep the pair
-sets they were given, and a view keeps only its rows.
+No view stores its own relation twice: relation environments keep the
+pair sets they were given, and a view keeps its relation only as rows.
 """
 
 from __future__ import annotations
