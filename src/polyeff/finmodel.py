@@ -13,6 +13,10 @@ Carrier elements are canonically 0..n-1.  For the exception monad the
 first |A| elements of T A are the values and the last |E| the raised
 exceptions; for the powerset monad element ``i`` of T A is the subset
 with bitmask ``i + 1``.
+
+A relation between carriers of sizes m and n has one form everywhere,
+its *rows*: a tuple of m int bitmasks in which bit ``y`` of ``rows[x]``
+is set iff ``x`` and ``y`` are related.  This module owns that layout.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, fields
 from itertools import product
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 
 class ModelError(Exception):
@@ -291,47 +295,58 @@ def enumerate_homs(dom: Alg, cod: Alg, cap: int = 1_000_000) -> list[tuple[int, 
     return out
 
 
-def carries_subalgebra(subset: Iterable[int], alg: Alg) -> bool:
-    """Is the subset closed under all structure operations?"""
-    s = set(subset)
-    if not all(0 <= x < alg.carrier.size for x in s):
-        raise ModelError("subset escapes the carrier")
-    if alg.monad.key == "exception":
-        if not set(alg.raise_points) <= s:
-            return False
-    if alg.monad.key == "powerset":
-        for x in s:
-            for y in s:
-                if alg.op_or(x, y) not in s:
-                    return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # relations
 
 
-@dataclass(frozen=True)
-class Rel:
-    left: FinSet
-    right: FinSet
-    pairs: frozenset[tuple[int, int]]
-
-    def __post_init__(self):
-        for x, y in self.pairs:
-            if not (0 <= x < self.left.size and 0 <= y < self.right.size):
-                raise ModelError(f"pair {(x, y)} escapes {self.left.size}x{self.right.size}")
+REL_CAP_BITS = 16  # most cells a relation enumeration may range over
 
 
-def preimage(f: Sequence[int], g: Sequence[int], r: Rel) -> Rel:
+def mask_of(bits: Iterable[int], n: int) -> int:
+    """The int whose set bits, each below ``n``, are ``bits``."""
+    buf = bytearray((n + 7) >> 3)
+    for b in bits:
+        buf[b >> 3] |= 1 << (b & 7)
+    return int.from_bytes(buf, "little")
+
+
+def bits_of(row: int) -> Sequence[int]:
+    """The set bits of ``row``, ascending."""
+    if row < 256:
+        return _BYTE_BITS[row]
+    return [b for b, c in enumerate(bin(row)[:1:-1]) if c == "1"]
+
+
+_BYTE_BITS = tuple(tuple(b for b in range(8) if r >> b & 1) for r in range(256))
+
+
+def rows_of(pairs: Iterable[tuple[int, int]], m: int) -> tuple[int, ...]:
+    """The rows of the relation with the given pairs on a left carrier of size ``m``."""
+    rows = [0] * m
+    for x, y in pairs:
+        rows[x] |= 1 << y
+    return tuple(rows)
+
+
+def rel_pairs(rows: Sequence[int]) -> list[tuple[int, int]]:
+    """The related pairs, ascending."""
+    return [(x, y) for x, row in enumerate(rows) for y in bits_of(row)]
+
+
+def diagonal(n: int) -> tuple[int, ...]:
+    return tuple(1 << i for i in range(n))
+
+
+def in_carriers(rows: Sequence[int], m: int, n: int) -> bool:
+    """Is ``rows`` a relation between carriers of sizes ``m`` and ``n``?"""
+    return len(rows) == m and all(0 <= row < 1 << n for row in rows)
+
+
+def preimage(f: Sequence[int], g: Sequence[int], rows: Sequence[int]) -> tuple[int, ...]:
     """(f,g)^-1 R = { (x,y) | (f x, g y) in R }."""
-    pairs = frozenset(
-        (x, y)
-        for x in range(len(f))
-        for y in range(len(g))
-        if (f[x], g[y]) in r.pairs
+    return tuple(
+        mask_of((y for y, gy in enumerate(g) if rows[fx] >> gy & 1), len(g)) for fx in f
     )
-    return Rel(FinSet(len(f)), FinSet(len(g)), pairs)
 
 
 def product_alg(a: Alg, b: Alg) -> Alg:
@@ -356,56 +371,57 @@ def product_alg(a: Alg, b: Alg) -> Alg:
     return Alg(m, carrier, or_table=table)
 
 
-def rel_carries_subalgebra(r: Rel, a: Alg, b: Alg) -> bool:
-    nb = b.carrier.size
-    return carries_subalgebra({x * nb + y for x, y in r.pairs}, product_alg(a, b))
+def admissible(rows: Sequence[int], a: Alg, b: Alg) -> bool:
+    """Does the relation carry a subalgebra of the product ``a x b``?"""
+    if not all(rows[p] >> q & 1 for p, q in zip(a.raise_points, b.raise_points)):
+        return False
+    if a.monad.key == "powerset":
+        pairs = rel_pairs(rows)
+        return all(rows[a.op_or(x1, x2)] >> b.op_or(y1, y2) & 1
+                   for x1, y1 in pairs for x2, y2 in pairs)
+    return True
 
 
-def admissible_closure(r: Rel, a: Alg, b: Alg) -> Rel:
-    """Smallest relation containing r closed under the product structure."""
-    m = a.monad
-    pairs = set(r.pairs)
-    if m.key == "exception":
-        for p, q in zip(a.raise_points, b.raise_points):
-            pairs.add((p, q))
-    if m.key == "powerset":
+def admissible_closure(rows: Sequence[int], a: Alg, b: Alg) -> tuple[int, ...]:
+    """Smallest relation containing ``rows`` closed under the product structure."""
+    out = list(rows)
+    for p, q in zip(a.raise_points, b.raise_points):
+        out[p] |= 1 << q
+    if a.monad.key == "powerset":
         changed = True
         while changed:
             changed = False
-            snapshot = list(pairs)
-            for x1, y1 in snapshot:
-                for x2, y2 in snapshot:
-                    p = (a.op_or(x1, x2), b.op_or(y1, y2))
-                    if p not in pairs:
-                        pairs.add(p)
+            pairs = rel_pairs(out)
+            for x1, y1 in pairs:
+                for x2, y2 in pairs:
+                    x, y = a.op_or(x1, x2), b.op_or(y1, y2)
+                    if not out[x] >> y & 1:
+                        out[x] |= 1 << y
                         changed = True
-    return Rel(r.left, r.right, frozenset(pairs))
+    return tuple(out)
 
 
-def enumerate_set_rels(a: FinSet, b: FinSet, cap_bits: int = 16) -> list[frozenset]:
-    """Every relation between two sets, as pair sets, in a stable order."""
-    cells = [(x, y) for x in range(a.size) for y in range(b.size)]
-    if len(cells) > cap_bits:
-        raise ModelError(f"relation space too large: 2^{len(cells)}")
-    out = []
-    for mask in range(1 << len(cells)):
-        out.append(frozenset(c for i, c in enumerate(cells) if mask >> i & 1))
-    return out
+def _all_rels(m: int, n: int) -> Iterator[tuple[int, ...]]:
+    """Every relation between carriers of sizes m and n, by ascending mask:
+    cell ``x*n + y`` of the mask is bit ``y`` of ``rows[x]``."""
+    cells = m * n
+    if cells > REL_CAP_BITS:
+        raise OutOfBoundError(
+            f"relation space between carriers of sizes {m} and {n} too large:"
+            f" {cells} cells, more than REL_CAP_BITS ({REL_CAP_BITS})"
+        )
+    full = (1 << n) - 1
+    return (tuple(mask >> (x * n) & full for x in range(m)) for mask in range(1 << cells))
 
 
-def enumerate_alg_rels(a: Alg, b: Alg, cap_bits: int = 16) -> list[frozenset]:
-    """Relations whose pair set carries a subalgebra of the product."""
-    cells = [(x, y) for x in range(a.carrier.size) for y in range(b.carrier.size)]
-    if len(cells) > cap_bits:
-        raise ModelError(f"relation space too large: 2^{len(cells)}")
-    prod = product_alg(a, b)
-    nb = b.carrier.size
-    out = []
-    for mask in range(1 << len(cells)):
-        pairs = frozenset(c for i, c in enumerate(cells) if mask >> i & 1)
-        if carries_subalgebra({x * nb + y for x, y in pairs}, prod):
-            out.append(pairs)
-    return out
+def enumerate_set_rels(a: FinSet, b: FinSet) -> list[tuple[int, ...]]:
+    """Every relation between two sets, as rows, in a stable order."""
+    return list(_all_rels(a.size, b.size))
+
+
+def enumerate_alg_rels(a: Alg, b: Alg) -> list[tuple[int, ...]]:
+    """Relations that carry a subalgebra of the product, as rows."""
+    return [r for r in _all_rels(a.carrier.size, b.carrier.size) if admissible(r, a, b)]
 
 
 # ---------------------------------------------------------------------------

@@ -32,8 +32,9 @@ codomain's rows (bit ``g(y)`` of ``rows[f(x)]``), so the recursion stops
 after one level; it keeps only its domain's related pairs, as the list it
 walks.  ``ForallRel.contains`` reads the view's own rows whenever they fit,
 since one pair costs k * k relatedness tests over k registered objects.
-No view stores its own relation twice: relation environments keep the
-pair sets they were given, and a view keeps its relation only as rows.
+No view stores its own relation twice, and every relation has the rows
+form that ``finmodel`` owns: relation environments bind rows, and an
+``AtomRel`` keeps the rows its environment binds.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass
 from itertools import product
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from . import encodings
 from . import finmodel as fm
@@ -184,7 +185,7 @@ class HomSem(SemSet):
         for h, table in enumerate(self.tables):
             for y, c in enumerate(table):
                 cols[y][c].append(h)
-        return [[_mask(hs, self.size) for hs in col] for col in cols]
+        return [[fm.mask_of(hs, self.size) for hs in col] for col in cols]
 
 
 @dataclass(eq=False)
@@ -236,11 +237,15 @@ class TypeEnv(Interned):
         return env
 
     def restrict(self, keys: frozenset) -> "TypeEnv":
-        """The bindings of the ``(sort, name)`` keys in ``keys``."""
-        env = self._memo.get(keys)
-        if env is None:
-            env = self._memo[keys] = TypeEnv(tuple(it for it in self.items if it[0] in keys))
-        return env
+        """The bindings of the ``(sort, name)`` keys in ``keys``.  Keeping
+        every binding gives ``self``, memoized as None: a memo holding its
+        owner would be a cycle that only the cycle collector frees."""
+        try:
+            env = self._memo[keys]
+        except KeyError:
+            items = tuple(it for it in self.items if it[0] in keys)
+            env = self._memo[keys] = None if len(items) == len(self.items) else TypeEnv(items)
+        return self if env is None else env
 
 
 def type_env(vvars: dict = {}, cvars: dict = {}) -> TypeEnv:
@@ -254,21 +259,20 @@ def type_env(vvars: dict = {}, cvars: dict = {}) -> TypeEnv:
 class RelEnv(Interned):
     rho1: TypeEnv
     rho2: TypeEnv
-    rels: tuple = ()  # ((sort, name), frozenset of pairs), sorted
+    rels: tuple = ()  # ((sort, name), rows), sorted
 
     def __post_init__(self):
         object.__setattr__(self, "_memo", {})  # restrict results
 
-    def rel(self, sort: str, name: str) -> frozenset:
+    def rel(self, sort: str, name: str) -> tuple[int, ...]:
         for (s, n), r in self.rels:
             if s == sort and n == name:
                 return r
         raise InterpError(f"no relation for {'^' if sort == CSORT else ''}{name}")
 
-    def set(self, sort: str, name: str, left, right, rel: frozenset) -> "RelEnv":
-        nl = left.size if isinstance(left, fm.FinSet) else left.carrier.size
-        nr = right.size if isinstance(right, fm.FinSet) else right.carrier.size
-        if any(not (0 <= x < nl and 0 <= y < nr) for x, y in rel):
+    def set(self, sort: str, name: str, left, right, rel: tuple[int, ...]) -> "RelEnv":
+        nl, nr = _carrier_size(left), _carrier_size(right)
+        if not fm.in_carriers(rel, nl, nr):
             raise InterpError(f"relation escapes its carriers {nl}x{nr}")
         rest = tuple(it for it in self.rels if it[0] != (sort, name))
         return RelEnv(
@@ -278,21 +282,23 @@ class RelEnv(Interned):
         )
 
     def restrict(self, keys: frozenset) -> "RelEnv":
-        """Both environments and the relations, restricted to ``keys``."""
-        env = self._memo.get(keys)
-        if env is None:
-            rels = tuple(it for it in self.rels if it[0] in keys)
-            env = self._memo[keys] = RelEnv(self.rho1.restrict(keys), self.rho2.restrict(keys), rels)
-        return env
+        """Both environments and the relations, restricted to ``keys``;
+        ``self``, memoized as None, when every binding stays (see ``TypeEnv``)."""
+        try:
+            env = self._memo[keys]
+        except KeyError:
+            env = RelEnv(self.rho1.restrict(keys), self.rho2.restrict(keys),
+                         tuple(it for it in self.rels if it[0] in keys))
+            env = self._memo[keys] = None if env is self else env
+        return self if env is None else env
 
 
-def _diag_of(value) -> frozenset:
-    n = value.size if isinstance(value, fm.FinSet) else value.carrier.size
-    return frozenset((i, i) for i in range(n))
+def _carrier_size(value) -> int:
+    return value.size if isinstance(value, fm.FinSet) else value.carrier.size
 
 
 def diag_relenv(env: TypeEnv) -> RelEnv:
-    rels = tuple(sorted((key, _diag_of(v)) for key, v in env.items))
+    rels = tuple(sorted((key, fm.diagonal(_carrier_size(v))) for key, v in env.items))
     return RelEnv(env, env, rels)
 
 
@@ -310,24 +316,6 @@ class Env:
 
 # ---------------------------------------------------------------------------
 # relation views
-
-
-def _mask(bits: Iterable[int], n: int) -> int:
-    """The int whose set bits, each below ``n``, are ``bits``."""
-    buf = bytearray((n + 7) >> 3)
-    for b in bits:
-        buf[b >> 3] |= 1 << (b & 7)
-    return int.from_bytes(buf, "little")
-
-
-def _bits(row: int) -> Sequence[int]:
-    """The set bits of ``row``, ascending."""
-    if row < 256:
-        return _BYTE_BITS[row]
-    return [b for b, c in enumerate(bin(row)[:1:-1]) if c == "1"]
-
-
-_BYTE_BITS = tuple(tuple(b for b in range(8) if r >> b & 1) for r in range(256))
 
 
 class RelView:
@@ -361,9 +349,9 @@ class RelView:
     def contains(self, a: int, b: int) -> bool:
         raise NotImplementedError
 
-    def pairs(self) -> frozenset:
-        """The related pairs, derived from ``rows()`` on every call."""
-        return frozenset((a, b) for a, row in enumerate(self.rows()) for b in _bits(row))
+    def pairs(self) -> list[tuple[int, int]]:
+        """The related pairs, ascending, derived from ``rows()`` on every call."""
+        return fm.rel_pairs(self.rows())
 
 
 class AtomRel(RelView):
@@ -371,12 +359,9 @@ class AtomRel(RelView):
 
     __slots__ = ()
 
-    def __init__(self, ty: TypeExpr, left: SemSet, right: SemSet, pairs: frozenset):
+    def __init__(self, ty: TypeExpr, left: SemSet, right: SemSet, rows: tuple[int, ...]):
         super().__init__(ty, left, right)
-        rows = [0] * left.size
-        for a, b in pairs:
-            rows[a] |= 1 << b
-        self._rows = tuple(rows)
+        self._rows = rows
 
     def contains(self, a: int, b: int) -> bool:
         return self._rows[a] >> b & 1  # type: ignore[index]
@@ -400,7 +385,7 @@ class FunRel(RelView):
         or None when they do not fit."""
         if self._walk is None:
             pairs = tuple(
-                v for x, row in enumerate(self.dom_rel.rows()) for y in _bits(row) for v in (x, y)
+                v for x, row in enumerate(self.dom_rel.rows()) for y in fm.bits_of(row) for v in (x, y)
             )
             cod = self.cod_rel
             self._walk = (pairs, cod.rows() if pairs and cod.fits() else None)
@@ -430,11 +415,11 @@ class FunRel(RelView):
         if not pairs:
             return (full,) * l.size
         if cod_rows is None:
-            return tuple(_mask((g for g in range(r.size) if self.contains(f, g)), r.size)
+            return tuple(fm.mask_of((g for g in range(r.size) if self.contains(f, g)), r.size)
                          for f in range(l.size))
         # to[y][a]: the g whose value at y is related to a (preimages are
         # disjoint, so their sum is their union)
-        to = [[sum(pre_y[c] for c in _bits(row)) for row in cod_rows] for pre_y in r.preimages()]  # type: ignore[attr-defined]
+        to = [[sum(pre_y[c] for c in fm.bits_of(row)) for row in cod_rows] for pre_y in r.preimages()]  # type: ignore[attr-defined]
         rows = []
         for ft in l.each_table():  # type: ignore[attr-defined]
             m = full
@@ -484,7 +469,7 @@ class ForallRel(RelView):
         related = self._related_families()
         right_fams = self.right.fams  # type: ignore[attr-defined]
         return tuple(
-            _mask((b for b, fam_b in enumerate(right_fams) if related(fam_a, fam_b)), self.right.size)
+            fm.mask_of((b for b, fam_b in enumerate(right_fams) if related(fam_a, fam_b)), self.right.size)
             for fam_a in self.left.fams  # type: ignore[attr-defined]
         )
 
@@ -598,8 +583,9 @@ class Model:
     def objects(self, sort: str):
         return self.sets if sort == VSORT else self.algebras
 
-    def rels_for_pair(self, sort: str, i: int, j: int) -> list[frozenset]:
-        """Admissible relations between objects i and j, most selective first."""
+    def rels_for_pair(self, sort: str, i: int, j: int) -> list[tuple[int, ...]]:
+        """Admissible relations between objects i and j, most selective first:
+        by number of pairs, then by the ascending list of pairs."""
         key = (sort, i, j)
         cache = self._set_rels if sort == VSORT else self._alg_rels
         if key not in cache:
@@ -607,7 +593,7 @@ class Model:
                 rels = fm.enumerate_set_rels(self.sets[i], self.sets[j])
             else:
                 rels = fm.enumerate_alg_rels(self.algebras[i], self.algebras[j])
-            cache[key] = sorted(rels, key=lambda r: (len(r), sorted(r)))
+            cache[key] = sorted(rels, key=lambda r: (len(pairs := fm.rel_pairs(r)), pairs))
         return cache[key]
 
     # -- value-type interpretation ----------------------------------------

@@ -316,14 +316,13 @@ def verify_bang_cardinality(model: ip.Model, sizes: Sequence[int] = (0, 1, 2)) -
 # relational lifting
 
 
-def lifted_rel(model: ip.Model, r: frozenset, a: int, b: int) -> frozenset:
+def lifted_rel(model: ip.Model, r: tuple[int, ...], a: int, b: int) -> tuple[int, ...]:
     """The lifting of R along eta-pairs: smallest admissible relation on T A x T B."""
     fa_i, fb_i = model.free_algebra_index(a), model.free_algebra_index(b)
     fa, fb = model.algebras[fa_i], model.algebras[fb_i]
     eta_a, eta_b = model._free_units[fa_i], model._free_units[fb_i]
-    base = frozenset((eta_a[x], eta_b[y]) for x, y in r)
-    rel = fm.Rel(fa.carrier, fb.carrier, base)
-    return fm.admissible_closure(rel, fa, fb).pairs
+    base = fm.rows_of(((eta_a[x], eta_b[y]) for x, y in fm.rel_pairs(r)), fa.carrier.size)
+    return fm.admissible_closure(base, fa, fb)
 
 
 def verify_rel_lifting(model: ip.Model, max_size: int = 2) -> VerificationReport:
@@ -338,7 +337,6 @@ def verify_rel_lifting(model: ip.Model, max_size: int = 2) -> VerificationReport
         for b in range(max_size + 1):
             fa_i, fb_i = model.free_algebra_index(a), model.free_algebra_index(b)
             fa, fb = model.algebras[fa_i], model.algebras[fb_i]
-            eta_a, eta_b = model._free_units[fa_i], model._free_units[fb_i]
             to_a, _ = model.bang_bridge(a)
             to_b, _ = model.bang_bridge(b)
             for r in fm.enumerate_set_rels(fm.FinSet(a), fm.FinSet(b)):
@@ -349,26 +347,23 @@ def verify_rel_lifting(model: ip.Model, max_size: int = 2) -> VerificationReport
                     ip.VSORT, "X", fm.FinSet(a), fm.FinSet(b), r
                 )
                 view = model.interp_rel(rho, bang_x)
-                via_interp = frozenset(
-                    (to_a[p], to_b[q]) for p, q in view.pairs()
+                via_interp = fm.rows_of(
+                    ((to_a[p], to_b[q]) for p, q in view.pairs()), fa.carrier.size
                 )
                 # image of the functor applied to the span
-                rl = sorted(r)
+                rl = fm.rel_pairs(r)
                 rset = fm.FinSet(len(rl))
                 p1 = [x for x, _ in rl]
                 p2 = [y for _, y in rl]
                 tp1 = model.monad.tmap(p1, rset, fm.FinSet(a))
                 tp2 = model.monad.tmap(p2, rset, fm.FinSet(b))
-                image = frozenset(zip(tp1, tp2))
-                via_image = fm.admissible_closure(
-                    fm.Rel(fa.carrier, fb.carrier, image), fa, fb
-                ).pairs
+                via_image = fm.admissible_closure(fm.rows_of(zip(tp1, tp2), fa.carrier.size), fa, fb)
                 if not (via_closure == via_interp == via_image):
                     failures.append({
-                        "a": a, "b": b, "R": sorted(r),
-                        "closure": sorted(via_closure),
-                        "interp": sorted(via_interp),
-                        "image": sorted(via_image),
+                        "a": a, "b": b, "R": rl,
+                        "closure": fm.rel_pairs(via_closure),
+                        "interp": fm.rel_pairs(via_interp),
+                        "image": fm.rel_pairs(via_image),
                     })
     # adjoint characterisation: (!R -o Q)(f,g) iff (R -> Q)(f.eta, g.eta)
     for a in range(max_size + 1):
@@ -378,7 +373,8 @@ def verify_rel_lifting(model: ip.Model, max_size: int = 2) -> VerificationReport
             eta_a = model._free_units[model.free_algebra_index(a)]
             eta_b = model._free_units[model.free_algebra_index(b)]
             for r in fm.enumerate_set_rels(fm.FinSet(a), fm.FinSet(b)):
-                bang_r = lifted_rel(model, r, a, b)
+                r_pairs = fm.rel_pairs(r)
+                bang_r = fm.rel_pairs(lifted_rel(model, r, a, b))
                 # target algebras range over the bound proper
                 bounded = [x for x in model.algebras if x.carrier.size <= model.bound]
                 for i, ua in enumerate(bounded):
@@ -386,12 +382,12 @@ def verify_rel_lifting(model: ip.Model, max_size: int = 2) -> VerificationReport
                         for q in fm.enumerate_alg_rels(ua, ub):
                             for f in fm.enumerate_homs(fa, ua):
                                 for g in fm.enumerate_homs(fb, ub):
-                                    lhs = all((f[z], g[w]) in q for z, w in bang_r)
-                                    rhs = all((f[eta_a[x]], g[eta_b[y]]) in q for x, y in r)
+                                    lhs = all(q[f[z]] >> g[w] & 1 for z, w in bang_r)
+                                    rhs = all(q[f[eta_a[x]]] >> g[eta_b[y]] & 1 for x, y in r_pairs)
                                     checked += 1
                                     if lhs != rhs:
                                         failures.append({
-                                            "a": a, "b": b, "R": sorted(r), "Q": sorted(q),
+                                            "a": a, "b": b, "R": r_pairs, "Q": fm.rel_pairs(q),
                                             "algs": [i, j], "f": list(f), "g": list(g),
                                         })
     return _model_report("rel-lifting", model, t0, failures, counts={"instances": checked})
@@ -558,12 +554,13 @@ def verify_handler(model: ip.Model, max_size: int = 2) -> VerificationReport:
                 ha, hb = _handle_table(model, a, e_idx), _handle_table(model, b, e_idx)
                 for r in fm.enumerate_set_rels(fm.FinSet(a), fm.FinSet(b)):
                     br = lifted_rel(model, r, a, b)
-                    for p1, p2 in br:
-                        for q1, q2 in br:
+                    br_pairs = fm.rel_pairs(br)
+                    for p1, p2 in br_pairs:
+                        for q1, q2 in br_pairs:
                             checked += 1
-                            if (ha[(p1, q1)], hb[(p2, q2)]) not in br:
+                            if not br[ha[(p1, q1)]] >> hb[(p2, q2)] & 1:
                                 failures.append({"law": "parametricity", "e": e, "a": a, "b": b,
-                                                 "R": sorted(r)})
+                                                 "R": fm.rel_pairs(r)})
         # extra assurance when tractable: the interpreted constant inhabits
         # its polymorphic type and agrees with the case-split table
         name = f"handle^{e}"
@@ -735,12 +732,11 @@ def verify_rel_axioms(model: ip.Model) -> VerificationReport:
     # diagonals
     for s in sets:
         checked += 1
-        if frozenset((i, i) for i in range(s.size)) not in fm.enumerate_set_rels(s, s):
+        if fm.diagonal(s.size) not in fm.enumerate_set_rels(s, s):
             failures.append({"axiom": "R1", "object": f"set:{s.size}"})
     for k, a in enumerate(algs):
-        diag = frozenset((i, i) for i in range(a.carrier.size))
         checked += 1
-        if not fm.rel_carries_subalgebra(fm.Rel(a.carrier, a.carrier, diag), a, a):
+        if not fm.admissible(fm.diagonal(a.carrier.size), a, a):
             failures.append({"axiom": "R1", "object": f"alg:{k}"})
 
     # reindexing on sets
@@ -755,9 +751,9 @@ def verify_rel_axioms(model: ip.Model) -> VerificationReport:
                     for f in fs:
                         for g in gs:
                             for r in rels:
-                                pre = fm.preimage(f, g, fm.Rel(a2, b2, r))
+                                pre = fm.preimage(f, g, r)
                                 checked += 1
-                                if pre.pairs not in allowed:
+                                if pre not in allowed:
                                     failures.append({"axiom": "R2", "kind": "set"})
     # reindexing on algebras
     for ka, a1 in enumerate(algs):
@@ -769,12 +765,12 @@ def verify_rel_axioms(model: ip.Model) -> VerificationReport:
                     for q in fm.enumerate_alg_rels(a2, b2):
                         for f in homs_a:
                             for g in homs_b:
-                                pre = fm.preimage(f, g, fm.Rel(a2.carrier, b2.carrier, q))
+                                pre = fm.preimage(f, g, q)
                                 checked += 1
-                                if not fm.rel_carries_subalgebra(pre, a1, b1):
+                                if not fm.admissible(pre, a1, b1):
                                     failures.append({
                                         "axiom": "R2", "kind": "alg",
-                                        "objects": [ka, kb, kc, kd], "Q": sorted(q),
+                                        "objects": [ka, kb, kc, kd], "Q": fm.rel_pairs(q),
                                     })
 
     # intersections (binary plus the full relation as the empty intersection)
@@ -782,30 +778,26 @@ def verify_rel_axioms(model: ip.Model) -> VerificationReport:
         for b in sets:
             rels = fm.enumerate_set_rels(a, b)
             allowed = set(rels)
-            full = frozenset((x, y) for x in range(a.size) for y in range(b.size))
+            full = ((1 << b.size) - 1,) * a.size
             checked += 1
             if full not in allowed:
                 failures.append({"axiom": "R3", "kind": "set-full"})
             for r1 in rels:
                 for r2 in rels:
                     checked += 1
-                    if (r1 & r2) not in allowed:
+                    if tuple(x & y for x, y in zip(r1, r2)) not in allowed:
                         failures.append({"axiom": "R3", "kind": "set"})
     for ka, a in enumerate(algs):
         for kb, b in enumerate(algs):
             rels = fm.enumerate_alg_rels(a, b)
-            full = frozenset(
-                (x, y) for x in range(a.carrier.size) for y in range(b.carrier.size)
-            )
+            full = ((1 << b.carrier.size) - 1,) * a.carrier.size
             checked += 1
-            if not fm.rel_carries_subalgebra(fm.Rel(a.carrier, b.carrier, full), a, b):
+            if not fm.admissible(full, a, b):
                 failures.append({"axiom": "R3", "kind": "alg-full", "objects": [ka, kb]})
             for q1 in rels:
                 for q2 in rels:
                     checked += 1
-                    if not fm.rel_carries_subalgebra(
-                        fm.Rel(a.carrier, b.carrier, q1 & q2), a, b
-                    ):
+                    if not fm.admissible(tuple(x & y for x, y in zip(q1, q2)), a, b):
                         failures.append({"axiom": "R3", "kind": "alg", "objects": [ka, kb]})
 
     # algebra relations are carrier relations
@@ -813,9 +805,7 @@ def verify_rel_axioms(model: ip.Model) -> VerificationReport:
         for kb, b in enumerate(algs):
             for q in fm.enumerate_alg_rels(a, b):
                 checked += 1
-                if not all(
-                    0 <= x < a.carrier.size and 0 <= y < b.carrier.size for x, y in q
-                ):
+                if not fm.in_carriers(q, a.carrier.size, b.carrier.size):
                     failures.append({"axiom": "R4", "objects": [ka, kb]})
     return _model_report("relation-axioms", model, t0, failures, counts={"instances": checked})
 
@@ -871,11 +861,11 @@ def verify_identity_extension(model: ip.Model, battery: Optional[Sequence[TypeEx
         for env in base_envs:
             view = model.interp_rel(ip.diag_relenv(env), ty)
             size = model.interp_vtype(env, ty).size
-            got = view.pairs()
-            want = frozenset((i, i) for i in range(size))
+            got, want = view.rows(), fm.diagonal(size)
             if got != want:
                 failures.append({"type": print_type(ty),
-                                 "extra": sorted(got - want), "missing": sorted(want - got)})
+                                 "extra": fm.rel_pairs([g & ~w for g, w in zip(got, want)]),
+                                 "missing": fm.rel_pairs([w & ~g for g, w in zip(got, want)])})
                 break
     return _model_report("identity-extension", model, t0, failures,
                          counts={"types": len(battery)})
@@ -931,7 +921,7 @@ def verify_abstraction(
                 rho = rho.set(sort, name, a, b, r)
             try:
                 binding_rels = [model.interp_rel(rho, ty) for _, ty in bindings]
-                pair_lists = [sorted(view.pairs()) for view in binding_rels]
+                pair_lists = [view.pairs() for view in binding_rels]
             except ip.OutOfBoundError:
                 continue
             count = 0

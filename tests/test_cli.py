@@ -121,3 +121,15 @@ def test_eval_application_returns_the_argument(capsys):
     code2, out2, _ = run(capsys, "--format", "json", "eval", f"(fun b:2 => b) ({tt})")
     assert code1 == code2 == 0
     assert json.loads(out1)["value"] == json.loads(out2)["value"]
+
+
+def test_three_exceptions_put_the_handler_denotation_out_of_bound(capsys):
+    # the relation space of the 5-element free algebras is past the cap, so
+    # the denotation check is skipped and the concrete checks still decide
+    code, out, _ = run(capsys, "--exceptions", "e1,e2,e3", "--format", "json", "verify", "handler")
+    assert code == 0
+    report = json.loads(out)
+    assert report["status"] == "verified"
+    assert report["counts"] == {
+        "denotation-check": "out-of-bound (concrete membership still checked)", "instances": 2613,
+    }

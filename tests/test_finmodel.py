@@ -1,10 +1,12 @@
 """Finite sets, monads, algebras, relations and the admissible closure."""
 
+from functools import lru_cache
 from itertools import product
 
 import pytest
 
 from polyeff import finmodel as fm
+from polyeff import interp as ip
 
 
 EXC = fm.MonadSpec("exception", ("e",))
@@ -108,70 +110,172 @@ def test_enumerate_homs_caps_only_the_free_positions():
 
 
 def test_carries_subalgebra():
+    # a subset is closed iff the diagonal on it is admissible from the algebra to itself
     alg = fm.Alg(EXC, fm.FinSet(2), raise_points=(1,))
-    assert fm.carries_subalgebra({0, 1}, alg)
-    assert not fm.carries_subalgebra({0}, alg)
+    assert fm.admissible((0b01, 0b10), alg, alg)
+    assert not fm.admissible((0b01, 0), alg, alg)
     chain = fm.Alg(POW, fm.FinSet(2), or_table=((0, 1), (1, 1)))
-    assert fm.carries_subalgebra({0}, chain)  # the bottom of a 2-chain is closed
-    assert fm.carries_subalgebra({1}, chain)
+    assert fm.admissible((0b01, 0), chain, chain)  # the bottom of a 2-chain is closed
+    assert fm.admissible((0, 0b10), chain, chain)
+
+
+# -- the row layer against pair-set oracles -----------------------------------
+
+
+def _rows(pairs, m):
+    return tuple(sum(1 << y for x2, y in pairs if x2 == x) for x in range(m))
+
+
+def _cells(m, n):
+    return [(x, y) for x in range(m) for y in range(n)]
+
+
+def _set_rels_oracle(m, n):
+    # every pair set, cell i = x*n + y taken from bit i of an ascending mask
+    cells = _cells(m, n)
+    return [frozenset(c for i, c in enumerate(cells) if mask >> i & 1)
+            for mask in range(1 << len(cells))]
+
+
+def _admissible_oracle(pairs, a, b):
+    if not all((p, q) in pairs for p, q in zip(a.raise_points, b.raise_points)):
+        return False
+    if a.monad.key == "powerset":
+        return all((a.op_or(x1, x2), b.op_or(y1, y2)) in pairs
+                   for x1, y1 in pairs for x2, y2 in pairs)
+    return True
+
+
+@lru_cache(maxsize=8)
+def _alg_rels_oracle(a, b):
+    return [r for r in _set_rels_oracle(a.carrier.size, b.carrier.size)
+            if _admissible_oracle(r, a, b)]
 
 
 def _closure_oracle(pairs, a, b):
     # independent oracle: intersect all admissible supersets
-    cells = [(x, y) for x in range(a.carrier.size) for y in range(b.carrier.size)]
     best = None
-    for mask in range(1 << len(cells)):
-        cand = frozenset(c for i, c in enumerate(cells) if mask >> i & 1)
-        if not pairs <= cand:
-            continue
-        if not fm.rel_carries_subalgebra(fm.Rel(a.carrier, b.carrier, cand), a, b):
-            continue
-        best = cand if best is None else best & cand
+    for cand in _alg_rels_oracle(a, b):
+        if pairs <= cand:
+            best = cand if best is None else best & cand
     return best
+
+
+def _algebras(monad):
+    # every algebra at bound 2 plus the free algebras on 0, 1 and 2 points
+    return ip.Model(monad, 2, include_free_algebras=True).algebras
+
+
+def _sample(rels, n=64):
+    return rels[::max(1, len(rels) // n)]
+
+
+@pytest.mark.parametrize("monad", [IDM, EXC, EXC2, POW], ids=lambda m: f"{m.key}{m.n_exc}")
+def test_row_layer_matches_the_pair_set_oracles(monad):
+    for a in _algebras(monad):
+        for b in _algebras(monad):
+            m, n = a.carrier.size, b.carrier.size
+            every = _set_rels_oracle(m, n)
+            assert fm.enumerate_set_rels(a.carrier, b.carrier) == [_rows(r, m) for r in every]
+            admissible = _alg_rels_oracle(a, b)
+            assert fm.enumerate_alg_rels(a, b) == [_rows(r, m) for r in admissible]
+            for r in every if len(every) <= 512 else _sample(every):
+                want = _closure_oracle(r, a, b)
+                assert fm.admissible_closure(_rows(r, m), a, b) == _rows(want, m)
+
+
+def test_closure_joins_more_than_two_pairs():
+    # on the free semilattice over three points a join of three singletons
+    # is no join of two, so the closure must iterate past one round
+    f3, _ = fm.free_algebra(POW, fm.FinSet(3))
+    one = fm.Alg(POW, fm.FinSet(1), or_table=((0,),))
+    for a, b in ((f3, one), (one, f3)):
+        m = a.carrier.size
+        for r in _set_rels_oracle(m, b.carrier.size):
+            assert fm.admissible_closure(_rows(r, m), a, b) == _rows(_closure_oracle(r, a, b), m)
+    assert fm.admissible_closure((1, 1, 0, 1, 0, 0, 0), f3, one)[6] == 1  # the singletons join to element 6
+
+
+def test_preimage_matches_the_per_pair_definition():
+    for m, n in product(range(5), repeat=2):
+        for r in _sample(_set_rels_oracle(m, n), 8):
+            for f in product(range(m), repeat=2):
+                for g in product(range(n), repeat=2):
+                    want = {(x, y) for x in range(2) for y in range(2) if (f[x], g[y]) in r}
+                    assert fm.preimage(f, g, _rows(r, m)) == _rows(want, 2)
+
+
+@pytest.mark.parametrize("monad", [IDM, EXC, EXC2, POW], ids=lambda m: f"{m.key}{m.n_exc}")
+def test_rels_for_pair_keeps_the_pair_set_order(monad):
+    # most selective first: by number of pairs, then by the sorted pairs
+    model = ip.Model(monad, 2, include_free_algebras=True)
+    for sort, objs in ((ip.VSORT, model.sets), (ip.CSORT, model.algebras)):
+        for i, a in enumerate(objs):
+            for j, b in enumerate(objs):
+                if sort == ip.VSORT:
+                    rels, m = _set_rels_oracle(a.size, b.size), a.size
+                else:
+                    rels, m = _alg_rels_oracle(a, b), a.carrier.size
+                want = sorted(rels, key=lambda r: (len(r), sorted(r)))
+                assert model.rels_for_pair(sort, i, j) == [_rows(r, m) for r in want]
+
+
+def test_relation_space_cap_names_both_carriers():
+    with pytest.raises(fm.OutOfBoundError) as err:
+        fm.enumerate_set_rels(fm.FinSet(5), fm.FinSet(4))
+    assert str(err.value) == (
+        "relation space between carriers of sizes 5 and 4 too large:"
+        " 20 cells, more than REL_CAP_BITS (16)"
+    )
+    fa, _ = fm.free_algebra(fm.MonadSpec("exception", ("e1", "e2", "e3")), fm.FinSet(2))
+    with pytest.raises(fm.OutOfBoundError, match="sizes 5 and 5 too large: 25 cells"):
+        fm.enumerate_alg_rels(fa, fa)
 
 
 def test_closure_of_empty_contains_raise_pair():
     fa, _ = fm.free_algebra(EXC, fm.FinSet(1))
     fb, _ = fm.free_algebra(EXC, fm.FinSet(1))
-    rel = fm.Rel(fa.carrier, fb.carrier, frozenset())
-    closed = fm.admissible_closure(rel, fa, fb)
-    assert closed.pairs == frozenset({(1, 1)})
-    assert closed.pairs == _closure_oracle(frozenset(), fa, fb)
+    closed = fm.admissible_closure((0, 0), fa, fb)
+    assert closed == (0, 0b10)  # {(1, 1)}
+    assert closed == _rows(_closure_oracle(frozenset(), fa, fb), 2)
 
 
 def test_closure_of_diagonal_on_a_semilattice_is_diagonal():
     alg, _ = fm.free_algebra(POW, fm.FinSet(2))
-    diag = frozenset((i, i) for i in range(3))
-    closed = fm.admissible_closure(fm.Rel(alg.carrier, alg.carrier, diag), alg, alg)
-    assert closed.pairs == diag
+    assert fm.admissible_closure(fm.diagonal(3), alg, alg) == fm.diagonal(3)
 
 
 def test_closure_of_a_singleton_on_free_exception_algebras():
     fa, _ = fm.free_algebra(EXC, fm.FinSet(2))
-    closed = fm.admissible_closure(fm.Rel(fa.carrier, fa.carrier, frozenset({(0, 1)})), fa, fa)
-    assert closed.pairs == frozenset({(0, 1), (2, 2)})
-    assert closed.pairs == _closure_oracle(frozenset({(0, 1)}), fa, fa)
+    closed = fm.admissible_closure((0b010, 0, 0), fa, fa)
+    assert fm.rel_pairs(closed) == [(0, 1), (2, 2)]
+    assert closed == _rows(_closure_oracle(frozenset({(0, 1)}), fa, fa), 3)
+
+
+def _le(r1, r2):
+    return all(x & ~y == 0 for x, y in zip(r1, r2))
 
 
 def test_closure_is_a_closure_operator():
     alg, _ = fm.free_algebra(POW, fm.FinSet(2))
-    rels = fm.enumerate_set_rels(alg.carrier, alg.carrier, cap_bits=9)
-    for pairs in rels[:64]:
-        rel = fm.Rel(alg.carrier, alg.carrier, pairs)
-        once = fm.admissible_closure(rel, alg, alg)
-        assert pairs <= once.pairs  # extensive
-        assert fm.admissible_closure(once, alg, alg).pairs == once.pairs  # idempotent
-        bigger = fm.Rel(alg.carrier, alg.carrier, pairs | {(0, 0)})
-        assert once.pairs <= fm.admissible_closure(bigger, alg, alg).pairs  # monotone
+    rels = fm.enumerate_set_rels(alg.carrier, alg.carrier)
+    for rows in rels[:64]:
+        once = fm.admissible_closure(rows, alg, alg)
+        assert _le(rows, once)  # extensive
+        assert fm.admissible_closure(once, alg, alg) == once  # idempotent
+        bigger = (rows[0] | 1,) + rows[1:]
+        assert _le(once, fm.admissible_closure(bigger, alg, alg))  # monotone
 
 
 def test_relation_operations():
-    a = fm.FinSet(2)
-    r = fm.Rel(a, a, frozenset({(0, 1)}))
-    assert fm.preimage((0, 1), (0, 1), r).pairs == r.pairs
+    r = (0b10, 0)  # {(0, 1)}
+    assert fm.preimage((0, 1), (0, 1), r) == r
     # the graph of f is the preimage of the diagonal along (f, id)
-    diag = fm.Rel(a, a, frozenset({(0, 0), (1, 1)}))
-    assert fm.preimage((1, 0), (0, 1), diag).pairs == frozenset({(0, 1), (1, 0)})
+    assert fm.preimage((1, 0), (0, 1), fm.diagonal(2)) == (0b10, 0b01)
+    assert fm.rel_pairs((0b10, 0b01)) == [(0, 1), (1, 0)]
+    assert fm.rows_of([(1, 0), (0, 1)], 2) == (0b10, 0b01)
+    assert fm.in_carriers((0b10, 0b01), 2, 2)
+    assert not fm.in_carriers((0b100, 0), 2, 2) and not fm.in_carriers((0,), 2, 2)
 
 
 def test_preimage_of_admissible_relation_along_homs_is_admissible():
@@ -180,8 +284,7 @@ def test_preimage_of_admissible_relation_along_homs_is_admissible():
     for q in fm.enumerate_alg_rels(target, target):
         for f in fm.enumerate_homs(fa, target):
             for g in fm.enumerate_homs(fa, target):
-                pre = fm.preimage(f, g, fm.Rel(target.carrier, target.carrier, q))
-                assert fm.rel_carries_subalgebra(pre, fa, fa)
+                assert fm.admissible(fm.preimage(f, g, q), fa, fa)
 
 
 def test_monad_laws_small():

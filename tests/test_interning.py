@@ -7,6 +7,7 @@ interpretation caches can key on them by identity.
 import copy
 import gc
 import pickle
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -95,8 +96,8 @@ def test_environments_are_interned():
     env = ip.TypeEnv().set(ip.VSORT, "X", a).set(ip.VSORT, "Y", b)
     assert env is ip.type_env({"Y": fm.FinSet(2), "X": fm.FinSet(1)})
     assert env.restrict(frozenset({(ip.VSORT, "X")})) is ip.TypeEnv().set(ip.VSORT, "X", a)
-    rho = ip.RelEnv(ip.TypeEnv(), ip.TypeEnv()).set(ip.VSORT, "X", a, b, frozenset({(0, 1)}))
-    again = ip.RelEnv(ip.TypeEnv(), ip.TypeEnv()).set(ip.VSORT, "X", a, b, frozenset({(0, 1)}))
+    rho = ip.RelEnv(ip.TypeEnv(), ip.TypeEnv()).set(ip.VSORT, "X", a, b, (0b10,))
+    again = ip.RelEnv(ip.TypeEnv(), ip.TypeEnv()).set(ip.VSORT, "X", a, b, (0b10,))
     assert rho is again
     assert ip.diag_relenv(env) is ip.diag_relenv(ip.type_env({"X": a, "Y": b}))
 
@@ -104,9 +105,27 @@ def test_environments_are_interned():
 def test_relation_carrier_check_runs_for_every_distinct_binding():
     a, b = fm.FinSet(1), fm.FinSet(2)
     empty = ip.RelEnv(ip.TypeEnv(), ip.TypeEnv())
-    empty.set(ip.VSORT, "X", a, b, frozenset({(0, 1)}))
+    empty.set(ip.VSORT, "X", a, b, (0b10,))  # {(0, 1)}
     with pytest.raises(ip.InterpError, match="escapes its carriers"):
-        empty.set(ip.VSORT, "X", a, b, frozenset({(1, 0)}))
+        empty.set(ip.VSORT, "X", a, b, (0b01, 0b01))  # row 1 is past the left carrier
+    with pytest.raises(ip.InterpError, match="escapes its carriers"):
+        empty.set(ip.VSORT, "X", a, b, (0b100,))  # bit 2 is past the right carrier
+
+
+def test_restricting_to_every_key_makes_no_reference_cycle():
+    # built with type_env rather than .set(), whose memo in the root
+    # environment would keep the result alive
+    gc.disable()
+    try:
+        env = ip.type_env({"Xcycle": fm.FinSet(2)}, {"Pcycle": fm.Alg(EXC, fm.FinSet(1), (0,))})
+        rho = ip.diag_relenv(env)
+        keys = frozenset(key for key, _ in env.items)
+        assert env.restrict(keys) is env and rho.restrict(keys) is rho
+        env_ref, rho_ref = weakref.ref(env), weakref.ref(rho)
+        del env, rho
+        assert rho_ref() is None and env_ref() is None
+    finally:
+        gc.enable()
 
 
 def test_cache_keys_are_shared_across_equal_environments():

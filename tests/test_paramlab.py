@@ -59,20 +59,19 @@ def test_rel_lifting_characterisations(exc_free):
 
 
 def test_lifting_of_empty_relation_is_the_raise_pair(exc_free):
-    lifted = pl.lifted_rel(exc_free, frozenset(), 1, 1)
-    assert lifted == frozenset({(1, 1)})
+    lifted = pl.lifted_rel(exc_free, (0,), 1, 1)
+    assert lifted == (0, 0b10)  # {(1, 1)}
 
 
 def test_lifting_of_diagonal_is_diagonal(exc_free):
-    diag = frozenset((i, i) for i in range(2))
-    assert pl.lifted_rel(exc_free, diag, 2, 2) == frozenset((i, i) for i in range(3))
+    assert pl.lifted_rel(exc_free, fm.diagonal(2), 2, 2) == fm.diagonal(3)
 
 
 def test_lifting_of_graph_is_graph_of_tmap(exc_free):
     f = (1, 0)
-    graph = frozenset((x, f[x]) for x in range(2))
+    graph = fm.rows_of(((x, f[x]) for x in range(2)), 2)
     tf = exc_free.monad.tmap(f, fm.FinSet(2), fm.FinSet(2))
-    want = frozenset((z, tf[z]) for z in range(3))
+    want = fm.rows_of(((z, tf[z]) for z in range(3)), 3)
     assert pl.lifted_rel(exc_free, graph, 2, 2) == want
 
 
