@@ -10,7 +10,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 from . import encodings as enc
 from . import finmodel as fm
@@ -19,25 +19,6 @@ from . import paramlab as pl
 from . import surface
 from . import typecheck as tc
 from .kernel import Judgment
-
-SUITES = [
-    "typing",
-    "metatheory",
-    "monad-laws",
-    "rel-axioms",
-    "identity-extension",
-    "abstraction",
-    "bang-laws",
-    "free-algebra",
-    "bang-cardinality",
-    "rel-lifting",
-    "algop",
-    "handler",
-    "encoding-props",
-    "parametric-counts",
-    "cbpv",
-]
-
 
 def _parser() -> argparse.ArgumentParser:
     # options are accepted both before and after the subcommand; SUPPRESS
@@ -59,7 +40,7 @@ def _parser() -> argparse.ArgumentParser:
     v = sub.add_parser("eval", parents=[common], help="evaluate a closed term in the configured model")
     v.add_argument("term")
     s = sub.add_parser("verify", parents=[common], help="run verification suites")
-    s.add_argument("suite", choices=SUITES + ["all"])
+    s.add_argument("suite", choices=[*SUITES, "all"])
     s.add_argument("--n", type=int, default=2, help="arity for the algop suite")
     return p
 
@@ -117,17 +98,22 @@ def process_file(path: str, constants, abbrevs: dict, out: list) -> list[dict]:
     return errors
 
 
-def cmd_check(args) -> int:
+def _checked_files(args):
+    """``(path, errors, declarations)`` for each file, checked against the
+    configured monad's constants."""
     cfg = load_config(args)
-    monad = cfg.monad_spec()
     constants = enc.constants_table(
-        enc.register_effect_constants(cfg.monad, monad.exceptions)
+        enc.register_effect_constants(cfg.monad, cfg.monad_spec().exceptions)
     )
-    status = 0
     for path in args.files:
-        abbrevs: dict = {}
         out: list = []
-        errors = process_file(path, constants, abbrevs, out)
+        errors = process_file(path, constants, {}, out)
+        yield path, errors, out
+
+
+def cmd_check(args) -> int:
+    status = 0
+    for path, errors, out in _checked_files(args):
         if errors:
             status = 1
         if _opt(args, "format", "text") == "json":
@@ -140,16 +126,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_elaborate(args) -> int:
-    cfg = load_config(args)
-    monad = cfg.monad_spec()
-    constants = enc.constants_table(
-        enc.register_effect_constants(cfg.monad, monad.exceptions)
-    )
     status = 0
-    for path in args.files:
-        abbrevs: dict = {}
-        out: list = []
-        errors = process_file(path, constants, abbrevs, out)
+    for _, errors, out in _checked_files(args):
         if errors:
             status = 1
             for err in errors:
@@ -203,51 +181,64 @@ def cmd_eval(args) -> int:
 # verify
 
 
+def _free_algebra(cfg, seed, n):
+    model = pl.build_model(cfg, force_free=True)
+    return [pl.verify_free_algebra(model), pl.free_algebra_negative_control(model)]
+
+
+def _bang_cardinality(cfg, seed, n):
+    reports = [pl.verify_bang_cardinality(pl.build_model(cfg, force_free=True))]
+    id_cfg = fm.ModelConfig("identity", (), cfg.bound, True)
+    reports.append(pl.verify_bang_cardinality(pl.build_model(id_cfg), sizes=(1, 2)))
+    return reports
+
+
+def _algop(cfg, seed, n):
+    model = pl.build_model(cfg, force_free=False)
+    model.register_free_algebra(fm.FinSet(n))
+    return [pl.verify_algop_correspondence(model, n)]
+
+
+def _parametric_counts(cfg, seed, n):
+    free = pl.build_model(cfg, force_free=True)
+    plain = pl.build_model(cfg, force_free=False)
+    return [pl.verify_parametric_counts(free, plain)]
+
+
+# Every suite, in the order `verify all` runs them: name -> runner taking
+# (config, seed, algop arity).  Runners look paramlab's functions up when
+# they run, so a wrapper later installed on the module sees every call.
+SUITES: dict[str, Callable[[fm.ModelConfig, int, int], list[pl.VerificationReport]]] = {
+    "typing": lambda cfg, seed, n: [pl.verify_typing_corpus()],
+    "metatheory": lambda cfg, seed, n: [pl.verify_metatheory(seed)],
+    "monad-laws": lambda cfg, seed, n: [pl.verify_monad_laws(4)],
+    "rel-axioms": lambda cfg, seed, n: [pl.verify_rel_axioms(pl.build_model(cfg, force_free=False))],
+    "identity-extension": lambda cfg, seed, n: [
+        pl.verify_identity_extension(pl.build_model(cfg, force_free=False))],
+    "abstraction": lambda cfg, seed, n: [
+        pl.verify_abstraction(pl.build_model(cfg, force_free=False), seed=seed)],
+    "bang-laws": lambda cfg, seed, n: [pl.verify_bang_laws(pl.build_model(cfg, force_free=True))],
+    "free-algebra": _free_algebra,
+    "bang-cardinality": _bang_cardinality,
+    "rel-lifting": lambda cfg, seed, n: [pl.verify_rel_lifting(pl.build_model(cfg, force_free=True))],
+    "algop": _algop,
+    "handler": lambda cfg, seed, n: [pl.verify_handler(pl.build_model(cfg, force_free=True))],
+    "encoding-props": lambda cfg, seed, n: [
+        pl.verify_encoding_props(pl.build_model(cfg, force_free=True))],
+    "parametric-counts": _parametric_counts,
+    "cbpv": lambda cfg, seed, n: [pl.verify_cbpv()],
+}
+
+
 def run_suite(name: str, cfg: fm.ModelConfig, seed: int, n: int = 2) -> list[pl.VerificationReport]:
-    if name == "typing":
-        return [pl.verify_typing_corpus()]
-    if name == "metatheory":
-        return [pl.verify_metatheory(seed)]
-    if name == "monad-laws":
-        return [pl.verify_monad_laws(4)]
-    if name == "rel-axioms":
-        return [pl.verify_rel_axioms(pl.build_model(cfg, force_free=False))]
-    if name == "identity-extension":
-        return [pl.verify_identity_extension(pl.build_model(cfg, force_free=False))]
-    if name == "abstraction":
-        return [pl.verify_abstraction(pl.build_model(cfg, force_free=False), seed=seed)]
-    if name == "bang-laws":
-        return [pl.verify_bang_laws(pl.build_model(cfg, force_free=True))]
-    if name == "free-algebra":
-        model = pl.build_model(cfg, force_free=True)
-        return [pl.verify_free_algebra(model), pl.free_algebra_negative_control(model)]
-    if name == "bang-cardinality":
-        reports = [pl.verify_bang_cardinality(pl.build_model(cfg, force_free=True))]
-        id_cfg = fm.ModelConfig("identity", (), cfg.bound, True)
-        reports.append(pl.verify_bang_cardinality(pl.build_model(id_cfg), sizes=(1, 2)))
-        return reports
-    if name == "rel-lifting":
-        return [pl.verify_rel_lifting(pl.build_model(cfg, force_free=True))]
-    if name == "algop":
-        model = pl.build_model(cfg, force_free=False)
-        model.register_free_algebra(fm.FinSet(n))
-        return [pl.verify_algop_correspondence(model, n)]
-    if name == "handler":
-        return [pl.verify_handler(pl.build_model(cfg, force_free=True))]
-    if name == "encoding-props":
-        return [pl.verify_encoding_props(pl.build_model(cfg, force_free=True))]
-    if name == "parametric-counts":
-        free = pl.build_model(cfg, force_free=True)
-        plain = pl.build_model(cfg, force_free=False)
-        return [pl.verify_parametric_counts(free, plain)]
-    if name == "cbpv":
-        return [pl.verify_cbpv()]
-    raise ValueError(f"unknown suite {name!r}")
+    if name not in SUITES:
+        raise ValueError(f"unknown suite {name!r}")
+    return SUITES[name](cfg, seed, n)
 
 
 def cmd_verify(args) -> int:
     cfg = load_config(args)
-    suites = SUITES if args.suite == "all" else [args.suite]
+    suites = list(SUITES) if args.suite == "all" else [args.suite]
     status = 0
     for name in suites:
         try:

@@ -1,11 +1,18 @@
 """Driver behavior: subcommands, exit codes, output stability."""
 
+import importlib.util
 import json
+import sys
 from pathlib import Path
 
+import pytest
+
+from polyeff import cli
+from polyeff import finmodel as fm
 from polyeff.cli import main
 
 DATA = Path(__file__).parent / "data"
+WORKLOADS = Path(__file__).parent.parent / "perfbench" / "workloads.py"
 
 
 def run(capsys, *argv):
@@ -133,3 +140,26 @@ def test_three_exceptions_put_the_handler_denotation_out_of_bound(capsys):
     assert report["counts"] == {
         "denotation-check": "out-of-bound (concrete membership still checked)", "instances": 2613,
     }
+
+
+def test_parametric_counts_without_exceptions_are_the_identity_counts(capsys):
+    # with E empty, T(n) = n
+    code, out, _ = run(capsys, "--exceptions", "", "--format", "json", "verify", "parametric-counts")
+    assert code == 0
+    report = json.loads(out)
+    assert report["status"] == "verified", report.get("witness")
+    assert report["counts"] == {"n=0": 0, "n=1": 1, "n=2": 2}
+
+
+def test_benchmark_lists_the_registered_suites_in_order(monkeypatch):
+    # perfbench keeps its own list, since it must not import polyeff
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclass looks itself up
+    spec.loader.exec_module(workloads)
+    assert list(cli.SUITES) == list(workloads.EXPECTED_REPORTS)
+
+
+def test_run_suite_rejects_an_unknown_name():
+    with pytest.raises(ValueError, match="unknown suite 'nonsense'"):
+        cli.run_suite("nonsense", fm.ModelConfig(), 1)

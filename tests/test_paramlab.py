@@ -108,6 +108,14 @@ def test_handler_needs_exception_monad():
     assert pl.verify_handler(model).status == "out-of-bound"
 
 
+def test_handler_without_exceptions_is_out_of_bound():
+    # with E empty there is no handler to check, so nothing may read "verified"
+    model = pl.build_model(fm.ModelConfig("exception", (), 2, True))
+    rep = pl.verify_handler(model)
+    assert rep.status == "out-of-bound"
+    assert rep.witness == {"detail": "handler verification needs a non-empty exception set (E = {})"}
+
+
 def test_encoding_props(exc_free):
     rep = pl.verify_encoding_props(exc_free)
     assert rep.status == "verified", rep.witness
@@ -146,6 +154,24 @@ def test_relation_axioms_powerset():
 def test_monad_laws_report():
     rep = pl.verify_monad_laws(3)
     assert rep.status == "verified", rep.witness
+
+
+def test_monad_laws_catch_a_planted_powerset_extend_defect(monkeypatch):
+    # the full subset goes to {b0} for every injective table other than the
+    # unit at |A| = |B| = 4, tables only the union-split test sees
+    extend = fm.MonadSpec.extend
+
+    def planted(self, f, a, b):
+        out = extend(self, f, a, b)
+        if (self.key == "powerset" and a.size == b.size == 4 and len(set(f)) == 4
+                and tuple(f) != self.unit(a)):
+            out = out[:-1] + (0,)
+        return out
+
+    monkeypatch.setattr(fm.MonadSpec, "extend", planted)
+    rep = pl.verify_monad_laws(4)
+    assert rep.status == "counterexample"
+    assert rep.witness["monad"] == "powerset"
 
 
 def test_parametric_counts_and_oracle_agreement(exc_free, exc_plain):
