@@ -156,16 +156,29 @@ def test_monad_laws_report():
     assert rep.status == "verified", rep.witness
 
 
-def test_monad_laws_catch_a_planted_powerset_extend_defect(monkeypatch):
-    # the full subset goes to {b0} for every injective table other than the
-    # unit at |A| = |B| = 4, tables only the union-split test sees
+def _full_subset_to_b0(out):
+    # a wrong value in T B, seen only by the union-split test
+    return out[:-1] + (0,)
+
+
+def _singleton_out_of_range(out):
+    # a value outside T B, where the union-split test looks up a join
+    return (99,) + out[1:]
+
+
+# at size 2 the direct associativity cross-check also sees the defect
+@pytest.mark.parametrize("size, defect", [
+    (4, _full_subset_to_b0), (4, _singleton_out_of_range), (2, _singleton_out_of_range),
+])
+def test_monad_laws_catch_a_planted_powerset_extend_defect(monkeypatch, size, defect):
+    # planted for every injective table other than the unit at |A| = |B| = size
     extend = fm.MonadSpec.extend
 
     def planted(self, f, a, b):
         out = extend(self, f, a, b)
-        if (self.key == "powerset" and a.size == b.size == 4 and len(set(f)) == 4
+        if (self.key == "powerset" and a.size == b.size == size and len(set(f)) == size
                 and tuple(f) != self.unit(a)):
-            out = out[:-1] + (0,)
+            out = defect(out)
         return out
 
     monkeypatch.setattr(fm.MonadSpec, "extend", planted)
