@@ -259,14 +259,11 @@ def cmd_verify(args) -> int:
                 print(line)
                 if rep.status == "counterexample" and not expected_negative:
                     print(f"  witness: {rep.witness}")
-            if expected_negative:
-                if rep.status != "counterexample":
-                    status = max(status, 1)
-                continue
-            if rep.status == "counterexample":
-                status = max(status, 1)
-            elif rep.status == "out-of-bound":
+            # a negative control must find its counterexample
+            if rep.status == "out-of-bound":
                 status = max(status, 3)
+            elif (rep.status == "counterexample") != expected_negative:
+                status = max(status, 1)
     return status
 
 

@@ -337,6 +337,15 @@ def rel_pairs(rows: Sequence[int]) -> list[tuple[int, int]]:
     return [(x, y) for x, row in enumerate(rows) for y in bits_of(row)]
 
 
+def converse(rows: Sequence[int], n: int) -> tuple[int, ...]:
+    """The converse of a relation whose right carrier has ``n`` elements."""
+    out = [0] * n
+    for x, row in enumerate(rows):
+        for y in bits_of(row):
+            out[y] |= 1 << x
+    return tuple(out)
+
+
 def diagonal(n: int) -> tuple[int, ...]:
     return tuple(1 << i for i in range(n))
 
@@ -435,7 +444,11 @@ def enumerate_alg_rels(a: Alg, b: Alg) -> list[tuple[int, ...]]:
 @dataclass
 class LawReport:
     checked: int = 0
-    failures: list[str] = field(default_factory=list)
+    failures: list[str] = field(default_factory=list)  # distinct, first seen first
+
+    def fail(self, msg: str) -> None:
+        if msg not in self.failures:
+            self.failures.append(msg)
 
     @property
     def ok(self) -> bool:
@@ -465,10 +478,10 @@ def check_monad_laws(m: MonadSpec, max_size: int, direct_pair_cap: int = 20_000)
     for a in sets:
         ta = m.apply(a)
         if tuple(m.extend(m.unit(a), a, a)) != tuple(range(ta.size)):
-            rep.failures.append(f"extend(unit) != id at |A|={a.size}")
+            rep.fail(f"extend(unit) != id at |A|={a.size}")
         rep.checked += 1
         if not _unit_image_generates(m, a):
-            rep.failures.append(f"unit image does not generate T A at |A|={a.size}")
+            rep.fail(f"unit image does not generate T A at |A|={a.size}")
         rep.checked += 1
 
     for a in sets:
@@ -484,15 +497,15 @@ def check_monad_laws(m: MonadSpec, max_size: int, direct_pair_cap: int = 20_000)
                 fext = m.extend(f, a, b)
                 rep.checked += 1
                 if not _is_map(fext, fa.carrier.size, tb.size):
-                    rep.failures.append(f"extend(f) not a map at |A|={a.size},|B|={b.size}")
+                    rep.fail(f"extend(f) not a map at |A|={a.size},|B|={b.size}")
                     continue
                 for i in range(a.size):
                     if fext[eta_a[i]] != f[i]:
-                        rep.failures.append(f"extend(f).unit != f at |A|={a.size},|B|={b.size}")
+                        rep.fail(f"extend(f).unit != f at |A|={a.size},|B|={b.size}")
                         break
                 if not (is_homomorphism(fext, fa, fb) if splits is None
                         else _joins_splits(fext, splits, fb)):
-                    rep.failures.append(
+                    rep.fail(
                         f"extension not a homomorphism at |A|={a.size},|B|={b.size}"
                     )
 
@@ -516,7 +529,7 @@ def check_monad_laws(m: MonadSpec, max_size: int, direct_pair_cap: int = 20_000)
                         lhs = m.extend([gext[f[i]] for i in range(a.size)], a, c)
                         rhs = tuple(gext[fext[i]] for i in range(len(fext)))
                         if tuple(lhs) != rhs:
-                            rep.failures.append(
+                            rep.fail(
                                 f"associativity fails at |A|={a.size},|B|={b.size},|C|={c.size}"
                             )
                         rep.checked += 1

@@ -35,6 +35,13 @@ since one pair costs k * k relatedness tests over k registered objects.
 No view stores its own relation twice, and every relation has the rows
 form that ``finmodel`` owns: relation environments bind rows, and an
 ``AtomRel`` keeps the rows its environment binds.
+
+The family search (``pairwise_search`` over ``Model.relatedness``) lists
+each component domain, except that a function component may come from
+``Model.self_related_tables``: it returns exactly the tables related to
+themselves under every admissible relation at their object, found by
+forward checking over one value mask per argument.  The search tests each
+generated table again, and asks for them only at or below ``ITER_CAP``.
 """
 
 from __future__ import annotations
@@ -476,7 +483,8 @@ class ForallRel(RelView):
     pairs = RelView.pairs
 
 
-def pairwise_search(sizes: Sequence[int], ok: Callable[[int, int, int, int], bool]
+def pairwise_search(sizes: Sequence[int], ok: Callable[[int, int, int, int], bool],
+                    candidates: Callable[[int], Optional[Sequence[int]]] = lambda i: None,
                     ) -> tuple[tuple[int, ...], ...]:
     """Every tuple ``t`` with ``t[i] < sizes[i]`` and ``ok(i, j, t[i], t[j])``
     for all positions ``i`` and ``j``, sorted.
@@ -485,6 +493,10 @@ def pairwise_search(sizes: Sequence[int], ok: Callable[[int, int, int, int], boo
     ``ok(i, i, c, c)``, then both directions against every fixed position.
     Reaching a position whose domain exceeds ``ITER_CAP`` raises
     ``OutOfBoundError`` naming that position as a component.
+
+    ``candidates(i)``, asked only at or below ``ITER_CAP``, may return the
+    values ``c`` with ``ok(i, i, c, c)`` in ascending order, or None to list
+    ``range(sizes[i])``; each value it returns is tested again all the same.
     """
     order = sorted(range(len(sizes)), key=lambda i: (sizes[i], i))
     partial: list[tuple[int, ...]] = [()]
@@ -493,7 +505,8 @@ def pairwise_search(sizes: Sequence[int], ok: Callable[[int, int, int, int], boo
             raise OutOfBoundError(
                 f"component {i} has {sizes[i]} candidates, more than ITER_CAP ({ITER_CAP})"
             )
-        cands = [c for c in range(sizes[i]) if ok(i, i, c, c)]
+        source = candidates(i)
+        cands = [c for c in (range(sizes[i]) if source is None else source) if ok(i, i, c, c)]
         fixed = order[:pos]
         partial = [
             asg + (c,)
@@ -585,11 +598,17 @@ class Model:
 
     def rels_for_pair(self, sort: str, i: int, j: int) -> list[tuple[int, ...]]:
         """Admissible relations between objects i and j, most selective first:
-        by number of pairs, then by the ascending list of pairs."""
+        by number of pairs, then by the ascending list of pairs.  Admissibility
+        is closed under converse, so a pair whose converse is listed already
+        takes the converses of that list."""
         key = (sort, i, j)
         cache = self._set_rels if sort == VSORT else self._alg_rels
         if key not in cache:
-            if sort == VSORT:
+            back = cache.get((sort, j, i))
+            if back is not None:
+                n = _carrier_size(self.objects(sort)[i])
+                rels = [fm.converse(r, n) for r in back]
+            elif sort == VSORT:
                 rels = fm.enumerate_set_rels(self.sets[i], self.sets[j])
             else:
                 rels = fm.enumerate_alg_rels(self.algebras[i], self.algebras[j])
@@ -762,12 +781,82 @@ class Model:
 
         return related
 
+    def self_related_tables(self, rho: RelEnv, sort: str, binder: str, body: Arrow, i: int
+                            ) -> Optional[list[int]]:
+        """Every table ``c`` of the function component of ``body`` at object
+        ``i`` with ``relatedness(rho, sort, binder, body)(i, i, c, c)``,
+        ascending; None when a relation of the domain or codomain does not
+        fit in rows.
+
+        Each ``q`` in ``rels_for_pair(sort, i, i)`` relates ``c`` to itself
+        iff ``(c(x), c(y))`` is in its codomain relation for every ``(x, y)``
+        in its domain relation.  The tables are found by forward checking
+        (Mackworth, "Consistency in Networks of Relations", 1977): one mask
+        of values per argument, first cut by the diagonal pairs ``(x, x)``,
+        then arguments fixed from the last (the most significant digit)
+        down, each choice ANDing into every argument still open the values
+        it leaves there.
+        """
+        obj = self.objects(sort)[i]
+        comp = self.interp_vtype(rho.rho1.set(sort, binder, obj), body)
+        views = [self.interp_rel(rho.set(sort, binder, obj, obj, q), body)
+                 for q in self.rels_for_pair(sort, i, i)]
+        if not all(v.dom_rel.fits() and v.cod_rel.fits() for v in views):  # type: ignore[attr-defined]
+            return None
+        n, m = comp.dom.size, comp.cod.size  # type: ignore[attr-defined]
+        masks = [(1 << m) - 1] * n
+        links: list[dict[int, tuple[int, ...]]] = [{} for _ in range(n)]  # x -> {y < x: mask by c(x)}
+        for view in views:
+            cod = view.cod_rel.rows()  # type: ignore[attr-defined]
+            cols = fm.converse(cod, m)
+            diag = fm.mask_of((c for c in range(m) if cod[c] >> c & 1), m)
+            for x, row in enumerate(view.dom_rel.rows()):  # type: ignore[attr-defined]
+                for y in fm.bits_of(row):
+                    if x == y:
+                        masks[x] &= diag
+                        continue
+                    first, then, allowed = (x, y, cod) if x > y else (y, x, cols)
+                    have = links[first].get(then)
+                    links[first][then] = allowed if have is None else tuple(map(int.__and__, have, allowed))
+        weights = [m**x for x in range(n)]
+        out: list[int] = []
+
+        def fix(x: int, avail: list[int], acc: int) -> None:
+            if x < 0:
+                out.append(acc)
+                return
+            for c in fm.bits_of(avail[x]):
+                rest = list(avail)
+                for y, allowed in links[x].items():
+                    rest[y] &= allowed[c]
+                    if not rest[y]:
+                        break
+                else:
+                    fix(x - 1, rest, acc + c * weights[x])
+
+        fix(n - 1, masks, 0)
+        return out
+
     def _families(self, env: TypeEnv, sort: str, binder: str, body: TypeExpr,
                   comps: Sequence[SemSet]) -> tuple[tuple[int, ...], ...]:
-        """All component tuples that preserve every admissible relation."""
-        related = self.relatedness(diag_relenv(env), sort, binder, body)
+        """All component tuples that preserve every admissible relation.
+
+        A function component is generated by ``self_related_tables`` when
+        listing would cost more: listing tests each of ``size`` tables
+        against the relations, generating reads up to ``dom.size ** 2``
+        domain pairs of each relation.
+        """
+        rho = diag_relenv(env)
+        related = self.relatedness(rho, sort, binder, body)
+
+        def candidates(i: int) -> Optional[list[int]]:
+            comp = comps[i]
+            if isinstance(comp, FunSem) and comp.size > len(self.rels_for_pair(sort, i, i)) * comp.dom.size**2:
+                return self.self_related_tables(rho, sort, binder, body, i)  # type: ignore[arg-type]
+            return None
+
         try:
-            return pairwise_search([c.size for c in comps], related)
+            return pairwise_search([c.size for c in comps], related, candidates)
         except OutOfBoundError as exc:
             ty = ForallV(binder, body) if sort == VSORT else ForallC(binder, body)
             objs = "sets" if sort == VSORT else "algebras"

@@ -274,9 +274,13 @@ def free_algebra_negative_control(model: ip.Model) -> VerificationReport:
                 witness = {"fake-carrier": fake.carrier.size, "algebra": k, "f": list(f),
                            "mediators": len(homs)}
                 return _model_report("free-algebra-negative-control", model, t0, [witness])
-    # expected to find one; not finding one is itself notable
-    return _model_report("free-algebra-negative-control", model, t0,
-                         [{"detail": "no violation found: control failed"}])
+    # no violation: a control that cannot fail here is out of bound, one
+    # that could have failed and did not is reported verified (a failed control)
+    free = model._free_of_size.get(len(eta))
+    if free is not None and model._algebra_isos(fake, model.algebras[free], limit=1):
+        return _out_of_bound("free-algebra-negative-control", model, t0,
+                             f"the stand-in algebra is isomorphic to the free algebra on {len(eta)} points")
+    return _model_report("free-algebra-negative-control", model, t0, [])
 
 
 def replay_negative_control(model: ip.Model, rep: VerificationReport) -> bool:

@@ -151,6 +151,31 @@ def test_parametric_counts_without_exceptions_are_the_identity_counts(capsys):
     assert report["counts"] == {"n=0": 0, "n=1": 1, "n=2": 2}
 
 
+def test_negative_control_that_cannot_fail_is_out_of_bound(capsys):
+    # with E empty the stand-in for T 2 is the free algebra itself, so the
+    # control finds nothing and must not claim a counterexample
+    code, out, _ = run(capsys, "--exceptions", "", "--format", "json", "verify", "free-algebra")
+    assert "counterexample" not in out
+    control = json.loads(out.splitlines()[-1])
+    assert control["theorem-id"] == "free-algebra-negative-control"
+    assert control["status"] == "out-of-bound"
+    assert "isomorphic to the free algebra on 2 points" in control["witness"]["detail"]
+    assert code == 3
+
+
+def test_negative_control_that_finds_nothing_fails_the_run(monkeypatch, capsys):
+    # every map then has one mediator out of the stand-in too; out of the
+    # free algebras it is the true one, so only the control changes
+    mediating = cli.pl._mediating_homs
+    monkeypatch.setattr(cli.pl, "_mediating_homs", lambda model, fa, eta, f, b:
+                        mediating(model, fa, eta, f, b)[:1] or [(0,) * fa.carrier.size])
+    code, out, _ = run(capsys, "--format", "json", "verify", "free-algebra")
+    check, control = map(json.loads, out.splitlines())
+    assert check["status"] == "verified"
+    assert control["status"] == "verified"
+    assert code == 1
+
+
 def test_benchmark_lists_the_registered_suites_in_order(monkeypatch):
     # perfbench keeps its own list, since it must not import polyeff
     spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)

@@ -182,6 +182,7 @@ def test_row_layer_matches_the_pair_set_oracles(monad):
             for r in every if len(every) <= 512 else _sample(every):
                 want = _closure_oracle(r, a, b)
                 assert fm.admissible_closure(_rows(r, m), a, b) == _rows(want, m)
+                assert fm.converse(_rows(r, m), n) == _rows({(y, x) for x, y in r}, n)
 
 
 def test_closure_joins_more_than_two_pairs():
@@ -205,19 +206,35 @@ def test_preimage_matches_the_per_pair_definition():
                     assert fm.preimage(f, g, _rows(r, m)) == _rows(want, 2)
 
 
+def _rel_order(rows):
+    pairs = fm.rel_pairs(rows)
+    return len(pairs), pairs
+
+
 @pytest.mark.parametrize("monad", [IDM, EXC, EXC2, POW], ids=lambda m: f"{m.key}{m.n_exc}")
-def test_rels_for_pair_keeps_the_pair_set_order(monad):
-    # most selective first: by number of pairs, then by the sorted pairs
-    model = ip.Model(monad, 2, include_free_algebras=True)
-    for sort, objs in ((ip.VSORT, model.sets), (ip.CSORT, model.algebras)):
-        for i, a in enumerate(objs):
-            for j, b in enumerate(objs):
-                if sort == ip.VSORT:
-                    rels, m = _set_rels_oracle(a.size, b.size), a.size
-                else:
-                    rels, m = _alg_rels_oracle(a, b), a.carrier.size
-                want = sorted(rels, key=lambda r: (len(r), sorted(r)))
-                assert model.rels_for_pair(sort, i, j) == [_rows(r, m) for r in want]
+def test_rels_for_pair_keeps_the_pair_set_order(monad, monkeypatch):
+    # most selective first: by number of pairs, then by the sorted pairs.
+    # The second direction of a pair is the converse of the first, sorted
+    # again, so each unordered pair is enumerated once: ascending order
+    # derives every (i, j) with i > j, descending order the others.
+    set_rels, alg_rels = fm.enumerate_set_rels, fm.enumerate_alg_rels
+    calls = []
+    monkeypatch.setattr(fm, "enumerate_set_rels", lambda a, b: calls.append(ip.VSORT) or set_rels(a, b))
+    monkeypatch.setattr(fm, "enumerate_alg_rels", lambda a, b: calls.append(ip.CSORT) or alg_rels(a, b))
+    for order in (iter, reversed):
+        model = ip.Model(monad, 2, include_free_algebras=True)
+        calls.clear()
+        for sort, objs in ((ip.VSORT, model.sets), (ip.CSORT, model.algebras)):
+            for i in order(range(len(objs))):
+                for j in order(range(len(objs))):
+                    a, b = objs[i], objs[j]
+                    if sort == ip.VSORT:
+                        rels, m, direct = _set_rels_oracle(a.size, b.size), a.size, set_rels(a, b)
+                    else:
+                        rels, m, direct = _alg_rels_oracle(a, b), a.carrier.size, alg_rels(a, b)
+                    want = [_rows(r, m) for r in sorted(rels, key=lambda r: (len(r), sorted(r)))]
+                    assert model.rels_for_pair(sort, i, j) == want == sorted(direct, key=_rel_order)
+            assert calls.count(sort) == len(objs) * (len(objs) + 1) // 2
 
 
 def test_relation_space_cap_names_both_carriers():

@@ -467,6 +467,8 @@ def test_pairwise_search_matches_product_filter(sizes, unrelated):
     brute = tuple(t for t in product(*(range(n) for n in sizes))
                   if all(ok(i, j, t[i], t[j]) for i in range(k) for j in range(k)))
     assert ip.pairwise_search(sizes, ok) == brute
+    # a candidate source is re-tested, so one that returns too much is harmless
+    assert ip.pairwise_search(sizes, ok, lambda i: range(sizes[i])) == brute
 
 
 def test_pairwise_search_raises_only_at_a_reached_position():
@@ -480,20 +482,65 @@ def test_pairwise_search_raises_only_at_a_reached_position():
     assert ip.pairwise_search([], ok) == ((),)
 
 
-def test_naive_oracle_on_the_identity_extension_battery(model):
-    # the naive product filter agrees with the search on every quantified
+def test_naive_oracle_on_the_identity_extension_battery():
+    # the naive product filter, the search with generated self-related
+    # tables and the search that lists every table agree on every quantified
     # type of the battery, in every environment of the suite; the encoded
     # products and sums at |X| = 2 filter 65536 tuples each
-    envs = [ip.type_env({"X": x, "Y": fm.FinSet(2)}, {"P": p, "Q": model.algebras[0]})
-            for x in model.sets[1:3] for p in model.algebras[:2]]
+    gen, listing = ip.Model(EXC, 2), ip.Model(EXC, 2)
+    generated = []  # sizes of the generated components
+    tables = gen.self_related_tables
+
+    def generate(rho, sort, binder, body, i):
+        obj = gen.objects(sort)[i]
+        generated.append(gen.interp_vtype(rho.rho1.set(sort, binder, obj), body).size)
+        return tables(rho, sort, binder, body, i)
+
+    gen.self_related_tables = generate
+    listing.self_related_tables = lambda *args: None
+    envs = [ip.type_env({"X": x, "Y": fm.FinSet(2)}, {"P": p, "Q": gen.algebras[0]})
+            for x in gen.sets[1:3] for p in gen.algebras[:2]]
     compared = 0
     for ty in pl.identity_extension_battery():
         if not isinstance(ty, (ForallV, ForallC)):
             continue
         for env in envs:
-            assert model.enumerate_families_naive(env, ty) == model.interp_vtype(env, ty).fams, ty
+            fams = gen.interp_vtype(env, ty).fams
+            assert gen.enumerate_families_naive(env, ty) == fams == listing.interp_vtype(env, ty).fams, ty
             compared += 1
     assert compared == 56
+    # the encoded product and sum at |X| = 2 each have a 2^16-table component
+    assert generated.count(65536) == 2
+
+
+@settings(deadline=None, max_examples=200)  # an example may run a family search on first use
+@given(st.data())
+def test_generated_tables_are_the_self_related_ones(model, free_model, data):
+    m = data.draw(st.sampled_from([model, free_model]))
+    sort, binder = data.draw(st.sampled_from([(VSORT, "X"), (CSORT, "P")]))
+    body = data.draw(st.builds(Arrow, _value_types(1), _value_types(1)))
+    objs = m.objects(sort)
+    i = data.draw(st.sampled_from([k for k, o in enumerate(objs) if ip._carrier_size(o) >= 2]))
+    # the other variable is bound to one object on both sides, under any
+    # admissible relation on it: an asymmetric one tells the two directions apart
+    rho = ip.RelEnv(ip.TypeEnv(), ip.TypeEnv())
+    for other, name, first in ((VSORT, "X", 1), (CSORT, "P", 0)):
+        if other != sort:
+            k = data.draw(st.integers(first, len(m.objects(other)) - 1))
+            o = m.objects(other)[k]
+            rho = rho.set(other, name, o, o, data.draw(st.sampled_from(m.rels_for_pair(other, k, k))))
+    try:
+        comp = m.interp_vtype(rho.rho1.set(sort, binder, objs[i]), body)
+    except ip.OutOfBoundError:
+        assume(False)
+    assume(comp.size <= 4096)
+    got = m.self_related_tables(rho, sort, binder, body, i)
+    if got is None:
+        assert max(comp.dom.size, comp.cod.size) ** 2 > ip.ITER_CAP
+        return
+    event(f"{len(got)} of {comp.size} tables")
+    related = m.relatedness(rho, sort, binder, body)
+    assert got == [c for c in range(comp.size) if related(i, i, c, c)]
 
 
 # -- bit-row relations against the per-pair definition -------------------------

@@ -166,10 +166,14 @@ def _singleton_out_of_range(out):
     return (99,) + out[1:]
 
 
+# the distinct failure messages of the powerset check, by planted defect:
 # at size 2 the direct associativity cross-check also sees the defect
-@pytest.mark.parametrize("size, defect", [
-    (4, _full_subset_to_b0), (4, _singleton_out_of_range), (2, _singleton_out_of_range),
-])
+DISTINCT_FAILURES = {
+    (4, _full_subset_to_b0): 1, (4, _singleton_out_of_range): 1, (2, _singleton_out_of_range): 3,
+}
+
+
+@pytest.mark.parametrize("size, defect", list(DISTINCT_FAILURES))
 def test_monad_laws_catch_a_planted_powerset_extend_defect(monkeypatch, size, defect):
     # planted for every injective table other than the unit at |A| = |B| = size
     extend = fm.MonadSpec.extend
@@ -182,9 +186,16 @@ def test_monad_laws_catch_a_planted_powerset_extend_defect(monkeypatch, size, de
         return out
 
     monkeypatch.setattr(fm.MonadSpec, "extend", planted)
+    laws = []
+    check = fm.check_monad_laws
+    monkeypatch.setattr(fm, "check_monad_laws", lambda m, n: laws.append(check(m, n)) or laws[-1])
     rep = pl.verify_monad_laws(4)
     assert rep.status == "counterexample"
     assert rep.witness["monad"] == "powerset"
+    # each failure is recorded once, however many tables repeat it
+    failures = laws[-1].failures
+    assert len(failures) == len(set(failures)) == DISTINCT_FAILURES[size, defect]
+    assert rep.witness["detail"] == failures[0]
 
 
 def test_parametric_counts_and_oracle_agreement(exc_free, exc_plain):
