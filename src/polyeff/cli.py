@@ -257,7 +257,7 @@ def cmd_verify(args) -> int:
                     line += f" {rep.counts}"
                 line += f" [{rep.runtime_ms:.0f} ms]"
                 print(line)
-                if rep.status == "counterexample" and not expected_negative:
+                if rep.status == "out-of-bound" or (rep.status == "counterexample" and not expected_negative):
                     print(f"  witness: {rep.witness}")
             # a negative control must find its counterexample
             if rep.status == "out-of-bound":

@@ -42,6 +42,12 @@ each component domain, except that a function component may come from
 themselves under every admissible relation at their object, found by
 forward checking over one value mask per argument.  The search tests each
 generated table again, and asks for them only at or below ``ITER_CAP``.
+
+Terms are typechecked once per judgment: ``Model._compile`` routes the
+stoup, renames binders and synthesizes each node's type, and returns a
+closure that only interprets types, encodes and applies.  A compiled
+evaluator holds its model, so it is never cached on the model: that memo
+would be a cycle that only the cycle collector frees.
 """
 
 from __future__ import annotations
@@ -979,7 +985,8 @@ class Model:
             if size >= len(self.sets):
                 raise OutOfBoundError(f"no registered set of size {size}")
             return poly.fams[fam_idx][size]
-        assert isinstance(target, fm.Alg)
+        if not isinstance(target, fm.Alg):
+            raise InterpError(f"a family over algebras projected at {target!r}, not an algebra")
         idx = self.alg_index(target)
         if idx is not None:
             return poly.fams[fam_idx][idx]
@@ -1007,83 +1014,78 @@ class Model:
             raise InterpError(f"projection at {body} depends on the isomorphism: {results}")
         return results[0]
 
-
     # -- term interpretation ---------------------------------------------
 
     def _eval(self, t: TermExpr, gamma, delta, tyenv: TypeEnv, tmenv: dict) -> int:
+        """The value of ``t`` in ``gamma | delta``, under ``tyenv`` and ``tmenv``."""
+        return self._compile(t, gamma, delta)(tyenv, tmenv)
+
+    def _compile(self, t: TermExpr, gamma, delta) -> Callable[[TypeEnv, dict], int]:
+        """``t`` in ``gamma | delta`` as a closure ``(tyenv, tmenv) -> value``;
+        the static work (see the module docstring) is done here, once."""
         consts = self.constant_schemes
-        if isinstance(t, Var):
-            if t.name in tmenv:
-                return tmenv[t.name]
-            if t.name in self.constants:
-                return self.constant_value(t.name)
-            raise InterpError(f"no value for variable {t.name!r}")
-        if isinstance(t, Const):
-            return self.constant_value(t.name)
-        if isinstance(t, Lam):
+        if isinstance(t, (Var, Const)):
+            name, local = t.name, isinstance(t, Var)
+            return lambda tyenv, tmenv: tmenv[name] if local and name in tmenv else self.constant_value(name)
+        if isinstance(t, (Lam, LinLam)):
+            lin = isinstance(t, LinLam)
             var, body = t.var, t.body
-            if delta is not None and var == delta[0]:
-                new = fresh_name(var, free_term_vars(body) | {n for n, _ in gamma} | {delta[0]})
-                body = subst_term(body, var, Var(new))
-                var = new
-            gamma2 = gamma + ((var, t.ann),)
-            cod_ty = tc.synth(gamma2, delta, body, consts)
-            sem = self.interp_vtype(tyenv, Arrow(t.ann, cod_ty))
-            assert isinstance(sem, FunSem)
-            table = []
-            for d in range(sem.dom.size):
+            bound = {n for n, _ in gamma} | ({delta[0]} if delta is not None else set())
+            if var in bound:  # the binder would shadow a variable in scope
+                var = fresh_name(var, free_term_vars(body) | bound)
+                body = subst_term(body, t.var, Var(var))
+            gamma2, delta2 = (gamma, (var, t.ann)) if lin else (gamma + ((var, t.ann),), delta)
+            ty = (Lolli if lin else Arrow)(t.ann, tc.synth(gamma2, delta2, body, consts))
+            run_body = self._compile(body, gamma2, delta2)
+
+            def lam(tyenv: TypeEnv, tmenv: dict) -> int:
+                sem = self.interp_vtype(tyenv, ty)
                 tm2 = dict(tmenv)
-                tm2[var] = d
-                table.append(self._eval(body, gamma2, delta, tyenv, tm2))
-            return sem.encode(table)
-        if isinstance(t, LinLam):
-            var, body = t.var, t.body
-            if any(n == var for n, _ in gamma):
-                new = fresh_name(var, free_term_vars(body) | {n for n, _ in gamma})
-                body = subst_term(body, var, Var(new))
-                var = new
-            delta2 = (var, t.ann)
-            cod_ty = tc.synth(gamma, delta2, body, consts)
-            sem = self.interp_vtype(tyenv, Lolli(t.ann, cod_ty))
-            assert isinstance(sem, HomSem)
-            table = []
-            for d in range(sem.dom.size):
-                tm2 = dict(tmenv)
-                tm2[var] = d
-                table.append(self._eval(body, gamma, delta2, tyenv, tm2))
-            # encoding fails loudly if the body is not a homomorphism in its stoup
-            return sem.encode(table)
+                table = []
+                for d in range(sem.dom.size):  # type: ignore[attr-defined]
+                    tm2[var] = d
+                    table.append(run_body(tyenv, tm2))
+                # a -o table that is not a homomorphism in its stoup fails to encode
+                return sem.encode(table)  # type: ignore[attr-defined]
+
+            return lam
         if isinstance(t, App):
             side = tc.route_stoup(delta, t.fn, t.arg)
             dfn = delta if side == "fn" else None
-            darg = delta if side == "arg" else None
-            head_ty = tc.synth(gamma, dfn, t.fn, consts)
-            sem = self.interp_vtype(tyenv, head_ty)
-            fval = self._eval(t.fn, gamma, dfn, tyenv, tmenv)
-            aval = self._eval(t.arg, gamma, darg, tyenv, tmenv)
-            return sem.apply(fval, aval)  # type: ignore[attr-defined]
+            head = tc.synth(gamma, dfn, t.fn, consts)
+            run_fn = self._compile(t.fn, gamma, dfn)
+            run_arg = self._compile(t.arg, gamma, delta if side == "arg" else None)
+
+            def app(tyenv: TypeEnv, tmenv: dict) -> int:
+                sem = self.interp_vtype(tyenv, head)
+                return sem.apply(run_fn(tyenv, tmenv), run_arg(tyenv, tmenv))  # type: ignore[attr-defined]
+
+            return app
         if isinstance(t, (TyLamV, TyLamC)):
-            sort = VSORT if isinstance(t, TyLamV) else CSORT
+            sort, binder = (VSORT if isinstance(t, TyLamV) else CSORT), t.binder
             forall_ty = tc.synth(gamma, delta, t, consts)
-            poly = self.interp_vtype(tyenv, forall_ty)
-            assert isinstance(poly, PolySem)
-            fam = []
-            for obj in self.objects(sort):
-                env2 = tyenv.set(sort, t.binder, obj)
-                fam.append(self._eval(t.body, gamma, delta, env2, tmenv))
-            # encoding fails loudly if the family is not parametric
-            return poly.encode(tuple(fam))
+            run_body = self._compile(t.body, gamma, delta)
+
+            def tylam(tyenv: TypeEnv, tmenv: dict) -> int:
+                poly = self.interp_vtype(tyenv, forall_ty)
+                fam = tuple(run_body(tyenv.set(sort, binder, obj), tmenv) for obj in self.objects(sort))
+                # a family that is not parametric fails to encode
+                return poly.encode(fam)  # type: ignore[attr-defined]
+
+            return tylam
         if isinstance(t, (TyAppV, TyAppC)):
-            head_ty = tc.synth(gamma, delta, t.fn, consts)
-            poly = self.interp_vtype(tyenv, head_ty)
-            assert isinstance(poly, PolySem)
-            pval = self._eval(t.fn, gamma, delta, tyenv, tmenv)
-            if isinstance(head_ty, ForallV):
-                target = fm.FinSet(self.interp_vtype(tyenv, t.arg).size)
-                return self.project_poly(poly, pval, target, head_ty.binder, head_ty.body, tyenv)
-            assert isinstance(head_ty, ForallC)
-            target_alg = self.interp_ctype(tyenv, t.arg)
-            return self.project_poly(poly, pval, target_alg, head_ty.binder, head_ty.body, tyenv)
+            head = tc.synth(gamma, delta, t.fn, consts)
+            run_fn = self._compile(t.fn, gamma, delta)
+            arg, csort = t.arg, isinstance(head, ForallC)
+
+            def tyapp(tyenv: TypeEnv, tmenv: dict) -> int:
+                poly = self.interp_vtype(tyenv, head)
+                fam = run_fn(tyenv, tmenv)
+                # project at an algebra, or at the size of a set
+                target = self.interp_ctype(tyenv, arg) if csort else self.interp_vtype(tyenv, arg).size
+                return self.project_poly(poly, fam, target, head.binder, head.body, tyenv)  # type: ignore[arg-type, attr-defined]
+
+            return tyapp
         raise InterpError(f"cannot evaluate {t!r} (unelaborated sugar?)")
 
     def interp_term(self, j: Judgment, env: Env) -> int:
@@ -1125,9 +1127,7 @@ class Model:
         eta = self._free_units[fa_idx]
         env = TypeEnv().set(VSORT, "X", fm.FinSet(size))
         poly = self.interp_vtype(env, encodings.encode_bang(VVar("X")))
-        assert isinstance(poly, PolySem)
         comp = poly.comps[fa_idx]
-        assert isinstance(comp, FunSem)
         eta_elt = comp.dom.encode(list(eta))  # type: ignore[attr-defined]
         ta_size = self.algebras[fa_idx].carrier.size
         to_t = tuple(comp.apply(poly.fams[f][fa_idx], eta_elt) for f in range(poly.size))
@@ -1144,17 +1144,14 @@ class Model:
         if hit is not None:
             return hit
         if name not in self.constants:
-            raise InterpError(f"unknown constant {name!r}")
+            raise InterpError(f"no value for {name!r}: it is neither bound nor a constant")
         scheme, key = self.constants[name]
         poly = self.interp_vtype(TypeEnv(), scheme)
-        assert isinstance(poly, PolySem)
         if key == "or":
             fam = []
             for k, alg in enumerate(self.algebras):
                 comp = poly.comps[k]
-                assert isinstance(comp, FunSem)
                 inner = comp.cod
-                assert isinstance(inner, FunSem)
                 outer = [
                     inner.encode([alg.op_or(x, y) for y in range(alg.carrier.size)])
                     for x in range(alg.carrier.size)
@@ -1170,7 +1167,6 @@ class Model:
             fam = []
             for s_idx, aset in enumerate(self.sets):
                 comp = poly.comps[s_idx]
-                assert isinstance(comp, HomSem)
                 to_t, _ = self.bang_bridge(aset.size)
                 dom = comp.dom
                 table = []
@@ -1190,8 +1186,6 @@ def _invert(table: Sequence[int]) -> tuple[int, ...]:
     for i, v in enumerate(table):
         inv[v] = i
     return tuple(inv)
-
-
 
 
 # ---------------------------------------------------------------------------

@@ -144,12 +144,12 @@ def semantically_equal(
     if not alpha_eq(ty_l, ty_r):
         return {"detail": f"type mismatch: {print_type(ty_l)} vs {print_type(ty_r)}"}
     bindings = list(gamma) + ([delta] if delta is not None else [])
+    run_l, run_r = model._compile(lhs, gamma, delta), model._compile(rhs, gamma, delta)
     for tyenv in iter_type_envs(model, vnames, cnames):
         dom_sizes = [model.interp_vtype(tyenv, ty).size for _, ty in bindings]
         for values in itertools.product(*(range(n) for n in dom_sizes)):
             tmenv = {name: v for (name, _), v in zip(bindings, values)}
-            lv = model._eval(lhs, gamma, delta, tyenv, dict(tmenv))
-            rv = model._eval(rhs, gamma, delta, tyenv, dict(tmenv))
+            lv, rv = run_l(tyenv, tmenv), run_r(tyenv, tmenv)
             if lv != rv:
                 return {
                     "env": {n: v for n, v in tmenv.items()},
@@ -922,6 +922,7 @@ def verify_abstraction(
         space = _relenv_space(model, vnames, cnames)
         combos = itertools.islice(itertools.product(*space), max_relenvs)
         bindings = list(j.gamma) + ([j.delta] if j.delta is not None else [])
+        run = model._compile(j.subject, j.gamma, j.delta)  # typechecked once, run per environment
         for combo in combos:
             rho = ip.RelEnv(ip.TypeEnv(), ip.TypeEnv())
             for sort, name, a, b, r in combo:
@@ -939,8 +940,8 @@ def verify_abstraction(
                 env1 = {name: v1 for (name, _), (v1, _) in zip(bindings, values)}
                 env2 = {name: v2 for (name, _), (_, v2) in zip(bindings, values)}
                 try:
-                    l = model._eval(j.subject, j.gamma, j.delta, rho.rho1, env1)
-                    r = model._eval(j.subject, j.gamma, j.delta, rho.rho2, env2)
+                    l = run(rho.rho1, env1)
+                    r = run(rho.rho2, env2)
                 except ip.OutOfBoundError:
                     skipped += 1
                     continue
@@ -974,7 +975,7 @@ def verify_abstraction(
                     for d in range(dom_alg.carrier.size):
                         tm = dict(base)
                         tm[name] = d
-                        table.append(model._eval(j.subject, j.gamma, j.delta, tyenv, tm))
+                        table.append(run(tyenv, tm))
                     hom_checked += 1
                     if not fm.is_homomorphism(table, dom_alg, cod_alg):
                         failures.append({"term": str(j.subject), "law": "homomorphism"})

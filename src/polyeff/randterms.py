@@ -234,13 +234,15 @@ class TermGenerator:
                     delta = None
                     goal = self.random_type(self.rng.randint(0, 2))
                 t = self.term_for(gamma + ((x, a),), delta, goal, self.fuel)
-                s = self.term_for(gamma, None, a, self.fuel)
-                if t is None or s is None:
+                s = None if t is None else self.term_for(gamma, None, a, self.fuel)
+                if s is None:
                     continue
                 return tc.SubstSample(1, gamma, delta, x, a, t, s)
             a = self.random_type(self.rng.randint(0, 1), Kind.COMPUTATION)
             goal = self.random_type(self.rng.randint(0, 2), Kind.COMPUTATION)
             t = self.term_for(gamma, (x, a), goal, self.fuel)
+            if t is None:  # nothing to substitute into, so no s is searched for
+                continue
             use_stoup = self.rng.random() < 0.5
             if use_stoup:
                 delta = (f"s{self._fresh()}", self.random_type(1, Kind.COMPUTATION))
@@ -248,7 +250,7 @@ class TermGenerator:
             else:
                 delta = None
                 s = self.term_for(gamma, None, a, self.fuel)
-            if t is None or s is None:
+            if s is None:
                 continue
             return tc.SubstSample(2, gamma, delta, x, a, t, s)
         raise RuntimeError("exhausted attempts while generating a substitution sample")

@@ -163,6 +163,15 @@ def test_negative_control_that_cannot_fail_is_out_of_bound(capsys):
     assert code == 3
 
 
+def test_text_mode_prints_why_a_check_is_out_of_bound(capsys):
+    code, out, _ = run(capsys, "--exceptions", "", "verify", "free-algebra")
+    control, witness = out.splitlines()[-2:]
+    assert control.startswith("free-algebra-negative-control: out-of-bound")
+    assert witness.startswith("  witness: ")
+    assert "isomorphic to the free algebra on 2 points" in witness
+    assert code == 3
+
+
 def test_negative_control_that_finds_nothing_fails_the_run(monkeypatch, capsys):
     # every map then has one mediator out of the stand-in too; out of the
     # free algebras it is the true one, so only the control changes

@@ -1,6 +1,6 @@
 """Finite denotational and relational semantics."""
 
-from itertools import product
+from itertools import islice, product
 
 import pytest
 from hypothesis import assume, event, given, settings, strategies as st
@@ -10,6 +10,7 @@ from polyeff import finmodel as fm
 from polyeff import interp as ip
 from polyeff import paramlab as pl
 from polyeff import typecheck as tc
+from polyeff.randterms import TermGenerator
 from polyeff.kernel import (
     CSORT,
     VSORT,
@@ -710,3 +711,90 @@ def test_family_search_names_the_type_and_the_object_past_the_cap(free_model):
         "family search for forall ^X. (^X -> ^X) -> ^X over the registered algebras:"
         " component 3 has 7625597484987 candidates, more than ITER_CAP (400000)"
     )
+
+
+# ---------------------------------------------------------------------------
+# the compiled evaluator
+
+
+@pytest.fixture(scope="module")
+def abstraction_model():
+    return pl.build_model(fm.ModelConfig(), force_free=False)
+
+
+def abstraction_environments(model, j, relenvs=40, value_envs=3, tyenvs=4, hom_envs=6):
+    """``(tyenv, tmenv)`` pairs built as ``verify_abstraction`` builds them
+    (with fewer value environments per relation environment): both sides
+    of related value environments under each relation environment, then
+    the value environments of its homomorphism check."""
+    ftv = pl._judgment_ftv(j)
+    vnames = sorted(v.name for v in ftv if isinstance(v, VVar))
+    cnames = sorted(v.name for v in ftv if isinstance(v, CVar))
+    bindings = list(j.gamma) + ([j.delta] if j.delta is not None else [])
+    out = []
+    for combo in islice(product(*pl._relenv_space(model, vnames, cnames)), relenvs):
+        rho = ip.RelEnv(ip.TypeEnv(), ip.TypeEnv())
+        for sort, name, a, b, r in combo:
+            rho = rho.set(sort, name, a, b, r)
+        try:
+            pair_lists = [model.interp_rel(rho, ty).pairs() for _, ty in bindings]
+        except ip.OutOfBoundError:
+            continue
+        for values in islice(product(*pair_lists), value_envs):
+            for side, tyenv in enumerate((rho.rho1, rho.rho2)):
+                out.append((tyenv, {name: v[side] for (name, _), v in zip(bindings, values)}))
+    if j.delta is not None:
+        for tyenv in islice(pl.iter_type_envs(model, vnames, cnames), tyenvs):
+            sizes = [model.interp_vtype(tyenv, ty).size for _, ty in bindings]
+            for values in islice(product(*map(range, sizes)), hom_envs):
+                out.append((tyenv, {name: v for (name, _), v in zip(bindings, values)}))
+    return out
+
+
+def _outcome(run, tyenv, tmenv):
+    # any error but out-of-bound fails the test: the judgments are well typed
+    try:
+        return run(tyenv, dict(tmenv))
+    except ip.OutOfBoundError:
+        return "out-of-bound"
+
+
+def test_a_compiled_judgment_runs_without_synthesizing_types(abstraction_model, monkeypatch):
+    model = abstraction_model
+    synth, calls = tc.synth, []
+    monkeypatch.setattr(tc, "synth", lambda *args: calls.append(args) or synth(*args))
+    gen = TermGenerator(2024, interp_safe=True)
+    checked = 0
+    for _ in range(30):
+        j = gen.random_judgment()
+        envs = abstraction_environments(model, j)
+        if not envs:  # verify_abstraction evaluates nothing here either
+            continue
+        calls.clear()
+        _outcome(lambda e, m: model._eval(j.subject, j.gamma, j.delta, e, m), *envs[0])
+        one_run = len(calls)
+        calls.clear()
+        run = model._compile(j.subject, j.gamma, j.delta)
+        compiled = len(calls)
+        for env in envs:
+            _outcome(run, *env)
+        assert len(calls) == compiled <= one_run
+        checked += len(envs) > 1 and one_run > 0
+    assert checked >= 10
+
+
+@settings(deadline=None, max_examples=60)  # an example may interpret new types on first use
+@given(seed=st.integers(0, 2**32), order=st.randoms(use_true_random=False))
+def test_one_compiled_closure_matches_a_fresh_evaluation_per_environment(abstraction_model, seed, order):
+    # state leaking from one run into the next (a shared table, a stale
+    # type environment) shows as a difference in some order of the runs
+    model = abstraction_model
+    j = TermGenerator(seed, interp_safe=True).random_judgment()
+    envs = abstraction_environments(model, j)
+    assume(len(envs) > 1)
+    fresh = [_outcome(lambda e, m: model._eval(j.subject, j.gamma, j.delta, e, m), *env) for env in envs]
+    run = model._compile(j.subject, j.gamma, j.delta)
+    at = list(range(len(envs)))
+    order.shuffle(at)
+    event(f"{len(set(map(id, (e for e, _ in envs))))} type environments")
+    assert [_outcome(run, *envs[i]) for i in at] == [fresh[i] for i in at]

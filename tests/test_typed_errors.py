@@ -42,6 +42,14 @@ def test_projection_must_not_depend_on_the_isomorphism():
         model.project_poly(poly, 0, target, "X", CVar("X"), ip.TypeEnv())
 
 
+def test_a_family_over_algebras_is_projected_only_at_an_algebra():
+    model = ip.Model(IDM, 2)
+    comps = tuple(ip.AtomSem(alg.carrier.size) for alg in model.algebras)
+    poly = ip.PolySem(1, True, comps, ((0,) * len(comps),))
+    with pytest.raises(ip.InterpError, match="not an algebra"):
+        model.project_poly(poly, 0, fm.FinSet(2), "X", CVar("X"), ip.TypeEnv())
+
+
 def test_the_two_booleans_must_be_distinct():
     # with carriers of at most one element, [[1 + 1]] collapses to one point
     with pytest.raises(ip.InterpError, match="coincide"):
