@@ -19,7 +19,6 @@ from . import surface, typecheck as tc
 from .kernel import (
     App,
     Arrow,
-    Const,
     CVar,
     ForallC,
     ForallV,
@@ -536,7 +535,7 @@ def elaborate_term(
     ``let x <= t in u`` is type-directed: the bound term must have a
     ``!B`` type, and the body fixes the result type.
     """
-    if isinstance(t, (Var, Const)):
+    if isinstance(t, Var):
         return t
     if isinstance(t, Lam):
         ann = elaborate_type(t.ann, abbrevs)

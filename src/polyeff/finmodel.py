@@ -14,6 +14,9 @@ first |A| elements of T A are the values and the last |E| the raised
 exceptions; for the powerset monad element ``i`` of T A is the subset
 with bitmask ``i + 1``.
 
+Sets, monads and algebras are hash-consed with ``kernel.hash_consed``,
+like types: equal ones are one object, so caches key on them by identity.
+
 A relation between carriers of sizes m and n has one form everywhere,
 its *rows*: a tuple of m int bitmasks in which bit ``y`` of ``rows[x]``
 is set iff ``x`` and ``y`` are related.  This module owns that layout.
@@ -22,9 +25,11 @@ is set iff ``x`` and ``y`` are related.  This module owns that layout.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from itertools import product
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Sequence
+
+from .kernel import Interned, hash_consed
 
 
 class ModelError(Exception):
@@ -35,37 +40,13 @@ class OutOfBoundError(ModelError):
     """An enumeration or an object lies beyond what the model can reach."""
 
 
-def _hash_once(cls):
-    """Compute a frozen dataclass's field hash once, at construction: these
-    values sit inside every interpretation cache key.  Pickling goes back
-    through the constructor, so a copy in another process hashes afresh."""
-    init, field_hash = cls.__init__, cls.__hash__
-
-    def __init__(self, *args, **kwargs):
-        init(self, *args, **kwargs)
-        object.__setattr__(self, "_hash", field_hash(self))
-
-    cls.__init__, cls.__hash__ = __init__, lambda self: self._hash
-    cls.__reduce__ = lambda self: (cls, tuple(getattr(self, f.name) for f in fields(cls)))
-    return cls
-
-
-@_hash_once
-@dataclass(frozen=True)
-class FinSet:
+@hash_consed
+class FinSet(Interned):
     size: int
-    labels: Optional[tuple[str, ...]] = None
 
     def __post_init__(self):
         if self.size < 0:
             raise ModelError("negative carrier size")
-        if self.labels is not None and len(self.labels) != self.size:
-            raise ModelError("label list does not match carrier size")
-
-    def label(self, i: int) -> str:
-        if self.labels is not None:
-            return self.labels[i]
-        return str(i)
 
 
 @dataclass(frozen=True)
@@ -81,9 +62,8 @@ class Bound:
 # monads
 
 
-@_hash_once
-@dataclass(frozen=True)
-class MonadSpec:
+@hash_consed
+class MonadSpec(Interned):
     key: str  # "identity" | "exception" | "powerset"
     exceptions: tuple[str, ...] = ()
 
@@ -101,16 +81,8 @@ class MonadSpec:
         if self.key == "identity":
             return a
         if self.key == "exception":
-            labels = tuple(a.label(i) for i in range(a.size)) + tuple(
-                f"raise:{e}" for e in self.exceptions
-            )
-            return FinSet(a.size + self.n_exc, labels)
-        n = (1 << a.size) - 1
-        labels = tuple(
-            "{" + ",".join(a.label(i) for i in range(a.size) if (m + 1) >> i & 1) + "}"
-            for m in range(n)
-        )
-        return FinSet(n, labels)
+            return FinSet(a.size + self.n_exc)
+        return FinSet((1 << a.size) - 1)
 
     def unit(self, a: FinSet) -> tuple[int, ...]:
         if self.key == "identity":
@@ -148,9 +120,8 @@ class MonadSpec:
 # algebras
 
 
-@_hash_once
-@dataclass(frozen=True)
-class Alg:
+@hash_consed
+class Alg(Interned):
     monad: MonadSpec
     carrier: FinSet
     raise_points: tuple[int, ...] = ()

@@ -16,10 +16,11 @@ isomorphism when an isomorphic representative exists, and raises
 interpretation is reproducible bit for bit.
 
 Interpretations are cached per model, keyed by a type and the
-environment restricted to the type's free variables.  Types (``kernel``)
-and environments (``TypeEnv``, ``RelEnv``, each memoizing its restrictions)
-are interned, so a key hashes in O(1) and compares by identity.  Build both
-only through their constructors and never mutate them.
+environment restricted to the type's free variables.  Types (``kernel``),
+model objects (``finmodel``) and environments (``TypeEnv``, ``RelEnv``,
+each memoizing its restrictions) are interned, so a key hashes in O(1) and
+compares by identity.  Build them only through their constructors and never
+mutate them.
 
 A relation view (``AtomRel``, ``FunRel``, ``ForallRel``) has one
 materialized form, ``rows()``: a tuple of int bitmasks in which bit ``b``
@@ -65,7 +66,6 @@ from .kernel import (
     VSORT,
     App,
     Arrow,
-    Const,
     CVar,
     ForallC,
     ForallV,
@@ -567,14 +567,7 @@ class Model:
 
     def register_free_algebra(self, a: fm.FinSet) -> int:
         """Append the algebra on T A (deduplicated); returns its object index."""
-        plain = fm.FinSet(a.size)
-        alg, eta = fm.free_algebra(self.monad, plain)
-        alg = fm.Alg(
-            self.monad,
-            fm.FinSet(alg.carrier.size),
-            raise_points=alg.raise_points,
-            or_table=alg.or_table,
-        )
+        alg, eta = fm.free_algebra(self.monad, a)
         idx = self.alg_index(alg)
         if idx is None:
             if self._vty or self._cty or self._rel:
@@ -585,13 +578,15 @@ class Model:
         self._free_of_size[a.size] = idx
         return idx
 
-    def free_algebra_index(self, size: int) -> int:
+    def free_algebra(self, size: int) -> tuple[int, fm.Alg, tuple[int, ...]]:
+        """The registered free algebra on a ``size``-element set: its object
+        index, the algebra and the unit table."""
         idx = self._free_of_size.get(size)
         if idx is None:
             raise OutOfBoundError(
                 f"free algebra on a {size}-element set is not registered in this model"
             )
-        return idx
+        return idx, self.algebras[idx], self._free_units[idx]
 
     def alg_index(self, alg: fm.Alg) -> Optional[int]:
         for i, a in enumerate(self.algebras):
@@ -686,51 +681,40 @@ class Model:
         if m.key == "identity":
             return fm.Alg(m, fm.FinSet(n))
         if m.key == "exception":
-            pts = tuple(self._point_at(env, ty, e) for e in range(m.n_exc))
+            pts = tuple(
+                self._pointwise(env, ty, lambda alg, e=e: alg.raise_points[e], ())
+                for e in range(m.n_exc)
+            )
             return fm.Alg(m, fm.FinSet(n), raise_points=pts)
         if n > 512:
             raise OutOfBoundError(f"structure table too large: {n}")
         table = tuple(
-            tuple(self._join_at(env, ty, f, g) for g in range(n)) for f in range(n)
+            tuple(self._pointwise(env, ty, fm.Alg.op_or, (f, g)) for g in range(n))
+            for f in range(n)
         )
         return fm.Alg(m, fm.FinSet(n), or_table=table)
 
-    def _point_at(self, env: TypeEnv, ty: TypeExpr, e: int) -> int:
-        """The e-th distinguished element of a computation-type domain."""
+    def _pointwise(self, env: TypeEnv, ty: TypeExpr, op, args: Sequence[int]) -> int:
+        """``op(alg, *args)`` at each ``^X`` leaf of a computation type,
+        tabulated through ``->`` and ``forall``: an element of the domain
+        built pointwise from the elements ``args`` (a distinguished point
+        from none, a join from two)."""
         if isinstance(ty, CVar):
-            return env.get(CSORT, ty.name).raise_points[e]
+            return op(env.get(CSORT, ty.name), *args)
         sem = self.interp_vtype(env, ty)
         if isinstance(ty, Arrow):
-            point = self._point_at(env, ty.cod, e)
-            return sem.encode([point] * sem.dom.size)  # type: ignore[attr-defined]
-        if isinstance(ty, (ForallV, ForallC)):
-            sort = VSORT if isinstance(ty, ForallV) else CSORT
-            fam = tuple(
-                self._point_at(env.set(sort, ty.binder, obj), ty.body, e)
-                for obj in self.objects(sort)
-            )
-            return sem.encode(fam)  # type: ignore[attr-defined]
-        raise InterpError(f"no distinguished element at {ty!r}")
-
-    def _join_at(self, env: TypeEnv, ty: TypeExpr, u: int, v: int) -> int:
-        """The componentwise join of two elements of a computation-type domain."""
-        if isinstance(ty, CVar):
-            return env.get(CSORT, ty.name).op_or(u, v)
-        sem = self.interp_vtype(env, ty)
-        if isinstance(ty, Arrow):
-            table = [
-                self._join_at(env, ty.cod, sem.apply(u, x), sem.apply(v, x))
+            return sem.encode([  # type: ignore[attr-defined]
+                self._pointwise(env, ty.cod, op, [sem.apply(u, x) for u in args])
                 for x in range(sem.dom.size)  # type: ignore[attr-defined]
-            ]
-            return sem.encode(table)  # type: ignore[attr-defined]
+            ])
         if isinstance(ty, (ForallV, ForallC)):
             sort = VSORT if isinstance(ty, ForallV) else CSORT
-            fam = tuple(
-                self._join_at(env.set(sort, ty.binder, obj), ty.body, fu, fv)
-                for obj, fu, fv in zip(self.objects(sort), sem.fams[u], sem.fams[v])  # type: ignore[attr-defined]
-            )
-            return sem.encode(fam)  # type: ignore[attr-defined]
-        raise InterpError(f"no join at {ty!r}")
+            return sem.encode([  # type: ignore[attr-defined]
+                self._pointwise(env.set(sort, ty.binder, obj), ty.body, op,
+                                [sem.fams[u][k] for u in args])  # type: ignore[attr-defined]
+                for k, obj in enumerate(self.objects(sort))
+            ])
+        raise InterpError(f"no pointwise structure at {ty!r}")
 
     # -- relational interpretation ----------------------------------------
 
@@ -1024,9 +1008,9 @@ class Model:
         """``t`` in ``gamma | delta`` as a closure ``(tyenv, tmenv) -> value``;
         the static work (see the module docstring) is done here, once."""
         consts = self.constant_schemes
-        if isinstance(t, (Var, Const)):
-            name, local = t.name, isinstance(t, Var)
-            return lambda tyenv, tmenv: tmenv[name] if local and name in tmenv else self.constant_value(name)
+        if isinstance(t, Var):
+            name = t.name
+            return lambda tyenv, tmenv: tmenv[name] if name in tmenv else self.constant_value(name)
         if isinstance(t, (Lam, LinLam)):
             lin = isinstance(t, LinLam)
             var, body = t.var, t.body
@@ -1123,13 +1107,12 @@ class Model:
         hit = self._const_val.get(key)
         if hit is not None:
             return hit
-        fa_idx = self.free_algebra_index(size)
-        eta = self._free_units[fa_idx]
+        fa_idx, fa, eta = self.free_algebra(size)
         env = TypeEnv().set(VSORT, "X", fm.FinSet(size))
         poly = self.interp_vtype(env, encodings.encode_bang(VVar("X")))
         comp = poly.comps[fa_idx]
         eta_elt = comp.dom.encode(list(eta))  # type: ignore[attr-defined]
-        ta_size = self.algebras[fa_idx].carrier.size
+        ta_size = fa.carrier.size
         to_t = tuple(comp.apply(poly.fams[f][fa_idx], eta_elt) for f in range(poly.size))
         if sorted(to_t) != list(range(ta_size)):
             raise InterpError(

@@ -20,6 +20,8 @@ Interning invariant: the core type constructors (``VVar``, ``CVar``,
 Conchon, "Type-Safe Modular Hash-Consing", 2006), so structurally equal
 types are one object, and caches (notably ``interp.Model``'s) key on them
 by identity.  Build types only through those constructors; never mutate one.
+``hash_consed`` also interns ``finmodel``'s sets, monads and algebras and
+``interp``'s environments, the other parts of every cache key.
 """
 
 from __future__ import annotations
@@ -76,13 +78,13 @@ def hash_consed(cls):
 
 _NEW = """
 def __new__(cls, {params}):
-    key = (cls, {params})
-    ref = _INTERNED.get(key)
-    node = None if ref is None else ref()
+    _key = (cls, {params})
+    _ref = _INTERNED.get(_key)
+    node = None if _ref is None else _ref()
     if node is None:
         node = _new(cls){sets}
-        ref = _INTERNED[key] = _KeyedRef(node, _forget)
-        ref.key = key
+        _ref = _INTERNED[_key] = _KeyedRef(node, _forget)
+        _ref.key = _key
     return node
 """
 _INTERNED: dict = {}  # (class, *fields) -> weak reference to the instance
@@ -349,16 +351,9 @@ class TyAppC(TermExpr):
     arg: TypeExpr
 
 
-@dataclass(frozen=True)
-class Const(TermExpr):
-    name: str
-
-
 def free_term_vars(t: TermExpr) -> frozenset[str]:
     if isinstance(t, Var):
         return frozenset([t.name])
-    if isinstance(t, Const):
-        return frozenset()
     if isinstance(t, (Lam, LinLam)):
         return free_term_vars(t.body) - {t.var}
     if isinstance(t, App):
@@ -375,7 +370,7 @@ def free_term_vars(t: TermExpr) -> frozenset[str]:
 
 def free_type_vars_term(t: TermExpr) -> frozenset[Union[VVar, CVar]]:
     """Type variables occurring free in annotations and type arguments."""
-    if isinstance(t, (Var, Const)):
+    if isinstance(t, Var):
         return frozenset()
     if isinstance(t, (Lam, LinLam)):
         return free_type_vars(t.ann) | free_type_vars_term(t.body)
@@ -395,7 +390,7 @@ def subst_type_in_term(t: TermExpr, var: Union[VVar, CVar], replacement: TypeExp
     repl_fvs = free_type_vars(replacement)
 
     def go(t: TermExpr) -> TermExpr:
-        if isinstance(t, (Var, Const)):
+        if isinstance(t, Var):
             return t
         if isinstance(t, (Lam, LinLam)):
             return type(t)(t.var, subst_type(t.ann, var, replacement), go(t.body))
@@ -431,8 +426,6 @@ def subst_term(body: TermExpr, var: str, replacement: TermExpr) -> TermExpr:
     def go(t: TermExpr) -> TermExpr:
         if isinstance(t, Var):
             return replacement if t.name == var else t
-        if isinstance(t, Const):
-            return t
         if isinstance(t, (Lam, LinLam)):
             if t.var == var:
                 return t
@@ -497,8 +490,6 @@ def _alpha_tm(a: TermExpr, b: TermExpr, tya, tyb, tma, tmb, depth: int) -> bool:
         if la is None and lb is None:
             return a.name == b.name
         return la is not None and la == lb
-    if isinstance(a, Const):
-        return a.name == b.name
     if isinstance(a, (Lam, LinLam)):
         if not _alpha_ty(a.ann, b.ann, tya, tyb, depth):
             return False

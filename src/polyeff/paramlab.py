@@ -220,9 +220,7 @@ def verify_free_algebra(model: ip.Model, max_a: int = 2, max_carrier: int = 3) -
     failures = []
     checked = 0
     for a in range(max_a + 1):
-        fa_idx = model.free_algebra_index(a)
-        fa = model.algebras[fa_idx]
-        eta = model._free_units[fa_idx]
+        _, fa, eta = model.free_algebra(a)
         to_t, from_t = model.bang_bridge(a)
         gamma = (("f", Arrow(VVar("X"), CVar("Y"))),)
         mediator = LinLam(
@@ -322,9 +320,8 @@ def verify_bang_cardinality(model: ip.Model, sizes: Sequence[int] = (0, 1, 2)) -
 
 def lifted_rel(model: ip.Model, r: tuple[int, ...], a: int, b: int) -> tuple[int, ...]:
     """The lifting of R along eta-pairs: smallest admissible relation on T A x T B."""
-    fa_i, fb_i = model.free_algebra_index(a), model.free_algebra_index(b)
-    fa, fb = model.algebras[fa_i], model.algebras[fb_i]
-    eta_a, eta_b = model._free_units[fa_i], model._free_units[fb_i]
+    _, fa, eta_a = model.free_algebra(a)
+    _, fb, eta_b = model.free_algebra(b)
     base = fm.rows_of(((eta_a[x], eta_b[y]) for x, y in fm.rel_pairs(r)), fa.carrier.size)
     return fm.admissible_closure(base, fa, fb)
 
@@ -339,8 +336,8 @@ def verify_rel_lifting(model: ip.Model, max_size: int = 2) -> VerificationReport
     bang_x = enc.encode_bang(VVar("X"))
     for a in range(max_size + 1):
         for b in range(max_size + 1):
-            fa_i, fb_i = model.free_algebra_index(a), model.free_algebra_index(b)
-            fa, fb = model.algebras[fa_i], model.algebras[fb_i]
+            _, fa, _ = model.free_algebra(a)
+            _, fb, _ = model.free_algebra(b)
             to_a, _ = model.bang_bridge(a)
             to_b, _ = model.bang_bridge(b)
             for r in fm.enumerate_set_rels(fm.FinSet(a), fm.FinSet(b)):
@@ -372,10 +369,8 @@ def verify_rel_lifting(model: ip.Model, max_size: int = 2) -> VerificationReport
     # adjoint characterisation: (!R -o Q)(f,g) iff (R -> Q)(f.eta, g.eta)
     for a in range(max_size + 1):
         for b in range(max_size + 1):
-            fa = model.algebras[model.free_algebra_index(a)]
-            fb = model.algebras[model.free_algebra_index(b)]
-            eta_a = model._free_units[model.free_algebra_index(a)]
-            eta_b = model._free_units[model.free_algebra_index(b)]
+            _, fa, eta_a = model.free_algebra(a)
+            _, fb, eta_b = model.free_algebra(b)
             for r in fm.enumerate_set_rels(fm.FinSet(a), fm.FinSet(b)):
                 r_pairs = fm.rel_pairs(r)
                 bang_r = fm.rel_pairs(lifted_rel(model, r, a, b))
@@ -477,8 +472,7 @@ def verify_algop_correspondence(model: ip.Model, n: int) -> VerificationReport:
             failures.append({"detail": "family is not a natural transformation", "element": f})
 
     # gen -> theta -> gen roundtrip: evaluate at the free algebra on n
-    fa_idx = model.free_algebra_index(n)
-    eta = model._free_units[fa_idx]
+    fa_idx, _, eta = model.free_algebra(n)
     gen_images = [_generic_to_nt(model, poly.comps, gen, n) for gen in range(tn)]
     for gen, fam in enumerate(gen_images):
         if fam not in nt_set:
@@ -535,7 +529,7 @@ def verify_handler(model: ip.Model, max_size: int = 2) -> VerificationReport:
                         failures.append({"law": "case-split", "e": e, "a": a, "p": p, "q": q})
         # homomorphism from the squared free algebra
         for a in range(max_size + 1):
-            fa = model.algebras[model.free_algebra_index(a)]
+            _, fa, _ = model.free_algebra(a)
             prod = fm.product_alg(fa, fa)
             tbl = _handle_table(model, a, e_idx)
             n = fa.carrier.size
@@ -879,22 +873,14 @@ def verify_identity_extension(model: ip.Model, battery: Optional[Sequence[TypeEx
 
 
 def _relenv_space(model: ip.Model, vnames, cnames):
-    per_var = []
-    for name in vnames:
-        triples = []
-        for i, a in enumerate(model.sets):
-            for j, b in enumerate(model.sets):
-                for r in model.rels_for_pair(ip.VSORT, i, j):
-                    triples.append((ip.VSORT, name, a, b, r))
-        per_var.append(triples)
-    for name in cnames:
-        triples = []
-        for i, a in enumerate(model.algebras):
-            for j, b in enumerate(model.algebras):
-                for r in model.rels_for_pair(ip.CSORT, i, j):
-                    triples.append((ip.CSORT, name, a, b, r))
-        per_var.append(triples)
-    return per_var
+    return [
+        [(sort, name, a, b, r)
+         for i, a in enumerate(model.objects(sort))
+         for j, b in enumerate(model.objects(sort))
+         for r in model.rels_for_pair(sort, i, j)]
+        for sort, names in ((ip.VSORT, vnames), (ip.CSORT, cnames))
+        for name in names
+    ]
 
 
 def verify_abstraction(

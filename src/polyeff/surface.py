@@ -30,7 +30,6 @@ from typing import Optional, Union
 from .kernel import (
     App,
     Arrow,
-    Const,
     CVar,
     ForallC,
     ForallV,
@@ -618,7 +617,7 @@ _TM_ATOM, _TM_APP, _TM_LAM = range(3)
 
 
 def _tm_prec(t: TermExpr) -> int:
-    if isinstance(t, (Var, Const, BangTerm)):
+    if isinstance(t, (Var, BangTerm)):
         return _TM_ATOM
     if isinstance(t, (App, TyAppV, TyAppC)):
         return _TM_APP
@@ -633,8 +632,6 @@ def _pm(t: TermExpr, limit: int) -> str:
 
 def _pm_raw(t: TermExpr) -> str:
     if isinstance(t, Var):
-        return t.name
-    if isinstance(t, Const):
         return t.name
     if isinstance(t, Lam):
         return f"fun {t.var}:{_pt(t.ann, _TY_QUANT)} => {_pm(t.body, _TM_LAM)}"

@@ -24,7 +24,6 @@ from .kernel import (
     App,
     Arrow,
     CVar,
-    Const,
     ForallC,
     ForallV,
     Judgment,
@@ -162,15 +161,6 @@ def _synth_node(gamma: Ctx, delta: Stoup, t: TermExpr, constants: Constants) -> 
         if t.name in constants:
             return constants[t.name]
         raise TypingError(ErrorCode.UNBOUND_VAR, f"unbound variable {t.name!r}")
-
-    if isinstance(t, Const):
-        if delta is not None:
-            raise TypingError(
-                ErrorCode.STOUP_VIOLATION, f"constant {t.name!r} cannot consume the stoup"
-            )
-        if t.name not in constants:
-            raise TypingError(ErrorCode.UNBOUND_VAR, f"unknown constant {t.name!r}")
-        return constants[t.name]
 
     if isinstance(t, Lam):
         _classify(t.ann)
@@ -335,11 +325,6 @@ def derive_all_types(
                 out.add(alpha_canonical(ty))
             elif t.name in constants:
                 out.add(alpha_canonical(constants[t.name]))
-        return out
-
-    if isinstance(t, Const):
-        if delta is None and t.name in constants:
-            out.add(alpha_canonical(constants[t.name]))
         return out
 
     if isinstance(t, Lam):

@@ -56,6 +56,19 @@ def test_free_algebra_carriers():
     assert alg.carrier.size == 4 and eta == (0, 1, 2, 3)
 
 
+@pytest.mark.parametrize("monad", [EXC, POW, IDM], ids=lambda m: m.key)
+def test_small_free_algebras_are_among_the_enumerated_ones(monad):
+    for k in range(3):
+        if monad.apply(fm.FinSet(k)).size <= 2:
+            assert fm.free_algebra(monad, fm.FinSet(k))[0] in fm.enumerate_algebras(monad, fm.Bound(2))
+
+
+@pytest.mark.parametrize("monad", [EXC, EXC2, POW, IDM], ids=lambda m: f"{m.key}{m.n_exc}")
+def test_a_model_with_free_algebras_holds_each_algebra_once(monad):
+    algebras = ip.Model(monad, 2, include_free_algebras=True).algebras
+    assert len(set(algebras)) == len(algebras)
+
+
 def test_powerset_free_algebra_is_union():
     alg, eta = fm.free_algebra(POW, fm.FinSet(2))
     # singletons are masks 1 and 2; their join is {0,1} = mask 3 = index 2

@@ -81,14 +81,24 @@ def test_types_are_immutable():
 
 
 def test_copies_are_interned_and_unused_values_are_freed():
-    t = ForallV("Z9", Arrow(VVar("Z9"), CVar("P")))
-    assert copy.deepcopy(t) is t
-    assert pickle.loads(pickle.dumps(t)) is t
-    env = ip.type_env({"Z9": fm.FinSet(1)})
-    assert pickle.loads(pickle.dumps(env)) is env
-    del t, env
-    gc.collect()
-    assert not any("Z9" in key for key in kernel._INTERNED)
+    for make in (
+        lambda: ForallV("Z9", Arrow(VVar("Z9"), CVar("P"))),
+        lambda: ip.type_env({"Z9": fm.FinSet(1)}),
+        lambda: fm.FinSet(99),
+        lambda: fm.MonadSpec("exception", ("Z9",)),
+        lambda: fm.Alg(fm.MonadSpec("exception", ("Z9",)), fm.FinSet(99), (0,)),
+    ):
+        t = make()
+        assert make() is t
+        assert copy.deepcopy(t) is t
+        assert pickle.loads(pickle.dumps(t)) is t
+        key = (type(t), *(getattr(t, f) for f in t.__match_args__))
+        del t
+        gc.collect()
+        assert key not in kernel._INTERNED
+        del key  # it holds the fields, and with them any subterms
+        gc.collect()
+        assert not any("Z9" in key for key in kernel._INTERNED)
 
 
 def test_environments_are_interned():

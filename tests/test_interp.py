@@ -97,14 +97,21 @@ def test_pointwise_powerset_structure():
     pmodel = ip.Model(POW, 2)
     lattice = [a for a in pmodel.algebras if a.carrier.size == 2][0]
     env = ip.type_env({"B": fm.FinSet(2)}, {"P": lattice})
-    alg = pmodel.interp_ctype(env, parse_type("B -> ^P"))
-    sem = pmodel.interp_vtype(env, parse_type("B -> ^P"))
-    for f in range(sem.size):
-        for g in range(sem.size):
-            joined = sem.table(alg.op_or(f, g))
-            assert joined == tuple(
-                lattice.op_or(sem.apply(f, x), sem.apply(g, x)) for x in range(2)
-            )
+    for src in ("B -> ^P", "forall X. X -> ^P"):
+        alg = pmodel.interp_ctype(env, parse_type(src))
+        sem = pmodel.interp_vtype(env, parse_type(src))
+
+        def tables(f):  # the table of f at every registered set
+            if isinstance(sem, ip.PolySem):
+                return [comp.table(c) for comp, c in zip(sem.comps, sem.fams[f])]
+            return [sem.table(f)]
+
+        for f in range(sem.size):
+            for g in range(sem.size):
+                assert tables(alg.op_or(f, g)) == [
+                    tuple(lattice.op_or(x, y) for x, y in zip(tf, tg))
+                    for tf, tg in zip(tables(f), tables(g))
+                ]
 
 
 def test_relation_clause_for_variables(model):

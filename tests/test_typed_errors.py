@@ -32,12 +32,15 @@ def test_ctype_carrier_must_match_the_set_interpretation():
 
 
 def test_projection_must_not_depend_on_the_isomorphism():
-    # a family picking element 0 of every algebra is not parametric: the two
-    # automorphisms of the 2-element set transport it to different elements
-    model = ip.Model(IDM, 2)
+    # a family picking element 0 of every algebra is not parametric: the
+    # target is registered only up to isomorphism, as the free algebra on 2
+    # points (raise point 2), and its two isomorphisms to that algebra
+    # transport the family to different elements
+    model = ip.Model(EXC, 2, include_free_algebras=True)
     comps = tuple(ip.AtomSem(alg.carrier.size) for alg in model.algebras)
     poly = ip.PolySem(1, True, comps, ((0,) * len(comps),))
-    target = fm.Alg(IDM, fm.FinSet(2, labels=("a", "b")))  # registered only up to iso
+    target = fm.Alg(EXC, fm.FinSet(3), raise_points=(0,))
+    assert model.alg_index(target) is None
     with pytest.raises(ip.InterpError, match="depends on the isomorphism"):
         model.project_poly(poly, 0, target, "X", CVar("X"), ip.TypeEnv())
 
