@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -24,10 +25,9 @@ def _parser() -> argparse.ArgumentParser:
     # options are accepted both before and after the subcommand; SUPPRESS
     # keeps a subparser from clobbering values the main parser already set
     common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
-    common.add_argument("--monad", choices=["identity", "exception", "powerset"])
+    common.add_argument("--monad", choices=fm.MONADS)
     common.add_argument("--exceptions", help="comma-separated exception names")
     common.add_argument("--bound", type=int)
-    common.add_argument("--include-free-algebras", action="store_true")
     common.add_argument("--format", choices=["text", "json"])
     common.add_argument("--seed", type=int)
     common.add_argument("--config", help="JSON model-configuration file")
@@ -50,9 +50,14 @@ def _opt(args, name: str, default):
 
 
 def load_config(args) -> fm.ModelConfig:
+    """The ``--config`` file's configuration, overridden by the options given;
+    raises ``fm.ModelError`` on a file or value it cannot use."""
     cfg = fm.ModelConfig()
     if _opt(args, "config", None):
-        cfg = fm.ModelConfig.from_json(Path(args.config).read_text())
+        try:
+            cfg = fm.ModelConfig.from_json(Path(args.config).read_text())
+        except (OSError, ValueError) as exc:
+            raise fm.ModelError(f"{args.config}: {exc}") from exc
     updates = {}
     if _opt(args, "monad", None) is not None:
         updates["monad"] = args.monad
@@ -60,13 +65,13 @@ def load_config(args) -> fm.ModelConfig:
         updates["exceptions"] = tuple(x for x in args.exceptions.split(",") if x)
     if _opt(args, "bound", None) is not None:
         updates["bound"] = args.bound
-    if _opt(args, "include_free_algebras", None):
-        updates["include_free_algebras"] = True
-    if updates:
-        from dataclasses import replace
+    return replace(cfg, **updates)
 
-        cfg = replace(cfg, **updates)
-    return cfg
+
+def _free(cfg: fm.ModelConfig) -> ip.Model:
+    """The model with the free algebra on every set up to the bound, so that
+    every effect constant has a denotation."""
+    return pl.build_model(cfg, range(cfg.bound + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +151,7 @@ def cmd_elaborate(args) -> int:
 
 def cmd_eval(args) -> int:
     cfg = load_config(args)
-    model = pl.build_model(cfg)
+    model = _free(cfg)
     constants = model.constant_schemes
     try:
         term = surface.parse_term(args.term)
@@ -168,11 +173,11 @@ def cmd_eval(args) -> int:
         print(json.dumps({
             "type": surface.print_type(ty),
             "set": ip.semset_to_json(model, sem),
-            "value": ip.decode_value(model, sem, val).to_json(),
+            "value": ip.decode_value(model, sem, val),
         }, sort_keys=True))
     else:
         print(f"type:  {surface.print_type(ty)}")
-        decoded = json.dumps(ip.decode_value(model, sem, val).to_json())
+        decoded = json.dumps(ip.decode_value(model, sem, val))
         print(f"value: {decoded} (index {val} of {sem.size})")
     return 0
 
@@ -182,27 +187,23 @@ def cmd_eval(args) -> int:
 
 
 def _free_algebra(cfg, seed, n):
-    model = pl.build_model(cfg, force_free=True)
+    model = _free(cfg)
     return [pl.verify_free_algebra(model), pl.free_algebra_negative_control(model)]
 
 
 def _bang_cardinality(cfg, seed, n):
-    reports = [pl.verify_bang_cardinality(pl.build_model(cfg, force_free=True))]
-    id_cfg = fm.ModelConfig("identity", (), cfg.bound, True)
-    reports.append(pl.verify_bang_cardinality(pl.build_model(id_cfg), sizes=(1, 2)))
+    reports = [pl.verify_bang_cardinality(_free(cfg))]
+    id_cfg = fm.ModelConfig("identity", (), cfg.bound)
+    reports.append(pl.verify_bang_cardinality(_free(id_cfg), sizes=(1, 2)))
     return reports
 
 
 def _algop(cfg, seed, n):
-    model = pl.build_model(cfg, force_free=False)
-    model.register_free_algebra(fm.FinSet(n))
-    return [pl.verify_algop_correspondence(model, n)]
+    return [pl.verify_algop_correspondence(pl.build_model(cfg, (n,)), n)]
 
 
 def _parametric_counts(cfg, seed, n):
-    free = pl.build_model(cfg, force_free=True)
-    plain = pl.build_model(cfg, force_free=False)
-    return [pl.verify_parametric_counts(free, plain)]
+    return [pl.verify_parametric_counts(_free(cfg), pl.build_model(cfg, ()))]
 
 
 # Every suite, in the order `verify all` runs them: name -> runner taking
@@ -212,19 +213,18 @@ SUITES: dict[str, Callable[[fm.ModelConfig, int, int], list[pl.VerificationRepor
     "typing": lambda cfg, seed, n: [pl.verify_typing_corpus()],
     "metatheory": lambda cfg, seed, n: [pl.verify_metatheory(seed)],
     "monad-laws": lambda cfg, seed, n: [pl.verify_monad_laws(4)],
-    "rel-axioms": lambda cfg, seed, n: [pl.verify_rel_axioms(pl.build_model(cfg, force_free=False))],
+    "rel-axioms": lambda cfg, seed, n: [pl.verify_rel_axioms(pl.build_model(cfg, ()))],
     "identity-extension": lambda cfg, seed, n: [
-        pl.verify_identity_extension(pl.build_model(cfg, force_free=False))],
+        pl.verify_identity_extension(pl.build_model(cfg, ()))],
     "abstraction": lambda cfg, seed, n: [
-        pl.verify_abstraction(pl.build_model(cfg, force_free=False), seed=seed)],
-    "bang-laws": lambda cfg, seed, n: [pl.verify_bang_laws(pl.build_model(cfg, force_free=True))],
+        pl.verify_abstraction(pl.build_model(cfg, ()), seed=seed)],
+    "bang-laws": lambda cfg, seed, n: [pl.verify_bang_laws(_free(cfg))],
     "free-algebra": _free_algebra,
     "bang-cardinality": _bang_cardinality,
-    "rel-lifting": lambda cfg, seed, n: [pl.verify_rel_lifting(pl.build_model(cfg, force_free=True))],
+    "rel-lifting": lambda cfg, seed, n: [pl.verify_rel_lifting(_free(cfg))],
     "algop": _algop,
-    "handler": lambda cfg, seed, n: [pl.verify_handler(pl.build_model(cfg, force_free=True))],
-    "encoding-props": lambda cfg, seed, n: [
-        pl.verify_encoding_props(pl.build_model(cfg, force_free=True))],
+    "handler": lambda cfg, seed, n: [pl.verify_handler(_free(cfg))],
+    "encoding-props": lambda cfg, seed, n: [pl.verify_encoding_props(_free(cfg))],
     "parametric-counts": _parametric_counts,
     "cbpv": lambda cfg, seed, n: [pl.verify_cbpv()],
 }

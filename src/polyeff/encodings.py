@@ -11,7 +11,6 @@ rather than primitives.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -336,13 +335,6 @@ class ConstantSig:
             raise EncodingError(f"constant scheme must be closed: {self.scheme}")
         classify_type(self.scheme)
 
-    def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "type": surface.print_type(self.scheme),
-            "denotation-key": self.denotation_key,
-        }
-
 
 def register_effect_constants(monad_key: str, exceptions: Sequence[str] = ()) -> list[ConstantSig]:
     """Constant signatures induced by a monad choice."""
@@ -366,10 +358,6 @@ def register_effect_constants(monad_key: str, exceptions: Sequence[str] = ()) ->
 
 def constants_table(sigs: Sequence[ConstantSig]) -> dict[str, TypeExpr]:
     return {sig.name: sig.scheme for sig in sigs}
-
-
-def dump_constants(sigs: Sequence[ConstantSig]) -> str:
-    return json.dumps([s.to_json() for s in sigs], indent=2)
 
 
 # ---------------------------------------------------------------------------

@@ -49,17 +49,10 @@ class FinSet(Interned):
             raise ModelError("negative carrier size")
 
 
-@dataclass(frozen=True)
-class Bound:
-    max_carrier: int
-
-    def __post_init__(self):
-        if self.max_carrier < 0:
-            raise ModelError("bound must be nonnegative")
-
-
 # ---------------------------------------------------------------------------
 # monads
+
+MONADS = ("identity", "exception", "powerset")
 
 
 @hash_consed
@@ -68,7 +61,7 @@ class MonadSpec(Interned):
     exceptions: tuple[str, ...] = ()
 
     def __post_init__(self):
-        if self.key not in ("identity", "exception", "powerset"):
+        if self.key not in MONADS:
             raise ModelError(f"unknown monad {self.key!r}")
         if self.key != "exception" and self.exceptions:
             raise ModelError(f"{self.key} monad takes no exception set")
@@ -178,15 +171,15 @@ def em_map_of(alg: Alg) -> tuple[int, ...]:
     return tuple(out)
 
 
-def enumerate_sets(b: Bound) -> list[FinSet]:
-    """One canonical set per cardinality 0..max."""
-    return [FinSet(n) for n in range(b.max_carrier + 1)]
+def enumerate_sets(bound: int) -> list[FinSet]:
+    """One canonical set per cardinality 0..bound."""
+    return [FinSet(n) for n in range(bound + 1)]
 
 
-def enumerate_algebras(m: MonadSpec, b: Bound) -> list[Alg]:
+def enumerate_algebras(m: MonadSpec, bound: int) -> list[Alg]:
     """All algebra structures on each enumerated carrier, by literal tables."""
     out: list[Alg] = []
-    for n in range(b.max_carrier + 1):
+    for n in range(bound + 1):
         carrier = FinSet(n)
         if m.key == "identity":
             out.append(Alg(m, carrier))
@@ -430,7 +423,10 @@ def _all_tables(dom: int, cod: int):
     return product(range(cod), repeat=dom)
 
 
-def check_monad_laws(m: MonadSpec, max_size: int, direct_pair_cap: int = 20_000) -> LawReport:
+DIRECT_PAIR_CAP = 20_000
+
+
+def check_monad_laws(m: MonadSpec, max_size: int) -> LawReport:
     """Exhaustive Kleisli-law check on all sets up to ``max_size``.
 
     * unit law (left): extend(unit) = id, once per set;
@@ -441,7 +437,7 @@ def check_monad_laws(m: MonadSpec, max_size: int, direct_pair_cap: int = 20_000)
       extension is a structure homomorphism, and the unit image generates
       T A, which pins extensions uniquely, so composed extensions agree on
       all of T A), cross-checked directly over all (f, g) pairs while the
-      product of table spaces stays below ``direct_pair_cap``.
+      product of table spaces stays below ``DIRECT_PAIR_CAP``.
     """
     rep = LawReport()
     sets = [FinSet(n) for n in range(max_size + 1)]
@@ -488,7 +484,7 @@ def check_monad_laws(m: MonadSpec, max_size: int, direct_pair_cap: int = 20_000)
                     continue
                 nf = tb.size ** a.size
                 ng = tc.size ** b.size
-                if nf * ng > direct_pair_cap:
+                if nf * ng > DIRECT_PAIR_CAP:
                     continue  # covered by the decomposition above
                 gexts = [m.extend(g, b, c) for g in _all_tables(b.size, tc.size)]
                 gexts = [g for g in gexts if _is_map(g, tb.size, tc.size)]  # others reported above
@@ -562,27 +558,34 @@ class ModelConfig:
     monad: str = "exception"
     exceptions: tuple[str, ...] = ("e",)
     bound: int = 2
-    include_free_algebras: bool = False
+
+    def __post_init__(self):
+        if type(self.bound) is not int or self.bound < 0:
+            raise ModelError(f"bound must be a nonnegative integer, not {self.bound!r}")
+        if not (isinstance(self.exceptions, tuple)
+                and all(isinstance(e, str) for e in self.exceptions)):
+            raise ModelError(f"exceptions must be a list of names, not {self.exceptions!r}")
+        if self.monad not in MONADS:
+            raise ModelError(f"unknown monad {self.monad!r}")
 
     def monad_spec(self) -> MonadSpec:
         exc = self.exceptions if self.monad == "exception" else ()
         return MonadSpec(self.monad, tuple(exc))
 
     def to_json(self) -> dict:
-        return {
-            "monad": self.monad,
-            "E": list(self.exceptions),
-            "bound": self.bound,
-            "include-free-algebras": self.include_free_algebras,
-        }
+        return {"monad": self.monad, "E": list(self.exceptions), "bound": self.bound}
 
     @staticmethod
     def from_json(data) -> "ModelConfig":
+        """The configuration a JSON object describes; the retired
+        ``include-free-algebras`` key is ignored."""
         if isinstance(data, str):
             data = json.loads(data)
+        if not isinstance(data, dict):
+            raise ModelError(f"a model configuration is a JSON object, not {data!r}")
+        exceptions = data.get("E", ["e"])
         return ModelConfig(
             monad=data.get("monad", "exception"),
-            exceptions=tuple(data.get("E", ["e"])),
-            bound=int(data.get("bound", 2)),
-            include_free_algebras=bool(data.get("include-free-algebras", False)),
+            exceptions=tuple(exceptions) if isinstance(exceptions, list) else exceptions,
+            bound=data.get("bound", 2),
         )

@@ -8,11 +8,12 @@ preserving tables, and polymorphic domains index the list of
 *parametric families*: tuples with one component per registered object
 that preserve every admissible relation between every pair of objects.
 
-Quantifiers range over the model's registered objects only (all sets
-and all algebra structures up to the bound, plus free algebras when
-registered).  Projection at other objects goes through a transport
-isomorphism when an isomorphic representative exists, and raises
-``OutOfBoundError`` otherwise.  All enumerations are deterministic, so
+Quantifiers range over the model's registered objects only: all sets
+and all algebra structures up to the bound, plus the free algebras on
+the set sizes the model is built with, fixed when it is built.
+Projection at other objects goes through a transport isomorphism when
+an isomorphic representative exists, and raises ``OutOfBoundError``
+otherwise.  All enumerations are deterministic, so
 interpretation is reproducible bit for bit.
 
 Interpretations are cached per model, keyed by a type and the
@@ -56,7 +57,7 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass
 from itertools import product
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from . import encodings
 from . import finmodel as fm
@@ -537,15 +538,25 @@ class Model:
         self,
         monad: fm.MonadSpec,
         bound: int,
-        include_free_algebras: bool = False,
+        free_sizes: Iterable[int] = (),
         constants: Sequence = (),
     ):
+        """``free_sizes``: the set sizes whose free algebras are registered,
+        each appended to the enumerated algebras unless it is one of them."""
         self.monad = monad
         self.bound = bound
-        self.sets = fm.enumerate_sets(fm.Bound(bound))
-        self.algebras = list(fm.enumerate_algebras(monad, fm.Bound(bound)))
+        self.sets = fm.enumerate_sets(bound)
+        self.algebras = fm.enumerate_algebras(monad, bound)
         self._free_units: dict[int, tuple[int, ...]] = {}  # algebra index -> unit table
         self._free_of_size: dict[int, int] = {}  # |A| -> algebra index of T A
+        for size in free_sizes:
+            alg, eta = fm.free_algebra(monad, fm.FinSet(size))
+            idx = self.alg_index(alg)
+            if idx is None:
+                self.algebras.append(alg)
+                idx = len(self.algebras) - 1
+            self._free_units[idx] = eta
+            self._free_of_size[size] = idx
         self.constants: dict[str, tuple[TypeExpr, str]] = {
             sig.name: (sig.scheme, sig.denotation_key) for sig in constants
         }
@@ -559,24 +570,8 @@ class Model:
         self._alg_rels: dict = {}
         self._const_val: dict = {}
         self._two: Optional[tuple[int, int]] = None
-        if include_free_algebras:
-            for s in self.sets:
-                self.register_free_algebra(s)
 
     # -- objects ---------------------------------------------------------
-
-    def register_free_algebra(self, a: fm.FinSet) -> int:
-        """Append the algebra on T A (deduplicated); returns its object index."""
-        alg, eta = fm.free_algebra(self.monad, a)
-        idx = self.alg_index(alg)
-        if idx is None:
-            if self._vty or self._cty or self._rel:
-                raise InterpError("cannot extend the algebra list after interpretation began")
-            self.algebras.append(alg)
-            idx = len(self.algebras) - 1
-        self._free_units[idx] = eta
-        self._free_of_size[a.size] = idx
-        return idx
 
     def free_algebra(self, size: int) -> tuple[int, fm.Alg, tuple[int, ...]]:
         """The registered free algebra on a ``size``-element set: its object
@@ -1175,31 +1170,13 @@ def _invert(table: Sequence[int]) -> tuple[int, ...]:
 # structured values and dumps
 
 
-@dataclass(frozen=True)
-class SemValue:
-    """Decoded denotation: a ground element, a function table, or a
-    family table keyed by object id."""
-
-    kind: str  # "ground" | "fun" | "poly"
-    ground: Optional[int] = None
-    entries: tuple = ()
-
-    def to_json(self):
-        if self.kind == "ground":
-            return self.ground
-        if self.kind == "fun":
-            return [v.to_json() for v in self.entries]
-        return {key: v.to_json() for key, v in self.entries}
-
-
-def decode_value(model: Model, sem: SemSet, idx: int) -> SemValue:
+def decode_value(model: Model, sem: SemSet, idx: int):
+    """The JSON form of a denotation: a ground element, a function table as
+    a list, or a family as an object keyed by object id."""
     if isinstance(sem, AtomSem):
-        return SemValue("ground", ground=idx)
+        return idx
     if isinstance(sem, (FunSem, HomSem)):
-        entries = tuple(
-            decode_value(model, sem.cod, sem.apply(idx, x)) for x in range(sem.dom.size)
-        )
-        return SemValue("fun", entries=entries)
+        return [decode_value(model, sem.cod, sem.apply(idx, x)) for x in range(sem.dom.size)]
     if isinstance(sem, PolySem):
         fam = sem.fams[idx]
         keys = (
@@ -1207,10 +1184,7 @@ def decode_value(model: Model, sem: SemSet, idx: int) -> SemValue:
             if sem.csort
             else [f"set:{k}" for k in range(len(model.sets))]
         )
-        entries = tuple(
-            (key, decode_value(model, comp, c)) for key, comp, c in zip(keys, sem.comps, fam)
-        )
-        return SemValue("poly", entries=entries)
+        return {key: decode_value(model, comp, c) for key, comp, c in zip(keys, sem.comps, fam)}
     raise InterpError(f"cannot decode from {sem!r}")
 
 

@@ -19,7 +19,7 @@ import itertools
 import json
 import time
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from . import encodings as enc
 from . import finmodel as fm
@@ -77,12 +77,12 @@ class VerificationReport:
         return json.dumps(data, sort_keys=True)
 
 
-def build_model(config: fm.ModelConfig, force_free: Optional[bool] = None) -> ip.Model:
-    """A model with the configured monad's constants registered."""
+def build_model(config: fm.ModelConfig, free_sizes: Iterable[int]) -> ip.Model:
+    """A model with the configured monad's constants registered and the free
+    algebras on the sets of sizes ``free_sizes``."""
     monad = config.monad_spec()
     consts = enc.register_effect_constants(config.monad, monad.exceptions)
-    free = config.include_free_algebras if force_free is None else force_free
-    return ip.Model(monad, config.bound, include_free_algebras=free, constants=consts)
+    return ip.Model(monad, config.bound, free_sizes, consts)
 
 
 def _report(theorem: str, config: dict, bound: int, t0: float, failures: list,
@@ -207,19 +207,24 @@ def verify_bang_laws(model: ip.Model) -> VerificationReport:
 # ---------------------------------------------------------------------------
 # free algebra
 
+# the sizes of the sets A whose free algebras T A the free-algebra,
+# rel-lifting and handler checks range over
+CHECKED_SIZES = range(3)
+
 
 def _mediating_homs(model: ip.Model, fa: fm.Alg, eta, f, b: fm.Alg) -> list:
     return [h for h in fm.enumerate_homs(fa, b) if all(h[eta[x]] == f[x] for x in range(len(f)))]
 
 
-def verify_free_algebra(model: ip.Model, max_a: int = 2, max_carrier: int = 3) -> VerificationReport:
-    """Unique mediating homomorphisms out of T A, matching the let-based term."""
+def verify_free_algebra(model: ip.Model) -> VerificationReport:
+    """Unique mediating homomorphisms out of T A for |A| in ``CHECKED_SIZES``,
+    into every algebra of at most 3 elements, matching the let-based term."""
     t0 = time.perf_counter()
     if not model._free_units:
         return _out_of_bound("free-algebra", model, t0, "free algebras must be registered")
     failures = []
     checked = 0
-    for a in range(max_a + 1):
+    for a in CHECKED_SIZES:
         _, fa, eta = model.free_algebra(a)
         to_t, from_t = model.bang_bridge(a)
         gamma = (("f", Arrow(VVar("X"), CVar("Y"))),)
@@ -229,7 +234,7 @@ def verify_free_algebra(model: ip.Model, max_a: int = 2, max_carrier: int = 3) -
         )
         med_ty = tc.synth(gamma, None, mediator)
         for k, b in enumerate(model.algebras):
-            if b.carrier.size > max_carrier:
+            if b.carrier.size > 3:
                 continue
             for f in itertools.product(range(b.carrier.size), repeat=a):
                 homs = _mediating_homs(model, fa, eta, f, b)
@@ -326,7 +331,7 @@ def lifted_rel(model: ip.Model, r: tuple[int, ...], a: int, b: int) -> tuple[int
     return fm.admissible_closure(base, fa, fb)
 
 
-def verify_rel_lifting(model: ip.Model, max_size: int = 2) -> VerificationReport:
+def verify_rel_lifting(model: ip.Model) -> VerificationReport:
     """Three characterisations of the lifting agree for every relation."""
     t0 = time.perf_counter()
     if not model._free_units:
@@ -334,8 +339,8 @@ def verify_rel_lifting(model: ip.Model, max_size: int = 2) -> VerificationReport
     failures = []
     checked = 0
     bang_x = enc.encode_bang(VVar("X"))
-    for a in range(max_size + 1):
-        for b in range(max_size + 1):
+    for a in CHECKED_SIZES:
+        for b in CHECKED_SIZES:
             _, fa, _ = model.free_algebra(a)
             _, fb, _ = model.free_algebra(b)
             to_a, _ = model.bang_bridge(a)
@@ -367,8 +372,8 @@ def verify_rel_lifting(model: ip.Model, max_size: int = 2) -> VerificationReport
                         "image": fm.rel_pairs(via_image),
                     })
     # adjoint characterisation: (!R -o Q)(f,g) iff (R -> Q)(f.eta, g.eta)
-    for a in range(max_size + 1):
-        for b in range(max_size + 1):
+    for a in CHECKED_SIZES:
+        for b in CHECKED_SIZES:
             _, fa, eta_a = model.free_algebra(a)
             _, fb, eta_b = model.free_algebra(b)
             for r in fm.enumerate_set_rels(fm.FinSet(a), fm.FinSet(b)):
@@ -503,7 +508,7 @@ def _handle_table(model: ip.Model, a: int, e_idx: int):
     return {(p, q): (q if p == raise_elt else p) for p in range(ta) for q in range(ta)}
 
 
-def verify_handler(model: ip.Model, max_size: int = 2) -> VerificationReport:
+def verify_handler(model: ip.Model) -> VerificationReport:
     """The exception handler is a homomorphism, natural, and parametric."""
     t0 = time.perf_counter()
     if model.monad.key != "exception":
@@ -518,7 +523,7 @@ def verify_handler(model: ip.Model, max_size: int = 2) -> VerificationReport:
     denotation_skipped = False
     for e_idx, e in enumerate(model.monad.exceptions):
         # case split reproduced exactly
-        for a in range(max_size + 1):
+        for a in CHECKED_SIZES:
             tbl = _handle_table(model, a, e_idx)
             ta = model.monad.apply(fm.FinSet(a)).size
             for p in range(ta):
@@ -528,7 +533,7 @@ def verify_handler(model: ip.Model, max_size: int = 2) -> VerificationReport:
                     if tbl[(p, q)] != want:
                         failures.append({"law": "case-split", "e": e, "a": a, "p": p, "q": q})
         # homomorphism from the squared free algebra
-        for a in range(max_size + 1):
+        for a in CHECKED_SIZES:
             _, fa, _ = model.free_algebra(a)
             prod = fm.product_alg(fa, fa)
             tbl = _handle_table(model, a, e_idx)
@@ -538,8 +543,8 @@ def verify_handler(model: ip.Model, max_size: int = 2) -> VerificationReport:
             if not fm.is_homomorphism(table, prod, fa):
                 failures.append({"law": "homomorphism", "e": e, "a": a})
         # naturality in the underlying set
-        for a in range(max_size + 1):
-            for b in range(max_size + 1):
+        for a in CHECKED_SIZES:
+            for b in CHECKED_SIZES:
                 ha, hb = _handle_table(model, a, e_idx), _handle_table(model, b, e_idx)
                 for f in itertools.product(range(b), repeat=a):
                     tf = model.monad.tmap(list(f), fm.FinSet(a), fm.FinSet(b))
@@ -550,8 +555,8 @@ def verify_handler(model: ip.Model, max_size: int = 2) -> VerificationReport:
                                 failures.append({"law": "naturality", "e": e, "a": a, "b": b,
                                                  "f": list(f), "p": p, "q": q})
         # relation preservation against every lifted relation
-        for a in range(max_size + 1):
-            for b in range(max_size + 1):
+        for a in CHECKED_SIZES:
+            for b in CHECKED_SIZES:
                 ha, hb = _handle_table(model, a, e_idx), _handle_table(model, b, e_idx)
                 for r in fm.enumerate_set_rels(fm.FinSet(a), fm.FinSet(b)):
                     br = lifted_rel(model, r, a, b)
@@ -575,7 +580,7 @@ def verify_handler(model: ip.Model, max_size: int = 2) -> VerificationReport:
                 failures.append({"law": "membership", "e": e, "detail": str(exc)})
                 continue
         if val is not None:
-            for a in range(min(max_size, model.bound) + 1):
+            for a in CHECKED_SIZES[:model.bound + 1]:
                 to_t, from_t = model.bang_bridge(a)
                 scheme = model.constants[name][0]
                 poly = model.interp_vtype(ip.TypeEnv(), scheme)
@@ -846,10 +851,10 @@ def identity_extension_battery() -> list[TypeExpr]:
     ]
 
 
-def verify_identity_extension(model: ip.Model, battery: Optional[Sequence[TypeExpr]] = None) -> VerificationReport:
+def verify_identity_extension(model: ip.Model) -> VerificationReport:
     """Relational interpretation at diagonal environments is the diagonal."""
     t0 = time.perf_counter()
-    battery = list(battery) if battery is not None else identity_extension_battery()
+    battery = identity_extension_battery()
     failures = []
     env_sets = [s for s in model.sets if s.size > 0]
     base_envs = []
@@ -883,18 +888,13 @@ def _relenv_space(model: ip.Model, vnames, cnames):
     ]
 
 
-def verify_abstraction(
-    model: ip.Model,
-    seed: int = 17,
-    n_terms: int = 100,
-    max_relenvs: int = 40,
-    max_value_envs: int = 60,
-) -> VerificationReport:
+def verify_abstraction(model: ip.Model, seed: int = 17, n_terms: int = 100) -> VerificationReport:
     """Relational invariance on seeded judgments, plus the stoup
     homomorphism property.
 
     Relational environments and value environments are enumerated in a
-    deterministic order and capped, so the run is reproducible.
+    deterministic order and capped at 40 and 60 per judgment, so the run
+    is reproducible.
     """
     t0 = time.perf_counter()
     gen = TermGenerator(seed, interp_safe=True)
@@ -906,7 +906,7 @@ def verify_abstraction(
         vnames = sorted({v.name for v in _judgment_ftv(j) if isinstance(v, VVar)})
         cnames = sorted({v.name for v in _judgment_ftv(j) if isinstance(v, CVar)})
         space = _relenv_space(model, vnames, cnames)
-        combos = itertools.islice(itertools.product(*space), max_relenvs)
+        combos = itertools.islice(itertools.product(*space), 40)
         bindings = list(j.gamma) + ([j.delta] if j.delta is not None else [])
         run = model._compile(j.subject, j.gamma, j.delta)  # typechecked once, run per environment
         for combo in combos:
@@ -920,7 +920,7 @@ def verify_abstraction(
                 continue
             count = 0
             for values in itertools.product(*pair_lists):
-                if count >= max_value_envs:
+                if count >= 60:
                     break
                 count += 1
                 env1 = {name: v1 for (name, _), (v1, _) in zip(bindings, values)}
@@ -1222,12 +1222,13 @@ def verify_typing_corpus() -> VerificationReport:
     return _report("typing-conformance", sizes, 0, t0, failures, counts=dict(sizes))
 
 
-def verify_metatheory(seed: int = 2024, n_unicity: int = 200, n_subst: int = 100) -> VerificationReport:
-    """Type unicity and both substitution properties on seeded terms."""
+def verify_metatheory(seed: int = 2024) -> VerificationReport:
+    """Type unicity on 200 seeded terms and both substitution properties on
+    100 seeded samples."""
     t0 = time.perf_counter()
     failures = []
     gen = TermGenerator(seed)
-    corpus = [gen.random_judgment() for _ in range(n_unicity)]
+    corpus = [gen.random_judgment() for _ in range(200)]
     rep_u = tc.check_unicity(corpus)
     for f in rep_u.failures:
         failures.append({"law": "unicity", "detail": f})
@@ -1243,8 +1244,7 @@ def verify_metatheory(seed: int = 2024, n_unicity: int = 200, n_subst: int = 100
             continue
         if not alpha_eq(ty, j.ascription):
             failures.append({"law": "weakening", "detail": "type changed"})
-    samples = [gen.random_subst_sample(1) for _ in range(n_subst // 2)]
-    samples += [gen.random_subst_sample(2) for _ in range(n_subst - n_subst // 2)]
+    samples = [gen.random_subst_sample(part) for part in (1, 2) for _ in range(50)]
     rep_s = tc.check_substitution_lemma(samples)
     for f in rep_s.failures:
         failures.append({"law": "substitution", "detail": f})

@@ -41,14 +41,13 @@ from .kernel import (
 
 VALUE_TYVARS = ("X", "Y")
 COMP_TYVARS = ("P", "Q")
+FUEL = 5  # the depth of the terms grown for one goal
 
 
 class TermGenerator:
-    def __init__(self, seed: int, max_type_depth: int = 2, fuel: int = 5,
-                 interp_safe: bool = False):
+    def __init__(self, seed: int, max_type_depth: int = 2, interp_safe: bool = False):
         self.rng = random.Random(seed)
         self.max_type_depth = max_type_depth
-        self.fuel = fuel
         # restrict type-application arguments to variables, so every
         # projection stays at a registered object of a bounded model
         self.interp_safe = interp_safe
@@ -198,8 +197,8 @@ class TermGenerator:
             n = self.rng.randint(0, 2)
         return tuple((f"g{self._fresh()}", self.random_type(self.rng.randint(0, 2))) for _ in range(n))
 
-    def random_judgment(self, attempts: int = 200, with_stoup: Optional[bool] = None) -> Judgment:
-        for _ in range(attempts):
+    def random_judgment(self, with_stoup: Optional[bool] = None) -> Judgment:
+        for _ in range(200):
             gamma = self.random_context()
             stoup = self.rng.random() < 0.4 if with_stoup is None else with_stoup
             if stoup:
@@ -208,7 +207,7 @@ class TermGenerator:
             else:
                 delta = None
                 goal = self.random_type()
-            t = self.term_for(gamma, delta, goal, self.fuel)
+            t = self.term_for(gamma, delta, goal, FUEL)
             if t is None:
                 continue
             j = Judgment(gamma, delta, t, None)
@@ -220,8 +219,8 @@ class TermGenerator:
                 return Judgment(gamma, delta, t, ty)
         raise RuntimeError("exhausted attempts while generating a judgment")
 
-    def random_subst_sample(self, part: int, attempts: int = 400) -> tc.SubstSample:
-        for _ in range(attempts):
+    def random_subst_sample(self, part: int) -> tc.SubstSample:
+        for _ in range(400):
             gamma = self.random_context(self.rng.randint(0, 1))
             x = f"x{self._fresh()}"
             if part == 1:
@@ -233,23 +232,23 @@ class TermGenerator:
                 else:
                     delta = None
                     goal = self.random_type(self.rng.randint(0, 2))
-                t = self.term_for(gamma + ((x, a),), delta, goal, self.fuel)
-                s = None if t is None else self.term_for(gamma, None, a, self.fuel)
+                t = self.term_for(gamma + ((x, a),), delta, goal, FUEL)
+                s = None if t is None else self.term_for(gamma, None, a, FUEL)
                 if s is None:
                     continue
                 return tc.SubstSample(1, gamma, delta, x, a, t, s)
             a = self.random_type(self.rng.randint(0, 1), Kind.COMPUTATION)
             goal = self.random_type(self.rng.randint(0, 2), Kind.COMPUTATION)
-            t = self.term_for(gamma, (x, a), goal, self.fuel)
+            t = self.term_for(gamma, (x, a), goal, FUEL)
             if t is None:  # nothing to substitute into, so no s is searched for
                 continue
             use_stoup = self.rng.random() < 0.5
             if use_stoup:
                 delta = (f"s{self._fresh()}", self.random_type(1, Kind.COMPUTATION))
-                s = self.term_for(gamma, delta, a, self.fuel)
+                s = self.term_for(gamma, delta, a, FUEL)
             else:
                 delta = None
-                s = self.term_for(gamma, None, a, self.fuel)
+                s = self.term_for(gamma, None, a, FUEL)
             if s is None:
                 continue
             return tc.SubstSample(2, gamma, delta, x, a, t, s)

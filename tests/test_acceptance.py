@@ -18,8 +18,8 @@ import time
 from polyeff import finmodel as fm
 from polyeff import paramlab as pl
 
-EXC1 = fm.ModelConfig("exception", ("e",), 2, False)
-EXC1_FREE = fm.ModelConfig("exception", ("e",), 2, True)
+EXC1 = fm.ModelConfig("exception", ("e",), 2)
+FREE = range(3)  # the free algebras on the sets up to the bound
 GOLDEN = pathlib.Path(__file__).parent / "data" / "golden_reports.jsonl"
 
 
@@ -55,7 +55,7 @@ def test_criterion_01_typing_conformance():
 
 def test_criterion_02_metatheory():
     t0 = time.perf_counter()
-    rep = pl.verify_metatheory(seed=2024, n_unicity=200, n_subst=100)
+    rep = pl.verify_metatheory(seed=2024)
     assert_golden("02/metatheory", rep)
     ok = rep.status == "verified" and rep.counts["unicity-terms"] == 200
     report(2, "unicity + substitution", ok, time.perf_counter() - t0, 10.0, str(rep.witness or ""))
@@ -74,7 +74,7 @@ def test_criterion_04_relation_axioms():
     ok = True
     detail = ""
     for monad, excs in (("exception", ("e",)), ("powerset", ())):
-        rep = pl.verify_rel_axioms(pl.build_model(fm.ModelConfig(monad, excs, 2, False)))
+        rep = pl.verify_rel_axioms(pl.build_model(fm.ModelConfig(monad, excs, 2), ()))
         assert_golden(f"04/rel-axioms/{monad}", rep)
         if rep.status != "verified":
             ok, detail = False, f"{monad}: {rep.witness}"
@@ -83,7 +83,7 @@ def test_criterion_04_relation_axioms():
 
 def test_criterion_05_identity_extension():
     t0 = time.perf_counter()
-    model = pl.build_model(EXC1)
+    model = pl.build_model(EXC1, ())
     rep = pl.verify_identity_extension(model)
     assert_golden("05/identity-extension", rep)
     ok = rep.status == "verified" and rep.counts["types"] >= 20
@@ -92,7 +92,7 @@ def test_criterion_05_identity_extension():
 
 def test_criterion_06_abstraction_theorem():
     t0 = time.perf_counter()
-    model = pl.build_model(EXC1)
+    model = pl.build_model(EXC1, ())
     rep = pl.verify_abstraction(model, seed=17, n_terms=100)
     assert_golden("06/abstraction", rep)
     ok = rep.status == "verified" and rep.counts["hom-instances"] > 0
@@ -101,7 +101,7 @@ def test_criterion_06_abstraction_theorem():
 
 def test_criterion_07_bang_laws():
     t0 = time.perf_counter()
-    rep = pl.verify_bang_laws(pl.build_model(EXC1_FREE))
+    rep = pl.verify_bang_laws(pl.build_model(EXC1, FREE))
     assert_golden("07/bang-laws", rep)
     report(7, "monadic let laws", rep.status == "verified", time.perf_counter() - t0, 60.0,
            str(rep.witness or ""))
@@ -109,8 +109,8 @@ def test_criterion_07_bang_laws():
 
 def test_criterion_08_free_algebra():
     t0 = time.perf_counter()
-    model = pl.build_model(EXC1_FREE)
-    rep = pl.verify_free_algebra(model, max_a=2, max_carrier=3)
+    model = pl.build_model(EXC1, FREE)
+    rep = pl.verify_free_algebra(model)
     neg = pl.free_algebra_negative_control(model)
     assert_golden("08/free-algebra", rep)
     assert_golden("08/negative-control", neg)
@@ -124,10 +124,10 @@ def test_criterion_08_free_algebra():
 
 def test_criterion_09_bang_cardinality():
     t0 = time.perf_counter()
-    rep = pl.verify_bang_cardinality(pl.build_model(EXC1_FREE), sizes=(0, 1, 2))
+    rep = pl.verify_bang_cardinality(pl.build_model(EXC1, FREE), sizes=(0, 1, 2))
     ok = rep.status == "verified" and rep.counts == {"|A|=0": 1, "|A|=1": 2, "|A|=2": 3}
     id_rep = pl.verify_bang_cardinality(
-        pl.build_model(fm.ModelConfig("identity", (), 2, True)), sizes=(1, 2)
+        pl.build_model(fm.ModelConfig("identity", (), 2), FREE), sizes=(1, 2)
     )
     assert_golden("09/bang-cardinality/exception", rep)
     assert_golden("09/bang-cardinality/identity", id_rep)
@@ -138,7 +138,7 @@ def test_criterion_09_bang_cardinality():
 
 def test_criterion_10_relational_lifting():
     t0 = time.perf_counter()
-    rep = pl.verify_rel_lifting(pl.build_model(EXC1_FREE), max_size=2)
+    rep = pl.verify_rel_lifting(pl.build_model(EXC1, FREE))
     assert_golden("10/rel-lifting", rep)
     report(10, "lifting characterisations", rep.status == "verified",
            time.perf_counter() - t0, 120.0, str(rep.witness or ""))
@@ -149,14 +149,12 @@ def test_criterion_11_algebraic_operations():
     ok = True
     detail = ""
     for n, count in ((0, 1), (1, 2), (2, 3)):
-        model = pl.build_model(EXC1, force_free=False)
-        model.register_free_algebra(fm.FinSet(n))
+        model = pl.build_model(EXC1, (n,))
         rep = pl.verify_algop_correspondence(model, n)
         assert_golden(f"11/algop/exception/{n}", rep)
         if rep.status != "verified" or rep.counts["parametric-elements"] != count:
             ok, detail = False, f"exception n={n}: {rep.counts} {rep.witness}"
-    pmodel = pl.build_model(fm.ModelConfig("powerset", (), 3, False))
-    pmodel.register_free_algebra(fm.FinSet(2))
+    pmodel = pl.build_model(fm.ModelConfig("powerset", (), 3), (2,))
     prep = pl.verify_algop_correspondence(pmodel, 2)
     assert_golden("11/algop/powerset/2", prep)
     if prep.status != "verified" or prep.counts["parametric-elements"] != 3:
@@ -169,8 +167,8 @@ def test_criterion_12_handler():
     ok = True
     detail = ""
     for excs in (("e",), ("e1", "e2")):
-        model = pl.build_model(fm.ModelConfig("exception", excs, 2, True))
-        rep = pl.verify_handler(model, max_size=2)
+        model = pl.build_model(fm.ModelConfig("exception", excs, 2), FREE)
+        rep = pl.verify_handler(model)
         assert_golden(f"12/handler/{','.join(excs)}", rep)
         if rep.status != "verified":
             ok, detail = False, f"E={excs}: {rep.witness}"
@@ -179,7 +177,7 @@ def test_criterion_12_handler():
 
 def test_criterion_13_encoding_properties():
     t0 = time.perf_counter()
-    rep = pl.verify_encoding_props(pl.build_model(EXC1_FREE))
+    rep = pl.verify_encoding_props(pl.build_model(EXC1, FREE))
     assert_golden("13/encoding-props", rep)
     report(13, "encoding universal properties", rep.status == "verified",
            time.perf_counter() - t0, 300.0, str(rep.witness or ""))

@@ -61,17 +61,14 @@ def test_eval_identity(capsys):
 
 def test_eval_monadic_value_in_free_model(capsys):
     # T(1) = 1 + |E|, so [[!1]] has two points
-    code, out, _ = run(
-        capsys, "eval", "bang (Fun X => fun u:X => u)", "--include-free-algebras"
-    )
+    code, out, _ = run(capsys, "eval", "bang (Fun X => fun u:X => u)")
     assert code == 0
     assert "of 2" in out
 
 
 def test_eval_choice_is_the_join(capsys):
     code, out, _ = run(
-        capsys, "--monad", "powerset", "--include-free-algebras", "--format", "json",
-        "eval", "or",
+        capsys, "--monad", "powerset", "--format", "json", "eval", "or",
     )
     assert code == 0
     payload = json.loads(out.strip())
@@ -116,9 +113,46 @@ def test_config_file_roundtrip(tmp_path, capsys):
 
 
 def test_out_of_bound_exit_code(capsys):
-    # an unregistered free algebra makes the monadic constant unavailable
-    code, _, err = run(capsys, "eval", "handle^e")
+    # the 2 -> 2 set has 4 elements, past the sets registered at bound 2
+    code, _, err = run(capsys, "eval", "(Fun X => fun x:X => x) @[2 -> 2]")
     assert code == 3
+    assert "no registered set of size 4" in err
+
+
+def test_eval_registers_the_free_algebras(capsys):
+    # the handler's denotation needs the free algebras on 0, 1 and 2 points
+    code, out, _ = run(capsys, "eval", "handle^e")
+    assert code == 0
+    assert "value:" in out
+
+
+def test_include_free_algebras_is_a_usage_error(capsys):
+    assert main(["--include-free-algebras", "verify", "typing"]) == 2
+
+
+@pytest.mark.parametrize("argv, config", [
+    (["--bound", "-1", "verify", "all"], None),
+    (["verify", "all"], '{"monad": "foo"}'),
+    (["eval", "fun x:2 => x"], '{"monad": "foo"}'),
+    (["verify", "typing"], '{"bound": "x"}'),
+    (["verify", "typing"], '{"bound": 2,'),
+    (["verify", "typing"], '["exception"]'),
+    (["verify", "typing"], '{"E": "e1"}'),
+    (["verify", "typing"], '{"monad": []}'),
+    (["verify", "typing"], "missing"),
+], ids=["negative-bound", "unknown-monad-verify", "unknown-monad-eval", "bound-not-int",
+        "not-json", "not-an-object", "exceptions-not-a-list", "monad-not-a-name",
+        "missing-file"])
+def test_configuration_errors_exit_2_before_any_suite(tmp_path, capsys, argv, config):
+    if config is not None:
+        path = tmp_path / "model.json"
+        if config != "missing":
+            path.write_text(config)
+        argv = ["--config", str(path), *argv]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("configuration error")
+    assert out == ""
 
 
 def test_eval_application_returns_the_argument(capsys):

@@ -1,6 +1,5 @@
 """Definable types and terms: expansions, freshness, positivity, translation."""
 
-import json
 
 import pytest
 
@@ -238,13 +237,6 @@ def test_two_is_one_plus_one():
         enc.encode_value_type("Sum", (enc.encode_value_type("Unit"),) * 2),
     )
     assert alpha_eq(enc.encode_num(0), enc.encode_value_type("Zero"))
-
-
-def test_constant_table_serialization():
-    sigs = enc.register_effect_constants("exception", ("e",))
-    rows = json.loads(enc.dump_constants(sigs))
-    assert {r["name"] for r in rows} == {"raise^e", "handle^e"}
-    assert all(set(r) == {"name", "type", "denotation-key"} for r in rows)
 
 
 def test_sum_intro_case_typecheck():

@@ -16,14 +16,14 @@ IDM = fm.MonadSpec("identity")
 
 
 def test_enumerate_sets():
-    sizes = [s.size for s in fm.enumerate_sets(fm.Bound(2))]
+    sizes = [s.size for s in fm.enumerate_sets(2)]
     assert sizes == [0, 1, 2]
-    assert [s.size for s in fm.enumerate_sets(fm.Bound(0))] == [0]
-    assert len(set(map(id, fm.enumerate_sets(fm.Bound(3))))) == 4
+    assert [s.size for s in fm.enumerate_sets(0)] == [0]
+    assert len(set(map(id, fm.enumerate_sets(3)))) == 4
 
 
 def test_exception_algebras_on_two_points():
-    algs = [a for a in fm.enumerate_algebras(EXC, fm.Bound(2)) if a.carrier.size == 2]
+    algs = [a for a in fm.enumerate_algebras(EXC, 2) if a.carrier.size == 2]
     assert len(algs) == 2
     assert {a.raise_points for a in algs} == {(0,), (1,)}
 
@@ -35,14 +35,14 @@ def test_powerset_algebras_on_two_points_against_naive_filter():
         table = ((tbl[0], tbl[1]), (tbl[2], tbl[3]))
         if fm.semilattice_laws_hold(table):
             oracle.append(table)
-    algs = [a for a in fm.enumerate_algebras(POW, fm.Bound(2)) if a.carrier.size == 2]
+    algs = [a for a in fm.enumerate_algebras(POW, 2) if a.carrier.size == 2]
     assert sorted(a.or_table for a in algs) == sorted(oracle)
     assert len(algs) == 2  # min and max
 
 
 def test_single_point_carrier_has_one_algebra():
     for m in (EXC, EXC2, POW, IDM):
-        algs = [a for a in fm.enumerate_algebras(m, fm.Bound(1)) if a.carrier.size == 1]
+        algs = [a for a in fm.enumerate_algebras(m, 1) if a.carrier.size == 1]
         assert len(algs) == 1
 
 
@@ -60,12 +60,12 @@ def test_free_algebra_carriers():
 def test_small_free_algebras_are_among_the_enumerated_ones(monad):
     for k in range(3):
         if monad.apply(fm.FinSet(k)).size <= 2:
-            assert fm.free_algebra(monad, fm.FinSet(k))[0] in fm.enumerate_algebras(monad, fm.Bound(2))
+            assert fm.free_algebra(monad, fm.FinSet(k))[0] in fm.enumerate_algebras(monad, 2)
 
 
 @pytest.mark.parametrize("monad", [EXC, EXC2, POW, IDM], ids=lambda m: f"{m.key}{m.n_exc}")
 def test_a_model_with_free_algebras_holds_each_algebra_once(monad):
-    algebras = ip.Model(monad, 2, include_free_algebras=True).algebras
+    algebras = ip.Model(monad, 2, range(3)).algebras
     assert len(set(algebras)) == len(algebras)
 
 
@@ -104,7 +104,7 @@ def test_semilattice_hom_tables_by_exhaustion():
 def test_enumerate_homs_matches_brute_force(monad):
     # every algebra at bound 2 plus the free algebras on 0, 1 and 2 points,
     # against a filter of the full table product, order included
-    algs = fm.enumerate_algebras(monad, fm.Bound(2))
+    algs = fm.enumerate_algebras(monad, 2)
     algs += [fm.free_algebra(monad, fm.FinSet(n))[0] for n in range(3)]
     for dom in algs:
         for cod in algs:
@@ -176,7 +176,7 @@ def _closure_oracle(pairs, a, b):
 
 def _algebras(monad):
     # every algebra at bound 2 plus the free algebras on 0, 1 and 2 points
-    return ip.Model(monad, 2, include_free_algebras=True).algebras
+    return ip.Model(monad, 2, range(3)).algebras
 
 
 def _sample(rels, n=64):
@@ -235,7 +235,7 @@ def test_rels_for_pair_keeps_the_pair_set_order(monad, monkeypatch):
     monkeypatch.setattr(fm, "enumerate_set_rels", lambda a, b: calls.append(ip.VSORT) or set_rels(a, b))
     monkeypatch.setattr(fm, "enumerate_alg_rels", lambda a, b: calls.append(ip.CSORT) or alg_rels(a, b))
     for order in (iter, reversed):
-        model = ip.Model(monad, 2, include_free_algebras=True)
+        model = ip.Model(monad, 2, range(3))
         calls.clear()
         for sort, objs in ((ip.VSORT, model.sets), (ip.CSORT, model.algebras)):
             for i in order(range(len(objs))):
@@ -333,9 +333,11 @@ def test_algebra_shape_validation():
 
 
 def test_model_config_json_round_trip():
-    cfg = fm.ModelConfig("powerset", (), 3, True)
+    cfg = fm.ModelConfig("powerset", (), 3)
+    assert fm.ModelConfig.from_json('{"monad": "powerset", "E": [], "bound": 3}') == cfg
+    # the retired include-free-algebras key is read and ignored
     again = fm.ModelConfig.from_json(
         '{"monad": "powerset", "E": [], "bound": 3, "include-free-algebras": true}'
     )
-    assert cfg == again
+    assert again == cfg
     assert fm.ModelConfig.from_json(cfg.to_json()) == cfg

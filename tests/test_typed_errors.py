@@ -36,7 +36,7 @@ def test_projection_must_not_depend_on_the_isomorphism():
     # target is registered only up to isomorphism, as the free algebra on 2
     # points (raise point 2), and its two isomorphisms to that algebra
     # transport the family to different elements
-    model = ip.Model(EXC, 2, include_free_algebras=True)
+    model = ip.Model(EXC, 2, range(3))
     comps = tuple(ip.AtomSem(alg.carrier.size) for alg in model.algebras)
     poly = ip.PolySem(1, True, comps, ((0,) * len(comps),))
     target = fm.Alg(EXC, fm.FinSet(3), raise_points=(0,))
