@@ -38,12 +38,18 @@ No view stores its own relation twice, and every relation has the rows
 form that ``finmodel`` owns: relation environments bind rows, and an
 ``AtomRel`` keeps the rows its environment binds.
 
-The family search (``pairwise_search`` over ``Model.relatedness``) lists
-each component domain, except that a function component may come from
-``Model.self_related_tables``: it returns exactly the tables related to
-themselves under every admissible relation at their object, found by
-forward checking over one value mask per argument.  The search tests each
-generated table again, and asks for them only at or below ``ITER_CAP``.
+The family search (``pairwise_search`` over ``Model.relatedness``) reads
+one of two constraint sources.  A *positive* body ``D1 -> ... -> Dn -> X``
+(see ``positive_args``) needs only the least relations its arguments
+generate: components ``u`` at object i and ``v`` at object j are related
+iff ``(u d, v d')`` lies in the admissible closure of the pairs each related
+argument pair ``(d, d')`` generates (``Model.least_links``), so no relation
+is enumerated.  Any other body is tested under every admissible relation
+of ``rels_for_pair``.  A component may come from
+``Model.self_related_tables``, which forward-checks one value mask per
+argument against either source; the search tests each generated table
+again.  Generated least-relation tables may pass ``ITER_CAP``; listed
+domains, and tables generated from every relation, may not.
 
 Terms are typechecked once per judgment: ``Model._compile`` routes the
 stoup, renames binders and synthesizes each node's type, and returns a
@@ -56,7 +62,9 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
+from functools import cache
 from itertools import product
+from math import prod
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from . import encodings
@@ -498,21 +506,21 @@ def pairwise_search(sizes: Sequence[int], ok: Callable[[int, int, int, int], boo
 
     Positions are fixed smallest domain first.  A candidate must pass
     ``ok(i, i, c, c)``, then both directions against every fixed position.
-    Reaching a position whose domain exceeds ``ITER_CAP`` raises
-    ``OutOfBoundError`` naming that position as a component.
 
-    ``candidates(i)``, asked only at or below ``ITER_CAP``, may return the
-    values ``c`` with ``ok(i, i, c, c)`` in ascending order, or None to list
-    ``range(sizes[i])``; each value it returns is tested again all the same.
+    ``candidates(i)`` may return the values ``c`` with ``ok(i, i, c, c)`` in
+    ascending order, or None to list ``range(sizes[i])``; each value it
+    returns is tested again all the same.  Only listing is capped: a listed
+    domain larger than ``ITER_CAP`` raises ``OutOfBoundError`` naming that
+    position as a component.
     """
     order = sorted(range(len(sizes)), key=lambda i: (sizes[i], i))
     partial: list[tuple[int, ...]] = [()]
     for pos, i in enumerate(order):
-        if sizes[i] > ITER_CAP:
+        source = candidates(i)
+        if source is None and sizes[i] > ITER_CAP:
             raise OutOfBoundError(
                 f"component {i} has {sizes[i]} candidates, more than ITER_CAP ({ITER_CAP})"
             )
-        source = candidates(i)
         cands = [c for c in (range(sizes[i]) if source is None else source) if ok(i, i, c, c)]
         fixed = order[:pos]
         partial = [
@@ -525,6 +533,83 @@ def pairwise_search(sizes: Sequence[int], ok: Callable[[int, int, int, int], boo
             return ()
     at = sorted(range(len(order)), key=order.__getitem__)
     return tuple(sorted(tuple(asg[p] for p in at) for asg in partial))
+
+
+def positive_args(sort: str, binder: str, body: TypeExpr) -> Optional[list]:
+    """The arguments of a positive body ``D1 -> ... -> Dn -> X``, whose whole
+    codomain is the binder ``X``: each ``Dk`` as ``(Dk, None)`` when ``X`` is
+    not free in it, or as ``(Dk, [E1, ..., Em])`` when it is ``E1 -> ... ->
+    Em -> X`` with ``X`` free in no ``Ei``.  None for any other body."""
+    x, key = (VVar if sort == VSORT else CVar)(binder), (sort, binder)
+
+    def chain(ty: TypeExpr) -> tuple[list, TypeExpr]:
+        doms = []
+        while isinstance(ty, Arrow):
+            doms.append(ty.dom)
+            ty = ty.cod
+        return doms, ty
+
+    doms, cod = chain(body)
+    if cod is not x:
+        return None
+    args = []
+    for d in doms:
+        if key not in free_type_var_keys(d):
+            args.append((d, None))
+            continue
+        es, end = chain(d)
+        if end is not x or any(key in free_type_var_keys(e) for e in es):
+            return None
+        args.append((d, es))
+    return args
+
+
+def _forward_check(n: int, m: int, constraints: Iterable[tuple[int, int, tuple[int, ...]]]
+                   ) -> list[int]:
+    """Every table ``c`` of ``n`` values below ``m`` (index ``sum c[x] * m**x``)
+    with bit ``c[y]`` of ``rows[c[x]]`` set for each constraint ``(x, y,
+    rows)``, ascending.
+
+    Forward checking (Mackworth, "Consistency in Networks of Relations",
+    1977): one mask of values per argument, first cut by the constraints
+    with ``x == y``, then arguments fixed from the last (the most
+    significant digit) down, each choice ANDing into every argument still
+    open the values it leaves there.  More than ``ITER_CAP`` tables raise
+    ``OutOfBoundError``.
+    """
+    masks = [(1 << m) - 1] * n
+    links: list[dict[int, tuple[int, ...]]] = [{} for _ in range(n)]  # x -> {y < x: mask by c(x)}
+    last = None
+    for x, y, rows in constraints:
+        if rows is not last:  # a source yields runs of one relation
+            last, cols = rows, fm.converse(rows, m)
+            diag = fm.mask_of((c for c in range(m) if rows[c] >> c & 1), m)
+        if x == y:
+            masks[x] &= diag
+            continue
+        first, then, allowed = (x, y, rows) if x > y else (y, x, cols)
+        have = links[first].get(then)
+        links[first][then] = allowed if have is None else tuple(map(int.__and__, have, allowed))
+    weights = [m**x for x in range(n)]
+    out: list[int] = []
+
+    def fix(x: int, avail: list[int], acc: int) -> None:
+        if x < 0:
+            if len(out) == ITER_CAP:
+                raise OutOfBoundError(f"more than ITER_CAP ({ITER_CAP}) tables pass forward checking")
+            out.append(acc)
+            return
+        for c in fm.bits_of(avail[x]):
+            rest = list(avail)
+            for y, allowed in links[x].items():
+                rest[y] &= allowed[c]
+                if not rest[y]:
+                    break
+            else:
+                fix(x - 1, rest, acc + c * weights[x])
+
+    fix(n - 1, masks, 0)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -737,23 +822,36 @@ class Model:
 
     # -- parametric families ------------------------------------------------
 
-    def relatedness(self, rho: RelEnv, sort: str, binder: str, body: TypeExpr
+    def relatedness(self, rho: RelEnv, sort: str, binder: str, body: TypeExpr, least: bool = True
                     ) -> Callable[[int, int, int, int], bool]:
         """``related(i, j, u, v)``: the components ``u`` of ``body`` at object
         ``i`` and ``v`` at object ``j`` are related under every admissible
         relation between the two objects, with ``rho`` on the other variables.
 
-        Each relation view is built on first use and kept only as long as
-        the returned function.
+        A positive body reads its ``least_links`` (unless ``least`` is False)
+        wherever they fit; otherwise each admissible relation's view is built
+        on first use and kept only as long as the returned function.
         """
         objs = self.objects(sort)
-        per_pair: dict = {}  # (i, j) -> (relations, views built so far, in order)
+        args = positive_args(sort, binder, body) if least else None
+        per_pair: dict = {}  # (i, j) -> (relations, views built so far, in order) or (None, links)
 
         def related(i: int, j: int, u: int, v: int) -> bool:
             hit = per_pair.get((i, j))
             if hit is None:
-                hit = per_pair[(i, j)] = (self.rels_for_pair(sort, i, j), [])
+                links = None if args is None else self.least_links(rho, sort, args, i, j)
+                if links is None:
+                    hit = (self.rels_for_pair(sort, i, j), [])
+                else:
+                    m, n = _carrier_size(objs[i]), _carrier_size(objs[j])
+                    hit = (None, [(m, m**p, n, n**q, rows) for (p, q), rows in links.items()])
+                per_pair[(i, j)] = hit
             rels, views = hit
+            if rels is None:  # the digit of u at p against the digit of v at q
+                for m, mp, n, nq, rows in views:
+                    if not rows[u // mp % m] >> (v // nq % n) & 1:
+                        return False
+                return True
             for view in views:
                 if not view.contains(u, v):
                     return False
@@ -766,78 +864,120 @@ class Model:
 
         return related
 
-    def self_related_tables(self, rho: RelEnv, sort: str, binder: str, body: Arrow, i: int
-                            ) -> Optional[list[int]]:
-        """Every table ``c`` of the function component of ``body`` at object
-        ``i`` with ``relatedness(rho, sort, binder, body)(i, i, c, c)``,
-        ascending; None when a relation of the domain or codomain does not
-        fit in rows.
+    def least_links(self, rho: RelEnv, sort: str, args: list, i: int, j: int
+                    ) -> Optional[dict[tuple[int, int], tuple[int, ...]]]:
+        """The least relations of a positive body (``args`` as ``positive_args``
+        gives them) between objects i and j: ``{(p, q): rows}`` such that
+        components ``u`` at i and ``v`` at j are related iff, for every entry,
+        bit ``v[q]`` of ``rows[u[p]]`` is set, where ``u[p]`` is the value of
+        ``u`` at the flat argument position ``p`` (the first argument the most
+        significant digit).  None when an argument relation or the number of
+        argument pairs exceeds ``ITER_CAP``.
 
-        Each ``q`` in ``rels_for_pair(sort, i, i)`` relates ``c`` to itself
-        iff ``(c(x), c(y))`` is in its codomain relation for every ``(x, y)``
-        in its domain relation.  The tables are found by forward checking
-        (Mackworth, "Consistency in Networks of Relations", 1977): one mask
-        of values per argument, first cut by the diagonal pairs ``(x, x)``,
-        then arguments fixed from the last (the most significant digit)
-        down, each choice ANDing into every argument still open the values
-        it leaves there.
+        Related arguments ``Dk = E1 -> ... -> Em -> X`` are exactly the pairs
+        ``(g, h)`` whose generated pairs ``{(g e, h e') : e, e' related}`` lie
+        in the relation at ``X``, and ``X`` is the codomain, so ``(u, v)``
+        preserves every admissible relation iff ``(u d, v d')`` lies in the
+        admissible closure of the pairs each argument pair ``(d, d')``
+        generates: admissible relations are closed under intersection.
+        """
+        objs = self.objects(sort)
+        m, n = _carrier_size(objs[i]), _carrier_size(objs[j])
+        close = (lambda r: r) if sort == VSORT else (lambda r: fm.admissible_closure(r, objs[i], objs[j]))
+        per_arg = []  # per argument: its related pairs with their generated rows, and its two sizes
+        total = 1
+        for d, es in args:
+            if es is None:
+                view = self.interp_rel(rho, d)
+                if not view.fits():
+                    return None
+                gen = [(x, y, None) for x, y in view.pairs()]
+                sizes = (view.left.size, view.right.size)
+            else:
+                views = [self.interp_rel(rho, e) for e in es]
+                el, er = prod(v.left.size for v in views), prod(v.right.size for v in views)
+                sizes = (m**el, n**er)
+                if sizes[0] * sizes[1] > ITER_CAP or not all(v.fits() for v in views):
+                    return None
+                flat = [(0, 0)]
+                for v in views:
+                    flat = [(p * v.left.size + x, q * v.right.size + y) for p, q in flat for x, y in v.pairs()]
+                gd = [[g // m**p % m for p in range(el)] for g in range(sizes[0])]
+                hd = [[h // n**q % n for q in range(er)] for h in range(sizes[1])]
+                gen = [(g, h, fm.rows_of(((gp[p], hq[q]) for p, q in flat), m))
+                       for g, gp in enumerate(gd) for h, hq in enumerate(hd)]
+            total *= len(gen)
+            if total > ITER_CAP:
+                return None
+            per_arg.append((gen, sizes))
+        links: dict[tuple[int, int], tuple[int, ...]] = {}
+        closures: dict = {}
+        arg_sizes = [s for _, s in per_arg]
+        for combo in product(*(gen for gen, _ in per_arg)):
+            p = q = 0
+            rows = (0,) * m
+            for (x, y, g), (sl, sr) in zip(combo, arg_sizes):
+                p, q = p * sl + x, q * sr + y
+                if g is not None:
+                    rows = tuple(map(int.__or__, rows, g))
+            c = closures.get(rows)
+            if c is None:
+                c = closures[rows] = close(rows)
+            have = links.get((p, q))
+            links[(p, q)] = c if have is None else tuple(map(int.__and__, have, c))
+        return links
+
+    def self_related_tables(self, rho: RelEnv, sort: str, binder: str, body: TypeExpr, i: int
+                            ) -> Optional[list[int]]:
+        """Every table ``c`` of the component of ``body`` at object ``i`` with
+        ``relatedness(rho, sort, binder, body)(i, i, c, c)``, ascending, by
+        ``_forward_check`` over one constraint source.
+
+        A positive body's ``least_links`` constrain the values at two flat
+        argument positions directly.  Otherwise, for a function component of
+        at most ``ITER_CAP`` tables, each ``q`` in ``rels_for_pair(sort, i,
+        i)`` relates ``c`` to itself iff ``(c(x), c(y))`` is in its codomain
+        relation for every ``(x, y)`` in its domain relation.  None when
+        neither source applies or a relation does not fit in rows.
         """
         obj = self.objects(sort)[i]
-        comp = self.interp_vtype(rho.rho1.set(sort, binder, obj), body)
+        env = rho.rho1.set(sort, binder, obj)
+        args = positive_args(sort, binder, body)
+        links = None if args is None else self.least_links(rho, sort, args, i, i)
+        if links is not None:
+            n = prod(self.interp_vtype(env, d).size for d, _ in args)
+            return _forward_check(n, _carrier_size(obj), ((p, q, rows) for (p, q), rows in links.items()))
+        comp = self.interp_vtype(env, body)
+        if not isinstance(comp, FunSem) or comp.size > ITER_CAP:
+            return None
         views = [self.interp_rel(rho.set(sort, binder, obj, obj, q), body)
                  for q in self.rels_for_pair(sort, i, i)]
         if not all(v.dom_rel.fits() and v.cod_rel.fits() for v in views):  # type: ignore[attr-defined]
             return None
-        n, m = comp.dom.size, comp.cod.size  # type: ignore[attr-defined]
-        masks = [(1 << m) - 1] * n
-        links: list[dict[int, tuple[int, ...]]] = [{} for _ in range(n)]  # x -> {y < x: mask by c(x)}
-        for view in views:
-            cod = view.cod_rel.rows()  # type: ignore[attr-defined]
-            cols = fm.converse(cod, m)
-            diag = fm.mask_of((c for c in range(m) if cod[c] >> c & 1), m)
-            for x, row in enumerate(view.dom_rel.rows()):  # type: ignore[attr-defined]
-                for y in fm.bits_of(row):
-                    if x == y:
-                        masks[x] &= diag
-                        continue
-                    first, then, allowed = (x, y, cod) if x > y else (y, x, cols)
-                    have = links[first].get(then)
-                    links[first][then] = allowed if have is None else tuple(map(int.__and__, have, allowed))
-        weights = [m**x for x in range(n)]
-        out: list[int] = []
-
-        def fix(x: int, avail: list[int], acc: int) -> None:
-            if x < 0:
-                out.append(acc)
-                return
-            for c in fm.bits_of(avail[x]):
-                rest = list(avail)
-                for y, allowed in links[x].items():
-                    rest[y] &= allowed[c]
-                    if not rest[y]:
-                        break
-                else:
-                    fix(x - 1, rest, acc + c * weights[x])
-
-        fix(n - 1, masks, 0)
-        return out
+        return _forward_check(comp.dom.size, comp.cod.size, (
+            (x, y, view.cod_rel.rows())  # type: ignore[attr-defined]
+            for view in views for x, row in enumerate(view.dom_rel.rows())  # type: ignore[attr-defined]
+            for y in fm.bits_of(row)))
 
     def _families(self, env: TypeEnv, sort: str, binder: str, body: TypeExpr,
                   comps: Sequence[SemSet]) -> tuple[tuple[int, ...], ...]:
         """All component tuples that preserve every admissible relation.
 
-        A function component is generated by ``self_related_tables`` when
-        listing would cost more: listing tests each of ``size`` tables
-        against the relations, generating reads up to ``dom.size ** 2``
-        domain pairs of each relation.
+        A positive body's components are generated by
+        ``self_related_tables``.  Otherwise a function component is
+        generated when listing would cost more: listing tests each of
+        ``size`` tables against the relations, generating reads up to
+        ``dom.size ** 2`` domain pairs of each relation.
         """
         rho = diag_relenv(env)
         related = self.relatedness(rho, sort, binder, body)
+        positive = positive_args(sort, binder, body) is not None
 
         def candidates(i: int) -> Optional[list[int]]:
             comp = comps[i]
-            if isinstance(comp, FunSem) and comp.size > len(self.rels_for_pair(sort, i, i)) * comp.dom.size**2:
-                return self.self_related_tables(rho, sort, binder, body, i)  # type: ignore[arg-type]
+            if positive or isinstance(comp, FunSem) and (
+                    ITER_CAP >= comp.size > len(self.rels_for_pair(sort, i, i)) * comp.dom.size**2):
+                return self.self_related_tables(rho, sort, binder, body, i)
             return None
 
         try:
@@ -850,7 +990,9 @@ class Model:
             ) from exc
 
     def enumerate_families_naive(self, env: TypeEnv, ty: TypeExpr) -> tuple[tuple[int, ...], ...]:
-        """Oracle tier: filter the full component product by all constraints."""
+        """Oracle tier: filter the full component product by all constraints,
+        each pair tested once under every admissible relation, so that the
+        least-relation source is checked against an independent one."""
         if not isinstance(ty, (ForallV, ForallC)):
             raise InterpError("naive family enumeration expects a quantified type")
         sort = VSORT if isinstance(ty, ForallV) else CSORT
@@ -861,7 +1003,7 @@ class Model:
             total *= c.size
         if total > NAIVE_FAMILY_CAP:
             raise OutOfBoundError(f"naive family space too large: {total}")
-        related = self.relatedness(diag_relenv(env), sort, ty.binder, ty.body)
+        related = cache(self.relatedness(diag_relenv(env), sort, ty.binder, ty.body, least=False))
         k = len(comps)
         return tuple(
             fam for fam in product(*(range(c.size) for c in comps))

@@ -23,7 +23,7 @@ from polyeff.kernel import (
     Var,
     VVar,
 )
-from polyeff.surface import parse_term, parse_type
+from polyeff.surface import parse_term, parse_type, print_type
 
 
 EXC = fm.MonadSpec("exception", ("e",))
@@ -498,18 +498,27 @@ def test_pairwise_search_raises_only_at_a_reached_position():
 
 
 def test_naive_oracle_on_the_identity_extension_battery():
-    # the naive product filter, the search with generated self-related
-    # tables and the search that lists every table agree on every quantified
-    # type of the battery, in every environment of the suite; the encoded
-    # products and sums at |X| = 2 filter 65536 tuples each
+    # the naive product filter (every admissible relation), the search with
+    # generated self-related tables and the search that lists every table
+    # agree on every quantified type of the battery, in every environment of
+    # the suite; the encoded products and sums at |X| = 2 filter 65536
+    # tuples each
     gen, listing = ip.Model(EXC, 2), ip.Model(EXC, 2)
-    generated = []  # sizes of the generated components
-    tables = gen.self_related_tables
+    sources = []  # (size of a generated component, whether its body is positive, its constraint source)
+    tables, least = gen.self_related_tables, gen.least_links
 
     def generate(rho, sort, binder, body, i):
         obj = gen.objects(sort)[i]
-        generated.append(gen.interp_vtype(rho.rho1.set(sort, binder, obj), body).size)
-        return tables(rho, sort, binder, body, i)
+        fed = []
+        gen.least_links = lambda *args: fed.append(least(*args)) or fed[-1]
+        try:
+            got = tables(rho, sort, binder, body, i)
+        finally:
+            gen.least_links = least
+        source = "least" if fed and fed[-1] is not None else "every"
+        size = gen.interp_vtype(rho.rho1.set(sort, binder, obj), body).size
+        sources.append((size, ip.positive_args(sort, binder, body) is not None, source))
+        return got
 
     gen.self_related_tables = generate
     listing.self_related_tables = lambda *args: None
@@ -524,8 +533,92 @@ def test_naive_oracle_on_the_identity_extension_battery():
             assert gen.enumerate_families_naive(env, ty) == fams == listing.interp_vtype(env, ty).fams, ty
             compared += 1
     assert compared == 56
-    # the encoded product and sum at |X| = 2 each have a 2^16-table component
-    assert generated.count(65536) == 2
+    # the encoded product and sum at |X| = 2 each have a 2^16-table component,
+    # generated from least relations; every positive body's components are,
+    # and the other bodies' come from every relation
+    assert [source for size, _, source in sources if size == 65536] == ["least", "least"]
+    assert {(positive, source) for _, positive, source in sources} == {(True, "least"), (False, "every")}
+
+
+@pytest.mark.parametrize("sort, binder, src, chains", [
+    (CSORT, "X", "^X", []),
+    (CSORT, "X", "^X -> ^X -> ^X", [[], []]),
+    (CSORT, "X", "(A -> ^X) -> ^X", [["A"]]),
+    (VSORT, "X1", "(X -> Y -> X1) -> X1", [["X", "Y"]]),
+    (VSORT, "X", "A -> (B -> X) -> X", [None, ["B"]]),
+    (VSORT, "X", "(X -> A) -> X", None),
+    (VSORT, "X", "(X -> X) -> X", None),
+    (CSORT, "X", "(^X -> ^X) -> ^X", None),
+    (CSORT, "X", "(^X -o ^X) -> ^X", None),
+    (VSORT, "X", "X -> A", None),
+])
+def test_positivity_classifier(sort, binder, src, chains):
+    # a positive body ends in its binder, and each argument is binder-free
+    # (None) or a chain of binder-free types ending in the binder
+    args = ip.positive_args(sort, binder, parse_type(src))
+    if chains is None:
+        assert args is None
+        return
+    assert [None if es is None else [print_type(e) for e in es] for _, es in args] == chains
+
+
+def _positive_bodies(x):
+    """``D1 -> ... -> Dn -> x`` with n <= 2, each ``Dk`` binder-free over
+    ``Y`` and ``^Q`` or a chain of at most two such types ending in ``x``."""
+    def chain(doms):
+        ty = x
+        for d in reversed(doms):
+            ty = Arrow(d, ty)
+        return ty
+
+    y, q = VVar("Y"), CVar("Q")
+    free = st.sampled_from([y, q, Arrow(y, q), Arrow(q, y)])
+    return st.lists(st.one_of(free, st.lists(free, max_size=2).map(chain)), max_size=2).map(chain)
+
+
+@pytest.fixture(scope="module")
+def three_models():
+    return [ip.Model(EXC, 2), ip.Model(POW, 2), ip.Model(fm.MonadSpec("identity"), 2)]
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.data())
+def test_least_relations_match_every_relation(three_models, data):
+    # on random positive bodies, with random relations on the other
+    # variables, the least-relation source and the all-relations source give
+    # the same relatedness between any two objects and the same self-related
+    # tables
+    m = data.draw(st.sampled_from(three_models))
+    sort, binder = data.draw(st.sampled_from([(VSORT, "X"), (CSORT, "P")]))
+    body = data.draw(_positive_bodies(VVar(binder) if sort == VSORT else CVar(binder)))
+    same = data.draw(st.booleans())  # both sides bind Y and ^Q to the same objects
+    rho = ip.RelEnv(ip.TypeEnv(), ip.TypeEnv())
+    for other, name in ((VSORT, "Y"), (CSORT, "Q")):
+        objs = m.objects(other)
+        k = data.draw(st.integers(0, len(objs) - 1))
+        l = k if same else data.draw(st.integers(0, len(objs) - 1))
+        rho = rho.set(other, name, objs[k], objs[l], data.draw(st.sampled_from(m.rels_for_pair(other, k, l))))
+    objs = m.objects(sort)
+    i, j = data.draw(st.integers(0, len(objs) - 1)), data.draw(st.integers(0, len(objs) - 1))
+    try:
+        left = m.interp_vtype(rho.rho1.set(sort, binder, objs[i]), body)
+        right = m.interp_vtype(rho.rho2.set(sort, binder, objs[j]), body)
+    except ip.OutOfBoundError:
+        assume(False)
+    assume(left.size <= 4096 and right.size <= 4096)
+    args = ip.positive_args(sort, binder, body)
+    assert m.least_links(rho, sort, args, i, j) is not None
+    event(f"{len(args)} arguments, {sum(es is not None for _, es in args)} chains")
+    least = m.relatedness(rho, sort, binder, body)
+    every = m.relatedness(rho, sort, binder, body, least=False)
+    us = data.draw(st.lists(st.integers(0, left.size - 1), min_size=1, max_size=6)) if left.size else []
+    vs = data.draw(st.lists(st.integers(0, right.size - 1), min_size=1, max_size=6)) if right.size else []
+    for u in us:
+        for v in vs:
+            assert least(i, j, u, v) == every(i, j, u, v), (u, v)
+    if same and left.size <= 512:
+        assert m.self_related_tables(rho, sort, binder, body, i) == [
+            c for c in range(left.size) if every(i, i, c, c)]
 
 
 @settings(deadline=None, max_examples=200)  # an example may run a family search on first use

@@ -6,7 +6,9 @@ import pytest
 
 from polyeff import finmodel as fm
 from polyeff import interp as ip
+from polyeff import encodings as enc
 from polyeff import paramlab as pl
+from polyeff.kernel import VVar
 
 
 @pytest.fixture(scope="module")
@@ -201,6 +203,35 @@ def test_parametric_counts_and_oracle_agreement(exc_free, exc_plain):
     rep = pl.verify_parametric_counts(exc_free, exc_plain)
     assert rep.status == "verified", rep.witness
     assert rep.counts == {"n=0": 1, "n=1": 2, "n=2": 3}
+
+
+def test_two_exception_reach_of_the_least_relation_search():
+    # at E = {e1, e2} each bang type and n-ary operation type has a 4^16 =
+    # 2^32-table component at the free algebra on 2 points; the least
+    # relations decide them, and the naive oracle (every admissible
+    # relation) agrees wherever it can filter the component product: the
+    # counts cross-check the n-ary types on the plain model, and below the
+    # bang types are checked on both models
+    cfg = fm.ModelConfig("exception", ("e1", "e2"), 2)
+    free, plain = pl.build_model(cfg, range(3)), pl.build_model(cfg, ())
+    rep = pl.verify_parametric_counts(free, plain)
+    assert rep.status == "verified", rep.witness
+    assert rep.counts == {"n=0": 2, "n=1": 3, "n=2": 4}
+    rep = pl.verify_bang_cardinality(free)
+    assert rep.status == "verified", rep.witness
+    assert rep.counts == {"|A|=0": 2, "|A|=1": 3, "|A|=2": 4}
+    compared = 0
+    for model in (free, plain):
+        for a in range(3):
+            env = ip.TypeEnv().set(ip.VSORT, "A", fm.FinSet(a))
+            ty = enc.encode_bang(VVar("A"))
+            try:
+                naive = model.enumerate_families_naive(env, ty)
+            except ip.OutOfBoundError:
+                continue
+            assert naive == model.interp_vtype(env, ty).fams, (model, a)
+            compared += 1
+    assert compared == 4  # |A| = 0, 1, 2 on the plain model, |A| = 0 on the free one
 
 
 def test_naive_oracle_matches_propagation(exc_plain):
