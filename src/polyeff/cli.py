@@ -78,7 +78,7 @@ def _free(cfg: fm.ModelConfig) -> ip.Model:
 # check / elaborate
 
 
-def process_file(path: str, constants, abbrevs: dict, out: list) -> list[dict]:
+def process_file(path: str, constants, out: list) -> list[dict]:
     """Check one file's declarations; returns error records."""
     errors = []
     try:
@@ -86,20 +86,15 @@ def process_file(path: str, constants, abbrevs: dict, out: list) -> list[dict]:
     except surface.SyntaxErr as exc:
         return [{"code": "SyntaxError", "span": str(exc.span), "detail": exc.message}]
     for decl in decls:
+        if isinstance(decl, surface.TypeDecl):
+            out.append((decl.name, "type", decl.ty, None))
+            continue
         try:
-            if isinstance(decl, surface.TypeDecl):
-                ty = enc.elaborate_type(decl.ty, abbrevs)
-                abbrevs[decl.name] = ty
-                out.append((decl.name, "type", ty, None))
-                continue
-            ty = enc.elaborate_type(decl.ty, abbrevs)
-            term = enc.elaborate_term(decl.term, constants=constants, abbrevs=abbrevs)
-            checked = tc.typecheck(Judgment((), None, term, ty), constants)
+            term = enc.elaborate_term(decl.term, constants=constants)
+            checked = tc.typecheck(Judgment((), None, term, decl.ty), constants)
             out.append((decl.name, "def", checked, term))
         except tc.TypingError as exc:
             errors.append({"code": exc.code.value, "span": str(decl.span), "detail": exc.detail})
-        except (enc.EncodingError, enc.PositivityError, surface.SyntaxErr) as exc:
-            errors.append({"code": "ElaborationError", "span": str(decl.span), "detail": str(exc)})
     return errors
 
 
@@ -112,7 +107,7 @@ def _checked_files(args):
     )
     for path in args.files:
         out: list = []
-        errors = process_file(path, constants, {}, out)
+        errors = process_file(path, constants, out)
         yield path, errors, out
 
 

@@ -5,8 +5,13 @@ standard second-order impredicative definitions; computation-type
 encodings route elimination through ``-o`` so the result is again a
 computation type.  The monadic type ``!B`` is the polymorphic
 continuation type ``forall ^X. (B -> ^X) -> ^X`` with ``^X`` ranging
-over computation types only, and ``bang``/``let`` are definable sugar
-rather than primitives.
+over computation types only.
+
+Type sugar is pure abbreviation, so the parser calls the encoders here as
+it reads it and no sugar type ever exists.  The term sugar ``bang t`` and
+``let x <= t in u`` is type-directed: the parser builds ``BangTerm`` and
+``LetTerm`` nodes, and ``elaborate_term`` expands them once the types of
+their subterms are known.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from . import surface, typecheck as tc
+from . import typecheck as tc
 from .kernel import (
     App,
     Arrow,
@@ -192,6 +197,28 @@ def bang_payload(ty: TypeExpr) -> Optional[TypeExpr]:
 
 # ---------------------------------------------------------------------------
 # term-level sugar
+
+
+@dataclass(frozen=True)
+class BangTerm(TermExpr):
+    """``bang t``, before elaboration."""
+
+    arg: TermExpr
+
+    def free_vars(self) -> frozenset[str]:
+        return free_term_vars(self.arg)
+
+
+@dataclass(frozen=True)
+class LetTerm(TermExpr):
+    """``let x <= t in u``, before elaboration."""
+
+    var: str
+    bound: TermExpr
+    body: TermExpr
+
+    def free_vars(self) -> frozenset[str]:
+        return free_term_vars(self.bound) | (free_term_vars(self.body) - {self.var})
 
 
 def _fresh_tm(base: str, *terms: TermExpr) -> str:
@@ -440,83 +467,11 @@ def cbpv_translate_type(t: CbpvType) -> TypeExpr:
 # sugar elaboration
 
 
-def elaborate_type(t: TypeExpr, abbrevs: dict = {}) -> TypeExpr:
-    """Expand surface sugar nodes into the core grammar, bottom-up.
-
-    ``abbrevs`` maps declared type names to (already core) expansions; a
-    name shadowed by a quantifier stays a variable.
-    """
-    return _elaborate_type(t, abbrevs)
-
-
-def _elaborate_type(t: TypeExpr, abbrevs: dict) -> TypeExpr:
-    def elaborate_type(u):
-        return _elaborate_type(u, abbrevs)
-
-    if isinstance(t, VVar):
-        return abbrevs.get(t.name, t)
-    if isinstance(t, CVar):
-        return t
-    if isinstance(t, Arrow):
-        return Arrow(elaborate_type(t.dom), elaborate_type(t.cod))
-    if isinstance(t, Lolli):
-        return Lolli(elaborate_type(t.dom), elaborate_type(t.cod))
-    if isinstance(t, ForallV):
-        inner = {k: v for k, v in abbrevs.items() if k != t.binder}
-        return ForallV(t.binder, _elaborate_type(t.body, inner))
-    if isinstance(t, ForallC):
-        return ForallC(t.binder, elaborate_type(t.body))
-    if isinstance(t, surface.UnitT):
-        return encode_value_type("Unit")
-    if isinstance(t, surface.ZeroT):
-        return encode_value_type("Zero")
-    if isinstance(t, surface.NumT):
-        return encode_num(t.n)
-    if isinstance(t, surface.ProdT):
-        return encode_value_type("Prod", (elaborate_type(t.left), elaborate_type(t.right)))
-    if isinstance(t, surface.SumT):
-        return encode_value_type("Sum", (elaborate_type(t.left), elaborate_type(t.right)))
-    if isinstance(t, surface.Bang):
-        return encode_bang(elaborate_type(t.arg))
-    if isinstance(t, surface.UnitCT):
-        return encode_comp_type("UnitC")
-    if isinstance(t, surface.ZeroCT):
-        return encode_comp_type("ZeroC")
-    if isinstance(t, surface.ProdCT):
-        return encode_comp_type("ProdC", (elaborate_type(t.left), elaborate_type(t.right)))
-    if isinstance(t, surface.OplusT):
-        return encode_comp_type("Oplus", (elaborate_type(t.left), elaborate_type(t.right)))
-    if isinstance(t, surface.CopowerT):
-        return encode_comp_type("Copower", (elaborate_type(t.weight), elaborate_type(t.arg)))
-    if isinstance(t, surface.BinderT):
-        inner = abbrevs if t.csort else {k: v for k, v in abbrevs.items() if k != t.binder}
-        body = _elaborate_type(t.body, inner)
-        body_comp = classify_type(body) is Kind.COMPUTATION
-        if t.ctor == "exists":
-            if t.csort:
-                ctor = "ExistsCC" if body_comp else "ExistsC"
-            else:
-                ctor = "ExistsVC" if body_comp else "ExistsV"
-            if ctor in ("ExistsVC", "ExistsCC"):
-                return encode_comp_type(ctor, (t.binder, body))
-            return encode_value_type(ctor, (t.binder, body))
-        if t.ctor == "mu":
-            if t.csort:
-                return encode_comp_type("MuC", (t.binder, body))
-            return encode_value_type("Mu", (t.binder, body))
-        if t.ctor == "nu":
-            if t.csort:
-                return encode_comp_type("NuC", (t.binder, body))
-            return encode_value_type("Nu", (t.binder, body))
-    raise EncodingError(f"cannot elaborate type {t!r}")
-
-
 def elaborate_term(
     t: TermExpr,
     gamma: tc.Ctx = (),
     delta: tc.Stoup = None,
     constants: tc.Constants = {},
-    abbrevs: dict = {},
 ) -> TermExpr:
     """Expand term sugar, threading the stoup the way the checker will.
 
@@ -526,46 +481,35 @@ def elaborate_term(
     if isinstance(t, Var):
         return t
     if isinstance(t, Lam):
-        ann = elaborate_type(t.ann, abbrevs)
-        body = elaborate_term(t.body, gamma + ((t.var, ann),), delta, constants, abbrevs)
-        return Lam(t.var, ann, body)
+        return Lam(t.var, t.ann, elaborate_term(t.body, gamma + ((t.var, t.ann),), delta, constants))
     if isinstance(t, LinLam):
-        ann = elaborate_type(t.ann, abbrevs)
-        body = elaborate_term(t.body, gamma, (t.var, ann), constants, abbrevs)
-        return LinLam(t.var, ann, body)
+        return LinLam(t.var, t.ann, elaborate_term(t.body, gamma, (t.var, t.ann), constants))
     if isinstance(t, App):
         if delta is None:
             return App(
-                elaborate_term(t.fn, gamma, None, constants, abbrevs),
-                elaborate_term(t.arg, gamma, None, constants, abbrevs),
+                elaborate_term(t.fn, gamma, None, constants),
+                elaborate_term(t.arg, gamma, None, constants),
             )
         side = tc.route_stoup(delta, t.fn, t.arg)
         dfn, darg = (delta, None) if side == "fn" else (None, delta)
         return App(
-            elaborate_term(t.fn, gamma, dfn, constants, abbrevs),
-            elaborate_term(t.arg, gamma, darg, constants, abbrevs),
+            elaborate_term(t.fn, gamma, dfn, constants),
+            elaborate_term(t.arg, gamma, darg, constants),
         )
     if isinstance(t, (TyLamV, TyLamC)):
-        inner = abbrevs
-        if isinstance(t, TyLamV):
-            inner = {k: v for k, v in abbrevs.items() if k != t.binder}
-        return type(t)(t.binder, elaborate_term(t.body, gamma, delta, constants, inner))
+        return type(t)(t.binder, elaborate_term(t.body, gamma, delta, constants))
     if isinstance(t, (TyAppV, TyAppC)):
-        fn = elaborate_term(t.fn, gamma, delta, constants, abbrevs)
-        arg = elaborate_type(t.arg, abbrevs)
-        # re-route through the argument's true class, which sugar may have hidden
-        node = TyAppC if classify_type(arg) is Kind.COMPUTATION else TyAppV
-        return node(fn, arg)
-    if isinstance(t, surface.BangTerm):
+        return type(t)(elaborate_term(t.fn, gamma, delta, constants), t.arg)
+    if isinstance(t, BangTerm):
         if delta is not None:
             raise tc.TypingError(
                 tc.ErrorCode.STOUP_VIOLATION, "bang body cannot consume the stoup"
             )
-        arg = elaborate_term(t.arg, gamma, None, constants, abbrevs)
+        arg = elaborate_term(t.arg, gamma, None, constants)
         payload = tc.synth(gamma, None, arg, constants)
         return elaborate_bang_intro(arg, payload)
-    if isinstance(t, surface.LetTerm):
-        bound = elaborate_term(t.bound, gamma, delta, constants, abbrevs)
+    if isinstance(t, LetTerm):
+        bound = elaborate_term(t.bound, gamma, delta, constants)
         bound_ty = tc.synth(gamma, delta, bound, constants)
         payload = bang_payload(bound_ty)
         if payload is None:
@@ -573,7 +517,7 @@ def elaborate_term(
                 tc.ErrorCode.APP_MISMATCH,
                 f"let expects a !-typed bound term, got {bound_ty}",
             )
-        body = elaborate_term(t.body, gamma + ((t.var, payload),), None, constants, abbrevs)
+        body = elaborate_term(t.body, gamma + ((t.var, payload),), None, constants)
         result = tc.synth(gamma + ((t.var, payload),), None, body, constants)
         if classify_type(result) is not Kind.COMPUTATION:
             raise tc.TypingError(

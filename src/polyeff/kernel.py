@@ -106,11 +106,15 @@ VSORT, CSORT = "v", "c"  # the two sorts of type variable, as environment keys
 
 
 class TypeExpr:
-    """Base of type syntax: the interned core constructors and surface sugar."""
+    """Base of type syntax: the six interned core constructors below.
 
-    _fv = None  # free variables as nodes, cached on first use (core only)
+    There is no other type tree: the parser expands every piece of type
+    sugar and every ``type`` abbreviation into these as it reads them.
+    """
+
+    _fv = None  # free variables as nodes, cached on first use
     _fvk = None  # the same as (sort, name) keys
-    _kind = None  # the kind, cached on first use (core only)
+    _kind = None  # the kind, cached on first use
 
 
 @hash_consed
@@ -152,13 +156,12 @@ def classify_type(t: TypeExpr) -> Kind:
 
     Total and deterministic on well-formed trees.  Raises KindError when a
     ``-o`` has a non-computation operand, since no well-formed type may
-    contain one.  The kind of a core type is computed once.
+    contain one.  The kind of a type is computed once.
     """
     kind = getattr(t, "_kind", None)
     if kind is None:
         kind = _classify(t)
-        if isinstance(t, Interned):
-            object.__setattr__(t, "_kind", kind)
+        object.__setattr__(t, "_kind", kind)
     return kind
 
 
@@ -178,10 +181,6 @@ def _classify(t: TypeExpr) -> Kind:
         return Kind.VALUE
     if isinstance(t, (ForallV, ForallC)):
         return classify_type(t.body)
-    # Extension point for surface sugar nodes, which know their own class.
-    custom = getattr(t, "classify", None)
-    if custom is not None:
-        return custom()
     raise KindError(f"not a type expression: {t!r}")
 
 
@@ -572,3 +571,28 @@ class Judgment:
                 )
             if classify_type(self.delta[1]) is not Kind.COMPUTATION:
                 raise KindError(f"stoup type is not a computation type: {self.delta[1]}")
+
+
+# ---------------------------------------------------------------------------
+# source positions
+
+
+@dataclass(frozen=True)
+class SourceSpan:
+    """Where a piece of source text lies: ``(line, column)`` start and end."""
+
+    file: str
+    start: tuple[int, int]
+    end: tuple[int, int]
+
+    def __post_init__(self):
+        if self.end < self.start:
+            raise ValueError(f"span ends before it starts: {self.start}..{self.end}")
+
+    def __str__(self) -> str:
+        (l1, c1), (l2, c2) = self.start, self.end
+        return f"{self.file}:{l1}:{c1}-{l2}:{c2}"
+
+
+def synthetic_span() -> SourceSpan:
+    return SourceSpan("<input>", (0, 0), (0, 0))

@@ -1,8 +1,14 @@
 """Concrete syntax: lexer, parser and pretty-printer.
 
-The parser produces kernel trees extended with sugar nodes (``!B``,
-products, sums, numerals, ``bang t``, ``let x <= t in u``); the
-encodings module expands sugar into the core grammar.
+Type sugar is pure abbreviation, so the parser expands it as it reads it:
+``!B``, products, sums, numerals, ``exists``, ``mu`` and ``nu`` go through
+the ``encodings`` encoders, bottom-up, and a name declared by ``type N =
+ty`` is replaced by its expansion.  Every type leaves the parser in core
+form.  A value-sorted binder (``forall X.``, ``exists X.``, ``mu X.``,
+``nu X.``, ``Fun X =>``) hides an abbreviation named ``X`` in its body; a
+``^`` binder does not.  Only the type-directed term sugar ``bang t`` and
+``let x <= t in u`` stays as ``encodings.BangTerm`` and ``LetTerm`` nodes,
+for ``encodings.elaborate_term``.
 
 Grammar sketch (``--`` starts a line comment):
 
@@ -25,8 +31,10 @@ Declarations: ``type N = ty`` and ``def n : ty = term``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
+from . import encodings as enc
+from .encodings import BangTerm, LetTerm
 from .kernel import (
     App,
     Arrow,
@@ -38,6 +46,7 @@ from .kernel import (
     Lam,
     LinLam,
     Lolli,
+    SourceSpan,
     TermExpr,
     TyAppC,
     TyAppV,
@@ -47,27 +56,7 @@ from .kernel import (
     VVar,
     Var,
     classify_type,
-    free_term_vars,
 )
-
-
-@dataclass(frozen=True)
-class SourceSpan:
-    file: str
-    start: tuple[int, int]
-    end: tuple[int, int]
-
-    def __post_init__(self):
-        if self.end < self.start:
-            raise ValueError(f"span ends before it starts: {self.start}..{self.end}")
-
-    def __str__(self) -> str:
-        (l1, c1), (l2, c2) = self.start, self.end
-        return f"{self.file}:{l1}:{c1}-{l2}:{c2}"
-
-
-def synthetic_span() -> SourceSpan:
-    return SourceSpan("<input>", (0, 0), (0, 0))
 
 
 class SyntaxErr(Exception):
@@ -76,133 +65,6 @@ class SyntaxErr(Exception):
         self.message = message
         self.span = span
         self.expected = expected
-
-
-# ---------------------------------------------------------------------------
-# sugar nodes (type level)
-
-
-@dataclass(frozen=True)
-class UnitT(TypeExpr):
-    def classify(self) -> Kind:
-        return Kind.VALUE
-
-
-@dataclass(frozen=True)
-class ZeroT(TypeExpr):
-    def classify(self) -> Kind:
-        return Kind.VALUE
-
-
-@dataclass(frozen=True)
-class NumT(TypeExpr):
-    """Numeral ``n``: the n-fold sum 1 + ... + 1."""
-
-    n: int
-
-    def classify(self) -> Kind:
-        return Kind.VALUE
-
-
-@dataclass(frozen=True)
-class ProdT(TypeExpr):
-    left: TypeExpr
-    right: TypeExpr
-
-    def classify(self) -> Kind:
-        return Kind.VALUE
-
-
-@dataclass(frozen=True)
-class SumT(TypeExpr):
-    left: TypeExpr
-    right: TypeExpr
-
-    def classify(self) -> Kind:
-        return Kind.VALUE
-
-
-@dataclass(frozen=True)
-class Bang(TypeExpr):
-    arg: TypeExpr
-
-    def classify(self) -> Kind:
-        return Kind.COMPUTATION
-
-
-@dataclass(frozen=True)
-class UnitCT(TypeExpr):
-    def classify(self) -> Kind:
-        return Kind.COMPUTATION
-
-
-@dataclass(frozen=True)
-class ZeroCT(TypeExpr):
-    def classify(self) -> Kind:
-        return Kind.COMPUTATION
-
-
-@dataclass(frozen=True)
-class ProdCT(TypeExpr):
-    left: TypeExpr
-    right: TypeExpr
-
-    def classify(self) -> Kind:
-        return Kind.COMPUTATION
-
-
-@dataclass(frozen=True)
-class OplusT(TypeExpr):
-    left: TypeExpr
-    right: TypeExpr
-
-    def classify(self) -> Kind:
-        return Kind.COMPUTATION
-
-
-@dataclass(frozen=True)
-class CopowerT(TypeExpr):
-    weight: TypeExpr
-    arg: TypeExpr
-
-    def classify(self) -> Kind:
-        return Kind.COMPUTATION
-
-
-@dataclass(frozen=True)
-class BinderT(TypeExpr):
-    """exists/mu/nu binder sugar; ``csort`` marks a ^-sorted binder."""
-
-    ctor: str  # "exists" | "mu" | "nu"
-    binder: str
-    csort: bool
-    body: TypeExpr
-
-    def classify(self) -> Kind:
-        if self.ctor == "exists":
-            return Kind.VALUE
-        return classify_type(self.body)
-
-
-# sugar nodes (term level)
-
-
-@dataclass(frozen=True)
-class BangTerm(TermExpr):
-    arg: TermExpr
-
-    def free_vars(self) -> frozenset[str]:
-        return free_term_vars(self.arg)
-
-
-@dataclass(frozen=True)
-class LetTerm(TermExpr):
-    var: str
-    bound: TermExpr
-    body: TermExpr
-
-    def free_vars(self) -> frozenset[str]:
-        return free_term_vars(self.bound) | (free_term_vars(self.body) - {self.var})
 
 
 # ---------------------------------------------------------------------------
@@ -297,6 +159,7 @@ class _Parser:
         self.toks = toks
         self.pos = 0
         self.file = file
+        self.abbrevs: dict[str, TypeExpr] = {}  # type abbreviations in scope
 
     def peek(self, k: int = 0) -> Token:
         return self.toks[min(self.pos + k, len(self.toks) - 1)]
@@ -325,21 +188,55 @@ class _Parser:
         t = self.peek()
         return t.kind == "KW" and t.text == text
 
+    def binder(self) -> tuple[Token, bool]:
+        """A bound name, ``X`` or ``^X``: its token and whether it has the ``^``."""
+        csort = self.at_sym("^")
+        if csort:
+            self.next()
+        return self.expect("ID"), csort
+
+    def scoped(self, name: str, csort: bool, parse: Callable):
+        """``parse()`` under a binder: a value-sorted one hides the abbreviation it names."""
+        outer = self.abbrevs
+        if not csort and name in outer:
+            self.abbrevs = {k: v for k, v in outer.items() if k != name}
+        result = parse()
+        self.abbrevs = outer
+        return result
+
+    def kind_of(self, ty: TypeExpr, tok: Token) -> Kind:
+        """The kind of ``ty``; a type that has none is a syntax error at ``tok``."""
+        try:
+            return classify_type(ty)
+        except KindError:
+            raise SyntaxErr(f"ill-kinded type {print_type(ty)}", tok.span(self.file)) from None
+
     # -- types ---------------------------------------------------------
 
     def type_(self) -> TypeExpr:
         if self.at_kw("forall") or self.at_kw("exists") or self.at_kw("mu") or self.at_kw("nu"):
-            kw = self.next().text
-            csort = False
-            if self.at_sym("^"):
-                self.next()
-                csort = True
-            name = self.expect("ID").text
+            kw = self.next()
+            name, csort = self.binder()
             self.expect("SYM", ".")
-            body = self.type_()
-            if kw == "forall":
-                return ForallC(name, body) if csort else ForallV(name, body)
-            return BinderT(kw, name, csort, body)
+            body = self.scoped(name.text, csort, self.type_)
+            if kw.text == "forall":
+                return ForallC(name.text, body) if csort else ForallV(name.text, body)
+            if kw.text == "exists":
+                # the encoder's name: the binder's sort, then C for a computation body
+                comp = self.kind_of(body, kw) is Kind.COMPUTATION
+                ctor = ("ExistsC" if csort else "ExistsV") + ("C" if comp else "")
+            else:  # a ^ binder makes mu and nu computation types
+                comp = csort
+                ctor = kw.text.capitalize() + ("C" if csort else "")
+            encode = enc.encode_comp_type if comp else enc.encode_value_type
+            try:
+                return encode(ctor, (name.text, body))
+            except enc.PositivityError:
+                caret = "^" if csort else ""
+                raise SyntaxErr(
+                    f"{caret}{name.text} occurs negatively in {print_type(body)}",
+                    name.span(self.file),
+                ) from None
         return self.arrow_type()
 
     def arrow_type(self) -> TypeExpr:
@@ -348,15 +245,15 @@ class _Parser:
             self.next()
             return Arrow(left, self.type_())
         if self.at_sym("-o"):
-            tok = self.peek()
-            self.next()
+            tok = self.next()
             right = self.type_()
-            ty = Lolli(left, right)
-            try:
-                classify_type(ty)
-            except KindError as exc:
-                raise SyntaxErr(f"ill-kinded -o: {exc}", tok.span(self.file))
-            return ty
+            for side, operand in (("domain", left), ("codomain", right)):
+                if self.kind_of(operand, tok) is not Kind.COMPUTATION:
+                    raise SyntaxErr(
+                        f"ill-kinded -o: -o {side} is not a computation type: {print_type(operand)}",
+                        tok.span(self.file),
+                    )
+            return Lolli(left, right)
         return left
 
     def sum_type(self) -> TypeExpr:
@@ -364,7 +261,10 @@ class _Parser:
         while self.at_sym("+") or self.at_sym("(+)"):
             op = self.next().text
             right = self.prod_type()
-            left = SumT(left, right) if op == "+" else OplusT(left, right)
+            if op == "+":
+                left = enc.encode_value_type("Sum", (left, right))
+            else:
+                left = enc.encode_comp_type("Oplus", (left, right))
         return left
 
     def prod_type(self) -> TypeExpr:
@@ -372,14 +272,17 @@ class _Parser:
         while self.at_sym("*") or self.at_sym("*o"):
             op = self.next().text
             right = self.copower_type()
-            left = ProdT(left, right) if op == "*" else ProdCT(left, right)
+            if op == "*":
+                left = enc.encode_value_type("Prod", (left, right))
+            else:
+                left = enc.encode_comp_type("ProdC", (left, right))
         return left
 
     def copower_type(self) -> TypeExpr:
         left = self.atom_type()
         if self.at_sym("."):
             self.next()
-            return CopowerT(left, self.copower_type())
+            return enc.encode_comp_type("Copower", (left, self.copower_type()))
         return left
 
     def atom_type(self) -> TypeExpr:
@@ -390,7 +293,7 @@ class _Parser:
             return CVar(name)
         if t.kind == "SYM" and t.text == "!":
             self.next()
-            return Bang(self.atom_type())
+            return enc.encode_bang(self.atom_type())
         if t.kind == "SYM" and t.text == "(":
             self.next()
             inner = self.type_()
@@ -399,18 +302,13 @@ class _Parser:
         if t.kind == "NUM":
             self.next()
             if t.text == "1o":
-                return UnitCT()
+                return enc.encode_comp_type("UnitC")
             if t.text == "0o":
-                return ZeroCT()
-            n = int(t.text)
-            if n == 0:
-                return ZeroT()
-            if n == 1:
-                return UnitT()
-            return NumT(n)
+                return enc.encode_comp_type("ZeroC")
+            return enc.encode_num(int(t.text))
         if t.kind == "ID":
             self.next()
-            return VVar(t.text)
+            return self.abbrevs.get(t.text) or VVar(t.text)
         raise self.fail("expected a type", ("ID", "^", "(", "!", "forall"))
 
     # -- terms ---------------------------------------------------------
@@ -426,14 +324,10 @@ class _Parser:
             return Lam(name, ann, body) if kw == "fun" else LinLam(name, ann, body)
         if self.at_kw("Fun"):
             self.next()
-            csort = False
-            if self.at_sym("^"):
-                self.next()
-                csort = True
-            name = self.expect("ID").text
+            name, csort = self.binder()
             self.expect("SYM", "=>")
-            body = self.term()
-            return TyLamC(name, body) if csort else TyLamV(name, body)
+            body = self.scoped(name.text, csort, self.term)
+            return TyLamC(name.text, body) if csort else TyLamV(name.text, body)
         if self.at_kw("let"):
             self.next()
             name = self.expect("ID").text
@@ -448,16 +342,13 @@ class _Parser:
         head = self.atom_term()
         while True:
             if self.at_sym("@"):
-                self.next()
+                tok = self.next()
                 self.expect("SYM", "[")
                 ty = self.type_()
                 self.expect("SYM", "]")
-                # classification routes to the matching application node;
-                # sugar types classify through their hook
-                if classify_type(ty) is Kind.COMPUTATION:
-                    head = TyAppC(head, ty)
-                else:
-                    head = TyAppV(head, ty)
+                # the argument's kind picks the application node
+                node = TyAppC if self.kind_of(ty, tok) is Kind.COMPUTATION else TyAppV
+                head = node(head, ty)
                 continue
             t = self.peek()
             if t.kind == "ID" or (t.kind == "SYM" and t.text == "(") or t.kind == "KW" and t.text == "bang":
@@ -531,7 +422,7 @@ def parse_file(text: str, file: str = "<input>") -> list[Decl]:
             p.next()
             name = p.expect("ID").text
             p.expect("SYM", "=")
-            ty = p.type_()
+            ty = p.abbrevs[name] = p.type_()
             decls.append(TypeDecl(name, ty, start.span(file)))
         elif p.at_kw("def"):
             p.next()
@@ -549,18 +440,12 @@ def parse_file(text: str, file: str = "<input>") -> list[Decl]:
 # ---------------------------------------------------------------------------
 # pretty-printer
 
-_TY_ATOM, _TY_COP, _TY_PROD, _TY_SUM, _TY_ARROW, _TY_QUANT = range(6)
+_TY_ATOM, _TY_ARROW, _TY_QUANT = range(3)
 
 
 def _ty_prec(t: TypeExpr) -> int:
-    if isinstance(t, (VVar, CVar, UnitT, ZeroT, NumT, UnitCT, ZeroCT, Bang)):
+    if isinstance(t, (VVar, CVar)):
         return _TY_ATOM
-    if isinstance(t, CopowerT):
-        return _TY_COP
-    if isinstance(t, (ProdT, ProdCT)):
-        return _TY_PROD
-    if isinstance(t, (SumT, OplusT)):
-        return _TY_SUM
     if isinstance(t, (Arrow, Lolli)):
         return _TY_ARROW
     return _TY_QUANT
@@ -577,39 +462,14 @@ def _pt_raw(t: TypeExpr) -> str:
         return t.name
     if isinstance(t, CVar):
         return f"^{t.name}"
-    if isinstance(t, UnitT):
-        return "1"
-    if isinstance(t, ZeroT):
-        return "0"
-    if isinstance(t, NumT):
-        return str(t.n)
-    if isinstance(t, UnitCT):
-        return "1o"
-    if isinstance(t, ZeroCT):
-        return "0o"
-    if isinstance(t, Bang):
-        return f"!{_pt(t.arg, _TY_ATOM)}"
     if isinstance(t, Arrow):
         return f"{_pt(t.dom, _TY_ARROW - 1)} -> {_pt(t.cod, _TY_ARROW)}"
     if isinstance(t, Lolli):
         return f"{_pt(t.dom, _TY_ARROW - 1)} -o {_pt(t.cod, _TY_ARROW)}"
-    if isinstance(t, SumT):
-        return f"{_pt(t.left, _TY_SUM)} + {_pt(t.right, _TY_SUM - 1)}"
-    if isinstance(t, OplusT):
-        return f"{_pt(t.left, _TY_SUM)} (+) {_pt(t.right, _TY_SUM - 1)}"
-    if isinstance(t, ProdT):
-        return f"{_pt(t.left, _TY_PROD)} * {_pt(t.right, _TY_PROD - 1)}"
-    if isinstance(t, ProdCT):
-        return f"{_pt(t.left, _TY_PROD)} *o {_pt(t.right, _TY_PROD - 1)}"
-    if isinstance(t, CopowerT):
-        return f"{_pt(t.weight, _TY_COP - 1)} . {_pt(t.arg, _TY_COP)}"
     if isinstance(t, ForallV):
         return f"forall {t.binder}. {_pt(t.body, _TY_QUANT)}"
     if isinstance(t, ForallC):
         return f"forall ^{t.binder}. {_pt(t.body, _TY_QUANT)}"
-    if isinstance(t, BinderT):
-        caret = "^" if t.csort else ""
-        return f"{t.ctor} {caret}{t.binder}. {_pt(t.body, _TY_QUANT)}"
     raise ValueError(f"cannot print {t!r}")
 
 

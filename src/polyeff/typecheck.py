@@ -32,6 +32,7 @@ from .kernel import (
     Lam,
     LinLam,
     Lolli,
+    SourceSpan,
     TermExpr,
     TyAppC,
     TyAppV,
@@ -48,8 +49,8 @@ from .kernel import (
     fresh_name,
     subst_term,
     subst_type,
+    synthetic_span,
 )
-from .surface import SourceSpan, synthetic_span
 
 
 class ErrorCode(Enum):

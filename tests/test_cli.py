@@ -53,6 +53,55 @@ def test_elaborate_prints_kernel_declarations(capsys):
     assert "!" not in out  # sugar is gone
 
 
+TWO = "forall X1. ((forall X. X -> X) -> X1) -> ((forall X. X -> X) -> X1) -> X1"
+
+
+def test_value_binders_hide_an_abbreviation_and_caret_binders_do_not(tmp_path, capsys):
+    src = tmp_path / "scope.pe"
+    src.write_text(
+        "type T = 2\n"
+        "type F = forall T. T -> T\n"
+        "type E = exists T. T -> B\n"
+        "type M = mu T. B -> T\n"
+        "type N = nu T. B -> T\n"
+        "type C = forall ^T. T -> ^T\n"
+        "def v : forall T. T -> T = Fun T => fun x:T => x\n"
+        "def c : forall ^T. T -> T = Fun ^T => fun x:T => x\n"
+    )
+    code, out, _ = run(capsys, "elaborate", str(src))
+    assert code == 0
+    assert out.splitlines() == [
+        f"type T = {TWO}",
+        "type F = forall T. T -> T",
+        "type E = forall Y. (forall T. (T -> B) -> Y) -> Y",
+        "type M = forall T. ((B -> T) -> T) -> T",
+        "type N = forall Y. (forall T. (forall X. ((T -> B -> T) -> T -> X) -> X) -> Y) -> Y",
+        f"type C = forall ^T. ({TWO}) -> ^T",
+        "def v : forall T. T -> T = Fun T => fun x:T => x",
+        f"def c : forall ^T. ({TWO}) -> ({TWO}) = Fun ^T => fun x:{TWO} => x",
+    ]
+
+
+def test_an_abbreviation_of_a_computation_type_may_stand_under_lolli(tmp_path, capsys):
+    src = tmp_path / "lolli.pe"
+    src.write_text("type M = !B\ndef k : M -o M = lfun m:M => m\n")
+    code, out, _ = run(capsys, "check", str(src))
+    assert code == 0
+    assert "2 declaration(s) checked, 0 error(s)" in out
+
+
+def test_non_positive_recursion_is_a_syntax_error(tmp_path, capsys):
+    src = tmp_path / "bad.pe"
+    src.write_text("type Ok = 2\ntype Bad = mu X. X -> B\ndef i : B -> B = fun x:B => x\n")
+    code, out, _ = run(capsys, "check", "--format", "json", str(src))
+    assert code == 1
+    assert json.loads(out) == {"file": str(src), "checked": 0, "errors": [{
+        "code": "SyntaxError",
+        "span": f"{src}:2:15-2:16",
+        "detail": "X occurs negatively in X -> B",
+    }]}
+
+
 def test_eval_identity(capsys):
     code, out, _ = run(capsys, "eval", "fun x:2 => x")
     assert code == 0

@@ -225,7 +225,7 @@ def test_effect_constant_signatures():
     assert alpha_eq(sigs["or"].scheme, parse_type("forall ^X. ^X -> ^X -> ^X"))
     sigs = {s.name: s for s in enc.register_effect_constants("exception", ("e",))}
     assert alpha_eq(sigs["raise^e"].scheme, parse_type("forall ^X. ^X"))
-    handler_src = enc.elaborate_type(parse_type("forall X. (2 -> !X) -o !X"))
+    handler_src = parse_type("forall X. (2 -> !X) -o !X")
     assert alpha_eq(sigs["handle^e"].scheme, handler_src)
     with pytest.raises(enc.EncodingError):
         enc.register_effect_constants("state")

@@ -2,13 +2,15 @@
 
 import pytest
 
+from polyeff import encodings as enc
 from polyeff import surface
-from polyeff.encodings import elaborate_type
+from polyeff.encodings import BangTerm, LetTerm
 from polyeff.kernel import (
     Arrow,
     CVar,
     ForallC,
     ForallV,
+    Kind,
     LinLam,
     Lolli,
     TyAppC,
@@ -16,12 +18,10 @@ from polyeff.kernel import (
     Var,
     VVar,
     alpha_eq,
+    classify_type,
 )
 from polyeff.randterms import TermGenerator
 from polyeff.surface import (
-    Bang,
-    BangTerm,
-    LetTerm,
     SyntaxErr,
     parse_file,
     parse_term,
@@ -41,9 +41,9 @@ def test_parse_linear_lambda():
     assert t == LinLam("x", CVar("A"), Var("x"))
 
 
-def test_parse_keeps_bang_as_surface_node():
+def test_parse_expands_bang_to_its_encoding():
     ty = parse_type("!B")
-    assert ty == Bang(VVar("B"))
+    assert alpha_eq(ty, enc.encode_bang(VVar("B")))
 
 
 def test_parse_let_and_bang_terms():
@@ -69,12 +69,10 @@ def test_quantifiers_extend_right():
 
 def test_sugar_precedence():
     # products bind tighter than sums, copower tighter than products
-    ty = parse_type("1 * 2 + 0")
-    assert isinstance(ty, surface.SumT)
-    assert isinstance(ty.left, surface.ProdT)
-    ty2 = parse_type("B . ^A -o ^X")
-    assert isinstance(ty2, Lolli)
-    assert isinstance(ty2.dom, surface.CopowerT)
+    prod = enc.encode_value_type("Prod", (enc.encode_num(1), enc.encode_num(2)))
+    assert alpha_eq(parse_type("1 * 2 + 0"), enc.encode_value_type("Sum", (prod, enc.encode_num(0))))
+    copower = enc.encode_comp_type("Copower", (VVar("B"), CVar("A")))
+    assert alpha_eq(parse_type("B . ^A -o ^X"), Lolli(copower, CVar("X")))
 
 
 def test_type_application_routes_on_argument_class():
@@ -110,8 +108,37 @@ def test_syntax_error_has_span_and_expectations():
 
 
 def test_ill_kinded_lolli_rejected_at_parse_time():
-    with pytest.raises(SyntaxErr):
+    with pytest.raises(SyntaxErr) as err:
         parse_type("B -o ^C")
+    assert err.value.message == "ill-kinded -o: -o domain is not a computation type: B"
+    assert str(err.value.span) == "<input>:1:3-1:5"
+
+
+def test_computation_existentials_classify_under_lolli():
+    for src in ("(exists ^X. ^X) -o exists ^X. ^X", "(exists X. X -> ^B) -o ^C"):
+        assert classify_type(parse_type(src)) is Kind.VALUE
+    assert classify_type(parse_type("exists ^X. ^X")) is Kind.COMPUTATION
+
+
+def test_abbreviation_of_a_computation_type():
+    decls = parse_file("type M = !B\ndef k : M -o M = lfun m:M => m\ndef g : B = f @[M]")
+    bang_b = enc.encode_bang(VVar("B"))
+    assert decls[1].ty == Lolli(bang_b, bang_b)
+    assert decls[1].term == LinLam("m", bang_b, Var("m"))
+    assert decls[2].term == TyAppC(Var("f"), bang_b)
+
+
+def test_sugar_without_a_kind_is_a_syntax_error_where_its_kind_is_needed():
+    with pytest.raises(SyntaxErr) as err:
+        parse_term("f @[^A *o B]")
+    assert err.value.message.startswith("ill-kinded type forall ^X.")
+
+
+def test_non_positive_recursion_is_a_syntax_error_at_its_binder():
+    with pytest.raises(SyntaxErr) as err:
+        parse_file("type Ok = mu X. B -> X\ntype Bad = nu ^X. ^X -> ^X\n", "f.pe")
+    assert err.value.message == "^X occurs negatively in ^X -> ^X"
+    assert str(err.value.span) == "f.pe:2:16-2:17"
 
 
 ROUND_TRIP_CASES = [
@@ -132,8 +159,7 @@ ROUND_TRIP_CASES = [
 @pytest.mark.parametrize("src", ROUND_TRIP_CASES)
 def test_type_round_trip(src):
     ty = parse_type(src)
-    back = parse_type(print_type(ty))
-    assert alpha_eq(elaborate_type(back), elaborate_type(ty))
+    assert parse_type(print_type(ty)) == ty
 
 
 TERM_ROUND_TRIP_CASES = [
