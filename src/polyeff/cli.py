@@ -134,9 +134,9 @@ def cmd_elaborate(args) -> int:
                 print(f"{err['span']}: {err['code']}: {err['detail']}")
         for name, kind, ty, term in out:
             if kind == "type":
-                print(f"type {name} = {surface.print_type(ty)}")
+                print(f"type {name} = {ty}")
             else:
-                print(f"def {name} : {surface.print_type(ty)} = {surface.print_term(term)}")
+                print(f"def {name} : {ty} = {term}")
     return status
 
 
@@ -166,12 +166,12 @@ def cmd_eval(args) -> int:
         return 3
     if _opt(args, "format", "text") == "json":
         print(json.dumps({
-            "type": surface.print_type(ty),
+            "type": str(ty),
             "set": ip.semset_to_json(model, sem),
             "value": ip.decode_value(model, sem, val),
         }, sort_keys=True))
     else:
-        print(f"type:  {surface.print_type(ty)}")
+        print(f"type:  {ty}")
         decoded = json.dumps(ip.decode_value(model, sem, val))
         print(f"value: {decoded} (index {val} of {sem.size})")
     return 0

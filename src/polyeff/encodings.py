@@ -30,6 +30,8 @@ from .kernel import (
     Lam,
     LinLam,
     Lolli,
+    PREC_ATOM,
+    PREC_INFIX,
     TermExpr,
     TyAppC,
     TyAppV,
@@ -43,6 +45,7 @@ from .kernel import (
     free_term_vars,
     free_type_vars,
     fresh_name,
+    parenthesized,
 )
 
 
@@ -204,6 +207,10 @@ class BangTerm(TermExpr):
     """``bang t``, before elaboration."""
 
     arg: TermExpr
+    _prec = PREC_ATOM
+
+    def __str__(self) -> str:
+        return f"bang {parenthesized(self.arg, PREC_ATOM)}"
 
     def free_vars(self) -> frozenset[str]:
         return free_term_vars(self.arg)
@@ -216,6 +223,9 @@ class LetTerm(TermExpr):
     var: str
     bound: TermExpr
     body: TermExpr
+
+    def __str__(self) -> str:
+        return f"let {self.var} <= {parenthesized(self.bound, PREC_INFIX)} in {self.body}"
 
     def free_vars(self) -> frozenset[str]:
         return free_term_vars(self.bound) | (free_term_vars(self.body) - {self.var})

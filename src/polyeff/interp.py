@@ -40,16 +40,18 @@ form that ``finmodel`` owns: relation environments bind rows, and an
 
 The family search (``pairwise_search`` over ``Model.relatedness``) reads
 one of two constraint sources.  A *positive* body ``D1 -> ... -> Dn -> X``
-(see ``positive_args``) needs only the least relations its arguments
-generate: components ``u`` at object i and ``v`` at object j are related
-iff ``(u d, v d')`` lies in the admissible closure of the pairs each related
-argument pair ``(d, d')`` generates (``Model.least_links``), so no relation
-is enumerated.  Any other body is tested under every admissible relation
-of ``rels_for_pair``.  A component may come from
-``Model.self_related_tables``, which forward-checks one value mask per
-argument against either source; the search tests each generated table
-again.  Generated least-relation tables may pass ``ITER_CAP``; listed
-domains, and tables generated from every relation, may not.
+(see ``positive_args``; an argument may reach ``X`` through ``->`` and
+``-o``) needs only the least relations its arguments generate: components
+``u`` at object i and ``v`` at object j are related iff ``(u d, v d')`` lies
+in the admissible closure of the pairs each related argument pair ``(d,
+d')`` generates (``Model.least_links``), so no relation is enumerated.  Any
+other body is tested under every admissible relation of ``rels_for_pair``.
+Tables are generated from one source only: ``Model.self_related_tables``
+forward-checks one value mask per argument against a positive body's least
+links, and the search tests each generated table again; every other
+component is listed.  Generated tables may pass ``ITER_CAP``; listed domains
+may not.  ``relatedness(least=False)`` and ``enumerate_families_naive``
+keep every relation as the oracle.
 
 Terms are typechecked once per judgment: ``Model._compile`` routes the
 stoup, renames binders and synthesizes each node's type, and returns a
@@ -99,7 +101,6 @@ from .kernel import (
     hash_consed,
     subst_term,
 )
-from .surface import print_type
 
 NAIVE_FAMILY_CAP = 1_000_000
 ITER_CAP = 400_000
@@ -359,7 +360,7 @@ class RelView:
         if self._rows is None:
             if not self.fits():
                 raise OutOfBoundError(
-                    f"relation at {print_type(self.ty)} is too large to materialize:"
+                    f"relation at {self.ty} is too large to materialize:"
                     f" {self.left.size} x {self.right.size} pairs, more than ITER_CAP ({ITER_CAP})"
                 )
             self._rows = self._build_rows()
@@ -538,18 +539,19 @@ def pairwise_search(sizes: Sequence[int], ok: Callable[[int, int, int, int], boo
 def positive_args(sort: str, binder: str, body: TypeExpr) -> Optional[list]:
     """The arguments of a positive body ``D1 -> ... -> Dn -> X``, whose whole
     codomain is the binder ``X``: each ``Dk`` as ``(Dk, None)`` when ``X`` is
-    not free in it, or as ``(Dk, [E1, ..., Em])`` when it is ``E1 -> ... ->
-    Em -> X`` with ``X`` free in no ``Ei``.  None for any other body."""
+    not free in it, or as ``(Dk, [E1, ..., Em])`` when it is a chain of ``->``
+    and ``-o`` ending in ``X``, ``E1 -> ... -> Em -o X``, with ``X`` free in no
+    ``Ei``.  None for any other body, a top-level ``-o`` included."""
     x, key = (VVar if sort == VSORT else CVar)(binder), (sort, binder)
 
-    def chain(ty: TypeExpr) -> tuple[list, TypeExpr]:
+    def chain(ty: TypeExpr, arrows: tuple) -> tuple[list, TypeExpr]:
         doms = []
-        while isinstance(ty, Arrow):
+        while isinstance(ty, arrows):
             doms.append(ty.dom)
             ty = ty.cod
         return doms, ty
 
-    doms, cod = chain(body)
+    doms, cod = chain(body, Arrow)
     if cod is not x:
         return None
     args = []
@@ -557,11 +559,26 @@ def positive_args(sort: str, binder: str, body: TypeExpr) -> Optional[list]:
         if key not in free_type_var_keys(d):
             args.append((d, None))
             continue
-        es, end = chain(d)
+        es, end = chain(d, (Arrow, Lolli))
         if end is not x or any(key in free_type_var_keys(e) for e in es):
             return None
         args.append((d, es))
     return args
+
+
+def _leaves(sem: SemSet, depth: int) -> list[list[int]]:
+    """For each element ``g`` of a ``->``/``-o`` chain domain, its values at
+    the flat argument positions of the first ``depth`` arguments, the first
+    argument the most significant: ``g x1 ... xdepth`` at position ``(x1,
+    ..., xdepth)``, read through each level's ``apply``."""
+    out = []
+    for g in range(sem.size):
+        vals, level = [g], sem
+        for _ in range(depth):
+            vals = [level.apply(v, x) for v in vals for x in range(level.dom.size)]  # type: ignore[attr-defined]
+            level = level.cod  # type: ignore[attr-defined]
+        out.append(vals)
+    return out
 
 
 def _forward_check(n: int, m: int, constraints: Iterable[tuple[int, int, tuple[int, ...]]]
@@ -581,7 +598,7 @@ def _forward_check(n: int, m: int, constraints: Iterable[tuple[int, int, tuple[i
     links: list[dict[int, tuple[int, ...]]] = [{} for _ in range(n)]  # x -> {y < x: mask by c(x)}
     last = None
     for x, y, rows in constraints:
-        if rows is not last:  # a source yields runs of one relation
+        if rows is not last:  # neighbouring links often share one closure
             last, cols = rows, fm.converse(rows, m)
             diag = fm.mask_of((c for c in range(m) if rows[c] >> c & 1), m)
         if x == y:
@@ -839,7 +856,7 @@ class Model:
         def related(i: int, j: int, u: int, v: int) -> bool:
             hit = per_pair.get((i, j))
             if hit is None:
-                links = None if args is None else self.least_links(rho, sort, args, i, j)
+                links = None if args is None else self.least_links(rho, sort, binder, args, i, j)
                 if links is None:
                     hit = (self.rels_for_pair(sort, i, j), [])
                 else:
@@ -864,7 +881,7 @@ class Model:
 
         return related
 
-    def least_links(self, rho: RelEnv, sort: str, args: list, i: int, j: int
+    def least_links(self, rho: RelEnv, sort: str, binder: str, args: list, i: int, j: int
                     ) -> Optional[dict[tuple[int, int], tuple[int, ...]]]:
         """The least relations of a positive body (``args`` as ``positive_args``
         gives them) between objects i and j: ``{(p, q): rows}`` such that
@@ -874,16 +891,20 @@ class Model:
         significant digit).  None when an argument relation or the number of
         argument pairs exceeds ``ITER_CAP``.
 
-        Related arguments ``Dk = E1 -> ... -> Em -> X`` are exactly the pairs
-        ``(g, h)`` whose generated pairs ``{(g e, h e') : e, e' related}`` lie
-        in the relation at ``X``, and ``X`` is the codomain, so ``(u, v)``
+        Related arguments ``Dk``, chains of ``->`` and ``-o`` from ``E1``,
+        ..., ``Em`` to ``X``, are exactly the pairs ``(g, h)`` (functions or
+        homomorphisms alike) whose generated pairs ``{(g e, h e') : e, e'
+        related}`` lie in the relation at ``X``; an argument's value at each
+        flat position is read through its domain's ``apply`` (``_leaves``).
+        ``X`` is the codomain, so ``(u, v)``
         preserves every admissible relation iff ``(u d, v d')`` lies in the
         admissible closure of the pairs each argument pair ``(d, d')``
         generates: admissible relations are closed under intersection.
         """
         objs = self.objects(sort)
-        m, n = _carrier_size(objs[i]), _carrier_size(objs[j])
+        m = _carrier_size(objs[i])
         close = (lambda r: r) if sort == VSORT else (lambda r: fm.admissible_closure(r, objs[i], objs[j]))
+        left_env, right_env = rho.rho1.set(sort, binder, objs[i]), rho.rho2.set(sort, binder, objs[j])
         per_arg = []  # per argument: its related pairs with their generated rows, and its two sizes
         total = 1
         for d, es in args:
@@ -895,15 +916,14 @@ class Model:
                 sizes = (view.left.size, view.right.size)
             else:
                 views = [self.interp_rel(rho, e) for e in es]
-                el, er = prod(v.left.size for v in views), prod(v.right.size for v in views)
-                sizes = (m**el, n**er)
+                left, right = self.interp_vtype(left_env, d), self.interp_vtype(right_env, d)
+                sizes = (left.size, right.size)
                 if sizes[0] * sizes[1] > ITER_CAP or not all(v.fits() for v in views):
                     return None
                 flat = [(0, 0)]
                 for v in views:
                     flat = [(p * v.left.size + x, q * v.right.size + y) for p, q in flat for x, y in v.pairs()]
-                gd = [[g // m**p % m for p in range(el)] for g in range(sizes[0])]
-                hd = [[h // n**q % n for q in range(er)] for h in range(sizes[1])]
+                gd, hd = _leaves(left, len(es)), _leaves(right, len(es))
                 gen = [(g, h, fm.rows_of(((gp[p], hq[q]) for p, q in flat), m))
                        for g, gp in enumerate(gd) for h, hq in enumerate(hd)]
             total *= len(gen)
@@ -929,64 +949,37 @@ class Model:
 
     def self_related_tables(self, rho: RelEnv, sort: str, binder: str, body: TypeExpr, i: int
                             ) -> Optional[list[int]]:
-        """Every table ``c`` of the component of ``body`` at object ``i`` with
-        ``relatedness(rho, sort, binder, body)(i, i, c, c)``, ascending, by
-        ``_forward_check`` over one constraint source.
-
-        A positive body's ``least_links`` constrain the values at two flat
-        argument positions directly.  Otherwise, for a function component of
-        at most ``ITER_CAP`` tables, each ``q`` in ``rels_for_pair(sort, i,
-        i)`` relates ``c`` to itself iff ``(c(x), c(y))`` is in its codomain
-        relation for every ``(x, y)`` in its domain relation.  None when
-        neither source applies or a relation does not fit in rows.
+        """Every table ``c`` of the component of a positive body at object
+        ``i`` with ``relatedness(rho, sort, binder, body)(i, i, c, c)``,
+        ascending: its ``least_links`` constrain the values at two flat
+        argument positions, and ``_forward_check`` generates the tables that
+        meet them all.  None for any other body, or when ``least_links``
+        does not fit.
         """
+        args = positive_args(sort, binder, body)
+        links = None if args is None else self.least_links(rho, sort, binder, args, i, i)
+        if links is None:
+            return None
         obj = self.objects(sort)[i]
         env = rho.rho1.set(sort, binder, obj)
-        args = positive_args(sort, binder, body)
-        links = None if args is None else self.least_links(rho, sort, args, i, i)
-        if links is not None:
-            n = prod(self.interp_vtype(env, d).size for d, _ in args)
-            return _forward_check(n, _carrier_size(obj), ((p, q, rows) for (p, q), rows in links.items()))
-        comp = self.interp_vtype(env, body)
-        if not isinstance(comp, FunSem) or comp.size > ITER_CAP:
-            return None
-        views = [self.interp_rel(rho.set(sort, binder, obj, obj, q), body)
-                 for q in self.rels_for_pair(sort, i, i)]
-        if not all(v.dom_rel.fits() and v.cod_rel.fits() for v in views):  # type: ignore[attr-defined]
-            return None
-        return _forward_check(comp.dom.size, comp.cod.size, (
-            (x, y, view.cod_rel.rows())  # type: ignore[attr-defined]
-            for view in views for x, row in enumerate(view.dom_rel.rows())  # type: ignore[attr-defined]
-            for y in fm.bits_of(row)))
+        n = prod(self.interp_vtype(env, d).size for d, _ in args)
+        return _forward_check(n, _carrier_size(obj), ((p, q, rows) for (p, q), rows in links.items()))
 
     def _families(self, env: TypeEnv, sort: str, binder: str, body: TypeExpr,
                   comps: Sequence[SemSet]) -> tuple[tuple[int, ...], ...]:
-        """All component tuples that preserve every admissible relation.
-
-        A positive body's components are generated by
-        ``self_related_tables``.  Otherwise a function component is
-        generated when listing would cost more: listing tests each of
-        ``size`` tables against the relations, generating reads up to
-        ``dom.size ** 2`` domain pairs of each relation.
-        """
+        """All component tuples that preserve every admissible relation: a
+        positive body's components are generated by
+        ``self_related_tables``, every other component is listed."""
         rho = diag_relenv(env)
         related = self.relatedness(rho, sort, binder, body)
-        positive = positive_args(sort, binder, body) is not None
-
-        def candidates(i: int) -> Optional[list[int]]:
-            comp = comps[i]
-            if positive or isinstance(comp, FunSem) and (
-                    ITER_CAP >= comp.size > len(self.rels_for_pair(sort, i, i)) * comp.dom.size**2):
-                return self.self_related_tables(rho, sort, binder, body, i)
-            return None
-
         try:
-            return pairwise_search([c.size for c in comps], related, candidates)
+            return pairwise_search([c.size for c in comps], related,
+                                   lambda i: self.self_related_tables(rho, sort, binder, body, i))
         except OutOfBoundError as exc:
             ty = ForallV(binder, body) if sort == VSORT else ForallC(binder, body)
             objs = "sets" if sort == VSORT else "algebras"
             raise OutOfBoundError(
-                f"family search for {print_type(ty)} over the registered {objs}: {exc}"
+                f"family search for {ty} over the registered {objs}: {exc}"
             ) from exc
 
     def enumerate_families_naive(self, env: TypeEnv, ty: TypeExpr) -> tuple[tuple[int, ...], ...]:

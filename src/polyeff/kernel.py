@@ -104,6 +104,15 @@ def _forget(ref: _KeyedRef) -> None:
 
 VSORT, CSORT = "v", "c"  # the two sorts of type variable, as environment keys
 
+# how loosely printed syntax binds: atoms tightest, then arrows and
+# applications, then binders (a node's ``_prec``)
+PREC_ATOM, PREC_INFIX, PREC_BINDER = range(3)
+
+
+def parenthesized(x: Union["TypeExpr", "TermExpr"], limit: int) -> str:
+    """``str(x)``, in parentheses when ``x`` binds more loosely than ``limit``."""
+    return f"({x})" if x._prec > limit else str(x)
+
 
 class TypeExpr:
     """Base of type syntax: the six interned core constructors below.
@@ -115,28 +124,44 @@ class TypeExpr:
     _fv = None  # free variables as nodes, cached on first use
     _fvk = None  # the same as (sort, name) keys
     _kind = None  # the kind, cached on first use
+    _prec = PREC_BINDER
+
+    def __str__(self) -> str:
+        """Surface syntax, which ``surface.parse_type`` reads back."""
+        if isinstance(self, VVar):
+            return self.name
+        if isinstance(self, CVar):
+            return f"^{self.name}"
+        if isinstance(self, (Arrow, Lolli)):
+            op = "->" if isinstance(self, Arrow) else "-o"
+            return f"{parenthesized(self.dom, PREC_ATOM)} {op} {parenthesized(self.cod, PREC_INFIX)}"
+        return f"forall {'^' if isinstance(self, ForallC) else ''}{self.binder}. {self.body}"
 
 
 @hash_consed
 class VVar(TypeExpr, Interned):
     name: str
+    _prec = PREC_ATOM
 
 
 @hash_consed
 class CVar(TypeExpr, Interned):
     name: str
+    _prec = PREC_ATOM
 
 
 @hash_consed
 class Arrow(TypeExpr, Interned):
     dom: TypeExpr
     cod: TypeExpr
+    _prec = PREC_INFIX
 
 
 @hash_consed
 class Lolli(TypeExpr, Interned):
     dom: TypeExpr
     cod: TypeExpr
+    _prec = PREC_INFIX
 
 
 @hash_consed
@@ -298,12 +323,30 @@ def subst_type(body: TypeExpr, var: Union[VVar, CVar], replacement: TypeExpr) ->
 
 @dataclass(frozen=True)
 class TermExpr:
-    pass
+    """Base of term syntax.  A sugar node defined elsewhere prints itself:
+    it overrides ``__str__`` and ``_prec``."""
+
+    _prec = PREC_BINDER
+
+    def __str__(self) -> str:
+        """Surface syntax, which ``surface.parse_term`` reads back."""
+        if isinstance(self, Var):
+            return self.name
+        if isinstance(self, (Lam, LinLam)):
+            return f"{'fun' if isinstance(self, Lam) else 'lfun'} {self.var}:{self.ann} => {self.body}"
+        if isinstance(self, App):
+            return f"{parenthesized(self.fn, PREC_INFIX)} {parenthesized(self.arg, PREC_ATOM)}"
+        if isinstance(self, (TyLamV, TyLamC)):
+            return f"Fun {'^' if isinstance(self, TyLamC) else ''}{self.binder} => {self.body}"
+        if isinstance(self, (TyAppV, TyAppC)):
+            return f"{parenthesized(self.fn, PREC_INFIX)} @[{self.arg}]"
+        raise ValueError(f"not a term expression: {self!r}")
 
 
 @dataclass(frozen=True)
 class Var(TermExpr):
     name: str
+    _prec = PREC_ATOM
 
 
 @dataclass(frozen=True)
@@ -324,6 +367,7 @@ class LinLam(TermExpr):
 class App(TermExpr):
     fn: TermExpr
     arg: TermExpr
+    _prec = PREC_INFIX
 
 
 @dataclass(frozen=True)
@@ -342,12 +386,14 @@ class TyLamC(TermExpr):
 class TyAppV(TermExpr):
     fn: TermExpr
     arg: TypeExpr
+    _prec = PREC_INFIX
 
 
 @dataclass(frozen=True)
 class TyAppC(TermExpr):
     fn: TermExpr
     arg: TypeExpr
+    _prec = PREC_INFIX
 
 
 def free_term_vars(t: TermExpr) -> frozenset[str]:

@@ -48,7 +48,7 @@ from .kernel import (
     free_type_vars_term,
 )
 from .randterms import TermGenerator
-from .surface import parse_term, parse_type, print_type
+from .surface import parse_term, parse_type
 
 
 @dataclass
@@ -142,7 +142,7 @@ def semantically_equal(
     ty_l = tc.synth(gamma, delta, lhs, consts)
     ty_r = tc.synth(gamma, delta, rhs, consts)
     if not alpha_eq(ty_l, ty_r):
-        return {"detail": f"type mismatch: {print_type(ty_l)} vs {print_type(ty_r)}"}
+        return {"detail": f"type mismatch: {ty_l} vs {ty_r}"}
     bindings = list(gamma) + ([delta] if delta is not None else [])
     run_l, run_r = model._compile(lhs, gamma, delta), model._compile(rhs, gamma, delta)
     for tyenv in iter_type_envs(model, vnames, cnames):
@@ -869,7 +869,7 @@ def verify_identity_extension(model: ip.Model) -> VerificationReport:
             size = model.interp_vtype(env, ty).size
             got, want = view.rows(), fm.diagonal(size)
             if got != want:
-                failures.append({"type": print_type(ty),
+                failures.append({"type": str(ty),
                                  "extra": fm.rel_pairs([g & ~w for g, w in zip(got, want)]),
                                  "missing": fm.rel_pairs([w & ~g for g, w in zip(got, want)])})
                 break
@@ -934,7 +934,7 @@ def verify_abstraction(model: ip.Model, seed: int = 17, n_terms: int = 100) -> V
                 result_rel = model.interp_rel(rho, j.ascription)
                 if not result_rel.contains(l, r):
                     failures.append({
-                        "term": str(j.subject), "type": print_type(j.ascription),
+                        "term": str(j.subject), "type": str(j.ascription),
                         "lhs": l, "rhs": r,
                     })
                     break
@@ -1206,13 +1206,13 @@ def verify_typing_corpus() -> VerificationReport:
         if expected is not None and not alpha_eq(ty, expected):
             failures.append({
                 "case": f"pos-{i}",
-                "got": print_type(ty),
-                "want": print_type(expected),
+                "got": str(ty),
+                "want": str(expected),
             })
     for i, (j, code) in enumerate(negatives):
         try:
             ty = tc.typecheck(j, consts)
-            failures.append({"case": f"neg-{i}", "detail": f"accepted at {print_type(ty)}"})
+            failures.append({"case": f"neg-{i}", "detail": f"accepted at {ty}"})
         except tc.TypingError as exc:
             if exc.code is not code:
                 failures.append({
@@ -1282,7 +1282,7 @@ def verify_cbpv() -> VerificationReport:
     for i, (src, want) in enumerate(corpus):
         got = E.cbpv_translate_type(src)
         if not alpha_eq(got, want):
-            failures.append({"case": i, "got": print_type(got), "want": print_type(want)})
+            failures.append({"case": i, "got": str(got), "want": str(want)})
             continue
         classify_type(got)  # the output must be a well-formed type
         if isinstance(src, (E.CbpvF, E.CbpvProdC)) and classify_type(got).value != "computation":

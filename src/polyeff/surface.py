@@ -1,4 +1,5 @@
-"""Concrete syntax: lexer, parser and pretty-printer.
+"""Concrete syntax: lexer and parser.  ``str`` on a type or term prints
+it back (``kernel``).
 
 Type sugar is pure abbreviation, so the parser expands it as it reads it:
 ``!B``, products, sums, numerals, ``exists``, ``mu`` and ``nu`` go through
@@ -209,7 +210,17 @@ class _Parser:
         try:
             return classify_type(ty)
         except KindError:
-            raise SyntaxErr(f"ill-kinded type {print_type(ty)}", tok.span(self.file)) from None
+            raise SyntaxErr(f"ill-kinded type {ty}", tok.span(self.file)) from None
+
+    def computation(self, tok: Token, *operands: tuple[str, TypeExpr]) -> None:
+        """Each ``(role, operand)`` of the operator at ``tok`` must be a
+        computation type; one that is not is a syntax error at ``tok``."""
+        for role, operand in operands:
+            if self.kind_of(operand, tok) is not Kind.COMPUTATION:
+                raise SyntaxErr(
+                    f"ill-kinded {tok.text}: {tok.text} {role} is not a computation type: {operand}",
+                    tok.span(self.file),
+                )
 
     # -- types ---------------------------------------------------------
 
@@ -227,6 +238,8 @@ class _Parser:
                 ctor = ("ExistsC" if csort else "ExistsV") + ("C" if comp else "")
             else:  # a ^ binder makes mu and nu computation types
                 comp = csort
+                if comp:
+                    self.computation(kw, ("body", body))
                 ctor = kw.text.capitalize() + ("C" if csort else "")
             encode = enc.encode_comp_type if comp else enc.encode_value_type
             try:
@@ -234,7 +247,7 @@ class _Parser:
             except enc.PositivityError:
                 caret = "^" if csort else ""
                 raise SyntaxErr(
-                    f"{caret}{name.text} occurs negatively in {print_type(body)}",
+                    f"{caret}{name.text} occurs negatively in {body}",
                     name.span(self.file),
                 ) from None
         return self.arrow_type()
@@ -247,42 +260,41 @@ class _Parser:
         if self.at_sym("-o"):
             tok = self.next()
             right = self.type_()
-            for side, operand in (("domain", left), ("codomain", right)):
-                if self.kind_of(operand, tok) is not Kind.COMPUTATION:
-                    raise SyntaxErr(
-                        f"ill-kinded -o: -o {side} is not a computation type: {print_type(operand)}",
-                        tok.span(self.file),
-                    )
+            self.computation(tok, ("domain", left), ("codomain", right))
             return Lolli(left, right)
         return left
 
     def sum_type(self) -> TypeExpr:
         left = self.prod_type()
         while self.at_sym("+") or self.at_sym("(+)"):
-            op = self.next().text
+            tok = self.next()
             right = self.prod_type()
-            if op == "+":
+            if tok.text == "+":
                 left = enc.encode_value_type("Sum", (left, right))
             else:
+                self.computation(tok, ("left operand", left), ("right operand", right))
                 left = enc.encode_comp_type("Oplus", (left, right))
         return left
 
     def prod_type(self) -> TypeExpr:
         left = self.copower_type()
         while self.at_sym("*") or self.at_sym("*o"):
-            op = self.next().text
+            tok = self.next()
             right = self.copower_type()
-            if op == "*":
+            if tok.text == "*":
                 left = enc.encode_value_type("Prod", (left, right))
             else:
+                self.computation(tok, ("left operand", left), ("right operand", right))
                 left = enc.encode_comp_type("ProdC", (left, right))
         return left
 
     def copower_type(self) -> TypeExpr:
         left = self.atom_type()
         if self.at_sym("."):
-            self.next()
-            return enc.encode_comp_type("Copower", (left, self.copower_type()))
+            tok = self.next()
+            right = self.copower_type()
+            self.computation(tok, ("right operand", right))
+            return enc.encode_comp_type("Copower", (left, right))
         return left
 
     def atom_type(self) -> TypeExpr:
@@ -435,86 +447,3 @@ def parse_file(text: str, file: str = "<input>") -> list[Decl]:
         else:
             raise p.fail("expected a declaration", ("type", "def"))
     return decls
-
-
-# ---------------------------------------------------------------------------
-# pretty-printer
-
-_TY_ATOM, _TY_ARROW, _TY_QUANT = range(3)
-
-
-def _ty_prec(t: TypeExpr) -> int:
-    if isinstance(t, (VVar, CVar)):
-        return _TY_ATOM
-    if isinstance(t, (Arrow, Lolli)):
-        return _TY_ARROW
-    return _TY_QUANT
-
-
-def _pt(t: TypeExpr, limit: int) -> str:
-    prec = _ty_prec(t)
-    s = _pt_raw(t)
-    return f"({s})" if prec > limit else s
-
-
-def _pt_raw(t: TypeExpr) -> str:
-    if isinstance(t, VVar):
-        return t.name
-    if isinstance(t, CVar):
-        return f"^{t.name}"
-    if isinstance(t, Arrow):
-        return f"{_pt(t.dom, _TY_ARROW - 1)} -> {_pt(t.cod, _TY_ARROW)}"
-    if isinstance(t, Lolli):
-        return f"{_pt(t.dom, _TY_ARROW - 1)} -o {_pt(t.cod, _TY_ARROW)}"
-    if isinstance(t, ForallV):
-        return f"forall {t.binder}. {_pt(t.body, _TY_QUANT)}"
-    if isinstance(t, ForallC):
-        return f"forall ^{t.binder}. {_pt(t.body, _TY_QUANT)}"
-    raise ValueError(f"cannot print {t!r}")
-
-
-_TM_ATOM, _TM_APP, _TM_LAM = range(3)
-
-
-def _tm_prec(t: TermExpr) -> int:
-    if isinstance(t, (Var, BangTerm)):
-        return _TM_ATOM
-    if isinstance(t, (App, TyAppV, TyAppC)):
-        return _TM_APP
-    return _TM_LAM
-
-
-def _pm(t: TermExpr, limit: int) -> str:
-    prec = _tm_prec(t)
-    s = _pm_raw(t)
-    return f"({s})" if prec > limit else s
-
-
-def _pm_raw(t: TermExpr) -> str:
-    if isinstance(t, Var):
-        return t.name
-    if isinstance(t, Lam):
-        return f"fun {t.var}:{_pt(t.ann, _TY_QUANT)} => {_pm(t.body, _TM_LAM)}"
-    if isinstance(t, LinLam):
-        return f"lfun {t.var}:{_pt(t.ann, _TY_QUANT)} => {_pm(t.body, _TM_LAM)}"
-    if isinstance(t, App):
-        return f"{_pm(t.fn, _TM_APP)} {_pm(t.arg, _TM_ATOM)}"
-    if isinstance(t, TyLamV):
-        return f"Fun {t.binder} => {_pm(t.body, _TM_LAM)}"
-    if isinstance(t, TyLamC):
-        return f"Fun ^{t.binder} => {_pm(t.body, _TM_LAM)}"
-    if isinstance(t, (TyAppV, TyAppC)):
-        return f"{_pm(t.fn, _TM_APP)} @[{_pt(t.arg, _TY_QUANT)}]"
-    if isinstance(t, BangTerm):
-        return f"bang {_pm(t.arg, _TM_ATOM)}"
-    if isinstance(t, LetTerm):
-        return f"let {t.var} <= {_pm(t.bound, _TM_APP)} in {_pm(t.body, _TM_LAM)}"
-    raise ValueError(f"cannot print {t!r}")
-
-
-def print_type(t: TypeExpr) -> str:
-    return _pt(t, _TY_QUANT)
-
-
-def print_term(t: TermExpr) -> str:
-    return _pm(t, _TM_LAM)

@@ -102,6 +102,18 @@ def test_non_positive_recursion_is_a_syntax_error(tmp_path, capsys):
     }]}
 
 
+def test_typing_errors_print_types_in_surface_syntax(tmp_path, capsys):
+    src = tmp_path / "mismatch.pe"
+    src.write_text("def f : (1 -> ^A) -> ^A = fun g:1 -> ^A => g\ndef l : B -> ^A = fun y:B => let x <= y in x\n")
+    code, out, _ = run(capsys, "check", "--format", "json", str(src))
+    assert code == 1
+    one = "forall X. X -> X"
+    assert [e["detail"] for e in json.loads(out)["errors"]] == [
+        f"synthesized type (({one}) -> ^A) -> ({one}) -> ^A differs from ascription (({one}) -> ^A) -> ^A",
+        "let expects a !-typed bound term, got B",
+    ]
+
+
 def test_eval_identity(capsys):
     code, out, _ = run(capsys, "eval", "fun x:2 => x")
     assert code == 0

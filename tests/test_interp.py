@@ -19,11 +19,13 @@ from polyeff.kernel import (
     ForallC,
     ForallV,
     Judgment,
+    Kind,
     Lolli,
     Var,
     VVar,
+    classify_type,
 )
-from polyeff.surface import parse_term, parse_type, print_type
+from polyeff.surface import parse_term, parse_type
 
 
 EXC = fm.MonadSpec("exception", ("e",))
@@ -504,20 +506,18 @@ def test_naive_oracle_on_the_identity_extension_battery():
     # the suite; the encoded products and sums at |X| = 2 filter 65536
     # tuples each
     gen, listing = ip.Model(EXC, 2), ip.Model(EXC, 2)
-    sources = []  # (size of a generated component, whether its body is positive, its constraint source)
+    calls = []  # (whether the body is positive, size of the generated component or None, whether least links fed it)
     tables, least = gen.self_related_tables, gen.least_links
 
     def generate(rho, sort, binder, body, i):
-        obj = gen.objects(sort)[i]
         fed = []
         gen.least_links = lambda *args: fed.append(least(*args)) or fed[-1]
         try:
             got = tables(rho, sort, binder, body, i)
         finally:
             gen.least_links = least
-        source = "least" if fed and fed[-1] is not None else "every"
-        size = gen.interp_vtype(rho.rho1.set(sort, binder, obj), body).size
-        sources.append((size, ip.positive_args(sort, binder, body) is not None, source))
+        size = None if got is None else gen.interp_vtype(rho.rho1.set(sort, binder, gen.objects(sort)[i]), body).size
+        calls.append((ip.positive_args(sort, binder, body) is not None, size, bool(fed) and fed[-1] is not None))
         return got
 
     gen.self_related_tables = generate
@@ -533,11 +533,12 @@ def test_naive_oracle_on_the_identity_extension_battery():
             assert gen.enumerate_families_naive(env, ty) == fams == listing.interp_vtype(env, ty).fams, ty
             compared += 1
     assert compared == 56
-    # the encoded product and sum at |X| = 2 each have a 2^16-table component,
-    # generated from least relations; every positive body's components are,
-    # and the other bodies' come from every relation
-    assert [source for size, _, source in sources if size == 65536] == ["least", "least"]
-    assert {(positive, source) for _, positive, source in sources} == {(True, "least"), (False, "every")}
+    # every generated component comes from least links, the 2^16-table
+    # components of the encoded product and sum at |X| = 2 among them, and
+    # exactly the positive bodies' components are generated
+    assert [size for _, size, _ in calls].count(65536) == 2
+    assert all(from_least for _, size, from_least in calls if size is not None)
+    assert {(positive, size is not None) for positive, size, _ in calls} == {(True, True), (False, False)}
 
 
 @pytest.mark.parametrize("sort, binder, src, chains", [
@@ -551,29 +552,37 @@ def test_naive_oracle_on_the_identity_extension_battery():
     (CSORT, "X", "(^X -> ^X) -> ^X", None),
     (CSORT, "X", "(^X -o ^X) -> ^X", None),
     (VSORT, "X", "X -> A", None),
+    (CSORT, "X", "(^A -o ^X) -> ^X", [["^A"]]),
+    (CSORT, "X", "(Y -> ^A -o ^X) -> ^X", [["Y", "^A"]]),
+    (CSORT, "X", "^A -o ^X", None),
 ])
 def test_positivity_classifier(sort, binder, src, chains):
     # a positive body ends in its binder, and each argument is binder-free
-    # (None) or a chain of binder-free types ending in the binder
+    # (None) or a chain of binder-free types ending in the binder, through
+    # -> and -o alike; the body's own chain is -> only
     args = ip.positive_args(sort, binder, parse_type(src))
     if chains is None:
         assert args is None
         return
-    assert [None if es is None else [print_type(e) for e in es] for _, es in args] == chains
+    assert [None if es is None else [str(e) for e in es] for _, es in args] == chains
 
 
 def _positive_bodies(x):
     """``D1 -> ... -> Dn -> x`` with n <= 2, each ``Dk`` binder-free over
-    ``Y`` and ``^Q`` or a chain of at most two such types ending in ``x``."""
-    def chain(doms):
+    ``Y`` and ``^Q`` or a chain of at most two such types ending in ``x``,
+    whose links may be ``-o`` where both sides are computation types."""
+    def chain(links):
         ty = x
-        for d in reversed(doms):
-            ty = Arrow(d, ty)
+        for d, linear in reversed(links):
+            lolli = linear and classify_type(d) is classify_type(ty) is Kind.COMPUTATION
+            ty = (Lolli if lolli else Arrow)(d, ty)
         return ty
 
     y, q = VVar("Y"), CVar("Q")
     free = st.sampled_from([y, q, Arrow(y, q), Arrow(q, y)])
-    return st.lists(st.one_of(free, st.lists(free, max_size=2).map(chain)), max_size=2).map(chain)
+    link = st.one_of(st.tuples(free, st.just(False)), st.tuples(st.sampled_from([q, Arrow(y, q)]), st.just(True)))
+    arg = st.one_of(free, st.lists(link, max_size=2).map(chain))
+    return st.lists(arg, max_size=2).map(lambda doms: chain([(d, False) for d in doms]))
 
 
 @pytest.fixture(scope="module")
@@ -607,8 +616,9 @@ def test_least_relations_match_every_relation(three_models, data):
         assume(False)
     assume(left.size <= 4096 and right.size <= 4096)
     args = ip.positive_args(sort, binder, body)
-    assert m.least_links(rho, sort, args, i, j) is not None
-    event(f"{len(args)} arguments, {sum(es is not None for _, es in args)} chains")
+    assert m.least_links(rho, sort, binder, args, i, j) is not None
+    event(f"{len(args)} arguments, {sum(es is not None for _, es in args)} chains,"
+          f" {sum('-o' in str(d) for d, _ in args)} through -o")
     least = m.relatedness(rho, sort, binder, body)
     every = m.relatedness(rho, sort, binder, body, least=False)
     us = data.draw(st.lists(st.integers(0, left.size - 1), min_size=1, max_size=6)) if left.size else []
@@ -621,34 +631,44 @@ def test_least_relations_match_every_relation(three_models, data):
             c for c in range(left.size) if every(i, i, c, c)]
 
 
-@settings(deadline=None, max_examples=200)  # an example may run a family search on first use
-@given(st.data())
-def test_generated_tables_are_the_self_related_ones(model, free_model, data):
-    m = data.draw(st.sampled_from([model, free_model]))
-    sort, binder = data.draw(st.sampled_from([(VSORT, "X"), (CSORT, "P")]))
-    body = data.draw(st.builds(Arrow, _value_types(1), _value_types(1)))
-    objs = m.objects(sort)
-    i = data.draw(st.sampled_from([k for k, o in enumerate(objs) if ip._carrier_size(o) >= 2]))
-    # the other variable is bound to one object on both sides, under any
-    # admissible relation on it: an asymmetric one tells the two directions apart
-    rho = ip.RelEnv(ip.TypeEnv(), ip.TypeEnv())
-    for other, name, first in ((VSORT, "X", 1), (CSORT, "P", 0)):
-        if other != sort:
-            k = data.draw(st.integers(first, len(m.objects(other)) - 1))
-            o = m.objects(other)[k]
-            rho = rho.set(other, name, o, o, data.draw(st.sampled_from(m.rels_for_pair(other, k, k))))
-    try:
-        comp = m.interp_vtype(rho.rho1.set(sort, binder, objs[i]), body)
-    except ip.OutOfBoundError:
-        assume(False)
-    assume(comp.size <= 4096)
-    got = m.self_related_tables(rho, sort, binder, body, i)
-    if got is None:
-        assert max(comp.dom.size, comp.cod.size) ** 2 > ip.ITER_CAP
-        return
-    event(f"{len(got)} of {comp.size} tables")
-    related = m.relatedness(rho, sort, binder, body)
-    assert got == [c for c in range(comp.size) if related(i, i, c, c)]
+@pytest.mark.parametrize("src", ["(^Q -o ^P) -> ^P", "(Y -> ^Q -o ^P) -> ^P", "(^Q -o Y -> ^P) -> ^Q -> ^P"])
+def test_least_relations_of_lolli_arguments_match_every_relation(three_models, src):
+    # homomorphism arguments are read through their domain's tables, not as
+    # mixed-radix digits: every pair of small components of every pair of
+    # algebras is related alike by both sources, under every monad
+    body = parse_type(src)
+    for m in three_models:
+        compared = 0
+        for q in m.algebras:
+            rho = ip.diag_relenv(ip.type_env({"Y": fm.FinSet(2)}, {"Q": q}))
+            least = m.relatedness(rho, CSORT, "P", body)
+            every = m.relatedness(rho, CSORT, "P", body, least=False)
+            for i, a in enumerate(m.algebras):
+                for j, b in enumerate(m.algebras):
+                    left = m.interp_vtype(rho.rho1.set(CSORT, "P", a), body).size
+                    right = m.interp_vtype(rho.rho2.set(CSORT, "P", b), body).size
+                    if left * right > 4096:
+                        continue
+                    assert m.least_links(rho, CSORT, "P", ip.positive_args(CSORT, "P", body), i, j) is not None
+                    for u, v in product(range(left), range(right)):
+                        assert least(i, j, u, v) == every(i, j, u, v), (m.monad, q, i, j, u, v)
+                    compared += left * right
+        assert compared > 100, m.monad
+
+
+@pytest.mark.parametrize("sort, binder, src", [
+    (CSORT, "X", "(^X -> ^X) -> ^X"),
+    (CSORT, "X", "^X -o ^X"),
+    (VSORT, "X", "(X -> X) -> X"),
+    (VSORT, "X", "X -> Y"),
+])
+def test_self_related_tables_only_for_positive_bodies(model, sort, binder, src):
+    # the one source of generated tables is the least relations of a positive
+    # body; every other body's components are listed by the family search
+    rho = ip.diag_relenv(ip.type_env({"Y": fm.FinSet(2)}))
+    assert ip.positive_args(sort, binder, parse_type(src)) is None
+    for i in range(len(model.objects(sort))):
+        assert model.self_related_tables(rho, sort, binder, parse_type(src), i) is None
 
 
 # -- bit-row relations against the per-pair definition -------------------------

@@ -1,0 +1,32 @@
+"""The module layering, read from the sources: syntax sits below semantics."""
+
+import ast
+from pathlib import Path
+
+import polyeff
+
+SOURCES = Path(polyeff.__file__).parent
+CHAIN = ["kernel", "typecheck", "encodings", "surface"]  # each may import only those before it
+
+
+def package_imports(module: str) -> set[str]:
+    """The ``polyeff`` modules that ``module`` imports, at any depth of its source."""
+    tree = ast.parse((SOURCES / f"{module}.py").read_text())
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            out |= {a.name for a in node.names} if node.module is None else {node.module.split(".")[0]}
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("polyeff"):
+            out.add(node.module.split(".")[1] if "." in node.module else "__init__")
+        elif isinstance(node, ast.Import):
+            out |= {a.name.split(".")[1] for a in node.names if a.name.startswith("polyeff.")}
+    return out
+
+
+def test_syntax_sits_below_semantics():
+    # kernel <- typecheck <- encodings <- surface, and the interpreter
+    # prints types through kernel, not through the parser's module
+    for k, module in enumerate(CHAIN):
+        assert package_imports(module) <= set(CHAIN[:k]), module
+    assert "surface" not in package_imports("interp")
+    assert "kernel" in package_imports("interp")

@@ -1,4 +1,4 @@
-"""Parser and pretty-printer: structure, round trips, precedence, spans."""
+"""Parser and printer: structure, round trips, precedence, spans."""
 
 import pytest
 
@@ -26,8 +26,6 @@ from polyeff.surface import (
     parse_file,
     parse_term,
     parse_type,
-    print_term,
-    print_type,
 )
 
 
@@ -129,9 +127,34 @@ def test_abbreviation_of_a_computation_type():
 
 
 def test_sugar_without_a_kind_is_a_syntax_error_where_its_kind_is_needed():
+    # the operands of *o are checked at the operator, before @[...] asks
+    # for the kind of the whole
     with pytest.raises(SyntaxErr) as err:
         parse_term("f @[^A *o B]")
-    assert err.value.message.startswith("ill-kinded type forall ^X.")
+    assert err.value.message == "ill-kinded *o: *o right operand is not a computation type: B"
+    assert str(err.value.span) == "<input>:1:8-1:10"
+
+
+@pytest.mark.parametrize("src, message, span", [
+    ("type P = ^A *o B", "ill-kinded *o: *o right operand is not a computation type: B", "1:13-1:15"),
+    ("type P = B *o ^A", "ill-kinded *o: *o left operand is not a computation type: B", "1:12-1:14"),
+    ("type P = B (+) ^A", "ill-kinded (+): (+) left operand is not a computation type: B", "1:12-1:15"),
+    ("type P = ^A (+) Y -> Z", "ill-kinded (+): (+) right operand is not a computation type: Y", "1:13-1:16"),
+    ("type P = B . C -> D", "ill-kinded .: . right operand is not a computation type: C", "1:12-1:13"),
+    ("type P = mu ^X. B -> X", "ill-kinded mu: mu body is not a computation type: B -> X", "1:10-1:12"),
+    ("type P = nu ^X. B", "ill-kinded nu: nu body is not a computation type: B", "1:10-1:12"),
+    ("type P = A -o ^B", "ill-kinded -o: -o domain is not a computation type: A", "1:12-1:14"),
+])
+def test_computation_operators_check_their_operands_at_the_operator(src, message, span):
+    with pytest.raises(SyntaxErr) as err:
+        parse_file(src, "f.pe")
+    assert err.value.message == message
+    assert str(err.value.span) == f"f.pe:{span}"
+
+
+def test_computation_operators_accept_computation_operands():
+    for src in ("^A *o ^B", "^A (+) 1o", "B . ^A", "mu ^X. B -> ^X", "nu ^X. (B -> ^X) *o ^X"):
+        assert classify_type(parse_type(src)) is Kind.COMPUTATION, src
 
 
 def test_non_positive_recursion_is_a_syntax_error_at_its_binder():
@@ -159,7 +182,7 @@ ROUND_TRIP_CASES = [
 @pytest.mark.parametrize("src", ROUND_TRIP_CASES)
 def test_type_round_trip(src):
     ty = parse_type(src)
-    assert parse_type(print_type(ty)) == ty
+    assert parse_type(str(ty)) == ty
 
 
 TERM_ROUND_TRIP_CASES = [
@@ -177,14 +200,14 @@ TERM_ROUND_TRIP_CASES = [
 @pytest.mark.parametrize("src", TERM_ROUND_TRIP_CASES)
 def test_term_round_trip(src):
     t = parse_term(src)
-    assert parse_term(print_term(t)) == t
+    assert parse_term(str(t)) == t
 
 
 def test_round_trip_on_generated_types():
     gen = TermGenerator(33)
     for _ in range(60):
         ty = gen.random_type(3)
-        assert alpha_eq(parse_type(print_type(ty)), ty)
+        assert alpha_eq(parse_type(str(ty)), ty)
 
 
 def test_round_trip_on_generated_terms():
@@ -192,4 +215,4 @@ def test_round_trip_on_generated_terms():
     for _ in range(40):
         j = gen.random_judgment()
         t = j.subject
-        assert parse_term(print_term(t)) == t
+        assert parse_term(str(t)) == t
