@@ -1,10 +1,18 @@
 """Seeded generation of well-typed judgments.
 
 Terms are grown goal-directed: given a context and a goal type, pick an
-introduction form for the goal, a matching variable, or an elimination
-(application / type application) whose head is generated recursively.
-Generation backtracks by returning None on a dead end; callers retry.
-Every produced judgment re-checks under ``typecheck``.
+introduction form for the goal, a matching variable, or an elimination.
+Eliminations come from a spine (Pałka et al. 2011; Fetscher et al. 2015):
+a head variable whose type, after peeling ``->``, ``-o`` and quantifiers
+(each instantiated at a type variable), ends in the goal, applied to
+arguments grown for the peeled domains.  The stoup is routed as
+``typecheck`` routes it: the stoup variable heads only ``->`` spines, and
+under a stoup a context head passes it to its last ``-o`` argument.  The
+random-domain application and the vacuous type application, the only
+sources of redexes, are still offered, with probabilities ``APP_WEIGHT``
+and ``TYAPP_WEIGHT``.  Generation backtracks by returning None on a dead
+end; callers retry.  Every produced judgment re-checks under
+``typecheck``.
 """
 
 from __future__ import annotations
@@ -42,6 +50,8 @@ from .kernel import (
 VALUE_TYVARS = ("X", "Y")
 COMP_TYVARS = ("P", "Q")
 FUEL = 5  # the depth of the terms grown for one goal
+APP_WEIGHT = 0.5  # the chance that a goal is offered the random-domain application
+TYAPP_WEIGHT = 0.5  # the chance that a goal is offered the vacuous type application
 
 
 class TermGenerator:
@@ -119,8 +129,11 @@ class TermGenerator:
             if isinstance(goal, ForallC):
                 options.append(("tylamc", None))
             if delta is None or classify_type(goal) is Kind.COMPUTATION:
-                options.append(("app", None))
-                options.append(("tyapp", None))
+                options += [("spine", spine) for spine in self._spines(gamma, delta, goal)]
+                if rng.random() < APP_WEIGHT:
+                    options.append(("app", None))
+                if rng.random() < TYAPP_WEIGHT:
+                    options.append(("tyapp", None))
         if not options:
             return None
         rng.shuffle(options)
@@ -158,6 +171,18 @@ class TermGenerator:
             if body is None:
                 return None
             return (TyLamV if kind == "tylamv" else TyLamC)(binder, body)
+        if kind == "spine":
+            name, steps, linear = payload
+            t = Var(name)
+            for i, step in enumerate(steps):
+                if isinstance(step, (VVar, CVar)):
+                    t = (TyAppV if isinstance(step, VVar) else TyAppC)(t, step)
+                    continue
+                arg = self.term_for(gamma, delta if i == linear else None, step.dom, fuel - 1)
+                if arg is None:
+                    return None
+                t = App(t, arg)
+            return t
         if kind == "app":
             # pick the elimination shape: ordinary or linear application
             goal_comp = classify_type(goal) is Kind.COMPUTATION
@@ -189,6 +214,30 @@ class TermGenerator:
             head = self.term_for(gamma, delta, ForallC(binder, goal), fuel - 1)
             return None if head is None else TyAppC(head, arg)
         return None
+
+    def _spines(self, gamma, delta, goal):
+        """Each way to apply a variable to types and terms until its type is
+        the goal: the head's name, its steps and the step given the stoup."""
+        rng = self.rng
+        tyvars = sorted(free_type_vars(goal), key=lambda v: (type(v).__name__, v.name))
+        tyvars += [VVar(n) for n in VALUE_TYVARS] + [CVar(n) for n in COMP_TYVARS]
+        out = []
+        for name, ty in list(dict(gamma).items()) + ([delta] if delta is not None else []):
+            stoup_head = delta is not None and name == delta[0]
+            steps, linear = [], None  # linear: the last -o step
+            while isinstance(ty, (Arrow, Lolli, ForallV, ForallC)):
+                if isinstance(ty, (Arrow, Lolli)):
+                    linear = len(steps) if isinstance(ty, Lolli) else linear
+                    steps.append(ty)
+                    ty = ty.cod
+                else:  # a computation type variable also instantiates a value binder
+                    arg = rng.choice([v for v in tyvars if isinstance(ty, ForallV) or isinstance(v, CVar)])
+                    steps.append(arg)
+                    ty = subst_type(ty.body, (VVar if isinstance(ty, ForallV) else CVar)(ty.binder), arg)
+                # under a stoup, the stoup variable heads no -o step and a context head gives it to one
+                if alpha_eq(ty, goal) and (delta is None or (linear is None) == stoup_head):
+                    out.append((name, tuple(steps), linear))
+        return out
 
     # -- judgments --------------------------------------------------------
 

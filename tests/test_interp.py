@@ -568,7 +568,7 @@ def test_positivity_classifier(sort, binder, src, chains):
 
 
 def _positive_bodies(x):
-    """``D1 -> ... -> Dn -> x`` with n <= 2, each ``Dk`` binder-free over
+    """``D1 -> ... -> Dn -> x`` with 1 <= n <= 2, each ``Dk`` binder-free over
     ``Y`` and ``^Q`` or a chain of at most two such types ending in ``x``,
     whose links may be ``-o`` where both sides are computation types."""
     def chain(links):
@@ -582,7 +582,7 @@ def _positive_bodies(x):
     free = st.sampled_from([y, q, Arrow(y, q), Arrow(q, y)])
     link = st.one_of(st.tuples(free, st.just(False)), st.tuples(st.sampled_from([q, Arrow(y, q)]), st.just(True)))
     arg = st.one_of(free, st.lists(link, max_size=2).map(chain))
-    return st.lists(arg, max_size=2).map(lambda doms: chain([(d, False) for d in doms]))
+    return st.lists(arg, min_size=1, max_size=2).map(lambda doms: chain([(d, False) for d in doms]))
 
 
 @pytest.fixture(scope="module")

@@ -1,7 +1,16 @@
-"""The seeded judgment generator: determinism and well-typedness."""
+"""The seeded judgment generator: determinism, well-typedness and the
+typing rules its corpora cover."""
+
+from collections import Counter
+
+import pytest
+from hypothesis import given, settings, strategies as st
 
 from polyeff import typecheck as tc
-from polyeff.kernel import Kind, classify_type
+from polyeff.kernel import (
+    App, Arrow, CVar, Kind, Lam, LinLam, TyAppC, TyAppV, TyLamC, TyLamV, VVar, Var, alpha_eq,
+    classify_type,
+)
 from polyeff.randterms import TermGenerator
 
 
@@ -40,22 +49,92 @@ def test_subst_samples_have_valid_premises():
             assert got is not None
 
 
+def args_of(t):
+    """The type arguments of every type application in ``t``."""
+    if isinstance(t, (TyAppV, TyAppC)):
+        yield t.arg
+        yield from args_of(t.fn)
+    elif isinstance(t, App):
+        yield from args_of(t.fn)
+        yield from args_of(t.arg)
+    elif isinstance(t, (Lam, LinLam, TyLamV, TyLamC)):
+        yield from args_of(t.body)
+
+
 def test_interp_safe_mode_restricts_type_arguments():
-    from polyeff.kernel import App, CVar, Lam, LinLam, TyAppC, TyAppV, TyLamC, TyLamV, VVar
-
     gen = TermGenerator(4, interp_safe=True)
-
-    def args_of(t):
-        if isinstance(t, (TyAppV, TyAppC)):
-            yield t.arg
-            yield from args_of(t.fn)
-        elif isinstance(t, App):
-            yield from args_of(t.fn)
-            yield from args_of(t.arg)
-        elif isinstance(t, (Lam, LinLam, TyLamV, TyLamC)):
-            yield from args_of(t.body)
-
     for _ in range(40):
         j = gen.random_judgment()
         for arg in args_of(j.subject):
             assert isinstance(arg, (VVar, CVar))
+
+
+@settings(deadline=None, max_examples=40)
+@given(seed=st.integers(0, 2**32), interp_safe=st.booleans())
+def test_any_seed_gives_checked_judgments_and_samples(seed, interp_safe):
+    gen = TermGenerator(seed, interp_safe=interp_safe)
+    for _ in range(3):
+        j = gen.random_judgment()
+        assert alpha_eq(tc.typecheck(j), j.ascription)
+        if interp_safe:
+            assert all(isinstance(arg, (VVar, CVar)) for arg in args_of(j.subject))
+    for part in (1, 2):
+        sm = gen.random_subst_sample(part)
+        if part == 1:
+            tc.synth(sm.gamma + ((sm.x, sm.a),), sm.delta, sm.t)
+            assert alpha_eq(tc.synth(sm.gamma, None, sm.s), sm.a)
+        else:
+            tc.synth(sm.gamma, (sm.x, sm.a), sm.t)
+            assert alpha_eq(tc.synth(sm.gamma, sm.delta, sm.s), sm.a)
+
+
+# -- rule coverage ------------------------------------------------------------
+
+ROUTES = ("->", "-> carrying the stoup", "-o with the stoup in the argument", "-o", "redex")
+
+
+def rule_counts(judgments) -> Counter:
+    """How often each term former and each application route occurs.
+
+    An application's route follows ``typecheck``: the type of its head and
+    the side the stoup goes to; a head that is not a variable applied to
+    arguments makes it a redex."""
+    counts = Counter()
+
+    def walk(gamma, delta, t):
+        counts[type(t).__name__] += 1
+        if isinstance(t, Lam):
+            walk(gamma + ((t.var, t.ann),), delta, t.body)
+        elif isinstance(t, LinLam):
+            walk(gamma, (t.var, t.ann), t.body)
+        elif isinstance(t, (TyLamV, TyLamC)):
+            walk(gamma, delta, t.body)
+        elif isinstance(t, (TyAppV, TyAppC)):
+            walk(gamma, delta, t.fn)
+        elif isinstance(t, App):
+            side = tc.route_stoup(delta, t.fn, t.arg)
+            head = t.fn
+            while isinstance(head, (App, TyAppV, TyAppC)):
+                head = head.fn
+            if not isinstance(head, Var):
+                counts["redex"] += 1
+            elif isinstance(tc.synth(gamma, delta if side == "fn" else None, t.fn), Arrow):
+                counts["-> carrying the stoup" if side == "fn" else "->"] += 1
+            else:
+                counts["-o with the stoup in the argument" if side == "arg" else "-o"] += 1
+            walk(gamma, delta if side == "fn" else None, t.fn)
+            walk(gamma, delta if side == "arg" else None, t.arg)
+
+    for j in judgments:
+        walk(j.gamma, j.delta, j.subject)
+    return counts
+
+
+@pytest.mark.parametrize("interp_safe, n", [(False, 200), (True, 100)])
+def test_default_seed_corpus_covers_every_rule(interp_safe, n):
+    # the corpora verify_metatheory and verify_abstraction draw at seed 2024
+    gen = TermGenerator(2024, interp_safe=interp_safe)
+    counts = rule_counts([gen.random_judgment() for _ in range(n)])
+    formers = (Var, Lam, LinLam, App, TyLamV, TyLamC, TyAppV, TyAppC)
+    missing = [k for k in [f.__name__ for f in formers] + list(ROUTES) if not counts[k]]
+    assert not missing, dict(counts)
