@@ -38,14 +38,19 @@ No view stores its own relation twice, and every relation has the rows
 form that ``finmodel`` owns: relation environments bind rows, and an
 ``AtomRel`` keeps the rows its environment binds.
 
-The family search (``pairwise_search`` over ``Model.relatedness``) reads
-one of two constraint sources.  A *positive* body ``D1 -> ... -> Dn -> X``
-(see ``positive_args``; an argument may reach ``X`` through ``->`` and
-``-o``) needs only the least relations its arguments generate: components
-``u`` at object i and ``v`` at object j are related iff ``(u d, v d')`` lies
-in the admissible closure of the pairs each related argument pair ``(d,
-d')`` generates (``Model.least_links``), so no relation is enumerated.  Any
-other body is tested under every admissible relation of ``rels_for_pair``.
+The family search (``pairwise_search`` over ``Model.relatedness``) decides
+a body in one of three ways, tried in this order.  A body in which the
+binder occurs with one polarity or none (``binder_signs``) is decided by
+one relation: the least admissible relation where it occurs only
+covariantly, the full relation where it occurs only contravariantly, and
+the body's own relation where it does not occur.  Else a *positive* body
+``D1 -> ... -> Dn -> X`` (see ``positive_args``; an argument may reach
+``X`` through ``->`` and ``-o``) needs only the least relations its
+arguments generate: components ``u`` at object i and ``v`` at object j are
+related iff ``(u d, v d')`` lies in the admissible closure of the pairs
+each related argument pair ``(d, d')`` generates (``Model.least_links``),
+so no relation is enumerated.  Any other body is tested under every
+admissible relation of ``rels_for_pair``.
 Tables are generated from one source only: ``Model.self_related_tables``
 forward-checks one value mask per argument against a positive body's least
 links, and the search tests each generated table again; every other
@@ -566,6 +571,19 @@ def positive_args(sort: str, binder: str, body: TypeExpr) -> Optional[list]:
     return args
 
 
+def binder_signs(sort: str, binder: str, body: TypeExpr) -> frozenset[int]:
+    """The polarities of the binder's free occurrences in ``body``: +1 where
+    it occurs covariantly, -1 where contravariantly (``->`` and ``-o`` flip
+    their domain), empty where it does not occur."""
+    if (sort, binder) not in free_type_var_keys(body):
+        return frozenset()
+    if isinstance(body, (Arrow, Lolli)):
+        return frozenset(-s for s in binder_signs(sort, binder, body.dom)) | binder_signs(sort, binder, body.cod)
+    if isinstance(body, (ForallV, ForallC)):
+        return binder_signs(sort, binder, body.body)
+    return frozenset((1,))
+
+
 def _leaves(sem: SemSet, depth: int) -> list[list[int]]:
     """For each element ``g`` of a ``->``/``-o`` chain domain, its values at
     the flat argument positions of the first ``depth`` arguments, the first
@@ -845,22 +863,37 @@ class Model:
         ``i`` and ``v`` at object ``j`` are related under every admissible
         relation between the two objects, with ``rho`` on the other variables.
 
-        A positive body reads its ``least_links`` (unless ``least`` is False)
-        wherever they fit; otherwise each admissible relation's view is built
-        on first use and kept only as long as the returned function.
+        Unless ``least`` is False, a body is decided, in this order:
+        - by one extreme relation where the binder occurs with one polarity
+          or none (``binder_signs``): the interpretation is monotone in a
+          covariant binder's relation and antitone in a contravariant one's,
+          and the admissible relations are closed under intersection and
+          hold the full relation, so the least admissible relation decides a
+          covariant binder and the full relation a contravariant one
+          (Reynolds 1983; Wadler, "Theorems for free!", 1989); any relation
+          decides a vacuous binder, so its body's view under ``rho`` does;
+        - by a positive body's ``least_links``, wherever they fit;
+        - by every admissible relation, each relation's view built on first
+          use and kept only as long as the returned function.
         """
         objs = self.objects(sort)
-        args = positive_args(sort, binder, body) if least else None
+        signs = binder_signs(sort, binder, body) if least else None
+        args = positive_args(sort, binder, body) if signs is not None and len(signs) == 2 else None
         per_pair: dict = {}  # (i, j) -> (relations, views built so far, in order) or (None, links)
 
         def related(i: int, j: int, u: int, v: int) -> bool:
             hit = per_pair.get((i, j))
             if hit is None:
+                m, n = _carrier_size(objs[i]), _carrier_size(objs[j])
                 links = None if args is None else self.least_links(rho, sort, binder, args, i, j)
-                if links is None:
+                if signs == set():
+                    hit = ([], [self.interp_rel(rho, body)])
+                elif signs is not None and len(signs) < 2:  # one extreme relation
+                    hit = ([((1 << n) - 1,) * m if -1 in signs else (0,) * m if sort == VSORT
+                            else fm.admissible_closure((0,) * m, objs[i], objs[j])], [])
+                elif links is None:
                     hit = (self.rels_for_pair(sort, i, j), [])
                 else:
-                    m, n = _carrier_size(objs[i]), _carrier_size(objs[j])
                     hit = (None, [(m, m**p, n, n**q, rows) for (p, q), rows in links.items()])
                 per_pair[(i, j)] = hit
             rels, views = hit

@@ -522,13 +522,16 @@ def verify_handler(model: ip.Model) -> VerificationReport:
     checked = 0
     denotation_skipped = False
     for e_idx, e in enumerate(model.monad.exceptions):
-        # case split reproduced exactly
+        # the case split against the registered free algebra: the raise point
+        # of e picks the second argument, a unit or another raise point the first
         for a in CHECKED_SIZES:
             tbl = _handle_table(model, a, e_idx)
             ta = model.monad.apply(fm.FinSet(a)).size
+            _, fa, eta = model.free_algebra(a)
+            points = set(eta) | set(fa.raise_points)
             for p in range(ta):
                 for q in range(ta):
-                    want = q if p == a + e_idx else p
+                    want = q if p == fa.raise_points[e_idx] else p if p in points else None
                     checked += 1
                     if tbl[(p, q)] != want:
                         failures.append({"law": "case-split", "e": e, "a": a, "p": p, "q": q})

@@ -1,6 +1,7 @@
 """Finite denotational and relational semantics."""
 
 from itertools import islice, product
+from math import prod
 
 import pytest
 from hypothesis import assume, event, given, settings, strategies as st
@@ -629,6 +630,138 @@ def test_least_relations_match_every_relation(three_models, data):
     if same and left.size <= 512:
         assert m.self_related_tables(rho, sort, binder, body, i) == [
             c for c in range(left.size) if every(i, i, c, c)]
+
+
+@pytest.mark.parametrize("sort, binder, src, signs", [
+    (VSORT, "X", "(X -> Y) -> Y", {1}),  # two flips
+    (VSORT, "X", "X -> Y", {-1}),
+    (CSORT, "X", "^X -o ^X", {1, -1}),
+    (VSORT, "X", "forall X. X", set()),  # shadowed
+    (VSORT, "X", "forall Y. (forall Z. (Z -> X) -> Y) -> Y", {1}),
+    (VSORT, "Z", "(Z -> X) -> Y", {1}),
+    (CSORT, "X", "X -> ^X", {1}),  # the set variable X is another variable
+])
+def test_binder_signs(sort, binder, src, signs):
+    # -> and -o flip their domain's polarity, forall keeps its body's, and a
+    # forall that binds the binder again hides what it binds
+    assert ip.binder_signs(sort, binder, parse_type(src)) == signs
+
+
+def _polar_bodies(x):
+    """``(polarity, body)``: a body in which the binder ``x`` occurs not at
+    all (0), only covariantly (1), only contravariantly (-1) or both ways (2).
+    Bodies are built from binder-free types over ``Y`` and ``^Q`` (one of
+    them a ``forall`` that binds ``x`` again), ``->`` and ``-o``, and a nested
+    ``forall ^Z`` or ``forall Z``."""
+    y, q = VVar("Y"), CVar("Q")
+    shadow = (ForallV if isinstance(x, VVar) else ForallC)(x.name, Arrow(x, q))
+    free = st.sampled_from([y, q, Arrow(y, q), shadow])
+
+    def fn(dom, cod, linear):
+        lolli = linear and classify_type(dom) is classify_type(cod) is Kind.COMPUTATION
+        return (Lolli if lolli else Arrow)(dom, cod)
+
+    def arrows(dom, cod):
+        return st.builds(fn, dom, cod, st.booleans())
+
+    def at(sign, depth):  # x occurs, and only at ``sign``
+        leaf = st.just(x) if sign == 1 else arrows(st.just(x), free)
+        if depth == 0:
+            return leaf
+        same, flip = at(sign, depth - 1), at(-sign, depth - 1)
+        return st.one_of(
+            leaf, arrows(free, same), arrows(flip, free), arrows(flip, same),
+            flip.map(lambda b: ForallC("Z", Arrow(b, CVar("Z")))),  # forall ^Z. b -> ^Z
+            same.map(lambda b: ForallV("Z", Arrow(VVar("Z"), b))),  # forall Z. Z -> b
+        )
+
+    return st.one_of(
+        st.tuples(st.just(0), st.one_of(free, arrows(free, free))),
+        st.tuples(st.just(1), at(1, 2)),
+        st.tuples(st.just(-1), at(-1, 2)),
+        st.tuples(st.just(2), st.one_of(arrows(at(1, 1), at(1, 1)), arrows(at(-1, 1), at(-1, 1)))),
+    )
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.data())
+def test_one_extreme_relation_matches_every_relation(three_models, data):
+    # on random bodies of each polarity, with random relations on the other
+    # variables, the least-relation search (one extreme relation, least
+    # links or every relation) and the every-relation oracle give the same
+    # relatedness between any two objects, and the same families
+    m = data.draw(st.sampled_from(three_models))
+    sort, binder = data.draw(st.sampled_from([(VSORT, "X"), (CSORT, "P")]))
+    polarity, body = data.draw(_polar_bodies(VVar(binder) if sort == VSORT else CVar(binder)))
+    assert ip.binder_signs(sort, binder, body) == {0: set(), 1: {1}, -1: {-1}, 2: {1, -1}}[polarity]
+    event({0: "vacuous", 1: "covariant", -1: "contravariant", 2: "mixed"}[polarity])
+    same = data.draw(st.booleans())  # both sides bind Y and ^Q to the same objects
+    rho = ip.RelEnv(ip.TypeEnv(), ip.TypeEnv())
+    for other, name in ((VSORT, "Y"), (CSORT, "Q")):
+        objs = m.objects(other)
+        k = data.draw(st.integers(0, len(objs) - 1))
+        l = k if same else data.draw(st.integers(0, len(objs) - 1))
+        rho = rho.set(other, name, objs[k], objs[l], data.draw(st.sampled_from(m.rels_for_pair(other, k, l))))
+    objs = m.objects(sort)
+    i, j = data.draw(st.integers(0, len(objs) - 1)), data.draw(st.integers(0, len(objs) - 1))
+    try:
+        left = m.interp_vtype(rho.rho1.set(sort, binder, objs[i]), body)
+        right = m.interp_vtype(rho.rho2.set(sort, binder, objs[j]), body)
+    except ip.OutOfBoundError:
+        assume(False)
+    assume(left.size <= 4096 and right.size <= 4096)
+    least = m.relatedness(rho, sort, binder, body)
+    every = m.relatedness(rho, sort, binder, body, least=False)
+
+    def some(n):  # every component of a small side, a few of a large one
+        return range(n) if n <= 8 else data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=6))
+
+    for u, v in product(some(left.size), some(right.size)):
+        assert least(i, j, u, v) == every(i, j, u, v), (u, v)
+    ty = (ForallV if sort == VSORT else ForallC)(binder, body)
+    try:
+        comps = [m.interp_vtype(rho.rho1.set(sort, binder, o), body).size for o in objs]
+    except ip.OutOfBoundError:
+        return
+    if prod(comps) <= 4096:
+        assert m.enumerate_families_naive(rho.rho1, ty) == m.interp_vtype(rho.rho1, ty).fams
+
+
+@pytest.mark.parametrize("sort, binder, src", [
+    (VSORT, "X", "Y -> ^Q"),  # vacuous
+    (VSORT, "X", "Y -> X"),  # covariant only
+    (VSORT, "X", "(Y -> X) -> ^Q"),  # contravariant only
+    (CSORT, "P", "Y"),
+    (CSORT, "P", "(^P -> Y) -> ^P"),
+    (CSORT, "P", "^P -o ^Q"),
+])
+def test_a_one_polarity_body_never_lists_relations(monkeypatch, sort, binder, src):
+    # the family search and every pair of components are decided by one
+    # extreme relation, so a fall-back to every relation shows as a call
+    model = ip.Model(EXC, 2)
+    calls = []
+    listed = model.rels_for_pair
+    monkeypatch.setattr(model, "rels_for_pair", lambda *args: calls.append(args) or listed(*args))
+    body = parse_type(src)
+    env = ip.type_env({"Y": fm.FinSet(2)}, {"Q": model.algebras[1]})
+    model.interp_vtype(env, (ForallV if sort == VSORT else ForallC)(binder, body))
+    rho, objs = ip.diag_relenv(env), model.objects(sort)
+    related = model.relatedness(rho, sort, binder, body)
+    got = {}
+    for i, j in product(range(len(objs)), repeat=2):
+        left = model.interp_vtype(env.set(sort, binder, objs[i]), body).size
+        right = model.interp_vtype(env.set(sort, binder, objs[j]), body).size
+        for u, v in islice(product(range(left), range(right)), 64):
+            got[i, j, u, v] = bool(related(i, j, u, v))
+    assert calls == []
+    # and the extreme relation is the right one
+    every = model.relatedness(rho, sort, binder, body, least=False)
+    assert got == {key: bool(every(*key)) for key in got}
+    # a mixed body that is not positive does list them
+    calls.clear()
+    model.interp_vtype(env, (ForallV if sort == VSORT else ForallC)(binder, parse_type(
+        "(X -> X) -> Y" if sort == VSORT else "(^P -> ^P) -> Y")))
+    assert calls
 
 
 @pytest.mark.parametrize("src", ["(^Q -o ^P) -> ^P", "(Y -> ^Q -o ^P) -> ^P", "(^Q -o Y -> ^P) -> ^Q -> ^P"])

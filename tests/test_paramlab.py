@@ -104,6 +104,19 @@ def test_handler_two_exceptions():
     assert rep.status == "verified", rep.witness
 
 
+def test_handler_catches_a_raise_index_off_by_one(exc_free, monkeypatch):
+    # the case split is checked against the free algebra's own raise point,
+    # so a table built from the wrong one is a counterexample
+    def planted(model, a, e_idx):
+        ta = model.monad.apply(fm.FinSet(a)).size
+        return {(p, q): (q if p == a + e_idx + 1 else p) for p in range(ta) for q in range(ta)}
+
+    monkeypatch.setattr(pl, "_handle_table", planted)
+    rep = pl.verify_handler(exc_free)
+    assert rep.status == "counterexample"
+    assert rep.witness["law"] == "case-split"
+
+
 def test_handler_needs_exception_monad():
     model = pl.build_model(fm.ModelConfig("powerset", (), 2), range(3))
     assert pl.verify_handler(model).status == "out-of-bound"
