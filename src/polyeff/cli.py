@@ -102,9 +102,7 @@ def _checked_files(args):
     """``(path, errors, declarations)`` for each file, checked against the
     configured monad's constants."""
     cfg = load_config(args)
-    constants = enc.constants_table(
-        enc.register_effect_constants(cfg.monad, cfg.monad_spec().exceptions)
-    )
+    constants = enc.register_effect_constants(cfg.monad, cfg.monad_spec().exceptions)
     for path in args.files:
         out: list = []
         errors = process_file(path, constants, out)
@@ -147,7 +145,7 @@ def cmd_elaborate(args) -> int:
 def cmd_eval(args) -> int:
     cfg = load_config(args)
     model = _free(cfg)
-    constants = model.constant_schemes
+    constants = model.constants
     try:
         term = surface.parse_term(args.term)
         term = enc.elaborate_term(term, constants=constants)

@@ -21,6 +21,8 @@ from typing import Optional, Sequence
 
 from . import typecheck as tc
 from .kernel import (
+    CSORT,
+    VSORT,
     App,
     Arrow,
     CVar,
@@ -41,6 +43,7 @@ from .kernel import (
     VVar,
     Var,
     all_type_var_names,
+    binder_signs,
     classify_type,
     free_term_vars,
     free_type_vars,
@@ -55,25 +58,6 @@ class PositivityError(Exception):
 
 class EncodingError(Exception):
     pass
-
-
-def occurs_positively(var, ty: TypeExpr, positive: bool = True) -> bool:
-    """Strict syntactic positivity: ``var`` never left of an odd number of arrows."""
-    if isinstance(ty, (VVar, CVar)):
-        return positive if ty == var else True
-    if isinstance(ty, (Arrow, Lolli)):
-        return occurs_positively(var, ty.dom, not positive) and occurs_positively(
-            var, ty.cod, positive
-        )
-    if isinstance(ty, ForallV):
-        if var == VVar(ty.binder):
-            return True
-        return occurs_positively(var, ty.body, positive)
-    if isinstance(ty, ForallC):
-        if var == CVar(ty.binder):
-            return True
-        return occurs_positively(var, ty.body, positive)
-    raise EncodingError(f"not a core type: {ty!r}")
 
 
 def _freshv(base: str, *exprs) -> str:
@@ -108,12 +92,12 @@ def encode_value_type(ctor: str, args: Sequence = ()) -> TypeExpr:
         return ForallV(y, Arrow(ForallV(binder, Arrow(body, VVar(y))), VVar(y)))
     if ctor == "Mu":
         binder, body = args
-        if not occurs_positively(VVar(binder), body):
+        if -1 in binder_signs(VSORT, binder, body):
             raise PositivityError(f"{binder} occurs negatively in {body}")
         return ForallV(binder, Arrow(Arrow(body, VVar(binder)), VVar(binder)))
     if ctor == "Nu":
         binder, body = args
-        if not occurs_positively(VVar(binder), body):
+        if -1 in binder_signs(VSORT, binder, body):
             raise PositivityError(f"{binder} occurs negatively in {body}")
         packed = encode_value_type("Prod", (Arrow(VVar(binder), body), VVar(binder)))
         return encode_value_type("ExistsV", (binder, packed))
@@ -154,12 +138,12 @@ def encode_comp_type(ctor: str, args: Sequence = ()) -> TypeExpr:
         return ForallC(y, Arrow(ForallC(binder, Lolli(body, CVar(y))), CVar(y)))
     if ctor == "MuC":
         binder, body = args
-        if not occurs_positively(CVar(binder), body):
+        if -1 in binder_signs(CSORT, binder, body):
             raise PositivityError(f"^{binder} occurs negatively in {body}")
         return ForallC(binder, Arrow(Lolli(body, CVar(binder)), CVar(binder)))
     if ctor == "NuC":
         binder, body = args
-        if not occurs_positively(CVar(binder), body):
+        if -1 in binder_signs(CSORT, binder, body):
             raise PositivityError(f"^{binder} occurs negatively in {body}")
         packed = encode_comp_type("Copower", (Lolli(CVar(binder), body), CVar(binder)))
         return encode_comp_type("ExistsCC", (binder, packed))
@@ -361,40 +345,21 @@ def comp_iso_terms(ac: TypeExpr) -> tuple[TermExpr, TermExpr]:
 # constants
 
 
-@dataclass(frozen=True)
-class ConstantSig:
-    name: str
-    scheme: TypeExpr
-    denotation_key: str
-
-    def __post_init__(self):
-        if free_type_vars(self.scheme):
-            raise EncodingError(f"constant scheme must be closed: {self.scheme}")
-        classify_type(self.scheme)
-
-
-def register_effect_constants(monad_key: str, exceptions: Sequence[str] = ()) -> list[ConstantSig]:
-    """Constant signatures induced by a monad choice."""
+def register_effect_constants(monad_key: str, exceptions: Sequence[str] = ()) -> dict[str, TypeExpr]:
+    """The effect constants a monad induces, each name with its closed
+    scheme: ``or`` for powerset, ``raise^e`` and then ``handle^e`` for
+    each exception ``e``, none for the identity monad.  A model takes its
+    constants from here, and interprets each one by its name."""
     if monad_key == "identity":
-        return []
+        return {}
     if monad_key == "powerset":
-        scheme = ForallC("X", Arrow(CVar("X"), Arrow(CVar("X"), CVar("X"))))
-        return [ConstantSig("or", scheme, "or")]
+        return {"or": ForallC("X", Arrow(CVar("X"), Arrow(CVar("X"), CVar("X"))))}
     if monad_key == "exception":
-        sigs = []
-        two = encode_num(2)
-        for e in exceptions:
-            sigs.append(ConstantSig(f"raise^{e}", ForallC("X", CVar("X")), f"raise:{e}"))
-        for e in exceptions:
-            bang_x = encode_bang(VVar("X"))
-            handler = ForallV("X", Lolli(Arrow(two, bang_x), bang_x))
-            sigs.append(ConstantSig(f"handle^{e}", handler, f"handle:{e}"))
-        return sigs
+        bang_x = encode_bang(VVar("X"))
+        handler = ForallV("X", Lolli(Arrow(encode_num(2), bang_x), bang_x))
+        return {**{f"raise^{e}": ForallC("X", CVar("X")) for e in exceptions},
+                **{f"handle^{e}": handler for e in exceptions}}
     raise EncodingError(f"unknown monad key {monad_key!r}")
-
-
-def constants_table(sigs: Sequence[ConstantSig]) -> dict[str, TypeExpr]:
-    return {sig.name: sig.scheme for sig in sigs}
 
 
 # ---------------------------------------------------------------------------

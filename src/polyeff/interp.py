@@ -99,6 +99,7 @@ from .kernel import (
     TypeExpr,
     VVar,
     Var,
+    binder_signs,
     classify_type,
     free_term_vars,
     free_type_var_keys,
@@ -224,9 +225,6 @@ class PolySem(SemSet):
 
     def __post_init__(self):
         self._index: Optional[dict] = None
-
-    def component(self, f: int, obj: int) -> int:
-        return self.fams[f][obj]
 
     def encode(self, fam: Sequence[int]) -> int:
         if self._index is None:
@@ -571,19 +569,6 @@ def positive_args(sort: str, binder: str, body: TypeExpr) -> Optional[list]:
     return args
 
 
-def binder_signs(sort: str, binder: str, body: TypeExpr) -> frozenset[int]:
-    """The polarities of the binder's free occurrences in ``body``: +1 where
-    it occurs covariantly, -1 where contravariantly (``->`` and ``-o`` flip
-    their domain), empty where it does not occur."""
-    if (sort, binder) not in free_type_var_keys(body):
-        return frozenset()
-    if isinstance(body, (Arrow, Lolli)):
-        return frozenset(-s for s in binder_signs(sort, binder, body.dom)) | binder_signs(sort, binder, body.cod)
-    if isinstance(body, (ForallV, ForallC)):
-        return binder_signs(sort, binder, body.body)
-    return frozenset((1,))
-
-
 def _leaves(sem: SemSet, depth: int) -> list[list[int]]:
     """For each element ``g`` of a ``->``/``-o`` chain domain, its values at
     the flat argument positions of the first ``depth`` arguments, the first
@@ -652,37 +637,28 @@ def _forward_check(n: int, m: int, constraints: Iterable[tuple[int, int, tuple[i
 
 
 class Model:
-    """A finite interpretation context: monad, bound, registered objects, caches."""
+    """A finite interpretation context: monad, bound, registered objects, caches.
 
-    def __init__(
-        self,
-        monad: fm.MonadSpec,
-        bound: int,
-        free_sizes: Iterable[int] = (),
-        constants: Sequence = (),
-    ):
+    A model is fixed by its monad, its bound and the set sizes whose free
+    algebras it registers; its effect constants are the monad's
+    (``encodings.register_effect_constants``)."""
+
+    def __init__(self, monad: fm.MonadSpec, bound: int, free_sizes: Iterable[int] = ()):
         """``free_sizes``: the set sizes whose free algebras are registered,
         each appended to the enumerated algebras unless it is one of them."""
         self.monad = monad
         self.bound = bound
         self.sets = fm.enumerate_sets(bound)
         self.algebras = fm.enumerate_algebras(monad, bound)
-        self._free_units: dict[int, tuple[int, ...]] = {}  # algebra index -> unit table
-        self._free_of_size: dict[int, int] = {}  # |A| -> algebra index of T A
+        self._free: dict[int, tuple[int, tuple[int, ...]]] = {}  # |A| -> (index of T A, unit table)
         for size in free_sizes:
             alg, eta = fm.free_algebra(monad, fm.FinSet(size))
             idx = self.alg_index(alg)
             if idx is None:
                 self.algebras.append(alg)
                 idx = len(self.algebras) - 1
-            self._free_units[idx] = eta
-            self._free_of_size[size] = idx
-        self.constants: dict[str, tuple[TypeExpr, str]] = {
-            sig.name: (sig.scheme, sig.denotation_key) for sig in constants
-        }
-        self.constant_schemes: dict[str, TypeExpr] = {
-            name: scheme for name, (scheme, _) in self.constants.items()
-        }
+            self._free[size] = (idx, eta)
+        self.constants: dict[str, TypeExpr] = encodings.register_effect_constants(monad.key, monad.exceptions)
         self._vty: dict = {}
         self._cty: dict = {}
         self._rel: dict = {}
@@ -695,13 +671,15 @@ class Model:
 
     def free_algebra(self, size: int) -> tuple[int, fm.Alg, tuple[int, ...]]:
         """The registered free algebra on a ``size``-element set: its object
-        index, the algebra and the unit table."""
-        idx = self._free_of_size.get(size)
-        if idx is None:
+        index, the algebra and the unit table.  A check asks for every size
+        it ranges over before it counts anything, so a size the model does
+        not register makes the check out of bound, never wrong."""
+        if size not in self._free:
             raise OutOfBoundError(
                 f"free algebra on a {size}-element set is not registered in this model"
             )
-        return idx, self.algebras[idx], self._free_units[idx]
+        idx, eta = self._free[size]
+        return idx, self.algebras[idx], eta
 
     def alg_index(self, alg: fm.Alg) -> Optional[int]:
         for i, a in enumerate(self.algebras):
@@ -976,8 +954,7 @@ class Model:
             c = closures.get(rows)
             if c is None:
                 c = closures[rows] = close(rows)
-            have = links.get((p, q))
-            links[(p, q)] = c if have is None else tuple(map(int.__and__, have, c))
+            links[(p, q)] = c  # each flat pair codes one argument tuple pair
         return links
 
     def self_related_tables(self, rho: RelEnv, sort: str, binder: str, body: TypeExpr, i: int
@@ -1029,6 +1006,8 @@ class Model:
             total *= c.size
         if total > NAIVE_FAMILY_CAP:
             raise OutOfBoundError(f"naive family space too large: {total}")
+        if total == 0:  # product() would first list every other component, however large
+            return ()
         related = cache(self.relatedness(diag_relenv(env), sort, ty.binder, ty.body, least=False))
         k = len(comps)
         return tuple(
@@ -1170,7 +1149,7 @@ class Model:
     def _compile(self, t: TermExpr, gamma, delta) -> Callable[[TypeEnv, dict], int]:
         """``t`` in ``gamma | delta`` as a closure ``(tyenv, tmenv) -> value``;
         the static work (see the module docstring) is done here, once."""
-        consts = self.constant_schemes
+        consts = self.constants
         if isinstance(t, Var):
             name = t.name
             return lambda tyenv, tmenv: tmenv[name] if name in tmenv else self.constant_value(name)
@@ -1237,7 +1216,7 @@ class Model:
 
     def interp_term(self, j: Judgment, env: Env) -> int:
         """Evaluate a checked judgment under an environment covering its variables."""
-        tc.typecheck(j, self.constant_schemes)
+        tc.typecheck(j, self.constants)
         tmenv = dict(env.terms)
         bindings = list(j.gamma) + ([j.delta] if j.delta is not None else [])
         missing = [n for n, _ in bindings if n not in tmenv]
@@ -1291,9 +1270,9 @@ class Model:
             return hit
         if name not in self.constants:
             raise InterpError(f"no value for {name!r}: it is neither bound nor a constant")
-        scheme, key = self.constants[name]
-        poly = self.interp_vtype(TypeEnv(), scheme)
-        if key == "or":
+        op, _, e = name.partition("^")
+        poly = self.interp_vtype(TypeEnv(), self.constants[name])
+        if op == "or":
             fam = []
             for k, alg in enumerate(self.algebras):
                 comp = poly.comps[k]
@@ -1304,11 +1283,11 @@ class Model:
                 ]
                 fam.append(comp.encode(outer))
             val = poly.encode(tuple(fam))
-        elif key.startswith("raise:"):
-            e_idx = self.monad.exceptions.index(key.split(":", 1)[1])
+        elif op == "raise":
+            e_idx = self.monad.exceptions.index(e)
             val = poly.encode(tuple(alg.raise_points[e_idx] for alg in self.algebras))
-        elif key.startswith("handle:"):
-            e_idx = self.monad.exceptions.index(key.split(":", 1)[1])
+        else:  # handle^e
+            e_idx = self.monad.exceptions.index(e)
             i0, i1 = self.two_values()
             fam = []
             for s_idx, aset in enumerate(self.sets):
@@ -1322,8 +1301,6 @@ class Model:
                     table.append(q if to_t[p] == aset.size + e_idx else p)
                 fam.append(comp.encode(table))
             val = poly.encode(tuple(fam))
-        else:
-            raise InterpError(f"unknown denotation key {key!r}")
         self._const_val[name] = val
         return val
 

@@ -235,6 +235,19 @@ def free_type_var_keys(t: TypeExpr) -> frozenset[tuple[str, str]]:
     return t._fvk
 
 
+def binder_signs(sort: str, binder: str, body: TypeExpr) -> frozenset[int]:
+    """The polarities of the binder's free occurrences in ``body``: +1 where
+    it occurs covariantly, -1 where contravariantly (``->`` and ``-o`` flip
+    their domain), empty where it does not occur."""
+    if (sort, binder) not in free_type_var_keys(body):
+        return frozenset()
+    if isinstance(body, (Arrow, Lolli)):
+        return frozenset(-s for s in binder_signs(sort, binder, body.dom)) | binder_signs(sort, binder, body.cod)
+    if isinstance(body, (ForallV, ForallC)):
+        return binder_signs(sort, binder, body.body)
+    return frozenset((1,))
+
+
 def all_type_var_names(x: Union["TypeExpr", "TermExpr"]) -> frozenset[str]:
     """Every type-variable name occurring in x, bound or free, both sorts."""
     out: set[str] = set()

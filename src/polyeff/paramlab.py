@@ -78,11 +78,9 @@ class VerificationReport:
 
 
 def build_model(config: fm.ModelConfig, free_sizes: Iterable[int]) -> ip.Model:
-    """A model with the configured monad's constants registered and the free
-    algebras on the sets of sizes ``free_sizes``."""
-    monad = config.monad_spec()
-    consts = enc.register_effect_constants(config.monad, monad.exceptions)
-    return ip.Model(monad, config.bound, free_sizes, consts)
+    """The configured model with the free algebras on the sets of sizes
+    ``free_sizes``."""
+    return ip.Model(config.monad_spec(), config.bound, free_sizes)
 
 
 def _report(theorem: str, config: dict, bound: int, t0: float, failures: list,
@@ -104,7 +102,7 @@ def _model_report(theorem: str, model: ip.Model, t0: float, failures: list,
     cfg = {
         "monad": model.monad.key,
         "E": list(model.monad.exceptions),
-        "free-algebras": bool(model._free_units),
+        "free-algebras": bool(model._free),
     }
     return _report(theorem, cfg, model.bound, t0, failures, counts)
 
@@ -138,7 +136,7 @@ def semantically_equal(
     cnames: Sequence[str] = (),
 ) -> Optional[dict]:
     """Exhaustively compare two judgments' denotations; None, or a witness."""
-    consts = model.constant_schemes
+    consts = model.constants
     ty_l = tc.synth(gamma, delta, lhs, consts)
     ty_r = tc.synth(gamma, delta, rhs, consts)
     if not alpha_eq(ty_l, ty_r):
@@ -167,8 +165,8 @@ def semantically_equal(
 def verify_bang_laws(model: ip.Model) -> VerificationReport:
     """The three let laws: substitution, stoup identity, homomorphism exchange."""
     t0 = time.perf_counter()
-    if not model._free_units:
-        return _out_of_bound("bang-laws", model, t0, "free algebras must be registered")
+    for a in model.sets:  # the let laws hold at A only with T A among the algebras
+        model.free_algebra(a.size)
     bang_a = enc.encode_bang(VVar("A"))
     gamma_beta = (("t", VVar("A")), ("p", Arrow(VVar("A"), CVar("B"))))
     battery = []
@@ -220,8 +218,6 @@ def verify_free_algebra(model: ip.Model) -> VerificationReport:
     """Unique mediating homomorphisms out of T A for |A| in ``CHECKED_SIZES``,
     into every algebra of at most 3 elements, matching the let-based term."""
     t0 = time.perf_counter()
-    if not model._free_units:
-        return _out_of_bound("free-algebra", model, t0, "free algebras must be registered")
     failures = []
     checked = 0
     for a in CHECKED_SIZES:
@@ -279,8 +275,8 @@ def free_algebra_negative_control(model: ip.Model) -> VerificationReport:
                 return _model_report("free-algebra-negative-control", model, t0, [witness])
     # no violation: a control that cannot fail here is out of bound, one
     # that could have failed and did not is reported verified (a failed control)
-    free = model._free_of_size.get(len(eta))
-    if free is not None and model._algebra_isos(fake, model.algebras[free], limit=1):
+    free = model._free.get(len(eta))
+    if free is not None and model._algebra_isos(fake, model.algebras[free[0]], limit=1):
         return _out_of_bound("free-algebra-negative-control", model, t0,
                              f"the stand-in algebra is isomorphic to the free algebra on {len(eta)} points")
     return _model_report("free-algebra-negative-control", model, t0, [])
@@ -300,11 +296,10 @@ def replay_negative_control(model: ip.Model, rep: VerificationReport) -> bool:
 def verify_bang_cardinality(model: ip.Model, sizes: Sequence[int] = (0, 1, 2)) -> VerificationReport:
     """|[[!A]]| = |T A| with the projection-at-the-free-algebra bijection."""
     t0 = time.perf_counter()
-    if not model._free_units:
-        return _out_of_bound("bang-cardinality", model, t0, "free algebras must be registered")
     failures = []
     counts = {}
     for a in sizes:
+        model.free_algebra(a)  # the count matches |T A| only with T A registered
         env = ip.TypeEnv().set(ip.VSORT, "A", fm.FinSet(a))
         poly = model.interp_vtype(env, enc.encode_bang(VVar("A")))
         ta = model.monad.apply(fm.FinSet(a)).size
@@ -334,8 +329,6 @@ def lifted_rel(model: ip.Model, r: tuple[int, ...], a: int, b: int) -> tuple[int
 def verify_rel_lifting(model: ip.Model) -> VerificationReport:
     """Three characterisations of the lifting agree for every relation."""
     t0 = time.perf_counter()
-    if not model._free_units:
-        return _out_of_bound("rel-lifting", model, t0, "free algebras must be registered")
     failures = []
     checked = 0
     bang_x = enc.encode_bang(VVar("X"))
@@ -457,8 +450,7 @@ def _generic_to_nt(model: ip.Model, comps, gen: int, n: int) -> tuple[int, ...]:
 def verify_algop_correspondence(model: ip.Model, n: int) -> VerificationReport:
     """Natural transformations, effects in T(n), and parametric elements agree."""
     t0 = time.perf_counter()
-    if not model._free_units:
-        return _out_of_bound("algop-correspondence", model, t0, "free algebras must be registered")
+    fa_idx, _, eta = model.free_algebra(n)
     failures = []
     tn = model.monad.apply(fm.FinSet(n)).size
     nts = enumerate_natural_transformations(model, n)
@@ -477,7 +469,6 @@ def verify_algop_correspondence(model: ip.Model, n: int) -> VerificationReport:
             failures.append({"detail": "family is not a natural transformation", "element": f})
 
     # gen -> theta -> gen roundtrip: evaluate at the free algebra on n
-    fa_idx, _, eta = model.free_algebra(n)
     gen_images = [_generic_to_nt(model, poly.comps, gen, n) for gen in range(tn)]
     for gen, fam in enumerate(gen_images):
         if fam not in nt_set:
@@ -516,8 +507,6 @@ def verify_handler(model: ip.Model) -> VerificationReport:
     if not model.monad.exceptions:
         return _out_of_bound("handler", model, t0,
                              "handler verification needs a non-empty exception set (E = {})")
-    if not model._free_units:
-        return _out_of_bound("handler", model, t0, "free algebras must be registered")
     failures = []
     checked = 0
     denotation_skipped = False
@@ -574,18 +563,17 @@ def verify_handler(model: ip.Model) -> VerificationReport:
         # its polymorphic type and agrees with the case-split table
         name = f"handle^{e}"
         val = None
-        if name in model.constants:
-            try:
-                val = model.constant_value(name)  # encoding asserts membership
-            except ip.OutOfBoundError:
-                denotation_skipped = True
-            except ip.InterpError as exc:
-                failures.append({"law": "membership", "e": e, "detail": str(exc)})
-                continue
+        try:
+            val = model.constant_value(name)  # encoding asserts membership
+        except ip.OutOfBoundError:
+            denotation_skipped = True
+        except ip.InterpError as exc:
+            failures.append({"law": "membership", "e": e, "detail": str(exc)})
+            continue
         if val is not None:
             for a in CHECKED_SIZES[:model.bound + 1]:
                 to_t, from_t = model.bang_bridge(a)
-                scheme = model.constants[name][0]
+                scheme = model.constants[name]
                 poly = model.interp_vtype(ip.TypeEnv(), scheme)
                 comp = poly.comps[a]
                 i0, i1 = model.two_values()
@@ -613,16 +601,16 @@ def verify_encoding_props(model: ip.Model) -> VerificationReport:
     """Initial object, binary coproducts, the wrapping isomorphism, and the
     function-space decomposition through ``!``.
 
-    The model must have free algebras registered: coproduct mediation is
-    only unique once the enumeration contains algebras rich enough to cut
-    non-standard families out of the encoded sum.  For the same reason a
-    sum isomorphic to no registered algebra makes the suite out of bound.
+    The decomposition at a 2-element set holds only with the free algebra
+    on it registered, so the check asks for that algebra first.  Coproduct
+    mediation is only unique once the enumeration contains algebras rich
+    enough to cut non-standard families out of the encoded sum, so a sum
+    isomorphic to no registered algebra makes the suite out of bound.
     """
     t0 = time.perf_counter()
+    model.free_algebra(2)
     failures = []
     checked = 0
-    if not model._free_units:
-        return _out_of_bound("encoding-props", model, t0, "free algebras must be registered")
 
     # initiality of the empty computation type
     zero_ty = enc.encode_comp_type("ZeroC")
@@ -998,8 +986,8 @@ def verify_parametric_counts(model: ip.Model, plain_model: Optional[ip.Model] = 
     """Cardinalities of the basic polymorphic operation types, with the
     naive product-filter oracle cross-checked where it is feasible."""
     t0 = time.perf_counter()
-    if not model._free_units:
-        return _out_of_bound("parametric-counts", model, t0, "free algebras must be registered")
+    for n in (0, 1, 2):  # |[[n-ary op]]| = |T n| only with T n registered
+        model.free_algebra(n)
     failures = []
     counts = {}
     for n in (0, 1, 2):
@@ -1042,10 +1030,7 @@ def typing_corpus():
     bang = enc.encode_bang
     unit = enc.encode_value_type("Unit")
     two = enc.encode_num(2)
-    consts = enc.constants_table(
-        enc.register_effect_constants("exception", ("e",))
-        + enc.register_effect_constants("powerset")
-    )
+    consts = {**enc.register_effect_constants("exception", ("e",)), **enc.register_effect_constants("powerset")}
 
     positives = []
 

@@ -258,6 +258,21 @@ def test_negative_control_that_cannot_fail_is_out_of_bound(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("bound, suite, size", [
+    ("1", "bang-cardinality", 2),
+    ("1", "parametric-counts", 2),
+    ("1", "encoding-props", 2),
+    ("0", "parametric-counts", 1),
+])
+def test_a_suite_ranging_past_the_registered_free_algebras_is_out_of_bound(capsys, bound, suite, size):
+    # the model registers the free algebras up to the bound only; a count
+    # over a larger one would be a false counterexample
+    code, out, err = run(capsys, "--bound", bound, "--format", "json", "verify", suite)
+    assert code == 3
+    assert "counterexample" not in out
+    assert err == f"{suite}: out-of-bound: free algebra on a {size}-element set is not registered in this model\n"
+
+
 def test_text_mode_prints_why_a_check_is_out_of_bound(capsys):
     code, out, _ = run(capsys, "--exceptions", "", "verify", "free-algebra")
     control, witness = out.splitlines()[-2:]

@@ -17,6 +17,7 @@ from polyeff.kernel import (
     VVar,
     alpha_eq,
     classify_type,
+    free_type_var_keys,
 )
 from polyeff.surface import parse_term, parse_type
 
@@ -221,14 +222,24 @@ def test_cbpv_translation_examples():
 
 
 def test_effect_constant_signatures():
-    sigs = {s.name: s for s in enc.register_effect_constants("powerset")}
-    assert alpha_eq(sigs["or"].scheme, parse_type("forall ^X. ^X -> ^X -> ^X"))
-    sigs = {s.name: s for s in enc.register_effect_constants("exception", ("e",))}
-    assert alpha_eq(sigs["raise^e"].scheme, parse_type("forall ^X. ^X"))
+    sigs = enc.register_effect_constants("powerset")
+    assert alpha_eq(sigs["or"], parse_type("forall ^X. ^X -> ^X -> ^X"))
+    sigs = enc.register_effect_constants("exception", ("e",))
+    assert alpha_eq(sigs["raise^e"], parse_type("forall ^X. ^X"))
     handler_src = parse_type("forall X. (2 -> !X) -o !X")
-    assert alpha_eq(sigs["handle^e"].scheme, handler_src)
+    assert alpha_eq(sigs["handle^e"], handler_src)
     with pytest.raises(enc.EncodingError):
         enc.register_effect_constants("state")
+
+
+@pytest.mark.parametrize("monad, exceptions", [
+    ("identity", ()), ("powerset", ()),
+    *(("exception", tuple(f"e{k}" for k in range(n))) for n in range(4)),
+])
+def test_effect_constant_schemes_are_closed_and_well_kinded(monad, exceptions):
+    for name, scheme in enc.register_effect_constants(monad, exceptions).items():
+        assert free_type_var_keys(scheme) == frozenset(), name
+        classify_type(scheme)
 
 
 def test_two_is_one_plus_one():

@@ -40,8 +40,7 @@ def model():
 
 @pytest.fixture(scope="module")
 def free_model():
-    consts = enc.register_effect_constants("exception", ("e",))
-    return ip.Model(EXC, 2, range(3), consts)
+    return ip.Model(EXC, 2, range(3))
 
 
 def test_a_model_registers_the_free_algebras_it_is_built_with():
@@ -195,7 +194,7 @@ def test_thunk_applies_the_continuation(free_model):
 def test_handler_case_split(free_model):
     model = free_model
     val = model.constant_value("handle^e")
-    scheme = model.constants["handle^e"][0]
+    scheme = model.constants["handle^e"]
     poly = model.interp_vtype(ip.TypeEnv(), scheme)
     i0, i1 = model.two_values()
     for a in (0, 1, 2):
@@ -214,16 +213,15 @@ def test_handler_case_split(free_model):
 def test_raise_constant_is_the_raise_family(free_model):
     model = free_model
     val = model.constant_value("raise^e")
-    scheme = model.constants["raise^e"][0]
+    scheme = model.constants["raise^e"]
     poly = model.interp_vtype(ip.TypeEnv(), scheme)
     assert poly.fams[val] == tuple(alg.raise_points[0] for alg in model.algebras)
 
 
 def test_or_constant_is_the_join_family():
-    consts = enc.register_effect_constants("powerset")
-    pmodel = ip.Model(POW, 2, range(3), consts)
+    pmodel = ip.Model(POW, 2, range(3))
     val = pmodel.constant_value("or")
-    scheme = pmodel.constants["or"][0]
+    scheme = pmodel.constants["or"]
     poly = pmodel.interp_vtype(ip.TypeEnv(), scheme)
     for k, alg in enumerate(pmodel.algebras):
         comp = poly.comps[k]
@@ -304,7 +302,7 @@ def test_projection_independent_of_isomorphism(free_model):
     bang_alg = model.interp_ctype(env, enc.encode_bang(VVar("A")))
     assert model.alg_index(bang_alg) is None
     con = model.constant_value("raise^e")
-    scheme = model.constants["raise^e"][0]
+    scheme = model.constants["raise^e"]
     poly = model.interp_vtype(ip.TypeEnv(), scheme)
     got = model.project_poly(poly, con, bang_alg, "X", CVar("X"), ip.TypeEnv())
     assert got == bang_alg.raise_points[0]
@@ -498,6 +496,15 @@ def test_pairwise_search_raises_only_at_a_reached_position():
     # an empty domain ends the search before the oversized one is reached
     assert ip.pairwise_search([0, ip.ITER_CAP + 1], ok) == ()
     assert ip.pairwise_search([], ok) == ((),)
+
+
+def test_naive_oracle_with_an_empty_component_lists_no_other():
+    # components of sizes 0, 1 and 2^64: no family, and the 2^64 values of
+    # the last component are never listed
+    model = ip.Model(EXC, 2)
+    env = ip.type_env({"Y": fm.FinSet(2)})
+    ty = parse_type("forall X. ((X -> Y) -> Y) -> (X -> Y) -> X")
+    assert model.enumerate_families_naive(env, ty) == () == model.interp_vtype(env, ty).fams
 
 
 def test_naive_oracle_on_the_identity_extension_battery():

@@ -142,7 +142,7 @@ def test_ascription_checked():
 
 
 def test_constants_resolved_from_table():
-    consts = enc.constants_table(enc.register_effect_constants("powerset"))
+    consts = enc.register_effect_constants("powerset")
     check(
         subject=Var("or"),
         expected=parse_type("forall ^X. ^X -> ^X -> ^X"),
