@@ -102,7 +102,7 @@ def _checked_files(args):
     """``(path, errors, declarations)`` for each file, checked against the
     configured monad's constants."""
     cfg = load_config(args)
-    constants = enc.register_effect_constants(cfg.monad, cfg.monad_spec().exceptions)
+    constants = enc.register_effect_constants(cfg.monad_spec())
     for path in args.files:
         out: list = []
         errors = process_file(path, constants, out)

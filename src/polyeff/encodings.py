@@ -345,21 +345,23 @@ def comp_iso_terms(ac: TypeExpr) -> tuple[TermExpr, TermExpr]:
 # constants
 
 
-def register_effect_constants(monad_key: str, exceptions: Sequence[str] = ()) -> dict[str, TypeExpr]:
-    """The effect constants a monad induces, each name with its closed
-    scheme: ``or`` for powerset, ``raise^e`` and then ``handle^e`` for
-    each exception ``e``, none for the identity monad.  A model takes its
+def nary_op_type(n: int) -> TypeExpr:
+    """``forall ^X. ^X -> ... -> ^X`` with n arguments: an n-ary operation's scheme."""
+    ty: TypeExpr = CVar("X")
+    for _ in range(n):
+        ty = Arrow(CVar("X"), ty)
+    return ForallC("X", ty)
+
+
+def register_effect_constants(monad) -> dict[str, TypeExpr]:
+    """The effect constants of a ``finmodel.MonadSpec``, each name with its
+    closed scheme: every operation of its signature at ``nary_op_type`` of
+    its arity, then ``handle^e`` for each exception ``e``.  A model takes its
     constants from here, and interprets each one by its name."""
-    if monad_key == "identity":
-        return {}
-    if monad_key == "powerset":
-        return {"or": ForallC("X", Arrow(CVar("X"), Arrow(CVar("X"), CVar("X"))))}
-    if monad_key == "exception":
-        bang_x = encode_bang(VVar("X"))
-        handler = ForallV("X", Lolli(Arrow(encode_num(2), bang_x), bang_x))
-        return {**{f"raise^{e}": ForallC("X", CVar("X")) for e in exceptions},
-                **{f"handle^{e}": handler for e in exceptions}}
-    raise EncodingError(f"unknown monad key {monad_key!r}")
+    consts = {name: nary_op_type(arity) for name, arity in monad.operations}
+    bang_x = encode_bang(VVar("X"))
+    handler = ForallV("X", Lolli(Arrow(encode_num(2), bang_x), bang_x))
+    return {**consts, **{f"handle^{e}": handler for e in monad.exceptions}}
 
 
 # ---------------------------------------------------------------------------

@@ -1,18 +1,22 @@
 """Finite semantic substrate: sets, monads, algebras and relations.
 
-Three monads are supported, each presented through operation tables on
-finite carriers rather than abstract structure maps:
+Three monads are supported.  Each has a *signature* of named operations
+with their arities, and an algebra is a finite carrier with one table per
+operation of the signature:
 
-* ``identity``   — algebras are bare sets, every map is a homomorphism;
-* ``exception``  — T A = A + E; algebras are E-pointed sets (one
-  distinguished ``raise`` element per exception, no laws);
-* ``powerset``   — T A = nonempty subsets of A; algebras are
-  semilattices (idempotent commutative associative ``or``).
+* ``identity``   — no operations, so algebras are bare sets and every map
+  is a homomorphism;
+* ``exception``  — T A = A + E; one constant ``raise^e`` per exception, so
+  algebras are E-pointed sets (no laws);
+* ``powerset``   — T A = nonempty subsets of A; one binary ``or``, and
+  algebras are semilattices (idempotent commutative associative ``or``).
 
-Carrier elements are canonically 0..n-1.  For the exception monad the
-first |A| elements of T A are the values and the last |E| the raised
-exceptions; for the powerset monad element ``i`` of T A is the subset
-with bitmask ``i + 1``.
+Carrier elements are canonically 0..n-1.  The table of an operation of
+arity k has n ** k entries, indexed by ``arg_code`` of the arguments: a
+constant has one entry, ``or`` at (x, y) sits at x*n + y.  For the
+exception monad the first |A| elements of T A are the values and the last
+|E| the raised exceptions; for the powerset monad element ``i`` of T A is
+the subset with bitmask ``i + 1``.
 
 Sets, monads and algebras are hash-consed with ``kernel.hash_consed``,
 like types: equal ones are one object, so caches key on them by identity.
@@ -57,30 +61,35 @@ MONADS = ("identity", "exception", "powerset")
 
 @hash_consed
 class MonadSpec(Interned):
+    """A monad with its signature, fixed when it is built: ``operations``
+    pairs each operation's name with its arity, ``arities`` lists the
+    arities.  The identity monad acts as the exception monad with E = {}."""
+
     key: str  # "identity" | "exception" | "powerset"
     exceptions: tuple[str, ...] = ()
+    operations: tuple[tuple[str, int], ...] = field(init=False, repr=False)
+    arities: tuple[int, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.key not in MONADS:
             raise ModelError(f"unknown monad {self.key!r}")
         if self.key != "exception" and self.exceptions:
             raise ModelError(f"{self.key} monad takes no exception set")
+        ops = (("or", 2),) if self.key == "powerset" else tuple((f"raise^{e}", 0) for e in self.exceptions)
+        object.__setattr__(self, "operations", ops)
+        object.__setattr__(self, "arities", tuple(arity for _, arity in ops))
 
     @property
     def n_exc(self) -> int:
         return len(self.exceptions)
 
     def apply(self, a: FinSet) -> FinSet:
-        if self.key == "identity":
-            return a
-        if self.key == "exception":
+        if self.key != "powerset":
             return FinSet(a.size + self.n_exc)
         return FinSet((1 << a.size) - 1)
 
     def unit(self, a: FinSet) -> tuple[int, ...]:
-        if self.key == "identity":
-            return tuple(range(a.size))
-        if self.key == "exception":
+        if self.key != "powerset":
             return tuple(range(a.size))
         return tuple((1 << i) - 1 for i in range(a.size))
 
@@ -88,13 +97,8 @@ class MonadSpec(Interned):
         """Lift ``f : A -> T B`` to ``f+ : T A -> T B``."""
         if len(f) != a.size:
             raise ModelError("table does not cover the domain")
-        if self.key == "identity":
-            return tuple(f)
-        if self.key == "exception":
-            out = list(f)
-            for e in range(self.n_exc):
-                out.append(b.size + e)
-            return tuple(out)
+        if self.key != "powerset":
+            return tuple(f) + tuple(range(b.size, b.size + self.n_exc))
         # subset masks of A, doubled one element at a time: the image of
         # s + {i} is the image of s joined with f(i)
         masks = [0]
@@ -115,28 +119,34 @@ class MonadSpec(Interned):
 
 @hash_consed
 class Alg(Interned):
+    """An algebra for ``monad``: ``ops[k]`` is the table of the k-th
+    operation of its signature, indexed by ``arg_code`` of the arguments."""
+
     monad: MonadSpec
     carrier: FinSet
-    raise_points: tuple[int, ...] = ()
-    or_table: tuple[tuple[int, ...], ...] = ()
+    ops: tuple[tuple[int, ...], ...] = ()
 
     def __post_init__(self):
         n = self.carrier.size
-        if self.monad.key == "exception":
-            if len(self.raise_points) != self.monad.n_exc:
-                raise ModelError("one distinguished point per exception required")
-            if any(not 0 <= p < n for p in self.raise_points):
-                raise ModelError("distinguished point outside carrier")
-        elif self.raise_points:
-            raise ModelError("raise points only make sense for the exception monad")
-        if self.monad.key == "powerset":
-            if len(self.or_table) != n or any(len(r) != n for r in self.or_table):
-                raise ModelError("or table must be square on the carrier")
-        elif self.or_table:
-            raise ModelError("or table only makes sense for the powerset monad")
+        if len(self.ops) != len(self.monad.arities):
+            raise ModelError("one table per operation of the signature required")
+        for (name, arity), table in zip(self.monad.operations, self.ops):
+            if len(table) != n ** arity:
+                raise ModelError(f"the table of {name} must have {n}^{arity} entries")
+            if any(not 0 <= v < n for v in table):
+                raise ModelError(f"the table of {name} leaves the carrier")
 
-    def op_or(self, x: int, y: int) -> int:
-        return self.or_table[x][y]
+    def op(self, k: int, args: Sequence[int]) -> int:
+        """Operation k applied to ``args``."""
+        return self.ops[k][arg_code(args, self.carrier.size)]
+
+
+def arg_code(args: Iterable[int], n: int) -> int:
+    """The mixed-radix code of ``args`` over ``range(n)``, first argument most significant."""
+    code = 0
+    for x in args:
+        code = code * n + x
+    return code
 
 
 def semilattice_laws_hold(table: Sequence[Sequence[int]]) -> bool:
@@ -156,17 +166,15 @@ def semilattice_laws_hold(table: Sequence[Sequence[int]]) -> bool:
 def em_map_of(alg: Alg) -> tuple[int, ...]:
     """Derive the structure map T(carrier) -> carrier from the operation tables."""
     m, n = alg.monad, alg.carrier.size
-    if m.key == "identity":
-        return tuple(range(n))
-    if m.key == "exception":
-        return tuple(range(n)) + tuple(alg.raise_points)
+    if m.key != "powerset":  # T(carrier) is the carrier, then one element per constant
+        return tuple(range(n)) + tuple(table[0] for table in alg.ops)
     out = []
     for mask_minus in range((1 << n) - 1):
         mask = mask_minus + 1
         elems = [i for i in range(n) if mask >> i & 1]
         acc = elems[0]
         for e in elems[1:]:
-            acc = alg.op_or(acc, e)
+            acc = alg.op(0, (acc, e))
         out.append(acc)
     return tuple(out)
 
@@ -181,14 +189,9 @@ def enumerate_algebras(m: MonadSpec, bound: int) -> list[Alg]:
     out: list[Alg] = []
     for n in range(bound + 1):
         carrier = FinSet(n)
-        if m.key == "identity":
-            out.append(Alg(m, carrier))
-            continue
-        if m.key == "exception":
-            if n == 0 and m.n_exc > 0:
-                continue  # no choice of distinguished points
+        if m.key != "powerset":  # one distinguished point per exception, none on an empty carrier
             for pts in product(range(n), repeat=m.n_exc):
-                out.append(Alg(m, carrier, raise_points=pts))
+                out.append(Alg(m, carrier, tuple((p,) for p in pts)))
             continue
         # powerset: enumerate symmetric idempotent tables, filter associativity
         cells = [(x, y) for x in range(n) for y in range(x + 1, n)]
@@ -196,25 +199,19 @@ def enumerate_algebras(m: MonadSpec, bound: int) -> list[Alg]:
             table = [[x if x == y else -1 for y in range(n)] for x in range(n)]
             for (x, y), v in zip(cells, choice):
                 table[x][y] = table[y][x] = v
-            tbl = tuple(tuple(r) for r in table)
-            if semilattice_laws_hold(tbl):
-                out.append(Alg(m, carrier, or_table=tbl))
+            if semilattice_laws_hold(table):
+                out.append(Alg(m, carrier, (tuple(v for row in table for v in row),)))
     return out
 
 
 def free_algebra(m: MonadSpec, a: FinSet) -> tuple[Alg, tuple[int, ...]]:
     """The algebra on T A together with the unit table A -> T A."""
     ta = m.apply(a)
-    if m.key == "identity":
-        return Alg(m, ta), m.unit(a)
-    if m.key == "exception":
-        pts = tuple(a.size + e for e in range(m.n_exc))
-        return Alg(m, ta, raise_points=pts), m.unit(a)
+    if m.key != "powerset":
+        return Alg(m, ta, tuple((a.size + e,) for e in range(m.n_exc))), m.unit(a)
     n = ta.size
-    table = tuple(
-        tuple((((x + 1) | (y + 1)) - 1) for y in range(n)) for x in range(n)
-    )
-    return Alg(m, ta, or_table=table), m.unit(a)
+    table = tuple((((x + 1) | (y + 1)) - 1) for x in range(n) for y in range(n))
+    return Alg(m, ta, (table,)), m.unit(a)
 
 
 def _is_map(table: Sequence[int], dom_size: int, cod_size: int) -> bool:
@@ -224,41 +221,42 @@ def _is_map(table: Sequence[int], dom_size: int, cod_size: int) -> bool:
 
 def is_homomorphism(table: Sequence[int], dom: Alg, cod: Alg) -> bool:
     """Does the total map preserve every structure operation?"""
-    n = dom.carrier.size
-    if not _is_map(table, n, cod.carrier.size):
+    n, m = dom.carrier.size, cod.carrier.size
+    if not _is_map(table, n, m):
         return False
-    if dom.monad.key == "exception":
-        for p, q in zip(dom.raise_points, cod.raise_points):
-            if table[p] != q:
+    for arity, f, g in zip(dom.monad.arities, dom.ops, cod.ops):
+        if arity == 0:
+            if table[f[0]] != g[0]:
                 return False
-    if dom.monad.key == "powerset":
-        for x in range(n):
-            for y in range(x, n):
-                if table[dom.op_or(x, y)] != cod.op_or(table[x], table[y]):
-                    return False
+            continue
+        for code, args in enumerate(product(range(n), repeat=arity)):
+            if table[f[code]] != g[arg_code([table[x] for x in args], m)]:
+                return False
     return True
 
 
 def enumerate_homs(dom: Alg, cod: Alg, cap: int = 1_000_000) -> list[tuple[int, ...]]:
     """All homomorphism tables dom -> cod, in lexicographic order.
 
-    Exception points are pinned first, so only the free positions are
-    enumerated; more than ``cap`` choices raise ``OutOfBoundError``.
+    The constants' images are pinned first, so only the free positions
+    are enumerated, and a signature of constants alone needs no further
+    test; more than ``cap`` choices raise ``OutOfBoundError``.
     """
     forced: dict[int, int] = {}
-    for p, q in zip(dom.raise_points, cod.raise_points):
-        if forced.setdefault(p, q) != q:
+    for arity, f, g in zip(dom.monad.arities, dom.ops, cod.ops):
+        if arity == 0 and forced.setdefault(f[0], g[0]) != g[0]:
             return []
     table = [forced.get(i, 0) for i in range(dom.carrier.size)]
     free = [i for i in range(len(table)) if i not in forced]
     m = cod.carrier.size
     if m ** len(free) > cap:
         raise OutOfBoundError(f"hom space too large: {m}^{len(free)}")
+    test = any(dom.monad.arities)
     out = []
     for choice in product(range(m), repeat=len(free)):
         for p, v in zip(free, choice):
             table[p] = v
-        if is_homomorphism(table, dom, cod):
+        if not test or is_homomorphism(table, dom, cod):
             out.append(tuple(table))
     return out
 
@@ -330,51 +328,48 @@ def product_alg(a: Alg, b: Alg) -> Alg:
     """Componentwise structure on the product carrier; index = x*|B| + y."""
     if a.monad != b.monad:
         raise ModelError("algebras over different monads")
-    m = a.monad
     na, nb = a.carrier.size, b.carrier.size
-    carrier = FinSet(na * nb)
-    if m.key == "identity":
-        return Alg(m, carrier)
-    if m.key == "exception":
-        pts = tuple(p * nb + q for p, q in zip(a.raise_points, b.raise_points))
-        return Alg(m, carrier, raise_points=pts)
-    table = tuple(
-        tuple(
-            a.op_or(x // nb, y // nb) * nb + b.op_or(x % nb, y % nb)
-            for y in range(na * nb)
-        )
-        for x in range(na * nb)
+    ops = tuple(
+        tuple(f[arg_code([x // nb for x in args], na)] * nb + g[arg_code([x % nb for x in args], nb)]
+              for args in product(range(na * nb), repeat=arity))
+        for arity, f, g in zip(a.monad.arities, a.ops, b.ops)
     )
-    return Alg(m, carrier, or_table=table)
+    return Alg(a.monad, FinSet(na * nb), ops)
 
 
 def admissible(rows: Sequence[int], a: Alg, b: Alg) -> bool:
     """Does the relation carry a subalgebra of the product ``a x b``?"""
-    if not all(rows[p] >> q & 1 for p, q in zip(a.raise_points, b.raise_points)):
-        return False
-    if a.monad.key == "powerset":
-        pairs = rel_pairs(rows)
-        return all(rows[a.op_or(x1, x2)] >> b.op_or(y1, y2) & 1
-                   for x1, y1 in pairs for x2, y2 in pairs)
+    na, nb = a.carrier.size, b.carrier.size
+    for arity, f, g in zip(a.monad.arities, a.ops, b.ops):
+        if arity == 0:
+            if not rows[f[0]] >> g[0] & 1:
+                return False
+        elif not all(rows[f[arg_code([x for x, _ in args], na)]] >> g[arg_code([y for _, y in args], nb)] & 1
+                     for args in product(rel_pairs(rows), repeat=arity)):
+            return False
     return True
 
 
 def admissible_closure(rows: Sequence[int], a: Alg, b: Alg) -> tuple[int, ...]:
     """Smallest relation containing ``rows`` closed under the product structure."""
+    na, nb = a.carrier.size, b.carrier.size
     out = list(rows)
-    for p, q in zip(a.raise_points, b.raise_points):
-        out[p] |= 1 << q
-    if a.monad.key == "powerset":
-        changed = True
-        while changed:
-            changed = False
-            pairs = rel_pairs(out)
-            for x1, y1 in pairs:
-                for x2, y2 in pairs:
-                    x, y = a.op_or(x1, x2), b.op_or(y1, y2)
-                    if not out[x] >> y & 1:
-                        out[x] |= 1 << y
-                        changed = True
+    ops = list(zip(a.monad.arities, a.ops, b.ops))
+    for arity, f, g in ops:
+        if arity == 0:
+            out[f[0]] |= 1 << g[0]
+    ops = [op for op in ops if op[0]]
+    changed = bool(ops)
+    while changed:
+        changed = False
+        pairs = rel_pairs(out)
+        for arity, f, g in ops:
+            for args in product(pairs, repeat=arity):
+                x = f[arg_code([p for p, _ in args], na)]
+                y = g[arg_code([q for _, q in args], nb)]
+                if not out[x] >> y & 1:
+                    out[x] |= 1 << y
+                    changed = True
     return tuple(out)
 
 
@@ -506,19 +501,11 @@ def check_monad_laws(m: MonadSpec, max_size: int) -> LawReport:
 def _unit_image_generates(m: MonadSpec, a: FinSet) -> bool:
     """T A must be generated by the unit image under the free structure ops."""
     fa, eta = free_algebra(m, a)
-    reached = set(eta)
-    if m.key == "exception":
-        reached |= set(fa.raise_points)
-    if m.key == "powerset":
-        changed = True
-        while changed:
-            changed = False
-            for x in list(reached):
-                for y in list(reached):
-                    z = fa.op_or(x, y)
-                    if z not in reached:
-                        reached |= {z}
-                        changed = True
+    reached, size = set(eta), -1
+    while size != len(reached):  # a constant is reached in the first round
+        size = len(reached)
+        reached |= {fa.op(k, args) for k, arity in enumerate(m.arities)
+                    for args in product(list(reached), repeat=arity)}
     return reached == set(range(fa.carrier.size))
 
 
@@ -542,9 +529,9 @@ def _union_splits(a: FinSet) -> list[tuple[int, int, int]]:
 
 def _joins_splits(table: Sequence[int], splits, cod: Alg) -> bool:
     """Does the map ``table`` send each split ``s`` to the join in ``cod`` of its parts' images?"""
-    join = cod.or_table
+    join, n = cod.ops[0], cod.carrier.size
     for s, r, i in splits:
-        if table[s] != join[table[r]][table[i]]:
+        if table[s] != join[table[r] * n + table[i]]:
             return False
     return True
 

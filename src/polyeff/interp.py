@@ -70,7 +70,7 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass
 from functools import cache
-from itertools import product
+from itertools import permutations, product
 from math import prod
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
@@ -658,12 +658,11 @@ class Model:
                 self.algebras.append(alg)
                 idx = len(self.algebras) - 1
             self._free[size] = (idx, eta)
-        self.constants: dict[str, TypeExpr] = encodings.register_effect_constants(monad.key, monad.exceptions)
+        self.constants: dict[str, TypeExpr] = encodings.register_effect_constants(monad)
         self._vty: dict = {}
         self._cty: dict = {}
         self._rel: dict = {}
-        self._set_rels: dict = {}
-        self._alg_rels: dict = {}
+        self._pair_rels: dict = {}  # (sort, i, j) -> rels_for_pair
         self._const_val: dict = {}
         self._two: Optional[tuple[int, int]] = None
 
@@ -696,9 +695,8 @@ class Model:
         is closed under converse, so a pair whose converse is listed already
         takes the converses of that list."""
         key = (sort, i, j)
-        cache = self._set_rels if sort == VSORT else self._alg_rels
-        if key not in cache:
-            back = cache.get((sort, j, i))
+        if key not in self._pair_rels:
+            back = self._pair_rels.get((sort, j, i))
             if back is not None:
                 n = _carrier_size(self.objects(sort)[i])
                 rels = [fm.converse(r, n) for r in back]
@@ -706,8 +704,8 @@ class Model:
                 rels = fm.enumerate_set_rels(self.sets[i], self.sets[j])
             else:
                 rels = fm.enumerate_alg_rels(self.algebras[i], self.algebras[j])
-            cache[key] = sorted(rels, key=lambda r: (len(pairs := fm.rel_pairs(r)), pairs))
-        return cache[key]
+            self._pair_rels[key] = sorted(rels, key=lambda r: (len(pairs := fm.rel_pairs(r)), pairs))
+        return self._pair_rels[key]
 
     # -- value-type interpretation ----------------------------------------
 
@@ -771,41 +769,31 @@ class Model:
         # the operation tables are built per element through the structural
         # recursion below, so component algebras never materialize in full
         n = self.interp_vtype(env, ty).size
-        if m.key == "identity":
-            return fm.Alg(m, fm.FinSet(n))
-        if m.key == "exception":
-            pts = tuple(
-                self._pointwise(env, ty, lambda alg, e=e: alg.raise_points[e], ())
-                for e in range(m.n_exc)
-            )
-            return fm.Alg(m, fm.FinSet(n), raise_points=pts)
-        if n > 512:
-            raise OutOfBoundError(f"structure table too large: {n}")
-        table = tuple(
-            tuple(self._pointwise(env, ty, fm.Alg.op_or, (f, g)) for g in range(n))
-            for f in range(n)
-        )
-        return fm.Alg(m, fm.FinSet(n), or_table=table)
+        ops = []
+        for k, arity in enumerate(m.arities):
+            if n ** arity > 512 ** 2:
+                raise OutOfBoundError(f"structure table too large: {n}")
+            ops.append(tuple(self._pointwise(env, ty, k, args) for args in product(range(n), repeat=arity)))
+        return fm.Alg(m, fm.FinSet(n), tuple(ops))
 
-    def _pointwise(self, env: TypeEnv, ty: TypeExpr, op, args: Sequence[int]) -> int:
-        """``op(alg, *args)`` at each ``^X`` leaf of a computation type,
+    def _pointwise(self, env: TypeEnv, ty: TypeExpr, k: int, args: Sequence[int]) -> int:
+        """Operation ``k`` at each ``^X`` leaf of a computation type,
         tabulated through ``->`` and ``forall``: an element of the domain
-        built pointwise from the elements ``args`` (a distinguished point
-        from none, a join from two)."""
+        built pointwise from the elements ``args``, one per argument."""
         if isinstance(ty, CVar):
-            return op(env.get(CSORT, ty.name), *args)
+            return env.get(CSORT, ty.name).op(k, args)
         sem = self.interp_vtype(env, ty)
         if isinstance(ty, Arrow):
             return sem.encode([  # type: ignore[attr-defined]
-                self._pointwise(env, ty.cod, op, [sem.apply(u, x) for u in args])
+                self._pointwise(env, ty.cod, k, [sem.apply(u, x) for u in args])
                 for x in range(sem.dom.size)  # type: ignore[attr-defined]
             ])
         if isinstance(ty, (ForallV, ForallC)):
             sort = VSORT if isinstance(ty, ForallV) else CSORT
             return sem.encode([  # type: ignore[attr-defined]
-                self._pointwise(env.set(sort, ty.binder, obj), ty.body, op,
-                                [sem.fams[u][k] for u in args])  # type: ignore[attr-defined]
-                for k, obj in enumerate(self.objects(sort))
+                self._pointwise(env.set(sort, ty.binder, obj), ty.body, k,
+                                [sem.fams[u][i] for u in args])  # type: ignore[attr-defined]
+                for i, obj in enumerate(self.objects(sort))
             ])
         raise InterpError(f"no pointwise structure at {ty!r}")
 
@@ -1074,22 +1062,15 @@ class Model:
 
     # -- projection -----------------------------------------------------------
 
-    def _algebra_isos(self, source: fm.Alg, target: fm.Alg, limit: int = 2) -> list[tuple[int, ...]]:
-        """Bijective homomorphisms source -> target, deterministic order."""
-        n = source.carrier.size
-        if target.carrier.size != n:
-            return []
-        out = []
-        from itertools import permutations
-
-        for perm in permutations(range(n)):
+    def _algebra_isos(self, source: fm.Alg, target: fm.Alg) -> Iterator[tuple[int, ...]]:
+        """Every bijective homomorphism source -> target, deterministic order."""
+        if target.carrier.size != source.carrier.size:
+            return
+        for perm in permutations(range(source.carrier.size)):
             if fm.is_homomorphism(perm, source, target) and fm.is_homomorphism(
                 _invert(perm), target, source
             ):
-                out.append(tuple(perm))
-                if len(out) >= limit:
-                    break
-        return out
+                yield perm
 
     def project_poly(
         self,
@@ -1128,8 +1109,6 @@ class Model:
                     {(CSORT, binder): iso},
                 )
                 results.append(mover(poly.fams[fam_idx][k]))
-                if len(results) >= 2:
-                    break
             if results:
                 break
         if not results:
@@ -1270,24 +1249,14 @@ class Model:
             return hit
         if name not in self.constants:
             raise InterpError(f"no value for {name!r}: it is neither bound nor a constant")
-        op, _, e = name.partition("^")
         poly = self.interp_vtype(TypeEnv(), self.constants[name])
-        if op == "or":
-            fam = []
-            for k, alg in enumerate(self.algebras):
-                comp = poly.comps[k]
-                inner = comp.cod
-                outer = [
-                    inner.encode([alg.op_or(x, y) for y in range(alg.carrier.size)])
-                    for x in range(alg.carrier.size)
-                ]
-                fam.append(comp.encode(outer))
-            val = poly.encode(tuple(fam))
-        elif op == "raise":
-            e_idx = self.monad.exceptions.index(e)
-            val = poly.encode(tuple(alg.raise_points[e_idx] for alg in self.algebras))
+        names = [op for op, _ in self.monad.operations]
+        if name in names:
+            k = names.index(name)
+            val = poly.encode(tuple(op_index(comp, self.monad.arities[k], lambda args: alg.op(k, args))
+                                    for alg, comp in zip(self.algebras, poly.comps)))
         else:  # handle^e
-            e_idx = self.monad.exceptions.index(e)
+            e_idx = self.monad.exceptions.index(name.partition("^")[2])
             i0, i1 = self.two_values()
             fam = []
             for s_idx, aset in enumerate(self.sets):
@@ -1303,6 +1272,15 @@ class Model:
             val = poly.encode(tuple(fam))
         self._const_val[name] = val
         return val
+
+def op_index(sem: SemSet, n: int, op: Callable, args: tuple = ()) -> int:
+    """The index in ``sem`` of the curried n-ary operation ``op`` on argument tuples."""
+    if n == 0:
+        return op(args)
+    return sem.encode(  # type: ignore[attr-defined]
+        [op_index(sem.cod, n - 1, op, args + (x,)) for x in range(sem.dom.size)]  # type: ignore[attr-defined]
+    )
+
 
 def _invert(table: Sequence[int]) -> tuple[int, ...]:
     inv = [0] * len(table)

@@ -256,8 +256,8 @@ def _fake_free_algebra(monad: fm.MonadSpec) -> tuple[fm.Alg, tuple[int, ...]]:
     if monad.key == "identity":
         return fm.Alg(monad, fm.FinSet(1)), (0, 0)
     if monad.key == "exception":
-        return fm.Alg(monad, fm.FinSet(2), raise_points=(0,) * monad.n_exc), (0, 1)
-    return fm.Alg(monad, fm.FinSet(2), or_table=((0, 1), (1, 1))), (0, 1)
+        return fm.Alg(monad, fm.FinSet(2), ((0,),) * monad.n_exc), (0, 1)
+    return fm.Alg(monad, fm.FinSet(2), ((0, 1, 1, 1),)), (0, 1)
 
 
 def free_algebra_negative_control(model: ip.Model) -> VerificationReport:
@@ -276,7 +276,7 @@ def free_algebra_negative_control(model: ip.Model) -> VerificationReport:
     # no violation: a control that cannot fail here is out of bound, one
     # that could have failed and did not is reported verified (a failed control)
     free = model._free.get(len(eta))
-    if free is not None and model._algebra_isos(fake, model.algebras[free[0]], limit=1):
+    if free is not None and next(model._algebra_isos(fake, model.algebras[free[0]]), None) is not None:
         return _out_of_bound("free-algebra-negative-control", model, t0,
                              f"the stand-in algebra is isomorphic to the free algebra on {len(eta)} points")
     return _model_report("free-algebra-negative-control", model, t0, [])
@@ -394,13 +394,6 @@ def verify_rel_lifting(model: ip.Model) -> VerificationReport:
 # algebraic operations / generic effects / parametric elements
 
 
-def nary_op_type(n: int) -> TypeExpr:
-    ty: TypeExpr = CVar("X")
-    for _ in range(n):
-        ty = Arrow(CVar("X"), ty)
-    return ForallC("X", ty)
-
-
 def _apply_op(sem: ip.SemSet, f: int, args) -> int:
     """Apply the curried operation ``f`` in ``sem`` to ``args``."""
     for x in args:
@@ -409,20 +402,11 @@ def _apply_op(sem: ip.SemSet, f: int, args) -> int:
     return f
 
 
-def _op_index(sem: ip.SemSet, n: int, op, args: tuple = ()) -> int:
-    """The index in ``sem`` of the curried n-ary operation ``op``."""
-    if n == 0:
-        return op(args)
-    return sem.encode(  # type: ignore[attr-defined]
-        [_op_index(sem.cod, n - 1, op, args + (x,)) for x in range(sem.dom.size)]  # type: ignore[attr-defined]
-    )
-
-
 def enumerate_natural_transformations(model: ip.Model, n: int) -> tuple[tuple[int, ...], ...]:
     """Families of n-ary operations natural in every registered homomorphism,
     one curried operation in ``[[^X -> ... -> ^X]]`` per algebra."""
     algs = model.algebras
-    body = nary_op_type(n).body
+    body = enc.nary_op_type(n).body
     comps = [model.interp_vtype(ip.type_env({}, {"X": alg}), body) for alg in algs]
     args_of = [list(itertools.product(range(a.carrier.size), repeat=n)) for a in algs]
     homs = {(i, j): fm.enumerate_homs(a, b) for i, a in enumerate(algs) for j, b in enumerate(algs)}
@@ -442,7 +426,7 @@ def _generic_to_nt(model: ip.Model, comps, gen: int, n: int) -> tuple[int, ...]:
     fam = []
     for alg, comp in zip(model.algebras, comps):
         xi = fm.em_map_of(alg)
-        fam.append(_op_index(
+        fam.append(ip.op_index(
             comp, n, lambda args: xi[model.monad.tmap(list(args), fm.FinSet(n), alg.carrier)[gen]]))
     return tuple(fam)
 
@@ -454,7 +438,7 @@ def verify_algop_correspondence(model: ip.Model, n: int) -> VerificationReport:
     failures = []
     tn = model.monad.apply(fm.FinSet(n)).size
     nts = enumerate_natural_transformations(model, n)
-    poly = model.interp_vtype(ip.TypeEnv(), nary_op_type(n))
+    poly = model.interp_vtype(ip.TypeEnv(), enc.nary_op_type(n))
     counts = {"natural-transformations": len(nts), "generic-effects": tn,
               "parametric-elements": poly.size}
     if not (len(nts) == tn == poly.size):
@@ -480,12 +464,11 @@ def verify_algop_correspondence(model: ip.Model, n: int) -> VerificationReport:
     if set(gen_images) != nt_set:
         failures.append({"detail": "generic effects do not exhaust the transformations"})
 
-    if model.monad.key == "powerset" and n == 2:
-        # the binary choice family is natural in every semilattice homomorphism
-        or_fam = tuple(_op_index(comp, 2, lambda args: alg.op_or(*args))
-                       for alg, comp in zip(model.algebras, poly.comps))
-        if or_fam not in nt_set:
-            failures.append({"detail": "binary choice fails naturality"})
+    # every operation of the signature is natural in every homomorphism
+    for k, (name, arity) in enumerate(model.monad.operations):
+        if arity == n and tuple(ip.op_index(comp, n, lambda args: alg.op(k, args))
+                                for alg, comp in zip(model.algebras, poly.comps)) not in nt_set:
+            failures.append({"detail": "operation fails naturality", "operation": name})
     return _model_report("algop-correspondence", model, t0, failures, counts=counts)
 
 
@@ -517,10 +500,10 @@ def verify_handler(model: ip.Model) -> VerificationReport:
             tbl = _handle_table(model, a, e_idx)
             ta = model.monad.apply(fm.FinSet(a)).size
             _, fa, eta = model.free_algebra(a)
-            points = set(eta) | set(fa.raise_points)
+            points = set(eta) | {table[0] for table in fa.ops}
             for p in range(ta):
                 for q in range(ta):
-                    want = q if p == fa.raise_points[e_idx] else p if p in points else None
+                    want = q if p == fa.ops[e_idx][0] else p if p in points else None
                     checked += 1
                     if tbl[(p, q)] != want:
                         failures.append({"law": "case-split", "e": e, "a": a, "p": p, "q": q})
@@ -635,7 +618,7 @@ def verify_encoding_props(model: ip.Model) -> VerificationReport:
                 return _out_of_bound("encoding-props", model, t0, str(exc))
             # mediation is unique only if some registered algebra can stand
             # for the sum itself; otherwise the bound, not the law, decides
-            if not any(model._algebra_isos(alg_c, sum_alg, limit=1) for alg_c in model.algebras):
+            if all(next(model._algebra_isos(alg_c, sum_alg), None) is None for alg_c in model.algebras):
                 return _out_of_bound(
                     "encoding-props", model, t0,
                     f"the encoded sum of algebras {ia} and {ib} has {sum_alg.carrier.size}"
@@ -991,14 +974,14 @@ def verify_parametric_counts(model: ip.Model, plain_model: Optional[ip.Model] = 
     failures = []
     counts = {}
     for n in (0, 1, 2):
-        poly = model.interp_vtype(ip.TypeEnv(), nary_op_type(n))
+        poly = model.interp_vtype(ip.TypeEnv(), enc.nary_op_type(n))
         counts[f"n={n}"] = poly.size
         tn = model.monad.apply(fm.FinSet(n)).size
         if poly.size != tn:
             failures.append({"n": n, "families": poly.size, "T(n)": tn})
     oracle = plain_model or model
     for n in (0, 1, 2):
-        ty = nary_op_type(n)
+        ty = enc.nary_op_type(n)
         try:
             naive = oracle.enumerate_families_naive(ip.TypeEnv(), ty)
         except ip.OutOfBoundError:
@@ -1030,7 +1013,8 @@ def typing_corpus():
     bang = enc.encode_bang
     unit = enc.encode_value_type("Unit")
     two = enc.encode_num(2)
-    consts = {**enc.register_effect_constants("exception", ("e",)), **enc.register_effect_constants("powerset")}
+    consts = {**enc.register_effect_constants(fm.MonadSpec("exception", ("e",))),
+              **enc.register_effect_constants(fm.MonadSpec("powerset"))}
 
     positives = []
 

@@ -4,6 +4,7 @@
 import pytest
 
 from polyeff import encodings as enc
+from polyeff import finmodel as fm
 from polyeff import typecheck as tc
 from polyeff.kernel import (
     Arrow,
@@ -222,14 +223,14 @@ def test_cbpv_translation_examples():
 
 
 def test_effect_constant_signatures():
-    sigs = enc.register_effect_constants("powerset")
+    sigs = enc.register_effect_constants(fm.MonadSpec("powerset"))
     assert alpha_eq(sigs["or"], parse_type("forall ^X. ^X -> ^X -> ^X"))
-    sigs = enc.register_effect_constants("exception", ("e",))
+    sigs = enc.register_effect_constants(fm.MonadSpec("exception", ("e",)))
     assert alpha_eq(sigs["raise^e"], parse_type("forall ^X. ^X"))
     handler_src = parse_type("forall X. (2 -> !X) -o !X")
     assert alpha_eq(sigs["handle^e"], handler_src)
-    with pytest.raises(enc.EncodingError):
-        enc.register_effect_constants("state")
+    with pytest.raises(fm.ModelError):
+        fm.MonadSpec("state")
 
 
 @pytest.mark.parametrize("monad, exceptions", [
@@ -237,7 +238,7 @@ def test_effect_constant_signatures():
     *(("exception", tuple(f"e{k}" for k in range(n))) for n in range(4)),
 ])
 def test_effect_constant_schemes_are_closed_and_well_kinded(monad, exceptions):
-    for name, scheme in enc.register_effect_constants(monad, exceptions).items():
+    for name, scheme in enc.register_effect_constants(fm.MonadSpec(monad, exceptions)).items():
         assert free_type_var_keys(scheme) == frozenset(), name
         classify_type(scheme)
 

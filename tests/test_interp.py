@@ -100,7 +100,7 @@ def test_pointwise_exception_structure(model):
     ty = parse_type("B -> ^P")
     alg = model.interp_ctype(env, ty)
     sem = model.interp_vtype(env, ty)
-    raise_table = sem.table(alg.raise_points[0])
+    raise_table = sem.table(alg.ops[0][0])
     assert raise_table == (1, 1)  # constantly the codomain's distinguished point
 
 
@@ -119,8 +119,8 @@ def test_pointwise_powerset_structure():
 
         for f in range(sem.size):
             for g in range(sem.size):
-                assert tables(alg.op_or(f, g)) == [
-                    tuple(lattice.op_or(x, y) for x, y in zip(tf, tg))
+                assert tables(alg.op(0, (f, g))) == [
+                    tuple(lattice.op(0, (x, y)) for x, y in zip(tf, tg))
                     for tf, tg in zip(tables(f), tables(g))
                 ]
 
@@ -215,7 +215,7 @@ def test_raise_constant_is_the_raise_family(free_model):
     val = model.constant_value("raise^e")
     scheme = model.constants["raise^e"]
     poly = model.interp_vtype(ip.TypeEnv(), scheme)
-    assert poly.fams[val] == tuple(alg.raise_points[0] for alg in model.algebras)
+    assert poly.fams[val] == tuple(alg.ops[0][0] for alg in model.algebras)
 
 
 def test_or_constant_is_the_join_family():
@@ -228,7 +228,7 @@ def test_or_constant_is_the_join_family():
         for x in range(alg.carrier.size):
             inner = comp.apply(poly.fams[val][k], x)
             for y in range(alg.carrier.size):
-                assert comp.cod.apply(inner, y) == alg.op_or(x, y)
+                assert comp.cod.apply(inner, y) == alg.op(0, (x, y))
 
 
 # -- transport and projection ------------------------------------------------
@@ -305,7 +305,7 @@ def test_projection_independent_of_isomorphism(free_model):
     scheme = model.constants["raise^e"]
     poly = model.interp_vtype(ip.TypeEnv(), scheme)
     got = model.project_poly(poly, con, bang_alg, "X", CVar("X"), ip.TypeEnv())
-    assert got == bang_alg.raise_points[0]
+    assert got == bang_alg.ops[0][0]
 
 
 def test_projection_out_of_bound(model):
@@ -731,7 +731,25 @@ def test_one_extreme_relation_matches_every_relation(three_models, data):
     except ip.OutOfBoundError:
         return
     if prod(comps) <= 4096:
-        assert m.enumerate_families_naive(rho.rho1, ty) == m.interp_vtype(rho.rho1, ty).fams
+        try:  # small components can still hide a relation too large to build
+            naive = m.enumerate_families_naive(rho.rho1, ty)
+            fams = m.interp_vtype(rho.rho1, ty).fams
+        except ip.OutOfBoundError:
+            return
+        assert naive == fams
+
+
+def test_one_element_components_can_hide_an_out_of_bound_relation():
+    # every component of this family has one element, yet deciding it walks
+    # the relation at (X -> Y -> ^Q) -> X, whose sides have 65536 elements
+    m = ip.Model(EXC, 2)
+    ty = parse_type("forall X. ((X -> Y -> ^Q) -> X) -> forall ^Z. (X -> Y) -> ^Z")
+    rho = ip.RelEnv(ip.TypeEnv(), ip.TypeEnv())
+    rho = rho.set(VSORT, "Y", m.sets[2], m.sets[0], (0, 0)).set(CSORT, "Q", m.algebras[1], m.algebras[0], (1, 0))
+    assert [m.interp_vtype(rho.rho1.set(VSORT, "X", o), ty.body).size for o in m.sets] == [1, 1, 1]
+    for decide in (m.enumerate_families_naive, m.interp_vtype):
+        with pytest.raises(ip.OutOfBoundError, match=r"relation at \(X -> Y -> \^Q\) -> X is too large"):
+            decide(rho.rho1, ty)
 
 
 @pytest.mark.parametrize("sort, binder, src", [

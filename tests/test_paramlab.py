@@ -94,6 +94,25 @@ def test_algop_powerset_bound_three():
     assert rep.counts["parametric-elements"] == 3
 
 
+@pytest.mark.parametrize("monad", [fm.MonadSpec("exception", ("e1", "e2")), fm.MonadSpec("powerset")],
+                         ids=lambda m: m.key)
+def test_every_operation_is_natural_and_a_moved_component_is_not(monad):
+    # the family of each operation's tables is one of the natural
+    # transformations of its arity, so algop's check of it can pass; moving
+    # one component to another value must leave that set, so it can fail
+    model = ip.Model(monad, 2)
+    for k, (name, arity) in enumerate(monad.operations):
+        body = enc.nary_op_type(arity).body
+        comps = [model.interp_vtype(ip.type_env({}, {"X": alg}), body) for alg in model.algebras]
+        fam = tuple(ip.op_index(comp, arity, lambda args: alg.op(k, args))
+                    for alg, comp in zip(model.algebras, comps))
+        nts = pl.enumerate_natural_transformations(model, arity)
+        assert fam in nts, name
+        i = max(i for i, comp in enumerate(comps) if comp.size >= 2)
+        moved = fam[:i] + ((fam[i] + 1) % comps[i].size,) + fam[i + 1:]
+        assert moved not in nts, name
+
+
 def test_handler(exc_free):
     rep = pl.verify_handler(exc_free)
     assert rep.status == "verified", rep.witness
@@ -251,7 +270,7 @@ def test_two_exception_reach_of_the_least_relation_search():
 def test_naive_oracle_matches_propagation(exc_plain):
     # at the plain bound, both tiers must produce identical element sets
     for n in (1, 2):
-        ty = pl.nary_op_type(n)
+        ty = enc.nary_op_type(n)
         naive = exc_plain.enumerate_families_naive(ip.TypeEnv(), ty)
         poly = exc_plain.interp_vtype(ip.TypeEnv(), ty)
         assert naive == poly.fams
@@ -288,7 +307,7 @@ def test_verified_reports_are_reproducible(exc_free):
 
 
 def test_parametric_elements_decode(exc_free):
-    poly = exc_free.interp_vtype(ip.TypeEnv(), pl.nary_op_type(0))
+    poly = exc_free.interp_vtype(ip.TypeEnv(), enc.nary_op_type(0))
     vals = [ip.decode_value(exc_free, poly, i) for i in range(poly.size)]
     assert len(vals) == 1
     assert isinstance(vals[0], dict)  # a family, keyed by object id

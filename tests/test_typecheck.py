@@ -5,6 +5,7 @@ import json
 import pytest
 
 from polyeff import encodings as enc
+from polyeff import finmodel as fm
 from polyeff import typecheck as tc
 from polyeff.kernel import (
     App,
@@ -142,7 +143,7 @@ def test_ascription_checked():
 
 
 def test_constants_resolved_from_table():
-    consts = enc.register_effect_constants("powerset")
+    consts = enc.register_effect_constants(fm.MonadSpec("powerset"))
     check(
         subject=Var("or"),
         expected=parse_type("forall ^X. ^X -> ^X -> ^X"),

@@ -21,7 +21,7 @@ class SkewedModel(ip.Model):
 
     def _interp_ctype(self, env, ty):
         alg = super()._interp_ctype(env, ty)
-        return fm.Alg(self.monad, fm.FinSet(alg.carrier.size + 1), raise_points=alg.raise_points)
+        return fm.Alg(self.monad, fm.FinSet(alg.carrier.size + 1), alg.ops)
 
 
 def test_ctype_carrier_must_match_the_set_interpretation():
@@ -39,7 +39,7 @@ def test_projection_must_not_depend_on_the_isomorphism():
     model = ip.Model(EXC, 2, range(3))
     comps = tuple(ip.AtomSem(alg.carrier.size) for alg in model.algebras)
     poly = ip.PolySem(1, True, comps, ((0,) * len(comps),))
-    target = fm.Alg(EXC, fm.FinSet(3), raise_points=(0,))
+    target = fm.Alg(EXC, fm.FinSet(3), ((0,),))
     assert model.alg_index(target) is None
     with pytest.raises(ip.InterpError, match="depends on the isomorphism"):
         model.project_poly(poly, 0, target, "X", CVar("X"), ip.TypeEnv())
