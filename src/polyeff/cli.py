@@ -1,7 +1,8 @@
 """Command-line driver: check, elaborate, eval, verify.
 
 Exit codes: 0 all checks passed, 1 type error or counterexample,
-2 usage or configuration error, 3 out-of-bound request.
+2 usage or configuration error (or a term to evaluate with free type
+variables), 3 out-of-bound request.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from . import interp as ip
 from . import paramlab as pl
 from . import surface
 from . import typecheck as tc
-from .kernel import Judgment
+from .kernel import Judgment, free_type_vars_term
 
 def _parser() -> argparse.ArgumentParser:
     # options are accepted both before and after the subcommand; SUPPRESS
@@ -151,6 +152,11 @@ def cmd_eval(args) -> int:
         term = enc.elaborate_term(term, constants=constants)
         j = Judgment((), None, term)
         ty = tc.typecheck(j, constants)
+        free = free_type_vars_term(term)
+        if free:
+            names = ", ".join(sorted(map(str, free)))
+            print(f"eval needs a closed term, but type variables {names} occur free in it", file=sys.stderr)
+            return 2
         sem = model.interp_vtype(ip.TypeEnv(), ty)
         val = model.interp_term(j, ip.Env())
     except surface.SyntaxErr as exc:

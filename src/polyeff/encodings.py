@@ -5,7 +5,9 @@ standard second-order impredicative definitions; computation-type
 encodings route elimination through ``-o`` so the result is again a
 computation type.  The monadic type ``!B`` is the polymorphic
 continuation type ``forall ^X. (B -> ^X) -> ^X`` with ``^X`` ranging
-over computation types only.
+over computation types only.  ``injection`` builds the injections of
+both sums, ``A + B`` at ``VSORT`` and ``A (+) B`` at ``CSORT``, and
+``case_term`` eliminates either.
 
 Type sugar is pure abbreviation, so the parser calls the encoders here as
 it reads it and no sugar type ever exists.  The term sugar ``bang t`` and
@@ -22,6 +24,8 @@ from typing import Optional, Sequence
 from . import typecheck as tc
 from .kernel import (
     CSORT,
+    TYLAM,
+    VAR,
     VSORT,
     App,
     Arrow,
@@ -244,24 +248,17 @@ def pair_term(a: TypeExpr, b: TypeExpr, t: TermExpr, u: TermExpr) -> TermExpr:
     return TyLamV(x, Lam(p, Arrow(a, Arrow(b, VVar(x))), App(App(Var(p), t), u)))
 
 
-def inl_term(a: TypeExpr, b: TypeExpr, t: TermExpr) -> TermExpr:
+def injection(which: int, a: TypeExpr, b: TypeExpr, t: TermExpr, sort: str) -> TermExpr:
+    """``t`` injected into the sum of ``a`` and ``b``, on the left when
+    ``which`` is 0: ``Fun X => fun f:a -> X => fun g:b -> X => f t`` into
+    ``a + b`` at ``VSORT``, and the same through ``^X`` and ``-o`` into
+    ``a (+) b`` at ``CSORT``."""
     x = _freshv("X", a, b, t)
     f = _fresh_tm("f", t)
     g = fresh_name("g", {f} | free_term_vars(t))
-    return TyLamV(
-        x,
-        Lam(f, Arrow(a, VVar(x)), Lam(g, Arrow(b, VVar(x)), App(Var(f), t))),
-    )
-
-
-def inr_term(a: TypeExpr, b: TypeExpr, t: TermExpr) -> TermExpr:
-    x = _freshv("X", a, b, t)
-    f = _fresh_tm("f", t)
-    g = fresh_name("g", {f} | free_term_vars(t))
-    return TyLamV(
-        x,
-        Lam(f, Arrow(a, VVar(x)), Lam(g, Arrow(b, VVar(x)), App(Var(g), t))),
-    )
+    arrow, result = (Arrow if sort == VSORT else Lolli), VAR[sort](x)
+    branch = Lam(g, arrow(b, result), App(Var((f, g)[which]), t))
+    return TYLAM[sort](x, Lam(f, arrow(a, result), branch))
 
 
 def case_term(scrutinee: TermExpr, result: TypeExpr, on_l: TermExpr, on_r: TermExpr) -> TermExpr:
@@ -269,35 +266,10 @@ def case_term(scrutinee: TermExpr, result: TypeExpr, on_l: TermExpr, on_r: TermE
     return App(App(node(scrutinee, result), on_l), on_r)
 
 
-def oplus_inl(a: TypeExpr, b: TypeExpr, t: TermExpr) -> TermExpr:
-    x = _freshv("X", a, b, t)
-    f = _fresh_tm("f", t)
-    g = fresh_name("g", {f} | free_term_vars(t))
-    return TyLamC(
-        x,
-        Lam(f, Lolli(a, CVar(x)), Lam(g, Lolli(b, CVar(x)), App(Var(f), t))),
-    )
-
-
-def oplus_inr(a: TypeExpr, b: TypeExpr, t: TermExpr) -> TermExpr:
-    x = _freshv("X", a, b, t)
-    f = _fresh_tm("f", t)
-    g = fresh_name("g", {f} | free_term_vars(t))
-    return TyLamC(
-        x,
-        Lam(f, Lolli(a, CVar(x)), Lam(g, Lolli(b, CVar(x)), App(Var(g), t))),
-    )
-
-
-def oplus_case(scrutinee: TermExpr, result: TypeExpr, on_l: TermExpr, on_r: TermExpr) -> TermExpr:
-    return App(App(TyAppC(scrutinee, result), on_l), on_r)
-
-
 def two_value(which: int) -> TermExpr:
     """The two closed inhabitants of ``2 = 1 + 1``; 0 is the left one."""
     unit = encode_value_type("Unit")
-    t = unit_term()
-    return inl_term(unit, unit, t) if which == 0 else inr_term(unit, unit, t)
+    return injection(which, unit, unit, unit_term(), VSORT)
 
 
 def girard_iso_terms(a: TypeExpr, bc: TypeExpr) -> tuple[TermExpr, TermExpr]:

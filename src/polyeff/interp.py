@@ -79,6 +79,7 @@ from . import finmodel as fm
 from . import typecheck as tc
 from .kernel import (
     CSORT,
+    VAR,
     VSORT,
     App,
     Arrow,
@@ -252,7 +253,7 @@ class TypeEnv(Interned):
         for (s, n), v in self.items:
             if s == sort and n == name:
                 return v
-        raise InterpError(f"type variable {'^' if sort == CSORT else ''}{name} not in environment")
+        raise InterpError(f"type variable {VAR[sort](name)} not in environment")
 
     def set(self, sort: str, name: str, value) -> "TypeEnv":
         key = (sort, name, value)
@@ -294,7 +295,7 @@ class RelEnv(Interned):
         for (s, n), r in self.rels:
             if s == sort and n == name:
                 return r
-        raise InterpError(f"no relation for {'^' if sort == CSORT else ''}{name}")
+        raise InterpError(f"no relation for {VAR[sort](name)}")
 
     def set(self, sort: str, name: str, left, right, rel: tuple[int, ...]) -> "RelEnv":
         nl, nr = _carrier_size(left), _carrier_size(right)
@@ -475,8 +476,7 @@ class ForallRel(RelView):
     def _related_families(self) -> Callable[[tuple[int, ...], tuple[int, ...]], bool]:
         """Whether two families are related, by one shared relatedness test."""
         ty = self.ty
-        sort = VSORT if isinstance(ty, ForallV) else CSORT
-        related = self._model().relatedness(self.rho, sort, ty.binder, ty.body)  # type: ignore[union-attr, attr-defined]
+        related = self._model().relatedness(self.rho, ty.sort, ty.binder, ty.body)  # type: ignore[union-attr, attr-defined]
 
         def test(fam_a: tuple[int, ...], fam_b: tuple[int, ...]) -> bool:
             k = len(fam_a)
@@ -545,7 +545,7 @@ def positive_args(sort: str, binder: str, body: TypeExpr) -> Optional[list]:
     not free in it, or as ``(Dk, [E1, ..., Em])`` when it is a chain of ``->``
     and ``-o`` ending in ``X``, ``E1 -> ... -> Em -o X``, with ``X`` free in no
     ``Ei``.  None for any other body, a top-level ``-o`` included."""
-    x, key = (VVar if sort == VSORT else CVar)(binder), (sort, binder)
+    x, key = VAR[sort](binder), (sort, binder)
 
     def chain(ty: TypeExpr, arrows: tuple) -> tuple[list, TypeExpr]:
         doms = []
@@ -717,10 +717,8 @@ class Model:
         return sem
 
     def _interp_vtype(self, env: TypeEnv, ty: TypeExpr) -> SemSet:
-        if isinstance(ty, VVar):
-            return AtomSem(env.get(VSORT, ty.name).size)
-        if isinstance(ty, CVar):
-            return AtomSem(env.get(CSORT, ty.name).carrier.size)
+        if isinstance(ty, (VVar, CVar)):
+            return AtomSem(_carrier_size(env.get(ty.sort, ty.name)))
         if isinstance(ty, Arrow):
             return fun_sem(self.interp_vtype(env, ty.dom), self.interp_vtype(env, ty.cod))
         if isinstance(ty, Lolli):
@@ -731,13 +729,10 @@ class Model:
             tables = self._hom_tables(dom_alg, cod_alg)
             return HomSem(len(tables), dom_sem, cod_sem, tables)
         if isinstance(ty, (ForallV, ForallC)):
-            sort = VSORT if isinstance(ty, ForallV) else CSORT
-            objs = self.objects(sort)
-            comps = []
-            for obj in objs:
-                comps.append(self.interp_vtype(env.set(sort, ty.binder, obj), ty.body))
-            fams = self._families(env, sort, ty.binder, ty.body, comps)
-            return PolySem(len(fams), sort == CSORT, tuple(comps), fams)
+            comps = [self.interp_vtype(env.set(ty.sort, ty.binder, obj), ty.body)
+                     for obj in self.objects(ty.sort)]
+            fams = self._families(env, ty, comps)
+            return PolySem(len(fams), ty.sort == CSORT, tuple(comps), fams)
         raise InterpError(f"cannot interpret type {ty!r}")
 
     def _hom_tables(self, dom: fm.Alg, cod: fm.Alg) -> tuple[tuple[int, ...], ...]:
@@ -789,11 +784,10 @@ class Model:
                 for x in range(sem.dom.size)  # type: ignore[attr-defined]
             ])
         if isinstance(ty, (ForallV, ForallC)):
-            sort = VSORT if isinstance(ty, ForallV) else CSORT
             return sem.encode([  # type: ignore[attr-defined]
-                self._pointwise(env.set(sort, ty.binder, obj), ty.body, k,
+                self._pointwise(env.set(ty.sort, ty.binder, obj), ty.body, k,
                                 [sem.fams[u][i] for u in args])  # type: ignore[attr-defined]
-                for i, obj in enumerate(self.objects(sort))
+                for i, obj in enumerate(self.objects(ty.sort))
             ])
         raise InterpError(f"no pointwise structure at {ty!r}")
 
@@ -809,10 +803,8 @@ class Model:
     def _interp_rel(self, rho: RelEnv, ty: TypeExpr) -> RelView:
         left = self.interp_vtype(rho.rho1, ty)
         right = self.interp_vtype(rho.rho2, ty)
-        if isinstance(ty, VVar):
-            return AtomRel(ty, left, right, rho.rel(VSORT, ty.name))
-        if isinstance(ty, CVar):
-            return AtomRel(ty, left, right, rho.rel(CSORT, ty.name))
+        if isinstance(ty, (VVar, CVar)):
+            return AtomRel(ty, left, right, rho.rel(ty.sort, ty.name))
         if isinstance(ty, (Arrow, Lolli)):
             dom_rel = self.interp_rel(rho, ty.dom)
             cod_rel = self.interp_rel(rho, ty.cod)
@@ -963,18 +955,18 @@ class Model:
         n = prod(self.interp_vtype(env, d).size for d, _ in args)
         return _forward_check(n, _carrier_size(obj), ((p, q, rows) for (p, q), rows in links.items()))
 
-    def _families(self, env: TypeEnv, sort: str, binder: str, body: TypeExpr,
-                  comps: Sequence[SemSet]) -> tuple[tuple[int, ...], ...]:
-        """All component tuples that preserve every admissible relation: a
-        positive body's components are generated by
-        ``self_related_tables``, every other component is listed."""
+    def _families(self, env: TypeEnv, ty: TypeExpr, comps: Sequence[SemSet]
+                  ) -> tuple[tuple[int, ...], ...]:
+        """All component tuples of the quantified type ``ty`` that preserve
+        every admissible relation: a positive body's components are generated
+        by ``self_related_tables``, every other component is listed."""
         rho = diag_relenv(env)
+        sort, binder, body = ty.sort, ty.binder, ty.body
         related = self.relatedness(rho, sort, binder, body)
         try:
             return pairwise_search([c.size for c in comps], related,
                                    lambda i: self.self_related_tables(rho, sort, binder, body, i))
         except OutOfBoundError as exc:
-            ty = ForallV(binder, body) if sort == VSORT else ForallC(binder, body)
             objs = "sets" if sort == VSORT else "algebras"
             raise OutOfBoundError(
                 f"family search for {ty} over the registered {objs}: {exc}"
@@ -986,7 +978,7 @@ class Model:
         least-relation source is checked against an independent one."""
         if not isinstance(ty, (ForallV, ForallC)):
             raise InterpError("naive family enumeration expects a quantified type")
-        sort = VSORT if isinstance(ty, ForallV) else CSORT
+        sort = ty.sort
         objs = self.objects(sort)
         comps = [self.interp_vtype(env.set(sort, ty.binder, o), ty.body) for o in objs]
         total = 1
@@ -1017,8 +1009,7 @@ class Model:
         src = self.interp_vtype(env_src, ty)
         dst = self.interp_vtype(env_dst, ty)
         if isinstance(ty, (VVar, CVar)):
-            sort = VSORT if isinstance(ty, VVar) else CSORT
-            table = iso.get((sort, ty.name))
+            table = iso.get((ty.sort, ty.name))
             if table is None:
                 return lambda x: x
             return lambda x: table[x]
@@ -1036,13 +1027,11 @@ class Model:
 
             return go
         if isinstance(ty, (ForallV, ForallC)):
-            sort = VSORT if isinstance(ty, ForallV) else CSORT
-            objs = self.objects(sort)
+            sort = ty.sort
             movers = []
-            for obj in objs:
-                n = obj.size if sort == VSORT else obj.carrier.size
+            for obj in self.objects(sort):
                 iso2 = dict(iso)
-                iso2[(sort, ty.binder)] = tuple(range(n))
+                iso2[(sort, ty.binder)] = tuple(range(_carrier_size(obj)))
                 movers.append(
                     self.transport(
                         ty.body,
@@ -1167,7 +1156,7 @@ class Model:
 
             return app
         if isinstance(t, (TyLamV, TyLamC)):
-            sort, binder = (VSORT if isinstance(t, TyLamV) else CSORT), t.binder
+            sort, binder = t.sort, t.binder
             forall_ty = tc.synth(gamma, delta, t, consts)
             run_body = self._compile(t.body, gamma, delta)
 
@@ -1181,7 +1170,7 @@ class Model:
         if isinstance(t, (TyAppV, TyAppC)):
             head = tc.synth(gamma, delta, t.fn, consts)
             run_fn = self._compile(t.fn, gamma, delta)
-            arg, csort = t.arg, isinstance(head, ForallC)
+            arg, csort = t.arg, head.sort == CSORT
 
             def tyapp(tyenv: TypeEnv, tmenv: dict) -> int:
                 poly = self.interp_vtype(tyenv, head)
@@ -1256,6 +1245,9 @@ class Model:
             val = poly.encode(tuple(op_index(comp, self.monad.arities[k], lambda args: alg.op(k, args))
                                     for alg, comp in zip(self.algebras, poly.comps)))
         else:  # handle^e
+            if self.bound < 2:
+                raise OutOfBoundError(f"{name} needs the two values of 1 + 1, but no set of size 2"
+                                      f" is registered at bound {self.bound}")
             e_idx = self.monad.exceptions.index(name.partition("^")[2])
             i0, i1 = self.two_values()
             fam = []

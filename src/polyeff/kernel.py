@@ -11,6 +11,13 @@ are disjoint sorts.  ``C -o D`` classifies structure-preserving maps
 between computation types and is itself only a value type; ``B -> C``
 is a computation type exactly when its codomain is.
 
+Each node that names a sort carries it as the class attribute ``sort``
+(``VSORT`` or ``CSORT``): the variables, quantifiers, type abstractions
+and type applications.  ``VAR``, ``FORALL``, ``TYLAM`` and ``TYAPP`` map
+a sort to its constructor, so a rule that treats the two sorts alike is
+written once.  ``alpha_eq`` compares types up to renaming of bound
+variables.
+
 Judgments ``gamma | delta |- t : B`` carry an ordinary context plus an
 optional stoup ``delta``: at most one binding, restricted to
 computation types, forcing a computation-type result.
@@ -128,25 +135,25 @@ class TypeExpr:
 
     def __str__(self) -> str:
         """Surface syntax, which ``surface.parse_type`` reads back."""
-        if isinstance(self, VVar):
-            return self.name
-        if isinstance(self, CVar):
-            return f"^{self.name}"
+        if isinstance(self, (VVar, CVar)):
+            return f"{'^' if self.sort == CSORT else ''}{self.name}"
         if isinstance(self, (Arrow, Lolli)):
             op = "->" if isinstance(self, Arrow) else "-o"
             return f"{parenthesized(self.dom, PREC_ATOM)} {op} {parenthesized(self.cod, PREC_INFIX)}"
-        return f"forall {'^' if isinstance(self, ForallC) else ''}{self.binder}. {self.body}"
+        return f"forall {'^' if self.sort == CSORT else ''}{self.binder}. {self.body}"
 
 
 @hash_consed
 class VVar(TypeExpr, Interned):
     name: str
+    sort = VSORT
     _prec = PREC_ATOM
 
 
 @hash_consed
 class CVar(TypeExpr, Interned):
     name: str
+    sort = CSORT
     _prec = PREC_ATOM
 
 
@@ -168,12 +175,18 @@ class Lolli(TypeExpr, Interned):
 class ForallV(TypeExpr, Interned):
     binder: str
     body: TypeExpr
+    sort = VSORT
 
 
 @hash_consed
 class ForallC(TypeExpr, Interned):
     binder: str
     body: TypeExpr
+    sort = CSORT
+
+
+VAR = {VSORT: VVar, CSORT: CVar}  # a sort's type-variable constructor
+FORALL = {VSORT: ForallV, CSORT: ForallC}  # a sort's quantifier
 
 
 def classify_type(t: TypeExpr) -> Kind:
@@ -191,10 +204,8 @@ def classify_type(t: TypeExpr) -> Kind:
 
 
 def _classify(t: TypeExpr) -> Kind:
-    if isinstance(t, VVar):
-        return Kind.VALUE
-    if isinstance(t, CVar):
-        return Kind.COMPUTATION
+    if isinstance(t, (VVar, CVar)):
+        return Kind.COMPUTATION if t.sort == CSORT else Kind.VALUE
     if isinstance(t, Arrow):
         classify_type(t.dom)
         return classify_type(t.cod)
@@ -217,10 +228,8 @@ def free_type_vars(t: TypeExpr) -> frozenset[Union[VVar, CVar]]:
         return frozenset([t])  # not cached: a cycle would delay freeing the node
     if isinstance(t, (Arrow, Lolli)):
         fv = free_type_vars(t.dom) | free_type_vars(t.cod)
-    elif isinstance(t, ForallV):
-        fv = free_type_vars(t.body) - {VVar(t.binder)}
-    elif isinstance(t, ForallC):
-        fv = free_type_vars(t.body) - {CVar(t.binder)}
+    elif isinstance(t, (ForallV, ForallC)):
+        fv = free_type_vars(t.body) - {VAR[t.sort](t.binder)}
     else:
         raise KindError(f"not a core type expression: {t!r}")
     object.__setattr__(t, "_fv", fv)
@@ -230,7 +239,7 @@ def free_type_vars(t: TypeExpr) -> frozenset[Union[VVar, CVar]]:
 def free_type_var_keys(t: TypeExpr) -> frozenset[tuple[str, str]]:
     """Free type variables of ``t`` as ``(sort, name)`` environment keys."""
     if t._fvk is None:
-        keys = {(VSORT if isinstance(v, VVar) else CSORT, v.name) for v in free_type_vars(t)}
+        keys = {(v.sort, v.name) for v in free_type_vars(t)}
         object.__setattr__(t, "_fvk", frozenset(keys))
     return t._fvk
 
@@ -314,7 +323,7 @@ def subst_type(body: TypeExpr, var: Union[VVar, CVar], replacement: TypeExpr) ->
         if isinstance(t, Lolli):
             return Lolli(go(t.dom), go(t.cod))
         if isinstance(t, (ForallV, ForallC)):
-            bound = VVar(t.binder) if isinstance(t, ForallV) else CVar(t.binder)
+            bound = VAR[t.sort](t.binder)
             if bound == var:
                 return t
             if bound in repl_fvs and var in free_type_vars(t.body):
@@ -350,7 +359,7 @@ class TermExpr:
         if isinstance(self, App):
             return f"{parenthesized(self.fn, PREC_INFIX)} {parenthesized(self.arg, PREC_ATOM)}"
         if isinstance(self, (TyLamV, TyLamC)):
-            return f"Fun {'^' if isinstance(self, TyLamC) else ''}{self.binder} => {self.body}"
+            return f"Fun {'^' if self.sort == CSORT else ''}{self.binder} => {self.body}"
         if isinstance(self, (TyAppV, TyAppC)):
             return f"{parenthesized(self.fn, PREC_INFIX)} @[{self.arg}]"
         raise ValueError(f"not a term expression: {self!r}")
@@ -387,18 +396,21 @@ class App(TermExpr):
 class TyLamV(TermExpr):
     binder: str
     body: TermExpr
+    sort = VSORT
 
 
 @dataclass(frozen=True)
 class TyLamC(TermExpr):
     binder: str
     body: TermExpr
+    sort = CSORT
 
 
 @dataclass(frozen=True)
 class TyAppV(TermExpr):
     fn: TermExpr
     arg: TypeExpr
+    sort = VSORT
     _prec = PREC_INFIX
 
 
@@ -406,7 +418,12 @@ class TyAppV(TermExpr):
 class TyAppC(TermExpr):
     fn: TermExpr
     arg: TypeExpr
+    sort = CSORT
     _prec = PREC_INFIX
+
+
+TYLAM = {VSORT: TyLamV, CSORT: TyLamC}  # a sort's type abstraction
+TYAPP = {VSORT: TyAppV, CSORT: TyAppC}  # a sort's type application
 
 
 def free_term_vars(t: TermExpr) -> frozenset[str]:
@@ -434,10 +451,8 @@ def free_type_vars_term(t: TermExpr) -> frozenset[Union[VVar, CVar]]:
         return free_type_vars(t.ann) | free_type_vars_term(t.body)
     if isinstance(t, App):
         return free_type_vars_term(t.fn) | free_type_vars_term(t.arg)
-    if isinstance(t, TyLamV):
-        return free_type_vars_term(t.body) - {VVar(t.binder)}
-    if isinstance(t, TyLamC):
-        return free_type_vars_term(t.body) - {CVar(t.binder)}
+    if isinstance(t, (TyLamV, TyLamC)):
+        return free_type_vars_term(t.body) - {VAR[t.sort](t.binder)}
     if isinstance(t, (TyAppV, TyAppC)):
         return free_type_vars_term(t.fn) | free_type_vars(t.arg)
     raise ValueError(f"not a core term expression: {t!r}")
@@ -455,7 +470,7 @@ def subst_type_in_term(t: TermExpr, var: Union[VVar, CVar], replacement: TypeExp
         if isinstance(t, App):
             return App(go(t.fn), go(t.arg))
         if isinstance(t, (TyLamV, TyLamC)):
-            bound = VVar(t.binder) if isinstance(t, TyLamV) else CVar(t.binder)
+            bound = VAR[t.sort](t.binder)
             if bound == var:
                 return t
             if bound in repl_fvs and var in free_type_vars_term(t.body):
@@ -496,7 +511,7 @@ def subst_term(body: TermExpr, var: str, replacement: TermExpr) -> TermExpr:
         if isinstance(t, App):
             return App(go(t.fn), go(t.arg))
         if isinstance(t, (TyLamV, TyLamC)):
-            bound = VVar(t.binder) if isinstance(t, TyLamV) else CVar(t.binder)
+            bound = VAR[t.sort](t.binder)
             if bound in repl_tyvs and var in free_term_vars(t.body):
                 taken = {v.name for v in free_type_vars_term(t.body) | repl_tyvs}
                 new = fresh_name(t.binder, taken)
@@ -513,16 +528,12 @@ def subst_term(body: TermExpr, var: str, replacement: TermExpr) -> TermExpr:
 # ---------------------------------------------------------------------------
 # alpha-equivalence
 
-Expr = Union[TypeExpr, TermExpr]
-
 
 def _alpha_ty(a: TypeExpr, b: TypeExpr, env_a: dict, env_b: dict, depth: int) -> bool:
     if type(a) is not type(b):
         return False
     if isinstance(a, (VVar, CVar)):
-        key = (type(a), a.name)
-        key_b = (type(b), b.name)
-        la, lb = env_a.get(key), env_b.get(key_b)
+        la, lb = env_a.get((a.sort, a.name)), env_b.get((b.sort, b.name))
         if la is None and lb is None:
             return a.name == b.name
         return la is not None and la == lb
@@ -531,56 +542,17 @@ def _alpha_ty(a: TypeExpr, b: TypeExpr, env_a: dict, env_b: dict, depth: int) ->
             a.cod, b.cod, env_a, env_b, depth
         )
     if isinstance(a, (ForallV, ForallC)):
-        sort = VVar if isinstance(a, ForallV) else CVar
         ea = dict(env_a)
         eb = dict(env_b)
-        ea[(sort, a.binder)] = depth
-        eb[(sort, b.binder)] = depth
+        ea[(a.sort, a.binder)] = depth
+        eb[(b.sort, b.binder)] = depth
         return _alpha_ty(a.body, b.body, ea, eb, depth + 1)
     raise KindError(f"not a core type expression: {a!r}")
 
 
-def _alpha_tm(a: TermExpr, b: TermExpr, tya, tyb, tma, tmb, depth: int) -> bool:
-    if type(a) is not type(b):
-        return False
-    if isinstance(a, Var):
-        la, lb = tma.get(a.name), tmb.get(b.name)
-        if la is None and lb is None:
-            return a.name == b.name
-        return la is not None and la == lb
-    if isinstance(a, (Lam, LinLam)):
-        if not _alpha_ty(a.ann, b.ann, tya, tyb, depth):
-            return False
-        ma, mb = dict(tma), dict(tmb)
-        ma[a.var] = depth
-        mb[b.var] = depth
-        return _alpha_tm(a.body, b.body, tya, tyb, ma, mb, depth + 1)
-    if isinstance(a, App):
-        return _alpha_tm(a.fn, b.fn, tya, tyb, tma, tmb, depth) and _alpha_tm(
-            a.arg, b.arg, tya, tyb, tma, tmb, depth
-        )
-    if isinstance(a, (TyLamV, TyLamC)):
-        sort = VVar if isinstance(a, TyLamV) else CVar
-        ea, eb = dict(tya), dict(tyb)
-        ea[(sort, a.binder)] = depth
-        eb[(sort, b.binder)] = depth
-        return _alpha_tm(a.body, b.body, ea, eb, tma, tmb, depth + 1)
-    if isinstance(a, (TyAppV, TyAppC)):
-        return _alpha_tm(a.fn, b.fn, tya, tyb, tma, tmb, depth) and _alpha_ty(
-            a.arg, b.arg, tya, tyb, depth
-        )
-    raise ValueError(f"not a core term expression: {a!r}")
-
-
-def alpha_eq(a: Expr, b: Expr) -> bool:
-    """Equality modulo consistent renaming of bound variables."""
-    if a is b:  # interned types: identical, so alpha-equivalent
-        return True
-    if isinstance(a, TypeExpr) and isinstance(b, TypeExpr):
-        return _alpha_ty(a, b, {}, {}, 0)
-    if isinstance(a, TermExpr) and isinstance(b, TermExpr):
-        return _alpha_tm(a, b, {}, {}, {}, {}, 0)
-    return False
+def alpha_eq(a: TypeExpr, b: TypeExpr) -> bool:
+    """Equality of types modulo consistent renaming of bound variables."""
+    return a is b or _alpha_ty(a, b, {}, {}, 0)  # interned: identical types are equal
 
 
 def alpha_canonical(t: TypeExpr) -> TypeExpr:
@@ -594,14 +566,13 @@ def alpha_canonical(t: TypeExpr) -> TypeExpr:
 
     def go(t: TypeExpr, env: dict) -> TypeExpr:
         if isinstance(t, (VVar, CVar)):
-            return env.get((type(t), t.name), t)
+            return env.get((t.sort, t.name), t)
         if isinstance(t, (Arrow, Lolli)):
             return type(t)(go(t.dom, env), go(t.cod, env))
         if isinstance(t, (ForallV, ForallC)):
-            sort = VVar if isinstance(t, ForallV) else CVar
             name = next(names)
             env2 = dict(env)
-            env2[(sort, t.binder)] = sort(name)
+            env2[(t.sort, t.binder)] = VAR[t.sort](name)
             return type(t)(name, go(t.body, env2))
         raise KindError(f"not a core type expression: {t!r}")
 

@@ -606,8 +606,8 @@ def verify_encoding_props(model: ip.Model) -> VerificationReport:
 
     # binary coproducts: unique mediation through the injections
     oplus_ty = enc.encode_comp_type("Oplus", (CVar("A"), CVar("B")))
-    inl_t = LinLam("a", CVar("A"), enc.oplus_inl(CVar("A"), CVar("B"), Var("a")))
-    inr_t = LinLam("b", CVar("B"), enc.oplus_inr(CVar("A"), CVar("B"), Var("b")))
+    inl_t = LinLam("a", CVar("A"), enc.injection(0, CVar("A"), CVar("B"), Var("a"), ip.CSORT))
+    inr_t = LinLam("b", CVar("B"), enc.injection(1, CVar("A"), CVar("B"), Var("b"), ip.CSORT))
     small = [(i, a) for i, a in enumerate(model.algebras) if a.carrier.size <= model.bound]
     for ia, alg_a in small:
         for ib, alg_b in small:
@@ -1069,9 +1069,9 @@ def typing_corpus():
     # definable intro/elim terms
     pos(_j((("a", A), ("b", B)), None, enc.pair_term(A, B, Var("a"), Var("b"))),
         enc.encode_value_type("Prod", (A, B)))
-    pos(_j((("a", A),), None, enc.inl_term(A, B, Var("a"))),
+    pos(_j((("a", A),), None, enc.injection(0, A, B, Var("a"), ip.VSORT)),
         enc.encode_value_type("Sum", (A, B)))
-    pos(_j((("b", B),), None, enc.inr_term(A, B, Var("b"))),
+    pos(_j((("b", B),), None, enc.injection(1, A, B, Var("b"), ip.VSORT)),
         enc.encode_value_type("Sum", (A, B)))
     sum_ab = enc.encode_value_type("Sum", (A, B))
     pos(
@@ -1090,14 +1090,14 @@ def typing_corpus():
         ),
         cC,
     )
-    pos(_j((), ("a", cA), enc.oplus_inl(cA, cB, Var("a"))),
+    pos(_j((), ("a", cA), enc.injection(0, cA, cB, Var("a"), ip.CSORT)),
         enc.encode_comp_type("Oplus", (cA, cB)))
     oplus_ab = enc.encode_comp_type("Oplus", (cA, cB))
     pos(
         _j(
             (("f", Lolli(cA, cC)), ("g", Lolli(cB, cC))),
             ("s", oplus_ab),
-            enc.oplus_case(Var("s"), cC, Var("f"), Var("g")),
+            enc.case_term(Var("s"), cC, Var("f"), Var("g")),
         ),
         cC,
     )

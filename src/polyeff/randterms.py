@@ -22,6 +22,12 @@ from typing import Optional
 
 from . import typecheck as tc
 from .kernel import (
+    CSORT,
+    FORALL,
+    TYAPP,
+    TYLAM,
+    VAR,
+    VSORT,
     App,
     Arrow,
     CVar,
@@ -33,10 +39,6 @@ from .kernel import (
     LinLam,
     Lolli,
     TermExpr,
-    TyAppC,
-    TyAppV,
-    TyLamC,
-    TyLamV,
     TypeExpr,
     VVar,
     Var,
@@ -124,10 +126,8 @@ class TermGenerator:
                 options.append(("lam", None))
             if isinstance(goal, Lolli) and delta is None:
                 options.append(("linlam", None))
-            if isinstance(goal, ForallV):
-                options.append(("tylamv", None))
-            if isinstance(goal, ForallC):
-                options.append(("tylamc", None))
+            if isinstance(goal, (ForallV, ForallC)):
+                options.append(("tylam", None))
             if delta is None or classify_type(goal) is Kind.COMPUTATION:
                 options += [("spine", spine) for spine in self._spines(gamma, delta, goal)]
                 if rng.random() < APP_WEIGHT:
@@ -157,26 +157,25 @@ class TermGenerator:
             x = f"v{self._fresh()}"
             body = self.term_for(gamma, (x, goal.dom), goal.cod, fuel - 1)
             return None if body is None else LinLam(x, goal.dom, body)
-        if kind in ("tylamv", "tylamc"):
-            sort = VVar if kind == "tylamv" else CVar
-            bound = sort(goal.binder)
+        if kind == "tylam":
+            bound = VAR[goal.sort](goal.binder)
             if bound in tc._ctx_ftv(gamma, delta):
                 taken = {v.name for v in tc._ctx_ftv(gamma, delta) | free_type_vars(goal.body)}
                 new = fresh_name(goal.binder, taken)
-                body_ty = subst_type(goal.body, bound, sort(new))
+                body_ty = subst_type(goal.body, bound, VAR[goal.sort](new))
                 binder = new
             else:
                 body_ty, binder = goal.body, goal.binder
             body = self.term_for(gamma, delta, body_ty, fuel - 1)
             if body is None:
                 return None
-            return (TyLamV if kind == "tylamv" else TyLamC)(binder, body)
+            return TYLAM[goal.sort](binder, body)
         if kind == "spine":
             name, steps, linear = payload
             t = Var(name)
             for i, step in enumerate(steps):
                 if isinstance(step, (VVar, CVar)):
-                    t = (TyAppV if isinstance(step, VVar) else TyAppC)(t, step)
+                    t = TYAPP[step.sort](t, step)
                     continue
                 arg = self.term_for(gamma, delta if i == linear else None, step.dom, fuel - 1)
                 if arg is None:
@@ -204,22 +203,20 @@ class TermGenerator:
             # instantiate a vacuous quantification at a random type
             binder = f"B{self._fresh()}"
             depth = 0 if self.interp_safe else rng.randint(0, 1)
-            if rng.random() < 0.5:
-                arg = self.random_type(depth, None if not self.interp_safe else Kind.VALUE)
-                if classify_type(arg) is Kind.COMPUTATION:
-                    return None
-                head = self.term_for(gamma, delta, ForallV(binder, goal), fuel - 1)
-                return None if head is None else TyAppV(head, arg)
-            arg = self.random_type(depth, Kind.COMPUTATION)
-            head = self.term_for(gamma, delta, ForallC(binder, goal), fuel - 1)
-            return None if head is None else TyAppC(head, arg)
+            sort = VSORT if rng.random() < 0.5 else CSORT
+            want = Kind.COMPUTATION if sort == CSORT else Kind.VALUE if self.interp_safe else None
+            arg = self.random_type(depth, want)
+            if (classify_type(arg) is Kind.COMPUTATION) != (sort == CSORT):
+                return None
+            head = self.term_for(gamma, delta, FORALL[sort](binder, goal), fuel - 1)
+            return None if head is None else TYAPP[sort](head, arg)
         return None
 
     def _spines(self, gamma, delta, goal):
         """Each way to apply a variable to types and terms until its type is
         the goal: the head's name, its steps and the step given the stoup."""
         rng = self.rng
-        tyvars = sorted(free_type_vars(goal), key=lambda v: (type(v).__name__, v.name))
+        tyvars = sorted(free_type_vars(goal), key=lambda v: (v.sort, v.name))
         tyvars += [VVar(n) for n in VALUE_TYVARS] + [CVar(n) for n in COMP_TYVARS]
         out = []
         for name, ty in list(dict(gamma).items()) + ([delta] if delta is not None else []):
@@ -231,9 +228,9 @@ class TermGenerator:
                     steps.append(ty)
                     ty = ty.cod
                 else:  # a computation type variable also instantiates a value binder
-                    arg = rng.choice([v for v in tyvars if isinstance(ty, ForallV) or isinstance(v, CVar)])
+                    arg = rng.choice([v for v in tyvars if ty.sort == VSORT or v.sort == CSORT])
                     steps.append(arg)
-                    ty = subst_type(ty.body, (VVar if isinstance(ty, ForallV) else CVar)(ty.binder), arg)
+                    ty = subst_type(ty.body, VAR[ty.sort](ty.binder), arg)
                 # under a stoup, the stoup variable heads no -o step and a context head gives it to one
                 if alpha_eq(ty, goal) and (delta is None or (linear is None) == stoup_head):
                     out.append((name, tuple(steps), linear))

@@ -21,9 +21,12 @@ from enum import Enum
 from typing import Mapping, Optional, Sequence
 
 from .kernel import (
+    CSORT,
+    FORALL,
+    VAR,
+    VSORT,
     App,
     Arrow,
-    CVar,
     ForallC,
     ForallV,
     Judgment,
@@ -39,7 +42,6 @@ from .kernel import (
     TyLamC,
     TyLamV,
     TypeExpr,
-    VVar,
     Var,
     alpha_canonical,
     alpha_eq,
@@ -145,6 +147,12 @@ def _synth(gamma: Ctx, delta: Stoup, t: TermExpr, constants: Constants) -> TypeE
     return result
 
 
+_TYAPP_MISKINDED = {  # by the sort of the type application
+    VSORT: "value-type application at computation type",
+    CSORT: "computation-type application at value type",
+}
+
+
 def _synth_node(gamma: Ctx, delta: Stoup, t: TermExpr, constants: Constants) -> TypeExpr:
     if isinstance(t, Var):
         if delta is not None:
@@ -194,89 +202,42 @@ def _synth_node(gamma: Ctx, delta: Stoup, t: TermExpr, constants: Constants) -> 
 
     if isinstance(t, App):
         side = route_stoup(delta, t.fn, t.arg)
-        if side == "arg":
-            head_ty = _synth(gamma, None, t.fn, constants)
-            if isinstance(head_ty, Arrow):
-                raise TypingError(
-                    ErrorCode.STOUP_VIOLATION,
-                    "ordinary application cannot route the stoup into its argument",
-                )
-            if not isinstance(head_ty, Lolli):
-                raise TypingError(
-                    ErrorCode.APP_MISMATCH, f"application of non-function type {head_ty}"
-                )
-            arg_ty = _synth(gamma, delta, t.arg, constants)
-            if not alpha_eq(arg_ty, head_ty.dom):
-                raise TypingError(
-                    ErrorCode.APP_MISMATCH,
-                    f"argument type {arg_ty} does not match -o domain {head_ty.dom}",
-                )
-            return head_ty.cod
-        # stoup (if any) stays with the head
-        head_ty = _synth(gamma, delta, t.fn, constants)
-        if isinstance(head_ty, Lolli):
-            if delta is not None:
-                raise TypingError(
-                    ErrorCode.STOUP_VIOLATION,
-                    "head of a linear application must be stoup-free",
-                )
-            arg_ty = _synth(gamma, None, t.arg, constants)
-            if not alpha_eq(arg_ty, head_ty.dom):
-                raise TypingError(
-                    ErrorCode.APP_MISMATCH,
-                    f"argument type {arg_ty} does not match -o domain {head_ty.dom}",
-                )
-            return head_ty.cod
-        if isinstance(head_ty, Arrow):
-            arg_ty = _synth(gamma, None, t.arg, constants)
-            if not alpha_eq(arg_ty, head_ty.dom):
-                raise TypingError(
-                    ErrorCode.APP_MISMATCH,
-                    f"argument type {arg_ty} does not match -> domain {head_ty.dom}",
-                )
-            return head_ty.cod
-        raise TypingError(ErrorCode.APP_MISMATCH, f"application of non-function type {head_ty}")
+        head_ty = _synth(gamma, delta if side == "fn" else None, t.fn, constants)
+        if isinstance(head_ty, Arrow) and side == "arg":
+            raise TypingError(
+                ErrorCode.STOUP_VIOLATION,
+                "ordinary application cannot route the stoup into its argument",
+            )
+        if not isinstance(head_ty, (Arrow, Lolli)):
+            raise TypingError(ErrorCode.APP_MISMATCH, f"application of non-function type {head_ty}")
+        arg_ty = _synth(gamma, delta if side == "arg" else None, t.arg, constants)
+        if not alpha_eq(arg_ty, head_ty.dom):
+            op = "->" if isinstance(head_ty, Arrow) else "-o"
+            raise TypingError(
+                ErrorCode.APP_MISMATCH,
+                f"argument type {arg_ty} does not match {op} domain {head_ty.dom}",
+            )
+        return head_ty.cod
 
     if isinstance(t, (TyLamV, TyLamC)):
-        sort = VVar if isinstance(t, TyLamV) else CVar
-        bound = sort(t.binder)
-        if bound in _ctx_ftv(gamma, delta):
+        if VAR[t.sort](t.binder) in _ctx_ftv(gamma, delta):
             raise TypingError(
                 ErrorCode.ESCAPING_TYVAR,
                 f"type variable {t.binder!r} occurs free in the context",
             )
         body_ty = _synth(gamma, delta, t.body, constants)
-        return (ForallV if isinstance(t, TyLamV) else ForallC)(t.binder, body_ty)
+        return FORALL[t.sort](t.binder, body_ty)
 
-    if isinstance(t, TyAppV):
-        if _classify(t.arg) is Kind.COMPUTATION:
-            raise TypingError(
-                ErrorCode.KIND_MISMATCH,
-                f"value-type application at computation type {t.arg}",
-            )
+    if isinstance(t, (TyAppV, TyAppC)):
+        if (_classify(t.arg) is Kind.COMPUTATION) != (t.sort == CSORT):
+            raise TypingError(ErrorCode.KIND_MISMATCH, f"{_TYAPP_MISKINDED[t.sort]} {t.arg}")
         head_ty = _synth(gamma, delta, t.fn, constants)
-        if not isinstance(head_ty, ForallV):
+        # a computation type is also a value type
+        if not isinstance(head_ty, (ForallV, ForallC)) or head_ty.sort not in (VSORT, t.sort):
             raise TypingError(
-                ErrorCode.APP_MISMATCH,
-                f"type application of non-polymorphic type {head_ty}",
+                ErrorCode.APP_MISMATCH, f"type application of non-polymorphic type {head_ty}"
             )
-        return subst_type(head_ty.body, VVar(head_ty.binder), t.arg)
-
-    if isinstance(t, TyAppC):
-        if _classify(t.arg) is not Kind.COMPUTATION:
-            raise TypingError(
-                ErrorCode.KIND_MISMATCH,
-                f"computation-type application at value type {t.arg}",
-            )
-        head_ty = _synth(gamma, delta, t.fn, constants)
-        if isinstance(head_ty, ForallC):
-            return subst_type(head_ty.body, CVar(head_ty.binder), t.arg)
-        if isinstance(head_ty, ForallV):
-            # a computation type is also a value type
-            return subst_type(head_ty.body, VVar(head_ty.binder), t.arg)
-        raise TypingError(
-            ErrorCode.APP_MISMATCH, f"type application of non-polymorphic type {head_ty}"
-        )
+        return subst_type(head_ty.body, VAR[head_ty.sort](head_ty.binder), t.arg)
 
     raise TypingError(ErrorCode.APP_MISMATCH, f"cannot type node {t!r} (unelaborated sugar?)")
 
@@ -371,36 +332,21 @@ def derive_all_types(
         return out
 
     if isinstance(t, (TyLamV, TyLamC)):
-        sort = VVar if isinstance(t, TyLamV) else CVar
-        if sort(t.binder) in _ctx_ftv(gamma, delta):
+        if VAR[t.sort](t.binder) in _ctx_ftv(gamma, delta):
             return out
-        ctor = ForallV if isinstance(t, TyLamV) else ForallC
         for body_ty in derive_all_types(gamma, delta, t.body, constants):
-            out.add(alpha_canonical(ctor(t.binder, body_ty)))
+            out.add(alpha_canonical(FORALL[t.sort](t.binder, body_ty)))
         return out
 
-    if isinstance(t, TyAppV):
+    if isinstance(t, (TyAppV, TyAppC)):
         try:
-            if classify_type(t.arg) is Kind.COMPUTATION:
+            if (classify_type(t.arg) is Kind.COMPUTATION) != (t.sort == CSORT):
                 return out
         except KindError:
             return out
         for head_ty in derive_all_types(gamma, delta, t.fn, constants):
-            if isinstance(head_ty, ForallV):
-                out.add(alpha_canonical(subst_type(head_ty.body, VVar(head_ty.binder), t.arg)))
-        return out
-
-    if isinstance(t, TyAppC):
-        try:
-            if classify_type(t.arg) is not Kind.COMPUTATION:
-                return out
-        except KindError:
-            return out
-        for head_ty in derive_all_types(gamma, delta, t.fn, constants):
-            if isinstance(head_ty, ForallC):
-                out.add(alpha_canonical(subst_type(head_ty.body, CVar(head_ty.binder), t.arg)))
-            elif isinstance(head_ty, ForallV):
-                out.add(alpha_canonical(subst_type(head_ty.body, VVar(head_ty.binder), t.arg)))
+            if isinstance(head_ty, (ForallV, ForallC)) and head_ty.sort in (VSORT, t.sort):
+                out.add(alpha_canonical(subst_type(head_ty.body, VAR[head_ty.sort](head_ty.binder), t.arg)))
         return out
 
     return out

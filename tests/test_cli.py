@@ -187,6 +187,28 @@ def test_eval_registers_the_free_algebras(capsys):
     assert "value:" in out
 
 
+@pytest.mark.parametrize("bound", ["0", "1"])
+def test_handler_below_bound_2_is_out_of_bound(capsys, bound):
+    # no registered set has two elements, so [[1 + 1]] has one value
+    code, out, err = run(capsys, "--bound", bound, "eval", "handle^e")
+    assert code == 3
+    assert out == ""
+    assert err == (f"out of bound: handle^e needs the two values of 1 + 1,"
+                   f" but no set of size 2 is registered at bound {bound}\n")
+
+
+@pytest.mark.parametrize("term, names", [
+    ("lfun x:^A => x", "^A"),
+    # a closed type, with a free variable in an annotation
+    ("(fun x:(A -> A) => Fun Y => fun y:Y => y) (fun z:A => z)", "A"),
+], ids=["in-the-type", "in-an-annotation"])
+def test_eval_rejects_free_type_variables(capsys, term, names):
+    code, out, err = run(capsys, "eval", term)
+    assert code == 2
+    assert out == ""
+    assert err == f"eval needs a closed term, but type variables {names} occur free in it\n"
+
+
 def test_include_free_algebras_is_a_usage_error(capsys):
     assert main(["--include-free-algebras", "verify", "typing"]) == 2
 

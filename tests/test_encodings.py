@@ -7,6 +7,8 @@ from polyeff import encodings as enc
 from polyeff import finmodel as fm
 from polyeff import typecheck as tc
 from polyeff.kernel import (
+    CSORT,
+    VSORT,
     Arrow,
     CVar,
     ForallC,
@@ -253,12 +255,12 @@ def test_two_is_one_plus_one():
 
 def test_sum_intro_case_typecheck():
     gamma = (("a", A), ("f", Arrow(A, cB)), ("g", Arrow(B, cB)))
-    inj = enc.inl_term(A, B, Var("a"))
+    inj = enc.injection(0, A, B, Var("a"), VSORT)
     assert alpha_eq(tc.synth(gamma, None, inj), enc.encode_value_type("Sum", (A, B)))
     scrutinee = enc.case_term(inj, cB, Var("f"), Var("g"))
     assert alpha_eq(tc.synth(gamma, None, scrutinee), cB)
 
 
 def test_oplus_intro_accepts_the_stoup():
-    j = Judgment((), ("a", cA), enc.oplus_inl(cA, cB, Var("a")))
+    j = Judgment((), ("a", cA), enc.injection(0, cA, cB, Var("a"), CSORT))
     assert alpha_eq(tc.typecheck(j), enc.encode_comp_type("Oplus", (cA, cB)))

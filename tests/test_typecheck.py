@@ -12,11 +12,14 @@ from polyeff.kernel import (
     Arrow,
     CVar,
     ForallC,
+    ForallV,
     Judgment,
     Kind,
     Lam,
     LinLam,
     Lolli,
+    TyAppC,
+    TyAppV,
     TyLamC,
     Var,
     VVar,
@@ -134,6 +137,42 @@ def test_argument_type_mismatch():
         subject=parse_term("f y"),
         code=tc.ErrorCode.APP_MISMATCH,
     )
+
+
+B_, C_ = VVar("B"), VVar("C")
+cA_, cB_, cC_ = CVar("A"), CVar("B"), CVar("C")
+STOUP, APP, KIND = tc.ErrorCode.STOUP_VIOLATION, tc.ErrorCode.APP_MISMATCH, tc.ErrorCode.KIND_MISMATCH
+
+
+@pytest.mark.parametrize("gamma, delta, subject, code, detail", [
+    ((("f", Arrow(cA_, cB_)),), ("x", cA_), parse_term("f x"),
+     STOUP, "ordinary application cannot route the stoup into its argument"),
+    ((("h", Lolli(cA_, Lolli(cB_, cC_))), ("y", cB_)), ("x", cA_), parse_term("(h x) y"),
+     STOUP, "stoup judgment produced value type ^B -o ^C"),
+    ((("x", B_),), None, parse_term("x x"), APP, "application of non-function type B"),
+    ((("y", B_),), ("x", cA_), parse_term("y x"), APP, "application of non-function type B"),
+    ((("f", Arrow(B_, B_)), ("y", C_)), None, parse_term("f y"),
+     APP, "argument type C does not match -> domain B"),
+    ((("h", Lolli(cA_, cB_)), ("y", cC_)), None, parse_term("h y"),
+     APP, "argument type ^C does not match -o domain ^A"),
+    ((("h", Lolli(cA_, cB_)),), ("x", cC_), parse_term("h x"),
+     APP, "argument type ^C does not match -o domain ^A"),
+    ((("f", ForallV("X", VVar("X"))),), None, TyAppV(Var("f"), cB_),
+     KIND, "value-type application at computation type ^B"),
+    ((("f", ForallV("X", VVar("X"))),), None, TyAppC(Var("f"), B_),
+     KIND, "computation-type application at value type B"),
+    ((("f", ForallC("X", CVar("X"))),), None, TyAppV(Var("f"), B_),
+     APP, "type application of non-polymorphic type forall ^X. ^X"),
+    ((("f", cA_),), None, TyAppC(Var("f"), cB_),
+     APP, "type application of non-polymorphic type ^A"),
+], ids=["arrow-head-given-the-stoup", "linear-head-under-the-stoup", "non-function",
+        "non-function-given-the-stoup", "arrow-domain", "lolli-domain",
+        "lolli-domain-given-the-stoup", "value-application-at-computation-type",
+        "computation-application-at-value-type", "value-application-of-computation-forall",
+        "computation-application-of-non-forall"])
+def test_application_errors_name_their_rule(gamma, delta, subject, code, detail):
+    err = reject(gamma=gamma, delta=delta, subject=subject, code=code)
+    assert err.detail == detail
 
 
 def test_ascription_checked():
