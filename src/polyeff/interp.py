@@ -726,7 +726,13 @@ class Model:
             cod_alg = self.interp_ctype(env, ty.cod)
             dom_sem = self.interp_vtype(env, ty.dom)
             cod_sem = self.interp_vtype(env, ty.cod)
-            tables = self._hom_tables(dom_alg, cod_alg)
+            try:
+                tables = self._hom_tables(dom_alg, cod_alg)
+            except OutOfBoundError as exc:
+                raise OutOfBoundError(
+                    f"homomorphisms for {ty} from the algebra on {dom_alg.carrier.size}"
+                    f" elements to the algebra on {cod_alg.carrier.size}: {exc}"
+                ) from exc
             return HomSem(len(tables), dom_sem, cod_sem, tables)
         if isinstance(ty, (ForallV, ForallC)):
             comps = [self.interp_vtype(env.set(ty.sort, ty.binder, obj), ty.body)

@@ -197,6 +197,20 @@ def test_handler_below_bound_2_is_out_of_bound(capsys, bound):
                    f" but no set of size 2 is registered at bound {bound}\n")
 
 
+@pytest.mark.parametrize("argv, space", [
+    (["--bound", "3", "eval", "handle^e"], "4^15"),
+    (["--exceptions", "e1,e2", "eval", "handle^e1"], "4^14"),
+], ids=["bound-3", "two-exceptions"])
+def test_an_out_of_bound_hom_space_names_its_type_and_algebras(capsys, argv, space):
+    free = "(forall ^X1. (X -> ^X1) -> ^X1)"
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert err == (f"out of bound: homomorphisms for (({TWO}) -> {free}) -o {free}"
+                   f" from the algebra on 16 elements to the algebra on 4:"
+                   f" hom space too large: {space}\n")
+
+
 @pytest.mark.parametrize("term, names", [
     ("lfun x:^A => x", "^A"),
     # a closed type, with a free variable in an annotation

@@ -324,6 +324,94 @@ def test_monad_laws_small():
         assert rep.ok, rep.failures[:3]
 
 
+def _monad_laws_naive(m, max_size):
+    """Reference law check: extends every table afresh, for each law and each
+    (f, g) pair, so the shared extensions and memoized composites of
+    ``check_monad_laws`` are checked against independent calls."""
+    rep = fm.LawReport()
+    sets = [fm.FinSet(n) for n in range(max_size + 1)]
+
+    def is_map(t, n, k):
+        return len(t) == n and all(0 <= v < k for v in t)
+
+    for a in sets:
+        if tuple(m.extend(m.unit(a), a, a)) != tuple(range(m.apply(a).size)):
+            rep.fail(f"extend(unit) != id at |A|={a.size}")
+        if not fm._unit_image_generates(m, a):
+            rep.fail(f"unit image does not generate T A at |A|={a.size}")
+        rep.checked += 2
+    for a in sets:
+        for b in sets:
+            ta, tb = m.apply(a).size, m.apply(b).size
+            if tb == 0 and a.size > 0:
+                continue
+            eta = m.unit(a)
+            fa, fb = fm.free_algebra(m, a)[0], fm.free_algebra(m, b)[0]
+            for f in product(range(tb), repeat=a.size):
+                fext = m.extend(f, a, b)
+                rep.checked += 1
+                if not is_map(fext, ta, tb):
+                    rep.fail(f"extend(f) not a map at |A|={a.size},|B|={b.size}")
+                    continue
+                if any(fext[eta[i]] != f[i] for i in range(a.size)):
+                    rep.fail(f"extend(f).unit != f at |A|={a.size},|B|={b.size}")
+                if not (fm._joins_splits(fext, fm._union_splits(a), fb) if m.key == "powerset"
+                        else fm.is_homomorphism(fext, fa, fb)):
+                    rep.fail(f"extension not a homomorphism at |A|={a.size},|B|={b.size}")
+    for a, b, c in product(sets, repeat=3):
+        ta, tb, tc = (m.apply(x).size for x in (a, b, c))
+        if (tb == 0 and a.size > 0) or (tc == 0 and b.size > 0):
+            continue
+        if tb ** a.size * tc ** b.size > fm.DIRECT_PAIR_CAP:
+            continue
+        for f in product(range(tb), repeat=a.size):
+            fext = m.extend(f, a, b)
+            if not is_map(fext, ta, tb):
+                continue
+            for g in product(range(tc), repeat=b.size):
+                gext = m.extend(g, b, c)
+                if not is_map(gext, tb, tc):
+                    continue
+                lhs = m.extend([gext[x] for x in f], a, c)
+                if tuple(lhs) != tuple(gext[y] for y in fext):
+                    rep.fail(f"associativity fails at |A|={a.size},|B|={b.size},|C|={c.size}")
+                rep.checked += 1
+    return rep
+
+
+def _out_of_range_at_size_2(extend):
+    # a value outside T B for every injective table other than the unit at
+    # |A| = |B| = 2, seen by every law that reads such an extension
+    def planted(self, f, a, b):
+        out = extend(self, f, a, b)
+        if a.size == b.size == 2 and len(set(f)) == 2 and tuple(f) != self.unit(a):
+            out = (99,) + tuple(out[1:])
+        return out
+    return planted
+
+
+@pytest.mark.parametrize("planted", [False, True], ids=["clean", "planted"])
+@pytest.mark.parametrize("m", [IDM, EXC, EXC2, POW], ids=lambda m: f"{m.key}{len(m.exceptions)}")
+def test_monad_laws_match_a_naive_check(monkeypatch, m, planted):
+    if planted:
+        monkeypatch.setattr(fm.MonadSpec, "extend", _out_of_range_at_size_2(fm.MonadSpec.extend))
+    rep, naive = fm.check_monad_laws(m, 3), _monad_laws_naive(m, 3)
+    assert (rep.checked, rep.failures) == (naive.checked, naive.failures)
+    assert bool(rep.failures) == planted
+
+
+def test_monad_laws_extend_each_table_once(monkeypatch):
+    # the homomorphism loop's extensions are reused by the associativity
+    # cross-check, and each distinct composite is extended once per triple
+    calls = []
+    extend = fm.MonadSpec.extend
+    monkeypatch.setattr(fm.MonadSpec, "extend",
+                        lambda self, f, a, b: calls.append(1) or extend(self, f, a, b))
+    checked = sum(fm.check_monad_laws(m, 4).checked for m in (IDM, EXC, EXC2, POW))
+    assert checked == 457_359
+    assert len(calls) < 100_000  # 497 846 when every pair extended its tables afresh
+
+
 def test_algebra_shape_validation():
     with pytest.raises(fm.ModelError):
         fm.Alg(EXC, fm.FinSet(2))  # missing the distinguished point
