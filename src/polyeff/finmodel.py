@@ -236,7 +236,7 @@ def is_homomorphism(table: Sequence[int], dom: Alg, cod: Alg) -> bool:
     return True
 
 
-def enumerate_homs(dom: Alg, cod: Alg, cap: int = 1_000_000) -> list[tuple[int, ...]]:
+def enumerate_homs(dom: Alg, cod: Alg, cap: int) -> list[tuple[int, ...]]:
     """All homomorphism tables dom -> cod, in lexicographic order.
 
     The constants' images are pinned first, so only the free positions

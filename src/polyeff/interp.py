@@ -3,8 +3,8 @@
 Every type denotes a finite enumerated domain (a ``SemSet``); a
 semantic value is an index into its domain, so extensional equality is
 integer equality.  Function domains index tables mixed-radix, ``-o``
-domains index the lexicographically ordered list of structure-
-preserving tables, and polymorphic domains index the list of
+domains index ``Model._hom_tables`` (one listing per algebra pair, at most
+``ITER_CAP`` candidates), and polymorphic domains index the list of
 *parametric families*: tuples with one component per registered object
 that preserve every admissible relation between every pair of objects.
 
@@ -70,7 +70,7 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass
 from functools import cache
-from itertools import permutations, product
+from itertools import product
 from math import prod
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
@@ -663,6 +663,7 @@ class Model:
         self._cty: dict = {}
         self._rel: dict = {}
         self._pair_rels: dict = {}  # (sort, i, j) -> rels_for_pair
+        self._homs: dict = {}  # (dom, cod) -> _hom_tables
         self._const_val: dict = {}
         self._two: Optional[tuple[int, int]] = None
 
@@ -729,8 +730,10 @@ class Model:
             try:
                 tables = self._hom_tables(dom_alg, cod_alg)
             except OutOfBoundError as exc:
+                binds = ", ".join(f"{VAR[s](n)} {'an algebra' if s == CSORT else 'a set'} on {_carrier_size(v)} elements"
+                                  for (s, n), v in env.restrict(free_type_var_keys(ty)).items)
                 raise OutOfBoundError(
-                    f"homomorphisms for {ty} from the algebra on {dom_alg.carrier.size}"
+                    f"homomorphisms for {ty}{binds and f', with {binds},'} from the algebra on {dom_alg.carrier.size}"
                     f" elements to the algebra on {cod_alg.carrier.size}: {exc}"
                 ) from exc
             return HomSem(len(tables), dom_sem, cod_sem, tables)
@@ -742,7 +745,10 @@ class Model:
         raise InterpError(f"cannot interpret type {ty!r}")
 
     def _hom_tables(self, dom: fm.Alg, cod: fm.Alg) -> tuple[tuple[int, ...], ...]:
-        return tuple(fm.enumerate_homs(dom, cod, ITER_CAP))
+        """The homomorphisms dom -> cod in lexicographic order, listed once; past ``ITER_CAP`` each request raises."""
+        if (dom, cod) not in self._homs:
+            self._homs[dom, cod] = tuple(fm.enumerate_homs(dom, cod, ITER_CAP))
+        return self._homs[dom, cod]
 
     # -- computation-type interpretation -----------------------------------
 
@@ -1058,14 +1064,10 @@ class Model:
     # -- projection -----------------------------------------------------------
 
     def _algebra_isos(self, source: fm.Alg, target: fm.Alg) -> Iterator[tuple[int, ...]]:
-        """Every bijective homomorphism source -> target, deterministic order."""
-        if target.carrier.size != source.carrier.size:
-            return
-        for perm in permutations(range(source.carrier.size)):
-            if fm.is_homomorphism(perm, source, target) and fm.is_homomorphism(
-                _invert(perm), target, source
-            ):
-                yield perm
+        """Every bijective homomorphism source -> target, in lexicographic order."""
+        # a bijective homomorphism between algebras of one signature is an isomorphism
+        if target.carrier.size == source.carrier.size:
+            yield from (h for h in self._hom_tables(source, target) if len(set(h)) == len(h))
 
     def project_poly(
         self,

@@ -211,7 +211,7 @@ CHECKED_SIZES = range(3)
 
 
 def _mediating_homs(model: ip.Model, fa: fm.Alg, eta, f, b: fm.Alg) -> list:
-    return [h for h in fm.enumerate_homs(fa, b) if all(h[eta[x]] == f[x] for x in range(len(f)))]
+    return [h for h in model._hom_tables(fa, b) if all(h[eta[x]] == f[x] for x in range(len(f)))]
 
 
 def verify_free_algebra(model: ip.Model) -> VerificationReport:
@@ -377,8 +377,8 @@ def verify_rel_lifting(model: ip.Model) -> VerificationReport:
                 for i, ua in enumerate(bounded):
                     for j, ub in enumerate(bounded):
                         for q in fm.enumerate_alg_rels(ua, ub):
-                            for f in fm.enumerate_homs(fa, ua):
-                                for g in fm.enumerate_homs(fb, ub):
+                            for f in model._hom_tables(fa, ua):
+                                for g in model._hom_tables(fb, ub):
                                     lhs = all(q[f[z]] >> g[w] & 1 for z, w in bang_r)
                                     rhs = all(q[f[eta_a[x]]] >> g[eta_b[y]] & 1 for x, y in r_pairs)
                                     checked += 1
@@ -409,7 +409,7 @@ def enumerate_natural_transformations(model: ip.Model, n: int) -> tuple[tuple[in
     body = enc.nary_op_type(n).body
     comps = [model.interp_vtype(ip.type_env({}, {"X": alg}), body) for alg in algs]
     args_of = [list(itertools.product(range(a.carrier.size), repeat=n)) for a in algs]
-    homs = {(i, j): fm.enumerate_homs(a, b) for i, a in enumerate(algs) for j, b in enumerate(algs)}
+    homs = {(i, j): model._hom_tables(a, b) for i, a in enumerate(algs) for j, b in enumerate(algs)}
 
     def natural(i: int, j: int, u: int, v: int) -> bool:
         return all(
@@ -599,7 +599,7 @@ def verify_encoding_props(model: ip.Model) -> VerificationReport:
     zero_ty = enc.encode_comp_type("ZeroC")
     zero_alg = model.interp_ctype(ip.TypeEnv(), zero_ty)
     for k, b in enumerate(model.algebras):
-        homs = fm.enumerate_homs(zero_alg, b)
+        homs = model._hom_tables(zero_alg, b)
         checked += 1
         if len(homs) != 1:
             failures.append({"law": "initiality", "algebra": k, "homs": len(homs)})
@@ -631,11 +631,11 @@ def verify_encoding_props(model: ip.Model) -> VerificationReport:
             inl_tbl = inl_sem.table(inl_v)
             inr_tbl = inr_sem.table(inr_v)
             for ic, alg_c in enumerate(model.algebras):
-                for u in fm.enumerate_homs(alg_a, alg_c):
-                    for v in fm.enumerate_homs(alg_b, alg_c):
+                for u in model._hom_tables(alg_a, alg_c):
+                    for v in model._hom_tables(alg_b, alg_c):
                         meds = [
                             h
-                            for h in fm.enumerate_homs(sum_alg, alg_c)
+                            for h in model._hom_tables(sum_alg, alg_c)
                             if all(h[inl_tbl[x]] == u[x] for x in range(alg_a.carrier.size))
                             and all(h[inr_tbl[y]] == v[y] for y in range(alg_b.carrier.size))
                         ]
@@ -738,13 +738,11 @@ def verify_rel_axioms(model: ip.Model) -> VerificationReport:
     # reindexing on algebras
     for ka, a1 in enumerate(algs):
         for kb, a2 in enumerate(algs):
-            homs_a = fm.enumerate_homs(a1, a2)
             for kc, b1 in enumerate(algs):
                 for kd, b2 in enumerate(algs):
-                    homs_b = fm.enumerate_homs(b1, b2)
                     for q in fm.enumerate_alg_rels(a2, b2):
-                        for f in homs_a:
-                            for g in homs_b:
+                        for f in model._hom_tables(a1, a2):
+                            for g in model._hom_tables(b1, b2):
                                 pre = fm.preimage(f, g, q)
                                 checked += 1
                                 if not fm.admissible(pre, a1, b1):

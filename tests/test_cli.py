@@ -197,16 +197,18 @@ def test_handler_below_bound_2_is_out_of_bound(capsys, bound):
                    f" but no set of size 2 is registered at bound {bound}\n")
 
 
-@pytest.mark.parametrize("argv, space", [
-    (["--bound", "3", "eval", "handle^e"], "4^15"),
-    (["--exceptions", "e1,e2", "eval", "handle^e1"], "4^14"),
+@pytest.mark.parametrize("argv, x_size, space", [
+    (["--bound", "3", "eval", "handle^e"], 3, "4^15"),
+    (["--exceptions", "e1,e2", "eval", "handle^e1"], 2, "4^14"),
 ], ids=["bound-3", "two-exceptions"])
-def test_an_out_of_bound_hom_space_names_its_type_and_algebras(capsys, argv, space):
+def test_an_out_of_bound_hom_space_names_its_type_and_algebras(capsys, argv, x_size, space):
+    # the free X names the set the family search had reached when the space met the cap
     free = "(forall ^X1. (X -> ^X1) -> ^X1)"
     code, out, err = run(capsys, *argv)
     assert code == 3
     assert out == ""
-    assert err == (f"out of bound: homomorphisms for (({TWO}) -> {free}) -o {free}"
+    assert err == (f"out of bound: homomorphisms for (({TWO}) -> {free}) -o {free},"
+                   f" with X a set on {x_size} elements,"
                    f" from the algebra on 16 elements to the algebra on 4:"
                    f" hom space too large: {space}\n")
 

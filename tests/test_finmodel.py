@@ -97,7 +97,7 @@ def test_semilattice_hom_tables_by_exhaustion():
         if all(mx.op(0, (tbl[x], tbl[y])) == tbl[mn.op(0, (x, y))] for x in range(2) for y in range(2)):
             oracle.append(tbl)
     assert homs == oracle
-    assert fm.enumerate_homs(mn, mx) == [tuple(t) for t in oracle]
+    assert fm.enumerate_homs(mn, mx, ip.ITER_CAP) == [tuple(t) for t in oracle]
 
 
 @pytest.mark.parametrize("monad", [IDM, EXC, EXC2, POW], ids=lambda m: f"{m.key}{m.n_exc}")
@@ -110,7 +110,7 @@ def test_enumerate_homs_matches_brute_force(monad):
         for cod in algs:
             brute = [t for t in product(range(cod.carrier.size), repeat=dom.carrier.size)
                      if fm.is_homomorphism(t, dom, cod)]
-            assert fm.enumerate_homs(dom, cod) == brute
+            assert fm.enumerate_homs(dom, cod, ip.ITER_CAP) == brute
 
 
 def test_enumerate_homs_caps_only_the_free_positions():
@@ -313,8 +313,8 @@ def test_preimage_of_admissible_relation_along_homs_is_admissible():
     fa, _ = fm.free_algebra(EXC, fm.FinSet(1))
     target = fm.Alg(EXC, fm.FinSet(2), ((0,),))
     for q in fm.enumerate_alg_rels(target, target):
-        for f in fm.enumerate_homs(fa, target):
-            for g in fm.enumerate_homs(fa, target):
+        for f in fm.enumerate_homs(fa, target, ip.ITER_CAP):
+            for g in fm.enumerate_homs(fa, target, ip.ITER_CAP):
                 assert fm.admissible(fm.preimage(f, g, q), fa, fa)
 
 

@@ -1,6 +1,6 @@
 """Finite denotational and relational semantics."""
 
-from itertools import islice, product
+from itertools import islice, permutations, product
 from math import prod
 
 import pytest
@@ -75,7 +75,40 @@ def test_hom_space_matches_enumeration(model):
     alg_b = model.algebras[2]
     env = ip.type_env({}, {"A": alg_a, "B": alg_b})
     sem = model.interp_vtype(env, parse_type("^A -o ^B"))
-    assert sem.tables == tuple(fm.enumerate_homs(alg_a, alg_b))
+    assert sem.tables == tuple(fm.enumerate_homs(alg_a, alg_b, ip.ITER_CAP))
+
+
+@pytest.mark.parametrize("monad", [EXC, fm.MonadSpec("exception", ("e1", "e2")), fm.MonadSpec("identity"), POW],
+                         ids=["E={e}", "E={e1,e2}", "identity", "powerset"])
+def test_the_model_owns_one_hom_space_per_algebra_pair(monad):
+    model = ip.Model(monad, 2, range(3))
+    for a in model.algebras:
+        for b in model.algebras:
+            tables = model._hom_tables(a, b)
+            assert tables == tuple(fm.enumerate_homs(a, b, ip.ITER_CAP))
+            assert model._hom_tables(a, b) is tables
+            # the isomorphisms, by permutations whose inverse is a homomorphism too
+            isos = [p for p in permutations(range(a.carrier.size)) if b.carrier.size == a.carrier.size
+                    and fm.is_homomorphism(p, a, b)
+                    and fm.is_homomorphism(tuple(p.index(y) for y in range(len(p))), b, a)]
+            assert list(model._algebra_isos(a, b)) == isos
+    # a carrier past the cap: 7^7, 8^7, 9^7 and 7^7 candidate tables
+    big = fm.free_algebra(monad, fm.FinSet(3 if monad.key == "powerset" else 7))[0]
+    for _ in range(2):
+        with pytest.raises(ip.OutOfBoundError, match="hom space too large"):
+            model._hom_tables(big, big)
+
+
+def test_an_out_of_bound_hom_space_names_what_its_free_variables_stand_for(monkeypatch):
+    monkeypatch.setattr(ip, "ITER_CAP", 1)
+    model = ip.Model(EXC, 2)
+    alg = model.algebras[-1]
+    env = ip.type_env({"B": fm.FinSet(2)}, {"P": alg, "Q": alg})
+    with pytest.raises(ip.OutOfBoundError) as err:
+        model.interp_vtype(env, parse_type("^P -o B -> ^Q"))
+    assert str(err.value) == ("homomorphisms for ^P -o B -> ^Q, with ^P an algebra on 2 elements,"
+                              " ^Q an algebra on 2 elements, B a set on 2 elements,"
+                              " from the algebra on 2 elements to the algebra on 4: hom space too large: 4^1")
 
 
 def test_carrier_agrees_with_set_interpretation(model):

@@ -366,3 +366,20 @@ def test_algop_nondeterminism_all_arities():
         rep = pl.verify_algop_correspondence(model, n)
         assert rep.status == "verified", rep.witness
         assert rep.counts["parametric-elements"] == count
+
+
+@pytest.mark.parametrize("suite", [pl.verify_rel_lifting, pl.verify_encoding_props],
+                         ids=["rel-lifting", "encoding-props"])
+def test_a_suite_lists_each_hom_space_once(monkeypatch, suite):
+    calls = {}
+    enumerate_homs = fm.enumerate_homs
+
+    def counted(dom, cod, *cap):
+        calls[dom, cod] = calls.get((dom, cod), 0) + 1
+        return enumerate_homs(dom, cod, *cap)
+
+    monkeypatch.setattr(fm, "enumerate_homs", counted)
+    rep = suite(pl.build_model(fm.ModelConfig("exception", ("e",), 2), range(3)))
+    assert rep.status == "verified", rep.witness
+    assert calls
+    assert max(calls.values()) == 1, f"{sum(calls.values())} listings of {len(calls)} hom spaces"
