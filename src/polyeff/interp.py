@@ -329,18 +329,6 @@ def diag_relenv(env: TypeEnv) -> RelEnv:
     return RelEnv(env, env, rels)
 
 
-@dataclass
-class Env:
-    """Interpretation environment: objects for type variables, indices for term variables."""
-
-    types: TypeEnv
-    terms: dict
-
-    def __init__(self, vvars: dict = {}, cvars: dict = {}, terms: dict = {}):
-        self.types = type_env(vvars, cvars)
-        self.terms = dict(terms)
-
-
 # ---------------------------------------------------------------------------
 # relation views
 
@@ -409,13 +397,18 @@ class FunRel(RelView):
     def walk(self) -> tuple[tuple[int, ...], Optional[tuple[int, ...]]]:
         """What ``contains`` and ``rows`` read: the domain's related pairs
         in order, flat (``x0, y0, x1, y1, ...``), and the codomain's rows,
-        or None when they do not fit."""
+        or None when they do not fit.  A codomain relation that relates every
+        pair relates every pair of functions, so a domain too large to
+        materialize then contributes no pairs."""
         if self._walk is None:
-            pairs = tuple(
-                v for x, row in enumerate(self.dom_rel.rows()) for y in fm.bits_of(row) for v in (x, y)
-            )
             cod = self.cod_rel
-            self._walk = (pairs, cod.rows() if pairs and cod.fits() else None)
+            if not self.dom_rel.fits() and cod.fits() and all(row == (1 << cod.right.size) - 1 for row in cod.rows()):
+                self._walk = ((), None)
+            else:
+                pairs = tuple(
+                    v for x, row in enumerate(self.dom_rel.rows()) for y in fm.bits_of(row) for v in (x, y)
+                )
+                self._walk = (pairs, cod.rows() if pairs and cod.fits() else None)
         return self._walk
 
     def contains(self, f: int, g: int) -> bool:
@@ -1189,22 +1182,6 @@ class Model:
 
             return tyapp
         raise InterpError(f"cannot evaluate {t!r} (unelaborated sugar?)")
-
-    def interp_term(self, j: Judgment, env: Env) -> int:
-        """Evaluate a checked judgment under an environment covering its variables."""
-        tc.typecheck(j, self.constants)
-        tmenv = dict(env.terms)
-        bindings = list(j.gamma) + ([j.delta] if j.delta is not None else [])
-        missing = [n for n, _ in bindings if n not in tmenv]
-        if missing:
-            raise InterpError(f"environment misses values for {missing}")
-        for name, ty in bindings:
-            size = self.interp_vtype(env.types, ty).size
-            if not 0 <= tmenv[name] < size:
-                raise InterpError(
-                    f"value {tmenv[name]} for {name!r} escapes its domain of size {size}"
-                )
-        return self._eval(j.subject, j.gamma, j.delta, env.types, tmenv)
 
     def two_values(self) -> tuple[int, int]:
         """Indices of the two inhabitants of [[1 + 1]] (left first)."""

@@ -3,7 +3,7 @@
 Each verifier checks one named property exhaustively at a configured
 bound and returns a ``VerificationReport``: monadic let laws, the free-
 algebra universal property (and its cardinality consequence for ``!A``),
-the three characterisations of the relational lifting, the
+the four characterisations of the relational lifting, the
 correspondence between algebraic operations, generic effects and
 parametric elements, handler naturality, and the universal properties
 of the definable computation types.
@@ -327,18 +327,23 @@ def lifted_rel(model: ip.Model, r: tuple[int, ...], a: int, b: int) -> tuple[int
 
 
 def verify_rel_lifting(model: ip.Model) -> VerificationReport:
-    """Three characterisations of the lifting agree for every relation."""
+    """Four characterisations of the lifting agree for every relation R:
+    the admissible closure of R's eta-pairs, [[!X]] at R moved along the
+    bijections to T A and T B, the closure of the image of R's span under T,
+    and the adjoint one, (!R -o Q)(f, g) iff (R -> Q)(f.eta, g.eta) for every
+    admissible Q between algebras within the bound."""
     t0 = time.perf_counter()
     failures = []
     checked = 0
     bang_x = enc.encode_bang(VVar("X"))
+    bounded = [i for i, alg in enumerate(model.algebras) if alg.carrier.size <= model.bound]
     for a in CHECKED_SIZES:
         for b in CHECKED_SIZES:
-            _, fa, _ = model.free_algebra(a)
-            _, fb, _ = model.free_algebra(b)
+            _, fa, eta_a = model.free_algebra(a)
+            _, fb, eta_b = model.free_algebra(b)
             to_a, _ = model.bang_bridge(a)
             to_b, _ = model.bang_bridge(b)
-            for r in fm.enumerate_set_rels(fm.FinSet(a), fm.FinSet(b)):
+            for r in model.rels_for_pair(ip.VSORT, a, b):
                 checked += 1
                 via_closure = lifted_rel(model, r, a, b)
                 # polymorphic-definition lifting, moved along the bijections
@@ -364,27 +369,19 @@ def verify_rel_lifting(model: ip.Model) -> VerificationReport:
                         "interp": fm.rel_pairs(via_interp),
                         "image": fm.rel_pairs(via_image),
                     })
-    # adjoint characterisation: (!R -o Q)(f,g) iff (R -> Q)(f.eta, g.eta)
-    for a in CHECKED_SIZES:
-        for b in CHECKED_SIZES:
-            _, fa, eta_a = model.free_algebra(a)
-            _, fb, eta_b = model.free_algebra(b)
-            for r in fm.enumerate_set_rels(fm.FinSet(a), fm.FinSet(b)):
-                r_pairs = fm.rel_pairs(r)
-                bang_r = fm.rel_pairs(lifted_rel(model, r, a, b))
-                # target algebras range over the bound proper
-                bounded = [x for x in model.algebras if x.carrier.size <= model.bound]
-                for i, ua in enumerate(bounded):
-                    for j, ub in enumerate(bounded):
-                        for q in fm.enumerate_alg_rels(ua, ub):
-                            for f in model._hom_tables(fa, ua):
-                                for g in model._hom_tables(fb, ub):
+                # adjoint characterisation
+                bang_r = fm.rel_pairs(via_closure)
+                for i in bounded:
+                    for j in bounded:
+                        for q in model.rels_for_pair(ip.CSORT, i, j):
+                            for f in model._hom_tables(fa, model.algebras[i]):
+                                for g in model._hom_tables(fb, model.algebras[j]):
                                     lhs = all(q[f[z]] >> g[w] & 1 for z, w in bang_r)
-                                    rhs = all(q[f[eta_a[x]]] >> g[eta_b[y]] & 1 for x, y in r_pairs)
+                                    rhs = all(q[f[eta_a[x]]] >> g[eta_b[y]] & 1 for x, y in rl)
                                     checked += 1
                                     if lhs != rhs:
                                         failures.append({
-                                            "a": a, "b": b, "R": r_pairs, "Q": fm.rel_pairs(q),
+                                            "a": a, "b": b, "R": rl, "Q": fm.rel_pairs(q),
                                             "algs": [i, j], "f": list(f), "g": list(g),
                                         })
     return _model_report("rel-lifting", model, t0, failures, counts={"instances": checked})
@@ -533,7 +530,7 @@ def verify_handler(model: ip.Model) -> VerificationReport:
         for a in CHECKED_SIZES:
             for b in CHECKED_SIZES:
                 ha, hb = _handle_table(model, a, e_idx), _handle_table(model, b, e_idx)
-                for r in fm.enumerate_set_rels(fm.FinSet(a), fm.FinSet(b)):
+                for r in model.rels_for_pair(ip.VSORT, a, b):
                     br = lifted_rel(model, r, a, b)
                     br_pairs = fm.rel_pairs(br)
                     for p1, p2 in br_pairs:
@@ -702,89 +699,55 @@ def verify_monad_laws(max_size: int = 4) -> VerificationReport:
 
 
 def verify_rel_axioms(model: ip.Model) -> VerificationReport:
-    """Diagonals admissible, reindexing and intersection closure, carrier containment."""
+    """The model's relation spaces (``rels_for_pair``) satisfy the relation
+    axioms, written once for sets with all relations and algebras within the
+    bound with admissible ones: R1 every diagonal is listed; R3 each pair's
+    listing holds the full relation (the empty intersection) and is closed
+    under binary intersection; R2 reindexing a listed relation along maps
+    (every function between sets, every homomorphism between algebras) gives
+    a listed relation; R4 algebra relations are carrier relations."""
     t0 = time.perf_counter()
     failures = []
     checked = 0
-    sets = model.sets
-    algs = [a for a in model.algebras if a.carrier.size <= model.bound]
-
-    # diagonals
-    for s in sets:
-        checked += 1
-        if fm.diagonal(s.size) not in fm.enumerate_set_rels(s, s):
-            failures.append({"axiom": "R1", "object": f"set:{s.size}"})
-    for k, a in enumerate(algs):
-        checked += 1
-        if not fm.admissible(fm.diagonal(a.carrier.size), a, a):
-            failures.append({"axiom": "R1", "object": f"alg:{k}"})
-
-    # reindexing on sets
-    for a1 in sets:
-        for a2 in sets:
-            for b1 in sets:
-                for b2 in sets:
-                    fs = list(itertools.product(range(a2.size), repeat=a1.size))
-                    gs = list(itertools.product(range(b2.size), repeat=b1.size))
-                    rels = fm.enumerate_set_rels(a2, b2)
-                    allowed = set(fm.enumerate_set_rels(a1, b1))
+    for sort in (ip.VSORT, ip.CSORT):
+        kind = "set" if sort == ip.VSORT else "alg"
+        objs = model.objects(sort)
+        size = {k: n for k, o in enumerate(objs) if (n := ip._carrier_size(o)) <= model.bound}
+        rels = {(i, j): model.rels_for_pair(sort, i, j) for i in size for j in size}
+        listed = {ij: set(rs) for ij, rs in rels.items()}
+        maps = {(i, j): model._hom_tables(objs[i], objs[j]) if sort == ip.CSORT
+                else list(itertools.product(range(size[j]), repeat=size[i])) for i, j in rels}
+        # R1: diagonals
+        for k, n in size.items():
+            checked += 1
+            if fm.diagonal(n) not in listed[k, k]:
+                failures.append({"axiom": "R1", "object": f"{kind}:{k}"})
+        # R3: intersections, binary and empty (the full relation)
+        for (i, j), rs in rels.items():
+            checked += 1
+            if ((1 << size[j]) - 1,) * size[i] not in listed[i, j]:
+                failures.append({"axiom": "R3", "kind": f"{kind}-full", "objects": [i, j]})
+            for r1 in rs:
+                for r2 in rs:
+                    checked += 1
+                    if tuple(x & y for x, y in zip(r1, r2)) not in listed[i, j]:
+                        failures.append({"axiom": "R3", "kind": kind, "objects": [i, j]})
+        # R2: reindexing along maps
+        for (a1, a2), fs in maps.items():
+            for (b1, b2), gs in maps.items():
+                for r in rels[a2, b2]:
                     for f in fs:
                         for g in gs:
-                            for r in rels:
-                                pre = fm.preimage(f, g, r)
-                                checked += 1
-                                if pre not in allowed:
-                                    failures.append({"axiom": "R2", "kind": "set"})
-    # reindexing on algebras
-    for ka, a1 in enumerate(algs):
-        for kb, a2 in enumerate(algs):
-            for kc, b1 in enumerate(algs):
-                for kd, b2 in enumerate(algs):
-                    for q in fm.enumerate_alg_rels(a2, b2):
-                        for f in model._hom_tables(a1, a2):
-                            for g in model._hom_tables(b1, b2):
-                                pre = fm.preimage(f, g, q)
-                                checked += 1
-                                if not fm.admissible(pre, a1, b1):
-                                    failures.append({
-                                        "axiom": "R2", "kind": "alg",
-                                        "objects": [ka, kb, kc, kd], "Q": fm.rel_pairs(q),
-                                    })
-
-    # intersections (binary plus the full relation as the empty intersection)
-    for a in sets:
-        for b in sets:
-            rels = fm.enumerate_set_rels(a, b)
-            allowed = set(rels)
-            full = ((1 << b.size) - 1,) * a.size
-            checked += 1
-            if full not in allowed:
-                failures.append({"axiom": "R3", "kind": "set-full"})
-            for r1 in rels:
-                for r2 in rels:
+                            checked += 1
+                            if fm.preimage(f, g, r) not in listed[a1, b1]:
+                                failures.append({"axiom": "R2", "kind": kind, "objects": [a1, a2, b1, b2],
+                                                 "R": fm.rel_pairs(r), "f": list(f), "g": list(g)})
+        if sort == ip.CSORT:  # R4: algebra relations are carrier relations
+            for (i, j), rs in rels.items():
+                for q in rs:
                     checked += 1
-                    if tuple(x & y for x, y in zip(r1, r2)) not in allowed:
-                        failures.append({"axiom": "R3", "kind": "set"})
-    for ka, a in enumerate(algs):
-        for kb, b in enumerate(algs):
-            rels = fm.enumerate_alg_rels(a, b)
-            full = ((1 << b.carrier.size) - 1,) * a.carrier.size
-            checked += 1
-            if not fm.admissible(full, a, b):
-                failures.append({"axiom": "R3", "kind": "alg-full", "objects": [ka, kb]})
-            for q1 in rels:
-                for q2 in rels:
-                    checked += 1
-                    if not fm.admissible(tuple(x & y for x, y in zip(q1, q2)), a, b):
-                        failures.append({"axiom": "R3", "kind": "alg", "objects": [ka, kb]})
-
-    # algebra relations are carrier relations
-    for ka, a in enumerate(algs):
-        for kb, b in enumerate(algs):
-            for q in fm.enumerate_alg_rels(a, b):
-                checked += 1
-                if not fm.in_carriers(q, a.carrier.size, b.carrier.size):
-                    failures.append({"axiom": "R4", "objects": [ka, kb]})
+                    if not fm.in_carriers(q, size[i], size[j]):
+                        failures.append({"axiom": "R4", "objects": [i, j]})
     return _model_report("relation-axioms", model, t0, failures, counts={"instances": checked})
 
 

@@ -203,9 +203,9 @@ def test_materialized_relation_matches_view(model):
 
 
 def test_identity_function_denotation(model):
-    j = Judgment((), None, parse_term("fun x:B => x"))
-    val = model.interp_term(j, ip.Env(vvars={"B": fm.FinSet(3)}))
-    sem = model.interp_vtype(ip.type_env({"B": fm.FinSet(3)}), parse_type("B -> B"))
+    env = ip.type_env({"B": fm.FinSet(3)})
+    val = model._eval(parse_term("fun x:B => x"), (), None, env, {})
+    sem = model.interp_vtype(env, parse_type("B -> B"))
     assert sem.table(val) == (0, 1, 2)
 
 
@@ -320,7 +320,7 @@ def test_projection_at_registered_object_is_direct(free_model):
     model = free_model
     term = parse_term("Fun ^X => fun x:^X => x")
     j = Judgment((), None, term)
-    fam = model.interp_term(j, ip.Env())
+    fam = model._eval(term, (), None, ip.TypeEnv(), {})
     poly = model.interp_vtype(ip.TypeEnv(), tc.typecheck(j))
     for k, alg in enumerate(model.algebras):
         got = model.project_poly(poly, fam, alg, "X", parse_type("^X -> ^X"), ip.TypeEnv())
@@ -344,7 +344,7 @@ def test_projection_independent_of_isomorphism(free_model):
 def test_projection_out_of_bound(model):
     term = parse_term("Fun X => fun x:X => x")
     j = Judgment((), None, term)
-    fam = model.interp_term(j, ip.Env())
+    fam = model._eval(term, (), None, ip.TypeEnv(), {})
     poly = model.interp_vtype(ip.TypeEnv(), tc.typecheck(j))
     with pytest.raises(ip.OutOfBoundError):
         model.project_poly(poly, fam, fm.FinSet(7), "X", parse_type("X -> X"), ip.TypeEnv())
@@ -415,9 +415,8 @@ def test_opposite_relation_property(model):
 
 
 def test_env_must_cover_variables(model):
-    j = Judgment((("x", VVar("B")),), None, Var("x"))
-    with pytest.raises(ip.InterpError):
-        model.interp_term(j, ip.Env(vvars={"B": fm.FinSet(2)}))
+    with pytest.raises(ip.InterpError, match="no value for 'x'"):
+        model._eval(Var("x"), (("x", VVar("B")),), None, ip.type_env({"B": fm.FinSet(2)}), {})
 
 
 def test_linear_lambda_must_be_homomorphism(free_model):
@@ -425,9 +424,9 @@ def test_linear_lambda_must_be_homomorphism(free_model):
     # a stoup-typed body always passes
     model = free_model
     j = Judgment((), None, parse_term("lfun x:^A => x"))
-    env = ip.Env(cvars={"A": model.algebras[1]})
-    val = model.interp_term(j, env)
-    sem = model.interp_vtype(env.types, tc.typecheck(j))
+    env = ip.type_env({}, {"A": model.algebras[1]})
+    val = model._eval(j.subject, (), None, env, {})
+    sem = model.interp_vtype(env, tc.typecheck(j))
     assert sem.table(val) == (0, 1)
 
 
@@ -435,9 +434,9 @@ def test_value_dump_shapes(free_model):
     model = free_model
     j = Judgment((), None, parse_term("fun x:B => x"))
     ty = tc.typecheck(j)
-    env = ip.Env(vvars={"B": fm.FinSet(2)})
-    val = model.interp_term(j, env)
-    sem = model.interp_vtype(env.types, ty)
+    env = ip.type_env({"B": fm.FinSet(2)})
+    val = model._eval(j.subject, (), None, env, {})
+    sem = model.interp_vtype(env, ty)
     assert ip.decode_value(model, sem, val) == [0, 1]
     assert ip.semset_to_json(model, sem) == {
         "kind": "functions", "size": 4,
@@ -773,16 +772,29 @@ def test_one_extreme_relation_matches_every_relation(three_models, data):
 
 
 def test_one_element_components_can_hide_an_out_of_bound_relation():
-    # every component of this family has one element, yet deciding it walks
-    # the relation at (X -> Y -> ^Q) -> X, whose sides have 65536 elements
+    # every component of this family has one element, and the codomain's
+    # relation relates every pair, so the relation at (X -> Y -> ^Q) -> X,
+    # whose sides have 65536 elements, is never needed
     m = ip.Model(EXC, 2)
     ty = parse_type("forall X. ((X -> Y -> ^Q) -> X) -> forall ^Z. (X -> Y) -> ^Z")
     rho = ip.RelEnv(ip.TypeEnv(), ip.TypeEnv())
     rho = rho.set(VSORT, "Y", m.sets[2], m.sets[0], (0, 0)).set(CSORT, "Q", m.algebras[1], m.algebras[0], (1, 0))
     assert [m.interp_vtype(rho.rho1.set(VSORT, "X", o), ty.body).size for o in m.sets] == [1, 1, 1]
-    for decide in (m.enumerate_families_naive, m.interp_vtype):
-        with pytest.raises(ip.OutOfBoundError, match=r"relation at \(X -> Y -> \^Q\) -> X is too large"):
-            decide(rho.rho1, ty)
+    assert m.enumerate_families_naive(rho.rho1, ty) == m.interp_vtype(rho.rho1, ty).fams == ((0, 0, 0),)
+
+
+def test_a_codomain_that_is_not_full_needs_the_domain_relation():
+    # the same domain into a one-element W: the two functions are related
+    # iff W's relation is full or the domain relation is empty, which only
+    # its rows can tell
+    m = ip.Model(EXC, 2)
+    ty = parse_type("((X -> Y -> ^Q) -> X) -> W")
+    env = ip.type_env({"X": m.sets[2], "Y": m.sets[2], "W": m.sets[1]}, {"Q": m.algebras[1]})
+    full, empty = (m.interp_rel(ip.diag_relenv(env).set(VSORT, "W", m.sets[1], m.sets[1], w), ty) for w in ((1,), (0,)))
+    assert (empty.left.size, empty.right.size) == (1, 1)
+    assert full.contains(0, 0)
+    with pytest.raises(ip.OutOfBoundError, match=r"relation at \(X -> Y -> \^Q\) -> X is too large"):
+        empty.contains(0, 0)
 
 
 @pytest.mark.parametrize("sort, binder, src", [

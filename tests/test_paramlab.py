@@ -1,9 +1,11 @@
 """Theorem verifiers: statuses, counts, witnesses, oracle agreement."""
 
 import json
+from collections import Counter
 
 import pytest
 
+from polyeff import cli
 from polyeff import finmodel as fm
 from polyeff import interp as ip
 from polyeff import encodings as enc
@@ -183,6 +185,25 @@ def test_relation_axioms_powerset():
     model = pl.build_model(fm.ModelConfig("powerset", (), 2), ())
     rep = pl.verify_rel_axioms(model)
     assert rep.status == "verified", rep.witness
+
+
+@pytest.mark.parametrize("sort, i, j, drop, axiom", [
+    (ip.VSORT, 2, 2, "diagonal", {"axiom": "R1", "object": "set:2"}),
+    (ip.CSORT, 1, 1, "diagonal", {"axiom": "R1", "object": "alg:1"}),
+    (ip.VSORT, 1, 2, "full", {"axiom": "R3", "kind": "set-full", "objects": [1, 2]}),
+    (ip.CSORT, 0, 2, "full", {"axiom": "R3", "kind": "alg-full", "objects": [0, 2]}),
+])
+def test_relation_axioms_check_the_model_listing(monkeypatch, sort, i, j, drop, axiom):
+    # a listing that misses one pair's diagonal or full relation is caught
+    model = pl.build_model(fm.ModelConfig(), ())
+    m, n = (ip._carrier_size(model.objects(sort)[k]) for k in (i, j))
+    missing = fm.diagonal(m) if drop == "diagonal" else ((1 << n) - 1,) * m
+    listed = model.rels_for_pair
+    monkeypatch.setattr(model, "rels_for_pair", lambda *key: [
+        r for r in listed(*key) if key != (sort, i, j) or r != missing])
+    rep = pl.verify_rel_axioms(model)
+    assert rep.status == "counterexample"
+    assert rep.witness == axiom
 
 
 def test_monad_laws_report():
@@ -383,3 +404,17 @@ def test_a_suite_lists_each_hom_space_once(monkeypatch, suite):
     assert rep.status == "verified", rep.witness
     assert calls
     assert max(calls.values()) == 1, f"{sum(calls.values())} listings of {len(calls)} hom spaces"
+
+
+@pytest.mark.parametrize("suite", ["rel-axioms", "rel-lifting", "handler"])
+def test_relation_suites_list_each_object_pair_once(monkeypatch, suite):
+    # the suites read the model's relation spaces, which list each unordered
+    # pair of objects once and take the converses for the other order
+    calls = Counter()
+    for name in ("enumerate_set_rels", "enumerate_alg_rels"):
+        enumerate_rels = getattr(fm, name)
+        monkeypatch.setattr(fm, name, lambda a, b, f=enumerate_rels: calls.update([frozenset((a, b))]) or f(a, b))
+    rep, = cli.run_suite(suite, fm.ModelConfig(), 2024)
+    assert rep.status == "verified", rep.witness
+    assert calls
+    assert max(calls.values()) == 1, f"{sum(calls.values())} listings of {len(calls)} object pairs"
