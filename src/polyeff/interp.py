@@ -71,7 +71,7 @@ import weakref
 from dataclasses import dataclass
 from functools import cache
 from itertools import product
-from math import prod
+from math import log2, prod
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from . import encodings
@@ -111,6 +111,7 @@ from .kernel import (
 
 NAIVE_FAMILY_CAP = 1_000_000
 ITER_CAP = 400_000
+SIZE_BITS = 64  # a function space past 2**SIZE_BITS elements is sized 2**SIZE_BITS + 1
 
 
 OutOfBoundError = fm.OutOfBoundError
@@ -180,7 +181,17 @@ def _repeat(pattern: int, period: int, total: int) -> int:
 
 
 def fun_sem(dom: SemSet, cod: SemSet) -> FunSem:
+    """The function space, sized ``cod.size**dom.size`` up to ``2**SIZE_BITS``
+    and saturated just past it, far past ``ITER_CAP``: nested function
+    spaces would otherwise build a power tower of Python ints."""
+    if cod.size > 1 and dom.size * log2(cod.size) > SIZE_BITS:
+        return FunSem((1 << SIZE_BITS) + 1, dom, cod)
     return FunSem(cod.size**dom.size, dom, cod)
+
+
+def _count(n: int) -> str:
+    """A size in a message: past ``2**SIZE_BITS`` it may have saturated, so only that bound is sure."""
+    return f"more than 2**{SIZE_BITS}" if n > 1 << SIZE_BITS else str(n)
 
 
 @dataclass(eq=False)
@@ -353,7 +364,7 @@ class RelView:
             if not self.fits():
                 raise OutOfBoundError(
                     f"relation at {self.ty} is too large to materialize:"
-                    f" {self.left.size} x {self.right.size} pairs, more than ITER_CAP ({ITER_CAP})"
+                    f" {_count(self.left.size)} x {_count(self.right.size)} pairs, more than ITER_CAP ({ITER_CAP})"
                 )
             self._rows = self._build_rows()
         return self._rows
@@ -516,7 +527,7 @@ def pairwise_search(sizes: Sequence[int], ok: Callable[[int, int, int, int], boo
         source = candidates(i)
         if source is None and sizes[i] > ITER_CAP:
             raise OutOfBoundError(
-                f"component {i} has {sizes[i]} candidates, more than ITER_CAP ({ITER_CAP})"
+                f"component {i} has {_count(sizes[i])} candidates, more than ITER_CAP ({ITER_CAP})"
             )
         cands = [c for c in (range(sizes[i]) if source is None else source) if ok(i, i, c, c)]
         fixed = order[:pos]
@@ -755,7 +766,7 @@ class Model:
         if alg.carrier.size != sem.size:
             raise InterpError(
                 f"algebra carrier of {ty} has {alg.carrier.size} elements,"
-                f" but its set interpretation has {sem.size}"
+                f" but its set interpretation has {_count(sem.size)}"
             )
         self._cty[key] = alg
         return alg
@@ -990,7 +1001,7 @@ class Model:
         for c in comps:
             total *= c.size
         if total > NAIVE_FAMILY_CAP:
-            raise OutOfBoundError(f"naive family space too large: {total}")
+            raise OutOfBoundError(f"naive family space too large: {_count(total)}")
         if total == 0:  # product() would first list every other component, however large
             return ()
         related = cache(self.relatedness(diag_relenv(env), sort, ty.binder, ty.body, least=False))
@@ -1080,7 +1091,7 @@ class Model:
         if not poly.csort:
             size = target.size if isinstance(target, fm.FinSet) else target
             if size >= len(self.sets):
-                raise OutOfBoundError(f"no registered set of size {size}")
+                raise OutOfBoundError(f"no registered set of size {_count(size)}")
             return poly.fams[fam_idx][size]
         if not isinstance(target, fm.Alg):
             raise InterpError(f"a family over algebras projected at {target!r}, not an algebra")

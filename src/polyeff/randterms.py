@@ -7,12 +7,13 @@ a head variable whose type, after peeling ``->``, ``-o`` and quantifiers
 (each instantiated at a type variable), ends in the goal, applied to
 arguments grown for the peeled domains.  The stoup is routed as
 ``typecheck`` routes it: the stoup variable heads only ``->`` spines, and
-under a stoup a context head passes it to its last ``-o`` argument.  The
-random-domain application and the vacuous type application, the only
-sources of redexes, are still offered, with probabilities ``APP_WEIGHT``
-and ``TYAPP_WEIGHT``.  Generation backtracks by returning None on a dead
-end; callers retry.  Every produced judgment re-checks under
-``typecheck``.
+under a stoup a context head passes it to its last ``-o`` argument.  A
+judgment's context binds an argument for each function in scope.  Redexes
+are never searched for: a grown term is wrapped, with chance ``APP_WEIGHT``,
+into an abstraction applied to a context variable or the stoup, and with
+chance ``TYAPP_WEIGHT`` into a vacuous type abstraction applied to a type.
+Generation backtracks by returning None on a dead end; callers retry.
+Every produced judgment re-checks under ``typecheck``.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from typing import Optional
 from . import typecheck as tc
 from .kernel import (
     CSORT,
-    FORALL,
     TYAPP,
     TYLAM,
     VAR,
@@ -46,14 +46,15 @@ from .kernel import (
     classify_type,
     free_type_vars,
     fresh_name,
+    subst_term,
     subst_type,
 )
 
 VALUE_TYVARS = ("X", "Y")
 COMP_TYVARS = ("P", "Q")
 FUEL = 5  # the depth of the terms grown for one goal
-APP_WEIGHT = 0.5  # the chance that a goal is offered the random-domain application
-TYAPP_WEIGHT = 0.5  # the chance that a goal is offered the vacuous type application
+APP_WEIGHT = 0.1  # the chance that a grown term is wrapped into a term redex
+TYAPP_WEIGHT = 0.2  # the chance that a grown term is wrapped into a type redex
 
 
 class TermGenerator:
@@ -130,21 +131,37 @@ class TermGenerator:
                 options.append(("tylam", None))
             if delta is None or classify_type(goal) is Kind.COMPUTATION:
                 options += [("spine", spine) for spine in self._spines(gamma, delta, goal)]
-                if rng.random() < APP_WEIGHT:
-                    options.append(("app", None))
-                if rng.random() < TYAPP_WEIGHT:
-                    options.append(("tyapp", None))
         if not options:
             return None
         rng.shuffle(options)
         for kind, payload in options:
             t = self._try(kind, payload, gamma, delta, goal, fuel)
             if t is not None:
-                return t
+                return self._wrap(gamma, delta, t)
         return None
 
-    def _try(self, kind, payload, gamma, delta, goal, fuel) -> Optional[TermExpr]:
+    def _wrap(self, gamma, delta, t) -> TermExpr:
+        """``t`` in redexes that reduce to it: with chance ``APP_WEIGHT`` an
+        abstraction applied to a context variable, or a linear one to the stoup;
+        with chance ``TYAPP_WEIGHT`` a vacuous type abstraction applied to a type."""
         rng = self.rng
+        scope = list(gamma) + ([delta] if delta is not None else [])
+        if scope and rng.random() < APP_WEIGHT:
+            name, ty = rng.choice(scope)
+            x = f"v{self._fresh()}"
+            if delta is not None and name == delta[0]:  # the stoup goes to a linear head
+                t = App(LinLam(x, ty, subst_term(t, name, Var(x))), Var(name))
+            else:
+                t = App(Lam(x, ty, t), Var(name))
+        if rng.random() < TYAPP_WEIGHT:
+            want = Kind.COMPUTATION if rng.random() < 0.5 else Kind.VALUE
+            arg = self.random_type(0 if self.interp_safe else rng.randint(0, 1), want)
+            # the argument's kind picks the sort: a value binder may still draw a computation type
+            sort = CSORT if classify_type(arg) is Kind.COMPUTATION else VSORT
+            t = TYAPP[sort](TYLAM[sort](f"B{self._fresh()}", t), arg)
+        return t
+
+    def _try(self, kind, payload, gamma, delta, goal, fuel) -> Optional[TermExpr]:
         if kind == "stoup":
             return Var(delta[0])
         if kind == "var":
@@ -182,34 +199,6 @@ class TermGenerator:
                     return None
                 t = App(t, arg)
             return t
-        if kind == "app":
-            # pick the elimination shape: ordinary or linear application
-            goal_comp = classify_type(goal) is Kind.COMPUTATION
-            use_lolli = goal_comp and (delta is not None or rng.random() < 0.3)
-            if use_lolli:
-                dom = self.random_type(rng.randint(0, 1), Kind.COMPUTATION)
-                head = self.term_for(gamma, None, Lolli(dom, goal), fuel - 1)
-                if head is None:
-                    return None
-                arg = self.term_for(gamma, delta, dom, fuel - 1)
-                return None if arg is None else App(head, arg)
-            dom = self.random_type(rng.randint(0, 1), None)
-            head = self.term_for(gamma, delta, Arrow(dom, goal), fuel - 1)
-            if head is None:
-                return None
-            arg = self.term_for(gamma, None, dom, fuel - 1)
-            return None if arg is None else App(head, arg)
-        if kind == "tyapp":
-            # instantiate a vacuous quantification at a random type
-            binder = f"B{self._fresh()}"
-            depth = 0 if self.interp_safe else rng.randint(0, 1)
-            sort = VSORT if rng.random() < 0.5 else CSORT
-            want = Kind.COMPUTATION if sort == CSORT else Kind.VALUE if self.interp_safe else None
-            arg = self.random_type(depth, want)
-            if (classify_type(arg) is Kind.COMPUTATION) != (sort == CSORT):
-                return None
-            head = self.term_for(gamma, delta, FORALL[sort](binder, goal), fuel - 1)
-            return None if head is None else TYAPP[sort](head, arg)
         return None
 
     def _spines(self, gamma, delta, goal):
@@ -239,9 +228,19 @@ class TermGenerator:
     # -- judgments --------------------------------------------------------
 
     def random_context(self, n: Optional[int] = None):
+        """``n`` random bindings (0 to 2 by default) and their arguments."""
         if n is None:
             n = self.rng.randint(0, 2)
-        return tuple((f"g{self._fresh()}", self.random_type(self.rng.randint(0, 2))) for _ in range(n))
+        ctx = tuple((f"g{self._fresh()}", self.random_type(self.rng.randint(0, 2))) for _ in range(n))
+        return ctx + tuple(self._arguments(ty for _, ty in ctx))
+
+    def _arguments(self, types):
+        """A binding for the domain of each ``->`` and ``-o`` along ``types``, so
+        every function in scope has an argument (a ``-o`` a stoup-free one)."""
+        for ty in types:
+            while isinstance(ty, (Arrow, Lolli)):
+                yield f"g{self._fresh()}", ty.dom
+                ty = ty.cod
 
     def random_judgment(self, with_stoup: Optional[bool] = None) -> Judgment:
         for _ in range(200):
@@ -249,6 +248,7 @@ class TermGenerator:
             stoup = self.rng.random() < 0.4 if with_stoup is None else with_stoup
             if stoup:
                 delta = (f"s{self._fresh()}", self.random_type(self.rng.randint(0, 1), Kind.COMPUTATION))
+                gamma += tuple(self._arguments([delta[1]]))
                 goal = self.random_type(self.rng.randint(0, 2), Kind.COMPUTATION)
             else:
                 delta = None

@@ -1,5 +1,10 @@
 """Finite denotational and relational semantics."""
 
+import os
+import pathlib
+import resource
+import subprocess
+import sys
 from itertools import islice, permutations, product
 from math import prod
 
@@ -60,6 +65,41 @@ def test_variable_lookup(model):
 def test_function_space_cardinality(model):
     env = ip.type_env({"B": fm.FinSet(2), "C": fm.FinSet(3)})
     assert model.interp_vtype(env, parse_type("B -> C")).size == 9
+
+
+def test_nested_function_spaces_saturate_their_size():
+    # D -> D -> X with D = (Y -> ^Q) -> (Y -> ^Q) -> X, at |X| = |Y| = |^Q| = 2,
+    # has (2^65536)^65536 elements: sized exactly, that int alone exhausted
+    # memory, so it is built in a child with 1 GB of address space and a time
+    # limit, and must come out past ITER_CAP
+    code = (
+        "from polyeff import finmodel as fm, interp as ip\n"
+        "from polyeff.surface import parse_type\n"
+        "m = ip.Model(fm.MonadSpec('exception', ('e',)), 2)\n"
+        "env = ip.type_env({'X': m.sets[2], 'Y': m.sets[2]}, {'Q': m.algebras[1]})\n"
+        "d = '((Y -> ^Q) -> (Y -> ^Q) -> X)'\n"
+        "print(m.interp_vtype(env, parse_type(f'{d} -> {d} -> X')).size > ip.ITER_CAP)\n"
+    )
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    src = str(pathlib.Path(ip.__file__).parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+                         preexec_fn=limit, env={**os.environ, "PYTHONPATH": src})
+    assert (out.returncode, out.stdout) == (0, "True\n"), out.stderr[-2000:]
+
+
+def test_saturated_sizes_print_as_a_bound():
+    # a space of exactly 2**64 elements keeps its size; one past it saturates,
+    # and a message then states the bound, not the saturated value
+    two = ip.AtomSem(2)
+    exact, past = ip.fun_sem(ip.AtomSem(64), two), ip.fun_sem(ip.AtomSem(65), two)
+    assert exact.size == 2**64
+    with pytest.raises(ip.OutOfBoundError, match=f"component 0 has {2**64} candidates"):
+        ip.pairwise_search([exact.size], lambda *a: True)
+    with pytest.raises(ip.OutOfBoundError, match=r"component 0 has more than 2\*\*64 candidates"):
+        ip.pairwise_search([past.size], lambda *a: True)
 
 
 def test_polymorphic_endomap_cardinality(model):

@@ -2,6 +2,7 @@
 
 import json
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 
@@ -10,7 +11,8 @@ from polyeff import finmodel as fm
 from polyeff import interp as ip
 from polyeff import encodings as enc
 from polyeff import paramlab as pl
-from polyeff.kernel import VVar
+from polyeff.kernel import Judgment, VVar
+from polyeff.surface import parse_term, parse_type
 
 
 @pytest.fixture(scope="module")
@@ -179,6 +181,18 @@ def test_abstraction_theorem(exc_plain):
     rep = pl.verify_abstraction(exc_plain, seed=17, n_terms=25)
     assert rep.status == "verified", rep.witness
     assert rep.counts["hom-instances"] > 0
+
+
+def test_abstraction_counts_evaluations_past_the_bound_as_skips(monkeypatch):
+    # at bound 3 the -o space from the algebra on 27 elements (^Q -> ^Q) to
+    # the one on 3 (^Q) has 3^26 candidate tables, so every evaluation of
+    # the lfun is out of bound: each is skipped and counted, none fails
+    j = Judgment((("g", parse_type("^Q")),), None, parse_term("lfun v:^Q -> ^Q => v g"),
+                 parse_type("(^Q -> ^Q) -o ^Q"))
+    monkeypatch.setattr(pl, "TermGenerator", lambda seed, interp_safe: SimpleNamespace(random_judgment=lambda: j))
+    rep = pl.verify_abstraction(pl.build_model(fm.ModelConfig(bound=3), ()), n_terms=1)
+    assert rep.status == "verified", rep.witness
+    assert rep.counts == {"terms": 1, "hom-instances": 0, "out-of-bound-skips": 33}
 
 
 def test_relation_axioms_powerset():

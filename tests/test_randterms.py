@@ -91,14 +91,18 @@ def test_any_seed_gives_checked_judgments_and_samples(seed, interp_safe):
 # -- rule coverage ------------------------------------------------------------
 
 ROUTES = ("->", "-> carrying the stoup", "-o with the stoup in the argument", "-o", "redex")
+REDEXES = ("Lam redex", "LinLam redex", "TyLamV redex", "TyLamC redex")
 
 
 def rule_counts(judgments) -> Counter:
-    """How often each term former and each application route occurs.
+    """How often each term former, each application route and each kind of
+    redex occurs.
 
     An application's route follows ``typecheck``: the type of its head and
     the side the stoup goes to; a head that is not a variable applied to
-    arguments makes it a redex."""
+    arguments makes it a redex.  A redex's kind is its head: ``Lam`` or
+    ``LinLam`` under an application, ``TyLamV``/``TyLamC`` under a type
+    application of its sort."""
     counts = Counter()
 
     def walk(gamma, delta, t):
@@ -110,8 +114,12 @@ def rule_counts(judgments) -> Counter:
         elif isinstance(t, (TyLamV, TyLamC)):
             walk(gamma, delta, t.body)
         elif isinstance(t, (TyAppV, TyAppC)):
+            if isinstance(t.fn, (TyLamV, TyLamC)) and t.fn.sort == t.sort:
+                counts[f"{type(t.fn).__name__} redex"] += 1
             walk(gamma, delta, t.fn)
         elif isinstance(t, App):
+            if isinstance(t.fn, (Lam, LinLam)):
+                counts[f"{type(t.fn).__name__} redex"] += 1
             side = tc.route_stoup(delta, t.fn, t.arg)
             head = t.fn
             while isinstance(head, (App, TyAppV, TyAppC)):
@@ -130,11 +138,39 @@ def rule_counts(judgments) -> Counter:
     return counts
 
 
-@pytest.mark.parametrize("interp_safe, n", [(False, 200), (True, 100)])
-def test_default_seed_corpus_covers_every_rule(interp_safe, n):
-    # the corpora verify_metatheory and verify_abstraction draw at seed 2024
-    gen = TermGenerator(2024, interp_safe=interp_safe)
-    counts = rule_counts([gen.random_judgment() for _ in range(n)])
+def seed_corpus(seed, interp_safe):
+    """The corpus verify_metatheory (200 judgments) or verify_abstraction
+    (100, ``interp_safe``) draws at ``seed``."""
+    gen = TermGenerator(seed, interp_safe=interp_safe)
+    return [gen.random_judgment() for _ in range(100 if interp_safe else 200)]
+
+
+# every seed in 1-20 and 2024 whose two corpora hold every former, route and kind of redex
+COVERED_SEEDS = (*range(1, 13), 14, *range(16, 21), 2024)
+
+
+@pytest.mark.parametrize("seed", COVERED_SEEDS)
+@pytest.mark.parametrize("interp_safe", [False, True])
+def test_default_seed_corpus_covers_every_rule(seed, interp_safe):
+    counts = rule_counts(seed_corpus(seed, interp_safe))
     formers = (Var, Lam, LinLam, App, TyLamV, TyLamC, TyAppV, TyAppC)
-    missing = [k for k in [f.__name__ for f in formers] + list(ROUTES) if not counts[k]]
+    missing = [k for k in [f.__name__ for f in formers] + list(ROUTES + REDEXES) if not counts[k]]
     assert not missing, dict(counts)
+
+
+def test_the_metatheory_corpus_costs_few_goals(monkeypatch):
+    # a redex is wrapped around a grown term, never searched for, so the
+    # seed-2024 metatheory corpus (200 judgments and 100 substitution samples)
+    # takes few term_for calls
+    calls = Counter()
+    term_for = TermGenerator.term_for
+
+    def counted(self, *args):
+        calls["term_for"] += 1
+        return term_for(self, *args)
+
+    monkeypatch.setattr(TermGenerator, "term_for", counted)
+    gen = TermGenerator(2024)
+    [gen.random_judgment() for _ in range(200)]
+    [gen.random_subst_sample(part) for part in (1, 2) for _ in range(50)]
+    assert calls["term_for"] <= 10_000, calls
