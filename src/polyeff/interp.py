@@ -51,12 +51,13 @@ related iff ``(u d, v d')`` lies in the admissible closure of the pairs
 each related argument pair ``(d, d')`` generates (``Model.least_links``),
 so no relation is enumerated.  Any other body is tested under every
 admissible relation of ``rels_for_pair``.
-Tables are generated from one source only: ``Model.self_related_tables``
-forward-checks one value mask per argument against a positive body's least
-links, and the search tests each generated table again; every other
-component is listed.  Generated tables may pass ``ITER_CAP``; listed domains
-may not.  ``relatedness(least=False)`` and ``enumerate_families_naive``
-keep every relation as the oracle.
+Tables are generated one way only: ``_forward_check`` cuts a value mask per
+argument by the digit links that ``link_test`` reads, a positive body's least
+links (``Model.self_related_tables``) or ``paramlab``'s homomorphism graphs,
+and the search tests each table again; every other component is listed.
+Generated tables may pass ``ITER_CAP``; listed domains may not.
+``relatedness(least=False)`` and ``enumerate_families_naive`` keep every
+relation as the oracle.
 
 Terms are typechecked once per judgment: ``Model._compile`` routes the
 stoup, renames binders and synthesizes each node's type, and returns a
@@ -588,23 +589,36 @@ def _leaves(sem: SemSet, depth: int) -> list[list[int]]:
     return out
 
 
-def _forward_check(n: int, m: int, constraints: Iterable[tuple[int, int, tuple[int, ...]]]
-                   ) -> list[int]:
+def link_test(links: dict[tuple[int, int], tuple[int, ...]], m: int, n: int) -> Callable[[int, int], bool]:
+    """``test(u, v)``: bit ``v[q]`` of ``rows[u[p]]`` is set for every link ``(p,
+    q): rows``, where ``u[p]`` is the digit of ``u`` at ``p`` in base ``m`` (a
+    table's value at flat argument position ``p``), ``v[q]`` that of ``v``."""
+    digits = [(m**p, n**q, rows) for (p, q), rows in links.items()]
+
+    def test(u: int, v: int) -> bool:
+        for mp, nq, rows in digits:
+            if not rows[u // mp % m] >> (v // nq % n) & 1:
+                return False
+        return True
+
+    return test
+
+
+def _forward_check(n: int, m: int, links: dict[tuple[int, int], tuple[int, ...]]) -> list[int]:
     """Every table ``c`` of ``n`` values below ``m`` (index ``sum c[x] * m**x``)
-    with bit ``c[y]`` of ``rows[c[x]]`` set for each constraint ``(x, y,
-    rows)``, ascending.
+    with ``link_test(links, m, m)(c, c)``, ascending.
 
     Forward checking (Mackworth, "Consistency in Networks of Relations",
-    1977): one mask of values per argument, first cut by the constraints
-    with ``x == y``, then arguments fixed from the last (the most
-    significant digit) down, each choice ANDing into every argument still
-    open the values it leaves there.  More than ``ITER_CAP`` tables raise
+    1977): one mask of values per argument, first cut by the links with
+    ``x == y``, then arguments fixed from the last (the most significant
+    digit) down, each choice ANDing into every argument still open the
+    values it leaves there.  More than ``ITER_CAP`` tables raise
     ``OutOfBoundError``.
     """
     masks = [(1 << m) - 1] * n
-    links: list[dict[int, tuple[int, ...]]] = [{} for _ in range(n)]  # x -> {y < x: mask by c(x)}
+    after: list[dict[int, tuple[int, ...]]] = [{} for _ in range(n)]  # x -> {y < x: mask by c(x)}
     last = None
-    for x, y, rows in constraints:
+    for (x, y), rows in links.items():
         if rows is not last:  # neighbouring links often share one closure
             last, cols = rows, fm.converse(rows, m)
             diag = fm.mask_of((c for c in range(m) if rows[c] >> c & 1), m)
@@ -612,8 +626,8 @@ def _forward_check(n: int, m: int, constraints: Iterable[tuple[int, int, tuple[i
             masks[x] &= diag
             continue
         first, then, allowed = (x, y, rows) if x > y else (y, x, cols)
-        have = links[first].get(then)
-        links[first][then] = allowed if have is None else tuple(map(int.__and__, have, allowed))
+        have = after[first].get(then)
+        after[first][then] = allowed if have is None else tuple(map(int.__and__, have, allowed))
     weights = [m**x for x in range(n)]
     out: list[int] = []
 
@@ -625,7 +639,7 @@ def _forward_check(n: int, m: int, constraints: Iterable[tuple[int, int, tuple[i
             return
         for c in fm.bits_of(avail[x]):
             rest = list(avail)
-            for y, allowed in links[x].items():
+            for y, allowed in after[x].items():
                 rest[y] &= allowed[c]
                 if not rest[y]:
                     break
@@ -846,14 +860,14 @@ class Model:
           covariant binder and the full relation a contravariant one
           (Reynolds 1983; Wadler, "Theorems for free!", 1989); any relation
           decides a vacuous binder, so its body's view under ``rho`` does;
-        - by a positive body's ``least_links``, wherever they fit;
+        - by a positive body's ``least_links`` (``link_test``), wherever they fit;
         - by every admissible relation, each relation's view built on first
           use and kept only as long as the returned function.
         """
         objs = self.objects(sort)
         signs = binder_signs(sort, binder, body) if least else None
         args = positive_args(sort, binder, body) if signs is not None and len(signs) == 2 else None
-        per_pair: dict = {}  # (i, j) -> (relations, views built so far, in order) or (None, links)
+        per_pair: dict = {}  # (i, j) -> (relations, views built so far, in order) or (None, link test)
 
         def related(i: int, j: int, u: int, v: int) -> bool:
             hit = per_pair.get((i, j))
@@ -868,14 +882,11 @@ class Model:
                 elif links is None:
                     hit = (self.rels_for_pair(sort, i, j), [])
                 else:
-                    hit = (None, [(m, m**p, n, n**q, rows) for (p, q), rows in links.items()])
+                    hit = (None, link_test(links, m, n))
                 per_pair[(i, j)] = hit
             rels, views = hit
-            if rels is None:  # the digit of u at p against the digit of v at q
-                for m, mp, n, nq, rows in views:
-                    if not rows[u // mp % m] >> (v // nq % n) & 1:
-                        return False
-                return True
+            if rels is None:
+                return views(u, v)
             for view in views:
                 if not view.contains(u, v):
                     return False
@@ -891,22 +902,21 @@ class Model:
     def least_links(self, rho: RelEnv, sort: str, binder: str, args: list, i: int, j: int
                     ) -> Optional[dict[tuple[int, int], tuple[int, ...]]]:
         """The least relations of a positive body (``args`` as ``positive_args``
-        gives them) between objects i and j: ``{(p, q): rows}`` such that
-        components ``u`` at i and ``v`` at j are related iff, for every entry,
-        bit ``v[q]`` of ``rows[u[p]]`` is set, where ``u[p]`` is the value of
-        ``u`` at the flat argument position ``p`` (the first argument the most
-        significant digit).  None when an argument relation or the number of
-        argument pairs exceeds ``ITER_CAP``.
+        gives them) between objects i and j, as links ``{(p, q): rows}``:
+        components ``u`` at i and ``v`` at j are related iff ``link_test``
+        passes them, reading ``u`` at each flat argument position ``p`` (the
+        first argument the most significant digit).  None when an argument
+        relation or the number of argument pairs exceeds ``ITER_CAP``.
 
         Related arguments ``Dk``, chains of ``->`` and ``-o`` from ``E1``,
         ..., ``Em`` to ``X``, are exactly the pairs ``(g, h)`` (functions or
         homomorphisms alike) whose generated pairs ``{(g e, h e') : e, e'
         related}`` lie in the relation at ``X``; an argument's value at each
         flat position is read through its domain's ``apply`` (``_leaves``).
-        ``X`` is the codomain, so ``(u, v)``
-        preserves every admissible relation iff ``(u d, v d')`` lies in the
-        admissible closure of the pairs each argument pair ``(d, d')``
-        generates: admissible relations are closed under intersection.
+        ``X`` is the codomain, so ``(u, v)`` preserves every admissible
+        relation iff ``(u d, v d')`` lies in the admissible closure of the
+        pairs each argument pair ``(d, d')`` generates: admissible relations
+        are closed under intersection.
         """
         objs = self.objects(sort)
         m = _carrier_size(objs[i])
@@ -969,7 +979,7 @@ class Model:
         obj = self.objects(sort)[i]
         env = rho.rho1.set(sort, binder, obj)
         n = prod(self.interp_vtype(env, d).size for d, _ in args)
-        return _forward_check(n, _carrier_size(obj), ((p, q, rows) for (p, q), rows in links.items()))
+        return _forward_check(n, _carrier_size(obj), links)
 
     def _families(self, env: TypeEnv, ty: TypeExpr, comps: Sequence[SemSet]
                   ) -> tuple[tuple[int, ...], ...]:

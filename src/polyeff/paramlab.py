@@ -391,31 +391,24 @@ def verify_rel_lifting(model: ip.Model) -> VerificationReport:
 # algebraic operations / generic effects / parametric elements
 
 
-def _apply_op(sem: ip.SemSet, f: int, args) -> int:
-    """Apply the curried operation ``f`` in ``sem`` to ``args``."""
-    for x in args:
-        f = sem.apply(f, x)  # type: ignore[attr-defined]
-        sem = sem.cod  # type: ignore[attr-defined]
-    return f
-
-
 def enumerate_natural_transformations(model: ip.Model, n: int) -> tuple[tuple[int, ...], ...]:
     """Families of n-ary operations natural in every registered homomorphism,
-    one curried operation in ``[[^X -> ... -> ^X]]`` per algebra."""
-    algs = model.algebras
-    body = enc.nary_op_type(n).body
-    comps = [model.interp_vtype(ip.type_env({}, {"X": alg}), body) for alg in algs]
-    args_of = [list(itertools.product(range(a.carrier.size), repeat=n)) for a in algs]
-    homs = {(i, j): model._hom_tables(a, b) for i, a in enumerate(algs) for j, b in enumerate(algs)}
-
-    def natural(i: int, j: int, u: int, v: int) -> bool:
-        return all(
-            h[_apply_op(comps[i], u, args)] == _apply_op(comps[j], v, [h[x] for x in args])
-            for h in homs[(i, j)]
-            for args in args_of[i]
-        )
-
-    return ip.pairwise_search([c.size for c in comps], natural)
+    one curried operation in ``[[^X -> ... -> ^X]]`` per algebra.  Naturality
+    in ``h`` preserves its graph: the ``ip.link_test`` link ``(p, q)`` of two
+    algebras meets the graphs of every ``h`` sending the arguments coded ``p``
+    to those coded ``q``, and endomorphisms' links generate each component."""
+    sizes = [alg.carrier.size for alg in model.algebras]
+    links: dict = {}
+    for (i, a), (j, b) in itertools.product(enumerate(model.algebras), repeat=2):
+        pair = links[(i, j)] = {}
+        for h in model._hom_tables(a, b):
+            graph = tuple(1 << y for y in h)
+            for args in itertools.product(range(sizes[i]), repeat=n):
+                key = (fm.arg_code(args, sizes[i]), fm.arg_code([h[x] for x in args], sizes[j]))
+                pair[key] = tuple(map(int.__and__, pair.get(key, graph), graph))
+    tests = {(i, j): ip.link_test(pair, sizes[i], sizes[j]) for (i, j), pair in links.items()}
+    return ip.pairwise_search([m ** m**n for m in sizes], lambda i, j, u, v: tests[(i, j)](u, v),
+                              lambda i: ip._forward_check(sizes[i] ** n, sizes[i], links[(i, i)]))
 
 
 def _generic_to_nt(model: ip.Model, comps, gen: int, n: int) -> tuple[int, ...]:
@@ -431,9 +424,9 @@ def _generic_to_nt(model: ip.Model, comps, gen: int, n: int) -> tuple[int, ...]:
 def verify_algop_correspondence(model: ip.Model, n: int) -> VerificationReport:
     """Natural transformations, effects in T(n), and parametric elements agree."""
     t0 = time.perf_counter()
-    fa_idx, _, eta = model.free_algebra(n)
+    fa_idx, fa, eta = model.free_algebra(n)
     failures = []
-    tn = model.monad.apply(fm.FinSet(n)).size
+    tn = fa.carrier.size
     nts = enumerate_natural_transformations(model, n)
     poly = model.interp_vtype(ip.TypeEnv(), enc.nary_op_type(n))
     counts = {"natural-transformations": len(nts), "generic-effects": tn,
@@ -455,7 +448,7 @@ def verify_algop_correspondence(model: ip.Model, n: int) -> VerificationReport:
         if fam not in nt_set:
             failures.append({"detail": "generic effect does not induce a transformation", "gen": gen})
             continue
-        back = _apply_op(poly.comps[fa_idx], fam[fa_idx], eta)
+        back = fam[fa_idx] // tn ** fm.arg_code(eta, tn) % tn  # the digit at the unit's code
         if back != gen:
             failures.append({"detail": "roundtrip differs", "gen": gen, "back": back})
     if set(gen_images) != nt_set:

@@ -13,7 +13,7 @@ are never searched for: a grown term is wrapped, with chance ``APP_WEIGHT``,
 into an abstraction applied to a context variable or the stoup, and with
 chance ``TYAPP_WEIGHT`` into a vacuous type abstraction applied to a type.
 Generation backtracks by returning None on a dead end; callers retry.
-Every produced judgment re-checks under ``typecheck``.
+Every produced judgment re-checks under ``typecheck`` or raises ``GeneratorError``.
 """
 
 from __future__ import annotations
@@ -53,14 +53,18 @@ from .kernel import (
 VALUE_TYVARS = ("X", "Y")
 COMP_TYVARS = ("P", "Q")
 FUEL = 5  # the depth of the terms grown for one goal
+TYPE_DEPTH = 2  # the depth of a random type whose caller names none
 APP_WEIGHT = 0.1  # the chance that a grown term is wrapped into a term redex
 TYAPP_WEIGHT = 0.2  # the chance that a grown term is wrapped into a type redex
 
 
+class GeneratorError(Exception):
+    """A generated term that fails ``typecheck`` or misses its goal."""
+
+
 class TermGenerator:
-    def __init__(self, seed: int, max_type_depth: int = 2, interp_safe: bool = False):
+    def __init__(self, seed: int, interp_safe: bool = False):
         self.rng = random.Random(seed)
-        self.max_type_depth = max_type_depth
         # restrict type-application arguments to variables, so every
         # projection stays at a registered object of a bounded model
         self.interp_safe = interp_safe
@@ -68,10 +72,8 @@ class TermGenerator:
 
     # -- types ----------------------------------------------------------
 
-    def random_type(self, depth: Optional[int] = None, want: Optional[Kind] = None) -> TypeExpr:
+    def random_type(self, depth: int = TYPE_DEPTH, want: Optional[Kind] = None) -> TypeExpr:
         rng = self.rng
-        if depth is None:
-            depth = self.max_type_depth
         if depth <= 0:
             if want is Kind.COMPUTATION:
                 return CVar(rng.choice(COMP_TYVARS))
@@ -256,13 +258,13 @@ class TermGenerator:
             t = self.term_for(gamma, delta, goal, FUEL)
             if t is None:
                 continue
-            j = Judgment(gamma, delta, t, None)
             try:
-                ty = tc.typecheck(j)
-            except tc.TypingError:
-                continue
-            if alpha_eq(ty, goal):
-                return Judgment(gamma, delta, t, ty)
+                ty = tc.typecheck(Judgment(gamma, delta, t, None))
+            except tc.TypingError as exc:
+                raise GeneratorError(f"generated term {t} does not typecheck: {exc}") from exc
+            if not alpha_eq(ty, goal):
+                raise GeneratorError(f"generated term {t} has type {ty}, not its goal {goal}")
+            return Judgment(gamma, delta, t, ty)
         raise RuntimeError("exhausted attempts while generating a judgment")
 
     def random_subst_sample(self, part: int) -> tc.SubstSample:

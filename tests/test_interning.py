@@ -52,7 +52,7 @@ def reference_free_vars(t) -> set:
 
 
 types = st.builds(
-    lambda seed, depth, want: TermGenerator(seed, max_type_depth=depth).random_type(want=want),
+    lambda seed, depth, want: TermGenerator(seed).random_type(depth, want),
     st.integers(0, 2**32 - 1),
     st.integers(0, 4),
     st.sampled_from([None, Kind.VALUE, Kind.COMPUTATION]),

@@ -1,5 +1,6 @@
 """Theorem verifiers: statuses, counts, witnesses, oracle agreement."""
 
+import itertools
 import json
 from collections import Counter
 from types import SimpleNamespace
@@ -115,6 +116,74 @@ def test_every_operation_is_natural_and_a_moved_component_is_not(monad):
         i = max(i for i, comp in enumerate(comps) if comp.size >= 2)
         moved = fam[:i] + ((fam[i] + 1) % comps[i].size,) + fam[i + 1:]
         assert moved not in nts, name
+
+
+def _config_id(value):
+    return "E=" + ",".join(value) if isinstance(value, tuple) else None
+
+
+def _natural_by_application(model, n):
+    """The natural transformations by applying every homomorphism to every
+    argument tuple, each component listed in full: the oracle that the
+    homomorphism-graph links must reproduce."""
+    algs = model.algebras
+    body = enc.nary_op_type(n).body
+    comps = [model.interp_vtype(ip.type_env({}, {"X": alg}), body) for alg in algs]
+    args_of = [list(itertools.product(range(a.carrier.size), repeat=n)) for a in algs]
+    homs = {(i, j): model._hom_tables(a, b) for i, a in enumerate(algs) for j, b in enumerate(algs)}
+
+    def apply_op(sem, f, args):
+        for x in args:
+            f, sem = sem.apply(f, x), sem.cod
+        return f
+
+    def natural(i, j, u, v):
+        return all(h[apply_op(comps[i], u, args)] == apply_op(comps[j], v, [h[x] for x in args])
+                   for h in homs[(i, j)] for args in args_of[i])
+
+    return ip.pairwise_search([c.size for c in comps], natural)
+
+
+@pytest.mark.parametrize("monad, exceptions, bound, n", [
+    (monad, exceptions, bound, n)
+    for monad, exceptions, bounds, arities in [
+        ("exception", ("e",), (1, 2, 3), (0, 1, 2)),
+        ("exception", ("e1", "e2"), (2,), (0, 1)),
+        ("identity", (), (2, 3), (0, 1, 2)),
+        ("powerset", (), (2, 3), (0, 1, 2)),
+    ]
+    for bound in bounds for n in arities
+], ids=_config_id)
+def test_natural_transformations_match_the_application_oracle(monad, exceptions, bound, n):
+    # every (config, arity) at which the listing oracle fits
+    model = pl.build_model(fm.ModelConfig(monad, exceptions, bound), (n,))
+    nts = pl.enumerate_natural_transformations(model, n)
+    assert nts == _natural_by_application(model, n)
+    assert len(nts) == model.free_algebra(n)[1].carrier.size
+
+
+@pytest.mark.parametrize("bound", [2, 3])
+def test_algop_two_exceptions(bound):
+    # the free algebra on 2 points has 4 elements, so its component has 4^16
+    # tables: too many to list, generated from its endomorphisms' links
+    model = pl.build_model(fm.ModelConfig("exception", ("e1", "e2"), bound), (2,))
+    rep = pl.verify_algop_correspondence(model, 2)
+    assert rep.status == "verified", rep.witness
+    assert rep.counts == {"natural-transformations": 4, "generic-effects": 4, "parametric-elements": 4}
+
+
+@pytest.mark.parametrize("monad, exceptions, n", [
+    ("exception", ("e",), 1), ("exception", ("e",), 2), ("exception", ("e1", "e2"), 2), ("powerset", (), 2),
+], ids=_config_id)
+def test_algop_catches_naturality_skipped_across_algebras(monkeypatch, monad, exceptions, n):
+    model = pl.build_model(fm.ModelConfig(monad, exceptions, 2), (n,))
+    model.interp_vtype(ip.TypeEnv(), enc.nary_op_type(n))  # the parametric elements, before the plant
+    search = ip.pairwise_search
+    monkeypatch.setattr(ip, "pairwise_search", lambda sizes, ok, *source: search(
+        sizes, lambda i, j, u, v: i != j or ok(i, j, u, v), *source))
+    rep = pl.verify_algop_correspondence(model, n)
+    assert rep.status == "counterexample"
+    assert rep.witness["detail"] == "cardinalities differ"
 
 
 def test_handler(exc_free):

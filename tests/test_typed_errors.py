@@ -9,8 +9,9 @@ import pytest
 
 from polyeff import finmodel as fm
 from polyeff import interp as ip
+from polyeff import randterms as rt
 from polyeff import typecheck as tc
-from polyeff.kernel import CVar, Var, VVar
+from polyeff.kernel import CSORT, TYAPP, TYLAM, VSORT, CVar, TyAppC, TyAppV, TyLamC, TyLamV, Var, VVar
 
 EXC = fm.MonadSpec("exception", ("e",))
 IDM = fm.MonadSpec("identity")
@@ -64,3 +65,22 @@ def test_stoup_judgment_must_produce_a_computation_type():
     # reaches the conclusion check
     with pytest.raises(tc.TypingError, match="stoup judgment produced value type"):
         tc.synth((), ("x", VVar("X")), Var("x"))
+
+
+class FlippedRedexGenerator(rt.TermGenerator):
+    """Wraps terms into type redexes of the sort their argument's kind does
+    not pick: a value argument then meets a computation binder."""
+
+    def _wrap(self, gamma, delta, t):
+        t = super()._wrap(gamma, delta, t)
+        if isinstance(t, (TyAppV, TyAppC)) and isinstance(t.fn, (TyLamV, TyLamC)):
+            sort = VSORT if t.sort == CSORT else CSORT
+            t = TYAPP[sort](TYLAM[sort](t.fn.binder, t.fn.body), t.arg)
+        return t
+
+
+def test_an_ill_typed_generated_term_raises():
+    gen = FlippedRedexGenerator(2024)
+    with pytest.raises(rt.GeneratorError, match="does not typecheck"):
+        for _ in range(200):
+            gen.random_judgment()
