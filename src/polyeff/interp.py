@@ -63,7 +63,9 @@ Terms are typechecked once per judgment: ``Model._compile`` routes the
 stoup, renames binders and synthesizes each node's type, and returns a
 closure that only interprets types, encodes and applies.  A compiled
 evaluator holds its model, so it is never cached on the model: that memo
-would be a cycle that only the cycle collector frees.
+would be a cycle that only the cycle collector frees.  ``paramlab``'s
+abstraction check keeps its outcomes instead, per judgment, keyed by the type
+environment and the bindings' values, and drops them with the judgment.
 """
 
 from __future__ import annotations

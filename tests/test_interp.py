@@ -1102,10 +1102,7 @@ def abstraction_environments(model, j, relenvs=40, value_envs=3, tyenvs=4, hom_e
     cnames = sorted(v.name for v in ftv if isinstance(v, CVar))
     bindings = list(j.gamma) + ([j.delta] if j.delta is not None else [])
     out = []
-    for combo in islice(product(*pl._relenv_space(model, vnames, cnames)), relenvs):
-        rho = ip.RelEnv(ip.TypeEnv(), ip.TypeEnv())
-        for sort, name, a, b, r in combo:
-            rho = rho.set(sort, name, a, b, r)
+    for rho in pl._relenvs(pl._relenv_space(model, vnames, cnames), relenvs):
         try:
             pair_lists = [model.interp_rel(rho, ty).pairs() for _, ty in bindings]
         except ip.OutOfBoundError:

@@ -3,6 +3,7 @@
 import itertools
 import json
 from collections import Counter
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -14,6 +15,8 @@ from polyeff import encodings as enc
 from polyeff import paramlab as pl
 from polyeff.kernel import Judgment, VVar
 from polyeff.surface import parse_term, parse_type
+
+DATA = Path(__file__).parent / "data"
 
 
 @pytest.fixture(scope="module")
@@ -97,6 +100,16 @@ def test_algop_powerset_bound_three():
     rep = pl.verify_algop_correspondence(model, 2)
     assert rep.status == "verified", rep.witness
     assert rep.counts["parametric-elements"] == 3
+
+
+def test_algop_out_of_bound_names_the_algebra_pair():
+    # under powerset the free algebra on 3 points (model index 4) has 7
+    # elements, and its endomorphisms have 7^7 candidate tables
+    model = pl.build_model(fm.ModelConfig("powerset", (), 2), (3,))
+    with pytest.raises(ip.OutOfBoundError) as exc:
+        pl.verify_algop_correspondence(model, 3)
+    assert str(exc.value) == ("homomorphisms from algebra 4 on 7 elements to algebra 4 on 7:"
+                              " hom space too large: 7^7")
 
 
 @pytest.mark.parametrize("monad", [fm.MonadSpec("exception", ("e1", "e2")), fm.MonadSpec("powerset")],
@@ -262,6 +275,44 @@ def test_abstraction_counts_evaluations_past_the_bound_as_skips(monkeypatch):
     rep = pl.verify_abstraction(pl.build_model(fm.ModelConfig(bound=3), ()), n_terms=1)
     assert rep.status == "verified", rep.witness
     assert rep.counts == {"terms": 1, "hom-instances": 0, "out-of-bound-skips": 33}
+
+
+def test_abstraction_runs_each_closure_once_per_distinct_environment(monkeypatch):
+    # a judgment's closure runs once per (type environment, binding values);
+    # only top-level runs count, since a nested closure runs per table entry
+    model = pl.build_model(fm.ModelConfig(), ())
+    compile_, depth, judgments, runs = model._compile, [0], itertools.count(), []
+
+    def counting(t, gamma, delta):
+        depth[0] += 1
+        try:
+            run = compile_(t, gamma, delta)
+        finally:
+            depth[0] -= 1
+        if depth[0]:
+            return run
+        k, names = next(judgments), [n for n, _ in gamma] + ([delta[0]] if delta else [])
+        return lambda tyenv, tmenv: runs.append((k, tyenv, tuple(tmenv[n] for n in names))) or run(tyenv, tmenv)
+
+    monkeypatch.setattr(model, "_compile", counting)
+    rep = pl.verify_abstraction(model, seed=2024)
+    assert len(runs) == len(set(runs)) > 100
+    recorded = (DATA / "verify_all.jsonl").read_text().splitlines()
+    assert rep.to_json(include_runtime=False) in recorded  # the recorded abstraction line
+
+
+def test_abstraction_catches_an_evaluator_that_depends_on_the_object(monkeypatch):
+    # x:X |- x : X run as "the last element of X" is not relationally
+    # parametric: 0 in the 1-element set and 0 in the 2-element one are
+    # related by {(0, 0)}, and the results 0 and 1 are not
+    j = Judgment((("x", parse_type("X")),), None, parse_term("x"), parse_type("X"))
+    monkeypatch.setattr(pl, "TermGenerator", lambda seed, interp_safe: SimpleNamespace(random_judgment=lambda: j))
+    model = pl.build_model(fm.ModelConfig(), ())
+    monkeypatch.setattr(model, "_compile", lambda t, gamma, delta: (
+        lambda tyenv, tmenv: tyenv.get(ip.VSORT, "X").size - 1))
+    rep = pl.verify_abstraction(model, n_terms=1)
+    assert rep.status == "counterexample"
+    assert rep.witness == {"term": "x", "type": "X", "lhs": 0, "rhs": 1}
 
 
 def test_relation_axioms_powerset():
