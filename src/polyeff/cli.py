@@ -157,8 +157,7 @@ def cmd_eval(args) -> int:
             names = ", ".join(sorted(map(str, free)))
             print(f"eval needs a closed term, but type variables {names} occur free in it", file=sys.stderr)
             return 2
-        sem = model.interp_vtype(ip.TypeEnv(), ty)
-        val = model._eval(term, (), None, ip.TypeEnv(), {})
+        sem, val = model._eval(term, (), None, ip.TypeEnv(), {})
     except surface.SyntaxErr as exc:
         print(str(exc), file=sys.stderr)
         return 2

@@ -434,16 +434,10 @@ def elaborate_term(
     if isinstance(t, LinLam):
         return LinLam(t.var, t.ann, elaborate_term(t.body, gamma, (t.var, t.ann), constants))
     if isinstance(t, App):
-        if delta is None:
-            return App(
-                elaborate_term(t.fn, gamma, None, constants),
-                elaborate_term(t.arg, gamma, None, constants),
-            )
         side = tc.route_stoup(delta, t.fn, t.arg)
-        dfn, darg = (delta, None) if side == "fn" else (None, delta)
         return App(
-            elaborate_term(t.fn, gamma, dfn, constants),
-            elaborate_term(t.arg, gamma, darg, constants),
+            elaborate_term(t.fn, gamma, delta if side == "fn" else None, constants),
+            elaborate_term(t.arg, gamma, delta if side == "arg" else None, constants),
         )
     if isinstance(t, (TyLamV, TyLamC)):
         return type(t)(t.binder, elaborate_term(t.body, gamma, delta, constants))

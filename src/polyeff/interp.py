@@ -59,9 +59,11 @@ Generated tables may pass ``ITER_CAP``; listed domains may not.
 ``relatedness(least=False)`` and ``enumerate_families_naive`` keep every
 relation as the oracle.
 
-Terms are typechecked once per judgment: ``Model._compile`` routes the
-stoup, renames binders and synthesizes each node's type, and returns a
-closure that only interprets types, encodes and applies.  A compiled
+Terms are typechecked once per judgment: ``Model._compile`` checks the
+root with ``typecheck.synth``, reads every other node's type off its
+subterms' through a scope dict in which the stoup is one more binding, and
+returns that type with a closure that only interprets types, encodes and
+applies.  A compiled
 evaluator holds its model, so it is never cached on the model: that memo
 would be a cycle that only the cycle collector frees.  ``paramlab``'s
 abstraction check keeps its outcomes instead, per judgment, keyed by the type
@@ -82,6 +84,7 @@ from . import finmodel as fm
 from . import typecheck as tc
 from .kernel import (
     CSORT,
+    FORALL,
     VAR,
     VSORT,
     App,
@@ -90,14 +93,11 @@ from .kernel import (
     ForallC,
     ForallV,
     Interned,
-    Judgment,
     Kind,
     Lam,
     LinLam,
     Lolli,
     TermExpr,
-    TyAppC,
-    TyAppV,
     TyLamC,
     TyLamV,
     TypeExpr,
@@ -105,15 +105,14 @@ from .kernel import (
     Var,
     binder_signs,
     classify_type,
-    free_term_vars,
     free_type_var_keys,
-    fresh_name,
     hash_consed,
-    subst_term,
+    subst_type,
 )
 
 NAIVE_FAMILY_CAP = 1_000_000
 ITER_CAP = 400_000
+STRUCTURE_CAP = 512**2  # entries of one operation's table on a computation type
 SIZE_BITS = 64  # a function space past 2**SIZE_BITS elements is sized 2**SIZE_BITS + 1
 
 
@@ -515,33 +514,45 @@ def pairwise_search(sizes: Sequence[int], ok: Callable[[int, int, int, int], boo
     """Every tuple ``t`` with ``t[i] < sizes[i]`` and ``ok(i, j, t[i], t[j])``
     for all positions ``i`` and ``j``, sorted.
 
-    Positions are fixed smallest domain first.  A candidate must pass
-    ``ok(i, i, c, c)``, then both directions against every fixed position.
-
     ``candidates(i)`` may return the values ``c`` with ``ok(i, i, c, c)`` in
     ascending order, or None to list ``range(sizes[i])``; each value it
-    returns is tested again all the same.  Only listing is capped: a listed
-    domain larger than ``ITER_CAP`` raises ``OutOfBoundError`` naming that
-    position as a component.
+    returns is tested again all the same.  Every position's candidates that
+    pass ``ok(i, i, c, c)`` are found first, smallest domain first; then
+    positions are fixed fewest candidates first, each candidate tested both
+    ways against every fixed position.  Only listing is capped: a position
+    listed past ``ITER_CAP``, or whose source or self test raises
+    ``OutOfBoundError``, is set aside, and the first such error (in domain
+    order) is raised only if the other positions leave a tuple.
     """
-    order = sorted(range(len(sizes)), key=lambda i: (sizes[i], i))
+    cands: dict[int, list[int]] = {}
+    aside: Optional[OutOfBoundError] = None
+    for i in sorted(range(len(sizes)), key=lambda i: (sizes[i], i)):
+        try:
+            source = candidates(i)
+            if source is None and sizes[i] > ITER_CAP:
+                raise OutOfBoundError(
+                    f"component {i} has {_count(sizes[i])} candidates, more than ITER_CAP ({ITER_CAP})"
+                )
+            cands[i] = [c for c in (range(sizes[i]) if source is None else source) if ok(i, i, c, c)]
+        except OutOfBoundError as exc:
+            aside = aside or exc
+            continue
+        if not cands[i]:
+            return ()
+    order = sorted(cands, key=lambda i: (len(cands[i]), i))
     partial: list[tuple[int, ...]] = [()]
     for pos, i in enumerate(order):
-        source = candidates(i)
-        if source is None and sizes[i] > ITER_CAP:
-            raise OutOfBoundError(
-                f"component {i} has {_count(sizes[i])} candidates, more than ITER_CAP ({ITER_CAP})"
-            )
-        cands = [c for c in (range(sizes[i]) if source is None else source) if ok(i, i, c, c)]
         fixed = order[:pos]
         partial = [
             asg + (c,)
             for asg in partial
-            for c in cands
+            for c in cands[i]
             if all(ok(j, i, u, c) and ok(i, j, c, u) for j, u in zip(fixed, asg))
         ]
         if not partial:
             return ()
+    if aside is not None:
+        raise aside
     at = sorted(range(len(order)), key=order.__getitem__)
     return tuple(sorted(tuple(asg[p] for p in at) for asg in partial))
 
@@ -797,9 +808,10 @@ class Model:
         # recursion below, so component algebras never materialize in full
         n = self.interp_vtype(env, ty).size
         ops = []
-        for k, arity in enumerate(m.arities):
-            if n ** arity > 512 ** 2:
-                raise OutOfBoundError(f"structure table too large: {n}")
+        for k, (name, arity) in enumerate(m.operations):
+            if n ** arity > STRUCTURE_CAP:
+                raise OutOfBoundError(f"structure table of {ty} too large: operation {name} of arity {arity}"
+                                      f" needs {_count(n)}^{arity} entries, more than {STRUCTURE_CAP}")
             ops.append(tuple(self._pointwise(env, ty, k, args) for args in product(range(n), repeat=arity)))
         return fm.Alg(m, fm.FinSet(n), tuple(ops))
 
@@ -864,7 +876,7 @@ class Model:
           decides a vacuous binder, so its body's view under ``rho`` does;
         - by a positive body's ``least_links`` (``link_test``), wherever they fit;
         - by every admissible relation, each relation's view built on first
-          use and kept only as long as the returned function.
+          use; ``interp_rel`` keeps it in ``Model._rel`` for the model's life.
         """
         objs = self.objects(sort)
         signs = binder_signs(sort, binder, body) if least else None
@@ -1134,67 +1146,62 @@ class Model:
 
     # -- term interpretation ---------------------------------------------
 
-    def _eval(self, t: TermExpr, gamma, delta, tyenv: TypeEnv, tmenv: dict) -> int:
-        """The value of ``t`` in ``gamma | delta``, under ``tyenv`` and ``tmenv``."""
-        return self._compile(t, gamma, delta)(tyenv, tmenv)
+    def _eval(self, t: TermExpr, gamma, delta, tyenv: TypeEnv, tmenv: dict) -> tuple[SemSet, int]:
+        """The domain and the value of ``t`` in ``gamma | delta``, under ``tyenv`` and ``tmenv``."""
+        ty, run = self._compile(t, gamma, delta)
+        return self.interp_vtype(tyenv, ty), run(tyenv, tmenv)
 
-    def _compile(self, t: TermExpr, gamma, delta) -> Callable[[TypeEnv, dict], int]:
-        """``t`` in ``gamma | delta`` as a closure ``(tyenv, tmenv) -> value``;
-        the static work (see the module docstring) is done here, once."""
-        consts = self.constants
-        if isinstance(t, Var):
-            name = t.name
-            return lambda tyenv, tmenv: tmenv[name] if name in tmenv else self.constant_value(name)
-        if isinstance(t, (Lam, LinLam)):
-            lin = isinstance(t, LinLam)
-            var, body = t.var, t.body
-            bound = {n for n, _ in gamma} | ({delta[0]} if delta is not None else set())
-            if var in bound:  # the binder would shadow a variable in scope
-                var = fresh_name(var, free_term_vars(body) | bound)
-                body = subst_term(body, t.var, Var(var))
-            gamma2, delta2 = (gamma, (var, t.ann)) if lin else (gamma + ((var, t.ann),), delta)
-            ty = (Lolli if lin else Arrow)(t.ann, tc.synth(gamma2, delta2, body, consts))
-            run_body = self._compile(body, gamma2, delta2)
+    def _compile(self, t: TermExpr, gamma, delta) -> tuple[TypeExpr, Callable[[TypeEnv, dict], int]]:
+        """The type of ``t`` in ``gamma | delta``, and ``t`` as a closure
+        ``(tyenv, tmenv) -> value``; the static work (see the module
+        docstring) is done here, once."""
+        tc.synth(gamma, delta, t, self.constants)
 
-            def lam(tyenv: TypeEnv, tmenv: dict) -> int:
-                sem = self.interp_vtype(tyenv, ty)
-                tm2 = dict(tmenv)
-                table = []
-                for d in range(sem.dom.size):  # type: ignore[attr-defined]
-                    tm2[var] = d
-                    table.append(run_body(tyenv, tm2))
-                # a -o table that is not a homomorphism in its stoup fails to encode
-                return sem.encode(table)  # type: ignore[attr-defined]
+        def build(t: TermExpr, scope: dict) -> tuple[TypeExpr, Callable[[TypeEnv, dict], int]]:
+            if isinstance(t, Var):
+                name = t.name
+                ty = scope[name] if name in scope else self.constants[name]
+                return ty, lambda tyenv, tmenv: tmenv[name] if name in tmenv else self.constant_value(name)
+            if isinstance(t, (Lam, LinLam)):
+                var = t.var
+                body_ty, run_body = build(t.body, scope | {var: t.ann})
+                ty = (Lolli if isinstance(t, LinLam) else Arrow)(t.ann, body_ty)
 
-            return lam
-        if isinstance(t, App):
-            side = tc.route_stoup(delta, t.fn, t.arg)
-            dfn = delta if side == "fn" else None
-            head = tc.synth(gamma, dfn, t.fn, consts)
-            run_fn = self._compile(t.fn, gamma, dfn)
-            run_arg = self._compile(t.arg, gamma, delta if side == "arg" else None)
+                def lam(tyenv: TypeEnv, tmenv: dict) -> int:
+                    sem = self.interp_vtype(tyenv, ty)
+                    tm2 = dict(tmenv)
+                    table = []
+                    for d in range(sem.dom.size):  # type: ignore[attr-defined]
+                        tm2[var] = d
+                        table.append(run_body(tyenv, tm2))
+                    # a -o table that is not a homomorphism in its stoup fails to encode
+                    return sem.encode(table)  # type: ignore[attr-defined]
 
-            def app(tyenv: TypeEnv, tmenv: dict) -> int:
-                sem = self.interp_vtype(tyenv, head)
-                return sem.apply(run_fn(tyenv, tmenv), run_arg(tyenv, tmenv))  # type: ignore[attr-defined]
+                return ty, lam
+            if isinstance(t, App):
+                head, run_fn = build(t.fn, scope)
+                _, run_arg = build(t.arg, scope)
 
-            return app
-        if isinstance(t, (TyLamV, TyLamC)):
-            sort, binder = t.sort, t.binder
-            forall_ty = tc.synth(gamma, delta, t, consts)
-            run_body = self._compile(t.body, gamma, delta)
+                def app(tyenv: TypeEnv, tmenv: dict) -> int:
+                    sem = self.interp_vtype(tyenv, head)
+                    return sem.apply(run_fn(tyenv, tmenv), run_arg(tyenv, tmenv))  # type: ignore[attr-defined]
 
-            def tylam(tyenv: TypeEnv, tmenv: dict) -> int:
-                poly = self.interp_vtype(tyenv, forall_ty)
-                fam = tuple(run_body(tyenv.set(sort, binder, obj), tmenv) for obj in self.objects(sort))
-                # a family that is not parametric fails to encode
-                return poly.encode(fam)  # type: ignore[attr-defined]
+                return head.cod, app  # type: ignore[attr-defined]
+            if isinstance(t, (TyLamV, TyLamC)):
+                sort, binder = t.sort, t.binder
+                body_ty, run_body = build(t.body, scope)
+                forall_ty = FORALL[sort](binder, body_ty)
 
-            return tylam
-        if isinstance(t, (TyAppV, TyAppC)):
-            head = tc.synth(gamma, delta, t.fn, consts)
-            run_fn = self._compile(t.fn, gamma, delta)
-            arg, csort = t.arg, head.sort == CSORT
+                def tylam(tyenv: TypeEnv, tmenv: dict) -> int:
+                    poly = self.interp_vtype(tyenv, forall_ty)
+                    fam = tuple(run_body(tyenv.set(sort, binder, obj), tmenv) for obj in self.objects(sort))
+                    # a family that is not parametric fails to encode
+                    return poly.encode(fam)  # type: ignore[attr-defined]
+
+                return forall_ty, tylam
+            # synth has checked t, so it is a type application
+            head, run_fn = build(t.fn, scope)  # type: ignore[attr-defined]
+            arg, csort = t.arg, head.sort == CSORT  # type: ignore[attr-defined]
 
             def tyapp(tyenv: TypeEnv, tmenv: dict) -> int:
                 poly = self.interp_vtype(tyenv, head)
@@ -1203,8 +1210,9 @@ class Model:
                 target = self.interp_ctype(tyenv, arg) if csort else self.interp_vtype(tyenv, arg).size
                 return self.project_poly(poly, fam, target, head.binder, head.body, tyenv)  # type: ignore[arg-type, attr-defined]
 
-            return tyapp
-        raise InterpError(f"cannot evaluate {t!r} (unelaborated sugar?)")
+            return subst_type(head.body, VAR[head.sort](head.binder), arg), tyapp  # type: ignore[attr-defined]
+
+        return build(t, dict(gamma) | dict([delta] if delta is not None else []))
 
     def two_values(self) -> tuple[int, int]:
         """Indices of the two inhabitants of [[1 + 1]] (left first)."""
@@ -1212,7 +1220,7 @@ class Model:
             vals = []
             for which in (0, 1):
                 tm = encodings.two_value(which)
-                vals.append(self._eval(tm, (), None, TypeEnv(), {}))
+                vals.append(self._eval(tm, (), None, TypeEnv(), {})[1])
             if vals[0] == vals[1]:
                 raise InterpError(f"the two boolean values coincide: both are {vals[0]}")
             self._two = (vals[0], vals[1])

@@ -136,13 +136,10 @@ def semantically_equal(
     cnames: Sequence[str] = (),
 ) -> Optional[dict]:
     """Exhaustively compare two judgments' denotations; None, or a witness."""
-    consts = model.constants
-    ty_l = tc.synth(gamma, delta, lhs, consts)
-    ty_r = tc.synth(gamma, delta, rhs, consts)
+    (ty_l, run_l), (ty_r, run_r) = model._compile(lhs, gamma, delta), model._compile(rhs, gamma, delta)
     if not alpha_eq(ty_l, ty_r):
         return {"detail": f"type mismatch: {ty_l} vs {ty_r}"}
     bindings = list(gamma) + ([delta] if delta is not None else [])
-    run_l, run_r = model._compile(lhs, gamma, delta), model._compile(rhs, gamma, delta)
     for tyenv in iter_type_envs(model, vnames, cnames):
         dom_sizes = [model.interp_vtype(tyenv, ty).size for _, ty in bindings]
         for values in itertools.product(*(range(n) for n in dom_sizes)):
@@ -228,7 +225,6 @@ def verify_free_algebra(model: ip.Model) -> VerificationReport:
             "y", enc.encode_bang(VVar("X")),
             enc.elaborate_term(parse_term("let x <= y in f x"), gamma=gamma, delta=("y", enc.encode_bang(VVar("X")))),
         )
-        med_ty = tc.synth(gamma, None, mediator)
         for k, b in enumerate(model.algebras):
             if b.carrier.size > 3:
                 continue
@@ -242,8 +238,7 @@ def verify_free_algebra(model: ip.Model) -> VerificationReport:
                 tyenv = ip.type_env({"X": fm.FinSet(a)}, {"Y": b})
                 fsem = model.interp_vtype(tyenv, Arrow(VVar("X"), CVar("Y")))
                 fval = fsem.encode(list(f))
-                hval = model._eval(mediator, gamma, None, tyenv, {"f": fval})
-                hsem = model.interp_vtype(tyenv, med_ty)
+                hsem, hval = model._eval(mediator, gamma, None, tyenv, {"f": fval})
                 table = hsem.table(hval)
                 concrete = homs[0]
                 if any(table[from_t[z]] != concrete[z] for z in range(fa.carrier.size)):
@@ -594,7 +589,7 @@ def verify_encoding_props(model: ip.Model) -> VerificationReport:
     zero_ty = enc.encode_comp_type("ZeroC")
     zero_alg = model.interp_ctype(ip.TypeEnv(), zero_ty)
     for k, b in enumerate(model.algebras):
-        homs = model._hom_tables(zero_alg, b)
+        homs = _mediating_homs(model, zero_alg, (), (), b)
         checked += 1
         if len(homs) != 1:
             failures.append({"law": "initiality", "algebra": k, "homs": len(homs)})
@@ -619,21 +614,13 @@ def verify_encoding_props(model: ip.Model) -> VerificationReport:
                     f"the encoded sum of algebras {ia} and {ib} has {sum_alg.carrier.size}"
                     " elements and is isomorphic to no registered algebra",
                 )
-            inl_v = model._eval(inl_t, (), None, tyenv, {})
-            inr_v = model._eval(inr_t, (), None, tyenv, {})
-            inl_sem = model.interp_vtype(tyenv, Lolli(CVar("A"), oplus_ty))
-            inr_sem = model.interp_vtype(tyenv, Lolli(CVar("B"), oplus_ty))
-            inl_tbl = inl_sem.table(inl_v)
-            inr_tbl = inr_sem.table(inr_v)
+            inl_sem, inl_v = model._eval(inl_t, (), None, tyenv, {})
+            inr_sem, inr_v = model._eval(inr_t, (), None, tyenv, {})
+            injections = inl_sem.table(inl_v) + inr_sem.table(inr_v)
             for ic, alg_c in enumerate(model.algebras):
                 for u in model._hom_tables(alg_a, alg_c):
                     for v in model._hom_tables(alg_b, alg_c):
-                        meds = [
-                            h
-                            for h in model._hom_tables(sum_alg, alg_c)
-                            if all(h[inl_tbl[x]] == u[x] for x in range(alg_a.carrier.size))
-                            and all(h[inr_tbl[y]] == v[y] for y in range(alg_b.carrier.size))
-                        ]
+                        meds = _mediating_homs(model, sum_alg, injections, u + v, alg_c)
                         checked += 1
                         if len(meds) != 1:
                             failures.append({"law": "coproduct", "algs": [ia, ib, ic],
@@ -643,10 +630,8 @@ def verify_encoding_props(model: ip.Model) -> VerificationReport:
     for k, alg in [(i, a) for i, a in enumerate(model.algebras) if a.carrier.size <= model.bound]:
         cfwd, cbwd = enc.comp_iso_terms(CVar("A"))
         tyenv = ip.type_env({}, {"A": alg})
-        fv = model._eval(cfwd, (), None, tyenv, {})
-        bv = model._eval(cbwd, (), None, tyenv, {})
-        fsem = model.interp_vtype(tyenv, tc.synth((), None, cfwd))
-        bsem = model.interp_vtype(tyenv, tc.synth((), None, cbwd))
+        fsem, fv = model._eval(cfwd, (), None, tyenv, {})
+        bsem, bv = model._eval(cbwd, (), None, tyenv, {})
         n = alg.carrier.size
         checked += 1
         if not all(bsem.apply(bv, fsem.apply(fv, x)) == x for x in range(n)):
@@ -660,10 +645,8 @@ def verify_encoding_props(model: ip.Model) -> VerificationReport:
     fwd, bwd = enc.girard_iso_terms(VVar("A"), CVar("B"))
     for alg in model.algebras:
         tyenv = ip.type_env({"A": fm.FinSet(2)}, {"B": alg})
-        fv = model._eval(fwd, (), None, tyenv, {})
-        bv = model._eval(bwd, (), None, tyenv, {})
-        fsem = model.interp_vtype(tyenv, tc.synth((), None, fwd))
-        bsem = model.interp_vtype(tyenv, tc.synth((), None, bwd))
+        fsem, fv = model._eval(fwd, (), None, tyenv, {})
+        bsem, bv = model._eval(bwd, (), None, tyenv, {})
         checked += 2
         if not all(fsem.apply(fv, bsem.apply(bv, g)) == g for g in range(fsem.cod.size)):
             failures.append({"law": "decomposition-left", "carrier": alg.carrier.size})
@@ -885,7 +868,7 @@ def verify_abstraction(model: ip.Model, seed: int = 17, n_terms: int = 100) -> V
         cnames = sorted({v.name for v in _judgment_ftv(j) if isinstance(v, CVar)})
         bindings = list(j.gamma) + ([j.delta] if j.delta is not None else [])
         # typechecked once, run once per distinct environment
-        evaluate = _memo_run(model._compile(j.subject, j.gamma, j.delta), [name for name, _ in bindings])
+        evaluate = _memo_run(model._compile(j.subject, j.gamma, j.delta)[1], [name for name, _ in bindings])
         for rho in _relenvs(_relenv_space(model, vnames, cnames), 40):
             try:
                 pair_lists = [model.interp_rel(rho, ty).pairs() for _, ty in bindings]

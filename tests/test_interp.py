@@ -244,8 +244,8 @@ def test_materialized_relation_matches_view(model):
 
 def test_identity_function_denotation(model):
     env = ip.type_env({"B": fm.FinSet(3)})
-    val = model._eval(parse_term("fun x:B => x"), (), None, env, {})
-    sem = model.interp_vtype(env, parse_type("B -> B"))
+    sem, val = model._eval(parse_term("fun x:B => x"), (), None, env, {})
+    assert sem is model.interp_vtype(env, parse_type("B -> B"))
     assert sem.table(val) == (0, 1, 2)
 
 
@@ -257,7 +257,7 @@ def test_thunk_applies_the_continuation(free_model):
     env = ip.type_env({"A": fm.FinSet(2)})
     poly = model.interp_vtype(env, enc.encode_bang(VVar("A")))
     for tval in range(2):
-        fam = model._eval(bang, gamma, None, env, {"t": tval})
+        _, fam = model._eval(bang, gamma, None, env, {"t": tval})
         for k, alg in enumerate(model.algebras):
             comp = poly.comps[k]
             for f in range(comp.dom.size):
@@ -360,8 +360,8 @@ def test_projection_at_registered_object_is_direct(free_model):
     model = free_model
     term = parse_term("Fun ^X => fun x:^X => x")
     j = Judgment((), None, term)
-    fam = model._eval(term, (), None, ip.TypeEnv(), {})
-    poly = model.interp_vtype(ip.TypeEnv(), tc.typecheck(j))
+    poly, fam = model._eval(term, (), None, ip.TypeEnv(), {})
+    assert poly is model.interp_vtype(ip.TypeEnv(), tc.typecheck(j))
     for k, alg in enumerate(model.algebras):
         got = model.project_poly(poly, fam, alg, "X", parse_type("^X -> ^X"), ip.TypeEnv())
         assert got == poly.fams[fam][k]
@@ -384,8 +384,8 @@ def test_projection_independent_of_isomorphism(free_model):
 def test_projection_out_of_bound(model):
     term = parse_term("Fun X => fun x:X => x")
     j = Judgment((), None, term)
-    fam = model._eval(term, (), None, ip.TypeEnv(), {})
-    poly = model.interp_vtype(ip.TypeEnv(), tc.typecheck(j))
+    poly, fam = model._eval(term, (), None, ip.TypeEnv(), {})
+    assert poly is model.interp_vtype(ip.TypeEnv(), tc.typecheck(j))
     with pytest.raises(ip.OutOfBoundError):
         model.project_poly(poly, fam, fm.FinSet(7), "X", parse_type("X -> X"), ip.TypeEnv())
 
@@ -465,8 +465,8 @@ def test_linear_lambda_must_be_homomorphism(free_model):
     model = free_model
     j = Judgment((), None, parse_term("lfun x:^A => x"))
     env = ip.type_env({}, {"A": model.algebras[1]})
-    val = model._eval(j.subject, (), None, env, {})
-    sem = model.interp_vtype(env, tc.typecheck(j))
+    sem, val = model._eval(j.subject, (), None, env, {})
+    assert sem is model.interp_vtype(env, tc.typecheck(j))
     assert sem.table(val) == (0, 1)
 
 
@@ -475,8 +475,8 @@ def test_value_dump_shapes(free_model):
     j = Judgment((), None, parse_term("fun x:B => x"))
     ty = tc.typecheck(j)
     env = ip.type_env({"B": fm.FinSet(2)})
-    val = model._eval(j.subject, (), None, env, {})
-    sem = model.interp_vtype(env, ty)
+    sem, val = model._eval(j.subject, (), None, env, {})
+    assert sem is model.interp_vtype(env, ty)
     assert ip.decode_value(model, sem, val) == [0, 1]
     assert ip.semset_to_json(model, sem) == {
         "kind": "functions", "size": 4,
@@ -568,6 +568,32 @@ def test_pairwise_search_raises_only_at_a_reached_position():
     # an empty domain ends the search before the oversized one is reached
     assert ip.pairwise_search([0, ip.ITER_CAP + 1], ok) == ()
     assert ip.pairwise_search([], ok) == ((),)
+    # a position listed past the cap is set aside: a larger position
+    # generated with no candidate still decides the search
+    sizes = [ip.ITER_CAP + 1, ip.ITER_CAP + 2]
+    assert ip.pairwise_search(sizes, ok, lambda i: [] if i == 1 else None) == ()
+    with pytest.raises(ip.OutOfBoundError, match="component 0 has"):
+        ip.pairwise_search(sizes, ok, lambda i: [0] if i == 1 else None)
+
+    # and so is a position whose source raises
+    def source(i, rest):
+        if i == 0:
+            raise ip.OutOfBoundError("too many tables")
+        return rest
+
+    assert ip.pairwise_search([2, 3], ok, lambda i: source(i, [])) == ()
+    with pytest.raises(ip.OutOfBoundError, match="too many tables"):
+        ip.pairwise_search([2, 3], ok, lambda i: source(i, [1]))
+
+
+def test_structure_table_past_the_cap_names_type_operation_and_size():
+    model = ip.Model(POW, 3)
+    alg = next(a for a in model.algebras if a.carrier.size == 3)
+    env = ip.type_env({"A": fm.FinSet(3)}, {"X": alg})
+    with pytest.raises(ip.OutOfBoundError) as exc:
+        model.interp_ctype(env, parse_type("A -> A -> ^X"))
+    assert str(exc.value) == ("structure table of A -> A -> ^X too large: operation or of arity 2"
+                              " needs 19683^2 entries, more than 262144")
 
 
 def test_naive_oracle_with_an_empty_component_lists_no_other():
@@ -1127,6 +1153,8 @@ def _outcome(run, tyenv, tmenv):
 
 
 def test_a_compiled_judgment_runs_without_synthesizing_types(abstraction_model, monkeypatch):
+    # a compile typechecks its term once, at the root, and reads every other
+    # node's type off its subterms'; the closure typechecks nothing
     model = abstraction_model
     synth, calls = tc.synth, []
     monkeypatch.setattr(tc, "synth", lambda *args: calls.append(args) or synth(*args))
@@ -1138,16 +1166,42 @@ def test_a_compiled_judgment_runs_without_synthesizing_types(abstraction_model, 
         if not envs:  # verify_abstraction evaluates nothing here either
             continue
         calls.clear()
-        _outcome(lambda e, m: model._eval(j.subject, j.gamma, j.delta, e, m), *envs[0])
-        one_run = len(calls)
-        calls.clear()
-        run = model._compile(j.subject, j.gamma, j.delta)
-        compiled = len(calls)
+        _, run = model._compile(j.subject, j.gamma, j.delta)
+        assert len(calls) == 1
         for env in envs:
             _outcome(run, *env)
-        assert len(calls) == compiled <= one_run
-        checked += len(envs) > 1 and one_run > 0
+        assert len(calls) == 1
+        checked += len(envs) > 1
     assert checked >= 10
+
+
+@pytest.mark.parametrize("options, count", [({}, 200), ({"interp_safe": True}, 100)],
+                         ids=["metatheory-corpus", "abstraction-corpus"])
+def test_a_compile_returns_the_checked_type(abstraction_model, options, count):
+    # built from the subterms' types, the type is the checker's own (hash-consed) object
+    gen = TermGenerator(2024, **options)
+    for _ in range(count):
+        j = gen.random_judgment()
+        ty, _ = abstraction_model._compile(j.subject, j.gamma, j.delta)
+        assert ty is tc.typecheck(j, abstraction_model.constants), str(j.subject)
+
+
+@pytest.mark.parametrize("term, renamed", [
+    ("fun x:A => x", "fun y:A => y"),
+    ("fun x:A => g x", "fun y:A => g y"),
+    ("lfun x:^Q => x", "lfun y:^Q => y"),
+    ("lfun x:^Q => h x", "lfun y:^Q => h y"),
+])
+def test_a_binder_that_shadows_a_context_variable_evaluates_as_its_renaming(free_model, term, renamed):
+    model = free_model
+    gamma = (("x", VVar("B")), ("g", parse_type("A -> B")), ("h", parse_type("^Q -o ^Q")))
+    (ty, run), (ty2, run2) = (model._compile(parse_term(t), gamma, None) for t in (term, renamed))
+    assert ty is ty2
+    for tyenv in islice(pl.iter_type_envs(model, ["A", "B"], ["Q"]), 30):
+        sizes = [model.interp_vtype(tyenv, t).size for _, t in gamma]
+        for values in product(*map(range, sizes)):
+            tmenv = {n: v for (n, _), v in zip(gamma, values)}
+            assert run(tyenv, dict(tmenv)) == run2(tyenv, dict(tmenv))
 
 
 @settings(deadline=None, max_examples=60)  # an example may interpret new types on first use
@@ -1159,8 +1213,8 @@ def test_one_compiled_closure_matches_a_fresh_evaluation_per_environment(abstrac
     j = TermGenerator(seed, interp_safe=True).random_judgment()
     envs = abstraction_environments(model, j)
     assume(len(envs) > 1)
-    fresh = [_outcome(lambda e, m: model._eval(j.subject, j.gamma, j.delta, e, m), *env) for env in envs]
-    run = model._compile(j.subject, j.gamma, j.delta)
+    fresh = [_outcome(lambda e, m: model._eval(j.subject, j.gamma, j.delta, e, m)[1], *env) for env in envs]
+    _, run = model._compile(j.subject, j.gamma, j.delta)
     at = list(range(len(envs)))
     order.shuffle(at)
     event(f"{len(set(map(id, (e for e, _ in envs))))} type environments")

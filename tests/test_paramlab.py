@@ -185,6 +185,26 @@ def test_algop_two_exceptions(bound):
     assert rep.counts == {"natural-transformations": 4, "generic-effects": 4, "parametric-elements": 4}
 
 
+def test_algop_three_exceptions_fixes_the_fewest_candidates_first(monkeypatch):
+    # the free algebra on 2 points (5 elements) has few candidates, and its
+    # homomorphisms prune every other algebra's: fixed by domain size it would
+    # come last, after the eight 2-element algebras' candidates had multiplied
+    calls = [0]
+    search = ip.pairwise_search
+
+    def counted(i, j, u, v, ok):
+        calls[0] += 1
+        return ok(i, j, u, v)
+
+    monkeypatch.setattr(ip, "pairwise_search", lambda sizes, ok, *source: search(
+        sizes, lambda i, j, u, v: counted(i, j, u, v, ok), *source))
+    model = pl.build_model(fm.ModelConfig("exception", ("e1", "e2", "e3"), 2), (2,))
+    rep = pl.verify_algop_correspondence(model, 2)
+    assert rep.status == "verified", rep.witness
+    assert rep.counts == {"natural-transformations": 5, "generic-effects": 5, "parametric-elements": 5}
+    assert calls[0] < 100_000
+
+
 @pytest.mark.parametrize("monad, exceptions, n", [
     ("exception", ("e",), 1), ("exception", ("e",), 2), ("exception", ("e1", "e2"), 2), ("powerset", (), 2),
 ], ids=_config_id)
@@ -279,20 +299,14 @@ def test_abstraction_counts_evaluations_past_the_bound_as_skips(monkeypatch):
 
 def test_abstraction_runs_each_closure_once_per_distinct_environment(monkeypatch):
     # a judgment's closure runs once per (type environment, binding values);
-    # only top-level runs count, since a nested closure runs per table entry
+    # a compile builds its subterms' closures itself, so every one counted is a judgment's
     model = pl.build_model(fm.ModelConfig(), ())
-    compile_, depth, judgments, runs = model._compile, [0], itertools.count(), []
+    compile_, judgments, runs = model._compile, itertools.count(), []
 
     def counting(t, gamma, delta):
-        depth[0] += 1
-        try:
-            run = compile_(t, gamma, delta)
-        finally:
-            depth[0] -= 1
-        if depth[0]:
-            return run
+        ty, run = compile_(t, gamma, delta)
         k, names = next(judgments), [n for n, _ in gamma] + ([delta[0]] if delta else [])
-        return lambda tyenv, tmenv: runs.append((k, tyenv, tuple(tmenv[n] for n in names))) or run(tyenv, tmenv)
+        return ty, lambda tyenv, tmenv: runs.append((k, tyenv, tuple(tmenv[n] for n in names))) or run(tyenv, tmenv)
 
     monkeypatch.setattr(model, "_compile", counting)
     rep = pl.verify_abstraction(model, seed=2024)
@@ -309,7 +323,7 @@ def test_abstraction_catches_an_evaluator_that_depends_on_the_object(monkeypatch
     monkeypatch.setattr(pl, "TermGenerator", lambda seed, interp_safe: SimpleNamespace(random_judgment=lambda: j))
     model = pl.build_model(fm.ModelConfig(), ())
     monkeypatch.setattr(model, "_compile", lambda t, gamma, delta: (
-        lambda tyenv, tmenv: tyenv.get(ip.VSORT, "X").size - 1))
+        parse_type("X"), lambda tyenv, tmenv: tyenv.get(ip.VSORT, "X").size - 1))
     rep = pl.verify_abstraction(model, n_terms=1)
     assert rep.status == "counterexample"
     assert rep.witness == {"term": "x", "type": "X", "lhs": 0, "rhs": 1}
