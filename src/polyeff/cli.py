@@ -146,18 +146,18 @@ def cmd_elaborate(args) -> int:
 def cmd_eval(args) -> int:
     cfg = load_config(args)
     model = _free(cfg)
-    constants = model.constants
     try:
-        term = surface.parse_term(args.term)
-        term = enc.elaborate_term(term, constants=constants)
-        j = Judgment((), None, term)
-        ty = tc.typecheck(j, constants)
+        term = enc.elaborate_term(surface.parse_term(args.term), constants=model.constants)
+        ty, run = model._compile(term, (), None)
         free = free_type_vars_term(term)
         if free:
             names = ", ".join(sorted(map(str, free)))
             print(f"eval needs a closed term, but type variables {names} occur free in it", file=sys.stderr)
             return 2
-        sem, val = model._eval(term, (), None, ip.TypeEnv(), {})
+        sem = model.interp_vtype(ip.TypeEnv(), ty)
+        if sem.size > 1 << ip.SIZE_BITS:  # a saturated size: neither it nor an index in it would print true
+            raise ip.OutOfBoundError(f"eval reports a value by its index, but {ty} has more than 2**{ip.SIZE_BITS} values")
+        val = run(ip.TypeEnv(), {})
     except surface.SyntaxErr as exc:
         print(str(exc), file=sys.stderr)
         return 2

@@ -63,7 +63,8 @@ Terms are typechecked once per judgment: ``Model._compile`` checks the
 root with ``typecheck.synth``, reads every other node's type off its
 subterms' through a scope dict in which the stoup is one more binding, and
 returns that type with a closure that only interprets types, encodes and
-applies.  A compiled
+applies; an abstraction run over more than ``ITER_CAP`` arguments raises
+``OutOfBoundError``.  A compiled
 evaluator holds its model, so it is never cached on the model: that memo
 would be a cycle that only the cycle collector frees.  ``paramlab``'s
 abstraction check keeps its outcomes instead, per judgment, keyed by the type
@@ -785,17 +786,9 @@ class Model:
 
     def interp_ctype(self, env: TypeEnv, ty: TypeExpr) -> fm.Alg:
         key = (ty, env.restrict(free_type_var_keys(ty)))
-        hit = self._cty.get(key)
-        if hit is not None:
-            return hit
-        alg = self._interp_ctype(env, ty)
-        sem = self.interp_vtype(env, ty)
-        if alg.carrier.size != sem.size:
-            raise InterpError(
-                f"algebra carrier of {ty} has {alg.carrier.size} elements,"
-                f" but its set interpretation has {_count(sem.size)}"
-            )
-        self._cty[key] = alg
+        alg = self._cty.get(key)
+        if alg is None:
+            alg = self._cty[key] = self._interp_ctype(env, ty)
         return alg
 
     def _interp_ctype(self, env: TypeEnv, ty: TypeExpr) -> fm.Alg:
@@ -1169,9 +1162,13 @@ class Model:
 
                 def lam(tyenv: TypeEnv, tmenv: dict) -> int:
                     sem = self.interp_vtype(tyenv, ty)
+                    n = sem.dom.size  # type: ignore[attr-defined]
+                    if n > ITER_CAP:
+                        raise OutOfBoundError(f"abstraction over {ty.dom} tabulates {_count(n)} arguments,"
+                                              f" more than ITER_CAP ({ITER_CAP})")
                     tm2 = dict(tmenv)
                     table = []
-                    for d in range(sem.dom.size):  # type: ignore[attr-defined]
+                    for d in range(n):
                         tm2[var] = d
                         table.append(run_body(tyenv, tm2))
                     # a -o table that is not a homomorphism in its stoup fails to encode

@@ -211,20 +211,26 @@ def _mediating_homs(model: ip.Model, fa: fm.Alg, eta, f, b: fm.Alg) -> list:
     return [h for h in model._hom_tables(fa, b) if all(h[eta[x]] == f[x] for x in range(len(f)))]
 
 
+def _evaluator(model: ip.Model, t, gamma=()):
+    """``t`` compiled once: (tyenv, tmenv) -> its domain and its value there."""
+    ty, run = model._compile(t, gamma, None)
+    return lambda tyenv, tmenv: (model.interp_vtype(tyenv, ty), run(tyenv, tmenv))
+
+
 def verify_free_algebra(model: ip.Model) -> VerificationReport:
     """Unique mediating homomorphisms out of T A for |A| in ``CHECKED_SIZES``,
     into every algebra of at most 3 elements, matching the let-based term."""
     t0 = time.perf_counter()
     failures = []
     checked = 0
+    gamma = (("f", Arrow(VVar("X"), CVar("Y"))),)
+    mediator = _evaluator(model, LinLam(
+        "y", enc.encode_bang(VVar("X")),
+        enc.elaborate_term(parse_term("let x <= y in f x"), gamma=gamma, delta=("y", enc.encode_bang(VVar("X")))),
+    ), gamma)
     for a in CHECKED_SIZES:
         _, fa, eta = model.free_algebra(a)
         to_t, from_t = model.bang_bridge(a)
-        gamma = (("f", Arrow(VVar("X"), CVar("Y"))),)
-        mediator = LinLam(
-            "y", enc.encode_bang(VVar("X")),
-            enc.elaborate_term(parse_term("let x <= y in f x"), gamma=gamma, delta=("y", enc.encode_bang(VVar("X")))),
-        )
         for k, b in enumerate(model.algebras):
             if b.carrier.size > 3:
                 continue
@@ -238,7 +244,7 @@ def verify_free_algebra(model: ip.Model) -> VerificationReport:
                 tyenv = ip.type_env({"X": fm.FinSet(a)}, {"Y": b})
                 fsem = model.interp_vtype(tyenv, Arrow(VVar("X"), CVar("Y")))
                 fval = fsem.encode(list(f))
-                hsem, hval = model._eval(mediator, gamma, None, tyenv, {"f": fval})
+                hsem, hval = mediator(tyenv, {"f": fval})
                 table = hsem.table(hval)
                 concrete = homs[0]
                 if any(table[from_t[z]] != concrete[z] for z in range(fa.carrier.size)):
@@ -596,8 +602,8 @@ def verify_encoding_props(model: ip.Model) -> VerificationReport:
 
     # binary coproducts: unique mediation through the injections
     oplus_ty = enc.encode_comp_type("Oplus", (CVar("A"), CVar("B")))
-    inl_t = LinLam("a", CVar("A"), enc.injection(0, CVar("A"), CVar("B"), Var("a"), ip.CSORT))
-    inr_t = LinLam("b", CVar("B"), enc.injection(1, CVar("A"), CVar("B"), Var("b"), ip.CSORT))
+    inl = _evaluator(model, LinLam("a", CVar("A"), enc.injection(0, CVar("A"), CVar("B"), Var("a"), ip.CSORT)))
+    inr = _evaluator(model, LinLam("b", CVar("B"), enc.injection(1, CVar("A"), CVar("B"), Var("b"), ip.CSORT)))
     small = [(i, a) for i, a in enumerate(model.algebras) if a.carrier.size <= model.bound]
     for ia, alg_a in small:
         for ib, alg_b in small:
@@ -614,8 +620,8 @@ def verify_encoding_props(model: ip.Model) -> VerificationReport:
                     f"the encoded sum of algebras {ia} and {ib} has {sum_alg.carrier.size}"
                     " elements and is isomorphic to no registered algebra",
                 )
-            inl_sem, inl_v = model._eval(inl_t, (), None, tyenv, {})
-            inr_sem, inr_v = model._eval(inr_t, (), None, tyenv, {})
+            inl_sem, inl_v = inl(tyenv, {})
+            inr_sem, inr_v = inr(tyenv, {})
             injections = inl_sem.table(inl_v) + inr_sem.table(inr_v)
             for ic, alg_c in enumerate(model.algebras):
                 for u in model._hom_tables(alg_a, alg_c):
@@ -627,11 +633,11 @@ def verify_encoding_props(model: ip.Model) -> VerificationReport:
                                              "u": list(u), "v": list(v), "mediators": len(meds)})
 
     # wrapping isomorphism for every algebra within the bound
+    cfwd, cbwd = (_evaluator(model, t) for t in enc.comp_iso_terms(CVar("A")))
     for k, alg in [(i, a) for i, a in enumerate(model.algebras) if a.carrier.size <= model.bound]:
-        cfwd, cbwd = enc.comp_iso_terms(CVar("A"))
         tyenv = ip.type_env({}, {"A": alg})
-        fsem, fv = model._eval(cfwd, (), None, tyenv, {})
-        bsem, bv = model._eval(cbwd, (), None, tyenv, {})
+        fsem, fv = cfwd(tyenv, {})
+        bsem, bv = cbwd(tyenv, {})
         n = alg.carrier.size
         checked += 1
         if not all(bsem.apply(bv, fsem.apply(fv, x)) == x for x in range(n)):
@@ -642,11 +648,11 @@ def verify_encoding_props(model: ip.Model) -> VerificationReport:
             failures.append({"law": "wrap-iso-right", "algebra": k})
 
     # function-space decomposition through !
-    fwd, bwd = enc.girard_iso_terms(VVar("A"), CVar("B"))
+    fwd, bwd = (_evaluator(model, t) for t in enc.girard_iso_terms(VVar("A"), CVar("B")))
     for alg in model.algebras:
         tyenv = ip.type_env({"A": fm.FinSet(2)}, {"B": alg})
-        fsem, fv = model._eval(fwd, (), None, tyenv, {})
-        bsem, bv = model._eval(bwd, (), None, tyenv, {})
+        fsem, fv = fwd(tyenv, {})
+        bsem, bv = bwd(tyenv, {})
         checked += 2
         if not all(fsem.apply(fv, bsem.apply(bv, g)) == g for g in range(fsem.cod.size)):
             failures.append({"law": "decomposition-left", "carrier": alg.carrier.size})

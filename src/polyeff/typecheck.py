@@ -8,6 +8,11 @@ routes the stoup into the argument.  Since a nonempty stoup must flow
 to the unique leaf using its variable, occurrence of the stoup variable
 decides the routing.
 
+A term is checked as written: a binder shadows by scope, and a variable
+is the stoup's when it has the stoup's name, before the context is read.
+A ``fun`` binder with the name of a nonempty stoup hides it from every
+leaf, so that binder is a stoup violation.
+
 ``derive_all_types`` re-derives judgments exploring *every* applicable
 rule order; it is the oracle for checking that the system assigns at
 most one type.
@@ -173,12 +178,9 @@ def _synth_node(gamma: Ctx, delta: Stoup, t: TermExpr, constants: Constants) -> 
 
     if isinstance(t, Lam):
         _classify(t.ann)
-        var, body = t.var, t.body
-        if delta is not None and var == delta[0]:
-            new = fresh_name(var, free_term_vars(body) | {n for n, _ in gamma} | {delta[0]})
-            body = subst_term(body, var, Var(new))
-            var = new
-        cod = _synth(gamma + ((var, t.ann),), delta, body, constants)
+        if delta is not None and t.var == delta[0]:
+            raise TypingError(ErrorCode.STOUP_VIOLATION, f"binder {t.var!r} hides the stoup binding of that name")
+        cod = _synth(gamma + ((t.var, t.ann),), delta, t.body, constants)
         return Arrow(t.ann, cod)
 
     if isinstance(t, LinLam):
@@ -192,12 +194,7 @@ def _synth_node(gamma: Ctx, delta: Stoup, t: TermExpr, constants: Constants) -> 
                 ErrorCode.NON_COMPUTATION_STOUP,
                 f"linear binder annotated with non-computation type {t.ann}",
             )
-        var, body = t.var, t.body
-        if _lookup(gamma, var) is not None:
-            new = fresh_name(var, free_term_vars(body) | {n for n, _ in gamma})
-            body = subst_term(body, var, Var(new))
-            var = new
-        cod = _synth(gamma, (var, t.ann), body, constants)
+        cod = _synth(gamma, (t.var, t.ann), t.body, constants)
         return Lolli(t.ann, cod)
 
     if isinstance(t, App):
@@ -290,12 +287,9 @@ def derive_all_types(
         return out
 
     if isinstance(t, Lam):
-        var, body = t.var, t.body
-        if delta is not None and var == delta[0]:
-            new = fresh_name(var, free_term_vars(body) | {n for n, _ in gamma} | {delta[0]})
-            body = subst_term(body, var, Var(new))
-            var = new
-        for cod in derive_all_types(gamma + ((var, t.ann),), delta, body, constants):
+        if delta is not None and t.var == delta[0]:
+            return out  # the binder hides the stoup, which then reaches no leaf
+        for cod in derive_all_types(gamma + ((t.var, t.ann),), delta, t.body, constants):
             out.add(alpha_canonical(Arrow(t.ann, cod)))
         return out
 
@@ -306,6 +300,8 @@ def derive_all_types(
             return out
         if delta is not None or ann_kind is not Kind.COMPUTATION:
             return out
+        # the oracle routes the stoup without reading occurrences, so the side
+        # not given it would read the context variable the binder shadows
         var, body = t.var, t.body
         if _lookup(gamma, var) is not None:
             new = fresh_name(var, free_term_vars(body) | {n for n, _ in gamma})

@@ -2,6 +2,8 @@
 
 import importlib.util
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -9,6 +11,7 @@ import pytest
 
 from polyeff import cli
 from polyeff import finmodel as fm
+from polyeff import typecheck as tc
 from polyeff.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -211,6 +214,26 @@ def test_an_out_of_bound_hom_space_names_its_type_and_algebras(capsys, argv, x_s
                    f" with X a set on {x_size} elements,"
                    f" from the algebra on 16 elements to the algebra on 4:"
                    f" hom space too large: {space}\n")
+
+
+def test_eval_synthesizes_the_term_once(capsys, monkeypatch):
+    synth, terms = tc.synth, []
+    monkeypatch.setattr(tc, "synth", lambda gamma, delta, t, constants={}: terms.append(t) or synth(gamma, delta, t, constants))
+    code, out, _ = run(capsys, "eval", "(Fun X => fun x:X => x) @[2]")
+    assert code == 0
+    assert len(terms) == 1
+
+
+def test_eval_of_a_value_past_2_64_indices_exits_3_at_once():
+    # ((2 -> 2) -> 2) -> 2 has 2**16 elements and its endofunctions 2**(16 * 2**16),
+    # so no index of them is printed: neither tabulated, nor decoded
+    two_to_two = f"((({TWO}) -> ({TWO})) -> ({TWO})) -> ({TWO})"
+    out = subprocess.run([sys.executable, "-m", "polyeff.cli", "eval", "fun f:((2 -> 2) -> 2) -> 2 => f"],
+                         capture_output=True, text=True, timeout=30,
+                         env={**os.environ, "PYTHONPATH": str(Path(__file__).parent.parent / "src")})
+    assert (out.returncode, out.stdout) == (3, "")
+    assert out.stderr == (f"out of bound: eval reports a value by its index,"
+                          f" but ({two_to_two}) -> {two_to_two} has more than 2**64 values\n")
 
 
 @pytest.mark.parametrize("term, names", [

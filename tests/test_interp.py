@@ -90,6 +90,15 @@ def test_nested_function_spaces_saturate_their_size():
     assert (out.returncode, out.stdout) == (0, "True\n"), out.stderr[-2000:]
 
 
+def test_an_abstraction_past_iter_cap_arguments_is_out_of_bound():
+    # at bound 3, (X -> X) -> X has 3**27 elements: the abstraction raises before it tabulates any
+    model = ip.Model(EXC, 3)
+    _, run = model._compile(parse_term("fun f:(X -> X) -> X => g"), (("g", VVar("X")),), None)
+    with pytest.raises(ip.OutOfBoundError, match=r"^abstraction over \(X -> X\) -> X tabulates 7625597484987 arguments,"
+                                                 r" more than ITER_CAP \(400000\)$"):
+        run(ip.type_env({"X": fm.FinSet(3)}, {}), {"g": 0})
+
+
 def test_saturated_sizes_print_as_a_bound():
     # a space of exactly 2**64 elements keeps its size; one past it saturates,
     # and a message then states the bound, not the saturated value

@@ -315,6 +315,20 @@ def test_abstraction_runs_each_closure_once_per_distinct_environment(monkeypatch
     assert rep.to_json(include_runtime=False) in recorded  # the recorded abstraction line
 
 
+@pytest.mark.parametrize("check, compiles", [(pl.verify_free_algebra, 1), (pl.verify_encoding_props, 6)],
+                         ids=["free-algebra", "encoding-props"])
+def test_a_suite_compiles_each_of_its_terms_once(monkeypatch, check, compiles):
+    # the mediator, the injections and the two isomorphism pairs do not depend
+    # on the algebras they run at, so each is compiled before the loops
+    model = pl.build_model(fm.ModelConfig(), range(3))
+    compile_, calls = model._compile, []
+    monkeypatch.setattr(model, "_compile", lambda t, gamma, delta: calls.append(t) or compile_(t, gamma, delta))
+    rep = check(model)
+    assert len(calls) == compiles
+    recorded = (DATA / "verify_all.jsonl").read_text().splitlines()
+    assert rep.to_json(include_runtime=False) in recorded
+
+
 def test_abstraction_catches_an_evaluator_that_depends_on_the_object(monkeypatch):
     # x:X |- x : X run as "the last element of X" is not relationally
     # parametric: 0 in the 1-element set and 0 in the 2-element one are

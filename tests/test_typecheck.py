@@ -175,6 +175,24 @@ def test_application_errors_name_their_rule(gamma, delta, subject, code, detail)
     assert err.detail == detail
 
 
+@pytest.mark.parametrize("gamma, delta, subject, detail", [
+    ((("x", B_),), ("s", cC_), parse_term("fun s:B => s"), "binder 's' hides the stoup binding of that name"),
+    ((("x", B_),), ("s", cC_), parse_term("fun s:B => zzz"), "binder 's' hides the stoup binding of that name"),
+    ((("x", cA_), ("h", Lolli(cA_, Arrow(cA_, cC_)))), None, parse_term("lfun x:^A => (h x) x"),
+     "stoup variable 'x' used in both sides of an application"),
+], ids=["fun-binder-hides-the-stoup", "fun-binder-hides-an-unused-stoup", "lfun-binder-shadows-the-context"])
+def test_a_shadowing_binder_is_checked_as_written(gamma, delta, subject, detail):
+    # the error names the binder as written, not a renaming of it; the oracle
+    # derives nothing either, so its lfun renaming keeps the outer x out of reach
+    assert reject(gamma=gamma, delta=delta, subject=subject, code=STOUP).detail == detail
+    assert tc.derive_all_types(gamma, delta, subject) == set()
+    assert tc.check_unicity([Judgment(gamma, delta, subject)]).ok
+
+
+def test_a_binder_hiding_the_stoup_reports_its_annotation_first():
+    reject(delta=("s", cC_), subject=Lam("s", Lolli(B_, cC_), Var("s")), code=KIND)
+
+
 def test_ascription_checked():
     j = Judgment((), None, parse_term("fun x:B => x"), parse_type("B -> C"))
     with pytest.raises(tc.TypingError):
