@@ -245,6 +245,10 @@ def cmd_verify(args) -> int:
             print(f"{name}: out-of-bound: {exc}", file=sys.stderr)
             status = max(status, 3)
             continue
+        except ip.InterpError as exc:
+            print(f"{name}: counterexample: {exc}", file=sys.stderr)
+            status = max(status, 1)
+            continue
         for rep in reports:
             expected_negative = rep.theorem_id.endswith("negative-control")
             if _opt(args, "format", "text") == "json":

@@ -53,8 +53,9 @@ so no relation is enumerated.  Any other body is tested under every
 admissible relation of ``rels_for_pair``.
 Tables are generated one way only: ``_forward_check`` cuts a value mask per
 argument by the digit links that ``link_test`` reads, a positive body's least
-links (``Model.self_related_tables``) or ``paramlab``'s homomorphism graphs,
-and the search tests each table again; every other component is listed.
+links or ``paramlab``'s homomorphism graphs, and the search tests each table
+again; every other component is listed.  ``relatedness`` decides each object
+pair once and generates a positive body's tables from the same links.
 Generated tables may pass ``ITER_CAP``; listed domains may not.
 ``relatedness(least=False)`` and ``enumerate_families_naive`` keep every
 relation as the oracle.
@@ -143,13 +144,9 @@ class FunSem(SemSet):
     dom: SemSet
     cod: SemSet
 
-    def __post_init__(self):
-        self._pows: Optional[list[int]] = None
-
     def apply(self, f: int, x: int) -> int:
-        if self._pows is None:
-            self._pows = [self.cod.size**i for i in range(self.dom.size + 1)]
-        return (f // self._pows[x]) % self.cod.size
+        n = self.cod.size
+        return f // n**x % n
 
     def encode(self, table: Sequence[int]) -> int:
         acc = 0
@@ -483,7 +480,7 @@ class ForallRel(RelView):
     def _related_families(self) -> Callable[[tuple[int, ...], tuple[int, ...]], bool]:
         """Whether two families are related, by one shared relatedness test."""
         ty = self.ty
-        related = self._model().relatedness(self.rho, ty.sort, ty.binder, ty.body)  # type: ignore[union-attr, attr-defined]
+        related, _ = self._model().relatedness(self.rho, ty.sort, ty.binder, ty.body)  # type: ignore[union-attr, attr-defined]
 
         def test(fam_a: tuple[int, ...], fam_b: tuple[int, ...]) -> bool:
             k = len(fam_a)
@@ -853,12 +850,14 @@ class Model:
     # -- parametric families ------------------------------------------------
 
     def relatedness(self, rho: RelEnv, sort: str, binder: str, body: TypeExpr, least: bool = True
-                    ) -> Callable[[int, int, int, int], bool]:
-        """``related(i, j, u, v)``: the components ``u`` of ``body`` at object
+                    ) -> tuple[Callable[[int, int, int, int], bool], Callable[[int], Optional[list[int]]]]:
+        """``(related, tables)``: the one place that decides each object pair.
+
+        ``related(i, j, u, v)``: the components ``u`` of ``body`` at object
         ``i`` and ``v`` at object ``j`` are related under every admissible
         relation between the two objects, with ``rho`` on the other variables.
-
-        Unless ``least`` is False, a body is decided, in this order:
+        A pair's test is built on its first call and, unless ``least`` is
+        False, decides a body in this order:
         - by one extreme relation where the binder occurs with one polarity
           or none (``binder_signs``): the interpretation is monotone in a
           covariant binder's relation and antitone in a contravariant one's,
@@ -870,41 +869,60 @@ class Model:
         - by a positive body's ``least_links`` (``link_test``), wherever they fit;
         - by every admissible relation, each relation's view built on first
           use; ``interp_rel`` keeps it in ``Model._rel`` for the model's life.
+        ``tables(i)``: the tables ``c`` of a positive body's component at ``i``
+        with ``related(i, i, c, c)``, ascending, which ``_forward_check``
+        generates from the same ``(i, i)`` links; None for any other body, or
+        when the links do not fit.
         """
         objs = self.objects(sort)
         signs = binder_signs(sort, binder, body) if least else None
-        args = positive_args(sort, binder, body) if signs is not None and len(signs) == 2 else None
-        per_pair: dict = {}  # (i, j) -> (relations, views built so far, in order) or (None, link test)
+        args = positive_args(sort, binder, body) if least else None
+        links: dict = {}  # (i, j) -> least_links
+        tests: dict = {}  # (i, j) -> the pair's test
+
+        def pair_links(i: int, j: int) -> Optional[dict[tuple[int, int], tuple[int, ...]]]:
+            if (i, j) not in links:
+                links[i, j] = None if args is None else self.least_links(rho, sort, binder, args, i, j)
+            return links[i, j]
+
+        def test_for(i: int, j: int) -> Callable[[int, int], bool]:
+            m, n = _carrier_size(objs[i]), _carrier_size(objs[j])
+            if signs == set():
+                return self.interp_rel(rho, body).contains
+            if signs is not None and len(signs) < 2:  # one extreme relation
+                q = (((1 << n) - 1,) * m if -1 in signs else (0,) * m if sort == VSORT
+                     else fm.admissible_closure((0,) * m, objs[i], objs[j]))
+                return self.interp_rel(rho.set(sort, binder, objs[i], objs[j], q), body).contains
+            pair = pair_links(i, j)
+            if pair is not None:
+                return link_test(pair, m, n)
+            rels, views = self.rels_for_pair(sort, i, j), []
+
+            def every(u: int, v: int) -> bool:
+                for k, q in enumerate(rels):
+                    if k == len(views):
+                        views.append(self.interp_rel(rho.set(sort, binder, objs[i], objs[j], q), body))
+                    if not views[k].contains(u, v):
+                        return False
+                return True
+
+            return every
 
         def related(i: int, j: int, u: int, v: int) -> bool:
-            hit = per_pair.get((i, j))
-            if hit is None:
-                m, n = _carrier_size(objs[i]), _carrier_size(objs[j])
-                links = None if args is None else self.least_links(rho, sort, binder, args, i, j)
-                if signs == set():
-                    hit = ([], [self.interp_rel(rho, body)])
-                elif signs is not None and len(signs) < 2:  # one extreme relation
-                    hit = ([((1 << n) - 1,) * m if -1 in signs else (0,) * m if sort == VSORT
-                            else fm.admissible_closure((0,) * m, objs[i], objs[j])], [])
-                elif links is None:
-                    hit = (self.rels_for_pair(sort, i, j), [])
-                else:
-                    hit = (None, link_test(links, m, n))
-                per_pair[(i, j)] = hit
-            rels, views = hit
-            if rels is None:
-                return views(u, v)
-            for view in views:
-                if not view.contains(u, v):
-                    return False
-            for q in rels[len(views):]:
-                view = self.interp_rel(rho.set(sort, binder, objs[i], objs[j], q), body)
-                views.append(view)
-                if not view.contains(u, v):
-                    return False
-            return True
+            test = tests.get((i, j))
+            if test is None:
+                test = tests[i, j] = test_for(i, j)
+            return test(u, v)
 
-        return related
+        def tables(i: int) -> Optional[list[int]]:
+            pair = pair_links(i, i)
+            if pair is None:
+                return None
+            env = rho.rho1.set(sort, binder, objs[i])
+            n = prod(self.interp_vtype(env, d).size for d, _ in args)  # type: ignore[union-attr]
+            return _forward_check(n, _carrier_size(objs[i]), pair)
+
+        return related, tables
 
     def least_links(self, rho: RelEnv, sort: str, binder: str, args: list, i: int, j: int
                     ) -> Optional[dict[tuple[int, int], tuple[int, ...]]]:
@@ -970,35 +988,15 @@ class Model:
             links[(p, q)] = c  # each flat pair codes one argument tuple pair
         return links
 
-    def self_related_tables(self, rho: RelEnv, sort: str, binder: str, body: TypeExpr, i: int
-                            ) -> Optional[list[int]]:
-        """Every table ``c`` of the component of a positive body at object
-        ``i`` with ``relatedness(rho, sort, binder, body)(i, i, c, c)``,
-        ascending: its ``least_links`` constrain the values at two flat
-        argument positions, and ``_forward_check`` generates the tables that
-        meet them all.  None for any other body, or when ``least_links``
-        does not fit.
-        """
-        args = positive_args(sort, binder, body)
-        links = None if args is None else self.least_links(rho, sort, binder, args, i, i)
-        if links is None:
-            return None
-        obj = self.objects(sort)[i]
-        env = rho.rho1.set(sort, binder, obj)
-        n = prod(self.interp_vtype(env, d).size for d, _ in args)
-        return _forward_check(n, _carrier_size(obj), links)
-
     def _families(self, env: TypeEnv, ty: TypeExpr, comps: Sequence[SemSet]
                   ) -> tuple[tuple[int, ...], ...]:
         """All component tuples of the quantified type ``ty`` that preserve
         every admissible relation: a positive body's components are generated
-        by ``self_related_tables``, every other component is listed."""
-        rho = diag_relenv(env)
-        sort, binder, body = ty.sort, ty.binder, ty.body
-        related = self.relatedness(rho, sort, binder, body)
+        by ``relatedness``'s ``tables``, every other component is listed."""
+        sort = ty.sort
         try:
-            return pairwise_search([c.size for c in comps], related,
-                                   lambda i: self.self_related_tables(rho, sort, binder, body, i))
+            return pairwise_search([c.size for c in comps],
+                                   *self.relatedness(diag_relenv(env), sort, ty.binder, ty.body))
         except OutOfBoundError as exc:
             objs = "sets" if sort == VSORT else "algebras"
             raise OutOfBoundError(
@@ -1021,7 +1019,7 @@ class Model:
             raise OutOfBoundError(f"naive family space too large: {_count(total)}")
         if total == 0:  # product() would first list every other component, however large
             return ()
-        related = cache(self.relatedness(diag_relenv(env), sort, ty.binder, ty.body, least=False))
+        related = cache(self.relatedness(diag_relenv(env), sort, ty.binder, ty.body, least=False)[0])
         k = len(comps)
         return tuple(
             fam for fam in product(*(range(c.size) for c in comps))

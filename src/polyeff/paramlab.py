@@ -779,19 +779,17 @@ def verify_identity_extension(model: ip.Model) -> VerificationReport:
     battery = identity_extension_battery()
     failures = []
     env_sets = [s for s in model.sets if s.size > 0]
-    base_envs = []
-    for xv in env_sets[:2]:
-        for pv in model.algebras[:2]:
-            base_envs.append(
-                ip.type_env({"X": xv, "Y": fm.FinSet(2)}, {"P": pv, "Q": model.algebras[0]})
-            )
+    # each environment with its witness form: a set's size, an algebra's index
+    base_envs = [({"X": xv.size, "Y": 2, "^P": p, "^Q": 0},
+                  ip.type_env({"X": xv, "Y": fm.FinSet(2)}, {"P": pv, "Q": model.algebras[0]}))
+                 for xv in env_sets[:2] for p, pv in enumerate(model.algebras[:2])]
     for ty in battery:
-        for env in base_envs:
+        for named, env in base_envs:
             view = model.interp_rel(ip.diag_relenv(env), ty)
             size = model.interp_vtype(env, ty).size
             got, want = view.rows(), fm.diagonal(size)
             if got != want:
-                failures.append({"type": str(ty),
+                failures.append({"type": str(ty), "env": named,
                                  "extra": fm.rel_pairs([g & ~w for g, w in zip(got, want)]),
                                  "missing": fm.rel_pairs([w & ~g for g, w in zip(got, want)])})
                 break

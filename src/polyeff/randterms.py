@@ -244,11 +244,10 @@ class TermGenerator:
                 yield f"g{self._fresh()}", ty.dom
                 ty = ty.cod
 
-    def random_judgment(self, with_stoup: Optional[bool] = None) -> Judgment:
+    def random_judgment(self) -> Judgment:
         for _ in range(200):
             gamma = self.random_context()
-            stoup = self.rng.random() < 0.4 if with_stoup is None else with_stoup
-            if stoup:
+            if self.rng.random() < 0.4:
                 delta = (f"s{self._fresh()}", self.random_type(self.rng.randint(0, 1), Kind.COMPUTATION))
                 gamma += tuple(self._arguments([delta[1]]))
                 goal = self.random_type(self.rng.randint(0, 2), Kind.COMPUTATION)

@@ -5,6 +5,8 @@ import pathlib
 import resource
 import subprocess
 import sys
+import tracemalloc
+from collections import Counter
 from itertools import islice, permutations, product
 from math import prod
 
@@ -109,6 +111,23 @@ def test_saturated_sizes_print_as_a_bound():
         ip.pairwise_search([exact.size], lambda *a: True)
     with pytest.raises(ip.OutOfBoundError, match=r"component 0 has more than 2\*\*64 candidates"):
         ip.pairwise_search([past.size], lambda *a: True)
+
+
+def test_applying_a_value_of_a_saturated_space_computes_one_power():
+    # a space of 3**65536 functions saturates; applying one of them at its
+    # last argument reads one digit, with no table of the 65537 powers of 3,
+    # which would take about 425 MB
+    space = ip.fun_sem(ip.AtomSem(1 << 16), ip.AtomSem(3))
+    assert space.size == 2**64 + 1
+    f = 2 * 3 ** ((1 << 16) - 1) + 1
+    tracemalloc.start()
+    try:
+        digits = [space.apply(f, x) for x in (0, 1, (1 << 16) - 1)]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert digits == [1, 0, 2]
+    assert peak < 10 << 20
 
 
 def test_polymorphic_endomap_cardinality(model):
@@ -622,21 +641,26 @@ def test_naive_oracle_on_the_identity_extension_battery():
     # tuples each
     gen, listing = ip.Model(EXC, 2), ip.Model(EXC, 2)
     calls = []  # (whether the body is positive, size of the generated component or None, whether least links fed it)
-    tables, least = gen.self_related_tables, gen.least_links
+    decide, least, listed = gen.relatedness, gen.least_links, listing.relatedness
 
-    def generate(rho, sort, binder, body, i):
-        fed = []
-        gen.least_links = lambda *args: fed.append(least(*args)) or fed[-1]
-        try:
-            got = tables(rho, sort, binder, body, i)
-        finally:
-            gen.least_links = least
-        size = None if got is None else gen.interp_vtype(rho.rho1.set(sort, binder, gen.objects(sort)[i]), body).size
-        calls.append((ip.positive_args(sort, binder, body) is not None, size, bool(fed) and fed[-1] is not None))
-        return got
+    def relatedness(rho, sort, binder, body, **kw):
+        related, tables = decide(rho, sort, binder, body, **kw)
 
-    gen.self_related_tables = generate
-    listing.self_related_tables = lambda *args: None
+        def generate(i):
+            fed = []
+            gen.least_links = lambda *args: fed.append(least(*args)) or fed[-1]
+            try:
+                got = tables(i)
+            finally:
+                gen.least_links = least
+            size = None if got is None else gen.interp_vtype(rho.rho1.set(sort, binder, gen.objects(sort)[i]), body).size
+            calls.append((ip.positive_args(sort, binder, body) is not None, size, bool(fed) and fed[-1] is not None))
+            return got
+
+        return related, generate
+
+    gen.relatedness = relatedness
+    listing.relatedness = lambda *args, **kw: (listed(*args, **kw)[0], lambda i: None)
     envs = [ip.type_env({"X": x, "Y": fm.FinSet(2)}, {"P": p, "Q": gen.algebras[0]})
             for x in gen.sets[1:3] for p in gen.algebras[:2]]
     compared = 0
@@ -734,16 +758,15 @@ def test_least_relations_match_every_relation(three_models, data):
     assert m.least_links(rho, sort, binder, args, i, j) is not None
     event(f"{len(args)} arguments, {sum(es is not None for _, es in args)} chains,"
           f" {sum('-o' in str(d) for d, _ in args)} through -o")
-    least = m.relatedness(rho, sort, binder, body)
-    every = m.relatedness(rho, sort, binder, body, least=False)
+    least, tables = m.relatedness(rho, sort, binder, body)
+    every, _ = m.relatedness(rho, sort, binder, body, least=False)
     us = data.draw(st.lists(st.integers(0, left.size - 1), min_size=1, max_size=6)) if left.size else []
     vs = data.draw(st.lists(st.integers(0, right.size - 1), min_size=1, max_size=6)) if right.size else []
     for u in us:
         for v in vs:
             assert least(i, j, u, v) == every(i, j, u, v), (u, v)
     if same and left.size <= 512:
-        assert m.self_related_tables(rho, sort, binder, body, i) == [
-            c for c in range(left.size) if every(i, i, c, c)]
+        assert tables(i) == [c for c in range(left.size) if every(i, i, c, c)]
 
 
 @pytest.mark.parametrize("sort, binder, src, signs", [
@@ -824,8 +847,8 @@ def test_one_extreme_relation_matches_every_relation(three_models, data):
     except ip.OutOfBoundError:
         assume(False)
     assume(left.size <= 4096 and right.size <= 4096)
-    least = m.relatedness(rho, sort, binder, body)
-    every = m.relatedness(rho, sort, binder, body, least=False)
+    least, _ = m.relatedness(rho, sort, binder, body)
+    every, _ = m.relatedness(rho, sort, binder, body, least=False)
 
     def some(n):  # every component of a small side, a few of a large one
         return range(n) if n <= 8 else data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=6))
@@ -891,7 +914,7 @@ def test_a_one_polarity_body_never_lists_relations(monkeypatch, sort, binder, sr
     env = ip.type_env({"Y": fm.FinSet(2)}, {"Q": model.algebras[1]})
     model.interp_vtype(env, (ForallV if sort == VSORT else ForallC)(binder, body))
     rho, objs = ip.diag_relenv(env), model.objects(sort)
-    related = model.relatedness(rho, sort, binder, body)
+    related, _ = model.relatedness(rho, sort, binder, body)
     got = {}
     for i, j in product(range(len(objs)), repeat=2):
         left = model.interp_vtype(env.set(sort, binder, objs[i]), body).size
@@ -900,13 +923,40 @@ def test_a_one_polarity_body_never_lists_relations(monkeypatch, sort, binder, sr
             got[i, j, u, v] = bool(related(i, j, u, v))
     assert calls == []
     # and the extreme relation is the right one
-    every = model.relatedness(rho, sort, binder, body, least=False)
+    every, _ = model.relatedness(rho, sort, binder, body, least=False)
     assert got == {key: bool(every(*key)) for key in got}
     # a mixed body that is not positive does list them
     calls.clear()
     model.interp_vtype(env, (ForallV if sort == VSORT else ForallC)(binder, parse_type(
         "(X -> X) -> Y" if sort == VSORT else "(^P -> ^P) -> Y")))
     assert calls
+
+
+@pytest.mark.parametrize("sort, binder, src", [
+    (VSORT, "X", "X -> (Y -> X) -> X"),
+    (CSORT, "P", "^P -> ^P -> ^P"),
+])
+def test_each_pair_s_least_links_are_computed_once(monkeypatch, sort, binder, src):
+    # a mixed positive body: the family search generates each component's
+    # tables from the (i, i) links and tests every pair of components by the
+    # same links, so each object pair's links are computed once
+    model = ip.Model(EXC, 2)
+    calls = Counter()
+    least = model.least_links
+    monkeypatch.setattr(model, "least_links", lambda *args: calls.update([args[-2:]]) or least(*args))
+    body, env = parse_type(src), ip.type_env({"Y": fm.FinSet(2)})
+    k = len(model.objects(sort))
+    model.interp_vtype(env, (ForallV if sort == VSORT else ForallC)(binder, body))
+    assert set(calls.values()) == {1}
+    assert {(i, i) for i in range(k)} <= set(calls)
+    # and so does each call of relatedness, however often each pair is asked
+    calls.clear()
+    related, tables = model.relatedness(ip.diag_relenv(env), sort, binder, body)
+    for _ in range(2):
+        for i, j in product(range(k), repeat=2):
+            assert tables(i) is not None
+            related(i, j, 0, 0)
+    assert calls == Counter(product(range(k), repeat=2))
 
 
 @pytest.mark.parametrize("src", ["(^Q -o ^P) -> ^P", "(Y -> ^Q -o ^P) -> ^P", "(^Q -o Y -> ^P) -> ^Q -> ^P"])
@@ -919,8 +969,8 @@ def test_least_relations_of_lolli_arguments_match_every_relation(three_models, s
         compared = 0
         for q in m.algebras:
             rho = ip.diag_relenv(ip.type_env({"Y": fm.FinSet(2)}, {"Q": q}))
-            least = m.relatedness(rho, CSORT, "P", body)
-            every = m.relatedness(rho, CSORT, "P", body, least=False)
+            least, _ = m.relatedness(rho, CSORT, "P", body)
+            every, _ = m.relatedness(rho, CSORT, "P", body, least=False)
             for i, a in enumerate(m.algebras):
                 for j, b in enumerate(m.algebras):
                     left = m.interp_vtype(rho.rho1.set(CSORT, "P", a), body).size
@@ -945,8 +995,9 @@ def test_self_related_tables_only_for_positive_bodies(model, sort, binder, src):
     # body; every other body's components are listed by the family search
     rho = ip.diag_relenv(ip.type_env({"Y": fm.FinSet(2)}))
     assert ip.positive_args(sort, binder, parse_type(src)) is None
+    _, tables = model.relatedness(rho, sort, binder, parse_type(src))
     for i in range(len(model.objects(sort))):
-        assert model.self_related_tables(rho, sort, binder, parse_type(src), i) is None
+        assert tables(i) is None
 
 
 # -- bit-row relations against the per-pair definition -------------------------

@@ -279,6 +279,39 @@ def test_identity_extension(exc_plain):
     assert rep.counts["types"] >= 20
 
 
+def _replay_identity_extension(model, witness):
+    """The pairs of the witness's type at the diagonal of its environment, and
+    the diagonal itself."""
+    named = witness["env"]
+    env = ip.type_env({x: fm.FinSet(named[x]) for x in ("X", "Y")},
+                      {p: model.algebras[named["^" + p]] for p in ("P", "Q")})
+    ty = parse_type(witness["type"])
+    rows = model.interp_rel(ip.diag_relenv(env), ty).rows()
+    return set(fm.rel_pairs(rows)), set(fm.rel_pairs(fm.diagonal(model.interp_vtype(env, ty).size)))
+
+
+def test_identity_extension_catches_a_flipped_polarity_rule_with_a_witness_that_replays(monkeypatch):
+    # a covariant binder tested at the full relation, a contravariant one at
+    # the least: the family search then keeps families that are not
+    # parametric, and their relation is more than the diagonal
+    signs = ip.binder_signs
+    monkeypatch.setattr(ip, "binder_signs", lambda *args: frozenset(-s for s in signs(*args)))
+    config = fm.ModelConfig("exception", ("e",), 2)
+    rep = pl.verify_identity_extension(pl.build_model(config, ()))
+    assert rep.status == "counterexample"
+    witness = json.loads(rep.to_json())["witness"]
+    assert witness["type"] == "forall Z. Z -> X"
+    extra, missing = ({tuple(pair) for pair in witness[key]} for key in ("extra", "missing"))
+    assert extra
+    # the witness alone rebuilds the relation, in a new model under the planted rule
+    got, diagonal = _replay_identity_extension(pl.build_model(config, ()), witness)
+    assert (got - diagonal, diagonal - got) == (extra, missing)
+    # and under the real rule the same type and environment give the diagonal
+    monkeypatch.undo()
+    got, diagonal = _replay_identity_extension(pl.build_model(config, ()), witness)
+    assert got == diagonal
+
+
 def test_abstraction_theorem(exc_plain):
     rep = pl.verify_abstraction(exc_plain, seed=17, n_terms=25)
     assert rep.status == "verified", rep.witness
