@@ -1004,9 +1004,10 @@ class Model:
             ) from exc
 
     def enumerate_families_naive(self, env: TypeEnv, ty: TypeExpr) -> tuple[tuple[int, ...], ...]:
-        """Oracle tier: filter the full component product by all constraints,
-        each pair tested once under every admissible relation, so that the
-        least-relation source is checked against an independent one."""
+        """Oracle tier: filter the component product position by position,
+        testing each pair under every admissible relation as soon as both of
+        its components are fixed, so that the least-relation source is
+        checked against an independent one."""
         if not isinstance(ty, (ForallV, ForallC)):
             raise InterpError("naive family enumeration expects a quantified type")
         sort = ty.sort
@@ -1017,14 +1018,15 @@ class Model:
             total *= c.size
         if total > NAIVE_FAMILY_CAP:
             raise OutOfBoundError(f"naive family space too large: {_count(total)}")
-        if total == 0:  # product() would first list every other component, however large
+        if total == 0:  # else every layer before the empty component is filled first
             return ()
         related = cache(self.relatedness(diag_relenv(env), sort, ty.binder, ty.body, least=False)[0])
-        k = len(comps)
-        return tuple(
-            fam for fam in product(*(range(c.size) for c in comps))
-            if all(related(i, j, fam[i], fam[j]) for i in range(k) for j in range(k))
-        )
+        fams = [()]
+        for j, c in enumerate(comps):  # every constraint is a pair's, so a prefix fails for good
+            fams = [fam + (v,) for fam in fams for v in range(c.size)
+                    if related(j, j, v, v)
+                    and all(related(i, j, u, v) and related(j, i, v, u) for i, u in enumerate(fam))]
+        return tuple(fams)
 
     # -- transport ----------------------------------------------------------
 

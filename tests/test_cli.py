@@ -307,6 +307,16 @@ def test_parametric_counts_without_exceptions_are_the_identity_counts(capsys):
     assert report["counts"] == {"n=0": 0, "n=1": 1, "n=2": 2}
 
 
+def test_parametric_counts_at_bound_3_verify_past_the_oracle_cap(capsys):
+    # the naive oracle is out of bound at n = 2 (about 2 * 10^15 candidate
+    # tuples), and the suite still verifies on the family search's counts
+    code, out, _ = run(capsys, "--bound", "3", "--format", "json", "verify", "parametric-counts")
+    assert code == 0
+    report = json.loads(out)
+    assert report["status"] == "verified", report.get("witness")
+    assert report["counts"] == {"n=0": 1, "n=1": 2, "n=2": 3}
+
+
 def test_negative_control_that_cannot_fail_is_out_of_bound(capsys):
     # with E empty the stand-in for T 2 is the free algebra itself, so the
     # control finds nothing and must not claim a counterexample

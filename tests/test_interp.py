@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tracemalloc
 from collections import Counter
+from functools import cache
 from itertools import islice, permutations, product
 from math import prod
 
@@ -631,6 +632,62 @@ def test_naive_oracle_with_an_empty_component_lists_no_other():
     env = ip.type_env({"Y": fm.FinSet(2)})
     ty = parse_type("forall X. ((X -> Y) -> Y) -> (X -> Y) -> X")
     assert model.enumerate_families_naive(env, ty) == () == model.interp_vtype(env, ty).fams
+
+
+def product_filter(model, env, ty):
+    """The reference oracle: list the whole component product, then keep
+    the tuples whose every pair is related under every admissible relation."""
+    sort = ty.sort
+    comps = [model.interp_vtype(env.set(sort, ty.binder, o), ty.body) for o in model.objects(sort)]
+    related = cache(model.relatedness(ip.diag_relenv(env), sort, ty.binder, ty.body, least=False)[0])
+    k = len(comps)
+    return tuple(fam for fam in product(*(range(c.size) for c in comps))
+                 if all(related(i, j, fam[i], fam[j]) for i in range(k) for j in range(k)))
+
+
+@pytest.mark.parametrize("monad, bound, arities", [
+    (EXC, 2, (0, 1, 2)),
+    (fm.MonadSpec("exception", ("e1", "e2")), 2, (0, 1, 2)),
+    (POW, 2, (0, 1, 2)),
+    (fm.MonadSpec("identity"), 2, (0, 1, 2)),
+    (fm.MonadSpec("exception", ("e1", "e2", "e3")), 2, (0, 1)),
+    (EXC, 3, (0, 1)),
+], ids=["E={e}", "E={e1,e2}", "powerset", "identity", "E={e1,e2,e3}", "E={e},bound=3"])
+def test_naive_oracle_keeps_the_product_filters_families_in_order(monad, bound, arities):
+    # testing each pair once both of its positions are fixed keeps exactly
+    # the tuples the full product filter keeps, in lexicographic order
+    model = ip.Model(monad, bound)
+    for n in arities:
+        ty = enc.nary_op_type(n)
+        assert model.enumerate_families_naive(ip.TypeEnv(), ty) == product_filter(model, ip.TypeEnv(), ty), n
+
+
+def test_naive_oracle_tests_each_pair_both_ways():
+    # a planted rule that rejects one (i, j, u, v) with i > j only: the oracle
+    # meets it only through the converse test of the pair (j, i), and must
+    # drop the same families as the full filter
+    model = ip.Model(fm.MonadSpec("exception", ("e1", "e2")), 2)
+    ty = enc.nary_op_type(2)
+    fams = model.enumerate_families_naive(ip.TypeEnv(), ty)
+    u, v = fams[-1][1], fams[-1][0]
+    decide = model.relatedness
+
+    def relatedness(*args, **kw):
+        related, tables = decide(*args, **kw)
+        return (lambda i, j, x, y: (i, j, x, y) != (1, 0, u, v) and related(i, j, x, y)), tables
+
+    model.relatedness = relatedness
+    kept = tuple(fam for fam in fams if (fam[1], fam[0]) != (u, v))
+    assert len(fams) > len(kept) > 0
+    assert model.enumerate_families_naive(ip.TypeEnv(), ty) == kept == product_filter(model, ip.TypeEnv(), ty)
+
+
+def test_naive_oracle_cap_is_on_the_product_size():
+    # at bound 3 the 2-ary operations have 1952152956156672 candidate tuples
+    model = ip.Model(EXC, 3)
+    with pytest.raises(ip.OutOfBoundError) as exc:
+        model.enumerate_families_naive(ip.TypeEnv(), enc.nary_op_type(2))
+    assert str(exc.value) == "naive family space too large: 1952152956156672"
 
 
 def test_naive_oracle_on_the_identity_extension_battery():

@@ -492,6 +492,25 @@ def test_naive_oracle_matches_propagation(exc_plain):
         assert naive == poly.fams
 
 
+def test_parametric_counts_report_an_oracle_disagreement(monkeypatch):
+    # a family search that drops its last family where it finds more than
+    # one, planted after the counted model has its families, so only the
+    # oracle's model meets it: the naive oracle keeps the dropped family
+    cfg = fm.ModelConfig("exception", ("e",), 2)
+    free, plain = pl.build_model(cfg, range(3)), pl.build_model(cfg, ())
+    assert pl.verify_parametric_counts(free).status == "verified"
+    search = ip.pairwise_search
+
+    def dropping(*args, **kw):
+        fams = search(*args, **kw)
+        return fams[:-1] if len(fams) > 1 else fams
+
+    monkeypatch.setattr(ip, "pairwise_search", dropping)
+    rep = pl.verify_parametric_counts(free, plain)
+    assert rep.status == "counterexample"
+    assert rep.witness == {"n": 1, "detail": "oracle disagreement", "naive": 2, "propagated": 1}
+
+
 def test_typing_corpus_sizes():
     positives, negatives, _ = pl.typing_corpus()
     assert len(positives) >= 30
