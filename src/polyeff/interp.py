@@ -39,7 +39,7 @@ form that ``finmodel`` owns: relation environments bind rows, and an
 ``AtomRel`` keeps the rows its environment binds.
 
 The family search (``pairwise_search`` over ``Model.relatedness``) decides
-a body in one of three ways, tried in this order.  A body in which the
+a body in one of four ways, tried in this order.  A body in which the
 binder occurs with one polarity or none (``binder_signs``) is decided by
 one relation: the least admissible relation where it occurs only
 covariantly, the full relation where it occurs only contravariantly, and
@@ -49,8 +49,10 @@ the body's own relation where it does not occur.  Else a *positive* body
 arguments generate: components ``u`` at object i and ``v`` at object j are
 related iff ``(u d, v d')`` lies in the admissible closure of the pairs
 each related argument pair ``(d, d')`` generates (``Model.least_links``),
-so no relation is enumerated.  Any other body is tested under every
-admissible relation of ``rels_for_pair``.
+so no relation is enumerated.  Any other ``->``/``-o`` body folds its view
+under every admissible relation of ``rels_for_pair`` into one table of links
+(``Model.every_links``), and any other body, or one whose views do not fit,
+is tested under every relation, one view at a time.
 Tables are generated one way only: ``_forward_check`` cuts a value mask per
 argument by the digit links that ``link_test`` reads, a positive body's least
 links or ``paramlab``'s homomorphism graphs, and the search tests each table
@@ -585,21 +587,6 @@ def positive_args(sort: str, binder: str, body: TypeExpr) -> Optional[list]:
     return args
 
 
-def _leaves(sem: SemSet, depth: int) -> list[list[int]]:
-    """For each element ``g`` of a ``->``/``-o`` chain domain, its values at
-    the flat argument positions of the first ``depth`` arguments, the first
-    argument the most significant: ``g x1 ... xdepth`` at position ``(x1,
-    ..., xdepth)``, read through each level's ``apply``."""
-    out = []
-    for g in range(sem.size):
-        vals, level = [g], sem
-        for _ in range(depth):
-            vals = [level.apply(v, x) for v in vals for x in range(level.dom.size)]  # type: ignore[attr-defined]
-            level = level.cod  # type: ignore[attr-defined]
-        out.append(vals)
-    return out
-
-
 def link_test(links: dict[tuple[int, int], tuple[int, ...]], m: int, n: int) -> Callable[[int, int], bool]:
     """``test(u, v)``: bit ``v[q]`` of ``rows[u[p]]`` is set for every link ``(p,
     q): rows``, where ``u[p]`` is the digit of ``u`` at ``p`` in base ``m`` (a
@@ -609,6 +596,25 @@ def link_test(links: dict[tuple[int, int], tuple[int, ...]], m: int, n: int) -> 
     def test(u: int, v: int) -> bool:
         for mp, nq, rows in digits:
             if not rows[u // mp % m] >> (v // nq % n) & 1:
+                return False
+        return True
+
+    return test
+
+
+def apply_link_test(links: dict[tuple[int, int], tuple[int, ...]], left: SemSet, right: SemSet
+                    ) -> Callable[[int, int], bool]:
+    """``test(u, v)``: ``(u x, v y)`` lies in ``rows`` for every link ``(x, y):
+    rows``, applying functions of ``left`` and ``right`` (``->`` or ``-o``
+    domains of one type) by their digits or their homomorphism tables."""
+    if isinstance(left, FunSem):
+        return link_test(links, left.cod.size, right.cod.size)
+    lt, rt, items = left.tables, right.tables, tuple(links.items())  # type: ignore[attr-defined]
+
+    def test(u: int, v: int) -> bool:
+        a, b = lt[u], rt[v]
+        for (x, y), rows in items:
+            if not rows[a[x]] >> b[y] & 1:
                 return False
         return True
 
@@ -693,6 +699,8 @@ class Model:
         self._rel: dict = {}
         self._pair_rels: dict = {}  # (sort, i, j) -> rels_for_pair
         self._homs: dict = {}  # (dom, cod) -> _hom_tables
+        self._leaf_vals: dict = {}  # (domain, depth) -> _leaves
+        self._closures: dict = {}  # (i, j, rows) -> admissible closure between algebras i and j
         self._const_val: dict = {}
         self._two: Optional[tuple[int, int]] = None
 
@@ -867,8 +875,12 @@ class Model:
           (Reynolds 1983; Wadler, "Theorems for free!", 1989); any relation
           decides a vacuous binder, so its body's view under ``rho`` does;
         - by a positive body's ``least_links`` (``link_test``), wherever they fit;
+        - by a ``->``/``-o`` body's ``every_links`` (``apply_link_test``): every
+          relation's view built at once and folded into one table, wherever
+          the views fit and building them stays in bound;
         - by every admissible relation, each relation's view built on first
           use; ``interp_rel`` keeps it in ``Model._rel`` for the model's life.
+        ``least=False``, the naive oracle's source, takes only the last rule.
         ``tables(i)``: the tables ``c`` of a positive body's component at ``i``
         with ``related(i, i, c, c)``, ascending, which ``_forward_check``
         generates from the same ``(i, i)`` links; None for any other body, or
@@ -890,12 +902,19 @@ class Model:
             if signs == set():
                 return self.interp_rel(rho, body).contains
             if signs is not None and len(signs) < 2:  # one extreme relation
-                q = (((1 << n) - 1,) * m if -1 in signs else (0,) * m if sort == VSORT
-                     else fm.admissible_closure((0,) * m, objs[i], objs[j]))
+                q = ((1 << n) - 1,) * m if -1 in signs else self._closure(sort, i, j, (0,) * m)
                 return self.interp_rel(rho.set(sort, binder, objs[i], objs[j], q), body).contains
             pair = pair_links(i, j)
             if pair is not None:
                 return link_test(pair, m, n)
+            if least and isinstance(body, (Arrow, Lolli)):
+                try:
+                    folded = self.every_links(rho, sort, binder, body, i, j)
+                except OutOfBoundError:
+                    folded = None
+                if folded is not None:
+                    return apply_link_test(folded, self.interp_vtype(rho.rho1.set(sort, binder, objs[i]), body),
+                                           self.interp_vtype(rho.rho2.set(sort, binder, objs[j]), body))
             rels, views = self.rels_for_pair(sort, i, j), []
 
             def every(u: int, v: int) -> bool:
@@ -937,7 +956,7 @@ class Model:
         ..., ``Em`` to ``X``, are exactly the pairs ``(g, h)`` (functions or
         homomorphisms alike) whose generated pairs ``{(g e, h e') : e, e'
         related}`` lie in the relation at ``X``; an argument's value at each
-        flat position is read through its domain's ``apply`` (``_leaves``).
+        flat position is read through its domain's ``apply`` (``Model._leaves``).
         ``X`` is the codomain, so ``(u, v)`` preserves every admissible
         relation iff ``(u d, v d')`` lies in the admissible closure of the
         pairs each argument pair ``(d, d')`` generates: admissible relations
@@ -945,7 +964,6 @@ class Model:
         """
         objs = self.objects(sort)
         m = _carrier_size(objs[i])
-        close = (lambda r: r) if sort == VSORT else (lambda r: fm.admissible_closure(r, objs[i], objs[j]))
         left_env, right_env = rho.rho1.set(sort, binder, objs[i]), rho.rho2.set(sort, binder, objs[j])
         per_arg = []  # per argument: its related pairs with their generated rows, and its two sizes
         total = 1
@@ -965,28 +983,76 @@ class Model:
                 flat = [(0, 0)]
                 for v in views:
                     flat = [(p * v.left.size + x, q * v.right.size + y) for p, q in flat for x, y in v.pairs()]
-                gd, hd = _leaves(left, len(es)), _leaves(right, len(es))
+                gd, hd = self._leaves(left, len(es)), self._leaves(right, len(es))
                 gen = [(g, h, fm.rows_of(((gp[p], hq[q]) for p, q in flat), m))
                        for g, gp in enumerate(gd) for h, hq in enumerate(hd)]
             total *= len(gen)
             if total > ITER_CAP:
                 return None
             per_arg.append((gen, sizes))
+        # each flat pair codes one argument tuple pair, and holds the union of
+        # the rows its arguments generate (None for none), one argument at a time
+        acc: dict[tuple[int, int], Optional[tuple[int, ...]]] = {(0, 0): None}
+        for gen, (sl, sr) in per_arg:
+            acc = {(p * sl + x, q * sr + y): g if r is None else r if g is None else tuple(map(int.__or__, r, g))
+                   for (p, q), r in acc.items() for x, y, g in gen}
+        empty = (0,) * m
+        return {pq: self._closure(sort, i, j, empty if r is None else r) for pq, r in acc.items()}
+
+    def every_links(self, rho: RelEnv, sort: str, binder: str, body: TypeExpr, i: int, j: int
+                    ) -> Optional[dict[tuple[int, int], tuple[int, ...]]]:
+        """A ``->``/``-o`` body's relations under every admissible relation
+        between objects i and j, folded into links ``{(x, y): rows}``: link
+        ``(x, y)`` holds the AND of the codomain rows of every relation whose
+        domain relation relates ``x`` and ``y``.  Components ``u`` at i and
+        ``v`` at j are related under every relation iff ``(u x, v y)`` lies
+        in every link (``apply_link_test``), which is ``FunRel.contains``
+        ANDed over the relations (a constraint network, Mackworth 1977, with
+        one constraint per argument pair).  Each relation's view is built
+        once, by ``interp_rel``; None when a view's codomain rows do not fit,
+        and a domain relation too large to build raises ``OutOfBoundError``
+        (``FunRel.walk``)."""
+        objs = self.objects(sort)
         links: dict[tuple[int, int], tuple[int, ...]] = {}
-        closures: dict = {}
-        arg_sizes = [s for _, s in per_arg]
-        for combo in product(*(gen for gen, _ in per_arg)):
-            p = q = 0
-            rows = (0,) * m
-            for (x, y, g), (sl, sr) in zip(combo, arg_sizes):
-                p, q = p * sl + x, q * sr + y
-                if g is not None:
-                    rows = tuple(map(int.__or__, rows, g))
-            c = closures.get(rows)
-            if c is None:
-                c = closures[rows] = close(rows)
-            links[(p, q)] = c  # each flat pair codes one argument tuple pair
+        for q in self.rels_for_pair(sort, i, j):
+            pairs, rows = self.interp_rel(rho.set(sort, binder, objs[i], objs[j], q), body).walk()  # type: ignore[attr-defined]
+            if pairs and rows is None:
+                return None
+            it = iter(pairs)
+            for xy in zip(it, it):
+                have = links.get(xy)
+                links[xy] = rows if have is None or have is rows else tuple(map(int.__and__, have, rows))
         return links
+
+    def _leaves(self, sem: SemSet, depth: int) -> list[list[int]]:
+        """For each element ``g`` of a ``->``/``-o`` chain domain, its values at
+        the flat argument positions of the first ``depth`` arguments, the first
+        argument the most significant: ``g x1 ... xdepth`` at position ``(x1,
+        ..., xdepth)``, read through each level's ``apply``; computed once
+        per domain."""
+        out = self._leaf_vals.get((sem, depth))
+        if out is None:
+            out = []
+            for g in range(sem.size):
+                vals, level = [g], sem
+                for _ in range(depth):
+                    vals = [level.apply(v, x) for v in vals for x in range(level.dom.size)]  # type: ignore[attr-defined]
+                    level = level.cod  # type: ignore[attr-defined]
+                out.append(vals)
+            self._leaf_vals[sem, depth] = out
+        return out
+
+    def _closure(self, sort: str, i: int, j: int, rows: tuple[int, ...]) -> tuple[int, ...]:
+        """The least admissible relation between objects i and j holding
+        ``rows``: ``rows`` itself between sets, and the admissible closure,
+        computed once per model, between algebras."""
+        if sort == VSORT:
+            return rows
+        key = (i, j, rows)
+        c = self._closures.get(key)
+        if c is None:
+            c = self._closures[key] = fm.admissible_closure(rows, self.algebras[i], self.algebras[j])
+        return c
 
     def _families(self, env: TypeEnv, ty: TypeExpr, comps: Sequence[SemSet]
                   ) -> tuple[tuple[int, ...], ...]:

@@ -511,6 +511,24 @@ def test_parametric_counts_report_an_oracle_disagreement(monkeypatch):
     assert rep.witness == {"n": 1, "detail": "oracle disagreement", "naive": 2, "propagated": 1}
 
 
+def test_an_oracle_disagreement_is_the_witness_over_a_miscount(monkeypatch):
+    # the same dropping search planted before either model has its families:
+    # the counts now fail too, and the witness still names the disagreement
+    cfg = fm.ModelConfig("exception", ("e",), 2)
+    search = ip.pairwise_search
+
+    def dropping(*args, **kw):
+        fams = search(*args, **kw)
+        return fams[:-1] if len(fams) > 1 else fams
+
+    monkeypatch.setattr(ip, "pairwise_search", dropping)
+    free, plain = pl.build_model(cfg, range(3)), pl.build_model(cfg, ())
+    rep = pl.verify_parametric_counts(free, plain)
+    assert rep.status == "counterexample"
+    assert rep.counts == {"n=0": 1, "n=1": 1, "n=2": 2}
+    assert rep.witness == {"n": 1, "detail": "oracle disagreement", "naive": 2, "propagated": 1}
+
+
 def test_typing_corpus_sizes():
     positives, negatives, _ = pl.typing_corpus()
     assert len(positives) >= 30
