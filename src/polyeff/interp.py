@@ -39,7 +39,7 @@ form that ``finmodel`` owns: relation environments bind rows, and an
 ``AtomRel`` keeps the rows its environment binds.
 
 The family search (``pairwise_search`` over ``Model.relatedness``) decides
-a body in one of four ways, tried in this order.  A body in which the
+a body in one of three ways, tried in this order.  A body in which the
 binder occurs with one polarity or none (``binder_signs``) is decided by
 one relation: the least admissible relation where it occurs only
 covariantly, the full relation where it occurs only contravariantly, and
@@ -49,10 +49,11 @@ the body's own relation where it does not occur.  Else a *positive* body
 arguments generate: components ``u`` at object i and ``v`` at object j are
 related iff ``(u d, v d')`` lies in the admissible closure of the pairs
 each related argument pair ``(d, d')`` generates (``Model.least_links``),
-so no relation is enumerated.  Any other ``->``/``-o`` body folds its view
-under every admissible relation of ``rels_for_pair`` into one table of links
-(``Model.every_links``), and any other body, or one whose views do not fit,
-is tested under every relation, one view at a time.
+so no relation is enumerated.  Any other body, or a positive one whose
+links do not fit, is tested under every admissible relation of
+``rels_for_pair``, one view at a time.  A family built by hand, such as an
+effect constant's (``Model.constant_family``), is checked by the same test
+(``Model.related_families``), without a search.
 Tables are generated one way only: ``_forward_check`` cuts a value mask per
 argument by the digit links that ``link_test`` reads, a positive body's least
 links or ``paramlab``'s homomorphism graphs, and the search tests each table
@@ -479,26 +480,16 @@ class ForallRel(RelView):
         # model is then freed at once rather than by the cycle collector
         self._model, self.rho = weakref.ref(model), rho
 
-    def _related_families(self) -> Callable[[tuple[int, ...], tuple[int, ...]], bool]:
-        """Whether two families are related, by one shared relatedness test."""
-        ty = self.ty
-        related, _ = self._model().relatedness(self.rho, ty.sort, ty.binder, ty.body)  # type: ignore[union-attr, attr-defined]
-
-        def test(fam_a: tuple[int, ...], fam_b: tuple[int, ...]) -> bool:
-            k = len(fam_a)
-            return all(related(i, j, fam_a[i], fam_b[j]) for i in range(k) for j in range(k))
-
-        return test
-
     def contains(self, a: int, b: int) -> bool:
         """Reads this view's rows whenever they fit: a query costs k * k
         relatedness tests, and the few families make the rows small."""
         if self.fits():
             return self.rows()[a] >> b & 1
-        return self._related_families()(self.left.fams[a], self.right.fams[b])  # type: ignore[attr-defined]
+        related = self._model().related_families(self.rho, self.ty)  # type: ignore[union-attr]
+        return related(self.left.fams[a], self.right.fams[b])  # type: ignore[attr-defined]
 
     def _build_rows(self) -> tuple[int, ...]:
-        related = self._related_families()
+        related = self._model().related_families(self.rho, self.ty)  # type: ignore[union-attr]
         right_fams = self.right.fams  # type: ignore[attr-defined]
         return tuple(
             fm.mask_of((b for b, fam_b in enumerate(right_fams) if related(fam_a, fam_b)), self.right.size)
@@ -596,25 +587,6 @@ def link_test(links: dict[tuple[int, int], tuple[int, ...]], m: int, n: int) -> 
     def test(u: int, v: int) -> bool:
         for mp, nq, rows in digits:
             if not rows[u // mp % m] >> (v // nq % n) & 1:
-                return False
-        return True
-
-    return test
-
-
-def apply_link_test(links: dict[tuple[int, int], tuple[int, ...]], left: SemSet, right: SemSet
-                    ) -> Callable[[int, int], bool]:
-    """``test(u, v)``: ``(u x, v y)`` lies in ``rows`` for every link ``(x, y):
-    rows``, applying functions of ``left`` and ``right`` (``->`` or ``-o``
-    domains of one type) by their digits or their homomorphism tables."""
-    if isinstance(left, FunSem):
-        return link_test(links, left.cod.size, right.cod.size)
-    lt, rt, items = left.tables, right.tables, tuple(links.items())  # type: ignore[attr-defined]
-
-    def test(u: int, v: int) -> bool:
-        a, b = lt[u], rt[v]
-        for (x, y), rows in items:
-            if not rows[a[x]] >> b[y] & 1:
                 return False
         return True
 
@@ -875,9 +847,6 @@ class Model:
           (Reynolds 1983; Wadler, "Theorems for free!", 1989); any relation
           decides a vacuous binder, so its body's view under ``rho`` does;
         - by a positive body's ``least_links`` (``link_test``), wherever they fit;
-        - by a ``->``/``-o`` body's ``every_links`` (``apply_link_test``): every
-          relation's view built at once and folded into one table, wherever
-          the views fit and building them stays in bound;
         - by every admissible relation, each relation's view built on first
           use; ``interp_rel`` keeps it in ``Model._rel`` for the model's life.
         ``least=False``, the naive oracle's source, takes only the last rule.
@@ -907,14 +876,6 @@ class Model:
             pair = pair_links(i, j)
             if pair is not None:
                 return link_test(pair, m, n)
-            if least and isinstance(body, (Arrow, Lolli)):
-                try:
-                    folded = self.every_links(rho, sort, binder, body, i, j)
-                except OutOfBoundError:
-                    folded = None
-                if folded is not None:
-                    return apply_link_test(folded, self.interp_vtype(rho.rho1.set(sort, binder, objs[i]), body),
-                                           self.interp_vtype(rho.rho2.set(sort, binder, objs[j]), body))
             rels, views = self.rels_for_pair(sort, i, j), []
 
             def every(u: int, v: int) -> bool:
@@ -942,6 +903,19 @@ class Model:
             return _forward_check(n, _carrier_size(objs[i]), pair)
 
         return related, tables
+
+    def related_families(self, rho: RelEnv, ty: TypeExpr) -> Callable[[tuple[int, ...], tuple[int, ...]], bool]:
+        """Whether two families of the quantified type ``ty`` are related under
+        ``rho``: their components at every object pair, by one shared
+        ``relatedness`` test.  A family is parametric iff it is related to
+        itself under ``diag_relenv``."""
+        related, _ = self.relatedness(rho, ty.sort, ty.binder, ty.body)
+
+        def test(fam_a: tuple[int, ...], fam_b: tuple[int, ...]) -> bool:
+            k = len(fam_a)
+            return all(related(i, j, fam_a[i], fam_b[j]) for i in range(k) for j in range(k))
+
+        return test
 
     def least_links(self, rho: RelEnv, sort: str, binder: str, args: list, i: int, j: int
                     ) -> Optional[dict[tuple[int, int], tuple[int, ...]]]:
@@ -998,31 +972,6 @@ class Model:
                    for (p, q), r in acc.items() for x, y, g in gen}
         empty = (0,) * m
         return {pq: self._closure(sort, i, j, empty if r is None else r) for pq, r in acc.items()}
-
-    def every_links(self, rho: RelEnv, sort: str, binder: str, body: TypeExpr, i: int, j: int
-                    ) -> Optional[dict[tuple[int, int], tuple[int, ...]]]:
-        """A ``->``/``-o`` body's relations under every admissible relation
-        between objects i and j, folded into links ``{(x, y): rows}``: link
-        ``(x, y)`` holds the AND of the codomain rows of every relation whose
-        domain relation relates ``x`` and ``y``.  Components ``u`` at i and
-        ``v`` at j are related under every relation iff ``(u x, v y)`` lies
-        in every link (``apply_link_test``), which is ``FunRel.contains``
-        ANDed over the relations (a constraint network, Mackworth 1977, with
-        one constraint per argument pair).  Each relation's view is built
-        once, by ``interp_rel``; None when a view's codomain rows do not fit,
-        and a domain relation too large to build raises ``OutOfBoundError``
-        (``FunRel.walk``)."""
-        objs = self.objects(sort)
-        links: dict[tuple[int, int], tuple[int, ...]] = {}
-        for q in self.rels_for_pair(sort, i, j):
-            pairs, rows = self.interp_rel(rho.set(sort, binder, objs[i], objs[j], q), body).walk()  # type: ignore[attr-defined]
-            if pairs and rows is None:
-                return None
-            it = iter(pairs)
-            for xy in zip(it, it):
-                have = links.get(xy)
-                links[xy] = rows if have is None or have is rows else tuple(map(int.__and__, have, rows))
-        return links
 
     def _leaves(self, sem: SemSet, depth: int) -> list[list[int]]:
         """For each element ``g`` of a ``->``/``-o`` chain domain, its values at
@@ -1311,38 +1260,43 @@ class Model:
         self._const_val[key] = (to_t, from_t)
         return to_t, from_t
 
-    def constant_value(self, name: str) -> int:
-        hit = self._const_val.get(name)
-        if hit is not None:
-            return hit
+    def constant_family(self, name: str) -> tuple[list[SemSet], tuple[int, ...]]:
+        """An effect constant's components, one domain per registered object as
+        ``_interp_vtype`` builds them, and its family, built by hand; the
+        scheme's families are not searched, so the family may not be parametric."""
         if name not in self.constants:
             raise InterpError(f"no value for {name!r}: it is neither bound nor a constant")
-        poly = self.interp_vtype(TypeEnv(), self.constants[name])
+        ty = self.constants[name]
+        comps = [self.interp_vtype(TypeEnv().set(ty.sort, ty.binder, obj), ty.body) for obj in self.objects(ty.sort)]
         names = [op for op, _ in self.monad.operations]
         if name in names:
             k = names.index(name)
-            val = poly.encode(tuple(op_index(comp, self.monad.arities[k], lambda args: alg.op(k, args))
-                                    for alg, comp in zip(self.algebras, poly.comps)))
-        else:  # handle^e
-            if self.bound < 2:
-                raise OutOfBoundError(f"{name} needs the two values of 1 + 1, but no set of size 2"
-                                      f" is registered at bound {self.bound}")
-            e_idx = self.monad.exceptions.index(name.partition("^")[2])
-            i0, i1 = self.two_values()
-            fam = []
-            for s_idx, aset in enumerate(self.sets):
-                comp = poly.comps[s_idx]
-                to_t, _ = self.bang_bridge(aset.size)
-                dom = comp.dom
-                table = []
-                for u in range(dom.size):
-                    p = dom.apply(u, i0)  # type: ignore[attr-defined]
-                    q = dom.apply(u, i1)  # type: ignore[attr-defined]
-                    table.append(q if to_t[p] == aset.size + e_idx else p)
-                fam.append(comp.encode(table))
-            val = poly.encode(tuple(fam))
-        self._const_val[name] = val
-        return val
+            return comps, tuple(op_index(comp, self.monad.arities[k], lambda args: alg.op(k, args))
+                                for alg, comp in zip(self.algebras, comps))
+        # handle^e
+        if self.bound < 2:
+            raise OutOfBoundError(f"{name} needs the two values of 1 + 1, but no set of size 2"
+                                  f" is registered at bound {self.bound}")
+        e_idx = self.monad.exceptions.index(name.partition("^")[2])
+        i0, i1 = self.two_values()
+        fam = []
+        for aset, comp in zip(self.sets, comps):
+            to_t, _ = self.bang_bridge(aset.size)
+            dom = comp.dom  # type: ignore[attr-defined]
+            # the raise point of e picks the second branch, any other point the first
+            pqs = [(dom.apply(u, i0), dom.apply(u, i1)) for u in range(dom.size)]
+            fam.append(comp.encode([q if to_t[p] == aset.size + e_idx else p for p, q in pqs]))  # type: ignore[attr-defined]
+        return comps, tuple(fam)
+
+    def constant_value(self, name: str) -> int:
+        """The index of ``constant_family``'s family among the scheme's parametric families."""
+        hit = self._const_val.get(name)
+        if hit is None:
+            _, fam = self.constant_family(name)
+            poly = self.interp_vtype(TypeEnv(), self.constants[name])
+            hit = self._const_val[name] = poly.encode(fam)  # type: ignore[attr-defined]
+        return hit
+
 
 def op_index(sem: SemSet, n: int, op: Callable, args: tuple = ()) -> int:
     """The index in ``sem`` of the curried n-ary operation ``op`` on argument tuples."""

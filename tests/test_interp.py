@@ -39,7 +39,6 @@ from polyeff.surface import parse_term, parse_type
 
 EXC = fm.MonadSpec("exception", ("e",))
 POW = fm.MonadSpec("powerset")
-EXC_CONSTANTS = enc.register_effect_constants(EXC)
 
 
 @pytest.fixture(scope="module")
@@ -292,6 +291,24 @@ def test_thunk_applies_the_continuation(free_model):
             comp = poly.comps[k]
             for f in range(comp.dom.size):
                 assert comp.apply(poly.fams[fam][k], f) == comp.dom.apply(f, tval)
+
+
+def test_the_handler_family_is_parametric_by_definition_iff_the_search_lists_it():
+    # related to itself under the diagonal, the check verify_handler runs,
+    # against membership in the searched families (on a model of its own), for
+    # the handler's family and for every tuple that differs from it in one
+    # component
+    searched, defined = ip.Model(EXC, 2, range(3)), ip.Model(EXC, 2, range(3))
+    scheme = defined.constants["handle^e"]
+    listed = set(searched.interp_vtype(ip.TypeEnv(), scheme).fams)
+    assert len(listed) == 12
+    comps, fam = defined.constant_family("handle^e")
+    parametric = defined.related_families(ip.diag_relenv(ip.TypeEnv()), scheme)
+    tuples = [fam] + [fam[:i] + (c,) + fam[i + 1:]
+                      for i, comp in enumerate(comps) for c in range(comp.size) if c != fam[i]]
+    assert len(tuples) == 1 + 6567
+    assert [parametric(t, t) for t in tuples] == [t in listed for t in tuples]
+    assert fam in listed
 
 
 def test_handler_case_split(free_model):
@@ -1042,105 +1059,50 @@ def test_least_relations_of_lolli_arguments_match_every_relation(three_models, s
         assert compared > 100, m.monad
 
 
-# the quantified types whose bodies the all-relations links decide in
-# recorded runs, with the free variable each ranges over (None: closed)
-LINK_RULE_TYPES = [("handle^e", None), ("forall Z. (Z -> Z) -> Z", None),
-                   ("forall Y. (forall Z. (Z -> X) -> Y) -> Y", "X")]
-LINK_RULE_MONADS = {"E={e}": EXC, "E={e1,e2}": fm.MonadSpec("exception", ("e1", "e2")),
-                    "powerset": POW, "identity": fm.MonadSpec("identity")}
-
-
-def _link_rule_against_every_relation(m, ty, env):
-    """``(compared pairs, disagreements, families)``: the all-relations links
-    and the every-relation oracle on every object pair whose components are
-    in bound and have between 1 and 65536 pairs ``(u, v)``, each pair
-    decided by the links; families from both sources where every component
-    is in bound, else None."""
-    sort, binder, body = ty.sort, ty.binder, ty.body
-    rho, objs = ip.diag_relenv(env), m.objects(sort)
-    related, _ = m.relatedness(rho, sort, binder, body)
-    every, _ = m.relatedness(rho, sort, binder, body, least=False)
-    sizes = []
-    for o in objs:
-        try:
-            sizes.append(m.interp_vtype(env.set(sort, binder, o), body).size)
-        except ip.OutOfBoundError:
-            sizes.append(None)
-    compared, wrong = 0, []
-    for i, j in product(range(len(objs)), repeat=2):
-        if sizes[i] is None or sizes[j] is None or not 0 < sizes[i] * sizes[j] <= 65536:
-            continue
-        assert m.every_links(rho, sort, binder, body, i, j) is not None, (i, j)
-        compared += 1
-        wrong += [(i, j, u, v) for u, v in product(range(sizes[i]), range(sizes[j]))
-                  if bool(related(i, j, u, v)) != bool(every(i, j, u, v))]
-    fams = None
-    if None not in sizes:
-        comps = [m.interp_vtype(env.set(sort, binder, o), body) for o in objs]
-        fams = (m._families(env, ty, comps), ip.pairwise_search(sizes, every))
-    return compared, wrong, fams
-
-
-# powerset at bound 3 is left out: its model spends 30 s on structure tables
-# before the handler's hom space at |X| = 3 turns out to be out of bound
-@pytest.mark.parametrize("monad, bound", [(monad, 2) for monad in LINK_RULE_MONADS]
-                         + [("E={e}", 3), ("E={e1,e2}", 3), ("identity", 3)], ids=str)
-def test_all_relations_links_match_every_relation(monad, bound):
-    # the handler's body and two identity-extension bodies, mixed and not
-    # positive, at every object pair in bound: the links folded from every
-    # relation and the every-relation oracle relate the same components, and
-    # the family search finds the same families from both; the two set
-    # types hold no computation type, so only E={e} runs them
-    m = ip.Model(LINK_RULE_MONADS[monad], bound, range(bound + 1))
-    compared, families = 0, 0
-    for src, free in LINK_RULE_TYPES if monad == "E={e}" else LINK_RULE_TYPES[:1]:
-        ty = EXC_CONSTANTS[src] if src in EXC_CONSTANTS else parse_type(src)
-        for env in [ip.TypeEnv()] if free is None else [ip.type_env({free: s}) for s in m.sets]:
-            pairs, wrong, fams = _link_rule_against_every_relation(m, ty, env)
-            assert wrong == [], (src, env)
-            compared += pairs
-            if fams is not None:
-                assert fams[0] == fams[1], (src, env)
-                families += 1
-    assert compared > 0
-    if monad == "E={e}":
-        assert compared >= 3 * 9 and families >= 3
-
-
-@pytest.mark.parametrize("src, free, dropped", [(src, free, 0 if "Z -> Z" in src else 1)
-                                                for src, free in LINK_RULE_TYPES])
-def test_a_fold_that_drops_a_relation_is_caught(monkeypatch, src, free, dropped):
-    # a planted fold that leaves one relation out of each pair's links, one
-    # that decides some pair of the body (the empty relation for (Z -> Z) ->
-    # Z, the second most selective for the other two): the cross-check
-    # against every relation sees the pairs it relates too freely
-    m = ip.Model(EXC, 2, range(3))
-    fold, listed = m.every_links, m.rels_for_pair
-
-    def dropping(rho, sort, binder, body, i, j):
-        kept = [q for k, q in enumerate(listed(sort, i, j)) if k != dropped]
-        monkeypatch.setattr(m, "rels_for_pair", lambda *key: kept if key == (sort, i, j) else listed(*key))
-        try:
-            return fold(rho, sort, binder, body, i, j)
-        finally:
-            monkeypatch.setattr(m, "rels_for_pair", listed)
-
-    monkeypatch.setattr(m, "every_links", dropping)
-    ty = EXC_CONSTANTS[src] if src in EXC_CONSTANTS else parse_type(src)
-    wrong = []
-    for env in [ip.TypeEnv()] if free is None else [ip.type_env({free: s}) for s in m.sets]:
-        wrong += _link_rule_against_every_relation(m, ty, env)[1]
-    assert wrong
+@pytest.mark.parametrize("src", [
+    "(Y -> Y) -> X -> X",  # an argument free of X whose 4 x 4 view does not fit
+    "X -> (Y -> X) -> X",  # a chain argument with 4 x 4 functions at the 2-element sets
+    "X -> X -> X",  # 4 x 4 argument-tuple pairs at the 2-element sets
+])
+def test_least_links_past_a_lowered_cap_fall_back_to_every_relation(monkeypatch, src):
+    # past a cap of 15, each mixed positive body has no least links at the
+    # pair of 2-element sets, for a different reason each, so relatedness
+    # tests every relation there: wherever relatedness(least=False) decides a
+    # pair of components, relatedness agrees with it, and wherever it is out
+    # of bound so is relatedness
+    body = parse_type(src)
+    rho = ip.diag_relenv(ip.type_env({"Y": fm.FinSet(2)}))
+    args = ip.positive_args(VSORT, "X", body)
+    assert ip.Model(EXC, 2).least_links(rho, VSORT, "X", args, 2, 2) is not None
+    monkeypatch.setattr(ip, "ITER_CAP", 15)
+    m = ip.Model(EXC, 2)
+    assert m.least_links(rho, VSORT, "X", args, 2, 2) is None
+    related, _ = m.relatedness(rho, VSORT, "X", body)
+    every, _ = m.relatedness(rho, VSORT, "X", body, least=False)
+    sizes = [m.interp_vtype(rho.rho1.set(VSORT, "X", s), body).size for s in m.sets]
+    sample = [sorted({k for k in (0, 1, n // 2, n - 1) if 0 <= k < n}) for n in sizes]
+    decided = 0
+    for i, j in product(range(len(sizes)), repeat=2):
+        for u, v in product(sample[i], sample[j]):
+            try:
+                want = every(i, j, u, v)
+            except ip.OutOfBoundError:
+                with pytest.raises(ip.OutOfBoundError):
+                    related(i, j, u, v)
+                continue
+            assert bool(related(i, j, u, v)) == bool(want), (i, j, u, v)
+            decided += 1
+    assert decided > 0
 
 
 def test_the_naive_oracle_calls_no_link_rule_and_no_memo(monkeypatch):
     # relatedness(least=False) and enumerate_families_naive decide each body
-    # under every relation, never through links or the least links' memos,
+    # under every relation, never through the least links or their memos,
     # which the family search reaches on the same bodies; the bodies hold no
     # nested quantifier, whose views the two searches share
     m = ip.Model(EXC, 2)
     reached = []
-    for name in ("every_links", "least_links", "_leaves", "_closure"):
+    for name in ("least_links", "_leaves", "_closure"):
         monkeypatch.setattr(m, name, lambda *args, name=name, real=getattr(m, name): reached.append(name) or real(*args))
     types = [parse_type(src) for src in ("forall Z. (Z -> Z) -> Z", "forall ^X. ^X -> ^X -> ^X",
                                          "forall ^X. (^X -o ^X) -> ^X", "forall X. (X -> X) -> X -> X")]
@@ -1155,7 +1117,7 @@ def test_the_naive_oracle_calls_no_link_rule_and_no_memo(monkeypatch):
     assert reached == []
     for ty in types:
         m.interp_vtype(ip.TypeEnv(), ty)
-    assert set(reached) == {"every_links", "least_links", "_leaves", "_closure"}
+    assert set(reached) == {"least_links", "_leaves", "_closure"}
 
 
 @pytest.mark.parametrize("sort, binder, src", [

@@ -18,12 +18,14 @@ from polyeff.kernel import (
     Var,
     VVar,
     alpha_canonical,
+    all_type_var_names,
     alpha_eq,
     classify_type,
     free_type_vars,
     subst_term,
     subst_type,
 )
+from polyeff import typecheck as tc
 from polyeff.randterms import TermGenerator
 from polyeff.surface import parse_term, parse_type
 
@@ -132,6 +134,22 @@ def test_subst_term_protects_type_binders():
     repl = parse_term("fun z:X => z")
     out = subst_term(body, "x", repl)
     assert out.binder != "X"
+
+
+def test_subst_term_renames_a_type_binder_over_an_application():
+    # s names X in its annotations only, so x:C -> C lies in no X; under
+    # Fun X the binder must be renamed through an application, a type
+    # application and a nested type abstraction
+    s = parse_term("(fun z:X -> X => fun w:C => w) (fun v:X => v)")
+    t = parse_term("Fun X => (fun h:C -> C => fun u:X => u) ((Fun Y => x) @[X])")
+    assert all_type_var_names(t) == {"X", "Y", "C"}
+    out = subst_term(t, "x", s)
+    new = out.binder
+    assert new not in all_type_var_names(s) | all_type_var_names(t)
+    assert out == parse_term(f"Fun {new} => (fun h:C -> C => fun u:{new} => u) ((Fun Y => {s}) @[{new}])")
+    sample = tc.SubstSample(1, (), None, "x", parse_type("C -> C"), t, s)
+    rep = tc.check_substitution_lemma([sample])
+    assert rep.ok and rep.total == 1, rep.failures
 
 
 def test_alpha_eq_binders():

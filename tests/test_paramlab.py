@@ -243,6 +243,34 @@ def test_handler_catches_a_raise_index_off_by_one(exc_free, monkeypatch):
     assert rep.witness["law"] == "case-split"
 
 
+def test_handler_searches_no_family_of_its_scheme(monkeypatch):
+    # membership is checked by the definition of a parametric family, so the
+    # handler's scheme is never searched; the components' own quantifiers are
+    searched, real = [], ip.Model._families
+    monkeypatch.setattr(ip.Model, "_families",
+                        lambda self, env, ty, comps: searched.append(ty) or real(self, env, ty, comps))
+    model = pl.build_model(fm.ModelConfig("exception", ("e",), 2), range(3))
+    rep = pl.verify_handler(model)
+    assert rep.status == "verified", rep.witness
+    assert searched and model.constants["handle^e"] not in searched
+
+
+def test_handler_catches_a_family_that_is_not_parametric(monkeypatch):
+    # the handler's family with one component moved to a value that the
+    # family search (on a model of its own) lists in no family
+    cfg = fm.ModelConfig("exception", ("e",), 2)
+    oracle, model = pl.build_model(cfg, range(3)), pl.build_model(cfg, range(3))
+    listed = set(oracle.interp_vtype(ip.TypeEnv(), oracle.constants["handle^e"]).fams)
+    comps, fam = oracle.constant_family("handle^e")
+    moved = (fam[:i] + (c,) + fam[i + 1:] for i, comp in enumerate(comps) for c in range(comp.size))
+    planted = next(t for t in moved if t not in listed)
+    real = model.constant_family
+    monkeypatch.setattr(model, "constant_family", lambda name: (real(name)[0], planted))
+    rep = pl.verify_handler(model)
+    assert rep.status == "counterexample"
+    assert rep.witness == {"law": "membership", "e": "e", "detail": "family is not parametric"}
+
+
 def test_handler_needs_exception_monad():
     model = pl.build_model(fm.ModelConfig("powerset", (), 2), range(3))
     assert pl.verify_handler(model).status == "out-of-bound"

@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from polyeff import typecheck as tc
 from polyeff.kernel import (
-    App, Arrow, CVar, Kind, Lam, LinLam, TyAppC, TyAppV, TyLamC, TyLamV, VVar, Var, alpha_eq,
-    classify_type,
+    App, Arrow, CVar, ForallC, ForallV, Kind, Lam, LinLam, TyAppC, TyAppV, TyLamC, TyLamV, VVar, Var,
+    alpha_eq, classify_type,
 )
 from polyeff.randterms import TermGenerator
 
@@ -47,6 +47,18 @@ def test_subst_samples_have_valid_premises():
             else:
                 got = tc.synth(s.gamma, (s.x, s.a), s.t)
             assert got is not None
+
+
+@pytest.mark.parametrize("var, forall", [(VVar, ForallV), (CVar, ForallC)])
+@pytest.mark.parametrize("seed", range(5))
+def test_a_type_abstraction_renames_a_binder_free_in_the_context(seed, var, forall):
+    # the goal's binder X is free in the context, so the abstraction binds a
+    # fresh name; the term must still typecheck to the goal
+    gamma = (("x", var("X")),)
+    goal = forall("X", Arrow(var("X"), var("X")))
+    t = TermGenerator(seed)._try("tylam", None, gamma, None, goal, 3)
+    assert t is not None and t.binder != "X"
+    assert alpha_eq(tc.synth(gamma, None, t), goal)
 
 
 def args_of(t):
