@@ -318,10 +318,12 @@ def in_carriers(rows: Sequence[int], m: int, n: int) -> bool:
     return len(rows) == m and all(0 <= row < 1 << n for row in rows)
 
 
-def preimage(f: Sequence[int], g: Sequence[int], rows: Sequence[int]) -> tuple[int, ...]:
-    """(f,g)^-1 R = { (x,y) | (f x, g y) in R }."""
+def preimage_table(g: Sequence[int], n: int) -> tuple[int, ...]:
+    """The preimage row along ``g`` (a map into ``n`` points) of each of the
+    ``2^n`` rows: the preimage of R along (f, g), { (x,y) | (f x, g y) in R },
+    has row ``table[R[f x]]`` at x."""
     return tuple(
-        mask_of((y for y, gy in enumerate(g) if rows[fx] >> gy & 1), len(g)) for fx in f
+        mask_of((y for y, gy in enumerate(g) if row >> gy & 1), len(g)) for row in range(1 << n)
     )
 
 

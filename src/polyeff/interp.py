@@ -860,6 +860,7 @@ class Model:
         args = positive_args(sort, binder, body) if least else None
         links: dict = {}  # (i, j) -> least_links
         tests: dict = {}  # (i, j) -> the pair's test
+        body_test = self.interp_rel(rho, body).contains if signs == set() else None  # every pair's, for a vacuous binder
 
         def pair_links(i: int, j: int) -> Optional[dict[tuple[int, int], tuple[int, ...]]]:
             if (i, j) not in links:
@@ -869,7 +870,7 @@ class Model:
         def test_for(i: int, j: int) -> Callable[[int, int], bool]:
             m, n = _carrier_size(objs[i]), _carrier_size(objs[j])
             if signs == set():
-                return self.interp_rel(rho, body).contains
+                return body_test
             if signs is not None and len(signs) < 2:  # one extreme relation
                 q = ((1 << n) - 1,) * m if -1 in signs else self._closure(sort, i, j, (0,) * m)
                 return self.interp_rel(rho.set(sort, binder, objs[i], objs[j], q), body).contains

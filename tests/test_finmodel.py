@@ -211,13 +211,27 @@ def test_closure_joins_more_than_two_pairs():
     assert fm.admissible_closure((1, 1, 0, 1, 0, 0, 0), f3, one)[6] == 1  # the singletons join to element 6
 
 
+def _preimage(f, g, rows, n):
+    """The preimage of ``rows`` along ``(f, g)``, read from g's preimage table
+    (``g`` maps into ``n`` points)."""
+    table = fm.preimage_table(g, n)
+    return tuple(table[rows[fx]] for fx in f)
+
+
 def test_preimage_matches_the_per_pair_definition():
     for m, n in product(range(5), repeat=2):
         for r in _sample(_set_rels_oracle(m, n), 8):
             for f in product(range(m), repeat=2):
                 for g in product(range(n), repeat=2):
                     want = {(x, y) for x in range(2) for y in range(2) if (f[x], g[y]) in r}
-                    assert fm.preimage(f, g, _rows(r, m)) == _rows(want, 2)
+                    assert _preimage(f, g, _rows(r, m), n) == _rows(want, 2)
+
+
+def test_preimage_table_has_a_row_per_row_value():
+    # g = (1, 0, 1): the preimage of {1} is {0, 2}, of {0} is {1}
+    assert fm.preimage_table((1, 0, 1), 2) == (0, 0b010, 0b101, 0b111)
+    assert fm.preimage_table((), 2) == (0, 0, 0, 0)
+    assert fm.preimage_table((), 0) == (0,)
 
 
 def _rel_order(rows):
@@ -300,9 +314,9 @@ def test_closure_is_a_closure_operator():
 
 def test_relation_operations():
     r = (0b10, 0)  # {(0, 1)}
-    assert fm.preimage((0, 1), (0, 1), r) == r
+    assert _preimage((0, 1), (0, 1), r, 2) == r
     # the graph of f is the preimage of the diagonal along (f, id)
-    assert fm.preimage((1, 0), (0, 1), fm.diagonal(2)) == (0b10, 0b01)
+    assert _preimage((1, 0), (0, 1), fm.diagonal(2), 2) == (0b10, 0b01)
     assert fm.rel_pairs((0b10, 0b01)) == [(0, 1), (1, 0)]
     assert fm.rows_of([(1, 0), (0, 1)], 2) == (0b10, 0b01)
     assert fm.in_carriers((0b10, 0b01), 2, 2)
@@ -315,7 +329,7 @@ def test_preimage_of_admissible_relation_along_homs_is_admissible():
     for q in fm.enumerate_alg_rels(target, target):
         for f in fm.enumerate_homs(fa, target, ip.ITER_CAP):
             for g in fm.enumerate_homs(fa, target, ip.ITER_CAP):
-                assert fm.admissible(fm.preimage(f, g, q), fa, fa)
+                assert fm.admissible(_preimage(f, g, q, 2), fa, fa)
 
 
 def test_monad_laws_small():

@@ -69,6 +69,67 @@ def test_rel_lifting_characterisations(exc_free):
     assert rep.status == "verified", rep.witness
 
 
+def _recorded_failures(monkeypatch, suite, model):
+    """The report of ``suite`` on ``model`` and every failure it recorded, in order."""
+    seen = []
+    report = pl._model_report
+    monkeypatch.setattr(pl, "_model_report", lambda theorem, model, t0, failures, counts=None:
+                        seen.extend(failures) or report(theorem, model, t0, failures, counts))
+    return suite(model), seen
+
+
+def _unclosed_lifting(model, r, a, b):
+    """The eta-pairs of R, without the admissible closure."""
+    _, fa, eta_a = model.free_algebra(a)
+    _, fb, eta_b = model.free_algebra(b)
+    return fm.rows_of(((eta_a[x], eta_b[y]) for x, y in fm.rel_pairs(r)), fa.carrier.size)
+
+
+def _full_lifting(model, r, a, b):
+    """Every pair of T A x T B, whatever R is."""
+    _, fa, _ = model.free_algebra(a)
+    _, fb, _ = model.free_algebra(b)
+    return ((1 << fb.carrier.size) - 1,) * fa.carrier.size
+
+
+def _adjoint_reference(model):
+    """rel-lifting's adjoint failures, one pairwise test of both sides per instance."""
+    failures = []
+    bounded = [i for i, alg in enumerate(model.algebras) if alg.carrier.size <= model.bound]
+    for a, b in itertools.product(pl.CHECKED_SIZES, repeat=2):
+        _, fa, eta_a = model.free_algebra(a)
+        _, fb, eta_b = model.free_algebra(b)
+        for r in model.rels_for_pair(ip.VSORT, a, b):
+            rl, bang_r = fm.rel_pairs(r), fm.rel_pairs(pl.lifted_rel(model, r, a, b))
+            for i, j in itertools.product(bounded, repeat=2):
+                for q in model.rels_for_pair(ip.CSORT, i, j):
+                    for f in model._hom_tables(fa, model.algebras[i]):
+                        for g in model._hom_tables(fb, model.algebras[j]):
+                            lhs = all(q[f[z]] >> g[w] & 1 for z, w in bang_r)
+                            rhs = all(q[f[eta_a[x]]] >> g[eta_b[y]] & 1 for x, y in rl)
+                            if lhs != rhs:
+                                failures.append({"a": a, "b": b, "R": rl, "Q": fm.rel_pairs(q),
+                                                 "algs": [i, j], "f": list(f), "g": list(g)})
+    return failures
+
+
+@pytest.mark.parametrize("lifting, adjoint_failures", [(_unclosed_lifting, 0), (_full_lifting, 2472)],
+                         ids=["unclosed", "full"])
+def test_rel_lifting_catches_a_wrong_lifting(monkeypatch, lifting, adjoint_failures):
+    # without the closure the adjoint's two sides test the same pairs, so only
+    # the characterisations disagree; a lifting that relates every pair fails
+    # the adjoint too, at the same instances and in the same order as a
+    # pairwise loop
+    model = pl.build_model(fm.ModelConfig("exception", ("e",), 2), range(3))
+    monkeypatch.setattr(pl, "lifted_rel", lifting)
+    rep, failures = _recorded_failures(monkeypatch, pl.verify_rel_lifting, model)
+    assert rep.status == "counterexample"
+    assert {"a", "b", "R"} <= rep.witness.keys()
+    adjoint = [f for f in failures if "Q" in f]
+    assert len(adjoint) == adjoint_failures
+    assert adjoint == _adjoint_reference(model)
+
+
 def test_lifting_of_empty_relation_is_the_raise_pair(exc_free):
     lifted = pl.lifted_rel(exc_free, (0,), 1, 1)
     assert lifted == (0, 0b10)  # {(1, 1)}
@@ -427,6 +488,87 @@ def test_relation_axioms_check_the_model_listing(monkeypatch, sort, i, j, drop, 
     rep = pl.verify_rel_axioms(model)
     assert rep.status == "counterexample"
     assert rep.witness == axiom
+
+
+def _listing(model, sort):
+    """rel-axioms' objects within the bound, their relation spaces and their maps."""
+    objs = model.objects(sort)
+    size = {k: ip._carrier_size(o) for k, o in enumerate(objs) if ip._carrier_size(o) <= model.bound}
+    rels = {(i, j): model.rels_for_pair(sort, i, j) for i in size for j in size}
+    maps = {(i, j): model._hom_tables(objs[i], objs[j]) if sort == ip.CSORT
+            else list(itertools.product(range(size[j]), repeat=size[i])) for i, j in rels}
+    return size, rels, maps
+
+
+def _definition_preimage(f, g, r, m, n):
+    """{(x, y) | (f x, g y) in R}, one pair at a time, on carriers of sizes m and n."""
+    return fm.rows_of(((x, y) for x in range(m) for y in range(n) if r[f[x]] >> g[y] & 1), m)
+
+
+def _preimage_mismatches(model, preimage_table):
+    """Each listed R and pair of maps (f, g) of rel-axioms at which the preimage
+    read from ``preimage_table`` differs from the definition over pairs."""
+    bad = []
+    for sort in (ip.VSORT, ip.CSORT):
+        size, rels, maps = _listing(model, sort)
+        for (a1, a2), fs in maps.items():
+            for (b1, b2), gs in maps.items():
+                tables = [preimage_table(g, size[b2]) for g in gs]
+                for r in rels[a2, b2]:
+                    for f in fs:
+                        for g, table in zip(gs, tables):
+                            if tuple(table[r[x]] for x in f) != _definition_preimage(f, g, r, size[a1], size[b1]):
+                                bad.append((sort, r, f, g))
+    return bad
+
+
+@pytest.mark.parametrize("monad, excs", [("exception", ("e",)), ("identity", ()), ("powerset", ())])
+def test_preimage_tables_match_the_definition_over_the_listing(monad, excs):
+    model = pl.build_model(fm.ModelConfig(monad, excs, 2), ())
+    assert _preimage_mismatches(model, fm.preimage_table) == []
+    # a preimage that ignores R and returns the full relation passes
+    # rel-axioms, whose listings all hold the full relation; the definition
+    # check catches it
+    full = lambda g, n: ((1 << len(g)) - 1,) * (1 << n)  # noqa: E731
+    assert _preimage_mismatches(model, full)
+
+
+def _r2_reference(model):
+    """rel-axioms' R2 failures, each preimage built pair by pair from its definition."""
+    failures = []
+    for sort in (ip.VSORT, ip.CSORT):
+        size, rels, maps = _listing(model, sort)
+        listed = {ij: set(rs) for ij, rs in rels.items()}
+        for (a1, a2), fs in maps.items():
+            for (b1, b2), gs in maps.items():
+                for r in rels[a2, b2]:
+                    for f in fs:
+                        for g in gs:
+                            if _definition_preimage(f, g, r, size[a1], size[b1]) not in listed[a1, b1]:
+                                failures.append({"axiom": "R2", "kind": "set" if sort == ip.VSORT else "alg",
+                                                 "objects": [a1, a2, b1, b2], "R": fm.rel_pairs(r),
+                                                 "f": list(f), "g": list(g)})
+    return failures
+
+
+@pytest.mark.parametrize("sort, k, drop", [(ip.VSORT, 2, -2), (ip.CSORT, 1, -2), (ip.VSORT, 2, 5), (ip.CSORT, 1, 1)])
+def test_relation_axioms_catch_a_dropped_relation_by_r2(monkeypatch, sort, k, drop):
+    # dropping one relation that is neither empty, full nor diagonal from a
+    # listing fails R2 (and R3 too when the relation is an intersection of two
+    # others); R2 records the failures of a pairwise loop, in its order. The
+    # last two drops fail R2 along several pairs of maps for one R.
+    model = pl.build_model(fm.ModelConfig(), ())
+    listed = model.rels_for_pair
+    missing = listed(sort, k, k)[drop]
+    assert missing not in (fm.diagonal(2), (0, 0), (3, 3))
+    monkeypatch.setattr(model, "rels_for_pair", lambda *key: [
+        r for r in listed(*key) if key != (sort, k, k) or r != missing])
+    rep, failures = _recorded_failures(monkeypatch, pl.verify_rel_axioms, model)
+    assert rep.status == "counterexample"
+    r2 = [f for f in failures if f["axiom"] == "R2"]
+    assert r2 and r2 == _r2_reference(model)
+    if drop == -2:  # a co-atom is no intersection of two other relations
+        assert rep.witness == r2[0]
 
 
 def test_monad_laws_report():
