@@ -137,6 +137,11 @@ class Alg(Interned):
             if any(not 0 <= v < n for v in table):
                 raise ModelError(f"the table of {name} leaves the carrier")
 
+    @property
+    def size(self) -> int:
+        """The carrier's size: every object of a model, set or algebra, answers ``.size``."""
+        return self.carrier.size
+
     def op(self, k: int, args: Sequence[int]) -> int:
         """Operation k applied to ``args``."""
         return self.ops[k][arg_code(args, self.carrier.size)]

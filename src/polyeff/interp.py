@@ -50,36 +50,37 @@ arguments generate: components ``u`` at object i and ``v`` at object j are
 related iff ``(u d, v d')`` lies in the admissible closure of the pairs
 each related argument pair ``(d, d')`` generates (``Model.least_links``),
 so no relation is enumerated.  Any other body, or a positive one whose
-links do not fit, is tested under every admissible relation of
-``rels_for_pair``, one view at a time.  A family built by hand, such as an
-effect constant's (``Model.constant_family``), is checked by the same test
-(``Model.related_families``), without a search.
+links do not fit, is tested by ``Model.every_relation``: under every
+admissible relation of ``rels_for_pair``, one view at a time.  A family
+built by hand, such as an effect constant's (``Model.constant_family``), is
+checked by the same test (``Model.related_families``), without a search.
 Tables are generated one way only: ``_forward_check`` cuts a value mask per
 argument by the digit links that ``link_test`` reads, a positive body's least
 links or ``paramlab``'s homomorphism graphs, and the search tests each table
 again; every other component is listed.  ``relatedness`` decides each object
 pair once and generates a positive body's tables from the same links.
 Generated tables may pass ``ITER_CAP``; listed domains may not.
-``relatedness(least=False)`` and ``enumerate_families_naive`` keep every
-relation as the oracle.
+``enumerate_families_naive``, the oracle, tests every pair by ``every_relation``
+alone, never through ``relatedness``.
 
 Terms are typechecked once per judgment: ``Model._compile`` checks the
 root with ``typecheck.synth``, reads every other node's type off its
 subterms' through a scope dict in which the stoup is one more binding, and
 returns that type with a closure that only interprets types, encodes and
-applies; an abstraction run over more than ``ITER_CAP`` arguments raises
-``OutOfBoundError``.  A compiled
-evaluator holds its model, so it is never cached on the model: that memo
-would be a cycle that only the cycle collector frees.  ``paramlab``'s
-abstraction check keeps its outcomes instead, per judgment, keyed by the type
-environment and the bindings' values, and drops them with the judgment.
+applies; ``Model._eval`` wraps it as an evaluator that also returns the
+value's domain.  An abstraction run over more than ``ITER_CAP`` arguments
+raises ``OutOfBoundError``.  A compiled evaluator holds its model, so it is
+never cached on the model: that memo would be a cycle that only the cycle
+collector frees.  ``paramlab``'s abstraction check keeps its outcomes
+instead, per judgment, keyed by the type environment and the bindings'
+values, and drops them with the judgment.
 """
 
 from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, partial
 from itertools import product
 from math import log2, prod
 from typing import Callable, Iterable, Iterator, Optional, Sequence
@@ -164,24 +165,6 @@ class FunSem(SemSet):
         """The table of every element, in index order."""
         return (t[::-1] for t in product(range(self.cod.size), repeat=self.dom.size))
 
-    def preimages(self) -> list[list[int]]:
-        """``preimages()[y][c]``: the mask of the functions that send y to c.
-
-        Digit y of an index is c on runs of ``n**y`` indices that repeat
-        every ``n**(y+1)``, so each mask is one run, doubled along.
-        """
-        n = self.cod.size
-        return [[_repeat(((1 << n**y) - 1) << (c * n**y), n ** (y + 1), self.size) for c in range(n)]
-                for y in range(self.dom.size)]
-
-
-def _repeat(pattern: int, period: int, total: int) -> int:
-    """``pattern`` repeated every ``period`` bits, cut to ``total`` bits."""
-    while period < total:
-        pattern |= pattern << period
-        period *= 2
-    return pattern & ((1 << total) - 1)
-
 
 def fun_sem(dom: SemSet, cod: SemSet) -> FunSem:
     """The function space, sized ``cod.size**dom.size`` up to ``2**SIZE_BITS``
@@ -223,13 +206,16 @@ class HomSem(SemSet):
     def each_table(self) -> Iterator[tuple[int, ...]]:
         return iter(self.tables)
 
-    def preimages(self) -> list[list[int]]:
-        """``preimages()[y][c]``: the mask of the homomorphisms that send y to c."""
-        cols: list[list[list[int]]] = [[[] for _ in range(self.cod.size)] for _ in range(self.dom.size)]
-        for h, table in enumerate(self.tables):
-            for y, c in enumerate(table):
-                cols[y][c].append(h)
-        return [[fm.mask_of(hs, self.size) for hs in col] for col in cols]
+
+def preimages(sem: FunSem | HomSem) -> list[list[int]]:
+    """``preimages(sem)[y][c]``: the mask of the elements of a ``->`` or ``-o``
+    domain that send y to c, read off its ``each_table()`` one bit at a time."""
+    cols = [[bytearray((sem.size + 7) >> 3) for _ in range(sem.cod.size)] for _ in range(sem.dom.size)]
+    for h, table in enumerate(sem.each_table()):
+        byte, bit = h >> 3, 1 << (h & 7)
+        for col, c in zip(cols, table):
+            col[c][byte] |= bit
+    return [[int.from_bytes(buf, "little") for buf in col] for col in cols]
 
 
 @dataclass(eq=False)
@@ -312,7 +298,7 @@ class RelEnv(Interned):
         raise InterpError(f"no relation for {VAR[sort](name)}")
 
     def set(self, sort: str, name: str, left, right, rel: tuple[int, ...]) -> "RelEnv":
-        nl, nr = _carrier_size(left), _carrier_size(right)
+        nl, nr = left.size, right.size
         if not fm.in_carriers(rel, nl, nr):
             raise InterpError(f"relation escapes its carriers {nl}x{nr}")
         rest = tuple(it for it in self.rels if it[0] != (sort, name))
@@ -334,12 +320,8 @@ class RelEnv(Interned):
         return self if env is None else env
 
 
-def _carrier_size(value) -> int:
-    return value.size if isinstance(value, fm.FinSet) else value.carrier.size
-
-
 def diag_relenv(env: TypeEnv) -> RelEnv:
-    rels = tuple(sorted((key, fm.diagonal(_carrier_size(v))) for key, v in env.items))
+    rels = tuple(sorted((key, fm.diagonal(v.size)) for key, v in env.items))
     return RelEnv(env, env, rels)
 
 
@@ -453,7 +435,7 @@ class FunRel(RelView):
                          for f in range(l.size))
         # to[y][a]: the g whose value at y is related to a (preimages are
         # disjoint, so their sum is their union)
-        to = [[sum(pre_y[c] for c in fm.bits_of(row)) for row in cod_rows] for pre_y in r.preimages()]  # type: ignore[attr-defined]
+        to = [[sum(pre_y[c] for c in fm.bits_of(row)) for row in cod_rows] for pre_y in preimages(r)]
         rows = []
         for ft in l.each_table():  # type: ignore[attr-defined]
             m = full
@@ -708,7 +690,7 @@ class Model:
         if key not in self._pair_rels:
             back = self._pair_rels.get((sort, j, i))
             if back is not None:
-                n = _carrier_size(self.objects(sort)[i])
+                n = self.objects(sort)[i].size
                 rels = [fm.converse(r, n) for r in back]
             elif sort == VSORT:
                 rels = fm.enumerate_set_rels(self.sets[i], self.sets[j])
@@ -728,22 +710,25 @@ class Model:
 
     def _interp_vtype(self, env: TypeEnv, ty: TypeExpr) -> SemSet:
         if isinstance(ty, (VVar, CVar)):
-            return AtomSem(_carrier_size(env.get(ty.sort, ty.name)))
+            return AtomSem(env.get(ty.sort, ty.name).size)
         if isinstance(ty, Arrow):
             return fun_sem(self.interp_vtype(env, ty.dom), self.interp_vtype(env, ty.cod))
         if isinstance(ty, Lolli):
-            dom_alg = self.interp_ctype(env, ty.dom)
-            cod_alg = self.interp_ctype(env, ty.cod)
-            dom_sem = self.interp_vtype(env, ty.dom)
-            cod_sem = self.interp_vtype(env, ty.cod)
+            dom_sem, cod_sem = self.interp_vtype(env, ty.dom), self.interp_vtype(env, ty.cod)
+            # with no constants every table is a candidate, so the carriers alone
+            # can put the space out of bound, before any structure table is built
+            algs = None if 0 not in self.monad.arities and fun_sem(dom_sem, cod_sem).size > ITER_CAP else (
+                self.interp_ctype(env, ty.dom), self.interp_ctype(env, ty.cod))
             try:
-                tables = self._hom_tables(dom_alg, cod_alg)
+                if algs is None:
+                    raise OutOfBoundError(f"hom space too large: {cod_sem.size}^{_count(dom_sem.size)}")
+                tables = self._hom_tables(*algs)
             except OutOfBoundError as exc:
-                binds = ", ".join(f"{VAR[s](n)} {'an algebra' if s == CSORT else 'a set'} on {_carrier_size(v)} elements"
+                binds = ", ".join(f"{VAR[s](n)} {'an algebra' if s == CSORT else 'a set'} on {v.size} elements"
                                   for (s, n), v in env.restrict(free_type_var_keys(ty)).items)
                 raise OutOfBoundError(
-                    f"homomorphisms for {ty}{binds and f', with {binds},'} from the algebra on {dom_alg.carrier.size}"
-                    f" elements to the algebra on {cod_alg.carrier.size}: {exc}"
+                    f"homomorphisms for {ty}{binds and f', with {binds},'} from the algebra on {dom_sem.size}"
+                    f" elements to the algebra on {cod_sem.size}: {exc}"
                 ) from exc
             return HomSem(len(tables), dom_sem, cod_sem, tables)
         if isinstance(ty, (ForallV, ForallC)):
@@ -829,15 +814,15 @@ class Model:
 
     # -- parametric families ------------------------------------------------
 
-    def relatedness(self, rho: RelEnv, sort: str, binder: str, body: TypeExpr, least: bool = True
+    def relatedness(self, rho: RelEnv, sort: str, binder: str, body: TypeExpr
                     ) -> tuple[Callable[[int, int, int, int], bool], Callable[[int], Optional[list[int]]]]:
         """``(related, tables)``: the one place that decides each object pair.
 
         ``related(i, j, u, v)``: the components ``u`` of ``body`` at object
         ``i`` and ``v`` at object ``j`` are related under every admissible
         relation between the two objects, with ``rho`` on the other variables.
-        A pair's test is built on its first call and, unless ``least`` is
-        False, decides a body in this order:
+        A pair's test is built on its first call, and decides a body in this
+        order:
         - by one extreme relation where the binder occurs with one polarity
           or none (``binder_signs``): the interpretation is monotone in a
           covariant binder's relation and antitone in a contravariant one's,
@@ -847,20 +832,19 @@ class Model:
           (Reynolds 1983; Wadler, "Theorems for free!", 1989); any relation
           decides a vacuous binder, so its body's view under ``rho`` does;
         - by a positive body's ``least_links`` (``link_test``), wherever they fit;
-        - by every admissible relation, each relation's view built on first
-          use; ``interp_rel`` keeps it in ``Model._rel`` for the model's life.
-        ``least=False``, the naive oracle's source, takes only the last rule.
+        - by ``every_relation``, the naive oracle's test.
         ``tables(i)``: the tables ``c`` of a positive body's component at ``i``
         with ``related(i, i, c, c)``, ascending, which ``_forward_check``
         generates from the same ``(i, i)`` links; None for any other body, or
         when the links do not fit.
         """
         objs = self.objects(sort)
-        signs = binder_signs(sort, binder, body) if least else None
-        args = positive_args(sort, binder, body) if least else None
+        signs = binder_signs(sort, binder, body)
+        args = positive_args(sort, binder, body)
         links: dict = {}  # (i, j) -> least_links
         tests: dict = {}  # (i, j) -> the pair's test
         body_test = self.interp_rel(rho, body).contains if signs == set() else None  # every pair's, for a vacuous binder
+        every = self.every_relation(rho, sort, binder, body)
 
         def pair_links(i: int, j: int) -> Optional[dict[tuple[int, int], tuple[int, ...]]]:
             if (i, j) not in links:
@@ -868,26 +852,14 @@ class Model:
             return links[i, j]
 
         def test_for(i: int, j: int) -> Callable[[int, int], bool]:
-            m, n = _carrier_size(objs[i]), _carrier_size(objs[j])
+            m, n = objs[i].size, objs[j].size
             if signs == set():
                 return body_test
-            if signs is not None and len(signs) < 2:  # one extreme relation
+            if len(signs) < 2:  # one extreme relation
                 q = ((1 << n) - 1,) * m if -1 in signs else self._closure(sort, i, j, (0,) * m)
                 return self.interp_rel(rho.set(sort, binder, objs[i], objs[j], q), body).contains
             pair = pair_links(i, j)
-            if pair is not None:
-                return link_test(pair, m, n)
-            rels, views = self.rels_for_pair(sort, i, j), []
-
-            def every(u: int, v: int) -> bool:
-                for k, q in enumerate(rels):
-                    if k == len(views):
-                        views.append(self.interp_rel(rho.set(sort, binder, objs[i], objs[j], q), body))
-                    if not views[k].contains(u, v):
-                        return False
-                return True
-
-            return every
+            return partial(every, i, j) if pair is None else link_test(pair, m, n)
 
         def related(i: int, j: int, u: int, v: int) -> bool:
             test = tests.get((i, j))
@@ -901,7 +873,7 @@ class Model:
                 return None
             env = rho.rho1.set(sort, binder, objs[i])
             n = prod(self.interp_vtype(env, d).size for d, _ in args)  # type: ignore[union-attr]
-            return _forward_check(n, _carrier_size(objs[i]), pair)
+            return _forward_check(n, objs[i].size, pair)
 
         return related, tables
 
@@ -917,6 +889,29 @@ class Model:
             return all(related(i, j, fam_a[i], fam_b[j]) for i in range(k) for j in range(k))
 
         return test
+
+    def every_relation(self, rho: RelEnv, sort: str, binder: str, body: TypeExpr
+                       ) -> Callable[[int, int, int, int], bool]:
+        """``related(i, j, u, v)`` by definition: the components ``u`` of
+        ``body`` at object ``i`` and ``v`` at object ``j`` are related under
+        every admissible relation of ``rels_for_pair``, with ``rho`` on the
+        other variables.  A pair's relations are fetched on its first call, and
+        each relation's view on first use; ``interp_rel`` keeps it in
+        ``Model._rel`` for the model's life.  The naive oracle's test, and
+        ``relatedness``'s last rule."""
+        objs = self.objects(sort)
+        pairs: dict = {}  # (i, j) -> (the pair's relations, the views built so far)
+
+        def related(i: int, j: int, u: int, v: int) -> bool:
+            rels, views = pairs.get((i, j)) or pairs.setdefault((i, j), (self.rels_for_pair(sort, i, j), []))
+            for k, q in enumerate(rels):
+                if k == len(views):
+                    views.append(self.interp_rel(rho.set(sort, binder, objs[i], objs[j], q), body))
+                if not views[k].contains(u, v):
+                    return False
+            return True
+
+        return related
 
     def least_links(self, rho: RelEnv, sort: str, binder: str, args: list, i: int, j: int
                     ) -> Optional[dict[tuple[int, int], tuple[int, ...]]]:
@@ -938,7 +933,7 @@ class Model:
         are closed under intersection.
         """
         objs = self.objects(sort)
-        m = _carrier_size(objs[i])
+        m = objs[i].size
         left_env, right_env = rho.rho1.set(sort, binder, objs[i]), rho.rho2.set(sort, binder, objs[j])
         per_arg = []  # per argument: its related pairs with their generated rows, and its two sizes
         total = 1
@@ -1021,9 +1016,9 @@ class Model:
 
     def enumerate_families_naive(self, env: TypeEnv, ty: TypeExpr) -> tuple[tuple[int, ...], ...]:
         """Oracle tier: filter the component product position by position,
-        testing each pair under every admissible relation as soon as both of
-        its components are fixed, so that the least-relation source is
-        checked against an independent one."""
+        testing each pair by ``every_relation`` as soon as both of its
+        components are fixed, so that ``relatedness``'s rules are checked
+        against an independent source."""
         if not isinstance(ty, (ForallV, ForallC)):
             raise InterpError("naive family enumeration expects a quantified type")
         sort = ty.sort
@@ -1036,7 +1031,7 @@ class Model:
             raise OutOfBoundError(f"naive family space too large: {_count(total)}")
         if total == 0:  # else every layer before the empty component is filled first
             return ()
-        related = cache(self.relatedness(diag_relenv(env), sort, ty.binder, ty.body, least=False)[0])
+        related = cache(self.every_relation(diag_relenv(env), sort, ty.binder, ty.body))
         fams = [()]
         for j, c in enumerate(comps):  # every constraint is a pair's, so a prefix fails for good
             fams = [fam + (v,) for fam in fams for v in range(c.size)
@@ -1080,7 +1075,7 @@ class Model:
             movers = []
             for obj in self.objects(sort):
                 iso2 = dict(iso)
-                iso2[(sort, ty.binder)] = tuple(range(_carrier_size(obj)))
+                iso2[(sort, ty.binder)] = tuple(range(obj.size))
                 movers.append(
                     self.transport(
                         ty.body,
@@ -1155,10 +1150,10 @@ class Model:
 
     # -- term interpretation ---------------------------------------------
 
-    def _eval(self, t: TermExpr, gamma, delta, tyenv: TypeEnv, tmenv: dict) -> tuple[SemSet, int]:
-        """The domain and the value of ``t`` in ``gamma | delta``, under ``tyenv`` and ``tmenv``."""
+    def _eval(self, t: TermExpr, gamma=(), delta=None) -> Callable[[TypeEnv, dict], tuple[SemSet, int]]:
+        """``t`` in ``gamma | delta``, compiled once: ``(tyenv, tmenv) -> (domain, value)``."""
         ty, run = self._compile(t, gamma, delta)
-        return self.interp_vtype(tyenv, ty), run(tyenv, tmenv)
+        return lambda tyenv, tmenv: (self.interp_vtype(tyenv, ty), run(tyenv, tmenv))
 
     def _compile(self, t: TermExpr, gamma, delta) -> tuple[TypeExpr, Callable[[TypeEnv, dict], int]]:
         """The type of ``t`` in ``gamma | delta``, and ``t`` as a closure
@@ -1230,10 +1225,7 @@ class Model:
     def two_values(self) -> tuple[int, int]:
         """Indices of the two inhabitants of [[1 + 1]] (left first)."""
         if self._two is None:
-            vals = []
-            for which in (0, 1):
-                tm = encodings.two_value(which)
-                vals.append(self._eval(tm, (), None, TypeEnv(), {})[1])
+            vals = [self._eval(encodings.two_value(which))(TypeEnv(), {})[1] for which in (0, 1)]
             if vals[0] == vals[1]:
                 raise InterpError(f"the two boolean values coincide: both are {vals[0]}")
             self._two = (vals[0], vals[1])

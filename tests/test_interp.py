@@ -180,6 +180,43 @@ def test_an_out_of_bound_hom_space_names_what_its_free_variables_stand_for(monke
                               " from the algebra on 2 elements to the algebra on 4: hom space too large: 4^1")
 
 
+def test_a_lolli_past_the_cap_fails_before_any_structure_table(monkeypatch):
+    # with no constants in the signature (powerset, identity) every table is a
+    # candidate, so the two carriers alone put (2 -> !X) -o !X at |X| = 3, with
+    # 7^49 candidate tables, out of bound before either algebra's structure
+    # table is built; the message is the one recorded for the powerset
+    # `--bound 3 eval` of this type, since a bound-2 model with the free
+    # algebra on 3 points gives the same carriers with a smaller search of !X
+    model = ip.Model(POW, 2, (3,))
+    calls = []
+    pointwise = model._pointwise
+    monkeypatch.setattr(model, "_pointwise", lambda *args: calls.append(args) or pointwise(*args))
+    bang = enc.encode_bang(VVar("X"))
+    with pytest.raises(ip.OutOfBoundError) as err:
+        model.interp_vtype(ip.type_env({"X": fm.FinSet(3)}), Lolli(Arrow(enc.encode_num(2), bang), bang))
+    recorded = (pathlib.Path(__file__).parent / "data" / "eval_powerset_lolli_out_of_bound.err").read_text()
+    assert f"out of bound: {err.value}\n" == recorded
+    assert calls == []
+
+
+@pytest.mark.parametrize("monad", [EXC, POW, fm.MonadSpec("identity")], ids=["exception", "powerset", "identity"])
+def test_preimages_match_their_definition(monad):
+    # the one preimage builder, on the -> domain between every two registered
+    # sets and the -o domain between every two registered algebras of a
+    # bound-2 model, an empty domain and an empty codomain among them
+    model = ip.Model(monad, 2)
+    sems = [model.interp_vtype(ip.type_env({"A": a, "B": b}), parse_type("A -> B")) for a in model.sets for b in model.sets]
+    sems += [model.interp_vtype(ip.type_env({}, {"P": p, "Q": q}), parse_type("^P -o ^Q"))
+             for p in model.algebras for q in model.algebras]
+    assert any(sem.dom.size == 0 for sem in sems) and any(sem.cod.size == 0 < sem.dom.size for sem in sems)
+    assert any(isinstance(sem, ip.HomSem) for sem in sems)
+    for sem in sems:
+        assert ip.preimages(sem) == [
+            [fm.mask_of((h for h in range(sem.size) if sem.table(h)[y] == c), sem.size) for c in range(sem.cod.size)]
+            for y in range(sem.dom.size)
+        ]
+
+
 def test_carrier_agrees_with_set_interpretation(model):
     env = ip.type_env({"B": fm.FinSet(2)}, {"P": model.algebras[1], "Q": model.algebras[2]})
     battery = [
@@ -273,9 +310,22 @@ def test_materialized_relation_matches_view(model):
 
 def test_identity_function_denotation(model):
     env = ip.type_env({"B": fm.FinSet(3)})
-    sem, val = model._eval(parse_term("fun x:B => x"), (), None, env, {})
+    sem, val = model._eval(parse_term("fun x:B => x"))(env, {})
     assert sem is model.interp_vtype(env, parse_type("B -> B"))
     assert sem.table(val) == (0, 1, 2)
+
+
+def test_an_evaluator_synthesizes_once_however_often_it_runs(free_model, monkeypatch):
+    gamma = (("t", VVar("A")),)
+    bang = enc.elaborate_term(parse_term("bang t"), gamma=gamma)
+    synth, calls = tc.synth, []
+    monkeypatch.setattr(tc, "synth", lambda *args: calls.append(args) or synth(*args))
+    run = free_model._eval(bang, gamma)
+    assert len(calls) == 1
+    for size in (1, 2):
+        for t in range(size):
+            run(ip.type_env({"A": fm.FinSet(size)}), {"t": t})
+    assert len(calls) == 1
 
 
 def test_thunk_applies_the_continuation(free_model):
@@ -286,7 +336,7 @@ def test_thunk_applies_the_continuation(free_model):
     env = ip.type_env({"A": fm.FinSet(2)})
     poly = model.interp_vtype(env, enc.encode_bang(VVar("A")))
     for tval in range(2):
-        _, fam = model._eval(bang, gamma, None, env, {"t": tval})
+        _, fam = model._eval(bang, gamma)(env, {"t": tval})
         for k, alg in enumerate(model.algebras):
             comp = poly.comps[k]
             for f in range(comp.dom.size):
@@ -407,7 +457,7 @@ def test_projection_at_registered_object_is_direct(free_model):
     model = free_model
     term = parse_term("Fun ^X => fun x:^X => x")
     j = Judgment((), None, term)
-    poly, fam = model._eval(term, (), None, ip.TypeEnv(), {})
+    poly, fam = model._eval(term)(ip.TypeEnv(), {})
     assert poly is model.interp_vtype(ip.TypeEnv(), tc.typecheck(j))
     for k, alg in enumerate(model.algebras):
         got = model.project_poly(poly, fam, alg, "X", parse_type("^X -> ^X"), ip.TypeEnv())
@@ -431,7 +481,7 @@ def test_projection_independent_of_isomorphism(free_model):
 def test_projection_out_of_bound(model):
     term = parse_term("Fun X => fun x:X => x")
     j = Judgment((), None, term)
-    poly, fam = model._eval(term, (), None, ip.TypeEnv(), {})
+    poly, fam = model._eval(term)(ip.TypeEnv(), {})
     assert poly is model.interp_vtype(ip.TypeEnv(), tc.typecheck(j))
     with pytest.raises(ip.OutOfBoundError):
         model.project_poly(poly, fam, fm.FinSet(7), "X", parse_type("X -> X"), ip.TypeEnv())
@@ -503,7 +553,7 @@ def test_opposite_relation_property(model):
 
 def test_env_must_cover_variables(model):
     with pytest.raises(ip.InterpError, match="no value for 'x'"):
-        model._eval(Var("x"), (("x", VVar("B")),), None, ip.type_env({"B": fm.FinSet(2)}), {})
+        model._eval(Var("x"), (("x", VVar("B")),))(ip.type_env({"B": fm.FinSet(2)}), {})
 
 
 def test_linear_lambda_must_be_homomorphism(free_model):
@@ -512,7 +562,7 @@ def test_linear_lambda_must_be_homomorphism(free_model):
     model = free_model
     j = Judgment((), None, parse_term("lfun x:^A => x"))
     env = ip.type_env({}, {"A": model.algebras[1]})
-    sem, val = model._eval(j.subject, (), None, env, {})
+    sem, val = model._eval(j.subject)(env, {})
     assert sem is model.interp_vtype(env, tc.typecheck(j))
     assert sem.table(val) == (0, 1)
 
@@ -522,7 +572,7 @@ def test_value_dump_shapes(free_model):
     j = Judgment((), None, parse_term("fun x:B => x"))
     ty = tc.typecheck(j)
     env = ip.type_env({"B": fm.FinSet(2)})
-    sem, val = model._eval(j.subject, (), None, env, {})
+    sem, val = model._eval(j.subject)(env, {})
     assert sem is model.interp_vtype(env, ty)
     assert ip.decode_value(model, sem, val) == [0, 1]
     assert ip.semset_to_json(model, sem) == {
@@ -657,7 +707,7 @@ def product_filter(model, env, ty):
     the tuples whose every pair is related under every admissible relation."""
     sort = ty.sort
     comps = [model.interp_vtype(env.set(sort, ty.binder, o), ty.body) for o in model.objects(sort)]
-    related = cache(model.relatedness(ip.diag_relenv(env), sort, ty.binder, ty.body, least=False)[0])
+    related = cache(model.every_relation(ip.diag_relenv(env), sort, ty.binder, ty.body))
     k = len(comps)
     return tuple(fam for fam in product(*(range(c.size) for c in comps))
                  if all(related(i, j, fam[i], fam[j]) for i in range(k) for j in range(k)))
@@ -688,13 +738,13 @@ def test_naive_oracle_tests_each_pair_both_ways():
     ty = enc.nary_op_type(2)
     fams = model.enumerate_families_naive(ip.TypeEnv(), ty)
     u, v = fams[-1][1], fams[-1][0]
-    decide = model.relatedness
+    decide = model.every_relation
 
-    def relatedness(*args, **kw):
-        related, tables = decide(*args, **kw)
-        return (lambda i, j, x, y: (i, j, x, y) != (1, 0, u, v) and related(i, j, x, y)), tables
+    def every_relation(*args):
+        related = decide(*args)
+        return lambda i, j, x, y: (i, j, x, y) != (1, 0, u, v) and related(i, j, x, y)
 
-    model.relatedness = relatedness
+    model.every_relation = every_relation
     kept = tuple(fam for fam in fams if (fam[1], fam[0]) != (u, v))
     assert len(fams) > len(kept) > 0
     assert model.enumerate_families_naive(ip.TypeEnv(), ty) == kept == product_filter(model, ip.TypeEnv(), ty)
@@ -718,8 +768,8 @@ def test_naive_oracle_on_the_identity_extension_battery():
     calls = []  # (whether the body is positive, size of the generated component or None, whether least links fed it)
     decide, least, listed = gen.relatedness, gen.least_links, listing.relatedness
 
-    def relatedness(rho, sort, binder, body, **kw):
-        related, tables = decide(rho, sort, binder, body, **kw)
+    def relatedness(rho, sort, binder, body):
+        related, tables = decide(rho, sort, binder, body)
 
         def generate(i):
             fed = []
@@ -735,7 +785,7 @@ def test_naive_oracle_on_the_identity_extension_battery():
         return related, generate
 
     gen.relatedness = relatedness
-    listing.relatedness = lambda *args, **kw: (listed(*args, **kw)[0], lambda i: None)
+    listing.relatedness = lambda *args: (listed(*args)[0], lambda i: None)
     envs = [ip.type_env({"X": x, "Y": fm.FinSet(2)}, {"P": p, "Q": gen.algebras[0]})
             for x in gen.sets[1:3] for p in gen.algebras[:2]]
     compared = 0
@@ -834,7 +884,7 @@ def test_least_relations_match_every_relation(three_models, data):
     event(f"{len(args)} arguments, {sum(es is not None for _, es in args)} chains,"
           f" {sum('-o' in str(d) for d, _ in args)} through -o")
     least, tables = m.relatedness(rho, sort, binder, body)
-    every, _ = m.relatedness(rho, sort, binder, body, least=False)
+    every = m.every_relation(rho, sort, binder, body)
     us = data.draw(st.lists(st.integers(0, left.size - 1), min_size=1, max_size=6)) if left.size else []
     vs = data.draw(st.lists(st.integers(0, right.size - 1), min_size=1, max_size=6)) if right.size else []
     for u in us:
@@ -923,7 +973,7 @@ def test_one_extreme_relation_matches_every_relation(three_models, data):
         assume(False)
     assume(left.size <= 4096 and right.size <= 4096)
     least, _ = m.relatedness(rho, sort, binder, body)
-    every, _ = m.relatedness(rho, sort, binder, body, least=False)
+    every = m.every_relation(rho, sort, binder, body)
 
     def some(n):  # every component of a small side, a few of a large one
         return range(n) if n <= 8 else data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=6))
@@ -998,7 +1048,7 @@ def test_a_one_polarity_body_never_lists_relations(monkeypatch, sort, binder, sr
             got[i, j, u, v] = bool(related(i, j, u, v))
     assert calls == []
     # and the extreme relation is the right one
-    every, _ = model.relatedness(rho, sort, binder, body, least=False)
+    every = model.every_relation(rho, sort, binder, body)
     assert got == {key: bool(every(*key)) for key in got}
     # a mixed body that is not positive does list them
     calls.clear()
@@ -1045,7 +1095,7 @@ def test_least_relations_of_lolli_arguments_match_every_relation(three_models, s
         for q in m.algebras:
             rho = ip.diag_relenv(ip.type_env({"Y": fm.FinSet(2)}, {"Q": q}))
             least, _ = m.relatedness(rho, CSORT, "P", body)
-            every, _ = m.relatedness(rho, CSORT, "P", body, least=False)
+            every = m.every_relation(rho, CSORT, "P", body)
             for i, a in enumerate(m.algebras):
                 for j, b in enumerate(m.algebras):
                     left = m.interp_vtype(rho.rho1.set(CSORT, "P", a), body).size
@@ -1067,9 +1117,9 @@ def test_least_relations_of_lolli_arguments_match_every_relation(three_models, s
 def test_least_links_past_a_lowered_cap_fall_back_to_every_relation(monkeypatch, src):
     # past a cap of 15, each mixed positive body has no least links at the
     # pair of 2-element sets, for a different reason each, so relatedness
-    # tests every relation there: wherever relatedness(least=False) decides a
-    # pair of components, relatedness agrees with it, and wherever it is out
-    # of bound so is relatedness
+    # tests every relation there: wherever every_relation decides a pair of
+    # components, relatedness agrees with it, and wherever it is out of bound
+    # so is relatedness
     body = parse_type(src)
     rho = ip.diag_relenv(ip.type_env({"Y": fm.FinSet(2)}))
     args = ip.positive_args(VSORT, "X", body)
@@ -1078,7 +1128,7 @@ def test_least_links_past_a_lowered_cap_fall_back_to_every_relation(monkeypatch,
     m = ip.Model(EXC, 2)
     assert m.least_links(rho, VSORT, "X", args, 2, 2) is None
     related, _ = m.relatedness(rho, VSORT, "X", body)
-    every, _ = m.relatedness(rho, VSORT, "X", body, least=False)
+    every = m.every_relation(rho, VSORT, "X", body)
     sizes = [m.interp_vtype(rho.rho1.set(VSORT, "X", s), body).size for s in m.sets]
     sample = [sorted({k for k in (0, 1, n // 2, n - 1) if 0 <= k < n}) for n in sizes]
     decided = 0
@@ -1096,19 +1146,19 @@ def test_least_links_past_a_lowered_cap_fall_back_to_every_relation(monkeypatch,
 
 
 def test_the_naive_oracle_calls_no_link_rule_and_no_memo(monkeypatch):
-    # relatedness(least=False) and enumerate_families_naive decide each body
-    # under every relation, never through the least links or their memos,
-    # which the family search reaches on the same bodies; the bodies hold no
-    # nested quantifier, whose views the two searches share
+    # every_relation and enumerate_families_naive decide each body under
+    # every relation, never through relatedness, the least links or their
+    # memos, which the family search reaches on the same bodies; the bodies
+    # hold no nested quantifier, whose views the two searches share
     m = ip.Model(EXC, 2)
     reached = []
-    for name in ("least_links", "_leaves", "_closure"):
+    for name in ("relatedness", "least_links", "_leaves", "_closure"):
         monkeypatch.setattr(m, name, lambda *args, name=name, real=getattr(m, name): reached.append(name) or real(*args))
     types = [parse_type(src) for src in ("forall Z. (Z -> Z) -> Z", "forall ^X. ^X -> ^X -> ^X",
                                          "forall ^X. (^X -o ^X) -> ^X", "forall X. (X -> X) -> X -> X")]
     for ty in types:
         rho, objs = ip.diag_relenv(ip.TypeEnv()), m.objects(ty.sort)
-        every, _ = m.relatedness(rho, ty.sort, ty.binder, ty.body, least=False)
+        every = m.every_relation(rho, ty.sort, ty.binder, ty.body)
         sizes = [m.interp_vtype(rho.rho1.set(ty.sort, ty.binder, o), ty.body).size for o in objs]
         for i, j in product(range(len(objs)), repeat=2):
             for u, v in product(range(min(sizes[i], 4)), range(min(sizes[j], 4))):
@@ -1117,7 +1167,7 @@ def test_the_naive_oracle_calls_no_link_rule_and_no_memo(monkeypatch):
     assert reached == []
     for ty in types:
         m.interp_vtype(ip.TypeEnv(), ty)
-    assert set(reached) == {"least_links", "_leaves", "_closure"}
+    assert set(reached) == {"relatedness", "least_links", "_leaves", "_closure"}
 
 
 @pytest.mark.parametrize("sort, binder, src", [
@@ -1409,7 +1459,7 @@ def test_one_compiled_closure_matches_a_fresh_evaluation_per_environment(abstrac
     j = TermGenerator(seed, interp_safe=True).random_judgment()
     envs = abstraction_environments(model, j)
     assume(len(envs) > 1)
-    fresh = [_outcome(lambda e, m: model._eval(j.subject, j.gamma, j.delta, e, m)[1], *env) for env in envs]
+    fresh = [_outcome(lambda e, m: model._eval(j.subject, j.gamma, j.delta)(e, m)[1], *env) for env in envs]
     _, run = model._compile(j.subject, j.gamma, j.delta)
     at = list(range(len(envs)))
     order.shuffle(at)

@@ -13,7 +13,9 @@ from polyeff import finmodel as fm
 from polyeff import interp as ip
 from polyeff import encodings as enc
 from polyeff import paramlab as pl
-from polyeff.kernel import Judgment, VVar
+from polyeff import typecheck as tc
+from polyeff.kernel import Arrow, Judgment, LinLam, Var, VVar
+from polyeff.randterms import TermGenerator
 from polyeff.surface import parse_term, parse_type
 
 DATA = Path(__file__).parent / "data"
@@ -32,6 +34,31 @@ def exc_plain():
 def test_bang_laws(exc_free):
     rep = pl.verify_bang_laws(exc_free)
     assert rep.status == "verified", rep.witness
+
+
+def test_bang_laws_catch_a_projection_that_skips_transport(monkeypatch):
+    # projecting a family at an algebra the model does not register (here the
+    # structure of !A) must move the component along an isomorphism; reading
+    # the registered algebra's component as it is breaks the eta law
+    model = pl.build_model(fm.ModelConfig(), range(3))
+    project = model.project_poly
+
+    def skipping(poly, fam, target, binder, body, env):
+        if poly.csort and model.alg_index(target) is None:
+            return poly.fams[fam][next(k for k, a in enumerate(model.algebras) if a.size == target.size)]
+        return project(poly, fam, target, binder, body, env)
+
+    monkeypatch.setattr(model, "project_poly", skipping)
+    rep = pl.verify_bang_laws(model)
+    assert rep.status == "counterexample"
+    assert rep.witness["law"] == "eta"
+    # the eta law alone fails with the same witness, and holds without the defect
+    bang_a = enc.encode_bang(VVar("A"))
+    eta = ((), ("y", bang_a), Var("y"), enc.elaborate_term(parse_term("let x <= y in bang x"), delta=("y", bang_a)),
+           ("A",), ())
+    assert {**pl.semantically_equal(model, *eta), "law": "eta"} == rep.witness
+    monkeypatch.undo()
+    assert pl.semantically_equal(model, *eta) is None
 
 
 def test_bang_laws_require_free_algebras(exc_plain):
@@ -55,6 +82,17 @@ def test_bang_cardinality_counts(exc_free):
     rep = pl.verify_bang_cardinality(exc_free)
     assert rep.status == "verified", rep.witness
     assert rep.counts == {"|A|=0": 1, "|A|=1": 2, "|A|=2": 3}
+
+
+def test_bang_cardinality_shares_the_bridge_s_family_search(monkeypatch):
+    # the count and the bijection read one [[!X]] per size, searched once
+    calls = Counter()
+    search = ip.Model._families
+    monkeypatch.setattr(ip.Model, "_families",
+                        lambda self, env, ty, comps: calls.update([(env, ty)]) or search(self, env, ty, comps))
+    rep = pl.verify_bang_cardinality(pl.build_model(fm.ModelConfig(), range(3)))
+    assert rep.status == "verified"
+    assert list(calls.values()) == [1, 1, 1]
 
 
 def test_bang_cardinality_identity_monad():
@@ -480,7 +518,7 @@ def test_relation_axioms_powerset():
 def test_relation_axioms_check_the_model_listing(monkeypatch, sort, i, j, drop, axiom):
     # a listing that misses one pair's diagonal or full relation is caught
     model = pl.build_model(fm.ModelConfig(), ())
-    m, n = (ip._carrier_size(model.objects(sort)[k]) for k in (i, j))
+    m, n = (model.objects(sort)[k].size for k in (i, j))
     missing = fm.diagonal(m) if drop == "diagonal" else ((1 << n) - 1,) * m
     listed = model.rels_for_pair
     monkeypatch.setattr(model, "rels_for_pair", lambda *key: [
@@ -493,7 +531,7 @@ def test_relation_axioms_check_the_model_listing(monkeypatch, sort, i, j, drop, 
 def _listing(model, sort):
     """rel-axioms' objects within the bound, their relation spaces and their maps."""
     objs = model.objects(sort)
-    size = {k: ip._carrier_size(o) for k, o in enumerate(objs) if ip._carrier_size(o) <= model.bound}
+    size = {k: o.size for k, o in enumerate(objs) if o.size <= model.bound}
     rels = {(i, j): model.rels_for_pair(sort, i, j) for i in size for j in size}
     maps = {(i, j): model._hom_tables(objs[i], objs[j]) if sort == ip.CSORT
             else list(itertools.product(range(size[j]), repeat=size[i])) for i, j in rels}
@@ -705,6 +743,58 @@ def test_typing_corpus_sizes():
     assert len(negatives) >= 15
     rep = pl.verify_typing_corpus()
     assert rep.status == "verified", rep.witness
+
+
+def test_typing_catches_a_stoup_always_routed_to_the_head(monkeypatch):
+    # h x with x in the stoup and h : ^A -o ^B must hand the stoup to the argument
+    positives, _, consts = pl.typing_corpus()
+    monkeypatch.setattr(tc, "route_stoup", lambda delta, fn, arg: "none" if delta is None else "fn")
+    rep = pl.verify_typing_corpus()
+    assert rep.status == "counterexample"
+    assert rep.witness["case"] == "pos-7"
+    j, want = positives[7]
+    with pytest.raises(tc.TypingError):
+        tc.typecheck(j, consts)
+    monkeypatch.undo()
+    assert tc.typecheck(j, consts) is want
+
+
+def test_metatheory_catches_an_oracle_lfun_rule_that_returns_an_arrow(monkeypatch):
+    # the unicity oracle, derive_all_types, typing lfun x:A => t as A -> B
+    # disagrees with the checker on a generated linear abstraction
+    derive = tc.derive_all_types
+
+    def planted(gamma, delta, t, constants={}):
+        out = derive(gamma, delta, t, constants)
+        return {Arrow(ty.dom, ty.cod) for ty in out} if isinstance(t, LinLam) else out
+
+    monkeypatch.setattr(tc, "derive_all_types", planted)
+    rep = pl.verify_metatheory(seed=2024)
+    assert rep.status == "counterexample"
+    assert rep.witness["law"] == "unicity"
+    # the judgment the witness names fails unicity alone, and passes without the defect
+    gen = TermGenerator(2024)
+    j = next(j for j in (gen.random_judgment() for _ in range(200)) if rep.witness["detail"].startswith(f"{j.subject}:"))
+    assert tc.check_unicity([j]).failures
+    monkeypatch.undo()
+    assert tc.check_unicity([j]).ok
+
+
+def test_cbpv_catches_u_translated_to_bang(monkeypatch):
+    # U is erased: U(F 1) is F 1, which is !1, never !!1
+    translate = enc.cbpv_translate_type
+
+    def planted(t):
+        return enc.encode_bang(planted(t.comp)) if isinstance(t, enc.CbpvU) else translate(t)
+
+    monkeypatch.setattr(enc, "cbpv_translate_type", planted)
+    rep = pl.verify_cbpv()
+    assert rep.status == "counterexample"
+    src, want = enc.CbpvU(enc.CbpvF(enc.CbpvUnit())), enc.encode_bang(enc.encode_value_type("Unit"))
+    assert (rep.witness["case"], rep.witness["want"]) == (1, str(want))
+    assert enc.cbpv_translate_type(src) is not want
+    monkeypatch.undo()
+    assert enc.cbpv_translate_type(src) is want
 
 
 def test_cbpv_report():
