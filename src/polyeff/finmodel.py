@@ -30,8 +30,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from itertools import product, repeat
-from operator import eq
+from itertools import chain, islice, product, repeat
+from operator import add, eq, getitem, or_, sub
 from typing import Iterable, Iterator, Sequence
 
 from .kernel import Interned, hash_consed
@@ -95,18 +95,27 @@ class MonadSpec(Interned):
         return tuple((1 << i) - 1 for i in range(a.size))
 
     def extend(self, f: Sequence[int], a: FinSet, b: FinSet) -> tuple[int, ...]:
-        """Lift ``f : A -> T B`` to ``f+ : T A -> T B``."""
-        if len(f) != a.size:
+        """Lift ``f : A -> T B`` to ``f+ : T A -> T B``: ``extend_columns``' one-table case."""
+        return next(_rows(self.extend_columns((f,), a, b), 1))
+
+    def extend_columns(self, tables: Sequence[Sequence[int]], a: FinSet, b: FinSet) -> list[tuple[int, ...]]:
+        """Lift each ``f : A -> T B`` of ``tables`` at once, by columns: entry
+        ``k`` of column ``s`` is ``f+(s)`` for ``f = tables[k]``."""
+        if not set(map(len, tables)) <= {a.size}:
             raise ModelError("table does not cover the domain")
+        n, tb = len(tables), self.apply(b).size
+        cols = _columns(tables, a.size)
+        if tables and cols and (min(map(min, cols)) < 0 or max(map(max, cols)) >= tb):
+            raise ModelError(f"table leaves T B, which has {tb} elements")
         if self.key != "powerset":
-            return tuple(f) + tuple(range(b.size, b.size + self.n_exc))
+            return cols + [(b.size + e,) * n for e in range(self.n_exc)]
         # subset masks of A, doubled one element at a time: the image of
         # s + {i} is the image of s joined with f(i)
-        masks = [0]
-        for x in f:
-            x += 1
-            masks += [y | x for y in masks]
-        return tuple([y - 1 for y in masks[1:]])
+        masks = []
+        for col in cols:
+            col = tuple(map(add, col, repeat(1)))
+            masks += [col] + [tuple(map(or_, y, col)) for y in masks]
+        return [tuple(map(sub, y, repeat(1))) for y in masks]
 
     def tmap(self, f: Sequence[int], a: FinSet, b: FinSet) -> tuple[int, ...]:
         """Functor action: T f = (unit . f)+."""
@@ -427,6 +436,7 @@ def _all_tables(dom: int, cod: int):
 
 
 DIRECT_PAIR_CAP = 20_000
+BLOCK = 512  # tables that check_monad_laws extends and checks together: its columns stay small
 
 
 def check_monad_laws(m: MonadSpec, max_size: int) -> LawReport:
@@ -442,11 +452,15 @@ def check_monad_laws(m: MonadSpec, max_size: int) -> LawReport:
       all of T A), cross-checked directly over all (f, g) pairs while the
       product of table spaces stays below ``DIRECT_PAIR_CAP``.
 
-    Each table is extended and checked to be a map once: the homomorphism
-    loop keeps the extensions of every table space within
-    ``DIRECT_PAIR_CAP`` (None for one that is not a map), which are the ones
-    the cross-check reads, and the cross-check extends each distinct
-    composite g+ . f once per triple of sets.
+    Each table space is extended ``BLOCK`` tables at a time, by one
+    ``extend_columns`` call, and each law is tested over whole columns
+    (``_block_holds``).  That test only accepts: the extensions of a block
+    it does not accept are checked again table by table, and only that
+    check records failures, so the report is the table-by-table check's.
+    The extensions of every space within ``DIRECT_PAIR_CAP`` are kept (None
+    for one that is not a map) for the cross-check.  It looks each composite
+    g+ . f up among them, extends those it misses in blocks, each once per
+    pair of sets (A, C), and reports its failures in (A, B, C) order.
     """
     rep = LawReport()
     sets = [FinSet(n) for n in range(max_size + 1)]
@@ -471,68 +485,102 @@ def check_monad_laws(m: MonadSpec, max_size: int) -> LawReport:
             fb, _ = free_algebra(m, b)
             splits = _union_splits(a) if m.key == "powerset" else None
             kept = exts[a.size, b.size] = [] if tb.size ** a.size <= DIRECT_PAIR_CAP else None
-            for f in _all_tables(a.size, tb.size):
-                fext = m.extend(f, a, b)
-                is_map = _is_map(fext, fa.carrier.size, tb.size)
-                if kept is not None:
-                    kept.append(fext if is_map else None)
-                rep.checked += 1
-                if not is_map:
-                    rep.fail(f"extend(f) not a map at |A|={a.size},|B|={b.size}")
+            for block in _blocks(_all_tables(a.size, tb.size)):
+                cols = m.extend_columns(block, a, b)
+                if _block_holds(cols, block, eta_a, fa, fb, splits):
+                    rep.checked += len(block)
+                    if kept is not None:
+                        kept += _rows(cols, len(block))
                     continue
-                for i in range(a.size):
-                    if fext[eta_a[i]] != f[i]:
-                        rep.fail(f"extend(f).unit != f at |A|={a.size},|B|={b.size}")
-                        break
-                if not (is_homomorphism(fext, fa, fb) if splits is None
-                        else _joins_splits(fext, splits, fb)):
-                    rep.fail(
-                        f"extension not a homomorphism at |A|={a.size},|B|={b.size}"
-                    )
+                for f, fext in zip(block, _rows(cols, len(block)), strict=True):
+                    is_map = _is_map(fext, fa.carrier.size, tb.size)
+                    if kept is not None:
+                        kept.append(fext if is_map else None)
+                    rep.checked += 1
+                    if not is_map:
+                        rep.fail(f"extend(f) not a map at |A|={a.size},|B|={b.size}")
+                        continue
+                    for i in range(a.size):
+                        if fext[eta_a[i]] != f[i]:
+                            rep.fail(f"extend(f).unit != f at |A|={a.size},|B|={b.size}")
+                            break
+                    if not (is_homomorphism(fext, fa, fb) if splits is None
+                            else _joins_splits(fext, splits, fb)):
+                        rep.fail(
+                            f"extension not a homomorphism at |A|={a.size},|B|={b.size}"
+                        )
 
+    failed = set()  # (|A|, |B|, |C|) where associativity fails, reported in that order
     for a in sets:
-        for b in sets:
-            for c in sets:
+        for c in sets:
+            memo = None  # {table h: extend(h)} for h : A -> T C, shared by every B
+            for b in sets:
                 tb, tc = m.apply(b), m.apply(c)
                 if (tb.size == 0 and a.size > 0) or (tc.size == 0 and b.size > 0):
                     continue
-                nf = tb.size ** a.size
-                ng = tc.size ** b.size
-                if nf * ng > DIRECT_PAIR_CAP:
+                if tb.size ** a.size * tc.size ** b.size > DIRECT_PAIR_CAP:
                     continue  # covered by the decomposition above
                 # extensions that are not maps were reported above
                 gexts = [g for g in exts[b.size, c.size] if g is not None]
-                cols = [tuple(g[y] for g in gexts) for y in range(tb.size)]
-                composite = _Extensions(m, a, c)
+                cols, n = _columns(gexts, tb.size), len(gexts)
+                if memo is None:  # the homomorphism loop's extensions that are maps
+                    known = zip(_all_tables(a.size, tc.size), exts.get((a.size, c.size)) or ())
+                    memo = {h: e for h, e in known if e is not None}
+                if len(memo) < tc.size ** a.size:  # extend the composites it misses
+                    fs = zip(_all_tables(a.size, tb.size), exts[a.size, b.size])
+                    hs = chain.from_iterable(_compose_all(cols, f, n) for f, e in fs if e is not None)
+                    for part in _blocks(list(set(hs) - memo.keys())):
+                        memo.update(zip(part, _rows(m.extend_columns(part, a, c), len(part))))
                 for f, fext in zip(_all_tables(a.size, tb.size), exts[a.size, b.size]):
                     if fext is None:
                         continue
                     # (g+ . f)+ against g+ . f+, for every g at once
-                    lhs = map(composite.__getitem__, _compose_all(cols, f, len(gexts)))
-                    if not all(map(eq, lhs, _compose_all(cols, fext, len(gexts)))):
-                        rep.fail(
-                            f"associativity fails at |A|={a.size},|B|={b.size},|C|={c.size}"
-                        )
-                    rep.checked += len(gexts)
+                    lhs = map(memo.__getitem__, _compose_all(cols, f, n))
+                    if not all(map(eq, lhs, _compose_all(cols, fext, n))):
+                        failed.add((a.size, b.size, c.size))
+                    rep.checked += n
+    for a, b, c in sorted(failed):
+        rep.fail(f"associativity fails at |A|={a},|B|={b},|C|={c}")
     return rep
 
 
-class _Extensions(dict):
-    """``m.extend(h, a, c)`` by table ``h``, each extended on first lookup."""
+def _block_holds(cols, block, eta, fa: Alg, fb: Alg, splits) -> bool:
+    """Does each table of ``block`` pass every check of ``check_monad_laws``'
+    homomorphism loop, given the columns ``cols`` of their extensions?"""
+    n, tb = len(block), fb.carrier.size
+    if len(cols) != fa.carrier.size or any(len(col) != n or min(col) < 0 or max(col) >= tb
+                                           for col in cols):
+        return False
+    if not all(cols[eta[i]] == col for i, col in enumerate(zip(*block))):
+        return False
+    if splits is None:
+        return all(cols[f[0]].count(g[0]) == n for f, g in zip(fa.ops, fb.ops))
+    join = fb.ops[0]  # row x of the join table, at each y the join of x and y
+    rows = [join[x * tb:(x + 1) * tb] for x in range(tb)].__getitem__
+    return all(cols[s] == tuple(map(getitem, map(rows, cols[r]), cols[i])) for s, r, i in splits)
 
-    def __init__(self, m: MonadSpec, a: FinSet, c: FinSet):
-        super().__init__()
-        self.m, self.a, self.c = m, a, c
 
-    def __missing__(self, h: tuple[int, ...]) -> tuple[int, ...]:
-        ext = self[h] = tuple(self.m.extend(h, self.a, self.c))
-        return ext
+def _blocks(items: Iterable):
+    """``items`` in lists of ``BLOCK``, so that batches keep memory bounded."""
+    items = iter(items)
+    while block := list(islice(items, BLOCK)):
+        yield block
+
+
+def _columns(rows: Sequence[Sequence[int]], width: int) -> list[tuple[int, ...]]:
+    """The ``width`` columns of ``rows``."""
+    return list(zip(*rows)) if rows else [()] * width
+
+
+def _rows(cols: Sequence[Sequence[int]], n: int):
+    """The ``n`` rows of ``cols``."""
+    return zip(*cols) if cols else repeat((), n)
 
 
 def _compose_all(cols: list[tuple[int, ...]], table: Sequence[int], n: int):
     """The tables ``g . table``, one for each of ``n`` maps ``g``, where
     ``cols[y]`` holds every ``g(y)`` in order."""
-    return zip(*map(cols.__getitem__, table)) if table else repeat((), n)
+    return _rows(list(map(cols.__getitem__, table)), n)
 
 
 def _unit_image_generates(m: MonadSpec, a: FinSet) -> bool:

@@ -1,7 +1,8 @@
 """Finite sets, monads, algebras, relations and the admissible closure."""
 
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import product
+from operator import or_
 
 import pytest
 
@@ -338,6 +339,24 @@ def test_monad_laws_small():
         assert rep.ok, rep.failures[:3]
 
 
+@pytest.mark.parametrize("m", [IDM, EXC, EXC2, POW], ids=lambda m: f"{m.key}{len(m.exceptions)}")
+def test_extend_columns_match_the_definition(m):
+    # f+ sends a value to its image and a raise point to itself (identity and
+    # exception), or a subset to the union of its elements' images
+    # (powerset); entry k of column s is f+(s) for the k-th table, and extend
+    # is the one-table case
+    for a, b in product(map(fm.FinSet, range(4)), repeat=2):
+        tables = list(fm._all_tables(a.size, m.apply(b).size))
+        cols = m.extend_columns(tables, a, b)
+        for k, f in enumerate(tables):
+            if m.key == "powerset":
+                want = tuple(reduce(or_, (f[i] + 1 for i in range(a.size) if s + 1 >> i & 1)) - 1
+                             for s in range((1 << a.size) - 1))
+            else:
+                want = tuple(f) + tuple(range(b.size, b.size + m.n_exc))
+            assert tuple(col[k] for col in cols) == want == m.extend(f, a, b)
+
+
 def _monad_laws_naive(m, max_size):
     """Reference law check: extends every table afresh, for each law and each
     (f, g) pair, so the shared extensions and memoized composites of
@@ -393,37 +412,127 @@ def _monad_laws_naive(m, max_size):
     return rep
 
 
-def _out_of_range_at_size_2(extend):
+def _plant(monkeypatch, defect):
+    """Plant ``defect(m, f, a, b, row) -> row`` in the extension row of every
+    table ``f`` that ``MonadSpec.extend_columns`` returns, so the sweep's
+    blocks, its cross-check and ``extend``'s one-table case all see it."""
+    extend_columns = fm.MonadSpec.extend_columns
+
+    def planted(self, tables, a, b):
+        cols = extend_columns(self, tables, a, b)
+        rows = [defect(self, f, a, b, row) for f, row in zip(tables, fm._rows(cols, len(tables)))]
+        return fm._columns(rows, len(cols))
+
+    monkeypatch.setattr(fm.MonadSpec, "extend_columns", planted)
+
+
+def _out_of_range_at_size_2(m, f, a, b, row):
     # a value outside T B for every injective table other than the unit at
     # |A| = |B| = 2, seen by every law that reads such an extension
-    def planted(self, f, a, b):
-        out = extend(self, f, a, b)
-        if a.size == b.size == 2 and len(set(f)) == 2 and tuple(f) != self.unit(a):
-            out = (99,) + tuple(out[1:])
-        return out
-    return planted
+    if a.size == b.size == 2 and len(set(f)) == 2 and tuple(f) != m.unit(a):
+        return (99,) + row[1:]
+    return row
 
 
 @pytest.mark.parametrize("planted", [False, True], ids=["clean", "planted"])
 @pytest.mark.parametrize("m", [IDM, EXC, EXC2, POW], ids=lambda m: f"{m.key}{len(m.exceptions)}")
 def test_monad_laws_match_a_naive_check(monkeypatch, m, planted):
     if planted:
-        monkeypatch.setattr(fm.MonadSpec, "extend", _out_of_range_at_size_2(fm.MonadSpec.extend))
-    rep, naive = fm.check_monad_laws(m, 3), _monad_laws_naive(m, 3)
-    assert (rep.checked, rep.failures) == (naive.checked, naive.failures)
+        _plant(monkeypatch, _out_of_range_at_size_2)
+    naive = _monad_laws_naive(m, 3)
+    # at size 3 every space fits one block; blocks of 7 tables split every
+    # space past 7 tables, and the planted defect then fails some blocks
+    # and passes others
+    for block in (fm.BLOCK, 7):
+        monkeypatch.setattr(fm, "BLOCK", block)
+        rep = fm.check_monad_laws(m, 3)
+        assert (rep.checked, rep.failures) == (naive.checked, naive.failures), block
     assert bool(rep.failures) == planted
 
 
 def test_monad_laws_extend_each_table_once(monkeypatch):
     # the homomorphism loop's extensions are reused by the associativity
-    # cross-check, and each distinct composite is extended once per triple
-    calls = []
-    extend = fm.MonadSpec.extend
-    monkeypatch.setattr(fm.MonadSpec, "extend",
-                        lambda self, f, a, b: calls.append(1) or extend(self, f, a, b))
+    # cross-check, and each distinct composite is extended once per pair of sets
+    batches = []
+    extend_columns = fm.MonadSpec.extend_columns
+    monkeypatch.setattr(fm.MonadSpec, "extend_columns",
+                        lambda self, tables, a, b: batches.append(len(tables)) or extend_columns(self, tables, a, b))
     checked = sum(fm.check_monad_laws(m, 4).checked for m in (IDM, EXC, EXC2, POW))
     assert checked == 457_359
-    assert len(calls) < 100_000  # 497 846 when every pair extended its tables afresh
+    # 497 846 tables when every pair extended its tables afresh, and 74 761
+    # one table at a time before blocks; 65 261 in 232 calls with blocks
+    assert sum(batches) < 100_000
+    assert len(batches) < 1_000
+
+
+LAWS = {"map": "not a map", "unit": "unit != f", "homomorphism": "not a homomorphism",
+        "associativity": "associativity fails"}
+
+
+def _cross_checked_space(m, max_size):
+    """The largest table space (|A|, |B|) with |A| >= 2 that the associativity
+    cross-check reads with maps ``g`` into T B itself, among them an
+    injective extension, which tells every two values of T B apart."""
+    size = lambda n: m.apply(fm.FinSet(n)).size
+    return max(((a, b) for a, b in product(range(2, max_size + 1), range(1, max_size + 1))
+                if size(b) ** (a + b) <= fm.DIRECT_PAIR_CAP), key=lambda s: size(s[1]) ** s[0])
+
+
+def _plant_one(monkeypatch, m, a, b, target, law):
+    """Plant ``law``'s defect in the extension of table ``target`` of the
+    (|A|, |B|) = (a, b) space only: a value outside T B (map), the first
+    unit point moved (unit), and the union of all of A or the first raise
+    point moved (homomorphism, and associativity in a space the cross-check
+    reads); the identity monad has no operations, so it moves a unit point."""
+    tb, eta = m.apply(fm.FinSet(b)).size, m.unit(fm.FinSet(a))
+    at = -1 if law == "map" else eta[0] if law == "unit" or m.key == "identity" else -1 if m.key == "powerset" else a
+    extend_columns = fm.MonadSpec.extend_columns
+
+    def planted(self, tables, dom, cod):
+        cols = extend_columns(self, tables, dom, cod)
+        if self is m and (dom.size, cod.size) == (a, b) and target in tables:
+            k, col = tables.index(target), list(cols[at])
+            col[k] = tb if law == "map" else (col[k] + 1) % tb
+            cols[at] = tuple(col)
+        return cols
+
+    monkeypatch.setattr(fm.MonadSpec, "extend_columns", planted)
+
+
+@pytest.mark.parametrize("m, law", [(m, law) for m in (IDM, EXC, EXC2, POW) for law in LAWS
+                                    if (m, law) != (IDM, "homomorphism")],
+                         ids=lambda x: f"{x.key}{len(x.exceptions)}" if isinstance(x, fm.MonadSpec) else x)
+def test_monad_laws_match_the_table_by_table_check_at_block_boundaries(monkeypatch, m, law):
+    # one defective table at max size 4: the first table of a space, the last
+    # table of a block, the first after a block boundary and the last table of
+    # the space, which is (4, 4) but for the associativity cases.  A space no
+    # larger than one block runs with blocks of a third of it.  The column test
+    # must reject the planted table's block and accept every other one: the
+    # sweep then checks exactly that block table by table, so its report is
+    # the table-by-table check's, and it carries the law's failure.  Clean
+    # blocks are pinned to the table-by-table check by
+    # test_monad_laws_match_a_naive_check.  (The identity monad has no
+    # operations, so every map is a homomorphism.)
+    a, b = _cross_checked_space(m, 4) if law == "associativity" else (4, 4)
+    tb = m.apply(fm.FinSet(b)).size
+    tables = list(fm._all_tables(a, tb))
+    if len(tables) <= fm.BLOCK:
+        monkeypatch.setattr(fm, "BLOCK", len(tables) // 3)
+    holds = fm._block_holds
+
+    def spy(cols, block, eta, fa, fb, splits):
+        planted = (len(block[0]), fb.carrier.size) == (a, tb) and target in block
+        verdicts.append((planted, holds(cols, block, eta, fa, fb, splits)))
+        return verdicts[-1][1]
+
+    for k in (0, fm.BLOCK - 1, fm.BLOCK, len(tables) - 1):
+        target, verdicts = tables[k], []
+        with monkeypatch.context() as mp:
+            _plant_one(mp, m, a, b, target, law)
+            mp.setattr(fm, "_block_holds", spy)
+            rep = fm.check_monad_laws(m, 4)
+        assert (True, False) in verdicts and all(planted != accepted for planted, accepted in verdicts), k
+        assert any(LAWS[law] in msg for msg in rep.failures), (k, rep.failures)
 
 
 def test_algebra_shape_validation():

@@ -14,7 +14,7 @@ from polyeff import interp as ip
 from polyeff import encodings as enc
 from polyeff import paramlab as pl
 from polyeff import typecheck as tc
-from polyeff.kernel import Arrow, Judgment, LinLam, Var, VVar
+from polyeff.kernel import Arrow, CVar, Judgment, LinLam, Var, VVar
 from polyeff.randterms import TermGenerator
 from polyeff.surface import parse_term, parse_type
 
@@ -388,6 +388,47 @@ def test_encoding_props(exc_free):
     assert rep.status == "verified", rep.witness
 
 
+def _wrap_iso_failures(model, k):
+    """The wrapping-isomorphism laws that fail at algebra ``k``, checked alone."""
+    fwd, bwd = (model._eval(t) for t in enc.comp_iso_terms(CVar("A")))
+    tyenv = ip.type_env({}, {"A": model.algebras[k]})
+    (fsem, fv), (bsem, bv) = fwd(tyenv, {}), bwd(tyenv, {})
+    left = all(bsem.apply(bv, fsem.apply(fv, x)) == x for x in range(model.algebras[k].size))
+    right = all(fsem.apply(fv, bsem.apply(bv, w)) == w for w in range(bsem.dom.size))
+    return [law for law, holds in (("wrap-iso-left", left), ("wrap-iso-right", right)) if not holds]
+
+
+def test_encoding_props_catch_a_wrap_iso_backward_map_that_is_not_the_inverse(monkeypatch):
+    # every closed term of the backward map's type denotes the inverse, by
+    # parametricity, so the defect is planted in its denotation: another
+    # homomorphism of the same hom space, wherever there is one
+    model = pl.build_model(fm.ModelConfig(), range(3))
+    bwd_term = enc.comp_iso_terms(CVar("A"))[1]
+    compile_term = model._eval
+
+    def planted(t, *scope):
+        run = compile_term(t, *scope)
+        if t != bwd_term:
+            return run
+
+        def another(tyenv, tmenv):
+            sem, v = run(tyenv, tmenv)
+            return sem, next((w for w in range(len(sem.tables)) if w != v), v)
+        return another
+
+    monkeypatch.setattr(model, "_eval", planted)
+    rep = pl.verify_encoding_props(model)
+    assert rep.status == "counterexample"
+    witness = json.loads(rep.to_json())["witness"]
+    assert witness["law"] in ("wrap-iso-left", "wrap-iso-right")
+    # the witness re-checks alone: its law fails at its algebra under the
+    # defect, and holds there without it
+    assert witness["law"] in _wrap_iso_failures(model, witness["algebra"])
+    monkeypatch.undo()
+    assert _wrap_iso_failures(model, witness["algebra"]) == []
+    assert pl.verify_encoding_props(model).status == "verified"
+
+
 def test_encoding_props_sum_outside_the_bound_is_out_of_bound():
     # identity monad at bound 2: the encoded sum of the 1- and 2-element
     # algebras has 4 elements, and no registered algebra is that large
@@ -633,17 +674,19 @@ DISTINCT_FAILURES = {
 
 @pytest.mark.parametrize("size, defect", list(DISTINCT_FAILURES))
 def test_monad_laws_catch_a_planted_powerset_extend_defect(monkeypatch, size, defect):
-    # planted for every injective table other than the unit at |A| = |B| = size
-    extend = fm.MonadSpec.extend
+    # planted for every injective table other than the unit at |A| = |B| = size,
+    # in the extensions the sweep's blocks and extend's one-table case read
+    extend_columns = fm.MonadSpec.extend_columns
 
-    def planted(self, f, a, b):
-        out = extend(self, f, a, b)
-        if (self.key == "powerset" and a.size == b.size == size and len(set(f)) == size
-                and tuple(f) != self.unit(a)):
-            out = defect(out)
-        return out
+    def planted(self, tables, a, b):
+        cols = extend_columns(self, tables, a, b)
+        if self.key != "powerset" or not a.size == b.size == size:
+            return cols
+        rows = [defect(row) if len(set(f)) == size and tuple(f) != self.unit(a) else row
+                for f, row in zip(tables, fm._rows(cols, len(tables)))]
+        return fm._columns(rows, len(cols))
 
-    monkeypatch.setattr(fm.MonadSpec, "extend", planted)
+    monkeypatch.setattr(fm.MonadSpec, "extend_columns", planted)
     laws = []
     check = fm.check_monad_laws
     monkeypatch.setattr(fm, "check_monad_laws", lambda m, n: laws.append(check(m, n)) or laws[-1])

@@ -17,6 +17,24 @@ EXC = fm.MonadSpec("exception", ("e",))
 IDM = fm.MonadSpec("identity")
 
 
+@pytest.mark.parametrize("m", [IDM, EXC, fm.MonadSpec("exception", ("e1", "e2")), fm.MonadSpec("powerset")],
+                         ids=lambda m: f"{m.key}{len(m.exceptions)}")
+def test_an_extension_needs_a_table_from_a_into_t_b(m):
+    # a table with a value outside T B, such as (99,) under the powerset monad
+    # or (7,) under the exception monad, has no extension
+    one = fm.FinSet(1)
+    for f in [(m.apply(one).size,), (7,), (99,), (-1,)]:
+        with pytest.raises(fm.ModelError, match="leaves T B"):
+            m.extend(f, one, one)
+        with pytest.raises(fm.ModelError, match="leaves T B"):
+            m.extend_columns([(0,), f], one, one)
+    for f in [(), (0, 0)]:
+        with pytest.raises(fm.ModelError, match="does not cover the domain"):
+            m.extend(f, one, one)
+        with pytest.raises(fm.ModelError, match="does not cover the domain"):
+            m.extend_columns([(0,), f], one, one)
+
+
 def test_projection_must_not_depend_on_the_isomorphism():
     # a family picking element 0 of every algebra is not parametric: the
     # target is registered only up to isomorphism, as the free algebra on 2
