@@ -38,22 +38,25 @@ No view stores its own relation twice, and every relation has the rows
 form that ``finmodel`` owns: relation environments bind rows, and an
 ``AtomRel`` keeps the rows its environment binds.
 
-The family search (``pairwise_search`` over ``Model.relatedness``) decides
-a body in one of three ways, tried in this order.  A body in which the
-binder occurs with one polarity or none (``binder_signs``) is decided by
-one relation: the least admissible relation where it occurs only
-covariantly, the full relation where it occurs only contravariantly, and
-the body's own relation where it does not occur.  Else a *positive* body
-``D1 -> ... -> Dn -> X`` (see ``positive_args``; an argument may reach
-``X`` through ``->`` and ``-o``) needs only the least relations its
-arguments generate: components ``u`` at object i and ``v`` at object j are
-related iff ``(u d, v d')`` lies in the admissible closure of the pairs
-each related argument pair ``(d, d')`` generates (``Model.least_links``),
-so no relation is enumerated.  Any other body, or a positive one whose
-links do not fit, is tested by ``Model.every_relation``: under every
-admissible relation of ``rels_for_pair``, one view at a time.  A family
-built by hand, such as an effect constant's (``Model.constant_family``), is
-checked by the same test (``Model.related_families``), without a search.
+The family search decides a body in one of four ways, tried in this order.
+A vacuous binder whose body's relation at the diagonal environment is the
+diagonal (``_is_diagonal``) has the constant families (identity extension),
+and a ``ForallRel`` between two such domains has its body's rows.  Else
+``pairwise_search`` over ``Model.relatedness`` decides a body in which the
+binder occurs with one polarity or none (``binder_signs``) by one relation:
+the least admissible relation where it occurs only covariantly, the full
+relation where it occurs only contravariantly, and the body's own relation
+where it does not occur.  Else a *positive* body ``D1 -> ... -> Dn -> X``
+(see ``positive_args``; an argument may reach ``X`` through ``->`` and
+``-o``) needs only the least relations its arguments generate: components
+``u`` at object i and ``v`` at object j are related iff ``(u d, v d')`` lies
+in the admissible closure of the pairs each related argument pair ``(d,
+d')`` generates (``Model.least_links``), so no relation is enumerated.
+Any other body, or a positive one whose links do not fit, is tested by
+``Model.every_relation``: under every admissible relation of
+``rels_for_pair``, one view at a time.  A family built by hand, such as an
+effect constant's (``Model.constant_family``), is checked by the same test
+(``Model.related_families``), without a search.
 Tables are generated one way only: ``_forward_check`` cuts a value mask per
 argument by the digit links that ``link_test`` reads, a positive body's least
 links or ``paramlab``'s homomorphism graphs, and the search tests each table
@@ -61,7 +64,7 @@ again; every other component is listed.  ``relatedness`` decides each object
 pair once and generates a positive body's tables from the same links.
 Generated tables may pass ``ITER_CAP``; listed domains may not.
 ``enumerate_families_naive``, the oracle, tests every pair by ``every_relation``
-alone, never through ``relatedness``.
+alone, never through ``relatedness`` or the closed form.
 
 Terms are typechecked once per judgment: ``Model._compile`` checks the
 root with ``typecheck.synth``, reads every other node's type off its
@@ -452,7 +455,8 @@ class FunRel(RelView):
 
 class ForallRel(RelView):
     """Related families have related components at every pair of objects
-    under every admissible relation."""
+    under every admissible relation: between constant families of a vacuous
+    binder, iff their values are related by the body, so by its rows."""
 
     __slots__ = ("_model", "rho")
 
@@ -471,7 +475,13 @@ class ForallRel(RelView):
         return related(self.left.fams[a], self.right.fams[b])  # type: ignore[attr-defined]
 
     def _build_rows(self) -> tuple[int, ...]:
-        related = self._model().related_families(self.rho, self.ty)  # type: ignore[union-attr]
+        model, ty, l, r = self._model(), self.ty, self.left, self.right
+        k = len(model.objects(ty.sort))  # type: ignore[union-attr]
+        if k and not binder_signs(ty.sort, ty.binder, ty.body):
+            body = model.interp_rel(self.rho, ty.body)  # type: ignore[union-attr]
+            if (l.fams, r.fams) == (constant_families(k, body.left.size), constant_families(k, body.right.size)):
+                return body.rows()
+        related = model.related_families(self.rho, ty)  # type: ignore[union-attr]
         right_fams = self.right.fams  # type: ignore[attr-defined]
         return tuple(
             fm.mask_of((b for b, fam_b in enumerate(right_fams) if related(fam_a, fam_b)), self.right.size)
@@ -528,6 +538,19 @@ def pairwise_search(sizes: Sequence[int], ok: Callable[[int, int, int, int], boo
         raise aside
     at = sorted(range(len(order)), key=order.__getitem__)
     return tuple(sorted(tuple(asg[p] for p in at) for asg in partial))
+
+
+def constant_families(k: int, n: int) -> tuple[tuple[int, ...], ...]:
+    """The families over ``k`` objects that take one of ``n`` values at every object, ascending."""
+    return tuple((c,) * k for c in range(n))
+
+
+def _is_diagonal(view: RelView) -> bool:
+    """Whether ``view`` relates each value to itself alone: a ``FunRel`` iff its domain and codomain
+    views are (``f ~ g`` iff ``f x = g x`` at every ``x``), any other view iff its rows fit and are."""
+    if isinstance(view, FunRel):
+        return _is_diagonal(view.dom_rel) and _is_diagonal(view.cod_rel)
+    return view.left is view.right and view.fits() and view.rows() == fm.diagonal(view.left.size)
 
 
 def positive_args(sort: str, binder: str, body: TypeExpr) -> Optional[list]:
@@ -1002,12 +1025,17 @@ class Model:
     def _families(self, env: TypeEnv, ty: TypeExpr, comps: Sequence[SemSet]
                   ) -> tuple[tuple[int, ...], ...]:
         """All component tuples of the quantified type ``ty`` that preserve
-        every admissible relation: a positive body's components are generated
-        by ``relatedness``'s ``tables``, every other component is listed."""
-        sort = ty.sort
+        every admissible relation: a vacuous binder's are constant where its
+        body's relation is the diagonal, since a family is related to itself iff
+        its components are related by the body; else a positive body's components
+        are generated by ``relatedness``'s ``tables``, every other one listed."""
+        sort, k, rho = ty.sort, len(self.objects(ty.sort)), diag_relenv(env)
         try:
-            return pairwise_search([c.size for c in comps],
-                                   *self.relatedness(diag_relenv(env), sort, ty.binder, ty.body))
+            if k and not binder_signs(sort, ty.binder, ty.body):
+                view = self.interp_rel(rho, ty.body)
+                if _is_diagonal(view):
+                    return constant_families(k, view.left.size)
+            return pairwise_search([c.size for c in comps], *self.relatedness(rho, sort, ty.binder, ty.body))
         except OutOfBoundError as exc:
             objs = "sets" if sort == VSORT else "algebras"
             raise OutOfBoundError(

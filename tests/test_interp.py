@@ -32,7 +32,9 @@ from polyeff.kernel import (
     Lolli,
     Var,
     VVar,
+    binder_signs,
     classify_type,
+    free_type_var_keys,
 )
 from polyeff.surface import parse_term, parse_type
 
@@ -1147,27 +1149,32 @@ def test_least_links_past_a_lowered_cap_fall_back_to_every_relation(monkeypatch,
 
 def test_the_naive_oracle_calls_no_link_rule_and_no_memo(monkeypatch):
     # every_relation and enumerate_families_naive decide each body under
-    # every relation, never through relatedness, the least links or their
-    # memos, which the family search reaches on the same bodies; the bodies
-    # hold no nested quantifier, whose views the two searches share
+    # every relation, never through relatedness, the least links, their
+    # memos or a vacuous binder's closed form, which the family search
+    # reaches on the same bodies; the bodies hold no nested quantifier,
+    # whose views the two searches share
     m = ip.Model(EXC, 2)
     reached = []
     for name in ("relatedness", "least_links", "_leaves", "_closure"):
         monkeypatch.setattr(m, name, lambda *args, name=name, real=getattr(m, name): reached.append(name) or real(*args))
+    for name in ("_is_diagonal", "constant_families"):
+        monkeypatch.setattr(ip, name, lambda *args, name=name, real=getattr(ip, name): reached.append(name) or real(*args))
+    env = ip.type_env({"Y": m.sets[2]})
     types = [parse_type(src) for src in ("forall Z. (Z -> Z) -> Z", "forall ^X. ^X -> ^X -> ^X",
-                                         "forall ^X. (^X -o ^X) -> ^X", "forall X. (X -> X) -> X -> X")]
+                                         "forall ^X. (^X -o ^X) -> ^X", "forall X. (X -> X) -> X -> X",
+                                         "forall X. Y -> Y")]
     for ty in types:
-        rho, objs = ip.diag_relenv(ip.TypeEnv()), m.objects(ty.sort)
+        rho, objs = ip.diag_relenv(env), m.objects(ty.sort)
         every = m.every_relation(rho, ty.sort, ty.binder, ty.body)
         sizes = [m.interp_vtype(rho.rho1.set(ty.sort, ty.binder, o), ty.body).size for o in objs]
         for i, j in product(range(len(objs)), repeat=2):
             for u, v in product(range(min(sizes[i], 4)), range(min(sizes[j], 4))):
                 every(i, j, u, v)
-        m.enumerate_families_naive(ip.TypeEnv(), ty)
+        m.enumerate_families_naive(env, ty)
     assert reached == []
     for ty in types:
-        m.interp_vtype(ip.TypeEnv(), ty)
-    assert set(reached) == {"relatedness", "least_links", "_leaves", "_closure"}
+        m.interp_vtype(env, ty)
+    assert set(reached) == {"relatedness", "least_links", "_leaves", "_closure", "_is_diagonal", "constant_families"}
 
 
 @pytest.mark.parametrize("sort, binder, src", [
@@ -1353,6 +1360,128 @@ def test_family_search_names_the_type_and_the_object_past_the_cap(free_model):
         "family search for forall ^X. (^X -> ^X) -> ^X over the registered algebras:"
         " component 3 has 7625597484987 candidates, more than ITER_CAP (400000)"
     )
+
+
+# ---------------------------------------------------------------------------
+# vacuous quantifiers in closed form
+
+# vacuous quantified types, each with free variables the type environments
+# range over; the last has a diagonal domain and a codomain that is not
+# diagonal once the environment binds Y to more than the diagonal
+VACUOUS_BATTERY = ("forall X. Y", "forall X. Y -> Y", "forall ^X. ^P", "forall X. forall Z. Z -> Z",
+                   "forall X. ^P -o ^P", "forall ^X. (^P -o ^Q) -> Y", "forall X. (forall Z. Z -> Z -> Z) -> Y")
+
+
+def _free_names(ty):
+    keys = free_type_var_keys(ty)
+    return sorted(n for s, n in keys if s == VSORT), sorted(n for s, n in keys if s == CSORT)
+
+
+def _check_vacuous_families(monkeypatch, model, env, ty):
+    """``_families`` on a vacuous ``ty`` against ``pairwise_search`` over
+    ``relatedness`` and the naive oracle, and every view ``_is_diagonal``
+    accepts on the way has diagonal rows wherever they fit."""
+    accepted = []
+    is_diagonal = ip._is_diagonal  # the module's, so its recursion is recorded too
+    monkeypatch.setattr(ip, "_is_diagonal", lambda view: is_diagonal(view) and (accepted.append(view) or True))
+    objs = model.objects(ty.sort)
+    comps = [model.interp_vtype(env.set(ty.sort, ty.binder, o), ty.body) for o in objs]
+    fams = model._families(env, ty, comps)
+    search = ip.pairwise_search([c.size for c in comps],
+                                *model.relatedness(ip.diag_relenv(env), ty.sort, ty.binder, ty.body))
+    assert fams == search == model.enumerate_families_naive(env, ty), (str(ty), env)
+    for view in accepted:
+        if view.fits():
+            assert view.rows() == fm.diagonal(view.left.size), str(view.ty)
+    monkeypatch.setattr(ip, "_is_diagonal", is_diagonal)
+    return fams
+
+
+def _check_forall_rows(model, ty):
+    """The rows of ``ty``'s ``ForallRel`` equal the k * k-test rows under every
+    relation environment ``paramlab._relenvs`` yields for its free variables."""
+    for rho in pl._relenvs(pl._relenv_space(model, *_free_names(ty)), 40):
+        view = model._interp_rel(rho, ty)  # a fresh view, past the cache
+        if not view.fits():
+            continue
+        related = model.related_families(rho, ty)
+        want = tuple(fm.mask_of((b for b, fam_b in enumerate(view.right.fams) if related(fam_a, fam_b)),
+                                view.right.size) for fam_a in view.left.fams)
+        assert view.rows() == want, (str(ty), rho)
+
+
+def _battery_cases(model):
+    for src in VACUOUS_BATTERY:
+        ty = parse_type(src)
+        for env in pl.iter_type_envs(model, *_free_names(ty)):
+            yield env, ty
+
+
+@pytest.mark.parametrize("monad", ["exception", "identity", "powerset"])
+def test_vacuous_quantifiers_in_closed_form_match_both_oracles(monkeypatch, monad):
+    # every vacuous quantified type the family search meets in the seed-2024
+    # abstraction corpus, and the battery under every type environment
+    model = pl.build_model(fm.ModelConfig(monad=monad), ())
+    met = {}
+    families = model._families
+
+    def spy(env, ty, comps):
+        if not binder_signs(ty.sort, ty.binder, ty.body):
+            met.setdefault((env, ty), None)
+        return families(env, ty, comps)
+
+    monkeypatch.setattr(model, "_families", spy)
+    assert pl.verify_abstraction(model, seed=2024).status == "verified"
+    monkeypatch.setattr(model, "_families", families)
+    assert len(met) > 200
+    closed, rows_shared = 0, 0
+    for env, ty in [*met, *_battery_cases(model)]:
+        fams = _check_vacuous_families(monkeypatch, model, env, ty)
+        k = len(model.objects(ty.sort))
+        closed += fams == ip.constant_families(k, model.interp_vtype(env, ty.body).size)
+        rho = ip.diag_relenv(env)
+        view = model._interp_rel(rho, ty)
+        rows_shared += view.fits() and view.rows() is model.interp_rel(rho, ty.body).rows()
+    # identity extension: at the diagonal every one is closed, and its
+    # ForallRel reads its body's rows
+    assert closed == rows_shared == len(met) + sum(1 for _ in _battery_cases(model))
+    for ty in {ty for _, ty in met} | {parse_type(src) for src in VACUOUS_BATTERY}:
+        _check_forall_rows(model, ty)
+
+
+def _full_relenv(env):
+    # a planted relation environment that binds every variable to the full
+    # relation, so a vacuous body's view need not be the diagonal
+    return ip.RelEnv(env, env, tuple(sorted((key, ((1 << v.size) - 1,) * v.size) for key, v in env.items)))
+
+
+@pytest.mark.parametrize("defect", [None, "ignore the codomain", "skip the diagonal test"])
+def test_planted_closed_form_defects_fail_the_oracle_check(monkeypatch, defect):
+    # with every atom bound to the full relation the closed form must fall
+    # through to the search, which gives the oracle's families; a closed form
+    # that ignores a FunRel's codomain, or skips the diagonal test, does not
+    monkeypatch.setattr(ip, "diag_relenv", _full_relenv)
+    model = ip.Model(EXC, 2)
+    real = ip._is_diagonal
+    if defect == "ignore the codomain":
+        monkeypatch.setattr(ip, "_is_diagonal",
+                            lambda view: ip._is_diagonal(view.dom_rel) if isinstance(view, ip.FunRel) else real(view))
+    elif defect == "skip the diagonal test":
+        monkeypatch.setattr(ip, "_is_diagonal", lambda view: True)
+    failed = set()
+    for env, ty in _battery_cases(model):
+        try:
+            _check_vacuous_families(monkeypatch, model, env, ty)
+        except AssertionError:
+            failed.add(str(ty))
+    if defect is None:  # and a ForallRel between domains of other families takes the k * k tests
+        assert failed == set()
+        for src in ("forall X. Y", "forall ^X. ^P"):
+            _check_forall_rows(model, parse_type(src))
+    elif defect == "ignore the codomain":  # caught where a domain stays diagonal and Y does not
+        assert "forall X. (forall Z. Z -> Z -> Z) -> Y" in failed and "forall X. Y -> Y" not in failed
+    else:
+        assert {"forall X. Y", "forall X. Y -> Y", "forall X. (forall Z. Z -> Z -> Z) -> Y"} <= failed
 
 
 # ---------------------------------------------------------------------------
