@@ -38,22 +38,22 @@ No view stores its own relation twice, and every relation has the rows
 form that ``finmodel`` owns: relation environments bind rows, and an
 ``AtomRel`` keeps the rows its environment binds.
 
-The family search decides a body in one of four ways, tried in this order.
-A vacuous binder whose body's relation at the diagonal environment is the
-diagonal (``_is_diagonal``) has the constant families (identity extension),
-and a ``ForallRel`` between two such domains has its body's rows.  Else
-``pairwise_search`` over ``Model.relatedness`` decides a body in which the
-binder occurs with one polarity or none (``binder_signs``) by one relation:
-the least admissible relation where it occurs only covariantly, the full
-relation where it occurs only contravariantly, and the body's own relation
-where it does not occur.  Else a *positive* body ``D1 -> ... -> Dn -> X``
-(see ``positive_args``; an argument may reach ``X`` through ``->`` and
-``-o``) needs only the least relations its arguments generate: components
-``u`` at object i and ``v`` at object j are related iff ``(u d, v d')`` lies
-in the admissible closure of the pairs each related argument pair ``(d,
-d')`` generates (``Model.least_links``), so no relation is enumerated.
-Any other body, or a positive one whose links do not fit, is tested by
-``Model.every_relation``: under every admissible relation of
+The family search decides a body in one of four ways, tried in this order.  A
+vacuous binder whose body has at most ``ITER_CAP`` values and whose relation at
+the diagonal environment is the diagonal (``_is_diagonal``) has the constant
+families (identity extension), and a ``ForallRel`` between two such domains has
+its body's rows.  Else ``pairwise_search`` over ``Model.relatedness`` decides a
+body in which the binder occurs with one polarity or none (``binder_signs``) by
+one relation: the least admissible relation where it occurs only covariantly,
+the full relation where it occurs only contravariantly, and the body's own
+relation where it does not occur.  Else a *positive* body
+``D1 -> ... -> Dn -> X`` (see ``positive_args``; an argument may reach ``X``
+through ``->`` and ``-o``) needs only the least relations its arguments
+generate: components ``u`` at object i and ``v`` at object j are related iff
+``(u d, v d')`` lies in the admissible closure of the pairs each related
+argument pair ``(d, d')`` generates (``Model.least_links``), so no relation is
+enumerated.  Any other body, or a positive one whose links do not fit, is
+tested by ``Model.every_relation``: under every admissible relation of
 ``rels_for_pair``, one view at a time.  A family built by hand, such as an
 effect constant's (``Model.constant_family``), is checked by the same test
 (``Model.related_families``), without a search.
@@ -479,7 +479,8 @@ class ForallRel(RelView):
         k = len(model.objects(ty.sort))  # type: ignore[union-attr]
         if k and not binder_signs(ty.sort, ty.binder, ty.body):
             body = model.interp_rel(self.rho, ty.body)  # type: ignore[union-attr]
-            if (l.fams, r.fams) == (constant_families(k, body.left.size), constant_families(k, body.right.size)):
+            if (len(l.fams), len(r.fams)) == (body.left.size, body.right.size) and (l.fams, r.fams) == (
+                    constant_families(k, body.left.size), constant_families(k, body.right.size)):
                 return body.rows()
         related = model.related_families(self.rho, ty)  # type: ignore[union-attr]
         right_fams = self.right.fams  # type: ignore[attr-defined]
@@ -1024,16 +1025,16 @@ class Model:
 
     def _families(self, env: TypeEnv, ty: TypeExpr, comps: Sequence[SemSet]
                   ) -> tuple[tuple[int, ...], ...]:
-        """All component tuples of the quantified type ``ty`` that preserve
-        every admissible relation: a vacuous binder's are constant where its
-        body's relation is the diagonal, since a family is related to itself iff
-        its components are related by the body; else a positive body's components
-        are generated by ``relatedness``'s ``tables``, every other one listed."""
+        """All component tuples of the quantified type ``ty`` that preserve every admissible
+        relation: a vacuous binder's are constant where its body has at most ``ITER_CAP`` values
+        and its relation is the diagonal, since a family is related to itself iff its components
+        are related by the body; else a positive body's components are generated by
+        ``relatedness``'s ``tables``, every other one listed."""
         sort, k, rho = ty.sort, len(self.objects(ty.sort)), diag_relenv(env)
         try:
             if k and not binder_signs(sort, ty.binder, ty.body):
                 view = self.interp_rel(rho, ty.body)
-                if _is_diagonal(view):
+                if view.left.size <= ITER_CAP and _is_diagonal(view):
                     return constant_families(k, view.left.size)
             return pairwise_search([c.size for c in comps], *self.relatedness(rho, sort, ty.binder, ty.body))
         except OutOfBoundError as exc:

@@ -1484,6 +1484,34 @@ def test_planted_closed_form_defects_fail_the_oracle_check(monkeypatch, defect):
         assert {"forall X. Y", "forall X. Y -> Y", "forall X. (forall Z. Z -> Z -> Z) -> Y"} <= failed
 
 
+@pytest.mark.parametrize("src, count", [("forall X. ((Y -> Y) -> Y) -> Y -> Y", "4294967296"),
+                                        ("forall X. (((Y -> Y) -> Y) -> Y) -> Y", "more than 2**64")])
+def test_a_vacuous_binder_past_iter_cap_values_raises_the_search_message(src, count):
+    # the body's relation is the diagonal at any size, but the closed form
+    # lists its values only up to ITER_CAP; past it the search raises as for
+    # any other body.  Listing 2**32 (or a saturated count of) constant
+    # families would exhaust memory, so the type is built in a child with
+    # 1 GB of address space and a time limit
+    code = (
+        "from polyeff import finmodel as fm, interp as ip\n"
+        "from polyeff.surface import parse_type\n"
+        "m = ip.Model(fm.MonadSpec('exception', ('e',)), 2)\n"
+        "try:\n"
+        f"    m.interp_vtype(ip.type_env({{'Y': m.sets[2]}}, {{}}), parse_type({src!r}))\n"
+        "except ip.OutOfBoundError as exc:\n"
+        "    print(exc)\n"
+    )
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60, preexec_fn=limit,
+                         env={**os.environ, "PYTHONPATH": str(pathlib.Path(ip.__file__).parents[1])})
+    assert (out.returncode, out.stdout) == (0, f"family search for {src} over the registered sets:"
+                                               f" component 0 has {count} candidates, more than ITER_CAP (400000)\n"
+                                            ), out.stderr[-2000:]
+
+
 # ---------------------------------------------------------------------------
 # the compiled evaluator
 
