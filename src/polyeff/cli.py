@@ -145,8 +145,8 @@ def cmd_elaborate(args) -> int:
 
 def cmd_eval(args) -> int:
     cfg = load_config(args)
-    model = _free(cfg)
     try:
+        model = _free(cfg)
         term = enc.elaborate_term(surface.parse_term(args.term), constants=model.constants)
         ty, run = model._compile(term, (), None)
         free = free_type_vars_term(term)

@@ -35,6 +35,7 @@ from operator import add, eq, getitem, or_, sub
 from typing import Iterable, Iterator, Sequence
 
 from .kernel import Interned, hash_consed
+from .surface import KEYWORDS
 
 
 class ModelError(Exception):
@@ -199,17 +200,22 @@ def enumerate_sets(bound: int) -> list[FinSet]:
     return [FinSet(n) for n in range(bound + 1)]
 
 
-def enumerate_algebras(m: MonadSpec, bound: int) -> list[Alg]:
-    """All algebra structures on each enumerated carrier, by literal tables."""
+def enumerate_algebras(m: MonadSpec, bound: int, cap: int) -> list[Alg]:
+    """All algebra structures on each enumerated carrier, by literal tables;
+    a carrier with more than ``cap`` candidate tables raises ``OutOfBoundError``."""
     out: list[Alg] = []
     for n in range(bound + 1):
         carrier = FinSet(n)
-        if m.key != "powerset":  # one distinguished point per exception, none on an empty carrier
+        # one distinguished point per exception, none on an empty carrier; or
+        # powerset's symmetric idempotent tables, filtered by associativity
+        cells = [(x, y) for x in range(n) for y in range(x + 1, n)] if m.key == "powerset" else range(m.n_exc)
+        count = n ** len(cells)
+        if count > cap:
+            raise OutOfBoundError(f"algebras on a {n}-element carrier: {count} candidate tables, more than {cap}")
+        if m.key != "powerset":
             for pts in product(range(n), repeat=m.n_exc):
                 out.append(Alg(m, carrier, tuple((p,) for p in pts)))
             continue
-        # powerset: enumerate symmetric idempotent tables, filter associativity
-        cells = [(x, y) for x in range(n) for y in range(x + 1, n)]
         for choice in product(range(n), repeat=len(cells)):
             table = [[x if x == y else -1 for y in range(n)] for x in range(n)]
             for (x, y), v in zip(cells, choice):
@@ -625,6 +631,12 @@ def _joins_splits(table: Sequence[int], splits, cod: Alg) -> bool:
 # configuration
 
 
+def _is_identifier(name: str) -> bool:
+    """Does ``name`` lex as one identifier, so that ``raise^name`` parses?"""
+    return ((name[:1].isalpha() or name[:1] == "_") and name not in KEYWORDS
+            and all(c.isalnum() or c == "_" for c in name))
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     monad: str = "exception"
@@ -639,6 +651,8 @@ class ModelConfig:
             raise ModelError(f"exceptions must be a list of names, not {self.exceptions!r}")
         if self.monad not in MONADS:
             raise ModelError(f"unknown monad {self.monad!r}")
+        if len(set(self.exceptions)) < len(self.exceptions) or not all(map(_is_identifier, self.exceptions)):
+            raise ModelError(f"exception names must be distinct identifiers, not {list(self.exceptions)!r}")
 
     def monad_spec(self) -> MonadSpec:
         exc = self.exceptions if self.monad == "exception" else ()

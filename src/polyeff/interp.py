@@ -662,7 +662,7 @@ class Model:
         self.monad = monad
         self.bound = bound
         self.sets = fm.enumerate_sets(bound)
-        self.algebras = fm.enumerate_algebras(monad, bound)
+        self.algebras = fm.enumerate_algebras(monad, bound, ITER_CAP)
         self._free: dict[int, tuple[int, tuple[int, ...]]] = {}  # |A| -> (index of T A, unit table)
         for size in free_sizes:
             alg, eta = fm.free_algebra(monad, fm.FinSet(size))

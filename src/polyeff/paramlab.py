@@ -117,15 +117,45 @@ def _out_of_bound(theorem: str, model: ip.Model, t0: float, detail: str) -> Veri
 
 
 # ---------------------------------------------------------------------------
-# semantic equality over all environments
+# environments, and semantic equality over all of them
 
 
-def iter_type_envs(model: ip.Model, vnames: Sequence[str], cnames: Sequence[str]):
-    sets = model.sets
-    algs = model.algebras
-    for vobjs in itertools.product(sets, repeat=len(vnames)):
-        for cobjs in itertools.product(algs, repeat=len(cnames)):
-            yield ip.type_env(dict(zip(vnames, vobjs)), dict(zip(cnames, cobjs)))
+def _envs(root, names: Sequence[tuple[str, str]], choices):
+    """Every extension of ``root``, a ``TypeEnv`` or a ``RelEnv``, by
+    ``set(sort, name, *c)`` for each ``(sort, name)`` of ``names`` and each
+    ``c`` of ``choices(sort)``.  The walk is depth first with the last name
+    varying fastest, the order of ``itertools.product`` over the choices.
+    Each prefix is built once, and ``choices`` is asked again under each
+    prefix, so a walk cut off by ``islice`` lists nothing past the cut."""
+    if not names:
+        yield root
+        return
+    (sort, name), rest = names[0], names[1:]
+    for c in choices(sort):
+        yield from _envs(root.set(sort, name, *c), rest, choices)
+
+
+def type_envs(model: ip.Model, names: Sequence[tuple[str, str]]):
+    """The type environments that bind ``names`` to the model's objects."""
+    return _envs(ip.TypeEnv(), names, lambda sort: zip(model.objects(sort)))
+
+
+def rel_envs(model: ip.Model, names: Sequence[tuple[str, str]]):
+    """The relation environments that bind ``names``: each pair of objects
+    with each admissible relation between them, listed when the walk
+    reaches the pair."""
+    def choices(sort):
+        objs = model.objects(sort)
+        return ((a, b, r) for (i, a), (k, b) in itertools.product(enumerate(objs), repeat=2)
+                for r in model.rels_for_pair(sort, i, k))
+
+    return _envs(ip.RelEnv(ip.TypeEnv(), ip.TypeEnv()), names, choices)
+
+
+def env_names(ftv) -> list[tuple[str, str]]:
+    """The ``(sort, name)`` keys of the type variables ``ftv``: the value
+    variables by name, then the computation variables by name."""
+    return sorted(((v.sort, v.name) for v in ftv), key=lambda key: (key[0] == ip.CSORT, key[1]))
 
 
 def semantically_equal(
@@ -142,7 +172,8 @@ def semantically_equal(
     if not alpha_eq(ty_l, ty_r):
         return {"detail": f"type mismatch: {ty_l} vs {ty_r}"}
     bindings = list(gamma) + ([delta] if delta is not None else [])
-    for tyenv in iter_type_envs(model, vnames, cnames):
+    names = [(ip.VSORT, n) for n in vnames] + [(ip.CSORT, n) for n in cnames]
+    for tyenv in type_envs(model, names):
         dom_sizes = [model.interp_vtype(tyenv, ty).size for _, ty in bindings]
         for values in itertools.product(*(range(n) for n in dom_sizes)):
             tmenv = {name: v for (name, _), v in zip(bindings, values)}
@@ -808,29 +839,6 @@ def verify_identity_extension(model: ip.Model) -> VerificationReport:
                          counts={"types": len(battery)})
 
 
-def _relenv_space(model: ip.Model, vnames, cnames):
-    return [
-        [(sort, name, a, b, r)
-         for i, a in enumerate(model.objects(sort))
-         for j, b in enumerate(model.objects(sort))
-         for r in model.rels_for_pair(sort, i, j)]
-        for sort, names in ((ip.VSORT, vnames), (ip.CSORT, cnames))
-        for name in names
-    ]
-
-
-def _relenvs(space, cap: int):
-    """The first ``cap`` relation environments of ``product(*space)``.
-    ``product`` varies the last binding fastest, so each prefix's environment
-    is built once, kept in a dict local to the call, and extended."""
-    envs = {(): ip.RelEnv(ip.TypeEnv(), ip.TypeEnv())}
-    for combo in itertools.islice(itertools.product(*space), cap):
-        for k in range(len(combo)):
-            if combo[:k + 1] not in envs:
-                envs[combo[:k + 1]] = envs[combo[:k]].set(*combo[k])
-        yield envs[combo]
-
-
 def _memo_run(run, names):
     """``run`` as ``evaluate(tyenv, values)``, with ``values`` bound to
     ``names`` in order, run once per distinct ``(tyenv, values)``.  An
@@ -852,101 +860,71 @@ def _memo_run(run, names):
     return evaluate
 
 
+def _abstraction_failure(model: ip.Model, j: Judgment, counts: dict) -> Optional[dict]:
+    """The first failure of judgment ``j``'s checks, or None; its
+    homomorphism instances and out-of-bound skips are added to ``counts``.
+
+    The compiled closure runs once per distinct (type environment, binding
+    values), which both checks share.  The ascription's view is built once
+    per relation environment, at its first pair whose two evaluations
+    succeed: built before, it could be out of bound (a hom space past the
+    cap) where every evaluation is out of bound, skipped and counted."""
+    names = env_names(tc._ctx_ftv(j.gamma, j.delta) | free_type_vars_term(j.subject) | free_type_vars(j.ascription))
+    bindings = list(j.gamma) + ([j.delta] if j.delta is not None else [])
+    # typechecked once, run once per distinct environment
+    evaluate = _memo_run(model._compile(j.subject, j.gamma, j.delta)[1], [name for name, _ in bindings])
+    for rho in itertools.islice(rel_envs(model, names), 40):
+        pair_lists: list[list[tuple[int, int]]] = []
+        try:
+            for _, ty in bindings:  # the product is empty from the first empty list on
+                pair_lists.append(model.interp_rel(rho, ty).pairs())
+                if not pair_lists[-1]:
+                    break
+        except ip.OutOfBoundError:
+            continue
+        result_rel = None
+        for values in itertools.islice(itertools.product(*pair_lists), 60):
+            try:
+                l = evaluate(rho.rho1, tuple(v1 for v1, _ in values))
+                r = evaluate(rho.rho2, tuple(v2 for _, v2 in values))
+            except ip.OutOfBoundError:
+                counts["out-of-bound-skips"] += 1
+                continue
+            if result_rel is None:
+                result_rel = model.interp_rel(rho, j.ascription)
+            if not result_rel.contains(l, r):
+                return {"term": str(j.subject), "type": str(j.ascription), "lhs": l, "rhs": r}
+    if j.delta is None:
+        return None
+    # a stoup judgment: the induced map is a structure homomorphism
+    for tyenv in itertools.islice(type_envs(model, names), 4):
+        dom_alg = model.interp_ctype(tyenv, j.delta[1])
+        cod_alg = model.interp_ctype(tyenv, j.ascription)
+        sizes = [model.interp_vtype(tyenv, ty).size for _, ty in j.gamma]
+        for values in itertools.islice(itertools.product(*(range(n) for n in sizes)), 6):
+            table = [evaluate(tyenv, values + (d,)) for d in range(dom_alg.carrier.size)]
+            counts["hom-instances"] += 1
+            if not fm.is_homomorphism(table, dom_alg, cod_alg):
+                return {"term": str(j.subject), "law": "homomorphism"}
+    return None
+
+
 def verify_abstraction(model: ip.Model, seed: int = 17, n_terms: int = 100) -> VerificationReport:
     """Relational invariance on seeded judgments, plus the stoup
     homomorphism property.
 
     Relational environments and value environments are enumerated in a
     deterministic order and capped at 40 and 60 per judgment, so the run
-    is reproducible.
-
-    Each distinct piece of work is done once per judgment, and every
-    (relation environment, value pair) is still tested.  The compiled
-    closure runs once per distinct (type environment, binding values),
-    since the 40 relation environments share few left and right
-    environments; the homomorphism check lays out its values as the
-    bindings are (the context's, then the stoup's) and reads the same
-    memo, which is dropped with the judgment.  Each prefix of a relation
-    environment is built once.  The ascription's view is built once per
-    relation environment, at its first pair whose two evaluations succeed:
-    built before, it could be out of bound (a hom space past the cap) in an
-    environment whose evaluations are all out of bound, skipped and counted.
+    is reproducible; the first failure of a judgment ends the run.
     """
     t0 = time.perf_counter()
     gen = TermGenerator(seed, interp_safe=True)
-    failures = []
-    hom_checked = 0
-    skipped = 0
+    counts = {"terms": n_terms, "hom-instances": 0, "out-of-bound-skips": 0}
     for _ in range(n_terms):
-        j = gen.random_judgment()
-        vnames = sorted({v.name for v in _judgment_ftv(j) if isinstance(v, VVar)})
-        cnames = sorted({v.name for v in _judgment_ftv(j) if isinstance(v, CVar)})
-        bindings = list(j.gamma) + ([j.delta] if j.delta is not None else [])
-        # typechecked once, run once per distinct environment
-        evaluate = _memo_run(model._compile(j.subject, j.gamma, j.delta)[1], [name for name, _ in bindings])
-        for rho in _relenvs(_relenv_space(model, vnames, cnames), 40):
-            pair_lists: list[list[tuple[int, int]]] = []
-            try:
-                for _, ty in bindings:  # the product is empty from the first empty list on
-                    pair_lists.append(model.interp_rel(rho, ty).pairs())
-                    if not pair_lists[-1]:
-                        break
-            except ip.OutOfBoundError:
-                continue
-            result_rel = None
-            for values in itertools.islice(itertools.product(*pair_lists), 60):
-                try:
-                    l = evaluate(rho.rho1, tuple(v1 for v1, _ in values))
-                    r = evaluate(rho.rho2, tuple(v2 for _, v2 in values))
-                except ip.OutOfBoundError:
-                    skipped += 1
-                    continue
-                if result_rel is None:
-                    result_rel = model.interp_rel(rho, j.ascription)
-                if not result_rel.contains(l, r):
-                    failures.append({
-                        "term": str(j.subject), "type": str(j.ascription),
-                        "lhs": l, "rhs": r,
-                    })
-                    break
-            if failures:
-                break
-        if failures:
-            break
-        # stoup judgments: the induced map is a structure homomorphism
-        if j.delta is not None:
-            sty = j.delta[1]
-            for tyenv in itertools.islice(iter_type_envs(model, vnames, cnames), 4):
-                dom_alg = model.interp_ctype(tyenv, sty)
-                cod_alg = model.interp_ctype(tyenv, j.ascription)
-                sizes = [model.interp_vtype(tyenv, ty).size for _, ty in j.gamma]
-                for values in itertools.islice(
-                    itertools.product(*(range(n) for n in sizes)), 6
-                ):
-                    table = [evaluate(tyenv, values + (d,)) for d in range(dom_alg.carrier.size)]
-                    hom_checked += 1
-                    if not fm.is_homomorphism(table, dom_alg, cod_alg):
-                        failures.append({"term": str(j.subject), "law": "homomorphism"})
-                        break
-                if failures:
-                    break
-        if failures:
-            break
-    return _model_report("abstraction", model, t0, failures,
-                         counts={"terms": n_terms, "hom-instances": hom_checked,
-                                 "out-of-bound-skips": skipped})
-
-
-def _judgment_ftv(j: Judgment):
-    out = set()
-    for _, ty in j.gamma:
-        out |= free_type_vars(ty)
-    if j.delta is not None:
-        out |= free_type_vars(j.delta[1])
-    out |= free_type_vars_term(j.subject)
-    if j.ascription is not None:
-        out |= free_type_vars(j.ascription)
-    return out
+        failure = _abstraction_failure(model, gen.random_judgment(), counts)
+        if failure is not None:
+            return _model_report("abstraction", model, t0, [failure], counts)
+    return _model_report("abstraction", model, t0, [], counts)
 
 
 # ---------------------------------------------------------------------------

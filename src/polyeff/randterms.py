@@ -11,8 +11,10 @@ under a stoup a context head passes it to its last ``-o`` argument.  A
 judgment's context binds an argument for each function in scope.  Redexes
 are never searched for: a grown term is wrapped, with chance ``APP_WEIGHT``,
 into an abstraction applied to a context variable or the stoup, and with
-chance ``TYAPP_WEIGHT`` into a vacuous type abstraction applied to a type,
-which costs no family search: its constant families are known in closed form.
+chance ``TYAPP_WEIGHT`` into a vacuous type abstraction applied to a type.
+That costs no family search where the body has at most ``ITER_CAP`` values
+and its relation at the diagonal environment is the diagonal: its constant
+families are then known in closed form; otherwise it is searched as any other.
 Generation backtracks by returning None on a dead end; callers retry.
 Every produced judgment re-checks under ``typecheck`` or raises ``GeneratorError``.
 """

@@ -176,6 +176,15 @@ def test_config_file_roundtrip(tmp_path, capsys):
     assert "forall ^X. ^X" in out
 
 
+@pytest.mark.parametrize("argv", [["verify", "rel-axioms"], ["eval", "or"]], ids=["verify", "eval"])
+def test_a_model_past_the_algebra_cap_is_out_of_bound(capsys, argv):
+    # the powerset carrier of 5 elements has 5^10 candidate tables
+    code, out, err = run(capsys, "--monad", "powerset", "--bound", "5", *argv)
+    assert code == 3
+    assert out == ""
+    assert err.endswith("algebras on a 5-element carrier: 9765625 candidate tables, more than 400000\n")
+
+
 def test_out_of_bound_exit_code(capsys):
     # the 2 -> 2 set has 4 elements, past the sets registered at bound 2
     code, _, err = run(capsys, "eval", "(Fun X => fun x:X => x) @[2 -> 2]")
@@ -262,9 +271,12 @@ def test_include_free_algebras_is_a_usage_error(capsys):
     (["verify", "typing"], '{"E": "e1"}'),
     (["verify", "typing"], '{"monad": []}'),
     (["verify", "typing"], "missing"),
+    (["--exceptions", "e,e", "verify", "algop", "--n", "0"], None),
+    (["--exceptions", "a^b", "eval", "raise^a"], None),
+    (["verify", "typing"], '{"E": ["let"]}'),
 ], ids=["negative-bound", "unknown-monad-verify", "unknown-monad-eval", "bound-not-int",
         "not-json", "not-an-object", "exceptions-not-a-list", "monad-not-a-name",
-        "missing-file"])
+        "missing-file", "duplicate-exceptions", "exception-not-an-identifier", "exception-a-keyword"])
 def test_configuration_errors_exit_2_before_any_suite(tmp_path, capsys, argv, config):
     if config is not None:
         path = tmp_path / "model.json"

@@ -24,7 +24,7 @@ def test_enumerate_sets():
 
 
 def test_exception_algebras_on_two_points():
-    algs = [a for a in fm.enumerate_algebras(EXC, 2) if a.carrier.size == 2]
+    algs = [a for a in fm.enumerate_algebras(EXC, 2, ip.ITER_CAP) if a.carrier.size == 2]
     assert len(algs) == 2
     assert {a.ops for a in algs} == {((0,),), ((1,),)}
 
@@ -36,15 +36,36 @@ def test_powerset_algebras_on_two_points_against_naive_filter():
         table = ((tbl[0], tbl[1]), (tbl[2], tbl[3]))
         if fm.semilattice_laws_hold(table):
             oracle.append(table)
-    algs = [a for a in fm.enumerate_algebras(POW, 2) if a.carrier.size == 2]
+    algs = [a for a in fm.enumerate_algebras(POW, 2, ip.ITER_CAP) if a.carrier.size == 2]
     assert sorted(a.ops[0] for a in algs) == sorted(sum(t, ()) for t in oracle)
     assert len(algs) == 2  # min and max
 
 
 def test_single_point_carrier_has_one_algebra():
     for m in (EXC, EXC2, POW, IDM):
-        algs = [a for a in fm.enumerate_algebras(m, 1) if a.carrier.size == 1]
+        algs = [a for a in fm.enumerate_algebras(m, 1, ip.ITER_CAP) if a.carrier.size == 1]
         assert len(algs) == 1
+
+
+@pytest.mark.parametrize("monad, bound", [
+    (POW, 3), (fm.MonadSpec("exception", ("e1", "e2", "e3")), 2), (EXC2, 3), (EXC, 3), (IDM, 3),
+], ids=["powerset-3", "three-exceptions-2", "two-exceptions-3", "exception-3", "identity-3"])
+def test_no_recorded_config_has_more_than_27_candidate_tables_per_carrier(monad, bound):
+    # no carrier of a recorded configuration has more than 27 candidate tables
+    assert fm.enumerate_algebras(monad, bound, 27) == fm.enumerate_algebras(monad, bound, ip.ITER_CAP)
+
+
+def test_algebras_past_the_cap_fail_before_listing_a_table(monkeypatch):
+    # the powerset carrier of 5 elements has 5^10 candidate tables; the
+    # carriers below it are listed, and no table of it is tested
+    tested = []
+    laws = fm.semilattice_laws_hold
+    monkeypatch.setattr(fm, "semilattice_laws_hold", lambda table: tested.append(len(table)) or laws(table))
+    with pytest.raises(fm.OutOfBoundError, match=r"^algebras on a 5-element carrier: 9765625 candidate tables, more than 400000$"):
+        fm.enumerate_algebras(POW, 5, ip.ITER_CAP)
+    assert max(tested) == 4
+    with pytest.raises(fm.OutOfBoundError, match="3-element carrier: 27 candidate tables, more than 26"):
+        fm.enumerate_algebras(POW, 3, 26)
 
 
 def test_free_algebra_carriers():
@@ -61,7 +82,7 @@ def test_free_algebra_carriers():
 def test_small_free_algebras_are_among_the_enumerated_ones(monad):
     for k in range(3):
         if monad.apply(fm.FinSet(k)).size <= 2:
-            assert fm.free_algebra(monad, fm.FinSet(k))[0] in fm.enumerate_algebras(monad, 2)
+            assert fm.free_algebra(monad, fm.FinSet(k))[0] in fm.enumerate_algebras(monad, 2, ip.ITER_CAP)
 
 
 @pytest.mark.parametrize("monad", [EXC, EXC2, POW, IDM], ids=lambda m: f"{m.key}{m.n_exc}")
@@ -105,7 +126,7 @@ def test_semilattice_hom_tables_by_exhaustion():
 def test_enumerate_homs_matches_brute_force(monad):
     # every algebra at bound 2 plus the free algebras on 0, 1 and 2 points,
     # against a filter of the full table product, order included
-    algs = fm.enumerate_algebras(monad, 2)
+    algs = fm.enumerate_algebras(monad, 2, ip.ITER_CAP)
     algs += [fm.free_algebra(monad, fm.FinSet(n))[0] for n in range(3)]
     for dom in algs:
         for cod in algs:

@@ -34,7 +34,8 @@ from polyeff.kernel import (
     VVar,
     binder_signs,
     classify_type,
-    free_type_var_keys,
+    free_type_vars,
+    free_type_vars_term,
 )
 from polyeff.surface import parse_term, parse_type
 
@@ -171,8 +172,8 @@ def test_the_model_owns_one_hom_space_per_algebra_pair(monad):
 
 
 def test_an_out_of_bound_hom_space_names_what_its_free_variables_stand_for(monkeypatch):
+    model = ip.Model(EXC, 2)  # built first: its algebra listing is capped at ITER_CAP too
     monkeypatch.setattr(ip, "ITER_CAP", 1)
-    model = ip.Model(EXC, 2)
     alg = model.algebras[-1]
     env = ip.type_env({"B": fm.FinSet(2)}, {"P": alg, "Q": alg})
     with pytest.raises(ip.OutOfBoundError) as err:
@@ -1373,8 +1374,7 @@ VACUOUS_BATTERY = ("forall X. Y", "forall X. Y -> Y", "forall ^X. ^P", "forall X
 
 
 def _free_names(ty):
-    keys = free_type_var_keys(ty)
-    return sorted(n for s, n in keys if s == VSORT), sorted(n for s, n in keys if s == CSORT)
+    return pl.env_names(free_type_vars(ty))
 
 
 def _check_vacuous_families(monkeypatch, model, env, ty):
@@ -1399,8 +1399,8 @@ def _check_vacuous_families(monkeypatch, model, env, ty):
 
 def _check_forall_rows(model, ty):
     """The rows of ``ty``'s ``ForallRel`` equal the k * k-test rows under every
-    relation environment ``paramlab._relenvs`` yields for its free variables."""
-    for rho in pl._relenvs(pl._relenv_space(model, *_free_names(ty)), 40):
+    relation environment ``paramlab.rel_envs`` yields for its free variables."""
+    for rho in islice(pl.rel_envs(model, _free_names(ty)), 40):
         view = model._interp_rel(rho, ty)  # a fresh view, past the cache
         if not view.fits():
             continue
@@ -1413,7 +1413,7 @@ def _check_forall_rows(model, ty):
 def _battery_cases(model):
     for src in VACUOUS_BATTERY:
         ty = parse_type(src)
-        for env in pl.iter_type_envs(model, *_free_names(ty)):
+        for env in pl.type_envs(model, _free_names(ty)):
             yield env, ty
 
 
@@ -1526,12 +1526,10 @@ def abstraction_environments(model, j, relenvs=40, value_envs=3, tyenvs=4, hom_e
     (with fewer value environments per relation environment): both sides
     of related value environments under each relation environment, then
     the value environments of its homomorphism check."""
-    ftv = pl._judgment_ftv(j)
-    vnames = sorted(v.name for v in ftv if isinstance(v, VVar))
-    cnames = sorted(v.name for v in ftv if isinstance(v, CVar))
+    names = pl.env_names(tc._ctx_ftv(j.gamma, j.delta) | free_type_vars_term(j.subject) | free_type_vars(j.ascription))
     bindings = list(j.gamma) + ([j.delta] if j.delta is not None else [])
     out = []
-    for rho in pl._relenvs(pl._relenv_space(model, vnames, cnames), relenvs):
+    for rho in islice(pl.rel_envs(model, names), relenvs):
         try:
             pair_lists = [model.interp_rel(rho, ty).pairs() for _, ty in bindings]
         except ip.OutOfBoundError:
@@ -1540,7 +1538,7 @@ def abstraction_environments(model, j, relenvs=40, value_envs=3, tyenvs=4, hom_e
             for side, tyenv in enumerate((rho.rho1, rho.rho2)):
                 out.append((tyenv, {name: v[side] for (name, _), v in zip(bindings, values)}))
     if j.delta is not None:
-        for tyenv in islice(pl.iter_type_envs(model, vnames, cnames), tyenvs):
+        for tyenv in islice(pl.type_envs(model, names), tyenvs):
             sizes = [model.interp_vtype(tyenv, ty).size for _, ty in bindings]
             for values in islice(product(*map(range, sizes)), hom_envs):
                 out.append((tyenv, {name: v for (name, _), v in zip(bindings, values)}))
@@ -1600,7 +1598,7 @@ def test_a_binder_that_shadows_a_context_variable_evaluates_as_its_renaming(free
     gamma = (("x", VVar("B")), ("g", parse_type("A -> B")), ("h", parse_type("^Q -o ^Q")))
     (ty, run), (ty2, run2) = (model._compile(parse_term(t), gamma, None) for t in (term, renamed))
     assert ty is ty2
-    for tyenv in islice(pl.iter_type_envs(model, ["A", "B"], ["Q"]), 30):
+    for tyenv in islice(pl.type_envs(model, [(VSORT, "A"), (VSORT, "B"), (CSORT, "Q")]), 30):
         sizes = [model.interp_vtype(tyenv, t).size for _, t in gamma]
         for values in product(*map(range, sizes)):
             tmenv = {n: v for (n, _), v in zip(gamma, values)}

@@ -3,6 +3,7 @@
 import itertools
 import json
 from collections import Counter
+from functools import reduce
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -14,7 +15,7 @@ from polyeff import interp as ip
 from polyeff import encodings as enc
 from polyeff import paramlab as pl
 from polyeff import typecheck as tc
-from polyeff.kernel import Arrow, CVar, Judgment, LinLam, Var, VVar
+from polyeff.kernel import Arrow, CVar, Judgment, LinLam, Var, VVar, free_type_vars, free_type_vars_term
 from polyeff.randterms import TermGenerator
 from polyeff.surface import parse_term, parse_type
 
@@ -528,6 +529,42 @@ def test_a_suite_compiles_each_of_its_terms_once(monkeypatch, check, compiles):
     assert len(calls) == compiles
     recorded = (DATA / "verify_all.jsonl").read_text().splitlines()
     assert rep.to_json(include_runtime=False) in recorded
+
+
+@pytest.mark.parametrize("bound", [2, 3])
+def test_the_environment_walk_is_the_product_and_lists_only_the_pairs_it_binds(monkeypatch, bound):
+    # the abstraction suite's walks for the seed-2024 judgments, on a model
+    # that has interpreted nothing yet: no walk lists the relations of an
+    # object pair that none of its environments binds; its first 40 relation
+    # environments are those of a product over full listings, and its type
+    # environments those of a product over the objects
+    model = pl.build_model(fm.ModelConfig(bound=bound), ())
+    gen = TermGenerator(2024, interp_safe=True)
+    judgments = [gen.random_judgment() for _ in range(100)]
+    names = [pl.env_names(tc._ctx_ftv(j.gamma, j.delta) | free_type_vars_term(j.subject)
+                          | free_type_vars(j.ascription)) for j in judgments]
+    listed, rels_for_pair, walks = set(), model.rels_for_pair, []
+    monkeypatch.setattr(model, "rels_for_pair", lambda sort, i, k: listed.add((sort, i, k)) or rels_for_pair(sort, i, k))
+    for ns in names:
+        listed.clear()
+        walks.append(list(itertools.islice(pl.rel_envs(model, ns), 40)))
+        bound_pairs = {(sort, model.objects(sort).index(rho.rho1.get(sort, name)),
+                        model.objects(sort).index(rho.rho2.get(sort, name)))
+                       for rho in walks[-1] for (sort, name), _ in rho.rels}
+        assert listed <= bound_pairs, (ns, sorted(listed - bound_pairs))
+    monkeypatch.undo()
+    for ns, rhos in zip(names, walks):
+        full = [[(sort, name, a, b, r) for i, a in enumerate(model.objects(sort))
+                 for k, b in enumerate(model.objects(sort)) for r in model.rels_for_pair(sort, i, k)]
+                for sort, name in ns]
+        want = [reduce(lambda rho, c: rho.set(*c), combo, ip.RelEnv(ip.TypeEnv(), ip.TypeEnv()))
+                for combo in itertools.islice(itertools.product(*full), 40)]
+        assert rhos == want, ns
+        want = [ip.type_env({n: o for (s, n), o in zip(ns, objs) if s == ip.VSORT},
+                            {n: o for (s, n), o in zip(ns, objs) if s == ip.CSORT})
+                for objs in itertools.product(*(model.objects(sort) for sort, _ in ns))]
+        assert list(pl.type_envs(model, ns)) == want, ns
+    assert sum(len(ns) > 1 for ns in names) > 10  # walks of more than one variable
 
 
 def test_abstraction_catches_an_evaluator_that_depends_on_the_object(monkeypatch):
