@@ -1,8 +1,8 @@
 """Command-line driver: check, elaborate, eval, verify.
 
 Exit codes: 0 all checks passed, 1 type error or counterexample,
-2 usage or configuration error (or a term to evaluate with free type
-variables), 3 out-of-bound request.
+2 usage or configuration error, an unreadable input file or a term to
+evaluate with free type variables, 3 out-of-bound request.
 """
 
 from __future__ import annotations
@@ -79,13 +79,19 @@ def _free(cfg: fm.ModelConfig) -> ip.Model:
 # check / elaborate
 
 
+class InputError(Exception):
+    """An input file that cannot be read (exit 2)."""
+
+
 def process_file(path: str, constants, out: list) -> list[dict]:
-    """Check one file's declarations; returns error records."""
+    """Check one file's declarations; returns error records, raises ``InputError`` on an unreadable file."""
     errors = []
     try:
-        decls = surface.parse_file(Path(path).read_text(), path)
+        decls = surface.parse_file(Path(path).read_text(encoding="utf-8"), path)
     except surface.SyntaxErr as exc:
         return [{"code": "SyntaxError", "span": str(exc.span), "detail": exc.message}]
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read {path}: {getattr(exc, 'strerror', exc)}") from None
     for decl in decls:
         if isinstance(decl, surface.TypeDecl):
             out.append((decl.name, "type", decl.ty, None))
@@ -283,8 +289,8 @@ def main(argv: Optional[list[str]] = None) -> int:
             return cmd_eval(args)
         if args.command == "verify":
             return cmd_verify(args)
-    except fm.ModelError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
+    except (fm.ModelError, InputError) as exc:
+        print(exc if isinstance(exc, InputError) else f"configuration error: {exc}", file=sys.stderr)
         return 2
     return 2
 

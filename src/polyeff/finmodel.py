@@ -24,14 +24,19 @@ like types: equal ones are one object, so caches key on them by identity.
 A relation between carriers of sizes m and n has one form everywhere,
 its *rows*: a tuple of m int bitmasks in which bit ``y`` of ``rows[x]``
 is set iff ``x`` and ``y`` are related.  This module owns that layout.
+
+It also owns the monad-law sweep's packed *columns*: one ``bytes`` per
+argument of ``n`` tables into ``k`` elements, one little-endian lane per
+table, as wide as ``k`` (or a powerset's masks) needs.  Read as one int,
+a column of one-byte lanes keys a join table by ``x*k + y`` with no carry
+while ``k <= 16``.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from itertools import chain, islice, product, repeat
-from operator import add, eq, getitem, or_, sub
+from itertools import product, repeat
 from typing import Iterable, Iterator, Sequence
 
 from .kernel import Interned, hash_consed
@@ -97,26 +102,30 @@ class MonadSpec(Interned):
 
     def extend(self, f: Sequence[int], a: FinSet, b: FinSet) -> tuple[int, ...]:
         """Lift ``f : A -> T B`` to ``f+ : T A -> T B``: ``extend_columns``' one-table case."""
-        return next(_rows(self.extend_columns((f,), a, b), 1))
+        tb = self.apply(b).size
+        return next(_rows(self.extend_columns(_columns([f], a.size, tb), 1, a, b), 1, tb))
 
-    def extend_columns(self, tables: Sequence[Sequence[int]], a: FinSet, b: FinSet) -> list[tuple[int, ...]]:
-        """Lift each ``f : A -> T B`` of ``tables`` at once, by columns: entry
-        ``k`` of column ``s`` is ``f+(s)`` for ``f = tables[k]``."""
-        if not set(map(len, tables)) <= {a.size}:
+    def extend_columns(self, cols: Sequence[bytes], n: int, a: FinSet, b: FinSet) -> list[bytes]:
+        """Lift ``n`` tables ``f : A -> T B`` at once, packed as columns:
+        ``cols[x]`` holds ``f(x)`` for each table, and column ``s`` of the
+        result holds ``f+(s)``."""
+        tb = self.apply(b).size
+        w = _width(tb)
+        if len(cols) != a.size or any(len(col) != n * w for col in cols):
             raise ModelError("table does not cover the domain")
-        n, tb = len(tables), self.apply(b).size
-        cols = _columns(tables, a.size)
-        if tables and cols and (min(map(min, cols)) < 0 or max(map(max, cols)) >= tb):
+        if any(max(_lanes(col, w), default=0) >= tb if w > 1 else col.translate(None, bytes(range(tb)))
+               for col in cols):
             raise ModelError(f"table leaves T B, which has {tb} elements")
         if self.key != "powerset":
-            return cols + [(b.size + e,) * n for e in range(self.n_exc)]
+            return list(cols) + [(b.size + e).to_bytes(w, "little") * n for e in range(self.n_exc)]
         # subset masks of A, doubled one element at a time: the image of
-        # s + {i} is the image of s joined with f(i)
+        # s + {i} is the image of s joined with f(i); a mask fits its lane
+        one = int.from_bytes((1).to_bytes(w, "little") * n, "little")
         masks = []
         for col in cols:
-            col = tuple(map(add, col, repeat(1)))
-            masks += [col] + [tuple(map(or_, y, col)) for y in masks]
-        return [tuple(map(sub, y, repeat(1))) for y in masks]
+            col = int.from_bytes(col, "little") + one
+            masks += [col] + [y | col for y in masks]
+        return [(y - one).to_bytes(n * w, "little") for y in masks]
 
     def tmap(self, f: Sequence[int], a: FinSet, b: FinSet) -> tuple[int, ...]:
         """Functor action: T f = (unit . f)+."""
@@ -437,10 +446,6 @@ class LawReport:
         return not self.failures
 
 
-def _all_tables(dom: int, cod: int):
-    return product(range(cod), repeat=dom)
-
-
 DIRECT_PAIR_CAP = 20_000
 BLOCK = 512  # tables that check_monad_laws extends and checks together: its columns stay small
 
@@ -458,15 +463,16 @@ def check_monad_laws(m: MonadSpec, max_size: int) -> LawReport:
       all of T A), cross-checked directly over all (f, g) pairs while the
       product of table spaces stays below ``DIRECT_PAIR_CAP``.
 
-    Each table space is extended ``BLOCK`` tables at a time, by one
-    ``extend_columns`` call, and each law is tested over whole columns
-    (``_block_holds``).  That test only accepts: the extensions of a block
+    ``_sweep_space`` extends each table space ``BLOCK`` tables at a time,
+    packed as columns, by one ``extend_columns`` call, and tests each law
+    over whole columns (``_block_holds``).  That test only accepts: the extensions of a block
     it does not accept are checked again table by table, and only that
     check records failures, so the report is the table-by-table check's.
-    The extensions of every space within ``DIRECT_PAIR_CAP`` are kept (None
-    for one that is not a map) for the cross-check.  It looks each composite
-    g+ . f up among them, extends those it misses in blocks, each once per
-    pair of sets (A, C), and reports its failures in (A, B, C) order.
+    The columns of every space within ``DIRECT_PAIR_CAP`` are kept, less
+    the tables whose extension is not a map, for the cross-check.  It
+    extends every composite g+ . f of a triple of sets (A, B, C) by one
+    ``extend_columns`` call, compares the result with g+ . f+, and reports
+    its failures in (A, B, C) order.
     """
     rep = LawReport()
     sets = [FinSet(n) for n in range(max_size + 1)]
@@ -480,113 +486,110 @@ def check_monad_laws(m: MonadSpec, max_size: int) -> LawReport:
             rep.fail(f"unit image does not generate T A at |A|={a.size}")
         rep.checked += 1
 
-    exts = {}  # (|A|, |B|) -> [extend(f), or None where it is not a map, for f in _all_tables], within the cap
-    for a in sets:
-        for b in sets:
-            tb = m.apply(b)
-            if tb.size == 0 and a.size > 0:
-                continue
-            eta_a = m.unit(a)
-            fa, _ = free_algebra(m, a)
-            fb, _ = free_algebra(m, b)
-            splits = _union_splits(a) if m.key == "powerset" else None
-            kept = exts[a.size, b.size] = [] if tb.size ** a.size <= DIRECT_PAIR_CAP else None
-            for block in _blocks(_all_tables(a.size, tb.size)):
-                cols = m.extend_columns(block, a, b)
-                if _block_holds(cols, block, eta_a, fa, fb, splits):
-                    rep.checked += len(block)
-                    if kept is not None:
-                        kept += _rows(cols, len(block))
-                    continue
-                for f, fext in zip(block, _rows(cols, len(block)), strict=True):
-                    is_map = _is_map(fext, fa.carrier.size, tb.size)
-                    if kept is not None:
-                        kept.append(fext if is_map else None)
-                    rep.checked += 1
-                    if not is_map:
-                        rep.fail(f"extend(f) not a map at |A|={a.size},|B|={b.size}")
-                        continue
-                    for i in range(a.size):
-                        if fext[eta_a[i]] != f[i]:
-                            rep.fail(f"extend(f).unit != f at |A|={a.size},|B|={b.size}")
-                            break
-                    if not (is_homomorphism(fext, fa, fb) if splits is None
-                            else _joins_splits(fext, splits, fb)):
-                        rep.fail(
-                            f"extension not a homomorphism at |A|={a.size},|B|={b.size}"
-                        )
-
+    exts = {(a.size, b.size): _sweep_space(m, a, b, rep) for a, b in product(sets, repeat=2)
+            if m.apply(b).size or not a.size}
     failed = set()  # (|A|, |B|, |C|) where associativity fails, reported in that order
-    for a in sets:
-        for c in sets:
-            memo = None  # {table h: extend(h)} for h : A -> T C, shared by every B
-            for b in sets:
-                tb, tc = m.apply(b), m.apply(c)
-                if (tb.size == 0 and a.size > 0) or (tc.size == 0 and b.size > 0):
-                    continue
-                if tb.size ** a.size * tc.size ** b.size > DIRECT_PAIR_CAP:
-                    continue  # covered by the decomposition above
-                # extensions that are not maps were reported above
-                gexts = [g for g in exts[b.size, c.size] if g is not None]
-                cols, n = _columns(gexts, tb.size), len(gexts)
-                if memo is None:  # the homomorphism loop's extensions that are maps
-                    known = zip(_all_tables(a.size, tc.size), exts.get((a.size, c.size)) or ())
-                    memo = {h: e for h, e in known if e is not None}
-                if len(memo) < tc.size ** a.size:  # extend the composites it misses
-                    fs = zip(_all_tables(a.size, tb.size), exts[a.size, b.size])
-                    hs = chain.from_iterable(_compose_all(cols, f, n) for f, e in fs if e is not None)
-                    for part in _blocks(list(set(hs) - memo.keys())):
-                        memo.update(zip(part, _rows(m.extend_columns(part, a, c), len(part))))
-                for f, fext in zip(_all_tables(a.size, tb.size), exts[a.size, b.size]):
-                    if fext is None:
-                        continue
-                    # (g+ . f)+ against g+ . f+, for every g at once
-                    lhs = map(memo.__getitem__, _compose_all(cols, f, n))
-                    if not all(map(eq, lhs, _compose_all(cols, fext, n))):
-                        failed.add((a.size, b.size, c.size))
-                    rep.checked += n
+    for a, b, c in product(sets, repeat=3):
+        tb = m.apply(b).size
+        if (None in (exts.get((a.size, b.size)), exts.get((b.size, c.size)))
+                or tb ** a.size * m.apply(c).size ** b.size > DIRECT_PAIR_CAP):
+            continue  # a space with no table, or covered by the decomposition above
+        w, (nf, fcols, fexts), (ng, _, gexts) = _width(tb), exts[a.size, b.size], exts[b.size, c.size]
+        # (g+ . f)+ against g+ . f+, for every f and g at once, f-major
+        lhs, rhs = ([b"".join(map(gexts.__getitem__, _lanes(col, w))) for col in part] for part in (fcols, fexts))
+        if m.extend_columns(lhs, nf * ng, a, c) != rhs:
+            failed.add((a.size, b.size, c.size))
+        rep.checked += nf * ng
     for a, b, c in sorted(failed):
         rep.fail(f"associativity fails at |A|={a},|B|={b},|C|={c}")
     return rep
 
 
-def _block_holds(cols, block, eta, fa: Alg, fb: Alg, splits) -> bool:
-    """Does each table of ``block`` pass every check of ``check_monad_laws``'
-    homomorphism loop, given the columns ``cols`` of their extensions?"""
-    n, tb = len(block), fb.carrier.size
-    if len(cols) != fa.carrier.size or any(len(col) != n or min(col) < 0 or max(col) >= tb
-                                           for col in cols):
+def _sweep_space(m: MonadSpec, a: FinSet, b: FinSet, rep: LawReport):
+    """Check the unit and homomorphism laws of every table A -> T B into ``rep``; within
+    ``DIRECT_PAIR_CAP``, return ``(n, columns, extension columns)`` of the ``n`` tables
+    whose extension is a map."""
+    tb = m.apply(b).size
+    (fa, eta_a), (fb, _) = free_algebra(m, a), free_algebra(m, b)
+    splits = _union_splits(a) if m.key == "powerset" else None
+    kept = [] if tb ** a.size <= DIRECT_PAIR_CAP else None  # (n, columns, extension columns) per block
+    for block, n in _blocks(a.size, tb):
+        cols = m.extend_columns(block, n, a, b)
+        if _block_holds(cols, block, n, eta_a, fa, fb, splits):
+            rep.checked += n
+            if kept is not None:
+                kept.append((n, block, cols))
+            continue
+        maps = []
+        for f, fext in zip(_rows(block, n, tb), _rows(cols, n, tb), strict=True):
+            rep.checked += 1
+            if not _is_map(fext, fa.carrier.size, tb):
+                rep.fail(f"extend(f) not a map at |A|={a.size},|B|={b.size}")
+                continue
+            maps.append((f, fext))
+            for i in range(a.size):
+                if fext[eta_a[i]] != f[i]:
+                    rep.fail(f"extend(f).unit != f at |A|={a.size},|B|={b.size}")
+                    break
+            if not (is_homomorphism(fext, fa, fb) if splits is None
+                    else _joins_splits(fext, splits, fb)):
+                rep.fail(f"extension not a homomorphism at |A|={a.size},|B|={b.size}")
+        if kept is not None:
+            kept.append((len(maps), _columns([f for f, _ in maps], a.size, tb),
+                         _columns([e for _, e in maps], fa.carrier.size, tb)))
+    if kept is not None:
+        ns, *parts = zip(*kept)
+        return sum(ns), *([b"".join(c) for c in zip(*part)] for part in parts)
+    return None
+
+
+def _block_holds(cols, block, n, eta, fa: Alg, fb: Alg, splits) -> bool:
+    """Does each of the ``n`` tables packed in ``block`` pass every check of ``_sweep_space``,
+    given the columns ``cols`` of their extensions?  Only one-byte lanes are
+    tested, and union splits only while T B has at most 16 elements."""
+    tb = fb.carrier.size
+    if tb > (16 if splits else 255) or len(cols) != fa.carrier.size or any(
+            len(col) != n or col.translate(None, bytes(range(tb))) for col in cols):
         return False
-    if not all(cols[eta[i]] == col for i, col in enumerate(zip(*block))):
+    if any(cols[eta[i]] != col for i, col in enumerate(block)):
         return False
     if splits is None:
         return all(cols[f[0]].count(g[0]) == n for f, g in zip(fa.ops, fb.ops))
-    join = fb.ops[0]  # row x of the join table, at each y the join of x and y
-    rows = [join[x * tb:(x + 1) * tb] for x in range(tb)].__getitem__
-    return all(cols[s] == tuple(map(getitem, map(rows, cols[r]), cols[i])) for s, r, i in splits)
+    # lane x*tb + y of the join table is the join of x and y, and fits its byte
+    join, ints = bytes(fb.ops[0]).ljust(256, b"\0"), [int.from_bytes(col, "little") for col in cols]
+    return all((ints[r] * tb + ints[i]).to_bytes(n, "little").translate(join) == cols[s] for s, r, i in splits)
 
 
-def _blocks(items: Iterable):
-    """``items`` in lists of ``BLOCK``, so that batches keep memory bounded."""
-    items = iter(items)
-    while block := list(islice(items, BLOCK)):
-        yield block
+def _blocks(a: int, tb: int):
+    """``(columns, n)`` for each ``BLOCK`` tables A -> T B in turn, in ``product`` order."""
+    w, total = _width(tb), tb ** a
+    space = [b"".join(v.to_bytes(w, "little") * tb ** (a - 1 - x) for v in range(tb)) * tb ** x for x in range(a)]
+    for k in range(0, total, BLOCK):
+        yield [col[k * w:(k + BLOCK) * w] for col in space], min(BLOCK, total - k)
 
 
-def _columns(rows: Sequence[Sequence[int]], width: int) -> list[tuple[int, ...]]:
-    """The ``width`` columns of ``rows``."""
-    return list(zip(*rows)) if rows else [()] * width
+def _width(size: int) -> int:
+    """Bytes per lane for values up to ``size``: a set's elements, and a powerset T B's masks."""
+    return (size.bit_length() + 7) >> 3 or 1
 
 
-def _rows(cols: Sequence[Sequence[int]], n: int):
-    """The ``n`` rows of ``cols``."""
-    return zip(*cols) if cols else repeat((), n)
+def _lanes(col: bytes, w: int) -> Sequence[int]:
+    """The values of ``col``'s lanes of ``w`` bytes each, little-endian."""
+    return col if w == 1 else [int.from_bytes(col[i:i + w], "little") for i in range(0, len(col), w)]
 
 
-def _compose_all(cols: list[tuple[int, ...]], table: Sequence[int], n: int):
-    """The tables ``g . table``, one for each of ``n`` maps ``g``, where
-    ``cols[y]`` holds every ``g(y)`` in order."""
-    return _rows(list(map(cols.__getitem__, table)), n)
+def _columns(rows: Sequence[Sequence[int]], width: int, size: int) -> list[bytes]:
+    """The ``width`` columns of ``rows``, whose values lie in a set of ``size`` elements, packed."""
+    w = _width(size)
+    try:
+        return [b"".join(v.to_bytes(w, "little") for v in col) for col in zip(*rows)] if rows else [b""] * width
+    except OverflowError:
+        raise ModelError(f"table leaves T B, which has {size} elements") from None
+
+
+def _rows(cols: Sequence[bytes], n: int, size: int):
+    """The ``n`` rows of the packed ``cols``, whose values lie in a set of ``size`` elements."""
+    return zip(*(_lanes(col, _width(size)) for col in cols)) if cols else repeat((), n)
 
 
 def _unit_image_generates(m: MonadSpec, a: FinSet) -> bool:

@@ -41,6 +41,24 @@ def test_check_accepts_handler_signatures(capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("command", ["check", "elaborate"])
+@pytest.mark.parametrize("kind, reason", [
+    ("missing", "No such file or directory"), ("directory", "Is a directory"),
+    ("not-utf-8", "'utf-8' codec can't decode byte 0xff in position 0"),
+])
+def test_an_unreadable_input_file_exits_2_with_one_line(tmp_path, capsys, command, kind, reason):
+    # like an unreadable --config: exit 2, one stderr line naming the file and
+    # the reason, no traceback; exit 1 is for type errors
+    path = tmp_path / "input.pe"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "not-utf-8":
+        path.write_bytes(b"\xff\xfedef x : 1 = ()\n")
+    code, out, err = run(capsys, command, str(path))
+    assert code == 2 and out == ""
+    assert err.startswith(f"cannot read {path}: {reason}") and err.count("\n") == 1
+
+
 def test_check_json_diagnostics(capsys):
     code, out, _ = run(capsys, "check", "--format", "json", str(DATA / "stoup_misuse.pe"))
     assert code == 1

@@ -360,58 +360,106 @@ def test_monad_laws_small():
         assert rep.ok, rep.failures[:3]
 
 
+def _extension(m, f, a, b):
+    """f+ by its definition: a value goes to its image and a raise point to
+    itself (identity and exception), a subset to the union of its elements'
+    images (powerset)."""
+    if m.key == "powerset":
+        return tuple(reduce(or_, (f[i] + 1 for i in range(a.size) if s + 1 >> i & 1)) - 1
+                     for s in range((1 << a.size) - 1))
+    return tuple(f) + tuple(range(b.size, b.size + m.n_exc))
+
+
+def _extend_tables(m, tables, a, b):
+    """The extension of each of ``tables`` by one ``extend_columns`` call, as rows."""
+    tb, n = m.apply(b).size, len(tables)
+    return list(fm._rows(m.extend_columns(fm._columns(tables, a.size, tb), n, a, b), n, tb))
+
+
 @pytest.mark.parametrize("m", [IDM, EXC, EXC2, POW], ids=lambda m: f"{m.key}{len(m.exceptions)}")
 def test_extend_columns_match_the_definition(m):
-    # f+ sends a value to its image and a raise point to itself (identity and
-    # exception), or a subset to the union of its elements' images
-    # (powerset); entry k of column s is f+(s) for the k-th table, and extend
-    # is the one-table case
+    # lane k of column s is f+(s) for the k-th table, and extend is the
+    # one-table case
     for a, b in product(map(fm.FinSet, range(4)), repeat=2):
-        tables = list(fm._all_tables(a.size, m.apply(b).size))
-        cols = m.extend_columns(tables, a, b)
-        for k, f in enumerate(tables):
-            if m.key == "powerset":
-                want = tuple(reduce(or_, (f[i] + 1 for i in range(a.size) if s + 1 >> i & 1)) - 1
-                             for s in range((1 << a.size) - 1))
-            else:
-                want = tuple(f) + tuple(range(b.size, b.size + m.n_exc))
-            assert tuple(col[k] for col in cols) == want == m.extend(f, a, b)
+        tables = list(product(range(m.apply(b).size), repeat=a.size))
+        assert _extend_tables(m, tables, a, b) == [_extension(m, f, a, b) for f in tables]
+        assert all(m.extend(f, a, b) == _extension(m, f, a, b) for f in tables)
+
+
+@pytest.mark.parametrize("m, a, b, values", [
+    (POW, 2, 9, (0, 1, 127, 254, 255, 256, 509, 510)),
+    (POW, 3, 9, (0, 6, 255, 256, 510)),
+    (EXC, 2, 300, (0, 255, 256, 299, 300)),
+    (EXC2, 1, 299, (0, 255, 256, 298, 299, 300)),
+], ids=["powerset-2-9", "powerset-3-9", "exception1-2-300", "exception2-1-299"])
+def test_extend_columns_match_the_definition_past_one_byte_lanes(m, a, b, values):
+    # T B has 511 (powerset at |B| = 9) or 301 elements, so a lane takes two
+    # bytes, and a powerset mask crosses the byte boundary of its lane
+    a, b = fm.FinSet(a), fm.FinSet(b)
+    tb = m.apply(b).size
+    tables = list(product(values, repeat=a.size))
+    cols = m.extend_columns(fm._columns(tables, a.size, tb), len(tables), a, b)
+    assert fm._width(tb) == 2 and {len(col) for col in cols} == {2 * len(tables)}
+    want = [_extension(m, f, a, b) for f in tables]
+    assert _extend_tables(m, tables, a, b) == want == [m.extend(f, a, b) for f in tables]
+
+
+@pytest.mark.parametrize("m, b, values", [
+    (IDM, 2, (-1, 2, 256, 300)), (EXC, 2, (-1, 3, 256, 300)), (EXC2, 2, (-1, 4, 256, 300)),
+    (POW, 2, (-1, 3, 256, 300)), (POW, 9, (-1, 511, 1 << 16, 70_000)),
+], ids=["identity", "exception1", "exception2", "powerset", "powerset-two-byte-lanes"])
+def test_a_table_value_outside_t_b_is_a_model_error(m, b, values):
+    # never a ValueError or OverflowError from packing the value into a lane
+    a, b = fm.FinSet(2), fm.FinSet(b)
+    tb = m.apply(b).size
+    for v in values:
+        with pytest.raises(fm.ModelError, match="table leaves T B"):
+            m.extend((0, v), a, b)
+        with pytest.raises(fm.ModelError, match="table leaves T B"):
+            _extend_tables(m, [(0, 0), (v, 0), (0, 0)], a, b)
+        if 0 <= v < 1 << 8 * fm._width(tb):  # packs, so extend_columns itself must refuse it
+            with pytest.raises(fm.ModelError, match="table leaves T B"):
+                m.extend_columns([fm._columns([(v,)], 1, tb)[0], bytes(fm._width(tb))], 1, a, b)
+
+
+def _is_map(t, n, k):
+    return len(t) == n and all(0 <= v < k for v in t)
+
+
+def _naive_space(m, a, b, rep):
+    """The unit and homomorphism laws of every table A -> T B, each extended
+    by its own ``extend`` call, into ``rep``."""
+    ta, tb = m.apply(a).size, m.apply(b).size
+    eta = m.unit(a)
+    fa, fb = fm.free_algebra(m, a)[0], fm.free_algebra(m, b)[0]
+    for f in product(range(tb), repeat=a.size):
+        fext = m.extend(f, a, b)
+        rep.checked += 1
+        if not _is_map(fext, ta, tb):
+            rep.fail(f"extend(f) not a map at |A|={a.size},|B|={b.size}")
+            continue
+        if any(fext[eta[i]] != f[i] for i in range(a.size)):
+            rep.fail(f"extend(f).unit != f at |A|={a.size},|B|={b.size}")
+        if not (fm._joins_splits(fext, fm._union_splits(a), fb) if m.key == "powerset"
+                else fm.is_homomorphism(fext, fa, fb)):
+            rep.fail(f"extension not a homomorphism at |A|={a.size},|B|={b.size}")
 
 
 def _monad_laws_naive(m, max_size):
     """Reference law check: extends every table afresh, for each law and each
-    (f, g) pair, so the shared extensions and memoized composites of
+    (f, g) pair, so the packed blocks and the batched composites of
     ``check_monad_laws`` are checked against independent calls."""
     rep = fm.LawReport()
     sets = [fm.FinSet(n) for n in range(max_size + 1)]
-
-    def is_map(t, n, k):
-        return len(t) == n and all(0 <= v < k for v in t)
-
     for a in sets:
         if tuple(m.extend(m.unit(a), a, a)) != tuple(range(m.apply(a).size)):
             rep.fail(f"extend(unit) != id at |A|={a.size}")
         if not fm._unit_image_generates(m, a):
             rep.fail(f"unit image does not generate T A at |A|={a.size}")
         rep.checked += 2
-    for a in sets:
-        for b in sets:
-            ta, tb = m.apply(a).size, m.apply(b).size
-            if tb == 0 and a.size > 0:
-                continue
-            eta = m.unit(a)
-            fa, fb = fm.free_algebra(m, a)[0], fm.free_algebra(m, b)[0]
-            for f in product(range(tb), repeat=a.size):
-                fext = m.extend(f, a, b)
-                rep.checked += 1
-                if not is_map(fext, ta, tb):
-                    rep.fail(f"extend(f) not a map at |A|={a.size},|B|={b.size}")
-                    continue
-                if any(fext[eta[i]] != f[i] for i in range(a.size)):
-                    rep.fail(f"extend(f).unit != f at |A|={a.size},|B|={b.size}")
-                if not (fm._joins_splits(fext, fm._union_splits(a), fb) if m.key == "powerset"
-                        else fm.is_homomorphism(fext, fa, fb)):
-                    rep.fail(f"extension not a homomorphism at |A|={a.size},|B|={b.size}")
+    for a, b in product(sets, repeat=2):
+        if m.apply(b).size or not a.size:
+            _naive_space(m, a, b, rep)
     for a, b, c in product(sets, repeat=3):
         ta, tb, tc = (m.apply(x).size for x in (a, b, c))
         if (tb == 0 and a.size > 0) or (tc == 0 and b.size > 0):
@@ -420,11 +468,11 @@ def _monad_laws_naive(m, max_size):
             continue
         for f in product(range(tb), repeat=a.size):
             fext = m.extend(f, a, b)
-            if not is_map(fext, ta, tb):
+            if not _is_map(fext, ta, tb):
                 continue
             for g in product(range(tc), repeat=b.size):
                 gext = m.extend(g, b, c)
-                if not is_map(gext, tb, tc):
+                if not _is_map(gext, tb, tc):
                     continue
                 lhs = m.extend([gext[x] for x in f], a, c)
                 if tuple(lhs) != tuple(gext[y] for y in fext):
@@ -435,14 +483,15 @@ def _monad_laws_naive(m, max_size):
 
 def _plant(monkeypatch, defect):
     """Plant ``defect(m, f, a, b, row) -> row`` in the extension row of every
-    table ``f`` that ``MonadSpec.extend_columns`` returns, so the sweep's
+    table ``f`` that ``MonadSpec.extend_columns`` extends, so the sweep's
     blocks, its cross-check and ``extend``'s one-table case all see it."""
     extend_columns = fm.MonadSpec.extend_columns
 
-    def planted(self, tables, a, b):
-        cols = extend_columns(self, tables, a, b)
-        rows = [defect(self, f, a, b, row) for f, row in zip(tables, fm._rows(cols, len(tables)))]
-        return fm._columns(rows, len(cols))
+    def planted(self, cols, n, a, b):
+        tb = self.apply(b).size
+        out = extend_columns(self, cols, n, a, b)
+        rows = [defect(self, f, a, b, row) for f, row in zip(fm._rows(cols, n, tb), fm._rows(out, n, tb))]
+        return fm._columns(rows, len(out), tb)
 
     monkeypatch.setattr(fm.MonadSpec, "extend_columns", planted)
 
@@ -472,18 +521,26 @@ def test_monad_laws_match_a_naive_check(monkeypatch, m, planted):
 
 
 def test_monad_laws_extend_each_table_once(monkeypatch):
-    # the homomorphism loop's extensions are reused by the associativity
-    # cross-check, and each distinct composite is extended once per pair of sets
+    # one extend_columns call per block of each table space, one per
+    # cross-checked triple of sets (A, B, C) for all its composites g+ . f,
+    # and extend's one per set for the left unit law
     batches = []
     extend_columns = fm.MonadSpec.extend_columns
     monkeypatch.setattr(fm.MonadSpec, "extend_columns",
-                        lambda self, tables, a, b: batches.append(len(tables)) or extend_columns(self, tables, a, b))
-    checked = sum(fm.check_monad_laws(m, 4).checked for m in (IDM, EXC, EXC2, POW))
+                        lambda self, cols, n, a, b: batches.append(n) or extend_columns(self, cols, n, a, b))
+    checked, calls, tables = 0, 0, 0
+    for m in (IDM, EXC, EXC2, POW):
+        checked += fm.check_monad_laws(m, 4).checked
+        size = [m.apply(fm.FinSet(n)).size for n in range(5)]
+        spaces = [size[b] ** a for a, b in product(range(5), repeat=2) if size[b] or not a]
+        pairs = [size[b] ** a * size[c] ** b for a, b, c in product(range(5), repeat=3)
+                 if (size[b] or not a) and (size[c] or not b) and size[b] ** a * size[c] ** b <= fm.DIRECT_PAIR_CAP]
+        calls += 5 + sum(-(-n // fm.BLOCK) for n in spaces) + len(pairs)
+        tables += 5 + sum(spaces) + sum(pairs)
     assert checked == 457_359
-    # 497 846 tables when every pair extended its tables afresh, and 74 761
-    # one table at a time before blocks; 65 261 in 232 calls with blocks
-    assert sum(batches) < 100_000
-    assert len(batches) < 1_000
+    # 603 calls for 457 339 tables, where a memo of composites, extending
+    # each distinct one once per pair of sets (A, C), made 232 for 65 261
+    assert (len(batches), sum(batches)) == (calls, tables)
 
 
 LAWS = {"map": "not a map", "unit": "unit != f", "homomorphism": "not a homomorphism",
@@ -499,23 +556,35 @@ def _cross_checked_space(m, max_size):
                 if size(b) ** (a + b) <= fm.DIRECT_PAIR_CAP), key=lambda s: size(s[1]) ** s[0])
 
 
+def _defect_point(m, a, law):
+    """The point of T A at which ``law``'s defect is planted: the last one
+    (map), the first unit point (unit), and the union of all of A or the
+    first raise point (homomorphism, and associativity in a space the
+    cross-check reads); the identity monad has no operations, so it moves a
+    unit point."""
+    return -1 if law == "map" else m.unit(fm.FinSet(a))[0] if law == "unit" or m.key == "identity" \
+        else -1 if m.key == "powerset" else a
+
+
+def _broken(col, k, law, tb):
+    """``col`` with lane ``k`` (one byte) moved outside T B (map) or to another element of T B."""
+    col = bytearray(col)
+    col[k] = tb if law == "map" else (col[k] + 1) % tb
+    return bytes(col)
+
+
 def _plant_one(monkeypatch, m, a, b, target, law):
     """Plant ``law``'s defect in the extension of table ``target`` of the
-    (|A|, |B|) = (a, b) space only: a value outside T B (map), the first
-    unit point moved (unit), and the union of all of A or the first raise
-    point moved (homomorphism, and associativity in a space the cross-check
-    reads); the identity monad has no operations, so it moves a unit point."""
-    tb, eta = m.apply(fm.FinSet(b)).size, m.unit(fm.FinSet(a))
-    at = -1 if law == "map" else eta[0] if law == "unit" or m.key == "identity" else -1 if m.key == "powerset" else a
+    (|A|, |B|) = (a, b) space only, at ``_defect_point``."""
+    tb, at = m.apply(fm.FinSet(b)).size, _defect_point(m, a, law)
     extend_columns = fm.MonadSpec.extend_columns
 
-    def planted(self, tables, dom, cod):
-        cols = extend_columns(self, tables, dom, cod)
-        if self is m and (dom.size, cod.size) == (a, b) and target in tables:
-            k, col = tables.index(target), list(cols[at])
-            col[k] = tb if law == "map" else (col[k] + 1) % tb
-            cols[at] = tuple(col)
-        return cols
+    def planted(self, cols, n, dom, cod):
+        out = extend_columns(self, cols, n, dom, cod)
+        tables = list(fm._rows(cols, n, tb)) if self is m and (dom.size, cod.size) == (a, b) else ()
+        if target in tables:
+            out[at] = _broken(out[at], tables.index(target), law, tb)
+        return out
 
     monkeypatch.setattr(fm.MonadSpec, "extend_columns", planted)
 
@@ -536,14 +605,14 @@ def test_monad_laws_match_the_table_by_table_check_at_block_boundaries(monkeypat
     # operations, so every map is a homomorphism.)
     a, b = _cross_checked_space(m, 4) if law == "associativity" else (4, 4)
     tb = m.apply(fm.FinSet(b)).size
-    tables = list(fm._all_tables(a, tb))
+    tables = list(product(range(tb), repeat=a))
     if len(tables) <= fm.BLOCK:
         monkeypatch.setattr(fm, "BLOCK", len(tables) // 3)
     holds = fm._block_holds
 
-    def spy(cols, block, eta, fa, fb, splits):
-        planted = (len(block[0]), fb.carrier.size) == (a, tb) and target in block
-        verdicts.append((planted, holds(cols, block, eta, fa, fb, splits)))
+    def spy(cols, block, n, eta, fa, fb, splits):
+        planted = (len(block), fb.carrier.size) == (a, tb) and target in fm._rows(block, n, tb)
+        verdicts.append((planted, holds(cols, block, n, eta, fa, fb, splits)))
         return verdicts[-1][1]
 
     for k in (0, fm.BLOCK - 1, fm.BLOCK, len(tables) - 1):
@@ -554,6 +623,54 @@ def test_monad_laws_match_the_table_by_table_check_at_block_boundaries(monkeypat
             rep = fm.check_monad_laws(m, 4)
         assert (True, False) in verdicts and all(planted != accepted for planted, accepted in verdicts), k
         assert any(LAWS[law] in msg for msg in rep.failures), (k, rep.failures)
+
+
+@pytest.mark.parametrize("m, law", [(m, law) for m in (IDM, EXC, EXC2, POW) for law in ("map", "unit", "homomorphism")
+                                    if (m, law) != (IDM, "homomorphism")],
+                         ids=lambda x: f"{x.key}{len(x.exceptions)}" if isinstance(x, fm.MonadSpec) else x)
+def test_the_column_test_rejects_a_block_wrong_in_one_lane(m, law):
+    # the (3, 3) space is one block of 27 to 343 tables; each law's defect in
+    # the first, a middle or the last lane of one extension column is enough
+    # to reject it
+    a, b = fm.FinSet(3), fm.FinSet(3)
+    tb = m.apply(b).size
+    (block, n), = fm._blocks(a.size, tb)
+    (fa, eta), (fb, _) = fm.free_algebra(m, a), fm.free_algebra(m, b)
+    splits = fm._union_splits(a) if m.key == "powerset" else None
+    cols = m.extend_columns(block, n, a, b)
+    assert n == tb ** 3 and fm._block_holds(cols, block, n, eta, fa, fb, splits)
+    at = _defect_point(m, a.size, law)
+    for k in (0, n // 2, n - 1):
+        broken = list(cols)
+        broken[at] = _broken(cols[at], k, law, tb)
+        assert not fm._block_holds(broken, block, n, eta, fa, fb, splits), k
+
+
+def _moves_the_full_subset(m, f, a, b, row):
+    # a wrong value in T B at the union of all of A, for one table of the (2, 5) space
+    if (a.size, b.size) == (2, 5) and tuple(f) == (3, 17):
+        return row[:-1] + ((row[-1] + 1) % 31,)
+    return row
+
+
+@pytest.mark.parametrize("planted", [False, True], ids=["clean", "planted"])
+def test_a_powerset_space_past_16_elements_goes_table_by_table(monkeypatch, planted):
+    # at |B| = 5, T B has 31 elements, more than a one-byte lane of x*31 + y
+    # can key without carries: the column test accepts no block, and the
+    # sweep's report is the table-by-table check's
+    if planted:
+        _plant(monkeypatch, _moves_the_full_subset)
+    monkeypatch.setattr(fm, "BLOCK", 100)
+    holds, verdicts = fm._block_holds, []
+    monkeypatch.setattr(fm, "_block_holds", lambda *args: verdicts.append(holds(*args)) or verdicts[-1])
+    a, b = fm.FinSet(2), fm.FinSet(5)
+    rep, naive = fm.LawReport(), fm.LawReport()
+    n, cols, exts = fm._sweep_space(POW, a, b, rep)
+    _naive_space(POW, a, b, naive)
+    assert verdicts == [False] * 10 and (rep.checked, rep.failures) == (naive.checked, naive.failures) == (
+        31 ** 2, ["extension not a homomorphism at |A|=2,|B|=5"] if planted else [])
+    assert n == 31 ** 2 and list(fm._rows(cols, n, 31)) == list(product(range(31), repeat=2))
+    assert list(fm._rows(exts, n, 31)) == [POW.extend(f, a, b) for f in product(range(31), repeat=2)]
 
 
 def test_algebra_shape_validation():

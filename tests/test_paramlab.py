@@ -715,13 +715,14 @@ def test_monad_laws_catch_a_planted_powerset_extend_defect(monkeypatch, size, de
     # in the extensions the sweep's blocks and extend's one-table case read
     extend_columns = fm.MonadSpec.extend_columns
 
-    def planted(self, tables, a, b):
-        cols = extend_columns(self, tables, a, b)
+    def planted(self, cols, n, a, b):
+        out = extend_columns(self, cols, n, a, b)
         if self.key != "powerset" or not a.size == b.size == size:
-            return cols
+            return out
+        tb = self.apply(b).size
         rows = [defect(row) if len(set(f)) == size and tuple(f) != self.unit(a) else row
-                for f, row in zip(tables, fm._rows(cols, len(tables)))]
-        return fm._columns(rows, len(cols))
+                for f, row in zip(fm._rows(cols, n, tb), fm._rows(out, n, tb))]
+        return fm._columns(rows, len(out), tb)
 
     monkeypatch.setattr(fm.MonadSpec, "extend_columns", planted)
     laws = []

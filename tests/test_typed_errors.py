@@ -21,18 +21,21 @@ IDM = fm.MonadSpec("identity")
                          ids=lambda m: f"{m.key}{len(m.exceptions)}")
 def test_an_extension_needs_a_table_from_a_into_t_b(m):
     # a table with a value outside T B, such as (99,) under the powerset monad
-    # or (7,) under the exception monad, has no extension
+    # or (7,) under the exception monad, has no extension; packed, the two
+    # tables (0,) and f are one column of two lanes
     one = fm.FinSet(1)
-    for f in [(m.apply(one).size,), (7,), (99,), (-1,)]:
+    for f in [(m.apply(one).size,), (7,), (99,), (-1,), (256,), (300,)]:
         with pytest.raises(fm.ModelError, match="leaves T B"):
             m.extend(f, one, one)
-        with pytest.raises(fm.ModelError, match="leaves T B"):
-            m.extend_columns([(0,), f], one, one)
+        if 0 <= f[0] < 256:
+            with pytest.raises(fm.ModelError, match="leaves T B"):
+                m.extend_columns([bytes([0, f[0]])], 2, one, one)
     for f in [(), (0, 0)]:
         with pytest.raises(fm.ModelError, match="does not cover the domain"):
             m.extend(f, one, one)
+    for cols in [[], [b"\0\0", b"\0\0"], [b"\0"]]:
         with pytest.raises(fm.ModelError, match="does not cover the domain"):
-            m.extend_columns([(0,), f], one, one)
+            m.extend_columns(cols, 2, one, one)
 
 
 def test_projection_must_not_depend_on_the_isomorphism():
