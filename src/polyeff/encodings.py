@@ -1,13 +1,15 @@
 """Derived types and terms definable by polymorphism.
 
-Value-type encodings (products, sums, existentials, mu/nu) follow the
-standard second-order impredicative definitions; computation-type
-encodings route elimination through ``-o`` so the result is again a
-computation type.  The monadic type ``!B`` is the polymorphic
-continuation type ``forall ^X. (B -> ^X) -> ^X`` with ``^X`` ranging
-over computation types only.  ``injection`` builds the injections of
-both sums, ``A + B`` at ``VSORT`` and ``A (+) B`` at ``CSORT``, and
-``case_term`` eliminates either.
+Type encodings (products, sums, existentials, mu/nu) follow the standard
+second-order impredicative definitions, one function per former.  A former
+with a computation twin takes a ``sort``: at ``CSORT`` it quantifies over a
+``^X`` and reads ``-o`` into it where ``->`` stood at ``VSORT``, through the
+one table ``ARROW``, so the result is again a computation type (``A (+) B``
+beside ``A + B``, the copower ``A . B`` beside ``A * B``).  The monadic type
+``!B`` is the polymorphic continuation type ``forall ^X. (B -> ^X) -> ^X``
+with ``^X`` ranging over computation types only.  ``injection`` builds the
+injections of both sums, also through ``ARROW``, and ``case_term`` eliminates
+either.
 
 Type sugar is pure abbreviation, so the parser calls the encoders here as
 it reads it and no sugar type ever exists.  The term sugar ``bang t`` and
@@ -19,11 +21,12 @@ their subterms are known.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 from . import typecheck as tc
 from .kernel import (
     CSORT,
+    FORALL,
     TYLAM,
     VAR,
     VSORT,
@@ -72,95 +75,79 @@ def _freshv(base: str, *exprs) -> str:
 
 
 # ---------------------------------------------------------------------------
-# value-type encodings
+# type encodings: one function per former, the value-sorted one at ``VSORT``
+# and its computation-sorted twin, ``-o`` into the result, at ``CSORT``
+
+ARROW = {VSORT: Arrow, CSORT: Lolli}  # the arrow into a sort's result
 
 
-def encode_value_type(ctor: str, args: Sequence = ()) -> TypeExpr:
-    """Expand a definable value type to its polymorphic definition."""
-    if ctor == "Unit":
-        x = "X"
-        return ForallV(x, Arrow(VVar(x), VVar(x)))
-    if ctor == "Prod":
-        a, b = args
-        x = _freshv("X", a, b)
-        return ForallV(x, Arrow(Arrow(a, Arrow(b, VVar(x))), VVar(x)))
-    if ctor == "Zero":
-        return ForallV("X", VVar("X"))
-    if ctor == "Sum":
-        a, b = args
-        x = _freshv("X", a, b)
-        return ForallV(x, Arrow(Arrow(a, VVar(x)), Arrow(Arrow(b, VVar(x)), VVar(x))))
-    if ctor == "ExistsV":
-        binder, body = args
-        y = fresh_name("Y", {v.name for v in free_type_vars(body)} | {binder})
-        return ForallV(y, Arrow(ForallV(binder, Arrow(body, VVar(y))), VVar(y)))
-    if ctor == "Mu":
-        binder, body = args
-        if -1 in binder_signs(VSORT, binder, body):
-            raise PositivityError(f"{binder} occurs negatively in {body}")
-        return ForallV(binder, Arrow(Arrow(body, VVar(binder)), VVar(binder)))
-    if ctor == "Nu":
-        binder, body = args
-        if -1 in binder_signs(VSORT, binder, body):
-            raise PositivityError(f"{binder} occurs negatively in {body}")
-        packed = encode_value_type("Prod", (Arrow(VVar(binder), body), VVar(binder)))
-        return encode_value_type("ExistsV", (binder, packed))
-    if ctor == "ExistsC":
-        binder, body = args
-        y = fresh_name("Y", {v.name for v in free_type_vars(body)} | {binder})
-        return ForallV(y, Arrow(ForallC(binder, Arrow(body, VVar(y))), VVar(y)))
-    raise EncodingError(f"unknown value-type constructor {ctor!r}")
+def unit_type() -> TypeExpr:
+    """``1 = forall X. X -> X``."""
+    return ForallV("X", Arrow(VVar("X"), VVar("X")))
 
 
-def encode_comp_type(ctor: str, args: Sequence = ()) -> TypeExpr:
-    """Expand a definable computation type; the result classifies as one."""
-    if ctor == "UnitC":
-        x = "X"
-        return ForallC(x, Arrow(encode_value_type("Zero"), CVar(x)))
-    if ctor == "ProdC":
-        a, b = args
-        x = _freshv("X", a, b)
-        branches = encode_value_type("Sum", (Lolli(a, CVar(x)), Lolli(b, CVar(x))))
-        return ForallC(x, Arrow(branches, CVar(x)))
-    if ctor == "ZeroC":
-        return ForallC("X", CVar("X"))
-    if ctor == "Oplus":
-        a, b = args
-        x = _freshv("X", a, b)
-        return ForallC(x, Arrow(Lolli(a, CVar(x)), Arrow(Lolli(b, CVar(x)), CVar(x))))
-    if ctor == "Copower":
-        weight, a = args
-        x = _freshv("X", weight, a)
-        return ForallC(x, Arrow(Arrow(weight, Lolli(a, CVar(x))), CVar(x)))
-    if ctor == "ExistsVC":
-        binder, body = args
-        y = fresh_name("Y", {v.name for v in free_type_vars(body)} | {binder})
-        return ForallC(y, Arrow(ForallV(binder, Lolli(body, CVar(y))), CVar(y)))
-    if ctor == "ExistsCC":
-        binder, body = args
-        y = fresh_name("Y", {v.name for v in free_type_vars(body)} | {binder})
-        return ForallC(y, Arrow(ForallC(binder, Lolli(body, CVar(y))), CVar(y)))
-    if ctor == "MuC":
-        binder, body = args
-        if -1 in binder_signs(CSORT, binder, body):
-            raise PositivityError(f"^{binder} occurs negatively in {body}")
-        return ForallC(binder, Arrow(Lolli(body, CVar(binder)), CVar(binder)))
-    if ctor == "NuC":
-        binder, body = args
-        if -1 in binder_signs(CSORT, binder, body):
-            raise PositivityError(f"^{binder} occurs negatively in {body}")
-        packed = encode_comp_type("Copower", (Lolli(CVar(binder), body), CVar(binder)))
-        return encode_comp_type("ExistsCC", (binder, packed))
-    raise EncodingError(f"unknown computation-type constructor {ctor!r}")
+def unit_comp_type() -> TypeExpr:
+    """``1o = forall ^X. 0 -> ^X``."""
+    return ForallC("X", Arrow(zero_type(VSORT), CVar("X")))
+
+
+def zero_type(sort: str) -> TypeExpr:
+    """``0 = forall X. X`` at ``VSORT``, ``0o = forall ^X. ^X`` at ``CSORT``."""
+    return FORALL[sort]("X", VAR[sort]("X"))
+
+
+def pair_type(sort: str, a: TypeExpr, b: TypeExpr) -> TypeExpr:
+    """``A * B = forall X. (A -> B -> X) -> X``; at ``CSORT`` the copower ``A . B°``."""
+    x = VAR[sort](_freshv("X", a, b))
+    return FORALL[sort](x.name, Arrow(Arrow(a, ARROW[sort](b, x)), x))
+
+
+def prod_comp_type(a: TypeExpr, b: TypeExpr) -> TypeExpr:
+    """``A° *o B° = forall ^X. ((A° -o ^X) + (B° -o ^X)) -> ^X``."""
+    x = _freshv("X", a, b)
+    branches = sum_type(VSORT, Lolli(a, CVar(x)), Lolli(b, CVar(x)))
+    return ForallC(x, Arrow(branches, CVar(x)))
+
+
+def sum_type(sort: str, a: TypeExpr, b: TypeExpr) -> TypeExpr:
+    """``A + B = forall X. (A -> X) -> (B -> X) -> X``; at ``CSORT`` ``A° (+) B°``."""
+    x = VAR[sort](_freshv("X", a, b))
+    arrow = ARROW[sort]
+    return FORALL[sort](x.name, Arrow(arrow(a, x), Arrow(arrow(b, x), x)))
+
+
+def exists_type(sort: str, binder_sort: str, binder: str, body: TypeExpr) -> TypeExpr:
+    """``exists X. B = forall Y. (forall X. B -> Y) -> Y``; ``binder_sort`` is ``X``'s."""
+    y = VAR[sort](fresh_name("Y", {v.name for v in free_type_vars(body)} | {binder}))
+    return FORALL[sort](y.name, Arrow(FORALL[binder_sort](binder, ARROW[sort](body, y)), y))
+
+
+def _check_positive(sort: str, binder: str, body: TypeExpr) -> None:
+    if -1 in binder_signs(sort, binder, body):
+        raise PositivityError(f"{VAR[sort](binder)} occurs negatively in {body}")
+
+
+def mu_type(sort: str, binder: str, body: TypeExpr) -> TypeExpr:
+    """``mu X. B = forall X. (B -> X) -> X``."""
+    _check_positive(sort, binder, body)
+    x = VAR[sort](binder)
+    return FORALL[sort](binder, Arrow(ARROW[sort](body, x), x))
+
+
+def nu_type(sort: str, binder: str, body: TypeExpr) -> TypeExpr:
+    """``nu X. B = exists X. (X -> B) * X``."""
+    _check_positive(sort, binder, body)
+    x = VAR[sort](binder)
+    return exists_type(sort, sort, binder, pair_type(sort, ARROW[sort](x, body), x))
 
 
 def encode_num(n: int) -> TypeExpr:
     """n-fold sum 1 + (1 + ...); 0 is the empty type."""
     if n == 0:
-        return encode_value_type("Zero")
+        return zero_type(VSORT)
     if n == 1:
-        return encode_value_type("Unit")
-    return encode_value_type("Sum", (encode_value_type("Unit"), encode_num(n - 1)))
+        return unit_type()
+    return sum_type(VSORT, unit_type(), encode_num(n - 1))
 
 
 def encode_bang(b: TypeExpr) -> TypeExpr:
@@ -256,7 +243,7 @@ def injection(which: int, a: TypeExpr, b: TypeExpr, t: TermExpr, sort: str) -> T
     x = _freshv("X", a, b, t)
     f = _fresh_tm("f", t)
     g = fresh_name("g", {f} | free_term_vars(t))
-    arrow, result = (Arrow if sort == VSORT else Lolli), VAR[sort](x)
+    arrow, result = ARROW[sort], VAR[sort](x)
     branch = Lam(g, arrow(b, result), App(Var((f, g)[which]), t))
     return TYLAM[sort](x, Lam(f, arrow(a, result), branch))
 
@@ -268,7 +255,7 @@ def case_term(scrutinee: TermExpr, result: TypeExpr, on_l: TermExpr, on_r: TermE
 
 def two_value(which: int) -> TermExpr:
     """The two closed inhabitants of ``2 = 1 + 1``; 0 is the left one."""
-    unit = encode_value_type("Unit")
+    unit = unit_type()
     return injection(which, unit, unit, unit_term(), VSORT)
 
 
@@ -303,7 +290,7 @@ def comp_iso_terms(ac: TypeExpr) -> tuple[TermExpr, TermExpr]:
     if classify_type(ac) is not Kind.COMPUTATION:
         raise EncodingError(f"{ac} is not a computation type")
     x = _freshv("X", ac)
-    wrapped = encode_comp_type("MuC", (x, ac))
+    wrapped = mu_type(CSORT, x, ac)
     fwd = LinLam(
         "a",
         ac,
@@ -392,13 +379,13 @@ class CbpvProdC(CbpvType):
 def cbpv_translate_type(t: CbpvType) -> TypeExpr:
     """Map CBPV types into the calculus: F via !, U erased, products/sums encoded."""
     if isinstance(t, CbpvUnit):
-        return encode_value_type("Unit")
+        return unit_type()
     if isinstance(t, CbpvZero):
-        return encode_value_type("Zero")
+        return zero_type(VSORT)
     if isinstance(t, CbpvProd):
-        return encode_value_type("Prod", (cbpv_translate_type(t.left), cbpv_translate_type(t.right)))
+        return pair_type(VSORT, cbpv_translate_type(t.left), cbpv_translate_type(t.right))
     if isinstance(t, CbpvSum):
-        return encode_value_type("Sum", (cbpv_translate_type(t.left), cbpv_translate_type(t.right)))
+        return sum_type(VSORT, cbpv_translate_type(t.left), cbpv_translate_type(t.right))
     if isinstance(t, CbpvU):
         return cbpv_translate_type(t.comp)
     if isinstance(t, CbpvF):
@@ -406,9 +393,7 @@ def cbpv_translate_type(t: CbpvType) -> TypeExpr:
     if isinstance(t, CbpvFun):
         return Arrow(cbpv_translate_type(t.dom), cbpv_translate_type(t.cod))
     if isinstance(t, CbpvProdC):
-        return encode_comp_type(
-            "ProdC", (cbpv_translate_type(t.left), cbpv_translate_type(t.right))
-        )
+        return prod_comp_type(cbpv_translate_type(t.left), cbpv_translate_type(t.right))
     raise EncodingError(f"unknown CBPV type {t!r}")
 
 

@@ -667,11 +667,14 @@ class ModelConfig:
     @staticmethod
     def from_json(data) -> "ModelConfig":
         """The configuration a JSON object describes; the retired
-        ``include-free-algebras`` key is ignored."""
+        ``include-free-algebras`` key is ignored, and any other key is an error."""
         if isinstance(data, str):
             data = json.loads(data)
         if not isinstance(data, dict):
             raise ModelError(f"a model configuration is a JSON object, not {data!r}")
+        unknown = sorted(set(data) - {"monad", "E", "bound", "include-free-algebras"})
+        if unknown:
+            raise ModelError(f"unknown configuration key {', '.join(map(repr, unknown))}")
         exceptions = data.get("E", ["e"])
         return ModelConfig(
             monad=data.get("monad", "exception"),

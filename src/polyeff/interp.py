@@ -1,12 +1,14 @@
 """Denotational and relational interpretation over a finite model.
 
-Every type denotes a finite enumerated domain (a ``SemSet``); a
-semantic value is an index into its domain, so extensional equality is
-integer equality.  Function domains index tables mixed-radix, ``-o``
-domains index ``Model._hom_tables`` (one listing per algebra pair, at most
-``ITER_CAP`` candidates), and polymorphic domains index the list of
-*parametric families*: tuples with one component per registered object
-that preserve every admissible relation between every pair of objects.
+Every type denotes a finite enumerated domain: a ``SemSet``, or for a
+type variable the ``FinSet`` or ``Alg`` its environment binds it to (each
+answers ``.size``); a semantic value is an index into its domain, so
+extensional equality is integer equality.  Function domains index tables
+mixed-radix, ``-o`` domains index ``Model._hom_tables`` (one listing per
+algebra pair, at most ``ITER_CAP`` candidates), and polymorphic domains
+index the list of *parametric families*: tuples with one component per
+registered object that preserve every admissible relation between every
+pair of objects.
 
 Quantifiers range over the model's registered objects only: all sets
 and all algebra structures up to the bound, plus the free algebras on
@@ -44,9 +46,11 @@ the diagonal environment is the diagonal (``_is_diagonal``) has the constant
 families (identity extension), and a ``ForallRel`` between two such domains has
 its body's rows.  Else ``pairwise_search`` over ``Model.relatedness`` decides a
 body in which the binder occurs with one polarity or none (``binder_signs``) by
-one relation: the least admissible relation where it occurs only covariantly,
-the full relation where it occurs only contravariantly, and the body's own
-relation where it does not occur.  Else a *positive* body
+one relation: the least admissible relation where it occurs only covariantly or
+not at all, and the full relation where it occurs only contravariantly.  Where
+it does not occur, that relation's view is the body's own under the rest of the
+environment, since ``interp_rel`` keys on the environment restricted to the
+body's free variables.  Else a *positive* body
 ``D1 -> ... -> Dn -> X`` (see ``positive_args``; an argument may reach ``X``
 through ``->`` and ``-o``) needs only the least relations its arguments
 generate: components ``u`` at object i and ``v`` at object j are related iff
@@ -139,11 +143,6 @@ class InterpError(Exception):
 @dataclass(eq=False)
 class SemSet:
     size: int
-
-
-@dataclass(eq=False)
-class AtomSem(SemSet):
-    pass
 
 
 @dataclass(eq=False)
@@ -734,7 +733,7 @@ class Model:
 
     def _interp_vtype(self, env: TypeEnv, ty: TypeExpr) -> SemSet:
         if isinstance(ty, (VVar, CVar)):
-            return AtomSem(env.get(ty.sort, ty.name).size)
+            return env.get(ty.sort, ty.name)
         if isinstance(ty, Arrow):
             return fun_sem(self.interp_vtype(env, ty.dom), self.interp_vtype(env, ty.cod))
         if isinstance(ty, Lolli):
@@ -853,8 +852,9 @@ class Model:
           and the admissible relations are closed under intersection and
           hold the full relation, so the least admissible relation decides a
           covariant binder and the full relation a contravariant one
-          (Reynolds 1983; Wadler, "Theorems for free!", 1989); any relation
-          decides a vacuous binder, so its body's view under ``rho`` does;
+          (Reynolds 1983; Wadler, "Theorems for free!", 1989); a vacuous
+          binder takes the least relation too, whose view is the body's own
+          under ``rho``, as ``interp_rel`` keys on the body's free variables;
         - by a positive body's ``least_links`` (``link_test``), wherever they fit;
         - by ``every_relation``, the naive oracle's test.
         ``tables(i)``: the tables ``c`` of a positive body's component at ``i``
@@ -867,7 +867,6 @@ class Model:
         args = positive_args(sort, binder, body)
         links: dict = {}  # (i, j) -> least_links
         tests: dict = {}  # (i, j) -> the pair's test
-        body_test = self.interp_rel(rho, body).contains if signs == set() else None  # every pair's, for a vacuous binder
         every = self.every_relation(rho, sort, binder, body)
 
         def pair_links(i: int, j: int) -> Optional[dict[tuple[int, int], tuple[int, ...]]]:
@@ -877,8 +876,6 @@ class Model:
 
         def test_for(i: int, j: int) -> Callable[[int, int], bool]:
             m, n = objs[i].size, objs[j].size
-            if signs == set():
-                return body_test
             if len(signs) < 2:  # one extreme relation
                 q = ((1 << n) - 1,) * m if -1 in signs else self._closure(sort, i, j, (0,) * m)
                 return self.interp_rel(rho.set(sort, binder, objs[i], objs[j], q), body).contains
@@ -1343,7 +1340,7 @@ def _invert(table: Sequence[int]) -> tuple[int, ...]:
 def decode_value(model: Model, sem: SemSet, idx: int):
     """The JSON form of a denotation: a ground element, a function table as
     a list, or a family as an object keyed by object id."""
-    if isinstance(sem, AtomSem):
+    if isinstance(sem, (fm.FinSet, fm.Alg)):
         return idx
     if isinstance(sem, (FunSem, HomSem)):
         return [decode_value(model, sem.cod, sem.apply(idx, x)) for x in range(sem.dom.size)]
@@ -1359,7 +1356,7 @@ def decode_value(model: Model, sem: SemSet, idx: int):
 
 
 def semset_to_json(model: Model, sem: SemSet):
-    if isinstance(sem, AtomSem):
+    if isinstance(sem, (fm.FinSet, fm.Alg)):
         return {"kind": "set", "size": sem.size}
     if isinstance(sem, FunSem):
         return {"kind": "functions", "size": sem.size,

@@ -628,7 +628,7 @@ def verify_encoding_props(model: ip.Model) -> VerificationReport:
     checked = 0
 
     # initiality of the empty computation type
-    zero_ty = enc.encode_comp_type("ZeroC")
+    zero_ty = enc.zero_type(ip.CSORT)
     zero_alg = model.interp_ctype(ip.TypeEnv(), zero_ty)
     for k, b in enumerate(model.algebras):
         homs = _mediating_homs(model, zero_alg, (), (), b)
@@ -637,7 +637,7 @@ def verify_encoding_props(model: ip.Model) -> VerificationReport:
             failures.append({"law": "initiality", "algebra": k, "homs": len(homs)})
 
     # binary coproducts: unique mediation through the injections
-    oplus_ty = enc.encode_comp_type("Oplus", (CVar("A"), CVar("B")))
+    oplus_ty = enc.sum_type(ip.CSORT, CVar("A"), CVar("B"))
     inl = model._eval(LinLam("a", CVar("A"), enc.injection(0, CVar("A"), CVar("B"), Var("a"), ip.CSORT)))
     inr = model._eval(LinLam("b", CVar("B"), enc.injection(1, CVar("A"), CVar("B"), Var("b"), ip.CSORT)))
     small = [(i, a) for i, a in enumerate(model.algebras) if a.carrier.size <= model.bound]
@@ -801,17 +801,17 @@ def identity_extension_battery() -> list[TypeExpr]:
         ForallV("Z", Arrow(VVar("Z"), VVar("Z"))),
         ForallV("Z", Arrow(VVar("Z"), x)),
         ForallC("Z", Arrow(CVar("Z"), CVar("Z"))),
-        enc.encode_comp_type("ZeroC"),
+        enc.zero_type(ip.CSORT),
         enc.encode_bang(x),
-        enc.encode_value_type("Unit"),
+        enc.unit_type(),
         enc.encode_num(2),
-        enc.encode_value_type("Prod", (x, y)),
-        enc.encode_value_type("Sum", (x, y)),
-        enc.encode_value_type("ExistsV", ("Z", Arrow(VVar("Z"), x))),
-        enc.encode_comp_type("Oplus", (p, q)),
-        enc.encode_comp_type("Copower", (x, p)),
-        enc.encode_comp_type("UnitC"),
-        enc.encode_value_type("Mu", ("Z", VVar("Z"))),
+        enc.pair_type(ip.VSORT, x, y),
+        enc.sum_type(ip.VSORT, x, y),
+        enc.exists_type(ip.VSORT, ip.VSORT, "Z", Arrow(VVar("Z"), x)),
+        enc.sum_type(ip.CSORT, p, q),
+        enc.pair_type(ip.CSORT, x, p),
+        enc.unit_comp_type(),
+        enc.mu_type(ip.VSORT, "Z", VVar("Z")),
     ]
 
 
@@ -981,7 +981,7 @@ def typing_corpus():
     A, B, C = VVar("A"), VVar("B"), VVar("C")
     cA, cB, cC = CVar("A"), CVar("B"), CVar("C")
     bang = enc.encode_bang
-    unit = enc.encode_value_type("Unit")
+    unit = enc.unit_type()
     two = enc.encode_num(2)
     consts = {**enc.register_effect_constants(fm.MonadSpec("exception", ("e",))),
               **enc.register_effect_constants(fm.MonadSpec("powerset"))}
@@ -1015,22 +1015,22 @@ def typing_corpus():
     # eta-expansions at every definable type
     encoded = [
         unit,
-        enc.encode_value_type("Prod", (A, B)),
-        enc.encode_value_type("Zero"),
-        enc.encode_value_type("Sum", (A, B)),
-        enc.encode_value_type("ExistsV", ("X", Arrow(VVar("X"), B))),
-        enc.encode_value_type("Mu", ("X", Arrow(B, VVar("X")))),
-        enc.encode_value_type("Nu", ("X", Arrow(B, VVar("X")))),
-        enc.encode_value_type("ExistsC", ("X", Arrow(CVar("X"), B))),
-        enc.encode_comp_type("UnitC"),
-        enc.encode_comp_type("ProdC", (cA, cB)),
-        enc.encode_comp_type("ZeroC"),
-        enc.encode_comp_type("Oplus", (cA, cB)),
-        enc.encode_comp_type("Copower", (B, cA)),
-        enc.encode_comp_type("ExistsVC", ("X", Arrow(VVar("X"), cB))),
-        enc.encode_comp_type("ExistsCC", ("X", Arrow(B, CVar("X")))),
-        enc.encode_comp_type("MuC", ("X", Arrow(B, CVar("X")))),
-        enc.encode_comp_type("NuC", ("X", Arrow(B, CVar("X")))),
+        enc.pair_type(ip.VSORT, A, B),
+        enc.zero_type(ip.VSORT),
+        enc.sum_type(ip.VSORT, A, B),
+        enc.exists_type(ip.VSORT, ip.VSORT, "X", Arrow(VVar("X"), B)),
+        enc.mu_type(ip.VSORT, "X", Arrow(B, VVar("X"))),
+        enc.nu_type(ip.VSORT, "X", Arrow(B, VVar("X"))),
+        enc.exists_type(ip.VSORT, ip.CSORT, "X", Arrow(CVar("X"), B)),
+        enc.unit_comp_type(),
+        enc.prod_comp_type(cA, cB),
+        enc.zero_type(ip.CSORT),
+        enc.sum_type(ip.CSORT, cA, cB),
+        enc.pair_type(ip.CSORT, B, cA),
+        enc.exists_type(ip.CSORT, ip.VSORT, "X", Arrow(VVar("X"), cB)),
+        enc.exists_type(ip.CSORT, ip.CSORT, "X", Arrow(B, CVar("X"))),
+        enc.mu_type(ip.CSORT, "X", Arrow(B, CVar("X"))),
+        enc.nu_type(ip.CSORT, "X", Arrow(B, CVar("X"))),
         bang(B),
     ]
     for ty in encoded:
@@ -1038,12 +1038,12 @@ def typing_corpus():
 
     # definable intro/elim terms
     pos(_j((("a", A), ("b", B)), None, enc.pair_term(A, B, Var("a"), Var("b"))),
-        enc.encode_value_type("Prod", (A, B)))
+        enc.pair_type(ip.VSORT, A, B))
     pos(_j((("a", A),), None, enc.injection(0, A, B, Var("a"), ip.VSORT)),
-        enc.encode_value_type("Sum", (A, B)))
+        enc.sum_type(ip.VSORT, A, B))
     pos(_j((("b", B),), None, enc.injection(1, A, B, Var("b"), ip.VSORT)),
-        enc.encode_value_type("Sum", (A, B)))
-    sum_ab = enc.encode_value_type("Sum", (A, B))
+        enc.sum_type(ip.VSORT, A, B))
+    sum_ab = enc.sum_type(ip.VSORT, A, B)
     pos(
         _j(
             (("s", sum_ab), ("f", Arrow(A, C)), ("g", Arrow(B, C))),
@@ -1061,8 +1061,8 @@ def typing_corpus():
         cC,
     )
     pos(_j((), ("a", cA), enc.injection(0, cA, cB, Var("a"), ip.CSORT)),
-        enc.encode_comp_type("Oplus", (cA, cB)))
-    oplus_ab = enc.encode_comp_type("Oplus", (cA, cB))
+        enc.sum_type(ip.CSORT, cA, cB))
+    oplus_ab = enc.sum_type(ip.CSORT, cA, cB)
     pos(
         _j(
             (("f", Lolli(cA, cC)), ("g", Lolli(cB, cC))),
@@ -1199,26 +1199,21 @@ def verify_cbpv() -> VerificationReport:
     t0 = time.perf_counter()
     E = enc
     unit = E.CbpvUnit()
+    one, zero = E.unit_type(), E.zero_type(ip.VSORT)
     corpus = [
-        (E.CbpvF(unit), E.encode_bang(E.encode_value_type("Unit"))),
-        (E.CbpvU(E.CbpvF(E.CbpvUnit())), E.encode_bang(E.encode_value_type("Unit"))),
-        (E.CbpvProd(unit, unit),
-         E.encode_value_type("Prod", (E.encode_value_type("Unit"),) * 2)),
-        (E.CbpvSum(unit, E.CbpvZero()),
-         E.encode_value_type("Sum", (E.encode_value_type("Unit"), E.encode_value_type("Zero")))),
-        (E.CbpvZero(), E.encode_value_type("Zero")),
-        (E.CbpvFun(unit, E.CbpvF(unit)),
-         Arrow(E.encode_value_type("Unit"), E.encode_bang(E.encode_value_type("Unit")))),
+        (E.CbpvF(unit), E.encode_bang(one)),
+        (E.CbpvU(E.CbpvF(E.CbpvUnit())), E.encode_bang(one)),
+        (E.CbpvProd(unit, unit), E.pair_type(ip.VSORT, one, one)),
+        (E.CbpvSum(unit, E.CbpvZero()), E.sum_type(ip.VSORT, one, zero)),
+        (E.CbpvZero(), zero),
+        (E.CbpvFun(unit, E.CbpvF(unit)), Arrow(one, E.encode_bang(one))),
         (E.CbpvProdC(E.CbpvF(unit), E.CbpvF(E.CbpvZero())),
-         E.encode_comp_type("ProdC", (E.encode_bang(E.encode_value_type("Unit")),
-                                      E.encode_bang(E.encode_value_type("Zero"))))),
+         E.prod_comp_type(E.encode_bang(one), E.encode_bang(zero))),
         (E.CbpvU(E.CbpvProdC(E.CbpvF(unit), E.CbpvF(unit))),
-         E.encode_comp_type("ProdC", (E.encode_bang(E.encode_value_type("Unit")),) * 2)),
+         E.prod_comp_type(E.encode_bang(one), E.encode_bang(one))),
         (E.CbpvFun(E.CbpvSum(unit, unit), E.CbpvF(E.CbpvProd(unit, unit))),
-         Arrow(E.encode_num(2),
-               E.encode_bang(E.encode_value_type("Prod", (E.encode_value_type("Unit"),) * 2)))),
-        (E.CbpvF(E.CbpvU(E.CbpvF(unit))),
-         E.encode_bang(E.encode_bang(E.encode_value_type("Unit")))),
+         Arrow(E.encode_num(2), E.encode_bang(E.pair_type(ip.VSORT, one, one)))),
+        (E.CbpvF(E.CbpvU(E.CbpvF(unit))), E.encode_bang(E.encode_bang(one))),
     ]
     failures = []
     for i, (src, want) in enumerate(corpus):

@@ -37,11 +37,13 @@ from typing import Callable, Optional, Union
 from . import encodings as enc
 from .encodings import BangTerm, LetTerm
 from .kernel import (
+    CSORT,
+    FORALL,
+    TYLAM,
+    VSORT,
     App,
     Arrow,
     CVar,
-    ForallC,
-    ForallV,
     Kind,
     KindError,
     Lam,
@@ -51,8 +53,6 @@ from .kernel import (
     TermExpr,
     TyAppC,
     TyAppV,
-    TyLamC,
-    TyLamV,
     TypeExpr,
     VVar,
     Var,
@@ -70,6 +70,9 @@ class SyntaxErr(Exception):
 
 # ---------------------------------------------------------------------------
 # lexer
+
+MAX_PARENS = 100  # a fixed bound: the parser would reach Python's recursion limit, at no fixed token, near 140
+MAX_NUMERAL = 32  # printing the encoding of 64, 256 nodes deep, takes over 900 of Python's 1000 frames
 
 KEYWORDS = {"forall", "exists", "mu", "nu", "fun", "lfun", "Fun", "bang", "let", "in", "type", "def"}
 
@@ -117,19 +120,20 @@ def tokenize(text: str, file: str = "<input>") -> list[Token]:
             col += j - i
             i = j
             continue
-        if ch.isdigit():
+        if ch.isdecimal():  # what int() reads: isdigit() also holds for "²"
             j = i
             while j < n and (text[j].isalnum() or text[j] == "_"):
                 j += 1
             word = text[i:j]
             # "1o"/"0o" are the computation-type unit/zero tokens
-            if word in ("1o", "0o") or word.isdigit():
+            big = word.isdecimal() and (len(word.lstrip("0")) > 3 or int(word) > MAX_NUMERAL)
+            if word in ("1o", "0o") or word.isdecimal() and not big:
                 toks.append(Token("NUM", word, line, col))
                 col += j - i
                 i = j
                 continue
             raise SyntaxErr(
-                f"bad numeric token {word!r}",
+                f"numeral {word} is above {MAX_NUMERAL}" if big else f"bad numeric token {word!r}",
                 SourceSpan(file, (line, col), (line, col + len(word))),
             )
         matched = None
@@ -161,6 +165,7 @@ class _Parser:
         self.pos = 0
         self.file = file
         self.abbrevs: dict[str, TypeExpr] = {}  # type abbreviations in scope
+        self.parens = 0  # parentheses open at the current token
 
     def peek(self, k: int = 0) -> Token:
         return self.toks[min(self.pos + k, len(self.toks) - 1)]
@@ -189,17 +194,17 @@ class _Parser:
         t = self.peek()
         return t.kind == "KW" and t.text == text
 
-    def binder(self) -> tuple[Token, bool]:
-        """A bound name, ``X`` or ``^X``: its token and whether it has the ``^``."""
-        csort = self.at_sym("^")
-        if csort:
+    def binder(self) -> tuple[Token, str]:
+        """A bound name, ``X`` or ``^X``: its token and its sort, ``CSORT`` with the ``^``."""
+        sort = CSORT if self.at_sym("^") else VSORT
+        if sort == CSORT:
             self.next()
-        return self.expect("ID"), csort
+        return self.expect("ID"), sort
 
-    def scoped(self, name: str, csort: bool, parse: Callable):
+    def scoped(self, name: str, sort: str, parse: Callable):
         """``parse()`` under a binder: a value-sorted one hides the abbreviation it names."""
         outer = self.abbrevs
-        if not csort and name in outer:
+        if sort == VSORT and name in outer:
             self.abbrevs = {k: v for k, v in outer.items() if k != name}
         result = parse()
         self.abbrevs = outer
@@ -222,34 +227,68 @@ class _Parser:
                     tok.span(self.file),
                 )
 
+    def whole(self, parse: Callable):
+        """``parse()``, which must read every token.  Input nested past
+        Python's recursion limit is a syntax error at the token reached."""
+        try:
+            result = parse()
+        except RecursionError:
+            raise self.fail("input nests too deeply") from None
+        self.expect("EOF")
+        return result
+
+    def parenthesized(self, parse: Callable):
+        """``( parse() )``; parentheses nested past ``MAX_PARENS`` are a syntax error at the next one."""
+        if self.parens == MAX_PARENS:
+            raise self.fail("input nests too deeply")
+        self.next()
+        self.parens += 1
+        inner = parse()
+        self.parens -= 1
+        self.expect("SYM", ")")
+        return inner
+
+    def decls(self) -> list[Decl]:
+        """``type N = ty`` and ``def n : ty = term`` declarations, up to the end."""
+        decls: list[Decl] = []
+        while self.peek().kind != "EOF":
+            start = self.peek().span(self.file)
+            if self.at_kw("type"):
+                self.next()
+                name = self.expect("ID").text
+                self.expect("SYM", "=")
+                ty = self.abbrevs[name] = self.type_()
+                decls.append(TypeDecl(name, ty, start))
+            elif self.at_kw("def"):
+                self.next()
+                name = self.expect("ID").text
+                self.expect("SYM", ":")
+                ty = self.type_()
+                self.expect("SYM", "=")
+                decls.append(TermDecl(name, ty, self.term(), start))
+            else:
+                raise self.fail("expected a declaration", ("type", "def"))
+        return decls
+
     # -- types ---------------------------------------------------------
 
     def type_(self) -> TypeExpr:
         if self.at_kw("forall") or self.at_kw("exists") or self.at_kw("mu") or self.at_kw("nu"):
             kw = self.next()
-            name, csort = self.binder()
+            name, sort = self.binder()
             self.expect("SYM", ".")
-            body = self.scoped(name.text, csort, self.type_)
+            body = self.scoped(name.text, sort, self.type_)
             if kw.text == "forall":
-                return ForallC(name.text, body) if csort else ForallV(name.text, body)
-            if kw.text == "exists":
-                # the encoder's name: the binder's sort, then C for a computation body
-                comp = self.kind_of(body, kw) is Kind.COMPUTATION
-                ctor = ("ExistsC" if csort else "ExistsV") + ("C" if comp else "")
-            else:  # a ^ binder makes mu and nu computation types
-                comp = csort
-                if comp:
-                    self.computation(kw, ("body", body))
-                ctor = kw.text.capitalize() + ("C" if csort else "")
-            encode = enc.encode_comp_type if comp else enc.encode_value_type
+                return FORALL[sort](name.text, body)
+            if kw.text == "exists":  # the body's kind is the result's sort
+                result = CSORT if self.kind_of(body, kw) is Kind.COMPUTATION else VSORT
+                return enc.exists_type(result, sort, name.text, body)
+            if sort == CSORT:  # a ^ binder makes mu and nu computation types
+                self.computation(kw, ("body", body))
             try:
-                return encode(ctor, (name.text, body))
-            except enc.PositivityError:
-                caret = "^" if csort else ""
-                raise SyntaxErr(
-                    f"{caret}{name.text} occurs negatively in {body}",
-                    name.span(self.file),
-                ) from None
+                return (enc.mu_type if kw.text == "mu" else enc.nu_type)(sort, name.text, body)
+            except enc.PositivityError as exc:
+                raise SyntaxErr(str(exc), name.span(self.file)) from None
         return self.arrow_type()
 
     def arrow_type(self) -> TypeExpr:
@@ -269,11 +308,9 @@ class _Parser:
         while self.at_sym("+") or self.at_sym("(+)"):
             tok = self.next()
             right = self.prod_type()
-            if tok.text == "+":
-                left = enc.encode_value_type("Sum", (left, right))
-            else:
+            if tok.text == "(+)":
                 self.computation(tok, ("left operand", left), ("right operand", right))
-                left = enc.encode_comp_type("Oplus", (left, right))
+            left = enc.sum_type(VSORT if tok.text == "+" else CSORT, left, right)
         return left
 
     def prod_type(self) -> TypeExpr:
@@ -282,10 +319,10 @@ class _Parser:
             tok = self.next()
             right = self.copower_type()
             if tok.text == "*":
-                left = enc.encode_value_type("Prod", (left, right))
+                left = enc.pair_type(VSORT, left, right)
             else:
                 self.computation(tok, ("left operand", left), ("right operand", right))
-                left = enc.encode_comp_type("ProdC", (left, right))
+                left = enc.prod_comp_type(left, right)
         return left
 
     def copower_type(self) -> TypeExpr:
@@ -294,7 +331,7 @@ class _Parser:
             tok = self.next()
             right = self.copower_type()
             self.computation(tok, ("right operand", right))
-            return enc.encode_comp_type("Copower", (left, right))
+            return enc.pair_type(CSORT, left, right)
         return left
 
     def atom_type(self) -> TypeExpr:
@@ -307,16 +344,13 @@ class _Parser:
             self.next()
             return enc.encode_bang(self.atom_type())
         if t.kind == "SYM" and t.text == "(":
-            self.next()
-            inner = self.type_()
-            self.expect("SYM", ")")
-            return inner
+            return self.parenthesized(self.type_)
         if t.kind == "NUM":
             self.next()
             if t.text == "1o":
-                return enc.encode_comp_type("UnitC")
+                return enc.unit_comp_type()
             if t.text == "0o":
-                return enc.encode_comp_type("ZeroC")
+                return enc.zero_type(CSORT)
             return enc.encode_num(int(t.text))
         if t.kind == "ID":
             self.next()
@@ -336,10 +370,10 @@ class _Parser:
             return Lam(name, ann, body) if kw == "fun" else LinLam(name, ann, body)
         if self.at_kw("Fun"):
             self.next()
-            name, csort = self.binder()
+            name, sort = self.binder()
             self.expect("SYM", "=>")
-            body = self.scoped(name.text, csort, self.term)
-            return TyLamC(name.text, body) if csort else TyLamV(name.text, body)
+            body = self.scoped(name.text, sort, self.term)
+            return TYLAM[sort](name.text, body)
         if self.at_kw("let"):
             self.next()
             name = self.expect("ID").text
@@ -374,10 +408,7 @@ class _Parser:
             self.next()
             return BangTerm(self.atom_term())
         if t.kind == "SYM" and t.text == "(":
-            self.next()
-            inner = self.term()
-            self.expect("SYM", ")")
-            return inner
+            return self.parenthesized(self.term)
         if t.kind == "ID":
             self.next()
             # compound constant names like raise^e / handle^e
@@ -391,16 +422,12 @@ class _Parser:
 
 def parse_type(text: str, file: str = "<input>") -> TypeExpr:
     p = _Parser(tokenize(text, file), file)
-    ty = p.type_()
-    p.expect("EOF")
-    return ty
+    return p.whole(p.type_)
 
 
 def parse_term(text: str, file: str = "<input>") -> TermExpr:
     p = _Parser(tokenize(text, file), file)
-    t = p.term()
-    p.expect("EOF")
-    return t
+    return p.whole(p.term)
 
 
 # ---------------------------------------------------------------------------
@@ -427,23 +454,4 @@ Decl = Union[TypeDecl, TermDecl]
 
 def parse_file(text: str, file: str = "<input>") -> list[Decl]:
     p = _Parser(tokenize(text, file), file)
-    decls: list[Decl] = []
-    while p.peek().kind != "EOF":
-        start = p.peek()
-        if p.at_kw("type"):
-            p.next()
-            name = p.expect("ID").text
-            p.expect("SYM", "=")
-            ty = p.abbrevs[name] = p.type_()
-            decls.append(TypeDecl(name, ty, start.span(file)))
-        elif p.at_kw("def"):
-            p.next()
-            name = p.expect("ID").text
-            p.expect("SYM", ":")
-            ty = p.type_()
-            p.expect("SYM", "=")
-            tm = p.term()
-            decls.append(TermDecl(name, ty, tm, start.span(file)))
-        else:
-            raise p.fail("expected a declaration", ("type", "def"))
-    return decls
+    return p.whole(p.decls)

@@ -307,6 +307,41 @@ def test_configuration_errors_exit_2_before_any_suite(tmp_path, capsys, argv, co
     assert out == ""
 
 
+def test_a_misspelt_config_key_is_a_configuration_error_naming_it(tmp_path, capsys):
+    # read and dropped, "bonud" would let the run go on silently at bound 1
+    path = tmp_path / "model.json"
+    path.write_text('{"bound": 1, "bonud": 3}')
+    code, out, err = run(capsys, "--config", str(path), "verify", "typing")
+    assert (code, out, err) == (2, "", "configuration error: unknown configuration key 'bonud'\n")
+
+
+NESTED = "(Fun X => fun x:X => x) @[" + "(" * 200 + "2" + ")" * 200 + "]"
+
+
+@pytest.mark.parametrize("term, err", [
+    ("(Fun X => fun x:X => x) @[²]", "<input>:1:27-1:28: unexpected character '²'\n"),
+    ("(Fun X => fun x:X => x) @[1²]", "<input>:1:27-1:29: bad numeric token '1²'\n"),
+    ("(Fun X => fun x:X => x) @[250]", "<input>:1:27-1:30: numeral 250 is above 32\n"),
+    (NESTED, "<input>:1:127-1:128: input nests too deeply\n"),
+], ids=["superscript", "digit-superscript", "large-numeral", "nested-parentheses"])
+def test_eval_of_malformed_input_is_a_syntax_error(capsys, term, err):
+    assert run(capsys, "eval", term) == (2, "", err)
+
+
+@pytest.mark.parametrize("src, span, detail", [
+    ("type T = ²\n", "1:10-1:11", "unexpected character '²'"),
+    ("type T = 130\ndef f : T -> T = fun x:T => x\n", "1:10-1:13", "numeral 130 is above 32"),
+    ("type T = 250\n", "1:10-1:13", "numeral 250 is above 32"),
+], ids=["superscript", "numeral-and-def", "numeral"])
+def test_check_of_malformed_input_is_a_syntax_error_record(tmp_path, capsys, src, span, detail):
+    path = tmp_path / "bad.pe"
+    path.write_text(src, encoding="utf-8")
+    code, out, err = run(capsys, "check", "--format", "json", str(path))
+    assert (code, err) == (1, "")
+    assert json.loads(out) == {"file": str(path), "checked": 0,
+                               "errors": [{"code": "SyntaxError", "span": f"{path}:{span}", "detail": detail}]}
+
+
 def test_eval_application_returns_the_argument(capsys):
     tt = ("Fun X => fun f:(forall Y. Y -> Y) -> X => "
           "fun g:(forall Y. Y -> Y) -> X => f (Fun Y => fun y:Y => y)")

@@ -31,81 +31,80 @@ cA, cB = CVar("A"), CVar("B")
 
 def test_product_expansion():
     assert alpha_eq(
-        enc.encode_value_type("Prod", (A, B)),
+        enc.pair_type(VSORT, A, B),
         parse_type("forall X. (A -> B -> X) -> X"),
     )
 
 
 def test_empty_expansion():
-    assert alpha_eq(enc.encode_value_type("Zero"), parse_type("forall X. X"))
+    assert alpha_eq(enc.zero_type(VSORT), parse_type("forall X. X"))
 
 
 def test_unit_and_sum_expansions():
-    assert alpha_eq(enc.encode_value_type("Unit"), parse_type("forall X. X -> X"))
+    assert alpha_eq(enc.unit_type(), parse_type("forall X. X -> X"))
     assert alpha_eq(
-        enc.encode_value_type("Sum", (A, B)),
+        enc.sum_type(VSORT, A, B),
         parse_type("forall X. (A -> X) -> (B -> X) -> X"),
     )
 
 
 def test_existential_expansions():
     assert alpha_eq(
-        enc.encode_value_type("ExistsV", ("X", Arrow(VVar("X"), B))),
+        enc.exists_type(VSORT, VSORT, "X", Arrow(VVar("X"), B)),
         parse_type("forall Y. (forall X. (X -> B) -> Y) -> Y"),
     )
     assert alpha_eq(
-        enc.encode_value_type("ExistsC", ("X", Arrow(CVar("X"), B))),
+        enc.exists_type(VSORT, CSORT, "X", Arrow(CVar("X"), B)),
         parse_type("forall Y. (forall ^X. (^X -> B) -> Y) -> Y"),
     )
 
 
 def test_mu_is_instance_of_schema():
     assert alpha_eq(
-        enc.encode_value_type("Mu", ("X", VVar("X"))),
+        enc.mu_type(VSORT, "X", VVar("X")),
         parse_type("forall X. (X -> X) -> X"),
     )
 
 
 def test_nu_unfolds_through_existential_and_product():
-    got = enc.encode_value_type("Nu", ("X", Arrow(B, VVar("X"))))
-    want = enc.encode_value_type(
-        "ExistsV",
-        ("X", enc.encode_value_type("Prod", (Arrow(VVar("X"), Arrow(B, VVar("X"))), VVar("X")))),
+    got = enc.nu_type(VSORT, "X", Arrow(B, VVar("X")))
+    want = enc.exists_type(
+        VSORT, VSORT, "X", enc.pair_type(VSORT, Arrow(VVar("X"), Arrow(B, VVar("X"))), VVar("X"))
     )
     assert alpha_eq(got, want)
 
 
 def test_computation_zero_expansion():
-    assert alpha_eq(enc.encode_comp_type("ZeroC"), parse_type("forall ^X. ^X"))
+    assert alpha_eq(enc.zero_type(CSORT), parse_type("forall ^X. ^X"))
 
 
 def test_oplus_expansion():
     assert alpha_eq(
-        enc.encode_comp_type("Oplus", (cA, cB)),
+        enc.sum_type(CSORT, cA, cB),
         parse_type("forall ^X. (^A -o ^X) -> (^B -o ^X) -> ^X"),
     )
 
 
 def test_copower_expansion():
     assert alpha_eq(
-        enc.encode_comp_type("Copower", (B, cA)),
+        enc.pair_type(CSORT, B, cA),
         parse_type("forall ^X. (B -> ^A -o ^X) -> ^X"),
     )
 
 
 def test_unitc_routes_through_empty_type():
     assert alpha_eq(
-        enc.encode_comp_type("UnitC"),
+        enc.unit_comp_type(),
         parse_type("forall ^X. (forall Y. Y) -> ^X"),
     )
 
 
 def test_prodc_routes_through_sum_of_homs():
-    got = enc.encode_comp_type("ProdC", (cA, cB))
+    got = enc.prod_comp_type(cA, cB)
     want = ForallC(
         "X",
         Arrow(
-            enc.encode_value_type("Sum", (Lolli(cA, CVar("X")), Lolli(cB, CVar("X")))),
+            enc.sum_type(VSORT, Lolli(cA, CVar("X")), Lolli(cB, CVar("X"))),
             CVar("X"),
         ),
     )
@@ -114,15 +113,15 @@ def test_prodc_routes_through_sum_of_homs():
 
 def test_every_computation_expansion_classifies_computation():
     cases = [
-        enc.encode_comp_type("UnitC"),
-        enc.encode_comp_type("ProdC", (cA, cB)),
-        enc.encode_comp_type("ZeroC"),
-        enc.encode_comp_type("Oplus", (cA, cB)),
-        enc.encode_comp_type("Copower", (B, cA)),
-        enc.encode_comp_type("ExistsVC", ("X", Arrow(VVar("X"), cB))),
-        enc.encode_comp_type("ExistsCC", ("X", Arrow(B, CVar("X")))),
-        enc.encode_comp_type("MuC", ("X", Arrow(B, CVar("X")))),
-        enc.encode_comp_type("NuC", ("X", Arrow(B, CVar("X")))),
+        enc.unit_comp_type(),
+        enc.prod_comp_type(cA, cB),
+        enc.zero_type(CSORT),
+        enc.sum_type(CSORT, cA, cB),
+        enc.pair_type(CSORT, B, cA),
+        enc.exists_type(CSORT, VSORT, "X", Arrow(VVar("X"), cB)),
+        enc.exists_type(CSORT, CSORT, "X", Arrow(B, CVar("X"))),
+        enc.mu_type(CSORT, "X", Arrow(B, CVar("X"))),
+        enc.nu_type(CSORT, "X", Arrow(B, CVar("X"))),
     ]
     for ty in cases:
         assert classify_type(ty) is Kind.COMPUTATION
@@ -130,14 +129,14 @@ def test_every_computation_expansion_classifies_computation():
 
 def test_every_value_expansion_classifies_value():
     cases = [
-        enc.encode_value_type("Unit"),
-        enc.encode_value_type("Prod", (A, B)),
-        enc.encode_value_type("Zero"),
-        enc.encode_value_type("Sum", (A, B)),
-        enc.encode_value_type("ExistsV", ("X", Arrow(VVar("X"), B))),
-        enc.encode_value_type("Mu", ("X", VVar("X"))),
-        enc.encode_value_type("Nu", ("X", Arrow(B, VVar("X")))),
-        enc.encode_value_type("ExistsC", ("X", Arrow(CVar("X"), B))),
+        enc.unit_type(),
+        enc.pair_type(VSORT, A, B),
+        enc.zero_type(VSORT),
+        enc.sum_type(VSORT, A, B),
+        enc.exists_type(VSORT, VSORT, "X", Arrow(VVar("X"), B)),
+        enc.mu_type(VSORT, "X", VVar("X")),
+        enc.nu_type(VSORT, "X", Arrow(B, VVar("X"))),
+        enc.exists_type(VSORT, CSORT, "X", Arrow(CVar("X"), B)),
     ]
     for ty in cases:
         assert classify_type(ty) is Kind.VALUE
@@ -146,10 +145,10 @@ def test_every_value_expansion_classifies_value():
 def test_expansion_freshness_against_adversarial_names():
     # arguments already mentioning the canonical binder names must not be captured
     adversarial = parse_type("X -> Y")
-    out = enc.encode_value_type("Prod", (adversarial, VVar("X")))
+    out = enc.pair_type(VSORT, adversarial, VVar("X"))
     assert isinstance(out, ForallV)
     assert out.binder not in {"X", "Y"}
-    out2 = enc.encode_comp_type("Copower", (VVar("X"), CVar("X")))
+    out2 = enc.pair_type(CSORT, VVar("X"), CVar("X"))
     assert out2.binder != "X"
     bang = enc.encode_bang(ForallC("X", CVar("X")))
     inner = bang.body.dom.dom  # the payload inside (B -> ^fresh) -> ^fresh
@@ -158,17 +157,17 @@ def test_expansion_freshness_against_adversarial_names():
 
 def test_positivity_enforced():
     with pytest.raises(enc.PositivityError):
-        enc.encode_value_type("Mu", ("X", Arrow(VVar("X"), B)))
+        enc.mu_type(VSORT, "X", Arrow(VVar("X"), B))
     with pytest.raises(enc.PositivityError):
-        enc.encode_comp_type("NuC", ("X", Arrow(CVar("X"), cB)))
+        enc.nu_type(CSORT, "X", Arrow(CVar("X"), cB))
     # an occurrence left of an even number of arrows is positive again
-    enc.encode_comp_type("MuC", ("X", Arrow(Lolli(CVar("X"), cB), CVar("X"))))
-    enc.encode_value_type("Mu", ("X", Arrow(Arrow(VVar("X"), B), B)))
+    enc.mu_type(CSORT, "X", Arrow(Lolli(CVar("X"), cB), CVar("X")))
+    enc.mu_type(VSORT, "X", Arrow(Arrow(VVar("X"), B), B))
 
 
 def test_monadic_type_examples():
     assert alpha_eq(
-        enc.encode_bang(enc.encode_value_type("Unit")),
+        enc.encode_bang(enc.unit_type()),
         parse_type("forall ^X. ((forall Y. Y -> Y) -> ^X) -> ^X"),
     )
     shadowy = ForallC("X", CVar("X"))
@@ -212,7 +211,7 @@ def test_girard_terms_typecheck_at_stated_types():
 def test_cbpv_translation_examples():
     unit = enc.CbpvUnit()
     got = enc.cbpv_translate_type(enc.CbpvF(unit))
-    assert alpha_eq(got, enc.encode_bang(enc.encode_value_type("Unit")))
+    assert alpha_eq(got, enc.encode_bang(enc.unit_type()))
     # U is erased
     assert alpha_eq(
         enc.cbpv_translate_type(enc.CbpvU(enc.CbpvF(unit))),
@@ -220,7 +219,7 @@ def test_cbpv_translation_examples():
     )
     assert alpha_eq(
         enc.cbpv_translate_type(enc.CbpvProd(unit, unit)),
-        enc.encode_value_type("Prod", (enc.encode_value_type("Unit"),) * 2),
+        enc.pair_type(VSORT, enc.unit_type(), enc.unit_type()),
     )
 
 
@@ -248,19 +247,19 @@ def test_effect_constant_schemes_are_closed_and_well_kinded(monad, exceptions):
 def test_two_is_one_plus_one():
     assert alpha_eq(
         enc.encode_num(2),
-        enc.encode_value_type("Sum", (enc.encode_value_type("Unit"),) * 2),
+        enc.sum_type(VSORT, enc.unit_type(), enc.unit_type()),
     )
-    assert alpha_eq(enc.encode_num(0), enc.encode_value_type("Zero"))
+    assert alpha_eq(enc.encode_num(0), enc.zero_type(VSORT))
 
 
 def test_sum_intro_case_typecheck():
     gamma = (("a", A), ("f", Arrow(A, cB)), ("g", Arrow(B, cB)))
     inj = enc.injection(0, A, B, Var("a"), VSORT)
-    assert alpha_eq(tc.synth(gamma, None, inj), enc.encode_value_type("Sum", (A, B)))
+    assert alpha_eq(tc.synth(gamma, None, inj), enc.sum_type(VSORT, A, B))
     scrutinee = enc.case_term(inj, cB, Var("f"), Var("g"))
     assert alpha_eq(tc.synth(gamma, None, scrutinee), cB)
 
 
 def test_oplus_intro_accepts_the_stoup():
     j = Judgment((), ("a", cA), enc.injection(0, cA, cB, Var("a"), CSORT))
-    assert alpha_eq(tc.typecheck(j), enc.encode_comp_type("Oplus", (cA, cB)))
+    assert alpha_eq(tc.typecheck(j), enc.sum_type(CSORT, cA, cB))

@@ -520,6 +520,30 @@ def test_monad_laws_match_a_naive_check(monkeypatch, m, planted):
     assert bool(rep.failures) == planted
 
 
+def test_monad_laws_report_a_defect_in_the_one_table_extend_as_the_left_unit_law(monkeypatch):
+    # the sweep extends by extend_columns, so only the left unit law reads
+    # extend's one-table case, and only it fails when that reverses T A at |A| = 2
+    extend = fm.MonadSpec.extend
+    monkeypatch.setattr(fm.MonadSpec, "extend",
+                        lambda self, f, a, b: extend(self, f, a, b)[::-1] if a.size == 2 else extend(self, f, a, b))
+    for m in (IDM, EXC, EXC2, POW):
+        assert fm.check_monad_laws(m, 3).failures == ["extend(unit) != id at |A|=2"], m
+
+
+def test_monad_laws_report_free_algebra_constants_that_miss_a_raise_point(monkeypatch):
+    # with both constants of the free algebra at the first raise point, the
+    # unit image and the constants never reach the second one at any |A|
+    free_algebra = fm.free_algebra
+
+    def planted(m, a):
+        alg, eta = free_algebra(m, a)
+        return fm.Alg(m, alg.carrier, ((a.size,),) * len(alg.ops)), eta
+
+    monkeypatch.setattr(fm, "free_algebra", planted)
+    failures = fm.check_monad_laws(EXC2, 3).failures
+    assert failures[:4] == [f"unit image does not generate T A at |A|={n}" for n in range(4)]
+
+
 def test_monad_laws_extend_each_table_once(monkeypatch):
     # one extend_columns call per block of each table space, one per
     # cross-checked triple of sets (A, B, C) for all its composites g+ . f,
@@ -691,3 +715,10 @@ def test_model_config_json_round_trip():
     )
     assert again == cfg
     assert fm.ModelConfig.from_json(cfg.to_json()) == cfg
+
+
+def test_model_config_rejects_any_other_key():
+    with pytest.raises(fm.ModelError, match="^unknown configuration key 'bonud'$"):
+        fm.ModelConfig.from_json('{"bound": 1, "bonud": 3}')
+    with pytest.raises(fm.ModelError, match="^unknown configuration key 'Bound', 'e'$"):
+        fm.ModelConfig.from_json('{"e": [], "Bound": 1, "include-free-algebras": false}')

@@ -108,8 +108,8 @@ def test_an_abstraction_past_iter_cap_arguments_is_out_of_bound():
 def test_saturated_sizes_print_as_a_bound():
     # a space of exactly 2**64 elements keeps its size; one past it saturates,
     # and a message then states the bound, not the saturated value
-    two = ip.AtomSem(2)
-    exact, past = ip.fun_sem(ip.AtomSem(64), two), ip.fun_sem(ip.AtomSem(65), two)
+    two = fm.FinSet(2)
+    exact, past = ip.fun_sem(fm.FinSet(64), two), ip.fun_sem(fm.FinSet(65), two)
     assert exact.size == 2**64
     with pytest.raises(ip.OutOfBoundError, match=f"component 0 has {2**64} candidates"):
         ip.pairwise_search([exact.size], lambda *a: True)
@@ -121,7 +121,7 @@ def test_applying_a_value_of_a_saturated_space_computes_one_power():
     # a space of 3**65536 functions saturates; applying one of them at its
     # last argument reads one digit, with no table of the 65537 powers of 3,
     # which would take about 425 MB
-    space = ip.fun_sem(ip.AtomSem(1 << 16), ip.AtomSem(3))
+    space = ip.fun_sem(fm.FinSet(1 << 16), fm.FinSet(3))
     assert space.size == 2**64 + 1
     f = 2 * 3 ** ((1 << 16) - 1) + 1
     tracemalloc.start()
@@ -229,7 +229,7 @@ def test_carrier_agrees_with_set_interpretation(model):
         parse_type("forall X. ^P"),
         parse_type("forall ^X. ^X -> ^X"),
         enc.encode_bang(VVar("B")),
-        enc.encode_comp_type("Oplus", (CVar("P"), CVar("Q"))),
+        enc.sum_type(CSORT, CVar("P"), CVar("Q")),
     ]
     for ty in battery:
         alg = model.interp_ctype(env, ty)

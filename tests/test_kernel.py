@@ -24,6 +24,7 @@ from polyeff.kernel import (
     free_type_vars,
     subst_term,
     subst_type,
+    subst_type_in_term,
 )
 from polyeff import typecheck as tc
 from polyeff.randterms import TermGenerator
@@ -150,6 +151,28 @@ def test_subst_term_renames_a_type_binder_over_an_application():
     sample = tc.SubstSample(1, (), None, "x", parse_type("C -> C"), t, s)
     rep = tc.check_substitution_lemma([sample])
     assert rep.ok and rep.total == 1, rep.failures
+
+
+def test_subst_type_in_term_renames_a_type_binder_that_would_capture():
+    # (Fun Y => fun x:X -> Y => x @[X])[X := Y]: the replacement's Y must not
+    # fall under the Fun Y, which is renamed in its body
+    t = parse_term("Fun Y => fun x:forall Z. X -> Y => x @[X]")
+    out = subst_type_in_term(t, VVar("X"), VVar("Y"))
+    new = out.binder
+    assert new not in {"X", "Y", "Z"}
+    assert out == parse_term(f"Fun {new} => fun x:forall Z. Y -> {new} => x @[Y]")
+    # a binder that the replacement does not name stays, and one that rebinds X stops it
+    assert subst_type_in_term(t, VVar("X"), VVar("W")) == parse_term("Fun Y => fun x:forall Z. W -> Y => x @[W]")
+    assert subst_type_in_term(parse_term("Fun X => fun x:X => x"), VVar("X"), VVar("Y")) == \
+        parse_term("Fun X => fun x:X => x")
+
+
+def test_subst_term_stops_under_a_fun_that_rebinds_the_variable():
+    # (x (fun x:B => x) (lfun x:^A => x))[x := y]: only the free x changes
+    t = parse_term("x (fun x:B => x) (lfun x:^A => x)")
+    assert subst_term(t, "x", Var("y")) == parse_term("y (fun x:B => x) (lfun x:^A => x)")
+    assert subst_term(parse_term("fun y:B => fun x:B => x y"), "x", Var("y")) == \
+        parse_term("fun y:B => fun x:B => x y")
 
 
 def test_alpha_eq_binders():

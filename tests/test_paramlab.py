@@ -581,6 +581,32 @@ def test_abstraction_catches_an_evaluator_that_depends_on_the_object(monkeypatch
     assert rep.witness == {"term": "x", "type": "X", "lhs": 0, "rhs": 1}
 
 
+def test_abstraction_catches_a_stoup_map_that_leaves_the_carrier(monkeypatch):
+    # s89 g90 with the stoup s89 : X -> ^P is one of the seed-2024 stoup
+    # judgments whose relational walk tests nothing: its first 40 relation
+    # environments relate no pair at X.  The one type environment whose
+    # homomorphism check runs gives X and ^P one element each, where every
+    # map is a homomorphism, so an evaluator off by one, out of the carrier,
+    # is the defect that check alone can see
+    j = Judgment((("g90", VVar("X")),), ("s89", parse_type("X -> ^P")), parse_term("s89 g90"), CVar("P"))
+    monkeypatch.setattr(pl, "TermGenerator", lambda seed, interp_safe: SimpleNamespace(random_judgment=lambda: j))
+    model = pl.build_model(fm.ModelConfig(), ())
+    rhos = list(itertools.islice(pl.rel_envs(model, [(ip.VSORT, "X"), (ip.CSORT, "P")]), 40))
+    assert len(rhos) == 40 and not any(model.interp_rel(rho, VVar("X")).pairs() for rho in rhos)
+    rep = pl.verify_abstraction(model, n_terms=1)
+    assert (rep.status, rep.counts["hom-instances"]) == ("verified", 1), rep.witness
+    compile_ = model._compile
+
+    def off_by_one(t, gamma, delta):
+        ty, run = compile_(t, gamma, delta)
+        return ty, lambda tyenv, tmenv: run(tyenv, tmenv) + 1
+
+    monkeypatch.setattr(model, "_compile", off_by_one)
+    rep = pl.verify_abstraction(model, n_terms=1)
+    assert rep.status == "counterexample"
+    assert rep.witness == {"term": "s89 g90", "law": "homomorphism"}
+
+
 def test_relation_axioms_powerset():
     model = pl.build_model(fm.ModelConfig("powerset", (), 2), ())
     rep = pl.verify_rel_axioms(model)
@@ -871,7 +897,7 @@ def test_cbpv_catches_u_translated_to_bang(monkeypatch):
     monkeypatch.setattr(enc, "cbpv_translate_type", planted)
     rep = pl.verify_cbpv()
     assert rep.status == "counterexample"
-    src, want = enc.CbpvU(enc.CbpvF(enc.CbpvUnit())), enc.encode_bang(enc.encode_value_type("Unit"))
+    src, want = enc.CbpvU(enc.CbpvF(enc.CbpvUnit())), enc.encode_bang(enc.unit_type())
     assert (rep.witness["case"], rep.witness["want"]) == (1, str(want))
     assert enc.cbpv_translate_type(src) is not want
     monkeypatch.undo()

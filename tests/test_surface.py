@@ -6,6 +6,8 @@ from polyeff import encodings as enc
 from polyeff import surface
 from polyeff.encodings import BangTerm, LetTerm
 from polyeff.kernel import (
+    CSORT,
+    VSORT,
     Arrow,
     CVar,
     ForallC,
@@ -22,6 +24,8 @@ from polyeff.kernel import (
 )
 from polyeff.randterms import TermGenerator
 from polyeff.surface import (
+    MAX_NUMERAL,
+    MAX_PARENS,
     SyntaxErr,
     parse_file,
     parse_term,
@@ -67,9 +71,9 @@ def test_quantifiers_extend_right():
 
 def test_sugar_precedence():
     # products bind tighter than sums, copower tighter than products
-    prod = enc.encode_value_type("Prod", (enc.encode_num(1), enc.encode_num(2)))
-    assert alpha_eq(parse_type("1 * 2 + 0"), enc.encode_value_type("Sum", (prod, enc.encode_num(0))))
-    copower = enc.encode_comp_type("Copower", (VVar("B"), CVar("A")))
+    prod = enc.pair_type(VSORT, enc.encode_num(1), enc.encode_num(2))
+    assert alpha_eq(parse_type("1 * 2 + 0"), enc.sum_type(VSORT, prod, enc.encode_num(0)))
+    copower = enc.pair_type(CSORT, VVar("B"), CVar("A"))
     assert alpha_eq(parse_type("B . ^A -o ^X"), Lolli(copower, CVar("X")))
 
 
@@ -162,6 +166,54 @@ def test_non_positive_recursion_is_a_syntax_error_at_its_binder():
         parse_file("type Ok = mu X. B -> X\ntype Bad = nu ^X. ^X -> ^X\n", "f.pe")
     assert err.value.message == "^X occurs negatively in ^X -> ^X"
     assert str(err.value.span) == "f.pe:2:16-2:17"
+
+
+@pytest.mark.parametrize("src, message, span", [
+    ("f @[²]", "unexpected character '²'", "1:5-1:6"),
+    ("f @[1²]", "bad numeric token '1²'", "1:5-1:7"),
+    ("f @[33]", "numeral 33 is above 32", "1:5-1:7"),
+    ("f @[" + "9" * 5000 + "]", f"numeral {'9' * 5000} is above 32", "1:5-1:5005"),
+])
+def test_a_numeral_int_cannot_read_or_past_the_limit_is_a_syntax_error(src, message, span):
+    # str.isdigit holds for "²", which int() rejects; a numeral past the limit
+    # would encode to a type too deep to check, and one of 5000 digits past
+    # the digits int() reads
+    with pytest.raises(SyntaxErr) as err:
+        parse_term(src)
+    assert err.value.message == message
+    assert str(err.value.span) == f"<input>:{span}"
+
+
+def test_the_largest_numeral_parses_and_prints():
+    ty = parse_type(f"{MAX_NUMERAL} -> {MAX_NUMERAL}")
+    assert ty == Arrow(enc.encode_num(MAX_NUMERAL), enc.encode_num(MAX_NUMERAL))
+    assert alpha_eq(parse_type(str(ty)), ty)
+
+
+@pytest.mark.parametrize("parse, src, col", [
+    (parse_type, "(" * 200 + "X" + ")" * 200, 101),
+    (parse_term, "f @[" + "(" * 200 + "2" + ")" * 200 + "]", 105),
+    (parse_file, "def f : B = " + "(" * 200 + "x" + ")" * 200, 113),
+])
+def test_parentheses_nested_past_the_limit_are_a_syntax_error_at_the_first_one_past_it(parse, src, col):
+    assert MAX_PARENS == 100
+    with pytest.raises(SyntaxErr) as err:
+        parse(src)
+    assert err.value.message == "input nests too deeply"
+    assert str(err.value.span) == f"<input>:1:{col}-1:{col + 1}"
+    parse(src.replace("(" * 200, "(" * 100).replace(")" * 200, ")" * 100))
+
+
+@pytest.mark.parametrize("parse, src", [
+    (parse_type, "!" * 1200 + "X"),
+    (parse_term, "bang " * 1200 + "x"),
+    (parse_file, "def f : B = " + "fun x:B => " * 1200 + "x"),
+])
+def test_input_nested_past_the_recursion_limit_is_a_syntax_error(parse, src):
+    with pytest.raises(SyntaxErr) as err:
+        parse(src)
+    assert err.value.message == "input nests too deeply"
+    assert err.value.span.start[0] == 1
 
 
 ROUND_TRIP_CASES = [

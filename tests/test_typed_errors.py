@@ -44,7 +44,7 @@ def test_projection_must_not_depend_on_the_isomorphism():
     # points (raise point 2), and its two isomorphisms to that algebra
     # transport the family to different elements
     model = ip.Model(EXC, 2, range(3))
-    comps = tuple(ip.AtomSem(alg.carrier.size) for alg in model.algebras)
+    comps = tuple(fm.FinSet(alg.carrier.size) for alg in model.algebras)
     poly = ip.PolySem(1, True, comps, ((0,) * len(comps),))
     target = fm.Alg(EXC, fm.FinSet(3), ((0,),))
     assert model.alg_index(target) is None
@@ -54,7 +54,7 @@ def test_projection_must_not_depend_on_the_isomorphism():
 
 def test_a_family_over_algebras_is_projected_only_at_an_algebra():
     model = ip.Model(IDM, 2)
-    comps = tuple(ip.AtomSem(alg.carrier.size) for alg in model.algebras)
+    comps = tuple(fm.FinSet(alg.carrier.size) for alg in model.algebras)
     poly = ip.PolySem(1, True, comps, ((0,) * len(comps),))
     with pytest.raises(ip.InterpError, match="not an algebra"):
         model.project_poly(poly, 0, fm.FinSet(2), "X", CVar("X"), ip.TypeEnv())
