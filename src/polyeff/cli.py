@@ -163,6 +163,9 @@ def cmd_eval(args) -> int:
         sem = model.interp_vtype(ip.TypeEnv(), ty)
         if sem.size > 1 << ip.SIZE_BITS:  # a saturated size: neither it nor an index in it would print true
             raise ip.OutOfBoundError(f"eval reports a value by its index, but {ty} has more than 2**{ip.SIZE_BITS} values")
+        if ip.decoded_entries(sem) > ip.ITER_CAP:
+            raise ip.OutOfBoundError(f"eval prints a value entry by entry, but one of {ty} has more than ITER_CAP"
+                                     f" ({ip.ITER_CAP}) entries")
         val = run(ip.TypeEnv(), {})
     except surface.SyntaxErr as exc:
         print(str(exc), file=sys.stderr)

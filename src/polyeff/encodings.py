@@ -26,15 +26,10 @@ from typing import Optional
 from . import typecheck as tc
 from .kernel import (
     CSORT,
-    FORALL,
-    TYLAM,
-    VAR,
     VSORT,
     App,
     Arrow,
-    CVar,
-    ForallC,
-    ForallV,
+    Forall,
     Kind,
     Lam,
     LinLam,
@@ -42,12 +37,10 @@ from .kernel import (
     PREC_ATOM,
     PREC_INFIX,
     TermExpr,
-    TyAppC,
-    TyAppV,
-    TyLamC,
-    TyLamV,
+    TyApp,
+    TyLam,
+    TyVar,
     TypeExpr,
-    VVar,
     Var,
     all_type_var_names,
     binder_signs,
@@ -83,61 +76,61 @@ ARROW = {VSORT: Arrow, CSORT: Lolli}  # the arrow into a sort's result
 
 def unit_type() -> TypeExpr:
     """``1 = forall X. X -> X``."""
-    return ForallV("X", Arrow(VVar("X"), VVar("X")))
+    return Forall(VSORT, "X", Arrow(TyVar(VSORT, "X"), TyVar(VSORT, "X")))
 
 
 def unit_comp_type() -> TypeExpr:
     """``1o = forall ^X. 0 -> ^X``."""
-    return ForallC("X", Arrow(zero_type(VSORT), CVar("X")))
+    return Forall(CSORT, "X", Arrow(zero_type(VSORT), TyVar(CSORT, "X")))
 
 
 def zero_type(sort: str) -> TypeExpr:
     """``0 = forall X. X`` at ``VSORT``, ``0o = forall ^X. ^X`` at ``CSORT``."""
-    return FORALL[sort]("X", VAR[sort]("X"))
+    return Forall(sort, "X", TyVar(sort, "X"))
 
 
 def pair_type(sort: str, a: TypeExpr, b: TypeExpr) -> TypeExpr:
     """``A * B = forall X. (A -> B -> X) -> X``; at ``CSORT`` the copower ``A . B°``."""
-    x = VAR[sort](_freshv("X", a, b))
-    return FORALL[sort](x.name, Arrow(Arrow(a, ARROW[sort](b, x)), x))
+    x = TyVar(sort, _freshv("X", a, b))
+    return Forall(sort, x.name, Arrow(Arrow(a, ARROW[sort](b, x)), x))
 
 
 def prod_comp_type(a: TypeExpr, b: TypeExpr) -> TypeExpr:
     """``A° *o B° = forall ^X. ((A° -o ^X) + (B° -o ^X)) -> ^X``."""
     x = _freshv("X", a, b)
-    branches = sum_type(VSORT, Lolli(a, CVar(x)), Lolli(b, CVar(x)))
-    return ForallC(x, Arrow(branches, CVar(x)))
+    branches = sum_type(VSORT, Lolli(a, TyVar(CSORT, x)), Lolli(b, TyVar(CSORT, x)))
+    return Forall(CSORT, x, Arrow(branches, TyVar(CSORT, x)))
 
 
 def sum_type(sort: str, a: TypeExpr, b: TypeExpr) -> TypeExpr:
     """``A + B = forall X. (A -> X) -> (B -> X) -> X``; at ``CSORT`` ``A° (+) B°``."""
-    x = VAR[sort](_freshv("X", a, b))
+    x = TyVar(sort, _freshv("X", a, b))
     arrow = ARROW[sort]
-    return FORALL[sort](x.name, Arrow(arrow(a, x), Arrow(arrow(b, x), x)))
+    return Forall(sort, x.name, Arrow(arrow(a, x), Arrow(arrow(b, x), x)))
 
 
 def exists_type(sort: str, binder_sort: str, binder: str, body: TypeExpr) -> TypeExpr:
     """``exists X. B = forall Y. (forall X. B -> Y) -> Y``; ``binder_sort`` is ``X``'s."""
-    y = VAR[sort](fresh_name("Y", {v.name for v in free_type_vars(body)} | {binder}))
-    return FORALL[sort](y.name, Arrow(FORALL[binder_sort](binder, ARROW[sort](body, y)), y))
+    y = TyVar(sort, fresh_name("Y", {v.name for v in free_type_vars(body)} | {binder}))
+    return Forall(sort, y.name, Arrow(Forall(binder_sort, binder, ARROW[sort](body, y)), y))
 
 
 def _check_positive(sort: str, binder: str, body: TypeExpr) -> None:
     if -1 in binder_signs(sort, binder, body):
-        raise PositivityError(f"{VAR[sort](binder)} occurs negatively in {body}")
+        raise PositivityError(f"{TyVar(sort, binder)} occurs negatively in {body}")
 
 
 def mu_type(sort: str, binder: str, body: TypeExpr) -> TypeExpr:
     """``mu X. B = forall X. (B -> X) -> X``."""
     _check_positive(sort, binder, body)
-    x = VAR[sort](binder)
-    return FORALL[sort](binder, Arrow(ARROW[sort](body, x), x))
+    x = TyVar(sort, binder)
+    return Forall(sort, binder, Arrow(ARROW[sort](body, x), x))
 
 
 def nu_type(sort: str, binder: str, body: TypeExpr) -> TypeExpr:
     """``nu X. B = exists X. (X -> B) * X``."""
     _check_positive(sort, binder, body)
-    x = VAR[sort](binder)
+    x = TyVar(sort, binder)
     return exists_type(sort, sort, binder, pair_type(sort, ARROW[sort](x, body), x))
 
 
@@ -153,15 +146,15 @@ def encode_num(n: int) -> TypeExpr:
 def encode_bang(b: TypeExpr) -> TypeExpr:
     """``!B = forall ^X. (B -> ^X) -> ^X`` with a fresh ``^X``."""
     x = _freshv("X", b)
-    return ForallC(x, Arrow(Arrow(b, CVar(x)), CVar(x)))
+    return Forall(CSORT, x, Arrow(Arrow(b, TyVar(CSORT, x)), TyVar(CSORT, x)))
 
 
 def bang_payload(ty: TypeExpr) -> Optional[TypeExpr]:
     """Return B when ``ty`` has the shape of ``!B``, else None."""
-    if not isinstance(ty, ForallC):
+    if not isinstance(ty, Forall) or ty.sort != CSORT:
         return None
     body = ty.body
-    x = CVar(ty.binder)
+    x = TyVar(CSORT, ty.binder)
     if (
         isinstance(body, Arrow)
         and isinstance(body.dom, Arrow)
@@ -217,22 +210,22 @@ def elaborate_bang_intro(t: TermExpr, payload: TypeExpr) -> TermExpr:
     """``bang t``: the thunked computation ``Fun ^X => fun p:B->^X => p t``."""
     x = _freshv("X", payload, t)
     p = _fresh_tm("p", t)
-    return TyLamC(x, Lam(p, Arrow(payload, CVar(x)), App(Var(p), t)))
+    return TyLam(CSORT, x, Lam(p, Arrow(payload, TyVar(CSORT, x)), App(Var(p), t)))
 
 
 def elaborate_let(x: str, t: TermExpr, u: TermExpr, payload: TypeExpr, result: TypeExpr) -> TermExpr:
     """``let x <= t in u``  ==>  ``t @[A] (fun x:B => u)``."""
-    return App(TyAppC(t, result), Lam(x, payload, u))
+    return App(TyApp(CSORT, t, result), Lam(x, payload, u))
 
 
 def unit_term() -> TermExpr:
-    return TyLamV("X", Lam("u", VVar("X"), Var("u")))
+    return TyLam(VSORT, "X", Lam("u", TyVar(VSORT, "X"), Var("u")))
 
 
 def pair_term(a: TypeExpr, b: TypeExpr, t: TermExpr, u: TermExpr) -> TermExpr:
     x = _freshv("X", a, b, t, u)
     p = _fresh_tm("p", t, u)
-    return TyLamV(x, Lam(p, Arrow(a, Arrow(b, VVar(x))), App(App(Var(p), t), u)))
+    return TyLam(VSORT, x, Lam(p, Arrow(a, Arrow(b, TyVar(VSORT, x))), App(App(Var(p), t), u)))
 
 
 def injection(which: int, a: TypeExpr, b: TypeExpr, t: TermExpr, sort: str) -> TermExpr:
@@ -243,14 +236,14 @@ def injection(which: int, a: TypeExpr, b: TypeExpr, t: TermExpr, sort: str) -> T
     x = _freshv("X", a, b, t)
     f = _fresh_tm("f", t)
     g = fresh_name("g", {f} | free_term_vars(t))
-    arrow, result = ARROW[sort], VAR[sort](x)
+    arrow, result = ARROW[sort], TyVar(sort, x)
     branch = Lam(g, arrow(b, result), App(Var((f, g)[which]), t))
-    return TYLAM[sort](x, Lam(f, arrow(a, result), branch))
+    return TyLam(sort, x, Lam(f, arrow(a, result), branch))
 
 
 def case_term(scrutinee: TermExpr, result: TypeExpr, on_l: TermExpr, on_r: TermExpr) -> TermExpr:
-    node = TyAppC if classify_type(result) is Kind.COMPUTATION else TyAppV
-    return App(App(node(scrutinee, result), on_l), on_r)
+    sort = CSORT if classify_type(result) is Kind.COMPUTATION else VSORT
+    return App(App(TyApp(sort, scrutinee, result), on_l), on_r)
 
 
 def two_value(which: int) -> TermExpr:
@@ -270,7 +263,7 @@ def girard_iso_terms(a: TypeExpr, bc: TypeExpr) -> tuple[TermExpr, TermExpr]:
         LinLam(
             "z",
             bang_a,
-            App(TyAppC(Var("z"), bc), Lam("x", a, App(Var("f"), Var("x")))),
+            App(TyApp(CSORT, Var("z"), bc), Lam("x", a, App(Var("f"), Var("x")))),
         ),
     )
     bwd = Lam(
@@ -294,9 +287,9 @@ def comp_iso_terms(ac: TypeExpr) -> tuple[TermExpr, TermExpr]:
     fwd = LinLam(
         "a",
         ac,
-        TyLamC(x, Lam("k", Lolli(ac, CVar(x)), App(Var("k"), Var("a")))),
+        TyLam(CSORT, x, Lam("k", Lolli(ac, TyVar(CSORT, x)), App(Var("k"), Var("a")))),
     )
-    bwd = LinLam("m", wrapped, App(TyAppC(Var("m"), ac), LinLam("y", ac, Var("y"))))
+    bwd = LinLam("m", wrapped, App(TyApp(CSORT, Var("m"), ac), LinLam("y", ac, Var("y"))))
     return fwd, bwd
 
 
@@ -306,10 +299,10 @@ def comp_iso_terms(ac: TypeExpr) -> tuple[TermExpr, TermExpr]:
 
 def nary_op_type(n: int) -> TypeExpr:
     """``forall ^X. ^X -> ... -> ^X`` with n arguments: an n-ary operation's scheme."""
-    ty: TypeExpr = CVar("X")
+    ty: TypeExpr = TyVar(CSORT, "X")
     for _ in range(n):
-        ty = Arrow(CVar("X"), ty)
-    return ForallC("X", ty)
+        ty = Arrow(TyVar(CSORT, "X"), ty)
+    return Forall(CSORT, "X", ty)
 
 
 def register_effect_constants(monad) -> dict[str, TypeExpr]:
@@ -318,8 +311,8 @@ def register_effect_constants(monad) -> dict[str, TypeExpr]:
     its arity, then ``handle^e`` for each exception ``e``.  A model takes its
     constants from here, and interprets each one by its name."""
     consts = {name: nary_op_type(arity) for name, arity in monad.operations}
-    bang_x = encode_bang(VVar("X"))
-    handler = ForallV("X", Lolli(Arrow(encode_num(2), bang_x), bang_x))
+    bang_x = encode_bang(TyVar(VSORT, "X"))
+    handler = Forall(VSORT, "X", Lolli(Arrow(encode_num(2), bang_x), bang_x))
     return {**consts, **{f"handle^{e}": handler for e in monad.exceptions}}
 
 
@@ -424,10 +417,10 @@ def elaborate_term(
             elaborate_term(t.fn, gamma, delta if side == "fn" else None, constants),
             elaborate_term(t.arg, gamma, delta if side == "arg" else None, constants),
         )
-    if isinstance(t, (TyLamV, TyLamC)):
-        return type(t)(t.binder, elaborate_term(t.body, gamma, delta, constants))
-    if isinstance(t, (TyAppV, TyAppC)):
-        return type(t)(elaborate_term(t.fn, gamma, delta, constants), t.arg)
+    if isinstance(t, TyLam):
+        return TyLam(t.sort, t.binder, elaborate_term(t.body, gamma, delta, constants))
+    if isinstance(t, TyApp):
+        return TyApp(t.sort, elaborate_term(t.fn, gamma, delta, constants), t.arg)
     if isinstance(t, BangTerm):
         if delta is not None:
             raise tc.TypingError(

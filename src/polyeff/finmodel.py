@@ -39,8 +39,7 @@ from dataclasses import dataclass, field
 from itertools import product, repeat
 from typing import Iterable, Iterator, Sequence
 
-from .kernel import Interned, hash_consed
-from .surface import KEYWORDS
+from .kernel import KEYWORDS, Interned, hash_consed
 
 
 class ModelError(Exception):

@@ -97,24 +97,19 @@ from . import finmodel as fm
 from . import typecheck as tc
 from .kernel import (
     CSORT,
-    FORALL,
-    VAR,
     VSORT,
     App,
     Arrow,
-    CVar,
-    ForallC,
-    ForallV,
+    Forall,
     Interned,
     Kind,
     Lam,
     LinLam,
     Lolli,
     TermExpr,
-    TyLamC,
-    TyLamV,
+    TyLam,
+    TyVar,
     TypeExpr,
-    VVar,
     Var,
     binder_signs,
     classify_type,
@@ -222,7 +217,7 @@ def preimages(sem: FunSem | HomSem) -> list[list[int]]:
 
 @dataclass(eq=False)
 class PolySem(SemSet):
-    csort: bool  # quantification over algebras rather than sets
+    sort: str  # the binder's: quantification over sets or over algebras
     comps: tuple[SemSet, ...]
     fams: tuple[tuple[int, ...], ...]
 
@@ -255,7 +250,7 @@ class TypeEnv(Interned):
         for (s, n), v in self.items:
             if s == sort and n == name:
                 return v
-        raise InterpError(f"type variable {VAR[sort](name)} not in environment")
+        raise InterpError(f"type variable {TyVar(sort, name)} not in environment")
 
     def set(self, sort: str, name: str, value) -> "TypeEnv":
         key = (sort, name, value)
@@ -297,7 +292,7 @@ class RelEnv(Interned):
         for (s, n), r in self.rels:
             if s == sort and n == name:
                 return r
-        raise InterpError(f"no relation for {VAR[sort](name)}")
+        raise InterpError(f"no relation for {TyVar(sort, name)}")
 
     def set(self, sort: str, name: str, left, right, rel: tuple[int, ...]) -> "RelEnv":
         nl, nr = left.size, right.size
@@ -559,7 +554,7 @@ def positive_args(sort: str, binder: str, body: TypeExpr) -> Optional[list]:
     not free in it, or as ``(Dk, [E1, ..., Em])`` when it is a chain of ``->``
     and ``-o`` ending in ``X``, ``E1 -> ... -> Em -o X``, with ``X`` free in no
     ``Ei``.  None for any other body, a top-level ``-o`` included."""
-    x, key = VAR[sort](binder), (sort, binder)
+    x, key = TyVar(sort, binder), (sort, binder)
 
     def chain(ty: TypeExpr, arrows: tuple) -> tuple[list, TypeExpr]:
         doms = []
@@ -732,7 +727,7 @@ class Model:
         return sem
 
     def _interp_vtype(self, env: TypeEnv, ty: TypeExpr) -> SemSet:
-        if isinstance(ty, (VVar, CVar)):
+        if isinstance(ty, TyVar):
             return env.get(ty.sort, ty.name)
         if isinstance(ty, Arrow):
             return fun_sem(self.interp_vtype(env, ty.dom), self.interp_vtype(env, ty.cod))
@@ -747,18 +742,18 @@ class Model:
                     raise OutOfBoundError(f"hom space too large: {cod_sem.size}^{_count(dom_sem.size)}")
                 tables = self._hom_tables(*algs)
             except OutOfBoundError as exc:
-                binds = ", ".join(f"{VAR[s](n)} {'an algebra' if s == CSORT else 'a set'} on {v.size} elements"
+                binds = ", ".join(f"{TyVar(s, n)} {'an algebra' if s == CSORT else 'a set'} on {v.size} elements"
                                   for (s, n), v in env.restrict(free_type_var_keys(ty)).items)
                 raise OutOfBoundError(
                     f"homomorphisms for {ty}{binds and f', with {binds},'} from the algebra on {dom_sem.size}"
                     f" elements to the algebra on {cod_sem.size}: {exc}"
                 ) from exc
             return HomSem(len(tables), dom_sem, cod_sem, tables)
-        if isinstance(ty, (ForallV, ForallC)):
+        if isinstance(ty, Forall):
             comps = [self.interp_vtype(env.set(ty.sort, ty.binder, obj), ty.body)
                      for obj in self.objects(ty.sort)]
             fams = self._families(env, ty, comps)
-            return PolySem(len(fams), ty.sort == CSORT, tuple(comps), fams)
+            return PolySem(len(fams), ty.sort, tuple(comps), fams)
         raise InterpError(f"cannot interpret type {ty!r}")
 
     def _hom_tables(self, dom: fm.Alg, cod: fm.Alg) -> tuple[tuple[int, ...], ...]:
@@ -780,7 +775,7 @@ class Model:
         if classify_type(ty) is not Kind.COMPUTATION:
             raise InterpError(f"{ty} is not a computation type")
         m = self.monad
-        if isinstance(ty, CVar):
+        if isinstance(ty, TyVar):
             return env.get(CSORT, ty.name)
         # the operation tables are built per element through the structural
         # recursion below, so component algebras never materialize in full
@@ -797,7 +792,7 @@ class Model:
         """Operation ``k`` at each ``^X`` leaf of a computation type,
         tabulated through ``->`` and ``forall``: an element of the domain
         built pointwise from the elements ``args``, one per argument."""
-        if isinstance(ty, CVar):
+        if isinstance(ty, TyVar):
             return env.get(CSORT, ty.name).op(k, args)
         sem = self.interp_vtype(env, ty)
         if isinstance(ty, Arrow):
@@ -805,7 +800,7 @@ class Model:
                 self._pointwise(env, ty.cod, k, [sem.apply(u, x) for u in args])
                 for x in range(sem.dom.size)  # type: ignore[attr-defined]
             ])
-        if isinstance(ty, (ForallV, ForallC)):
+        if isinstance(ty, Forall):
             return sem.encode([  # type: ignore[attr-defined]
                 self._pointwise(env.set(ty.sort, ty.binder, obj), ty.body, k,
                                 [sem.fams[u][i] for u in args])  # type: ignore[attr-defined]
@@ -825,13 +820,13 @@ class Model:
     def _interp_rel(self, rho: RelEnv, ty: TypeExpr) -> RelView:
         left = self.interp_vtype(rho.rho1, ty)
         right = self.interp_vtype(rho.rho2, ty)
-        if isinstance(ty, (VVar, CVar)):
+        if isinstance(ty, TyVar):
             return AtomRel(ty, left, right, rho.rel(ty.sort, ty.name))
         if isinstance(ty, (Arrow, Lolli)):
             dom_rel = self.interp_rel(rho, ty.dom)
             cod_rel = self.interp_rel(rho, ty.cod)
             return FunRel(ty, left, right, dom_rel, cod_rel)
-        if isinstance(ty, (ForallV, ForallC)):
+        if isinstance(ty, Forall):
             return ForallRel(self, rho, ty, left, right)
         raise InterpError(f"cannot interpret type {ty!r}")
 
@@ -1045,7 +1040,7 @@ class Model:
         testing each pair by ``every_relation`` as soon as both of its
         components are fixed, so that ``relatedness``'s rules are checked
         against an independent source."""
-        if not isinstance(ty, (ForallV, ForallC)):
+        if not isinstance(ty, Forall):
             raise InterpError("naive family enumeration expects a quantified type")
         sort = ty.sort
         objs = self.objects(sort)
@@ -1078,7 +1073,7 @@ class Model:
         isomorphism of environments (one bijection table per type variable)."""
         src = self.interp_vtype(env_src, ty)
         dst = self.interp_vtype(env_dst, ty)
-        if isinstance(ty, (VVar, CVar)):
+        if isinstance(ty, TyVar):
             table = iso.get((ty.sort, ty.name))
             if table is None:
                 return lambda x: x
@@ -1096,7 +1091,7 @@ class Model:
                 return dst.encode(table)  # type: ignore[attr-defined]
 
             return go
-        if isinstance(ty, (ForallV, ForallC)):
+        if isinstance(ty, Forall):
             sort = ty.sort
             movers = []
             for obj in self.objects(sort):
@@ -1142,7 +1137,7 @@ class Model:
         transport along an isomorphism to a registered representative, and
         the result is checked to be independent of the isomorphism chosen.
         """
-        if not poly.csort:
+        if poly.sort == VSORT:
             size = target.size if isinstance(target, fm.FinSet) else target
             if size >= len(self.sets):
                 raise OutOfBoundError(f"no registered set of size {_count(size)}")
@@ -1221,10 +1216,10 @@ class Model:
                     return sem.apply(run_fn(tyenv, tmenv), run_arg(tyenv, tmenv))  # type: ignore[attr-defined]
 
                 return head.cod, app  # type: ignore[attr-defined]
-            if isinstance(t, (TyLamV, TyLamC)):
+            if isinstance(t, TyLam):
                 sort, binder = t.sort, t.binder
                 body_ty, run_body = build(t.body, scope)
-                forall_ty = FORALL[sort](binder, body_ty)
+                forall_ty = Forall(sort, binder, body_ty)
 
                 def tylam(tyenv: TypeEnv, tmenv: dict) -> int:
                     poly = self.interp_vtype(tyenv, forall_ty)
@@ -1235,16 +1230,16 @@ class Model:
                 return forall_ty, tylam
             # synth has checked t, so it is a type application
             head, run_fn = build(t.fn, scope)  # type: ignore[attr-defined]
-            arg, csort = t.arg, head.sort == CSORT  # type: ignore[attr-defined]
+            arg, sort = t.arg, head.sort  # type: ignore[attr-defined]
 
             def tyapp(tyenv: TypeEnv, tmenv: dict) -> int:
                 poly = self.interp_vtype(tyenv, head)
                 fam = run_fn(tyenv, tmenv)
                 # project at an algebra, or at the size of a set
-                target = self.interp_ctype(tyenv, arg) if csort else self.interp_vtype(tyenv, arg).size
+                target = self.interp_ctype(tyenv, arg) if sort == CSORT else self.interp_vtype(tyenv, arg).size
                 return self.project_poly(poly, fam, target, head.binder, head.body, tyenv)  # type: ignore[arg-type, attr-defined]
 
-            return subst_type(head.body, VAR[head.sort](head.binder), arg), tyapp  # type: ignore[attr-defined]
+            return subst_type(head.body, TyVar(head.sort, head.binder), arg), tyapp  # type: ignore[attr-defined]
 
         return build(t, dict(gamma) | dict([delta] if delta is not None else []))
 
@@ -1266,7 +1261,7 @@ class Model:
             return hit
         fa_idx, fa, eta = self.free_algebra(size)
         env = TypeEnv().set(VSORT, "X", fm.FinSet(size))
-        poly = self.interp_vtype(env, encodings.encode_bang(VVar("X")))
+        poly = self.interp_vtype(env, encodings.encode_bang(TyVar(VSORT, "X")))
         comp = poly.comps[fa_idx]
         eta_elt = comp.dom.encode(list(eta))  # type: ignore[attr-defined]
         ta_size = fa.carrier.size
@@ -1346,13 +1341,26 @@ def decode_value(model: Model, sem: SemSet, idx: int):
         return [decode_value(model, sem.cod, sem.apply(idx, x)) for x in range(sem.dom.size)]
     if isinstance(sem, PolySem):
         fam = sem.fams[idx]
-        keys = (
-            [f"alg:{k}" for k in range(len(model.algebras))]
-            if sem.csort
-            else [f"set:{k}" for k in range(len(model.sets))]
-        )
+        prefix = "alg" if sem.sort == CSORT else "set"
+        keys = [f"{prefix}:{k}" for k in range(len(model.objects(sem.sort)))]
         return {key: decode_value(model, comp, c) for key, comp, c in zip(keys, sem.comps, fam)}
     raise InterpError(f"cannot decode from {sem!r}")
+
+
+def decoded_entries(sem: SemSet) -> int:
+    """How many ground entries ``decode_value`` prints for a value of ``sem``:
+    one for a set, ``dom.size`` times the codomain's for a ``->`` or ``-o``
+    space, and the sum of the components' for a family space."""
+
+    @cache  # by identity: the spaces below a family share their components
+    def count(sem: SemSet) -> int:
+        if isinstance(sem, (FunSem, HomSem)):
+            return sem.dom.size * count(sem.cod)
+        if isinstance(sem, PolySem):
+            return sum(map(count, sem.comps))
+        return 1
+
+    return count(sem)
 
 
 def semset_to_json(model: Model, sem: SemSet):
@@ -1366,5 +1374,5 @@ def semset_to_json(model: Model, sem: SemSet):
                 "dom": semset_to_json(model, sem.dom), "cod": semset_to_json(model, sem.cod)}
     if isinstance(sem, PolySem):
         return {"kind": "families", "size": sem.size,
-                "objects": len(model.algebras) if sem.csort else len(model.sets)}
+                "objects": len(model.objects(sem.sort))}
     raise InterpError(f"cannot dump {sem!r}")

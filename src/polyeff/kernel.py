@@ -11,10 +11,10 @@ are disjoint sorts.  ``C -o D`` classifies structure-preserving maps
 between computation types and is itself only a value type; ``B -> C``
 is a computation type exactly when its codomain is.
 
-Each node that names a sort carries it as the class attribute ``sort``
-(``VSORT`` or ``CSORT``): the variables, quantifiers, type abstractions
-and type applications.  ``VAR``, ``FORALL``, ``TYLAM`` and ``TYAPP`` map
-a sort to its constructor, so a rule that treats the two sorts alike is
+Each former that exists at both sorts is one class whose first field is
+its ``sort`` (``VSORT`` or ``CSORT``): the variable ``TyVar``, the
+quantifier ``Forall``, the type abstraction ``TyLam`` and the type
+application ``TyApp``, so a rule that treats the two sorts alike is
 written once.  ``alpha_eq`` compares types up to renaming of bound
 variables.
 
@@ -22,13 +22,13 @@ Judgments ``gamma | delta |- t : B`` carry an ordinary context plus an
 optional stoup ``delta``: at most one binding, restricted to
 computation types, forcing a computation-type result.
 
-Interning invariant: the core type constructors (``VVar``, ``CVar``,
-``Arrow``, ``Lolli``, ``ForallV``, ``ForallC``) are hash-consed (Filliatre &
-Conchon, "Type-Safe Modular Hash-Consing", 2006), so structurally equal
-types are one object, and caches (notably ``interp.Model``'s) key on them
-by identity.  Build types only through those constructors; never mutate one.
-``hash_consed`` also interns ``finmodel``'s sets, monads and algebras and
-``interp``'s environments, the other parts of every cache key.
+Interning invariant: the core type constructors (``TyVar``, ``Arrow``,
+``Lolli``, ``Forall``) are hash-consed (Filliatre & Conchon, "Type-Safe
+Modular Hash-Consing", 2006), so structurally equal types are one object,
+and caches (notably ``interp.Model``'s) key on them by identity.  Build
+types only through those constructors; never mutate one.  ``hash_consed``
+also interns ``finmodel``'s sets, monads and algebras and ``interp``'s
+environments, the other parts of every cache key.
 """
 
 from __future__ import annotations
@@ -111,6 +111,9 @@ def _forget(ref: _KeyedRef) -> None:
 
 VSORT, CSORT = "v", "c"  # the two sorts of type variable, as environment keys
 
+# the reserved words of the surface syntax: no identifier is one of them
+KEYWORDS = {"forall", "exists", "mu", "nu", "fun", "lfun", "Fun", "bang", "let", "in", "type", "def"}
+
 # how loosely printed syntax binds: atoms tightest, then arrows and
 # applications, then binders (a node's ``_prec``)
 PREC_ATOM, PREC_INFIX, PREC_BINDER = range(3)
@@ -122,7 +125,7 @@ def parenthesized(x: Union["TypeExpr", "TermExpr"], limit: int) -> str:
 
 
 class TypeExpr:
-    """Base of type syntax: the six interned core constructors below.
+    """Base of type syntax: the four interned core constructors below.
 
     There is no other type tree: the parser expands every piece of type
     sugar and every ``type`` abbreviation into these as it reads them.
@@ -135,7 +138,7 @@ class TypeExpr:
 
     def __str__(self) -> str:
         """Surface syntax, which ``surface.parse_type`` reads back."""
-        if isinstance(self, (VVar, CVar)):
+        if isinstance(self, TyVar):
             return f"{'^' if self.sort == CSORT else ''}{self.name}"
         if isinstance(self, (Arrow, Lolli)):
             op = "->" if isinstance(self, Arrow) else "-o"
@@ -144,16 +147,9 @@ class TypeExpr:
 
 
 @hash_consed
-class VVar(TypeExpr, Interned):
+class TyVar(TypeExpr, Interned):
+    sort: str
     name: str
-    sort = VSORT
-    _prec = PREC_ATOM
-
-
-@hash_consed
-class CVar(TypeExpr, Interned):
-    name: str
-    sort = CSORT
     _prec = PREC_ATOM
 
 
@@ -172,21 +168,10 @@ class Lolli(TypeExpr, Interned):
 
 
 @hash_consed
-class ForallV(TypeExpr, Interned):
+class Forall(TypeExpr, Interned):
+    sort: str
     binder: str
     body: TypeExpr
-    sort = VSORT
-
-
-@hash_consed
-class ForallC(TypeExpr, Interned):
-    binder: str
-    body: TypeExpr
-    sort = CSORT
-
-
-VAR = {VSORT: VVar, CSORT: CVar}  # a sort's type-variable constructor
-FORALL = {VSORT: ForallV, CSORT: ForallC}  # a sort's quantifier
 
 
 def classify_type(t: TypeExpr) -> Kind:
@@ -204,7 +189,7 @@ def classify_type(t: TypeExpr) -> Kind:
 
 
 def _classify(t: TypeExpr) -> Kind:
-    if isinstance(t, (VVar, CVar)):
+    if isinstance(t, TyVar):
         return Kind.COMPUTATION if t.sort == CSORT else Kind.VALUE
     if isinstance(t, Arrow):
         classify_type(t.dom)
@@ -215,21 +200,21 @@ def _classify(t: TypeExpr) -> Kind:
         if classify_type(t.cod) is not Kind.COMPUTATION:
             raise KindError(f"-o codomain is not a computation type: {t.cod}")
         return Kind.VALUE
-    if isinstance(t, (ForallV, ForallC)):
+    if isinstance(t, Forall):
         return classify_type(t.body)
     raise KindError(f"not a type expression: {t!r}")
 
 
-def free_type_vars(t: TypeExpr) -> frozenset[Union[VVar, CVar]]:
+def free_type_vars(t: TypeExpr) -> frozenset[TyVar]:
     """Free type variables of ``t``, as variable nodes (sort included)."""
     if t._fv is not None:
         return t._fv
-    if isinstance(t, (VVar, CVar)):
+    if isinstance(t, TyVar):
         return frozenset([t])  # not cached: a cycle would delay freeing the node
     if isinstance(t, (Arrow, Lolli)):
         fv = free_type_vars(t.dom) | free_type_vars(t.cod)
-    elif isinstance(t, (ForallV, ForallC)):
-        fv = free_type_vars(t.body) - {VAR[t.sort](t.binder)}
+    elif isinstance(t, Forall):
+        fv = free_type_vars(t.body) - {TyVar(t.sort, t.binder)}
     else:
         raise KindError(f"not a core type expression: {t!r}")
     object.__setattr__(t, "_fv", fv)
@@ -252,7 +237,7 @@ def binder_signs(sort: str, binder: str, body: TypeExpr) -> frozenset[int]:
         return frozenset()
     if isinstance(body, (Arrow, Lolli)):
         return frozenset(-s for s in binder_signs(sort, binder, body.dom)) | binder_signs(sort, binder, body.cod)
-    if isinstance(body, (ForallV, ForallC)):
+    if isinstance(body, Forall):
         return binder_signs(sort, binder, body.body)
     return frozenset((1,))
 
@@ -262,12 +247,12 @@ def all_type_var_names(x: Union["TypeExpr", "TermExpr"]) -> frozenset[str]:
     out: set[str] = set()
 
     def go_ty(t):
-        if isinstance(t, (VVar, CVar)):
+        if isinstance(t, TyVar):
             out.add(t.name)
         elif isinstance(t, (Arrow, Lolli)):
             go_ty(t.dom)
             go_ty(t.cod)
-        elif isinstance(t, (ForallV, ForallC)):
+        elif isinstance(t, Forall):
             out.add(t.binder)
             go_ty(t.body)
 
@@ -278,10 +263,10 @@ def all_type_var_names(x: Union["TypeExpr", "TermExpr"]) -> frozenset[str]:
         elif isinstance(t, App):
             go_tm(t.fn)
             go_tm(t.arg)
-        elif isinstance(t, (TyLamV, TyLamC)):
+        elif isinstance(t, TyLam):
             out.add(t.binder)
             go_tm(t.body)
-        elif isinstance(t, (TyAppV, TyAppC)):
+        elif isinstance(t, TyApp):
             go_tm(t.fn)
             go_ty(t.arg)
 
@@ -304,36 +289,35 @@ def fresh_name(base: str, avoid: Iterable[str]) -> str:
     return f"{stem}{i}"
 
 
-def subst_type(body: TypeExpr, var: Union[VVar, CVar], replacement: TypeExpr) -> TypeExpr:
+def subst_type(body: TypeExpr, var: TyVar, replacement: TypeExpr) -> TypeExpr:
     """Capture-avoiding substitution of ``replacement`` for ``var`` in ``body``.
 
     A computation-type variable only accepts a computation type.
     """
-    if isinstance(var, CVar) and classify_type(replacement) is not Kind.COMPUTATION:
+    if var.sort == CSORT and classify_type(replacement) is not Kind.COMPUTATION:
         raise KindError(
             f"cannot substitute value type {replacement} for computation variable ^{var.name}"
         )
     repl_fvs = free_type_vars(replacement)
 
     def go(t: TypeExpr) -> TypeExpr:
-        if isinstance(t, (VVar, CVar)):
+        if isinstance(t, TyVar):
             return replacement if t == var else t
         if isinstance(t, Arrow):
             return Arrow(go(t.dom), go(t.cod))
         if isinstance(t, Lolli):
             return Lolli(go(t.dom), go(t.cod))
-        if isinstance(t, (ForallV, ForallC)):
-            bound = VAR[t.sort](t.binder)
+        if isinstance(t, Forall):
+            bound = TyVar(t.sort, t.binder)
             if bound == var:
                 return t
             if bound in repl_fvs and var in free_type_vars(t.body):
                 # rename the binder so the replacement is not captured
                 taken = {v.name for v in free_type_vars(t.body) | repl_fvs}
                 new = fresh_name(t.binder, taken | {var.name})
-                new_bound = type(bound)(new)
-                renamed = subst_type(t.body, bound, new_bound)
-                return type(t)(new, go(renamed))
-            return type(t)(t.binder, go(t.body))
+                renamed = subst_type(t.body, bound, TyVar(t.sort, new))
+                return Forall(t.sort, new, go(renamed))
+            return Forall(t.sort, t.binder, go(t.body))
         raise KindError(f"not a core type expression: {t!r}")
 
     return go(body)
@@ -358,9 +342,9 @@ class TermExpr:
             return f"{'fun' if isinstance(self, Lam) else 'lfun'} {self.var}:{self.ann} => {self.body}"
         if isinstance(self, App):
             return f"{parenthesized(self.fn, PREC_INFIX)} {parenthesized(self.arg, PREC_ATOM)}"
-        if isinstance(self, (TyLamV, TyLamC)):
+        if isinstance(self, TyLam):
             return f"Fun {'^' if self.sort == CSORT else ''}{self.binder} => {self.body}"
-        if isinstance(self, (TyAppV, TyAppC)):
+        if isinstance(self, TyApp):
             return f"{parenthesized(self.fn, PREC_INFIX)} @[{self.arg}]"
         raise ValueError(f"not a term expression: {self!r}")
 
@@ -393,37 +377,18 @@ class App(TermExpr):
 
 
 @dataclass(frozen=True)
-class TyLamV(TermExpr):
+class TyLam(TermExpr):
+    sort: str
     binder: str
     body: TermExpr
-    sort = VSORT
 
 
 @dataclass(frozen=True)
-class TyLamC(TermExpr):
-    binder: str
-    body: TermExpr
-    sort = CSORT
-
-
-@dataclass(frozen=True)
-class TyAppV(TermExpr):
+class TyApp(TermExpr):
+    sort: str
     fn: TermExpr
     arg: TypeExpr
-    sort = VSORT
     _prec = PREC_INFIX
-
-
-@dataclass(frozen=True)
-class TyAppC(TermExpr):
-    fn: TermExpr
-    arg: TypeExpr
-    sort = CSORT
-    _prec = PREC_INFIX
-
-
-TYLAM = {VSORT: TyLamV, CSORT: TyLamC}  # a sort's type abstraction
-TYAPP = {VSORT: TyAppV, CSORT: TyAppC}  # a sort's type application
 
 
 def free_term_vars(t: TermExpr) -> frozenset[str]:
@@ -433,9 +398,9 @@ def free_term_vars(t: TermExpr) -> frozenset[str]:
         return free_term_vars(t.body) - {t.var}
     if isinstance(t, App):
         return free_term_vars(t.fn) | free_term_vars(t.arg)
-    if isinstance(t, (TyLamV, TyLamC)):
+    if isinstance(t, TyLam):
         return free_term_vars(t.body)
-    if isinstance(t, (TyAppV, TyAppC)):
+    if isinstance(t, TyApp):
         return free_term_vars(t.fn)
     custom = getattr(t, "free_vars", None)
     if custom is not None:
@@ -443,7 +408,7 @@ def free_term_vars(t: TermExpr) -> frozenset[str]:
     raise ValueError(f"not a term expression: {t!r}")
 
 
-def free_type_vars_term(t: TermExpr) -> frozenset[Union[VVar, CVar]]:
+def free_type_vars_term(t: TermExpr) -> frozenset[TyVar]:
     """Type variables occurring free in annotations and type arguments."""
     if isinstance(t, Var):
         return frozenset()
@@ -451,14 +416,14 @@ def free_type_vars_term(t: TermExpr) -> frozenset[Union[VVar, CVar]]:
         return free_type_vars(t.ann) | free_type_vars_term(t.body)
     if isinstance(t, App):
         return free_type_vars_term(t.fn) | free_type_vars_term(t.arg)
-    if isinstance(t, (TyLamV, TyLamC)):
-        return free_type_vars_term(t.body) - {VAR[t.sort](t.binder)}
-    if isinstance(t, (TyAppV, TyAppC)):
+    if isinstance(t, TyLam):
+        return free_type_vars_term(t.body) - {TyVar(t.sort, t.binder)}
+    if isinstance(t, TyApp):
         return free_type_vars_term(t.fn) | free_type_vars(t.arg)
     raise ValueError(f"not a core term expression: {t!r}")
 
 
-def subst_type_in_term(t: TermExpr, var: Union[VVar, CVar], replacement: TypeExpr) -> TermExpr:
+def subst_type_in_term(t: TermExpr, var: TyVar, replacement: TypeExpr) -> TermExpr:
     """Substitute a type for a type variable throughout a term."""
     repl_fvs = free_type_vars(replacement)
 
@@ -469,18 +434,18 @@ def subst_type_in_term(t: TermExpr, var: Union[VVar, CVar], replacement: TypeExp
             return type(t)(t.var, subst_type(t.ann, var, replacement), go(t.body))
         if isinstance(t, App):
             return App(go(t.fn), go(t.arg))
-        if isinstance(t, (TyLamV, TyLamC)):
-            bound = VAR[t.sort](t.binder)
+        if isinstance(t, TyLam):
+            bound = TyVar(t.sort, t.binder)
             if bound == var:
                 return t
             if bound in repl_fvs and var in free_type_vars_term(t.body):
                 taken = {v.name for v in free_type_vars_term(t.body) | repl_fvs}
                 new = fresh_name(t.binder, taken | {var.name})
-                renamed = subst_type_in_term(t.body, bound, type(bound)(new))
-                return type(t)(new, go(renamed))
-            return type(t)(t.binder, go(t.body))
-        if isinstance(t, (TyAppV, TyAppC)):
-            return type(t)(go(t.fn), subst_type(t.arg, var, replacement))
+                renamed = subst_type_in_term(t.body, bound, TyVar(t.sort, new))
+                return TyLam(t.sort, new, go(renamed))
+            return TyLam(t.sort, t.binder, go(t.body))
+        if isinstance(t, TyApp):
+            return TyApp(t.sort, go(t.fn), subst_type(t.arg, var, replacement))
         raise ValueError(f"not a core term expression: {t!r}")
 
     return go(t)
@@ -510,16 +475,16 @@ def subst_term(body: TermExpr, var: str, replacement: TermExpr) -> TermExpr:
             return type(t)(t.var, t.ann, go(t.body))
         if isinstance(t, App):
             return App(go(t.fn), go(t.arg))
-        if isinstance(t, (TyLamV, TyLamC)):
-            bound = VAR[t.sort](t.binder)
+        if isinstance(t, TyLam):
+            bound = TyVar(t.sort, t.binder)
             if bound in repl_tyvs and var in free_term_vars(t.body):
                 taken = {v.name for v in free_type_vars_term(t.body) | repl_tyvs}
                 new = fresh_name(t.binder, taken)
-                renamed = subst_type_in_term(t.body, bound, type(bound)(new))
-                return type(t)(new, go(renamed))
-            return type(t)(t.binder, go(t.body))
-        if isinstance(t, (TyAppV, TyAppC)):
-            return type(t)(go(t.fn), t.arg)
+                renamed = subst_type_in_term(t.body, bound, TyVar(t.sort, new))
+                return TyLam(t.sort, new, go(renamed))
+            return TyLam(t.sort, t.binder, go(t.body))
+        if isinstance(t, TyApp):
+            return TyApp(t.sort, go(t.fn), t.arg)
         raise ValueError(f"not a core term expression: {t!r}")
 
     return go(body)
@@ -532,16 +497,18 @@ def subst_term(body: TermExpr, var: str, replacement: TermExpr) -> TermExpr:
 def _alpha_ty(a: TypeExpr, b: TypeExpr, env_a: dict, env_b: dict, depth: int) -> bool:
     if type(a) is not type(b):
         return False
-    if isinstance(a, (VVar, CVar)):
+    if isinstance(a, TyVar):
         la, lb = env_a.get((a.sort, a.name)), env_b.get((b.sort, b.name))
         if la is None and lb is None:
-            return a.name == b.name
-        return la is not None and la == lb
+            return a is b  # free: the one interned node of that sort and name
+        return la is not None and la == lb  # bound at one depth, so at one sort
     if isinstance(a, (Arrow, Lolli)):
         return _alpha_ty(a.dom, b.dom, env_a, env_b, depth) and _alpha_ty(
             a.cod, b.cod, env_a, env_b, depth
         )
-    if isinstance(a, (ForallV, ForallC)):
+    if isinstance(a, Forall):
+        if a.sort != b.sort:
+            return False
         ea = dict(env_a)
         eb = dict(env_b)
         ea[(a.sort, a.binder)] = depth
@@ -565,15 +532,15 @@ def alpha_canonical(t: TypeExpr) -> TypeExpr:
     names = (name for name in (f"b{i}" for i in itertools.count()) if name not in free)
 
     def go(t: TypeExpr, env: dict) -> TypeExpr:
-        if isinstance(t, (VVar, CVar)):
+        if isinstance(t, TyVar):
             return env.get((t.sort, t.name), t)
         if isinstance(t, (Arrow, Lolli)):
             return type(t)(go(t.dom, env), go(t.cod, env))
-        if isinstance(t, (ForallV, ForallC)):
+        if isinstance(t, Forall):
             name = next(names)
             env2 = dict(env)
-            env2[(t.sort, t.binder)] = VAR[t.sort](name)
-            return type(t)(name, go(t.body, env2))
+            env2[(t.sort, t.binder)] = TyVar(t.sort, name)
+            return Forall(t.sort, name, go(t.body, env2))
         raise KindError(f"not a core type expression: {t!r}")
 
     return go(t, {})

@@ -28,22 +28,20 @@ from . import finmodel as fm
 from . import interp as ip
 from . import typecheck as tc
 from .kernel import (
+    CSORT,
+    VSORT,
     App,
     Arrow,
-    CVar,
-    ForallC,
-    ForallV,
+    Forall,
     Judgment,
     Lam,
     LinLam,
     Lolli,
-    TyAppC,
-    TyAppV,
-    TyLamC,
-    TyLamV,
+    TyApp,
+    TyLam,
+    TyVar,
     TypeExpr,
     Var,
-    VVar,
     alpha_eq,
     classify_type,
     free_type_vars,
@@ -155,7 +153,7 @@ def rel_envs(model: ip.Model, names: Sequence[tuple[str, str]]):
 def env_names(ftv) -> list[tuple[str, str]]:
     """The ``(sort, name)`` keys of the type variables ``ftv``: the value
     variables by name, then the computation variables by name."""
-    return sorted(((v.sort, v.name) for v in ftv), key=lambda key: (key[0] == ip.CSORT, key[1]))
+    return sorted(((v.sort, v.name) for v in ftv), key=lambda key: (key[0] == CSORT, key[1]))
 
 
 def semantically_equal(
@@ -172,7 +170,7 @@ def semantically_equal(
     if not alpha_eq(ty_l, ty_r):
         return {"detail": f"type mismatch: {ty_l} vs {ty_r}"}
     bindings = list(gamma) + ([delta] if delta is not None else [])
-    names = [(ip.VSORT, n) for n in vnames] + [(ip.CSORT, n) for n in cnames]
+    names = [(VSORT, n) for n in vnames] + [(CSORT, n) for n in cnames]
     for tyenv in type_envs(model, names):
         dom_sizes = [model.interp_vtype(tyenv, ty).size for _, ty in bindings]
         for values in itertools.product(*(range(n) for n in dom_sizes)):
@@ -197,8 +195,9 @@ def verify_bang_laws(model: ip.Model) -> VerificationReport:
     t0 = time.perf_counter()
     for a in model.sets:  # the let laws hold at A only with T A among the algebras
         model.free_algebra(a.size)
-    bang_a = enc.encode_bang(VVar("A"))
-    gamma_beta = (("t", VVar("A")), ("p", Arrow(VVar("A"), CVar("B"))))
+    ty_a, ty_b, ty_c = TyVar(VSORT, "A"), TyVar(CSORT, "B"), TyVar(CSORT, "C")
+    bang_a = enc.encode_bang(ty_a)
+    gamma_beta = (("t", ty_a), ("p", Arrow(ty_a, ty_b)))
     battery = []
 
     # substitution law: let x <= bang t in u  =  u[t/x]
@@ -213,7 +212,7 @@ def verify_bang_laws(model: ip.Model) -> VerificationReport:
     battery.append(("eta", (), ("y", bang_a), Var("y"), eta_rhs, ("A",), ()))
 
     # homomorphism exchange: u[let x <= s in t / y] = let x <= s in u[t/y]
-    gamma_k = (("p", Arrow(VVar("A"), CVar("B"))), ("h", Lolli(CVar("B"), CVar("C"))))
+    gamma_k = (("p", Arrow(ty_a, ty_b)), ("h", Lolli(ty_b, ty_c)))
     delta_k = ("z", bang_a)
     lhs_k = enc.elaborate_term(
         App(Var("h"), parse_term("let x <= z in p x")), gamma=gamma_k, delta=delta_k
@@ -250,10 +249,10 @@ def verify_free_algebra(model: ip.Model) -> VerificationReport:
     t0 = time.perf_counter()
     failures = []
     checked = 0
-    gamma = (("f", Arrow(VVar("X"), CVar("Y"))),)
+    f_ty, bang_x = Arrow(TyVar(VSORT, "X"), TyVar(CSORT, "Y")), enc.encode_bang(TyVar(VSORT, "X"))
+    gamma = (("f", f_ty),)
     mediator = model._eval(LinLam(
-        "y", enc.encode_bang(VVar("X")),
-        enc.elaborate_term(parse_term("let x <= y in f x"), gamma=gamma, delta=("y", enc.encode_bang(VVar("X")))),
+        "y", bang_x, enc.elaborate_term(parse_term("let x <= y in f x"), gamma=gamma, delta=("y", bang_x)),
     ), gamma)
     for a in CHECKED_SIZES:
         _, fa, eta = model.free_algebra(a)
@@ -269,7 +268,7 @@ def verify_free_algebra(model: ip.Model) -> VerificationReport:
                     continue
                 # the unique mediator is the denotation of the let-based term
                 tyenv = ip.type_env({"X": fm.FinSet(a)}, {"Y": b})
-                fsem = model.interp_vtype(tyenv, Arrow(VVar("X"), CVar("Y")))
+                fsem = model.interp_vtype(tyenv, f_ty)
                 fval = fsem.encode(list(f))
                 hsem, hval = mediator(tyenv, {"f": fval})
                 table = hsem.table(hval)
@@ -329,7 +328,7 @@ def verify_bang_cardinality(model: ip.Model, sizes: Sequence[int] = (0, 1, 2)) -
     for a in sizes:
         model.free_algebra(a)  # the count matches |T A| only with T A registered
         # [[!X]] at the name bang_bridge reads, so the two share one family search
-        poly = model.interp_vtype(ip.TypeEnv().set(ip.VSORT, "X", fm.FinSet(a)), enc.encode_bang(VVar("X")))
+        poly = model.interp_vtype(ip.TypeEnv().set(VSORT, "X", fm.FinSet(a)), enc.encode_bang(TyVar(VSORT, "X")))
         ta = model.monad.apply(fm.FinSet(a)).size
         counts[f"|A|={a}"] = poly.size
         if poly.size != ta:
@@ -363,23 +362,23 @@ def verify_rel_lifting(model: ip.Model) -> VerificationReport:
     t0 = time.perf_counter()
     failures = []
     checked = 0
-    bang_x = enc.encode_bang(VVar("X"))
+    bang_x = enc.encode_bang(TyVar(VSORT, "X"))
     bounded = [i for i, alg in enumerate(model.algebras) if alg.carrier.size <= model.bound]
     # each Q between bounded algebras, with the complement of its bits x*|C_j| + y
     outside = {(i, j): [(q, ~reduce(or_, (row << x * model.algebras[j].carrier.size for x, row in enumerate(q)), 0))
-                        for q in model.rels_for_pair(ip.CSORT, i, j)] for i in bounded for j in bounded}
+                        for q in model.rels_for_pair(CSORT, i, j)] for i in bounded for j in bounded}
     for a in CHECKED_SIZES:
         for b in CHECKED_SIZES:
             _, fa, eta_a = model.free_algebra(a)
             _, fb, eta_b = model.free_algebra(b)
             to_a, _ = model.bang_bridge(a)
             to_b, _ = model.bang_bridge(b)
-            for r in model.rels_for_pair(ip.VSORT, a, b):
+            for r in model.rels_for_pair(VSORT, a, b):
                 checked += 1
                 via_closure = lifted_rel(model, r, a, b)
                 # polymorphic-definition lifting, moved along the bijections
                 rho = ip.RelEnv(ip.TypeEnv(), ip.TypeEnv()).set(
-                    ip.VSORT, "X", fm.FinSet(a), fm.FinSet(b), r
+                    VSORT, "X", fm.FinSet(a), fm.FinSet(b), r
                 )
                 view = model.interp_rel(rho, bang_x)
                 via_interp = fm.rows_of(
@@ -563,7 +562,7 @@ def verify_handler(model: ip.Model) -> VerificationReport:
         for a in CHECKED_SIZES:
             for b in CHECKED_SIZES:
                 ha, hb = _handle_table(model, a, e_idx), _handle_table(model, b, e_idx)
-                for r in model.rels_for_pair(ip.VSORT, a, b):
+                for r in model.rels_for_pair(VSORT, a, b):
                     br = lifted_rel(model, r, a, b)
                     br_pairs = fm.rel_pairs(br)
                     for p1, p2 in br_pairs:
@@ -628,7 +627,7 @@ def verify_encoding_props(model: ip.Model) -> VerificationReport:
     checked = 0
 
     # initiality of the empty computation type
-    zero_ty = enc.zero_type(ip.CSORT)
+    zero_ty = enc.zero_type(CSORT)
     zero_alg = model.interp_ctype(ip.TypeEnv(), zero_ty)
     for k, b in enumerate(model.algebras):
         homs = _mediating_homs(model, zero_alg, (), (), b)
@@ -637,9 +636,10 @@ def verify_encoding_props(model: ip.Model) -> VerificationReport:
             failures.append({"law": "initiality", "algebra": k, "homs": len(homs)})
 
     # binary coproducts: unique mediation through the injections
-    oplus_ty = enc.sum_type(ip.CSORT, CVar("A"), CVar("B"))
-    inl = model._eval(LinLam("a", CVar("A"), enc.injection(0, CVar("A"), CVar("B"), Var("a"), ip.CSORT)))
-    inr = model._eval(LinLam("b", CVar("B"), enc.injection(1, CVar("A"), CVar("B"), Var("b"), ip.CSORT)))
+    ty_a, ty_b = TyVar(CSORT, "A"), TyVar(CSORT, "B")
+    oplus_ty = enc.sum_type(CSORT, ty_a, ty_b)
+    inl = model._eval(LinLam("a", ty_a, enc.injection(0, ty_a, ty_b, Var("a"), CSORT)))
+    inr = model._eval(LinLam("b", ty_b, enc.injection(1, ty_a, ty_b, Var("b"), CSORT)))
     small = [(i, a) for i, a in enumerate(model.algebras) if a.carrier.size <= model.bound]
     for ia, alg_a in small:
         for ib, alg_b in small:
@@ -669,7 +669,7 @@ def verify_encoding_props(model: ip.Model) -> VerificationReport:
                                              "u": list(u), "v": list(v), "mediators": len(meds)})
 
     # wrapping isomorphism for every algebra within the bound
-    cfwd, cbwd = (model._eval(t) for t in enc.comp_iso_terms(CVar("A")))
+    cfwd, cbwd = (model._eval(t) for t in enc.comp_iso_terms(ty_a))
     for k, alg in [(i, a) for i, a in enumerate(model.algebras) if a.carrier.size <= model.bound]:
         tyenv = ip.type_env({}, {"A": alg})
         fsem, fv = cfwd(tyenv, {})
@@ -684,7 +684,7 @@ def verify_encoding_props(model: ip.Model) -> VerificationReport:
             failures.append({"law": "wrap-iso-right", "algebra": k})
 
     # function-space decomposition through !
-    fwd, bwd = (model._eval(t) for t in enc.girard_iso_terms(VVar("A"), CVar("B")))
+    fwd, bwd = (model._eval(t) for t in enc.girard_iso_terms(TyVar(VSORT, "A"), TyVar(CSORT, "B")))
     for alg in model.algebras:
         tyenv = ip.type_env({"A": fm.FinSet(2)}, {"B": alg})
         fsem, fv = fwd(tyenv, {})
@@ -732,13 +732,13 @@ def verify_rel_axioms(model: ip.Model) -> VerificationReport:
     t0 = time.perf_counter()
     failures = []
     checked = 0
-    for sort in (ip.VSORT, ip.CSORT):
-        kind = "set" if sort == ip.VSORT else "alg"
+    for sort in (VSORT, CSORT):
+        kind = "set" if sort == VSORT else "alg"
         objs = model.objects(sort)
         size = {k: o.size for k, o in enumerate(objs) if o.size <= model.bound}
         rels = {(i, j): model.rels_for_pair(sort, i, j) for i in size for j in size}
         listed = {ij: set(rs) for ij, rs in rels.items()}
-        maps = {(i, j): model._hom_tables(objs[i], objs[j]) if sort == ip.CSORT
+        maps = {(i, j): model._hom_tables(objs[i], objs[j]) if sort == CSORT
                 else list(itertools.product(range(size[j]), repeat=size[i])) for i, j in rels}
         # R1: diagonals
         for k, n in size.items():
@@ -771,7 +771,7 @@ def verify_rel_axioms(model: ip.Model) -> VerificationReport:
                             if pre not in ok:
                                 failures.append({"axiom": "R2", "kind": kind, "objects": [a1, a2, b1, b2],
                                                  "R": fm.rel_pairs(r), "f": list(f), "g": list(g)})
-        if sort == ip.CSORT:  # R4: algebra relations are carrier relations
+        if sort == CSORT:  # R4: algebra relations are carrier relations
             for (i, j), rs in rels.items():
                 for q in rs:
                     checked += 1
@@ -786,7 +786,7 @@ def verify_rel_axioms(model: ip.Model) -> VerificationReport:
 
 def identity_extension_battery() -> list[TypeExpr]:
     """Types (depth <= 3) over the ambient variables X, Y, ^P, ^Q."""
-    x, y, p, q = VVar("X"), VVar("Y"), CVar("P"), CVar("Q")
+    x, y, p, q = TyVar(VSORT, "X"), TyVar(VSORT, "Y"), TyVar(CSORT, "P"), TyVar(CSORT, "Q")
     return [
         x,
         p,
@@ -798,20 +798,20 @@ def identity_extension_battery() -> list[TypeExpr]:
         Lolli(p, p),
         Arrow(Arrow(x, p), p),
         Arrow(Arrow(x, x), x),
-        ForallV("Z", Arrow(VVar("Z"), VVar("Z"))),
-        ForallV("Z", Arrow(VVar("Z"), x)),
-        ForallC("Z", Arrow(CVar("Z"), CVar("Z"))),
-        enc.zero_type(ip.CSORT),
+        Forall(VSORT, "Z", Arrow(TyVar(VSORT, "Z"), TyVar(VSORT, "Z"))),
+        Forall(VSORT, "Z", Arrow(TyVar(VSORT, "Z"), x)),
+        Forall(CSORT, "Z", Arrow(TyVar(CSORT, "Z"), TyVar(CSORT, "Z"))),
+        enc.zero_type(CSORT),
         enc.encode_bang(x),
         enc.unit_type(),
         enc.encode_num(2),
-        enc.pair_type(ip.VSORT, x, y),
-        enc.sum_type(ip.VSORT, x, y),
-        enc.exists_type(ip.VSORT, ip.VSORT, "Z", Arrow(VVar("Z"), x)),
-        enc.sum_type(ip.CSORT, p, q),
-        enc.pair_type(ip.CSORT, x, p),
+        enc.pair_type(VSORT, x, y),
+        enc.sum_type(VSORT, x, y),
+        enc.exists_type(VSORT, VSORT, "Z", Arrow(TyVar(VSORT, "Z"), x)),
+        enc.sum_type(CSORT, p, q),
+        enc.pair_type(CSORT, x, p),
         enc.unit_comp_type(),
-        enc.mu_type(ip.VSORT, "Z", VVar("Z")),
+        enc.mu_type(VSORT, "Z", TyVar(VSORT, "Z")),
     ]
 
 
@@ -978,8 +978,8 @@ def typing_corpus():
     rejection code; constants are the effect constants of the ``E = {e}``
     exception and the powerset signatures, which the judgments may use.
     """
-    A, B, C = VVar("A"), VVar("B"), VVar("C")
-    cA, cB, cC = CVar("A"), CVar("B"), CVar("C")
+    A, B, C = TyVar(VSORT, "A"), TyVar(VSORT, "B"), TyVar(VSORT, "C")
+    cA, cB, cC = TyVar(CSORT, "A"), TyVar(CSORT, "B"), TyVar(CSORT, "C")
     bang = enc.encode_bang
     unit = enc.unit_type()
     two = enc.encode_num(2)
@@ -1001,13 +1001,13 @@ def typing_corpus():
     pos(_j((("t", B),), None, parse_term("Fun ^X => fun p:B -> ^X => p t")), bang(B))
     pos(_j((("h", Lolli(cA, cB)),), ("x", cA), parse_term("h x")), cB)
     pos(_j((("t", B),), ("x", cA), App(Lam("y", B, Var("x")), Var("t"))), cA)
-    pos(_j((), ("x", cA), TyLamC("Y", Var("x"))), ForallC("Y", cA))
-    pos(_j((), ("x", cA), TyLamV("Y", Var("x"))), ForallV("Y", cA))
+    pos(_j((), ("x", cA), TyLam(CSORT, "Y", Var("x"))), Forall(CSORT, "Y", cA))
+    pos(_j((), ("x", cA), TyLam(VSORT, "Y", Var("x"))), Forall(VSORT, "Y", cA))
     pos(_j((), ("x", cA), App(LinLam("y", cA, Var("y")), Var("x"))), cA)
     pos(_j((("x", B), ("y", C)), None, Var("x")), B)  # weakening
     pos(_j((), None, parse_term("fun x:B => fun x:C => x")), parse_type("B -> C -> C"))
     pos(
-        _j((), None, App(TyAppV(parse_term("Fun X => fun x:X => x"), Arrow(B, B)),
+        _j((), None, App(TyApp(VSORT, parse_term("Fun X => fun x:X => x"), Arrow(B, B)),
                          parse_term("fun y:B => y"))),
         Arrow(B, B),
     )
@@ -1015,22 +1015,22 @@ def typing_corpus():
     # eta-expansions at every definable type
     encoded = [
         unit,
-        enc.pair_type(ip.VSORT, A, B),
-        enc.zero_type(ip.VSORT),
-        enc.sum_type(ip.VSORT, A, B),
-        enc.exists_type(ip.VSORT, ip.VSORT, "X", Arrow(VVar("X"), B)),
-        enc.mu_type(ip.VSORT, "X", Arrow(B, VVar("X"))),
-        enc.nu_type(ip.VSORT, "X", Arrow(B, VVar("X"))),
-        enc.exists_type(ip.VSORT, ip.CSORT, "X", Arrow(CVar("X"), B)),
+        enc.pair_type(VSORT, A, B),
+        enc.zero_type(VSORT),
+        enc.sum_type(VSORT, A, B),
+        enc.exists_type(VSORT, VSORT, "X", Arrow(TyVar(VSORT, "X"), B)),
+        enc.mu_type(VSORT, "X", Arrow(B, TyVar(VSORT, "X"))),
+        enc.nu_type(VSORT, "X", Arrow(B, TyVar(VSORT, "X"))),
+        enc.exists_type(VSORT, CSORT, "X", Arrow(TyVar(CSORT, "X"), B)),
         enc.unit_comp_type(),
         enc.prod_comp_type(cA, cB),
-        enc.zero_type(ip.CSORT),
-        enc.sum_type(ip.CSORT, cA, cB),
-        enc.pair_type(ip.CSORT, B, cA),
-        enc.exists_type(ip.CSORT, ip.VSORT, "X", Arrow(VVar("X"), cB)),
-        enc.exists_type(ip.CSORT, ip.CSORT, "X", Arrow(B, CVar("X"))),
-        enc.mu_type(ip.CSORT, "X", Arrow(B, CVar("X"))),
-        enc.nu_type(ip.CSORT, "X", Arrow(B, CVar("X"))),
+        enc.zero_type(CSORT),
+        enc.sum_type(CSORT, cA, cB),
+        enc.pair_type(CSORT, B, cA),
+        enc.exists_type(CSORT, VSORT, "X", Arrow(TyVar(VSORT, "X"), cB)),
+        enc.exists_type(CSORT, CSORT, "X", Arrow(B, TyVar(CSORT, "X"))),
+        enc.mu_type(CSORT, "X", Arrow(B, TyVar(CSORT, "X"))),
+        enc.nu_type(CSORT, "X", Arrow(B, TyVar(CSORT, "X"))),
         bang(B),
     ]
     for ty in encoded:
@@ -1038,12 +1038,12 @@ def typing_corpus():
 
     # definable intro/elim terms
     pos(_j((("a", A), ("b", B)), None, enc.pair_term(A, B, Var("a"), Var("b"))),
-        enc.pair_type(ip.VSORT, A, B))
-    pos(_j((("a", A),), None, enc.injection(0, A, B, Var("a"), ip.VSORT)),
-        enc.sum_type(ip.VSORT, A, B))
-    pos(_j((("b", B),), None, enc.injection(1, A, B, Var("b"), ip.VSORT)),
-        enc.sum_type(ip.VSORT, A, B))
-    sum_ab = enc.sum_type(ip.VSORT, A, B)
+        enc.pair_type(VSORT, A, B))
+    pos(_j((("a", A),), None, enc.injection(0, A, B, Var("a"), VSORT)),
+        enc.sum_type(VSORT, A, B))
+    pos(_j((("b", B),), None, enc.injection(1, A, B, Var("b"), VSORT)),
+        enc.sum_type(VSORT, A, B))
+    sum_ab = enc.sum_type(VSORT, A, B)
     pos(
         _j(
             (("s", sum_ab), ("f", Arrow(A, C)), ("g", Arrow(B, C))),
@@ -1060,9 +1060,9 @@ def typing_corpus():
         ),
         cC,
     )
-    pos(_j((), ("a", cA), enc.injection(0, cA, cB, Var("a"), ip.CSORT)),
-        enc.sum_type(ip.CSORT, cA, cB))
-    oplus_ab = enc.sum_type(ip.CSORT, cA, cB)
+    pos(_j((), ("a", cA), enc.injection(0, cA, cB, Var("a"), CSORT)),
+        enc.sum_type(CSORT, cA, cB))
+    oplus_ab = enc.sum_type(CSORT, cA, cB)
     pos(
         _j(
             (("f", Lolli(cA, cC)), ("g", Lolli(cB, cC))),
@@ -1081,18 +1081,19 @@ def typing_corpus():
     pos(_j((), None, fwd), Arrow(Arrow(A, cB), Lolli(bang(A), cB)))
     pos(_j((), None, bwd), Arrow(Lolli(bang(A), cB), Arrow(A, cB)))
     cfwd, cbwd = enc.comp_iso_terms(cA)
-    wrapped = ForallC("X", Arrow(Lolli(cA, CVar("X")), CVar("X")))
+    cX = TyVar(CSORT, "X")
+    wrapped = Forall(CSORT, "X", Arrow(Lolli(cA, cX), cX))
     pos(_j((), None, cfwd), Lolli(cA, wrapped))
     pos(_j((), None, cbwd), Lolli(wrapped, cA))
 
     # the effect constants at their published signatures
-    pos(_j((), None, Var("or")), ForallC("X", Arrow(CVar("X"), Arrow(CVar("X"), CVar("X")))))
-    pos(_j((), None, Var("raise^e")), ForallC("X", CVar("X")))
+    pos(_j((), None, Var("or")), Forall(CSORT, "X", Arrow(cX, Arrow(cX, cX))))
+    pos(_j((), None, Var("raise^e")), Forall(CSORT, "X", cX))
     pos(_j((), None, Var("handle^e")),
-        ForallV("X", Lolli(Arrow(two, bang(VVar("X"))), bang(VVar("X")))))
+        Forall(VSORT, "X", Lolli(Arrow(two, bang(TyVar(VSORT, "X"))), bang(TyVar(VSORT, "X")))))
     pos(_j((("u", Arrow(two, bang(A))),), None,
-           App(TyAppV(Var("handle^e"), A), Var("u"))), bang(A))
-    pos(_j((("y", cA),), None, App(App(TyAppC(Var("or"), cA), Var("y")), Var("y"))), cA)
+           App(TyApp(VSORT, Var("handle^e"), A), Var("u"))), bang(A))
+    pos(_j((("y", cA),), None, App(App(TyApp(CSORT, Var("or"), cA), Var("y")), Var("y"))), cA)
 
     negatives = [
         (_j((), None, Var("nope")), tc.ErrorCode.UNBOUND_VAR),
@@ -1105,19 +1106,19 @@ def typing_corpus():
         (_j((), ("x", cA), LinLam("y", cA, Var("y"))), tc.ErrorCode.STOUP_VIOLATION),
         (_j((), None, LinLam("y", B, Var("y"))), tc.ErrorCode.NON_COMPUTATION_STOUP),
         (_j((), None, Lam("f", Lolli(B, cC), Var("f"))), tc.ErrorCode.KIND_MISMATCH),
-        (_j((("x", VVar("X")),), None, TyLamV("X", Var("x"))), tc.ErrorCode.ESCAPING_TYVAR),
-        (_j((), ("x", CVar("X")), TyLamC("X", Var("x"))), tc.ErrorCode.ESCAPING_TYVAR),
+        (_j((("x", TyVar(VSORT, "X")),), None, TyLam(VSORT, "X", Var("x"))), tc.ErrorCode.ESCAPING_TYVAR),
+        (_j((), ("x", TyVar(CSORT, "X")), TyLam(CSORT, "X", Var("x"))), tc.ErrorCode.ESCAPING_TYVAR),
         (
             _j((("f", Arrow(B, B)), ("y", C)), None, App(Var("f"), Var("y"))),
             tc.ErrorCode.APP_MISMATCH,
         ),
         (_j((("x", B),), None, App(Var("x"), Var("x"))), tc.ErrorCode.APP_MISMATCH),
-        (_j((("x", B),), None, TyAppV(Var("x"), C)), tc.ErrorCode.APP_MISMATCH),
-        (_j((("f", ForallV("X", VVar("X"))),), None, TyAppC(Var("f"), B)),
+        (_j((("x", B),), None, TyApp(VSORT, Var("x"), C)), tc.ErrorCode.APP_MISMATCH),
+        (_j((("f", Forall(VSORT, "X", TyVar(VSORT, "X"))),), None, TyApp(CSORT, Var("f"), B)),
          tc.ErrorCode.KIND_MISMATCH),
-        (_j((("f", ForallV("X", VVar("X"))),), None, TyAppV(Var("f"), cB)),
+        (_j((("f", Forall(VSORT, "X", TyVar(VSORT, "X"))),), None, TyApp(VSORT, Var("f"), cB)),
          tc.ErrorCode.KIND_MISMATCH),
-        (_j((("f", ForallC("X", CVar("X"))),), None, TyAppV(Var("f"), B)),
+        (_j((("f", Forall(CSORT, "X", TyVar(CSORT, "X"))),), None, TyApp(VSORT, Var("f"), B)),
          tc.ErrorCode.APP_MISMATCH),
         (
             _j((("g", Arrow(cA, cB)),), ("x", cA), App(Var("g"), Var("x"))),
@@ -1127,7 +1128,7 @@ def typing_corpus():
         (_j((("x", B),), ("x", cA), Var("x")), tc.ErrorCode.STOUP_VIOLATION),
         (
             _j((("s", oplus_ab), ("f", Lolli(cA, cC)), ("g", Lolli(cB, cC))), None,
-               App(App(TyAppV(Var("s"), B), Var("f")), Var("g"))),
+               App(App(TyApp(VSORT, Var("s"), B), Var("f")), Var("g"))),
             tc.ErrorCode.APP_MISMATCH,
         ),
     ]
@@ -1177,7 +1178,7 @@ def verify_metatheory(seed: int = 2024) -> VerificationReport:
     # weakening: an unused binding never changes the type
     for j in corpus[:50]:
         widened = Judgment(
-            (("fresh_unused", VVar("X")),) + j.gamma, j.delta, j.subject, None
+            (("fresh_unused", TyVar(VSORT, "X")),) + j.gamma, j.delta, j.subject, None
         )
         try:
             ty = tc.typecheck(widened)
@@ -1199,12 +1200,12 @@ def verify_cbpv() -> VerificationReport:
     t0 = time.perf_counter()
     E = enc
     unit = E.CbpvUnit()
-    one, zero = E.unit_type(), E.zero_type(ip.VSORT)
+    one, zero = E.unit_type(), E.zero_type(VSORT)
     corpus = [
         (E.CbpvF(unit), E.encode_bang(one)),
         (E.CbpvU(E.CbpvF(E.CbpvUnit())), E.encode_bang(one)),
-        (E.CbpvProd(unit, unit), E.pair_type(ip.VSORT, one, one)),
-        (E.CbpvSum(unit, E.CbpvZero()), E.sum_type(ip.VSORT, one, zero)),
+        (E.CbpvProd(unit, unit), E.pair_type(VSORT, one, one)),
+        (E.CbpvSum(unit, E.CbpvZero()), E.sum_type(VSORT, one, zero)),
         (E.CbpvZero(), zero),
         (E.CbpvFun(unit, E.CbpvF(unit)), Arrow(one, E.encode_bang(one))),
         (E.CbpvProdC(E.CbpvF(unit), E.CbpvF(E.CbpvZero())),
@@ -1212,7 +1213,7 @@ def verify_cbpv() -> VerificationReport:
         (E.CbpvU(E.CbpvProdC(E.CbpvF(unit), E.CbpvF(unit))),
          E.prod_comp_type(E.encode_bang(one), E.encode_bang(one))),
         (E.CbpvFun(E.CbpvSum(unit, unit), E.CbpvF(E.CbpvProd(unit, unit))),
-         Arrow(E.encode_num(2), E.encode_bang(E.pair_type(ip.VSORT, one, one)))),
+         Arrow(E.encode_num(2), E.encode_bang(E.pair_type(VSORT, one, one)))),
         (E.CbpvF(E.CbpvU(E.CbpvF(unit))), E.encode_bang(E.encode_bang(one))),
     ]
     failures = []

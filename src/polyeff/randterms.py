@@ -27,23 +27,20 @@ from typing import Optional
 from . import typecheck as tc
 from .kernel import (
     CSORT,
-    TYAPP,
-    TYLAM,
-    VAR,
     VSORT,
     App,
     Arrow,
-    CVar,
-    ForallC,
-    ForallV,
+    Forall,
     Judgment,
     Kind,
     Lam,
     LinLam,
     Lolli,
     TermExpr,
+    TyApp,
+    TyLam,
+    TyVar,
     TypeExpr,
-    VVar,
     Var,
     alpha_eq,
     classify_type,
@@ -79,10 +76,10 @@ class TermGenerator:
         rng = self.rng
         if depth <= 0:
             if want is Kind.COMPUTATION:
-                return CVar(rng.choice(COMP_TYVARS))
+                return TyVar(CSORT, rng.choice(COMP_TYVARS))
             if want is Kind.VALUE:
-                return VVar(rng.choice(VALUE_TYVARS))
-            return rng.choice([VVar(rng.choice(VALUE_TYVARS)), CVar(rng.choice(COMP_TYVARS))])
+                return TyVar(VSORT, rng.choice(VALUE_TYVARS))
+            return rng.choice([TyVar(VSORT, rng.choice(VALUE_TYVARS)), TyVar(CSORT, rng.choice(COMP_TYVARS))])
         shapes = ["var", "arrow", "forallv", "forallc"]
         if want is not Kind.COMPUTATION:
             shapes.append("lolli")
@@ -103,12 +100,12 @@ class TermGenerator:
             body = self.random_type(depth - 1, want)
             # keep the bound variable in play occasionally
             if want is not Kind.COMPUTATION and self.rng.random() < 0.5:
-                body = Arrow(VVar(binder), body) if self.rng.random() < 0.5 else VVar(binder)
-            return ForallV(binder, body)
+                body = Arrow(TyVar(VSORT, binder), body) if self.rng.random() < 0.5 else TyVar(VSORT, binder)
+            return Forall(VSORT, binder, body)
         body = self.random_type(depth - 1, want)
         if want is not Kind.COMPUTATION and self.rng.random() < 0.5:
-            body = CVar(binder) if self.rng.random() < 0.5 else Arrow(CVar(binder), body)
-        return ForallC(binder, body)
+            body = TyVar(CSORT, binder) if self.rng.random() < 0.5 else Arrow(TyVar(CSORT, binder), body)
+        return Forall(CSORT, binder, body)
 
     def _fresh(self) -> int:
         self._counter += 1
@@ -132,7 +129,7 @@ class TermGenerator:
                 options.append(("lam", None))
             if isinstance(goal, Lolli) and delta is None:
                 options.append(("linlam", None))
-            if isinstance(goal, (ForallV, ForallC)):
+            if isinstance(goal, Forall):
                 options.append(("tylam", None))
             if delta is None or classify_type(goal) is Kind.COMPUTATION:
                 options += [("spine", spine) for spine in self._spines(gamma, delta, goal)]
@@ -163,7 +160,7 @@ class TermGenerator:
             arg = self.random_type(0 if self.interp_safe else rng.randint(0, 1), want)
             # the argument's kind picks the sort: a value binder may still draw a computation type
             sort = CSORT if classify_type(arg) is Kind.COMPUTATION else VSORT
-            t = TYAPP[sort](TYLAM[sort](f"B{self._fresh()}", t), arg)
+            t = TyApp(sort, TyLam(sort, f"B{self._fresh()}", t), arg)
         return t
 
     def _try(self, kind, payload, gamma, delta, goal, fuel) -> Optional[TermExpr]:
@@ -180,24 +177,24 @@ class TermGenerator:
             body = self.term_for(gamma, (x, goal.dom), goal.cod, fuel - 1)
             return None if body is None else LinLam(x, goal.dom, body)
         if kind == "tylam":
-            bound = VAR[goal.sort](goal.binder)
+            bound = TyVar(goal.sort, goal.binder)
             if bound in tc._ctx_ftv(gamma, delta):
                 taken = {v.name for v in tc._ctx_ftv(gamma, delta) | free_type_vars(goal.body)}
                 new = fresh_name(goal.binder, taken)
-                body_ty = subst_type(goal.body, bound, VAR[goal.sort](new))
+                body_ty = subst_type(goal.body, bound, TyVar(goal.sort, new))
                 binder = new
             else:
                 body_ty, binder = goal.body, goal.binder
             body = self.term_for(gamma, delta, body_ty, fuel - 1)
             if body is None:
                 return None
-            return TYLAM[goal.sort](binder, body)
+            return TyLam(goal.sort, binder, body)
         if kind == "spine":
             name, steps, linear = payload
             t = Var(name)
             for i, step in enumerate(steps):
-                if isinstance(step, (VVar, CVar)):
-                    t = TYAPP[step.sort](t, step)
+                if isinstance(step, TyVar):
+                    t = TyApp(step.sort, t, step)
                     continue
                 arg = self.term_for(gamma, delta if i == linear else None, step.dom, fuel - 1)
                 if arg is None:
@@ -211,12 +208,12 @@ class TermGenerator:
         the goal: the head's name, its steps and the step given the stoup."""
         rng = self.rng
         tyvars = sorted(free_type_vars(goal), key=lambda v: (v.sort, v.name))
-        tyvars += [VVar(n) for n in VALUE_TYVARS] + [CVar(n) for n in COMP_TYVARS]
+        tyvars += [TyVar(VSORT, n) for n in VALUE_TYVARS] + [TyVar(CSORT, n) for n in COMP_TYVARS]
         out = []
         for name, ty in list(dict(gamma).items()) + ([delta] if delta is not None else []):
             stoup_head = delta is not None and name == delta[0]
             steps, linear = [], None  # linear: the last -o step
-            while isinstance(ty, (Arrow, Lolli, ForallV, ForallC)):
+            while isinstance(ty, (Arrow, Lolli, Forall)):
                 if isinstance(ty, (Arrow, Lolli)):
                     linear = len(steps) if isinstance(ty, Lolli) else linear
                     steps.append(ty)
@@ -224,7 +221,7 @@ class TermGenerator:
                 else:  # a computation type variable also instantiates a value binder
                     arg = rng.choice([v for v in tyvars if ty.sort == VSORT or v.sort == CSORT])
                     steps.append(arg)
-                    ty = subst_type(ty.body, VAR[ty.sort](ty.binder), arg)
+                    ty = subst_type(ty.body, TyVar(ty.sort, ty.binder), arg)
                 # under a stoup, the stoup variable heads no -o step and a context head gives it to one
                 if alpha_eq(ty, goal) and (delta is None or (linear is None) == stoup_head):
                     out.append((name, tuple(steps), linear))

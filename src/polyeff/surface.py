@@ -38,12 +38,11 @@ from . import encodings as enc
 from .encodings import BangTerm, LetTerm
 from .kernel import (
     CSORT,
-    FORALL,
-    TYLAM,
+    KEYWORDS,
     VSORT,
     App,
     Arrow,
-    CVar,
+    Forall,
     Kind,
     KindError,
     Lam,
@@ -51,10 +50,10 @@ from .kernel import (
     Lolli,
     SourceSpan,
     TermExpr,
-    TyAppC,
-    TyAppV,
+    TyApp,
+    TyLam,
+    TyVar,
     TypeExpr,
-    VVar,
     Var,
     classify_type,
 )
@@ -73,8 +72,7 @@ class SyntaxErr(Exception):
 
 MAX_PARENS = 100  # a fixed bound: the parser would reach Python's recursion limit, at no fixed token, near 140
 MAX_NUMERAL = 32  # printing the encoding of 64, 256 nodes deep, takes over 900 of Python's 1000 frames
-
-KEYWORDS = {"forall", "exists", "mu", "nu", "fun", "lfun", "Fun", "bang", "let", "in", "type", "def"}
+MAX_TYPE_DEPTH = 128  # nodes on a type's longest path: numeral 32 is 127 deep, and each ! adds 3
 
 _SYMBOLS = ["(+)", "->", "-o", "<=", "=>", "*o", "*", "+", ".", ":", "=", "@", "[", "]", "(", ")", "^", "!"]
 
@@ -166,6 +164,7 @@ class _Parser:
         self.file = file
         self.abbrevs: dict[str, TypeExpr] = {}  # type abbreviations in scope
         self.parens = 0  # parentheses open at the current token
+        self.depths: dict[TypeExpr, int] = {}  # the depth of each type built, by node
 
     def peek(self, k: int = 0) -> Token:
         return self.toks[min(self.pos + k, len(self.toks) - 1)]
@@ -227,6 +226,19 @@ class _Parser:
                     tok.span(self.file),
                 )
 
+    def bounded(self, ty: TypeExpr) -> TypeExpr:
+        """``ty``, just built; deeper than ``MAX_TYPE_DEPTH`` it is a syntax error at the next token."""
+        if self.depth(ty) > MAX_TYPE_DEPTH:
+            raise self.fail("input nests too deeply")
+        return ty
+
+    def depth(self, ty: TypeExpr) -> int:
+        d = self.depths.get(ty)
+        if d is None:
+            kids = (ty.dom, ty.cod) if isinstance(ty, (Arrow, Lolli)) else (ty.body,) if isinstance(ty, Forall) else ()
+            d = self.depths[ty] = 1 + max(map(self.depth, kids), default=0)
+        return d
+
     def whole(self, parse: Callable):
         """``parse()``, which must read every token.  Input nested past
         Python's recursion limit is a syntax error at the token reached."""
@@ -279,14 +291,14 @@ class _Parser:
             self.expect("SYM", ".")
             body = self.scoped(name.text, sort, self.type_)
             if kw.text == "forall":
-                return FORALL[sort](name.text, body)
+                return self.bounded(Forall(sort, name.text, body))
             if kw.text == "exists":  # the body's kind is the result's sort
                 result = CSORT if self.kind_of(body, kw) is Kind.COMPUTATION else VSORT
-                return enc.exists_type(result, sort, name.text, body)
+                return self.bounded(enc.exists_type(result, sort, name.text, body))
             if sort == CSORT:  # a ^ binder makes mu and nu computation types
                 self.computation(kw, ("body", body))
             try:
-                return (enc.mu_type if kw.text == "mu" else enc.nu_type)(sort, name.text, body)
+                return self.bounded((enc.mu_type if kw.text == "mu" else enc.nu_type)(sort, name.text, body))
             except enc.PositivityError as exc:
                 raise SyntaxErr(str(exc), name.span(self.file)) from None
         return self.arrow_type()
@@ -295,12 +307,12 @@ class _Parser:
         left = self.sum_type()
         if self.at_sym("->"):
             self.next()
-            return Arrow(left, self.type_())
+            return self.bounded(Arrow(left, self.type_()))
         if self.at_sym("-o"):
             tok = self.next()
             right = self.type_()
             self.computation(tok, ("domain", left), ("codomain", right))
-            return Lolli(left, right)
+            return self.bounded(Lolli(left, right))
         return left
 
     def sum_type(self) -> TypeExpr:
@@ -310,7 +322,7 @@ class _Parser:
             right = self.prod_type()
             if tok.text == "(+)":
                 self.computation(tok, ("left operand", left), ("right operand", right))
-            left = enc.sum_type(VSORT if tok.text == "+" else CSORT, left, right)
+            left = self.bounded(enc.sum_type(VSORT if tok.text == "+" else CSORT, left, right))
         return left
 
     def prod_type(self) -> TypeExpr:
@@ -319,10 +331,10 @@ class _Parser:
             tok = self.next()
             right = self.copower_type()
             if tok.text == "*":
-                left = enc.pair_type(VSORT, left, right)
+                left = self.bounded(enc.pair_type(VSORT, left, right))
             else:
                 self.computation(tok, ("left operand", left), ("right operand", right))
-                left = enc.prod_comp_type(left, right)
+                left = self.bounded(enc.prod_comp_type(left, right))
         return left
 
     def copower_type(self) -> TypeExpr:
@@ -331,7 +343,7 @@ class _Parser:
             tok = self.next()
             right = self.copower_type()
             self.computation(tok, ("right operand", right))
-            return enc.pair_type(CSORT, left, right)
+            return self.bounded(enc.pair_type(CSORT, left, right))
         return left
 
     def atom_type(self) -> TypeExpr:
@@ -339,10 +351,10 @@ class _Parser:
         if t.kind == "SYM" and t.text == "^":
             self.next()
             name = self.expect("ID").text
-            return CVar(name)
+            return TyVar(CSORT, name)
         if t.kind == "SYM" and t.text == "!":
             self.next()
-            return enc.encode_bang(self.atom_type())
+            return self.bounded(enc.encode_bang(self.atom_type()))
         if t.kind == "SYM" and t.text == "(":
             return self.parenthesized(self.type_)
         if t.kind == "NUM":
@@ -354,7 +366,7 @@ class _Parser:
             return enc.encode_num(int(t.text))
         if t.kind == "ID":
             self.next()
-            return self.abbrevs.get(t.text) or VVar(t.text)
+            return self.abbrevs.get(t.text) or TyVar(VSORT, t.text)
         raise self.fail("expected a type", ("ID", "^", "(", "!", "forall"))
 
     # -- terms ---------------------------------------------------------
@@ -373,7 +385,7 @@ class _Parser:
             name, sort = self.binder()
             self.expect("SYM", "=>")
             body = self.scoped(name.text, sort, self.term)
-            return TYLAM[sort](name.text, body)
+            return TyLam(sort, name.text, body)
         if self.at_kw("let"):
             self.next()
             name = self.expect("ID").text
@@ -392,9 +404,9 @@ class _Parser:
                 self.expect("SYM", "[")
                 ty = self.type_()
                 self.expect("SYM", "]")
-                # the argument's kind picks the application node
-                node = TyAppC if self.kind_of(ty, tok) is Kind.COMPUTATION else TyAppV
-                head = node(head, ty)
+                # the argument's kind picks the application's sort
+                sort = CSORT if self.kind_of(ty, tok) is Kind.COMPUTATION else VSORT
+                head = TyApp(sort, head, ty)
                 continue
             t = self.peek()
             if t.kind == "ID" or (t.kind == "SYM" and t.text == "(") or t.kind == "KW" and t.text == "bang":

@@ -27,13 +27,10 @@ from typing import Mapping, Optional, Sequence
 
 from .kernel import (
     CSORT,
-    FORALL,
-    VAR,
     VSORT,
     App,
     Arrow,
-    ForallC,
-    ForallV,
+    Forall,
     Judgment,
     Kind,
     KindError,
@@ -42,10 +39,9 @@ from .kernel import (
     Lolli,
     SourceSpan,
     TermExpr,
-    TyAppC,
-    TyAppV,
-    TyLamC,
-    TyLamV,
+    TyApp,
+    TyLam,
+    TyVar,
     TypeExpr,
     Var,
     alpha_canonical,
@@ -216,25 +212,25 @@ def _synth_node(gamma: Ctx, delta: Stoup, t: TermExpr, constants: Constants) -> 
             )
         return head_ty.cod
 
-    if isinstance(t, (TyLamV, TyLamC)):
-        if VAR[t.sort](t.binder) in _ctx_ftv(gamma, delta):
+    if isinstance(t, TyLam):
+        if TyVar(t.sort, t.binder) in _ctx_ftv(gamma, delta):
             raise TypingError(
                 ErrorCode.ESCAPING_TYVAR,
                 f"type variable {t.binder!r} occurs free in the context",
             )
         body_ty = _synth(gamma, delta, t.body, constants)
-        return FORALL[t.sort](t.binder, body_ty)
+        return Forall(t.sort, t.binder, body_ty)
 
-    if isinstance(t, (TyAppV, TyAppC)):
+    if isinstance(t, TyApp):
         if (_classify(t.arg) is Kind.COMPUTATION) != (t.sort == CSORT):
             raise TypingError(ErrorCode.KIND_MISMATCH, f"{_TYAPP_MISKINDED[t.sort]} {t.arg}")
         head_ty = _synth(gamma, delta, t.fn, constants)
         # a computation type is also a value type
-        if not isinstance(head_ty, (ForallV, ForallC)) or head_ty.sort not in (VSORT, t.sort):
+        if not isinstance(head_ty, Forall) or head_ty.sort not in (VSORT, t.sort):
             raise TypingError(
                 ErrorCode.APP_MISMATCH, f"type application of non-polymorphic type {head_ty}"
             )
-        return subst_type(head_ty.body, VAR[head_ty.sort](head_ty.binder), t.arg)
+        return subst_type(head_ty.body, TyVar(head_ty.sort, head_ty.binder), t.arg)
 
     raise TypingError(ErrorCode.APP_MISMATCH, f"cannot type node {t!r} (unelaborated sugar?)")
 
@@ -327,22 +323,22 @@ def derive_all_types(
                             out.add(alpha_canonical(head_ty.cod))
         return out
 
-    if isinstance(t, (TyLamV, TyLamC)):
-        if VAR[t.sort](t.binder) in _ctx_ftv(gamma, delta):
+    if isinstance(t, TyLam):
+        if TyVar(t.sort, t.binder) in _ctx_ftv(gamma, delta):
             return out
         for body_ty in derive_all_types(gamma, delta, t.body, constants):
-            out.add(alpha_canonical(FORALL[t.sort](t.binder, body_ty)))
+            out.add(alpha_canonical(Forall(t.sort, t.binder, body_ty)))
         return out
 
-    if isinstance(t, (TyAppV, TyAppC)):
+    if isinstance(t, TyApp):
         try:
             if (classify_type(t.arg) is Kind.COMPUTATION) != (t.sort == CSORT):
                 return out
         except KindError:
             return out
         for head_ty in derive_all_types(gamma, delta, t.fn, constants):
-            if isinstance(head_ty, (ForallV, ForallC)) and head_ty.sort in (VSORT, t.sort):
-                out.add(alpha_canonical(subst_type(head_ty.body, VAR[head_ty.sort](head_ty.binder), t.arg)))
+            if isinstance(head_ty, Forall) and head_ty.sort in (VSORT, t.sort):
+                out.add(alpha_canonical(subst_type(head_ty.body, TyVar(head_ty.sort, head_ty.binder), t.arg)))
         return out
 
     return out

@@ -263,6 +263,37 @@ def test_eval_of_a_value_past_2_64_indices_exits_3_at_once():
                           f" but ({two_to_two}) -> {two_to_two} has more than 2**64 values\n")
 
 
+def nested_quantifiers(k: int) -> str:
+    """The identity on ``2`` under ``k`` nested vacuous quantifiers."""
+    return "fun x:" + "forall X. " * k + "2 => x"
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_eval_of_a_value_past_the_entry_cap_exits_3_at_once(capsys, fmt):
+    # each quantifier prints its body once per registered set: the value here
+    # has 590 490 entries (8.6 MB of JSON), past ITER_CAP
+    code, out, err = run(capsys, "--format", fmt, "eval", nested_quantifiers(10))
+    assert (code, out) == (3, "")
+    assert err.startswith("out of bound: eval prints a value entry by entry, but one of (forall X. forall X.")
+    assert err.endswith(" has more than ITER_CAP (400000) entries\n") and err.count("\n") == 1
+
+
+def test_eval_of_a_value_within_the_entry_cap_prints_every_entry(capsys):
+    code, out, _ = run(capsys, "--format", "json", "eval", nested_quantifiers(2))
+    assert code == 0
+    report = json.loads(out)
+
+    def entries(value):
+        if isinstance(value, int):
+            return 1
+        return sum(map(entries, value.values() if isinstance(value, dict) else value))
+
+    # two families of 45 entries: 3 sets, each 3 sets, each the 5 entries of 2
+    assert report["set"] == {"kind": "functions", "size": 4, "dom": {"kind": "families", "objects": 3, "size": 2},
+                             "cod": {"kind": "families", "objects": 3, "size": 2}}
+    assert len(report["value"]) == 2 and entries(report["value"]) == 90
+
+
 @pytest.mark.parametrize("term, names", [
     ("lfun x:^A => x", "^A"),
     # a closed type, with a free variable in an annotation
@@ -323,7 +354,9 @@ NESTED = "(Fun X => fun x:X => x) @[" + "(" * 200 + "2" + ")" * 200 + "]"
     ("(Fun X => fun x:X => x) @[1²]", "<input>:1:27-1:29: bad numeric token '1²'\n"),
     ("(Fun X => fun x:X => x) @[250]", "<input>:1:27-1:30: numeral 250 is above 32\n"),
     (NESTED, "<input>:1:127-1:128: input nests too deeply\n"),
-], ids=["superscript", "digit-superscript", "large-numeral", "nested-parentheses"])
+    # 300 nested ! parse to a type about 900 nodes deep, past MAX_TYPE_DEPTH
+    ("fun x:" + "!" * 300 + "2 => x", "<input>:1:309-1:311: input nests too deeply\n"),
+], ids=["superscript", "digit-superscript", "large-numeral", "nested-parentheses", "deep-type"])
 def test_eval_of_malformed_input_is_a_syntax_error(capsys, term, err):
     assert run(capsys, "eval", term) == (2, "", err)
 
@@ -332,7 +365,8 @@ def test_eval_of_malformed_input_is_a_syntax_error(capsys, term, err):
     ("type T = ²\n", "1:10-1:11", "unexpected character '²'"),
     ("type T = 130\ndef f : T -> T = fun x:T => x\n", "1:10-1:13", "numeral 130 is above 32"),
     ("type T = 250\n", "1:10-1:13", "numeral 250 is above 32"),
-], ids=["superscript", "numeral-and-def", "numeral"])
+    ("def f : " + "!" * 300 + "2 = bang x\n", "1:311-1:312", "input nests too deeply"),
+], ids=["superscript", "numeral-and-def", "numeral", "deep-type"])
 def test_check_of_malformed_input_is_a_syntax_error_record(tmp_path, capsys, src, span, detail):
     path = tmp_path / "bad.pe"
     path.write_text(src, encoding="utf-8")

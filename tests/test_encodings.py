@@ -10,14 +10,12 @@ from polyeff.kernel import (
     CSORT,
     VSORT,
     Arrow,
-    CVar,
-    ForallC,
-    ForallV,
+    Forall,
     Judgment,
     Kind,
     Lolli,
+    TyVar,
     Var,
-    VVar,
     alpha_eq,
     classify_type,
     free_type_var_keys,
@@ -25,8 +23,8 @@ from polyeff.kernel import (
 from polyeff.surface import parse_term, parse_type
 
 
-A, B = VVar("A"), VVar("B")
-cA, cB = CVar("A"), CVar("B")
+A, B = TyVar(VSORT, "A"), TyVar(VSORT, "B")
+cA, cB = TyVar(CSORT, "A"), TyVar(CSORT, "B")
 
 
 def test_product_expansion():
@@ -50,26 +48,26 @@ def test_unit_and_sum_expansions():
 
 def test_existential_expansions():
     assert alpha_eq(
-        enc.exists_type(VSORT, VSORT, "X", Arrow(VVar("X"), B)),
+        enc.exists_type(VSORT, VSORT, "X", Arrow(TyVar(VSORT, "X"), B)),
         parse_type("forall Y. (forall X. (X -> B) -> Y) -> Y"),
     )
     assert alpha_eq(
-        enc.exists_type(VSORT, CSORT, "X", Arrow(CVar("X"), B)),
+        enc.exists_type(VSORT, CSORT, "X", Arrow(TyVar(CSORT, "X"), B)),
         parse_type("forall Y. (forall ^X. (^X -> B) -> Y) -> Y"),
     )
 
 
 def test_mu_is_instance_of_schema():
     assert alpha_eq(
-        enc.mu_type(VSORT, "X", VVar("X")),
+        enc.mu_type(VSORT, "X", TyVar(VSORT, "X")),
         parse_type("forall X. (X -> X) -> X"),
     )
 
 
 def test_nu_unfolds_through_existential_and_product():
-    got = enc.nu_type(VSORT, "X", Arrow(B, VVar("X")))
+    got = enc.nu_type(VSORT, "X", Arrow(B, TyVar(VSORT, "X")))
     want = enc.exists_type(
-        VSORT, VSORT, "X", enc.pair_type(VSORT, Arrow(VVar("X"), Arrow(B, VVar("X"))), VVar("X"))
+        VSORT, VSORT, "X", enc.pair_type(VSORT, Arrow(TyVar(VSORT, "X"), Arrow(B, TyVar(VSORT, "X"))), TyVar(VSORT, "X"))
     )
     assert alpha_eq(got, want)
 
@@ -101,11 +99,11 @@ def test_unitc_routes_through_empty_type():
 
 def test_prodc_routes_through_sum_of_homs():
     got = enc.prod_comp_type(cA, cB)
-    want = ForallC(
+    want = Forall(CSORT, 
         "X",
         Arrow(
-            enc.sum_type(VSORT, Lolli(cA, CVar("X")), Lolli(cB, CVar("X"))),
-            CVar("X"),
+            enc.sum_type(VSORT, Lolli(cA, TyVar(CSORT, "X")), Lolli(cB, TyVar(CSORT, "X"))),
+            TyVar(CSORT, "X"),
         ),
     )
     assert alpha_eq(got, want)
@@ -118,10 +116,10 @@ def test_every_computation_expansion_classifies_computation():
         enc.zero_type(CSORT),
         enc.sum_type(CSORT, cA, cB),
         enc.pair_type(CSORT, B, cA),
-        enc.exists_type(CSORT, VSORT, "X", Arrow(VVar("X"), cB)),
-        enc.exists_type(CSORT, CSORT, "X", Arrow(B, CVar("X"))),
-        enc.mu_type(CSORT, "X", Arrow(B, CVar("X"))),
-        enc.nu_type(CSORT, "X", Arrow(B, CVar("X"))),
+        enc.exists_type(CSORT, VSORT, "X", Arrow(TyVar(VSORT, "X"), cB)),
+        enc.exists_type(CSORT, CSORT, "X", Arrow(B, TyVar(CSORT, "X"))),
+        enc.mu_type(CSORT, "X", Arrow(B, TyVar(CSORT, "X"))),
+        enc.nu_type(CSORT, "X", Arrow(B, TyVar(CSORT, "X"))),
     ]
     for ty in cases:
         assert classify_type(ty) is Kind.COMPUTATION
@@ -133,10 +131,10 @@ def test_every_value_expansion_classifies_value():
         enc.pair_type(VSORT, A, B),
         enc.zero_type(VSORT),
         enc.sum_type(VSORT, A, B),
-        enc.exists_type(VSORT, VSORT, "X", Arrow(VVar("X"), B)),
-        enc.mu_type(VSORT, "X", VVar("X")),
-        enc.nu_type(VSORT, "X", Arrow(B, VVar("X"))),
-        enc.exists_type(VSORT, CSORT, "X", Arrow(CVar("X"), B)),
+        enc.exists_type(VSORT, VSORT, "X", Arrow(TyVar(VSORT, "X"), B)),
+        enc.mu_type(VSORT, "X", TyVar(VSORT, "X")),
+        enc.nu_type(VSORT, "X", Arrow(B, TyVar(VSORT, "X"))),
+        enc.exists_type(VSORT, CSORT, "X", Arrow(TyVar(CSORT, "X"), B)),
     ]
     for ty in cases:
         assert classify_type(ty) is Kind.VALUE
@@ -145,24 +143,24 @@ def test_every_value_expansion_classifies_value():
 def test_expansion_freshness_against_adversarial_names():
     # arguments already mentioning the canonical binder names must not be captured
     adversarial = parse_type("X -> Y")
-    out = enc.pair_type(VSORT, adversarial, VVar("X"))
-    assert isinstance(out, ForallV)
+    out = enc.pair_type(VSORT, adversarial, TyVar(VSORT, "X"))
+    assert isinstance(out, Forall) and out.sort == VSORT
     assert out.binder not in {"X", "Y"}
-    out2 = enc.pair_type(CSORT, VVar("X"), CVar("X"))
+    out2 = enc.pair_type(CSORT, TyVar(VSORT, "X"), TyVar(CSORT, "X"))
     assert out2.binder != "X"
-    bang = enc.encode_bang(ForallC("X", CVar("X")))
+    bang = enc.encode_bang(Forall(CSORT, "X", TyVar(CSORT, "X")))
     inner = bang.body.dom.dom  # the payload inside (B -> ^fresh) -> ^fresh
-    assert alpha_eq(inner, ForallC("X", CVar("X")))
+    assert alpha_eq(inner, Forall(CSORT, "X", TyVar(CSORT, "X")))
 
 
 def test_positivity_enforced():
     with pytest.raises(enc.PositivityError):
-        enc.mu_type(VSORT, "X", Arrow(VVar("X"), B))
+        enc.mu_type(VSORT, "X", Arrow(TyVar(VSORT, "X"), B))
     with pytest.raises(enc.PositivityError):
-        enc.nu_type(CSORT, "X", Arrow(CVar("X"), cB))
+        enc.nu_type(CSORT, "X", Arrow(TyVar(CSORT, "X"), cB))
     # an occurrence left of an even number of arrows is positive again
-    enc.mu_type(CSORT, "X", Arrow(Lolli(CVar("X"), cB), CVar("X")))
-    enc.mu_type(VSORT, "X", Arrow(Arrow(VVar("X"), B), B))
+    enc.mu_type(CSORT, "X", Arrow(Lolli(TyVar(CSORT, "X"), cB), TyVar(CSORT, "X")))
+    enc.mu_type(VSORT, "X", Arrow(Arrow(TyVar(VSORT, "X"), B), B))
 
 
 def test_monadic_type_examples():
@@ -170,7 +168,7 @@ def test_monadic_type_examples():
         enc.encode_bang(enc.unit_type()),
         parse_type("forall ^X. ((forall Y. Y -> Y) -> ^X) -> ^X"),
     )
-    shadowy = ForallC("X", CVar("X"))
+    shadowy = Forall(CSORT, "X", TyVar(CSORT, "X"))
     out = enc.encode_bang(shadowy)
     assert out.binder != "X"
     assert classify_type(enc.encode_bang(B)) is Kind.COMPUTATION

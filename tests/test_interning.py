@@ -16,12 +16,13 @@ from polyeff import finmodel as fm
 from polyeff import interp as ip
 from polyeff import kernel
 from polyeff.kernel import (
+    CSORT,
+    VSORT,
     Arrow,
-    CVar,
-    ForallV,
+    Forall,
     Kind,
     Lolli,
-    VVar,
+    TyVar,
     free_type_var_keys,
     free_type_vars,
 )
@@ -32,22 +33,22 @@ EXC = fm.MonadSpec("exception", ("e",))
 
 def rebuild(t):
     """A fresh construction of ``t``, node by node."""
-    if isinstance(t, (VVar, CVar)):
-        return type(t)(t.name)
+    if isinstance(t, TyVar):
+        return TyVar(t.sort, t.name)
     if isinstance(t, (Arrow, Lolli)):
         return type(t)(rebuild(t.dom), rebuild(t.cod))
-    return type(t)(t.binder, rebuild(t.body))
+    return Forall(t.sort, t.binder, rebuild(t.body))
 
 
 def reference_free_vars(t) -> set:
     """Free variables as (sort, name), by a plain uncached walk."""
-    if isinstance(t, VVar):
+    if isinstance(t, TyVar) and t.sort == VSORT:
         return {("v", t.name)}
-    if isinstance(t, CVar):
+    if isinstance(t, TyVar) and t.sort == CSORT:
         return {("c", t.name)}
     if isinstance(t, (Arrow, Lolli)):
         return reference_free_vars(t.dom) | reference_free_vars(t.cod)
-    sort = "v" if isinstance(t, ForallV) else "c"
+    sort = "v" if t.sort == VSORT else "c"
     return reference_free_vars(t.body) - {(sort, t.binder)}
 
 
@@ -70,19 +71,19 @@ def test_rebuilt_type_is_the_same_object(t):
 @given(types)
 def test_cached_free_vars_match_an_uncached_walk(t):
     expected = reference_free_vars(t)
-    sorts = {VVar: "v", CVar: "c"}
-    assert {(sorts[type(v)], v.name) for v in free_type_vars(t)} == expected
+    sorts = {VSORT: "v", CSORT: "c"}
+    assert {(sorts[v.sort], v.name) for v in free_type_vars(t)} == expected
     assert free_type_var_keys(t) == expected
 
 
 def test_types_are_immutable():
     with pytest.raises(AttributeError):
-        Arrow(VVar("X"), VVar("X")).dom = VVar("Y")
+        Arrow(TyVar(VSORT, "X"), TyVar(VSORT, "X")).dom = TyVar(VSORT, "Y")
 
 
 def test_copies_are_interned_and_unused_values_are_freed():
     for make in (
-        lambda: ForallV("Z9", Arrow(VVar("Z9"), CVar("P"))),
+        lambda: Forall(VSORT, "Z9", Arrow(TyVar(VSORT, "Z9"), TyVar(CSORT, "P"))),
         lambda: ip.type_env({"Z9": fm.FinSet(1)}),
         lambda: fm.FinSet(99),
         lambda: fm.MonadSpec("exception", ("Z9",)),
@@ -140,7 +141,7 @@ def test_restricting_to_every_key_makes_no_reference_cycle():
 
 def test_cache_keys_are_shared_across_equal_environments():
     model = ip.Model(EXC, 2)
-    ty = Arrow(VVar("X"), VVar("X"))
+    ty = Arrow(TyVar(VSORT, "X"), TyVar(VSORT, "X"))
     env1 = ip.type_env({"X": fm.FinSet(2), "Y": fm.FinSet(0)})
     env2 = ip.type_env({"X": fm.FinSet(2), "Y": fm.FinSet(1)})
     assert model.interp_vtype(env1, ty) is model.interp_vtype(env2, ty)

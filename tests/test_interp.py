@@ -24,14 +24,12 @@ from polyeff.kernel import (
     CSORT,
     VSORT,
     Arrow,
-    CVar,
-    ForallC,
-    ForallV,
+    Forall,
     Judgment,
     Kind,
     Lolli,
+    TyVar,
     Var,
-    VVar,
     binder_signs,
     classify_type,
     free_type_vars,
@@ -65,7 +63,7 @@ def test_a_model_registers_the_free_algebras_it_is_built_with():
 
 def test_variable_lookup(model):
     env = ip.type_env({"X": fm.FinSet(2)})
-    assert model.interp_vtype(env, VVar("X")).size == 2
+    assert model.interp_vtype(env, TyVar(VSORT, "X")).size == 2
 
 
 def test_function_space_cardinality(model):
@@ -99,7 +97,7 @@ def test_nested_function_spaces_saturate_their_size():
 def test_an_abstraction_past_iter_cap_arguments_is_out_of_bound():
     # at bound 3, (X -> X) -> X has 3**27 elements: the abstraction raises before it tabulates any
     model = ip.Model(EXC, 3)
-    _, run = model._compile(parse_term("fun f:(X -> X) -> X => g"), (("g", VVar("X")),), None)
+    _, run = model._compile(parse_term("fun f:(X -> X) -> X => g"), (("g", TyVar(VSORT, "X")),), None)
     with pytest.raises(ip.OutOfBoundError, match=r"^abstraction over \(X -> X\) -> X tabulates 7625597484987 arguments,"
                                                  r" more than ITER_CAP \(400000\)$"):
         run(ip.type_env({"X": fm.FinSet(3)}, {}), {"g": 0})
@@ -194,7 +192,7 @@ def test_a_lolli_past_the_cap_fails_before_any_structure_table(monkeypatch):
     calls = []
     pointwise = model._pointwise
     monkeypatch.setattr(model, "_pointwise", lambda *args: calls.append(args) or pointwise(*args))
-    bang = enc.encode_bang(VVar("X"))
+    bang = enc.encode_bang(TyVar(VSORT, "X"))
     with pytest.raises(ip.OutOfBoundError) as err:
         model.interp_vtype(ip.type_env({"X": fm.FinSet(3)}), Lolli(Arrow(enc.encode_num(2), bang), bang))
     recorded = (pathlib.Path(__file__).parent / "data" / "eval_powerset_lolli_out_of_bound.err").read_text()
@@ -228,8 +226,8 @@ def test_carrier_agrees_with_set_interpretation(model):
         parse_type("B -> B -> ^Q"),
         parse_type("forall X. ^P"),
         parse_type("forall ^X. ^X -> ^X"),
-        enc.encode_bang(VVar("B")),
-        enc.sum_type(CSORT, CVar("P"), CVar("Q")),
+        enc.encode_bang(TyVar(VSORT, "B")),
+        enc.sum_type(CSORT, TyVar(CSORT, "P"), TyVar(CSORT, "Q")),
     ]
     for ty in battery:
         alg = model.interp_ctype(env, ty)
@@ -272,10 +270,10 @@ def test_relation_clause_for_variables(model):
     rho = ip.RelEnv(ip.TypeEnv(), ip.TypeEnv()).set(
         ip.VSORT, "X", fm.FinSet(2), fm.FinSet(2), r
     )
-    view = model.interp_rel(rho, VVar("X"))
+    view = model.interp_rel(rho, TyVar(VSORT, "X"))
     assert view.rows() == r
     assert view.pairs() == [(0, 1)]
-    assert ip.AtomRel(VVar("X"), view.left, view.right, r).rows() is r  # stored as given
+    assert ip.AtomRel(TyVar(VSORT, "X"), view.left, view.right, r).rows() is r  # stored as given
 
 
 def test_identity_extension_on_sample_types(model):
@@ -319,7 +317,7 @@ def test_identity_function_denotation(model):
 
 
 def test_an_evaluator_synthesizes_once_however_often_it_runs(free_model, monkeypatch):
-    gamma = (("t", VVar("A")),)
+    gamma = (("t", TyVar(VSORT, "A")),)
     bang = enc.elaborate_term(parse_term("bang t"), gamma=gamma)
     synth, calls = tc.synth, []
     monkeypatch.setattr(tc, "synth", lambda *args: calls.append(args) or synth(*args))
@@ -334,10 +332,10 @@ def test_an_evaluator_synthesizes_once_however_often_it_runs(free_model, monkeyp
 def test_thunk_applies_the_continuation(free_model):
     # [[bang t]](B)(f) = f([[t]])
     model = free_model
-    gamma = (("t", VVar("A")),)
+    gamma = (("t", TyVar(VSORT, "A")),)
     bang = enc.elaborate_term(parse_term("bang t"), gamma=gamma)
     env = ip.type_env({"A": fm.FinSet(2)})
-    poly = model.interp_vtype(env, enc.encode_bang(VVar("A")))
+    poly = model.interp_vtype(env, enc.encode_bang(TyVar(VSORT, "A")))
     for tval in range(2):
         _, fam = model._eval(bang, gamma)(env, {"t": tval})
         for k, alg in enumerate(model.algebras):
@@ -472,12 +470,12 @@ def test_projection_independent_of_isomorphism(free_model):
     # registered free algebra; both isomorphisms must give the same result
     model = free_model
     env = ip.type_env({"A": fm.FinSet(2)})
-    bang_alg = model.interp_ctype(env, enc.encode_bang(VVar("A")))
+    bang_alg = model.interp_ctype(env, enc.encode_bang(TyVar(VSORT, "A")))
     assert model.alg_index(bang_alg) is None
     con = model.constant_value("raise^e")
     scheme = model.constants["raise^e"]
     poly = model.interp_vtype(ip.TypeEnv(), scheme)
-    got = model.project_poly(poly, con, bang_alg, "X", CVar("X"), ip.TypeEnv())
+    got = model.project_poly(poly, con, bang_alg, "X", TyVar(CSORT, "X"), ip.TypeEnv())
     assert got == bang_alg.ops[0][0]
 
 
@@ -512,15 +510,15 @@ def test_semantic_substitution(model):
 
     env = ip.type_env({"B": fm.FinSet(2)}, {"P": model.algebras[1]})
     cases = [
-        (parse_type("X -> X"), VVar("X"), parse_type("B -> B")),
-        (parse_type("X -> ^P"), VVar("X"), parse_type("B -> B")),
-        (parse_type("forall Y. Y -> X"), VVar("X"), VVar("B")),
-        (parse_type("^Q -o ^P"), CVar("Q"), parse_type("B -> ^P")),
-        (parse_type("forall ^Z. ^Z -> ^Q"), CVar("Q"), parse_type("B -> ^P")),
+        (parse_type("X -> X"), TyVar(VSORT, "X"), parse_type("B -> B")),
+        (parse_type("X -> ^P"), TyVar(VSORT, "X"), parse_type("B -> B")),
+        (parse_type("forall Y. Y -> X"), TyVar(VSORT, "X"), TyVar(VSORT, "B")),
+        (parse_type("^Q -o ^P"), TyVar(CSORT, "Q"), parse_type("B -> ^P")),
+        (parse_type("forall ^Z. ^Z -> ^Q"), TyVar(CSORT, "Q"), parse_type("B -> ^P")),
     ]
     for body, var, arg in cases:
         direct = model.interp_vtype(env, subst_type(body, var, arg))
-        if isinstance(var, VVar):
+        if var.sort == VSORT:
             inner = env.set(ip.VSORT, var.name, fm.FinSet(model.interp_vtype(env, arg).size))
         else:
             inner = env.set(ip.CSORT, var.name, model.interp_ctype(env, arg))
@@ -529,7 +527,7 @@ def test_semantic_substitution(model):
         # and the relational layer agrees
         rho = ip.diag_relenv(env)
         arg_rel = model.interp_rel(rho, arg)
-        sort = ip.VSORT if isinstance(var, VVar) else ip.CSORT
+        sort = var.sort
         left = model.interp_ctype(env, arg) if sort == ip.CSORT else fm.FinSet(arg_rel.left.size)
         rho_inner = rho.set(sort, var.name, left, left, arg_rel.rows())
         assert (
@@ -556,7 +554,7 @@ def test_opposite_relation_property(model):
 
 def test_env_must_cover_variables(model):
     with pytest.raises(ip.InterpError, match="no value for 'x'"):
-        model._eval(Var("x"), (("x", VVar("B")),))(ip.type_env({"B": fm.FinSet(2)}), {})
+        model._eval(Var("x"), (("x", TyVar(VSORT, "B")),))(ip.type_env({"B": fm.FinSet(2)}), {})
 
 
 def test_linear_lambda_must_be_homomorphism(free_model):
@@ -657,6 +655,20 @@ def test_pairwise_search_matches_product_filter(sizes, unrelated):
     assert ip.pairwise_search(sizes, ok) == brute
     # a candidate source is re-tested, so one that returns too much is harmless
     assert ip.pairwise_search(sizes, ok, lambda i: range(sizes[i])) == brute
+
+
+def test_pairwise_search_ends_where_the_partial_assignments_run_out():
+    # every value is related to itself, but no value of position 0 to one of
+    # position 1: the search ends there with no tuple, so a third position
+    # set aside past the cap decides nothing
+    def ok(i, j, u, v):
+        return {i, j} != {0, 1}
+
+    sizes = [2, 3, 4]
+    brute = tuple(t for t in product(*(range(n) for n in sizes))
+                  if all(ok(i, j, t[i], t[j]) for i in range(3) for j in range(3)))
+    assert ip.pairwise_search(sizes, ok) == brute == ()
+    assert ip.pairwise_search([2, 3, ip.ITER_CAP + 1], ok) == ()
 
 
 def test_pairwise_search_raises_only_at_a_reached_position():
@@ -793,7 +805,7 @@ def test_naive_oracle_on_the_identity_extension_battery():
             for x in gen.sets[1:3] for p in gen.algebras[:2]]
     compared = 0
     for ty in pl.identity_extension_battery():
-        if not isinstance(ty, (ForallV, ForallC)):
+        if not isinstance(ty, Forall):
             continue
         for env in envs:
             fams = gen.interp_vtype(env, ty).fams
@@ -845,7 +857,7 @@ def _positive_bodies(x):
             ty = (Lolli if lolli else Arrow)(d, ty)
         return ty
 
-    y, q = VVar("Y"), CVar("Q")
+    y, q = TyVar(VSORT, "Y"), TyVar(CSORT, "Q")
     free = st.sampled_from([y, q, Arrow(y, q), Arrow(q, y)])
     link = st.one_of(st.tuples(free, st.just(False)), st.tuples(st.sampled_from([q, Arrow(y, q)]), st.just(True)))
     arg = st.one_of(free, st.lists(link, max_size=2).map(chain))
@@ -866,7 +878,7 @@ def test_least_relations_match_every_relation(three_models, data):
     # tables
     m = data.draw(st.sampled_from(three_models))
     sort, binder = data.draw(st.sampled_from([(VSORT, "X"), (CSORT, "P")]))
-    body = data.draw(_positive_bodies(VVar(binder) if sort == VSORT else CVar(binder)))
+    body = data.draw(_positive_bodies(TyVar(VSORT, binder) if sort == VSORT else TyVar(CSORT, binder)))
     same = data.draw(st.booleans())  # both sides bind Y and ^Q to the same objects
     rho = ip.RelEnv(ip.TypeEnv(), ip.TypeEnv())
     for other, name in ((VSORT, "Y"), (CSORT, "Q")):
@@ -918,8 +930,8 @@ def _polar_bodies(x):
     Bodies are built from binder-free types over ``Y`` and ``^Q`` (one of
     them a ``forall`` that binds ``x`` again), ``->`` and ``-o``, and a nested
     ``forall ^Z`` or ``forall Z``."""
-    y, q = VVar("Y"), CVar("Q")
-    shadow = (ForallV if isinstance(x, VVar) else ForallC)(x.name, Arrow(x, q))
+    y, q = TyVar(VSORT, "Y"), TyVar(CSORT, "Q")
+    shadow = Forall(x.sort, x.name, Arrow(x, q))
     free = st.sampled_from([y, q, Arrow(y, q), shadow])
 
     def fn(dom, cod, linear):
@@ -936,8 +948,8 @@ def _polar_bodies(x):
         same, flip = at(sign, depth - 1), at(-sign, depth - 1)
         return st.one_of(
             leaf, arrows(free, same), arrows(flip, free), arrows(flip, same),
-            flip.map(lambda b: ForallC("Z", Arrow(b, CVar("Z")))),  # forall ^Z. b -> ^Z
-            same.map(lambda b: ForallV("Z", Arrow(VVar("Z"), b))),  # forall Z. Z -> b
+            flip.map(lambda b: Forall(CSORT, "Z", Arrow(b, TyVar(CSORT, "Z")))),  # forall ^Z. b -> ^Z
+            same.map(lambda b: Forall(VSORT, "Z", Arrow(TyVar(VSORT, "Z"), b))),  # forall Z. Z -> b
         )
 
     return st.one_of(
@@ -957,7 +969,7 @@ def test_one_extreme_relation_matches_every_relation(three_models, data):
     # relatedness between any two objects, and the same families
     m = data.draw(st.sampled_from(three_models))
     sort, binder = data.draw(st.sampled_from([(VSORT, "X"), (CSORT, "P")]))
-    polarity, body = data.draw(_polar_bodies(VVar(binder) if sort == VSORT else CVar(binder)))
+    polarity, body = data.draw(_polar_bodies(TyVar(VSORT, binder) if sort == VSORT else TyVar(CSORT, binder)))
     assert ip.binder_signs(sort, binder, body) == {0: set(), 1: {1}, -1: {-1}, 2: {1, -1}}[polarity]
     event({0: "vacuous", 1: "covariant", -1: "contravariant", 2: "mixed"}[polarity])
     same = data.draw(st.booleans())  # both sides bind Y and ^Q to the same objects
@@ -983,7 +995,7 @@ def test_one_extreme_relation_matches_every_relation(three_models, data):
 
     for u, v in product(some(left.size), some(right.size)):
         assert least(i, j, u, v) == every(i, j, u, v), (u, v)
-    ty = (ForallV if sort == VSORT else ForallC)(binder, body)
+    ty = Forall(sort, binder, body)
     try:
         comps = [m.interp_vtype(rho.rho1.set(sort, binder, o), body).size for o in objs]
     except ip.OutOfBoundError:
@@ -1040,7 +1052,7 @@ def test_a_one_polarity_body_never_lists_relations(monkeypatch, sort, binder, sr
     monkeypatch.setattr(model, "rels_for_pair", lambda *args: calls.append(args) or listed(*args))
     body = parse_type(src)
     env = ip.type_env({"Y": fm.FinSet(2)}, {"Q": model.algebras[1]})
-    model.interp_vtype(env, (ForallV if sort == VSORT else ForallC)(binder, body))
+    model.interp_vtype(env, Forall(sort, binder, body))
     rho, objs = ip.diag_relenv(env), model.objects(sort)
     related, _ = model.relatedness(rho, sort, binder, body)
     got = {}
@@ -1055,7 +1067,7 @@ def test_a_one_polarity_body_never_lists_relations(monkeypatch, sort, binder, sr
     assert got == {key: bool(every(*key)) for key in got}
     # a mixed body that is not positive does list them
     calls.clear()
-    model.interp_vtype(env, (ForallV if sort == VSORT else ForallC)(binder, parse_type(
+    model.interp_vtype(env, Forall(sort, binder, parse_type(
         "(X -> X) -> Y" if sort == VSORT else "(^P -> ^P) -> Y")))
     assert calls
 
@@ -1074,7 +1086,7 @@ def test_each_pair_s_least_links_are_computed_once(monkeypatch, sort, binder, sr
     monkeypatch.setattr(model, "least_links", lambda *args: calls.update([args[-2:]]) or least(*args))
     body, env = parse_type(src), ip.type_env({"Y": fm.FinSet(2)})
     k = len(model.objects(sort))
-    model.interp_vtype(env, (ForallV if sort == VSORT else ForallC)(binder, body))
+    model.interp_vtype(env, Forall(sort, binder, body))
     assert set(calls.values()) == {1}
     assert {(i, i) for i in range(k)} <= set(calls)
     # and so does each call of relatedness, however often each pair is asked
@@ -1204,8 +1216,8 @@ def _related_by_definition(model, rho, ty, a, b, memo):
     components under every admissible relation between every two objects."""
     key = (ty, rho, a, b)
     if key not in memo:
-        if isinstance(ty, (VVar, CVar)):
-            out = bool(rho.rel(VSORT if isinstance(ty, VVar) else CSORT, ty.name)[a] >> b & 1)
+        if isinstance(ty, TyVar):
+            out = bool(rho.rel(ty.sort, ty.name)[a] >> b & 1)
         elif isinstance(ty, (Arrow, Lolli)):
             left, right = model.interp_vtype(rho.rho1, ty), model.interp_vtype(rho.rho2, ty)
             out = all(
@@ -1214,7 +1226,7 @@ def _related_by_definition(model, rho, ty, a, b, memo):
                 if _related_by_definition(model, rho, ty.dom, x, y, memo)
             )
         else:
-            sort = VSORT if isinstance(ty, ForallV) else CSORT
+            sort = ty.sort
             objs = model.objects(sort)
             fam_a = model.interp_vtype(rho.rho1, ty).fams[a]
             fam_b = model.interp_vtype(rho.rho2, ty).fams[b]
@@ -1230,7 +1242,7 @@ def _related_by_definition(model, rho, ty, a, b, memo):
 
 def _value_types(depth):
     """Types over the set variables X, Y and the algebra variables ^P, ^Q."""
-    atoms = st.sampled_from([VVar("X"), CVar("P")])
+    atoms = st.sampled_from([TyVar(VSORT, "X"), TyVar(CSORT, "P")])
     if depth == 0:
         return atoms
     sub, comp = _value_types(depth - 1), _comp_types(depth - 1)
@@ -1238,20 +1250,20 @@ def _value_types(depth):
         atoms,
         st.builds(Arrow, sub, sub),
         st.builds(Lolli, comp, comp),
-        st.builds(ForallV, st.just("Y"), st.builds(Arrow, st.just(VVar("Y")), sub)),
-        st.builds(ForallC, st.just("Q"), st.builds(Arrow, sub, st.just(CVar("Q")))),
+        st.builds(Forall, st.just(VSORT), st.just("Y"), st.builds(Arrow, st.just(TyVar(VSORT, "Y")), sub)),
+        st.builds(Forall, st.just(CSORT), st.just("Q"), st.builds(Arrow, sub, st.just(TyVar(CSORT, "Q")))),
     )
 
 
 def _comp_types(depth):
-    atoms = st.just(CVar("P"))
+    atoms = st.just(TyVar(CSORT, "P"))
     if depth == 0:
         return atoms
     sub, comp = _value_types(depth - 1), _comp_types(depth - 1)
     return st.one_of(
         atoms,
         st.builds(Arrow, sub, comp),
-        st.builds(ForallV, st.just("Y"), st.builds(Arrow, st.just(VVar("Y")), comp)),
+        st.builds(Forall, st.just(VSORT), st.just("Y"), st.builds(Arrow, st.just(TyVar(VSORT, "Y")), comp)),
     )
 
 
@@ -1595,7 +1607,7 @@ def test_a_compile_returns_the_checked_type(abstraction_model, options, count):
 ])
 def test_a_binder_that_shadows_a_context_variable_evaluates_as_its_renaming(free_model, term, renamed):
     model = free_model
-    gamma = (("x", VVar("B")), ("g", parse_type("A -> B")), ("h", parse_type("^Q -o ^Q")))
+    gamma = (("x", TyVar(VSORT, "B")), ("g", parse_type("A -> B")), ("h", parse_type("^Q -o ^Q")))
     (ty, run), (ty2, run2) = (model._compile(parse_term(t), gamma, None) for t in (term, renamed))
     assert ty is ty2
     for tyenv in islice(pl.type_envs(model, [(VSORT, "A"), (VSORT, "B"), (CSORT, "Q")]), 30):

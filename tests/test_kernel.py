@@ -6,17 +6,17 @@ import pytest
 from hypothesis import given, strategies as st
 
 from polyeff.kernel import (
+    CSORT,
+    VSORT,
     Arrow,
-    CVar,
-    ForallC,
-    ForallV,
+    Forall,
     Judgment,
     Kind,
     KindError,
     Lam,
     Lolli,
+    TyVar,
     Var,
-    VVar,
     alpha_canonical,
     all_type_var_names,
     alpha_eq,
@@ -56,32 +56,32 @@ def test_classification_is_deterministic():
 
 def test_lolli_rejects_value_operands():
     with pytest.raises(KindError):
-        classify_type(Lolli(VVar("B"), CVar("C")))
+        classify_type(Lolli(TyVar(VSORT, "B"), TyVar(CSORT, "C")))
     with pytest.raises(KindError):
-        classify_type(Lolli(CVar("C"), VVar("B")))
+        classify_type(Lolli(TyVar(CSORT, "C"), TyVar(VSORT, "B")))
 
 
 def test_subst_type_variable_case():
     replacement = parse_type("B -> ^Y")
-    assert subst_type(CVar("X"), CVar("X"), replacement) == replacement
+    assert subst_type(TyVar(CSORT, "X"), TyVar(CSORT, "X"), replacement) == replacement
 
 
 def test_subst_type_bound_variable_shadows():
-    ty = ForallV("X", VVar("X"))
-    assert subst_type(ty, VVar("X"), VVar("Z")) == ty
+    ty = Forall(VSORT, "X", TyVar(VSORT, "X"))
+    assert subst_type(ty, TyVar(VSORT, "X"), TyVar(VSORT, "Z")) == ty
 
 
 def test_subst_type_sort_mismatch_rejected():
     with pytest.raises(KindError):
-        subst_type(CVar("X"), CVar("X"), VVar("B"))
+        subst_type(TyVar(CSORT, "X"), TyVar(CSORT, "X"), TyVar(VSORT, "B"))
 
 
 def test_subst_type_avoids_capture():
     # (forall Y. X -> Y)[X := Y] must rename the binder
-    ty = ForallV("Y", Arrow(VVar("X"), VVar("Y")))
-    out = subst_type(ty, VVar("X"), VVar("Y"))
-    assert alpha_eq(out, ForallV("Z", Arrow(VVar("Y"), VVar("Z"))))
-    assert not alpha_eq(out, ForallV("Z", Arrow(VVar("Z"), VVar("Z"))))
+    ty = Forall(VSORT, "Y", Arrow(TyVar(VSORT, "X"), TyVar(VSORT, "Y")))
+    out = subst_type(ty, TyVar(VSORT, "X"), TyVar(VSORT, "Y"))
+    assert alpha_eq(out, Forall(VSORT, "Z", Arrow(TyVar(VSORT, "Y"), TyVar(VSORT, "Z"))))
+    assert not alpha_eq(out, Forall(VSORT, "Z", Arrow(TyVar(VSORT, "Z"), TyVar(VSORT, "Z"))))
 
 
 def _contains_lolli(ty):
@@ -89,7 +89,7 @@ def _contains_lolli(ty):
         return True
     if isinstance(ty, Arrow):
         return _contains_lolli(ty.dom) or _contains_lolli(ty.cod)
-    if isinstance(ty, (ForallV, ForallC)):
+    if isinstance(ty, Forall):
         return _contains_lolli(ty.body)
     return False
 
@@ -101,9 +101,9 @@ def test_substituting_into_monadic_body_keeps_value_class():
     gen = TermGenerator(5)
     for _ in range(20):
         replacement = gen.random_type(2, Kind.COMPUTATION)
-        out = subst_type(body, CVar("X"), replacement)
+        out = subst_type(body, TyVar(CSORT, "X"), replacement)
         assert classify_type(out) is Kind.COMPUTATION
-        assert classify_type(Arrow(out, VVar("Z"))) is Kind.VALUE
+        assert classify_type(Arrow(out, TyVar(VSORT, "Z"))) is Kind.VALUE
         if not _contains_lolli(replacement):
             assert not _contains_lolli(out)
 
@@ -115,7 +115,7 @@ def test_subst_term_variable():
 
 def test_subst_term_capture_avoidance():
     # (fun y:B => x)[x := y] renames the binder
-    body = Lam("y", VVar("B"), Var("x"))
+    body = Lam("y", TyVar(VSORT, "B"), Var("x"))
     out = subst_term(body, "x", Var("y"))
     assert isinstance(out, Lam)
     assert out.var != "y"
@@ -157,13 +157,13 @@ def test_subst_type_in_term_renames_a_type_binder_that_would_capture():
     # (Fun Y => fun x:X -> Y => x @[X])[X := Y]: the replacement's Y must not
     # fall under the Fun Y, which is renamed in its body
     t = parse_term("Fun Y => fun x:forall Z. X -> Y => x @[X]")
-    out = subst_type_in_term(t, VVar("X"), VVar("Y"))
+    out = subst_type_in_term(t, TyVar(VSORT, "X"), TyVar(VSORT, "Y"))
     new = out.binder
     assert new not in {"X", "Y", "Z"}
     assert out == parse_term(f"Fun {new} => fun x:forall Z. Y -> {new} => x @[Y]")
     # a binder that the replacement does not name stays, and one that rebinds X stops it
-    assert subst_type_in_term(t, VVar("X"), VVar("W")) == parse_term("Fun Y => fun x:forall Z. W -> Y => x @[W]")
-    assert subst_type_in_term(parse_term("Fun X => fun x:X => x"), VVar("X"), VVar("Y")) == \
+    assert subst_type_in_term(t, TyVar(VSORT, "X"), TyVar(VSORT, "W")) == parse_term("Fun Y => fun x:forall Z. W -> Y => x @[W]")
+    assert subst_type_in_term(parse_term("Fun X => fun x:X => x"), TyVar(VSORT, "X"), TyVar(VSORT, "Y")) == \
         parse_term("Fun X => fun x:X => x")
 
 
@@ -180,20 +180,20 @@ def test_alpha_eq_binders():
 
 
 def test_alpha_eq_distinct_sorts():
-    assert not alpha_eq(ForallV("X", VVar("X")), ForallC("X", CVar("X")))
+    assert not alpha_eq(Forall(VSORT, "X", TyVar(VSORT, "X")), Forall(CSORT, "X", TyVar(CSORT, "X")))
 
 
 def test_alpha_eq_monadic_elaborations():
     from polyeff.encodings import encode_bang
 
-    one = encode_bang(VVar("B"))
-    other = ForallC("Q", Arrow(Arrow(VVar("B"), CVar("Q")), CVar("Q")))
+    one = encode_bang(TyVar(VSORT, "B"))
+    other = Forall(CSORT, "Q", Arrow(Arrow(TyVar(VSORT, "B"), TyVar(CSORT, "Q")), TyVar(CSORT, "Q")))
     assert alpha_eq(one, other)
 
 
 def test_alpha_eq_distinguishes_free_variables():
-    assert not alpha_eq(VVar("X"), VVar("Y"))
-    assert alpha_eq(VVar("X"), VVar("X"))
+    assert not alpha_eq(TyVar(VSORT, "X"), TyVar(VSORT, "Y"))
+    assert alpha_eq(TyVar(VSORT, "X"), TyVar(VSORT, "X"))
 
 
 def test_subst_commutes_with_alpha():
@@ -203,7 +203,7 @@ def test_subst_commutes_with_alpha():
         renamed = alpha_canonical(body)
         replacement = gen.random_type(1)
         for var in sorted(free_type_vars(body), key=str):
-            if isinstance(var, CVar) and classify_type(replacement) is not Kind.COMPUTATION:
+            if var.sort == CSORT and classify_type(replacement) is not Kind.COMPUTATION:
                 continue
             assert alpha_eq(
                 subst_type(body, var, replacement), subst_type(renamed, var, replacement)
@@ -227,12 +227,12 @@ def test_alpha_canonical_avoids_free_names():
 
 NAMES = st.sampled_from(["X", "Y", "b0", "b1"])
 types = st.recursive(
-    st.builds(VVar, NAMES) | st.builds(CVar, NAMES),
+    st.builds(TyVar, st.just(VSORT), NAMES) | st.builds(TyVar, st.just(CSORT), NAMES),
     lambda inner: (
         st.builds(Arrow, inner, inner)
         | st.builds(Lolli, inner, inner)
-        | st.builds(ForallV, NAMES, inner)
-        | st.builds(ForallC, NAMES, inner)
+        | st.builds(Forall, st.just(VSORT), NAMES, inner)
+        | st.builds(Forall, st.just(CSORT), NAMES, inner)
     ),
     max_leaves=8,
 )
@@ -241,13 +241,12 @@ types = st.recursive(
 def rename_binders(t, names):
     """``t`` with its binders renamed in turn from ``names``, capture and all."""
     def go(t, env):
-        if isinstance(t, (VVar, CVar)):
-            return type(t)(env.get((type(t), t.name), t.name))
+        if isinstance(t, TyVar):
+            return TyVar(t.sort, env.get((t.sort, t.name), t.name))
         if isinstance(t, (Arrow, Lolli)):
             return type(t)(go(t.dom, env), go(t.cod, env))
-        sort = VVar if isinstance(t, ForallV) else CVar
         new = next(names)
-        return type(t)(new, go(t.body, {**env, (sort, t.binder): new}))
+        return Forall(t.sort, new, go(t.body, {**env, (t.sort, t.binder): new}))
 
     return go(t, {})
 
@@ -259,8 +258,8 @@ def test_alpha_canonical_decides_alpha_eq(s, other, names, renamed):
 
 
 def test_judgment_validation():
-    Judgment((("x", VVar("B")),), None, Var("x")).validate()
+    Judgment((("x", TyVar(VSORT, "B")),), None, Var("x")).validate()
     with pytest.raises(ValueError):
-        Judgment((("x", VVar("B")),), ("x", CVar("A")), Var("x")).validate()
+        Judgment((("x", TyVar(VSORT, "B")),), ("x", TyVar(CSORT, "A")), Var("x")).validate()
     with pytest.raises(KindError):
-        Judgment((), ("x", VVar("B")), Var("x")).validate()
+        Judgment((), ("x", TyVar(VSORT, "B")), Var("x")).validate()

@@ -1,6 +1,9 @@
 """The module layering, read from the sources: syntax sits below semantics."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import polyeff
@@ -30,3 +33,14 @@ def test_syntax_sits_below_semantics():
         assert package_imports(module) <= set(CHAIN[:k]), module
     assert "surface" not in package_imports("interp")
     assert "kernel" in package_imports("interp")
+
+
+def test_the_model_layer_imports_only_the_kernel():
+    # finmodel checks exception names against the keywords through kernel,
+    # so loading the model loads none of the parser, encodings or typechecker
+    assert package_imports("finmodel") <= {"kernel"}
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, polyeff.finmodel; print(sorted(m for m in sys.modules if m.startswith('polyeff')))"],
+        capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": str(SOURCES.parent)},
+    ).stdout
+    assert out.strip() == str(["polyeff", "polyeff.finmodel", "polyeff.kernel"])

@@ -15,7 +15,7 @@ from polyeff import interp as ip
 from polyeff import encodings as enc
 from polyeff import paramlab as pl
 from polyeff import typecheck as tc
-from polyeff.kernel import Arrow, CVar, Judgment, LinLam, Var, VVar, free_type_vars, free_type_vars_term
+from polyeff.kernel import CSORT, VSORT, Arrow, Judgment, LinLam, TyVar, Var, free_type_vars, free_type_vars_term
 from polyeff.randterms import TermGenerator
 from polyeff.surface import parse_term, parse_type
 
@@ -45,7 +45,7 @@ def test_bang_laws_catch_a_projection_that_skips_transport(monkeypatch):
     project = model.project_poly
 
     def skipping(poly, fam, target, binder, body, env):
-        if poly.csort and model.alg_index(target) is None:
+        if poly.sort == CSORT and model.alg_index(target) is None:
             return poly.fams[fam][next(k for k, a in enumerate(model.algebras) if a.size == target.size)]
         return project(poly, fam, target, binder, body, env)
 
@@ -54,7 +54,7 @@ def test_bang_laws_catch_a_projection_that_skips_transport(monkeypatch):
     assert rep.status == "counterexample"
     assert rep.witness["law"] == "eta"
     # the eta law alone fails with the same witness, and holds without the defect
-    bang_a = enc.encode_bang(VVar("A"))
+    bang_a = enc.encode_bang(TyVar(VSORT, "A"))
     eta = ((), ("y", bang_a), Var("y"), enc.elaborate_term(parse_term("let x <= y in bang x"), delta=("y", bang_a)),
            ("A",), ())
     assert {**pl.semantically_equal(model, *eta), "law": "eta"} == rep.witness
@@ -343,6 +343,55 @@ def test_handler_catches_a_raise_index_off_by_one(exc_free, monkeypatch):
     assert rep.witness["law"] == "case-split"
 
 
+def test_handler_catches_a_squared_algebra_whose_raise_is_moved(exc_free, monkeypatch):
+    # the handler is a homomorphism out of T A x T A; a product whose raise
+    # constant is not the pair of raise points breaks that law alone, as the
+    # case split reads no product
+    real = fm.product_alg
+
+    def planted(a, b):
+        prod = real(a, b)
+        return fm.Alg(prod.monad, prod.carrier, tuple(((t[0] + 1) % prod.carrier.size,) for t in prod.ops))
+
+    monkeypatch.setattr(fm, "product_alg", planted)
+    rep = pl.verify_handler(exc_free)
+    assert rep.status == "counterexample"
+    assert rep.witness == {"law": "homomorphism", "e": "e", "a": 1}
+
+
+def test_handler_catches_a_functor_action_that_is_not_natural(exc_free, monkeypatch):
+    # T f reversed still maps T A into T B, but the handler no longer commutes
+    # with it; the case split and the homomorphism law read no T f
+    real = fm.MonadSpec.tmap
+    monkeypatch.setattr(fm.MonadSpec, "tmap", lambda self, f, a, b: real(self, f, a, b)[::-1])
+    rep = pl.verify_handler(exc_free)
+    assert rep.status == "counterexample"
+    assert rep.witness["law"] == "naturality"
+    a, b, f, p, q = (rep.witness[k] for k in ("a", "b", "f", "p", "q"))
+    ha, hb = pl._handle_table(exc_free, a, 0), pl._handle_table(exc_free, b, 0)
+    tf = real(exc_free.monad, f, fm.FinSet(a), fm.FinSet(b))[::-1]
+    assert hb[(tf[p], tf[q])] != tf[ha[(p, q)]]
+
+
+def test_handler_catches_a_lifted_relation_that_relates_a_raise_to_a_unit(exc_free, monkeypatch):
+    # the handler's result is always one of its two argument pairs, so a
+    # lifted relation with a pair dropped still holds it; one that relates the
+    # raise point of T A to the first unit of T B splits the cases apart
+    real = pl.lifted_rel
+
+    def planted(model, r, a, b):
+        rows = list(real(model, r, a, b))
+        if b:
+            rows[a] |= 1
+        return tuple(rows)
+
+    monkeypatch.setattr(pl, "lifted_rel", planted)
+    rep = pl.verify_handler(exc_free)
+    assert rep.status == "counterexample"
+    assert rep.witness["law"] == "parametricity"
+    assert rep.witness["b"] > 0
+
+
 def test_handler_searches_no_family_of_its_scheme(monkeypatch):
     # membership is checked by the definition of a parametric family, so the
     # handler's scheme is never searched; the components' own quantifiers are
@@ -391,7 +440,7 @@ def test_encoding_props(exc_free):
 
 def _wrap_iso_failures(model, k):
     """The wrapping-isomorphism laws that fail at algebra ``k``, checked alone."""
-    fwd, bwd = (model._eval(t) for t in enc.comp_iso_terms(CVar("A")))
+    fwd, bwd = (model._eval(t) for t in enc.comp_iso_terms(TyVar(CSORT, "A")))
     tyenv = ip.type_env({}, {"A": model.algebras[k]})
     (fsem, fv), (bsem, bv) = fwd(tyenv, {}), bwd(tyenv, {})
     left = all(bsem.apply(bv, fsem.apply(fv, x)) == x for x in range(model.algebras[k].size))
@@ -404,7 +453,7 @@ def test_encoding_props_catch_a_wrap_iso_backward_map_that_is_not_the_inverse(mo
     # parametricity, so the defect is planted in its denotation: another
     # homomorphism of the same hom space, wherever there is one
     model = pl.build_model(fm.ModelConfig(), range(3))
-    bwd_term = enc.comp_iso_terms(CVar("A"))[1]
+    bwd_term = enc.comp_iso_terms(TyVar(CSORT, "A"))[1]
     compile_term = model._eval
 
     def planted(t, *scope):
@@ -428,6 +477,59 @@ def test_encoding_props_catch_a_wrap_iso_backward_map_that_is_not_the_inverse(mo
     monkeypatch.undo()
     assert _wrap_iso_failures(model, witness["algebra"]) == []
     assert pl.verify_encoding_props(model).status == "verified"
+
+
+def test_encoding_props_catch_a_zero_type_that_is_not_initial(monkeypatch):
+    # forall ^X. ^X -> ^X is the free algebra on one point, which has one
+    # homomorphism per element into each algebra
+    model = pl.build_model(fm.ModelConfig(), range(3))
+    monkeypatch.setattr(enc, "zero_type", lambda sort: parse_type("forall ^X. ^X -> ^X"))
+    rep = pl.verify_encoding_props(model)
+    assert rep.status == "counterexample"
+    k = rep.witness["algebra"]
+    assert rep.witness == {"law": "initiality", "algebra": k, "homs": model.algebras[k].carrier.size}
+    assert model.algebras[k].carrier.size != 1
+
+
+def _moved_denotation(monkeypatch, model, term):
+    """Compile ``term`` to another value of its space, and every other term as it is."""
+    compile_term = model._eval
+
+    def planted(t, *scope):
+        run = compile_term(t, *scope)
+        if t != term:
+            return run
+
+        def another(tyenv, tmenv):
+            sem, v = run(tyenv, tmenv)
+            return sem, next((w for w in range(sem.size) if w != v), v)
+        return another
+
+    monkeypatch.setattr(model, "_eval", planted)
+
+
+def test_encoding_props_catch_a_left_injection_that_is_not_the_encoded_one(monkeypatch):
+    model = pl.build_model(fm.ModelConfig(), range(3))
+    a, b = TyVar(CSORT, "A"), TyVar(CSORT, "B")
+    _moved_denotation(monkeypatch, model, LinLam("a", a, enc.injection(0, a, b, Var("a"), CSORT)))
+    rep = pl.verify_encoding_props(model)
+    assert rep.status == "counterexample"
+    assert rep.witness["law"] == "coproduct" and rep.witness["mediators"] != 1
+
+
+def test_encoding_props_catch_a_decomposition_that_is_not_an_isomorphism(monkeypatch):
+    # the two spaces have one size, so a forward map is a left inverse of the
+    # backward one iff it is a right inverse: both laws fail at one algebra,
+    # and the witness names the left one
+    model = pl.build_model(fm.ModelConfig(), range(3))
+    _moved_denotation(monkeypatch, model, enc.girard_iso_terms(TyVar(VSORT, "A"), TyVar(CSORT, "B"))[0])
+    failures, report = [], pl._model_report
+    monkeypatch.setattr(pl, "_model_report", lambda *args, **kw: failures.extend(args[3]) or report(*args, **kw))
+    rep = pl.verify_encoding_props(model)
+    assert rep.status == "counterexample"
+    assert rep.witness["law"] == "decomposition-left"
+    assert {"law": "decomposition-right", "carrier": rep.witness["carrier"]} in failures
+    assert {f["law"] for f in failures} == {"decomposition-left", "decomposition-right"}
 
 
 def test_encoding_props_sum_outside_the_bound_is_out_of_bound():
@@ -588,11 +690,11 @@ def test_abstraction_catches_a_stoup_map_that_leaves_the_carrier(monkeypatch):
     # homomorphism check runs gives X and ^P one element each, where every
     # map is a homomorphism, so an evaluator off by one, out of the carrier,
     # is the defect that check alone can see
-    j = Judgment((("g90", VVar("X")),), ("s89", parse_type("X -> ^P")), parse_term("s89 g90"), CVar("P"))
+    j = Judgment((("g90", TyVar(VSORT, "X")),), ("s89", parse_type("X -> ^P")), parse_term("s89 g90"), TyVar(CSORT, "P"))
     monkeypatch.setattr(pl, "TermGenerator", lambda seed, interp_safe: SimpleNamespace(random_judgment=lambda: j))
     model = pl.build_model(fm.ModelConfig(), ())
     rhos = list(itertools.islice(pl.rel_envs(model, [(ip.VSORT, "X"), (ip.CSORT, "P")]), 40))
-    assert len(rhos) == 40 and not any(model.interp_rel(rho, VVar("X")).pairs() for rho in rhos)
+    assert len(rhos) == 40 and not any(model.interp_rel(rho, TyVar(VSORT, "X")).pairs() for rho in rhos)
     rep = pl.verify_abstraction(model, n_terms=1)
     assert (rep.status, rep.counts["hom-instances"]) == ("verified", 1), rep.witness
     compile_ = model._compile
@@ -788,7 +890,7 @@ def test_two_exception_reach_of_the_least_relation_search():
     for model in (free, plain):
         for a in range(3):
             env = ip.TypeEnv().set(ip.VSORT, "A", fm.FinSet(a))
-            ty = enc.encode_bang(VVar("A"))
+            ty = enc.encode_bang(TyVar(VSORT, "A"))
             try:
                 naive = model.enumerate_families_naive(env, ty)
             except ip.OutOfBoundError:
@@ -964,11 +1066,11 @@ def test_free_algebra_identity_monad():
 def test_powerset_monadic_count_at_bound_three():
     from polyeff import encodings as enc
     from polyeff import interp as ip
-    from polyeff.kernel import VVar
+    from polyeff.kernel import VSORT, TyVar
 
     model = pl.build_model(fm.ModelConfig("powerset", (), 3), (2,))
     env = ip.TypeEnv().set(ip.VSORT, "A", fm.FinSet(2))
-    poly = model.interp_vtype(env, enc.encode_bang(VVar("A")))
+    poly = model.interp_vtype(env, enc.encode_bang(TyVar(VSORT, "A")))
     assert poly.size == 3
 
 

@@ -8,8 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from polyeff import typecheck as tc
 from polyeff.kernel import (
-    App, Arrow, CVar, ForallC, ForallV, Kind, Lam, LinLam, TyAppC, TyAppV, TyLamC, TyLamV, VVar, Var,
-    alpha_eq, classify_type,
+    CSORT, VSORT, App, Arrow, Forall, Kind, Lam, LinLam, TyApp, TyLam, TyVar, Var, alpha_eq, classify_type,
 )
 from polyeff.randterms import TermGenerator
 
@@ -49,13 +48,13 @@ def test_subst_samples_have_valid_premises():
             assert got is not None
 
 
-@pytest.mark.parametrize("var, forall", [(VVar, ForallV), (CVar, ForallC)])
+@pytest.mark.parametrize("sort", [pytest.param(VSORT, id="VVar-ForallV"), pytest.param(CSORT, id="CVar-ForallC")])
 @pytest.mark.parametrize("seed", range(5))
-def test_a_type_abstraction_renames_a_binder_free_in_the_context(seed, var, forall):
+def test_a_type_abstraction_renames_a_binder_free_in_the_context(seed, sort):
     # the goal's binder X is free in the context, so the abstraction binds a
     # fresh name; the term must still typecheck to the goal
-    gamma = (("x", var("X")),)
-    goal = forall("X", Arrow(var("X"), var("X")))
+    gamma = (("x", TyVar(sort, "X")),)
+    goal = Forall(sort, "X", Arrow(TyVar(sort, "X"), TyVar(sort, "X")))
     t = TermGenerator(seed)._try("tylam", None, gamma, None, goal, 3)
     assert t is not None and t.binder != "X"
     assert alpha_eq(tc.synth(gamma, None, t), goal)
@@ -63,13 +62,13 @@ def test_a_type_abstraction_renames_a_binder_free_in_the_context(seed, var, fora
 
 def args_of(t):
     """The type arguments of every type application in ``t``."""
-    if isinstance(t, (TyAppV, TyAppC)):
+    if isinstance(t, TyApp):
         yield t.arg
         yield from args_of(t.fn)
     elif isinstance(t, App):
         yield from args_of(t.fn)
         yield from args_of(t.arg)
-    elif isinstance(t, (Lam, LinLam, TyLamV, TyLamC)):
+    elif isinstance(t, (Lam, LinLam, TyLam)):
         yield from args_of(t.body)
 
 
@@ -78,7 +77,7 @@ def test_interp_safe_mode_restricts_type_arguments():
     for _ in range(40):
         j = gen.random_judgment()
         for arg in args_of(j.subject):
-            assert isinstance(arg, (VVar, CVar))
+            assert isinstance(arg, TyVar)
 
 
 @settings(deadline=None, max_examples=40)
@@ -89,7 +88,7 @@ def test_any_seed_gives_checked_judgments_and_samples(seed, interp_safe):
         j = gen.random_judgment()
         assert alpha_eq(tc.typecheck(j), j.ascription)
         if interp_safe:
-            assert all(isinstance(arg, (VVar, CVar)) for arg in args_of(j.subject))
+            assert all(isinstance(arg, TyVar) for arg in args_of(j.subject))
     for part in (1, 2):
         sm = gen.random_subst_sample(part)
         if part == 1:
@@ -106,6 +105,13 @@ ROUTES = ("->", "-> carrying the stoup", "-o with the stoup in the argument", "-
 REDEXES = ("Lam redex", "LinLam redex", "TyLamV redex", "TyLamC redex")
 
 
+def former(t) -> str:
+    """The name of ``t``'s former, a type abstraction's or application's
+    with its sort: ``TyLamV``, ``TyAppC``."""
+    name = type(t).__name__
+    return name + ("V" if t.sort == VSORT else "C") if isinstance(t, (TyLam, TyApp)) else name
+
+
 def rule_counts(judgments) -> Counter:
     """How often each term former, each application route and each kind of
     redex occurs.
@@ -118,23 +124,23 @@ def rule_counts(judgments) -> Counter:
     counts = Counter()
 
     def walk(gamma, delta, t):
-        counts[type(t).__name__] += 1
+        counts[former(t)] += 1
         if isinstance(t, Lam):
             walk(gamma + ((t.var, t.ann),), delta, t.body)
         elif isinstance(t, LinLam):
             walk(gamma, (t.var, t.ann), t.body)
-        elif isinstance(t, (TyLamV, TyLamC)):
+        elif isinstance(t, TyLam):
             walk(gamma, delta, t.body)
-        elif isinstance(t, (TyAppV, TyAppC)):
-            if isinstance(t.fn, (TyLamV, TyLamC)) and t.fn.sort == t.sort:
-                counts[f"{type(t.fn).__name__} redex"] += 1
+        elif isinstance(t, TyApp):
+            if isinstance(t.fn, TyLam) and t.fn.sort == t.sort:
+                counts[f"{former(t.fn)} redex"] += 1
             walk(gamma, delta, t.fn)
         elif isinstance(t, App):
             if isinstance(t.fn, (Lam, LinLam)):
                 counts[f"{type(t.fn).__name__} redex"] += 1
             side = tc.route_stoup(delta, t.fn, t.arg)
             head = t.fn
-            while isinstance(head, (App, TyAppV, TyAppC)):
+            while isinstance(head, (App, TyApp)):
                 head = head.fn
             if not isinstance(head, Var):
                 counts["redex"] += 1
@@ -165,8 +171,8 @@ COVERED_SEEDS = (*range(1, 13), 14, *range(16, 21), 2024)
 @pytest.mark.parametrize("interp_safe", [False, True])
 def test_default_seed_corpus_covers_every_rule(seed, interp_safe):
     counts = rule_counts(seed_corpus(seed, interp_safe))
-    formers = (Var, Lam, LinLam, App, TyLamV, TyLamC, TyAppV, TyAppC)
-    missing = [k for k in [f.__name__ for f in formers] + list(ROUTES + REDEXES) if not counts[k]]
+    formers = ("Var", "Lam", "LinLam", "App", "TyLamV", "TyLamC", "TyAppV", "TyAppC")
+    missing = [k for k in formers + ROUTES + REDEXES if not counts[k]]
     assert not missing, dict(counts)
 
 

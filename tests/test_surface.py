@@ -9,16 +9,13 @@ from polyeff.kernel import (
     CSORT,
     VSORT,
     Arrow,
-    CVar,
-    ForallC,
-    ForallV,
+    Forall,
     Kind,
     LinLam,
     Lolli,
-    TyAppC,
-    TyAppV,
+    TyApp,
+    TyVar,
     Var,
-    VVar,
     alpha_eq,
     classify_type,
 )
@@ -26,6 +23,7 @@ from polyeff.randterms import TermGenerator
 from polyeff.surface import (
     MAX_NUMERAL,
     MAX_PARENS,
+    MAX_TYPE_DEPTH,
     SyntaxErr,
     parse_file,
     parse_term,
@@ -35,17 +33,17 @@ from polyeff.surface import (
 
 def test_parse_monadic_shape():
     ty = parse_type("forall ^X. (B -> ^X) -> ^X")
-    assert ty == ForallC("X", Arrow(Arrow(VVar("B"), CVar("X")), CVar("X")))
+    assert ty == Forall(CSORT, "X", Arrow(Arrow(TyVar(VSORT, "B"), TyVar(CSORT, "X")), TyVar(CSORT, "X")))
 
 
 def test_parse_linear_lambda():
     t = parse_term("lfun x:^A => x")
-    assert t == LinLam("x", CVar("A"), Var("x"))
+    assert t == LinLam("x", TyVar(CSORT, "A"), Var("x"))
 
 
 def test_parse_expands_bang_to_its_encoding():
     ty = parse_type("!B")
-    assert alpha_eq(ty, enc.encode_bang(VVar("B")))
+    assert alpha_eq(ty, enc.encode_bang(TyVar(VSORT, "B")))
 
 
 def test_parse_let_and_bang_terms():
@@ -54,39 +52,39 @@ def test_parse_let_and_bang_terms():
 
 
 def test_arrows_are_right_associative():
-    assert parse_type("A -> B -> C") == Arrow(VVar("A"), Arrow(VVar("B"), VVar("C")))
+    assert parse_type("A -> B -> C") == Arrow(TyVar(VSORT, "A"), Arrow(TyVar(VSORT, "B"), TyVar(VSORT, "C")))
 
 
 def test_arrow_and_lolli_share_precedence():
     ty = parse_type("(^A -o ^B) -> ^C")
-    assert ty == Arrow(Lolli(CVar("A"), CVar("B")), CVar("C"))
+    assert ty == Arrow(Lolli(TyVar(CSORT, "A"), TyVar(CSORT, "B")), TyVar(CSORT, "C"))
 
 
 def test_quantifiers_extend_right():
     ty = parse_type("forall X. X -> forall Y. Y")
-    assert ty == ForallV("X", Arrow(VVar("X"), ForallV("Y", VVar("Y"))))
+    assert ty == Forall(VSORT, "X", Arrow(TyVar(VSORT, "X"), Forall(VSORT, "Y", TyVar(VSORT, "Y"))))
     ty2 = parse_type("^A -o forall ^X. ^X")
-    assert ty2 == Lolli(CVar("A"), ForallC("X", CVar("X")))
+    assert ty2 == Lolli(TyVar(CSORT, "A"), Forall(CSORT, "X", TyVar(CSORT, "X")))
 
 
 def test_sugar_precedence():
     # products bind tighter than sums, copower tighter than products
     prod = enc.pair_type(VSORT, enc.encode_num(1), enc.encode_num(2))
     assert alpha_eq(parse_type("1 * 2 + 0"), enc.sum_type(VSORT, prod, enc.encode_num(0)))
-    copower = enc.pair_type(CSORT, VVar("B"), CVar("A"))
-    assert alpha_eq(parse_type("B . ^A -o ^X"), Lolli(copower, CVar("X")))
+    copower = enc.pair_type(CSORT, TyVar(VSORT, "B"), TyVar(CSORT, "A"))
+    assert alpha_eq(parse_type("B . ^A -o ^X"), Lolli(copower, TyVar(CSORT, "X")))
 
 
 def test_type_application_routes_on_argument_class():
-    assert isinstance(parse_term("f @[B]"), TyAppV)
-    assert isinstance(parse_term("f @[^B]"), TyAppC)
-    assert isinstance(parse_term("f @[!B]"), TyAppC)
+    assert parse_term("f @[B]").sort == VSORT
+    assert parse_term("f @[^B]").sort == CSORT
+    assert parse_term("f @[!B]").sort == CSORT
 
 
 def test_compound_constant_names():
     assert parse_term("raise^e") == Var("raise^e")
     assert parse_term("handle^e2 @[X] u") == __import__("polyeff.kernel", fromlist=["App"]).App(
-        TyAppV(Var("handle^e2"), VVar("X")), Var("u")
+        TyApp(VSORT, Var("handle^e2"), TyVar(VSORT, "X")), Var("u")
     )
 
 
@@ -124,10 +122,10 @@ def test_computation_existentials_classify_under_lolli():
 
 def test_abbreviation_of_a_computation_type():
     decls = parse_file("type M = !B\ndef k : M -o M = lfun m:M => m\ndef g : B = f @[M]")
-    bang_b = enc.encode_bang(VVar("B"))
+    bang_b = enc.encode_bang(TyVar(VSORT, "B"))
     assert decls[1].ty == Lolli(bang_b, bang_b)
     assert decls[1].term == LinLam("m", bang_b, Var("m"))
-    assert decls[2].term == TyAppC(Var("f"), bang_b)
+    assert decls[2].term == TyApp(CSORT, Var("f"), bang_b)
 
 
 def test_sugar_without_a_kind_is_a_syntax_error_where_its_kind_is_needed():
@@ -214,6 +212,26 @@ def test_input_nested_past_the_recursion_limit_is_a_syntax_error(parse, src):
         parse(src)
     assert err.value.message == "input nests too deeply"
     assert err.value.span.start[0] == 1
+
+
+@pytest.mark.parametrize("src, col", [
+    ("!" * 41 + "2", 43),
+    ("2" + " + 2" * 41, 166),
+    ("forall X. " * 130 + "X", 1302),
+])
+def test_a_type_past_the_depth_bound_is_a_syntax_error_at_the_token_reached(src, col):
+    # each ! and each + wraps its operand 3 nodes deeper, each forall 1; the
+    # bound is fixed, so the error does not move with Python's frame budget
+    assert MAX_TYPE_DEPTH == 128
+    with pytest.raises(SyntaxErr) as err:
+        parse_type(src)
+    assert err.value.message == "input nests too deeply"
+    assert str(err.value.span) == f"<input>:1:{col}-1:{col}"
+
+
+def test_a_type_at_the_depth_bound_parses_and_prints():
+    ty = parse_type("!" * 40 + "2 -> 2")  # 128 nodes on its longest path
+    assert alpha_eq(parse_type(str(ty)), ty)
 
 
 ROUND_TRIP_CASES = [

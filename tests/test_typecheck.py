@@ -8,21 +8,20 @@ from polyeff import encodings as enc
 from polyeff import finmodel as fm
 from polyeff import typecheck as tc
 from polyeff.kernel import (
+    CSORT,
+    VSORT,
     App,
     Arrow,
-    CVar,
-    ForallC,
-    ForallV,
+    Forall,
     Judgment,
     Kind,
     Lam,
     LinLam,
     Lolli,
-    TyAppC,
-    TyAppV,
-    TyLamC,
+    TyApp,
+    TyLam,
+    TyVar,
     Var,
-    VVar,
     alpha_eq,
     classify_type,
 )
@@ -46,7 +45,7 @@ def reject(gamma=(), delta=None, subject=None, code=None, constants={}):
 
 
 def test_stoup_axiom():
-    check(delta=("x", CVar("A")), subject=Var("x"), expected=CVar("A"))
+    check(delta=("x", TyVar(CSORT, "A")), subject=Var("x"), expected=TyVar(CSORT, "A"))
 
 
 def test_identity_function():
@@ -56,9 +55,9 @@ def test_identity_function():
 def test_monadic_introduction_rule():
     # Fun ^X => fun p:B -> ^X => p t  :  !B,  given t : B
     check(
-        gamma=(("t", VVar("B")),),
+        gamma=(("t", TyVar(VSORT, "B")),),
         subject=parse_term("Fun ^X => fun p:B -> ^X => p t"),
-        expected=enc.encode_bang(VVar("B")),
+        expected=enc.encode_bang(TyVar(VSORT, "B")),
     )
 
 
@@ -66,8 +65,8 @@ def test_stoup_duplication_rejected():
     # the rule set itself is the oracle: no derivation routes one stoup
     # binding into two argument positions
     reject(
-        gamma=(("f", Arrow(CVar("A"), Arrow(CVar("A"), CVar("A")))),),
-        delta=("x", CVar("A")),
+        gamma=(("f", Arrow(TyVar(CSORT, "A"), Arrow(TyVar(CSORT, "A"), TyVar(CSORT, "A")))),),
+        delta=("x", TyVar(CSORT, "A")),
         subject=parse_term("f x x"),
         code=tc.ErrorCode.STOUP_VIOLATION,
     )
@@ -75,8 +74,8 @@ def test_stoup_duplication_rejected():
 
 def test_unused_stoup_rejected():
     reject(
-        gamma=(("t", CVar("A")),),
-        delta=("x", CVar("A")),
+        gamma=(("t", TyVar(CSORT, "A")),),
+        delta=("x", TyVar(CSORT, "A")),
         subject=Var("t"),
         code=tc.ErrorCode.STOUP_VIOLATION,
     )
@@ -84,63 +83,63 @@ def test_unused_stoup_rejected():
 
 def test_linear_application_routes_stoup_to_argument():
     check(
-        gamma=(("h", Lolli(CVar("A"), CVar("B"))),),
-        delta=("x", CVar("A")),
+        gamma=(("h", Lolli(TyVar(CSORT, "A"), TyVar(CSORT, "B"))),),
+        delta=("x", TyVar(CSORT, "A")),
         subject=parse_term("h x"),
-        expected=CVar("B"),
+        expected=TyVar(CSORT, "B"),
     )
 
 
 def test_ordinary_application_keeps_stoup_on_head():
     check(
-        gamma=(("t", VVar("B")),),
-        delta=("x", CVar("A")),
-        subject=App(Lam("y", VVar("B"), Var("x")), Var("t")),
-        expected=CVar("A"),
+        gamma=(("t", TyVar(VSORT, "B")),),
+        delta=("x", TyVar(CSORT, "A")),
+        subject=App(Lam("y", TyVar(VSORT, "B"), Var("x")), Var("t")),
+        expected=TyVar(CSORT, "A"),
     )
 
 
 def test_type_abstraction_over_nonempty_stoup():
     check(
-        delta=("x", CVar("A")),
-        subject=TyLamC("Y", Var("x")),
-        expected=ForallC("Y", CVar("A")),
+        delta=("x", TyVar(CSORT, "A")),
+        subject=TyLam(CSORT, "Y", Var("x")),
+        expected=Forall(CSORT, "Y", TyVar(CSORT, "A")),
     )
 
 
 def test_escaping_type_variable_rejected():
     reject(
-        delta=("x", CVar("X")),
-        subject=TyLamC("X", Var("x")),
+        delta=("x", TyVar(CSORT, "X")),
+        subject=TyLam(CSORT, "X", Var("x")),
         code=tc.ErrorCode.ESCAPING_TYVAR,
     )
 
 
 def test_linear_lambda_needs_empty_stoup():
     reject(
-        delta=("x", CVar("A")),
-        subject=LinLam("y", CVar("A"), Var("y")),
+        delta=("x", TyVar(CSORT, "A")),
+        subject=LinLam("y", TyVar(CSORT, "A"), Var("y")),
         code=tc.ErrorCode.STOUP_VIOLATION,
     )
 
 
 def test_linear_lambda_needs_computation_annotation():
     reject(
-        subject=LinLam("y", VVar("B"), Var("y")),
+        subject=LinLam("y", TyVar(VSORT, "B"), Var("y")),
         code=tc.ErrorCode.NON_COMPUTATION_STOUP,
     )
 
 
 def test_argument_type_mismatch():
     reject(
-        gamma=(("f", Arrow(VVar("B"), VVar("B"))), ("y", VVar("C"))),
+        gamma=(("f", Arrow(TyVar(VSORT, "B"), TyVar(VSORT, "B"))), ("y", TyVar(VSORT, "C"))),
         subject=parse_term("f y"),
         code=tc.ErrorCode.APP_MISMATCH,
     )
 
 
-B_, C_ = VVar("B"), VVar("C")
-cA_, cB_, cC_ = CVar("A"), CVar("B"), CVar("C")
+B_, C_ = TyVar(VSORT, "B"), TyVar(VSORT, "C")
+cA_, cB_, cC_ = TyVar(CSORT, "A"), TyVar(CSORT, "B"), TyVar(CSORT, "C")
 STOUP, APP, KIND = tc.ErrorCode.STOUP_VIOLATION, tc.ErrorCode.APP_MISMATCH, tc.ErrorCode.KIND_MISMATCH
 
 
@@ -157,13 +156,13 @@ STOUP, APP, KIND = tc.ErrorCode.STOUP_VIOLATION, tc.ErrorCode.APP_MISMATCH, tc.E
      APP, "argument type ^C does not match -o domain ^A"),
     ((("h", Lolli(cA_, cB_)),), ("x", cC_), parse_term("h x"),
      APP, "argument type ^C does not match -o domain ^A"),
-    ((("f", ForallV("X", VVar("X"))),), None, TyAppV(Var("f"), cB_),
+    ((("f", Forall(VSORT, "X", TyVar(VSORT, "X"))),), None, TyApp(VSORT, Var("f"), cB_),
      KIND, "value-type application at computation type ^B"),
-    ((("f", ForallV("X", VVar("X"))),), None, TyAppC(Var("f"), B_),
+    ((("f", Forall(VSORT, "X", TyVar(VSORT, "X"))),), None, TyApp(CSORT, Var("f"), B_),
      KIND, "computation-type application at value type B"),
-    ((("f", ForallC("X", CVar("X"))),), None, TyAppV(Var("f"), B_),
+    ((("f", Forall(CSORT, "X", TyVar(CSORT, "X"))),), None, TyApp(VSORT, Var("f"), B_),
      APP, "type application of non-polymorphic type forall ^X. ^X"),
-    ((("f", cA_),), None, TyAppC(Var("f"), cB_),
+    ((("f", cA_),), None, TyApp(CSORT, Var("f"), cB_),
      APP, "type application of non-polymorphic type ^A"),
 ], ids=["arrow-head-given-the-stoup", "linear-head-under-the-stoup", "non-function",
         "non-function-given-the-stoup", "arrow-domain", "lolli-domain",
@@ -237,7 +236,7 @@ def test_unicity_identity():
 
 def test_unicity_monadic_elaboration():
     term = parse_term("Fun ^X => fun p:B -> ^X => p t")
-    types = tc.derive_all_types((("t", VVar("B")),), None, term)
+    types = tc.derive_all_types((("t", TyVar(VSORT, "B")),), None, term)
     assert len(types) == 1
     assert alpha_eq(next(iter(types)), parse_type("forall ^X. (B -> ^X) -> ^X"))
 
@@ -262,7 +261,7 @@ def test_substitution_variable_case():
 
 def test_substitution_stoup_case():
     sample = tc.SubstSample(
-        2, (), ("z", CVar("A")), "x", CVar("A"), Var("x"), Var("z")
+        2, (), ("z", TyVar(CSORT, "A")), "x", TyVar(CSORT, "A"), Var("x"), Var("z")
     )
     rep = tc.check_substitution_lemma([sample])
     assert rep.ok, rep.failures
@@ -282,6 +281,6 @@ def test_weakening_preserves_types():
     for _ in range(30):
         j = gen.random_judgment()
         for pos in (0, len(j.gamma)):
-            gamma = j.gamma[:pos] + (("unused_w", VVar("W")),) + j.gamma[pos:]
+            gamma = j.gamma[:pos] + (("unused_w", TyVar(VSORT, "W")),) + j.gamma[pos:]
             ty = tc.typecheck(Judgment(gamma, j.delta, j.subject))
             assert alpha_eq(ty, j.ascription)

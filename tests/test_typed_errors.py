@@ -11,7 +11,7 @@ from polyeff import finmodel as fm
 from polyeff import interp as ip
 from polyeff import randterms as rt
 from polyeff import typecheck as tc
-from polyeff.kernel import CSORT, TYAPP, TYLAM, VSORT, CVar, TyAppC, TyAppV, TyLamC, TyLamV, Var, VVar
+from polyeff.kernel import CSORT, VSORT, TyApp, TyLam, TyVar, Var
 
 EXC = fm.MonadSpec("exception", ("e",))
 IDM = fm.MonadSpec("identity")
@@ -45,19 +45,19 @@ def test_projection_must_not_depend_on_the_isomorphism():
     # transport the family to different elements
     model = ip.Model(EXC, 2, range(3))
     comps = tuple(fm.FinSet(alg.carrier.size) for alg in model.algebras)
-    poly = ip.PolySem(1, True, comps, ((0,) * len(comps),))
+    poly = ip.PolySem(1, CSORT, comps, ((0,) * len(comps),))
     target = fm.Alg(EXC, fm.FinSet(3), ((0,),))
     assert model.alg_index(target) is None
     with pytest.raises(ip.InterpError, match="depends on the isomorphism"):
-        model.project_poly(poly, 0, target, "X", CVar("X"), ip.TypeEnv())
+        model.project_poly(poly, 0, target, "X", TyVar(CSORT, "X"), ip.TypeEnv())
 
 
 def test_a_family_over_algebras_is_projected_only_at_an_algebra():
     model = ip.Model(IDM, 2)
     comps = tuple(fm.FinSet(alg.carrier.size) for alg in model.algebras)
-    poly = ip.PolySem(1, True, comps, ((0,) * len(comps),))
+    poly = ip.PolySem(1, CSORT, comps, ((0,) * len(comps),))
     with pytest.raises(ip.InterpError, match="not an algebra"):
-        model.project_poly(poly, 0, fm.FinSet(2), "X", CVar("X"), ip.TypeEnv())
+        model.project_poly(poly, 0, fm.FinSet(2), "X", TyVar(CSORT, "X"), ip.TypeEnv())
 
 
 def test_the_two_booleans_must_be_distinct():
@@ -70,7 +70,7 @@ def test_stoup_judgment_must_produce_a_computation_type():
     # synth does not validate the stoup itself, so a value-type stoup
     # reaches the conclusion check
     with pytest.raises(tc.TypingError, match="stoup judgment produced value type"):
-        tc.synth((), ("x", VVar("X")), Var("x"))
+        tc.synth((), ("x", TyVar(VSORT, "X")), Var("x"))
 
 
 class FlippedRedexGenerator(rt.TermGenerator):
@@ -79,9 +79,9 @@ class FlippedRedexGenerator(rt.TermGenerator):
 
     def _wrap(self, gamma, delta, t):
         t = super()._wrap(gamma, delta, t)
-        if isinstance(t, (TyAppV, TyAppC)) and isinstance(t.fn, (TyLamV, TyLamC)):
+        if isinstance(t, TyApp) and isinstance(t.fn, TyLam):
             sort = VSORT if t.sort == CSORT else CSORT
-            t = TYAPP[sort](TYLAM[sort](t.fn.binder, t.fn.body), t.arg)
+            t = TyApp(sort, TyLam(sort, t.fn.binder, t.fn.body), t.arg)
         return t
 
 
