@@ -1,8 +1,8 @@
 """Finite semantic substrate: sets, monads, algebras and relations.
 
 Three monads are supported.  Each has a *signature* of named operations
-with their arities, and an algebra is a finite carrier with one table per
-operation of the signature:
+with their arities, and an algebra is the size of a finite carrier with
+one table per operation of the signature:
 
 * ``identity``   — no operations, so algebras are bare sets and every map
   is a homomorphism;
@@ -18,6 +18,10 @@ exception monad the first |A| elements of T A are the values and the last
 |E| the raised exceptions; for the powerset monad element ``i`` of T A is
 the subset with bitmask ``i + 1``.
 
+A set is its size: the monad's maps (``apply`` gives |T A|), the free
+algebra, the set relation listing and the monad-law sweep take a set A
+as |A|, and a ``FinSet`` is built only where a set is an object, one a
+model registers (``enumerate_sets``) or a type environment binds.
 Sets, monads and algebras are hash-consed with ``kernel.hash_consed``,
 like types: equal ones are one object, so caches key on them by identity.
 
@@ -89,34 +93,33 @@ class MonadSpec(Interned):
     def n_exc(self) -> int:
         return len(self.exceptions)
 
-    def apply(self, a: FinSet) -> FinSet:
-        if self.key != "powerset":
-            return FinSet(a.size + self.n_exc)
-        return FinSet((1 << a.size) - 1)
+    def apply(self, a: int) -> int:
+        """|T A| for a set A of ``a`` elements."""
+        return a + self.n_exc if self.key != "powerset" else (1 << a) - 1
 
-    def unit(self, a: FinSet) -> tuple[int, ...]:
+    def unit(self, a: int) -> tuple[int, ...]:
         if self.key != "powerset":
-            return tuple(range(a.size))
-        return tuple((1 << i) - 1 for i in range(a.size))
+            return tuple(range(a))
+        return tuple((1 << i) - 1 for i in range(a))
 
-    def extend(self, f: Sequence[int], a: FinSet, b: FinSet) -> tuple[int, ...]:
+    def extend(self, f: Sequence[int], a: int, b: int) -> tuple[int, ...]:
         """Lift ``f : A -> T B`` to ``f+ : T A -> T B``: ``extend_columns``' one-table case."""
-        tb = self.apply(b).size
-        return next(_rows(self.extend_columns(_columns([f], a.size, tb), 1, a, b), 1, tb))
+        tb = self.apply(b)
+        return next(_rows(self.extend_columns(_columns([f], a, tb), 1, a, b), 1, tb))
 
-    def extend_columns(self, cols: Sequence[bytes], n: int, a: FinSet, b: FinSet) -> list[bytes]:
+    def extend_columns(self, cols: Sequence[bytes], n: int, a: int, b: int) -> list[bytes]:
         """Lift ``n`` tables ``f : A -> T B`` at once, packed as columns:
         ``cols[x]`` holds ``f(x)`` for each table, and column ``s`` of the
         result holds ``f+(s)``."""
-        tb = self.apply(b).size
+        tb = self.apply(b)
         w = _width(tb)
-        if len(cols) != a.size or any(len(col) != n * w for col in cols):
+        if len(cols) != a or any(len(col) != n * w for col in cols):
             raise ModelError("table does not cover the domain")
         if any(max(_lanes(col, w), default=0) >= tb if w > 1 else col.translate(None, bytes(range(tb)))
                for col in cols):
             raise ModelError(f"table leaves T B, which has {tb} elements")
         if self.key != "powerset":
-            return list(cols) + [(b.size + e).to_bytes(w, "little") * n for e in range(self.n_exc)]
+            return list(cols) + [(b + e).to_bytes(w, "little") * n for e in range(self.n_exc)]
         # subset masks of A, doubled one element at a time: the image of
         # s + {i} is the image of s joined with f(i); a mask fits its lane
         one = int.from_bytes((1).to_bytes(w, "little") * n, "little")
@@ -126,10 +129,10 @@ class MonadSpec(Interned):
             masks += [col] + [y | col for y in masks]
         return [(y - one).to_bytes(n * w, "little") for y in masks]
 
-    def tmap(self, f: Sequence[int], a: FinSet, b: FinSet) -> tuple[int, ...]:
+    def tmap(self, f: Sequence[int], a: int, b: int) -> tuple[int, ...]:
         """Functor action: T f = (unit . f)+."""
         eta = self.unit(b)
-        return self.extend([eta[f[i]] for i in range(a.size)], a, b)
+        return self.extend([eta[f[i]] for i in range(a)], a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -138,15 +141,17 @@ class MonadSpec(Interned):
 
 @hash_consed
 class Alg(Interned):
-    """An algebra for ``monad``: ``ops[k]`` is the table of the k-th
-    operation of its signature, indexed by ``arg_code`` of the arguments."""
+    """An algebra for ``monad`` on a carrier of ``size`` elements: ``ops[k]`` is the
+    table of the k-th operation of its signature, indexed by ``arg_code`` of the arguments."""
 
     monad: MonadSpec
-    carrier: FinSet
+    size: int
     ops: tuple[tuple[int, ...], ...] = ()
 
     def __post_init__(self):
-        n = self.carrier.size
+        n = self.size
+        if n < 0:
+            raise ModelError("negative carrier size")
         if len(self.ops) != len(self.monad.arities):
             raise ModelError("one table per operation of the signature required")
         for (name, arity), table in zip(self.monad.operations, self.ops):
@@ -155,14 +160,9 @@ class Alg(Interned):
             if any(not 0 <= v < n for v in table):
                 raise ModelError(f"the table of {name} leaves the carrier")
 
-    @property
-    def size(self) -> int:
-        """The carrier's size: every object of a model, set or algebra, answers ``.size``."""
-        return self.carrier.size
-
     def op(self, k: int, args: Sequence[int]) -> int:
         """Operation k applied to ``args``."""
-        return self.ops[k][arg_code(args, self.carrier.size)]
+        return self.ops[k][arg_code(args, self.size)]
 
 
 def arg_code(args: Iterable[int], n: int) -> int:
@@ -189,7 +189,7 @@ def semilattice_laws_hold(table: Sequence[Sequence[int]]) -> bool:
 
 def em_map_of(alg: Alg) -> tuple[int, ...]:
     """Derive the structure map T(carrier) -> carrier from the operation tables."""
-    m, n = alg.monad, alg.carrier.size
+    m, n = alg.monad, alg.size
     if m.key != "powerset":  # T(carrier) is the carrier, then one element per constant
         return tuple(range(n)) + tuple(table[0] for table in alg.ops)
     out = []
@@ -213,7 +213,6 @@ def enumerate_algebras(m: MonadSpec, bound: int, cap: int) -> list[Alg]:
     a carrier with more than ``cap`` candidate tables raises ``OutOfBoundError``."""
     out: list[Alg] = []
     for n in range(bound + 1):
-        carrier = FinSet(n)
         # one distinguished point per exception, none on an empty carrier; or
         # powerset's symmetric idempotent tables, filtered by associativity
         cells = [(x, y) for x in range(n) for y in range(x + 1, n)] if m.key == "powerset" else range(m.n_exc)
@@ -222,24 +221,23 @@ def enumerate_algebras(m: MonadSpec, bound: int, cap: int) -> list[Alg]:
             raise OutOfBoundError(f"algebras on a {n}-element carrier: {count} candidate tables, more than {cap}")
         if m.key != "powerset":
             for pts in product(range(n), repeat=m.n_exc):
-                out.append(Alg(m, carrier, tuple((p,) for p in pts)))
+                out.append(Alg(m, n, tuple((p,) for p in pts)))
             continue
         for choice in product(range(n), repeat=len(cells)):
             table = [[x if x == y else -1 for y in range(n)] for x in range(n)]
             for (x, y), v in zip(cells, choice):
                 table[x][y] = table[y][x] = v
             if semilattice_laws_hold(table):
-                out.append(Alg(m, carrier, (tuple(v for row in table for v in row),)))
+                out.append(Alg(m, n, (tuple(v for row in table for v in row),)))
     return out
 
 
-def free_algebra(m: MonadSpec, a: FinSet) -> tuple[Alg, tuple[int, ...]]:
-    """The algebra on T A together with the unit table A -> T A."""
+def free_algebra(m: MonadSpec, a: int) -> tuple[Alg, tuple[int, ...]]:
+    """The algebra on T A together with the unit table A -> T A, where |A| = ``a``."""
     ta = m.apply(a)
     if m.key != "powerset":
-        return Alg(m, ta, tuple((a.size + e,) for e in range(m.n_exc))), m.unit(a)
-    n = ta.size
-    table = tuple((((x + 1) | (y + 1)) - 1) for x in range(n) for y in range(n))
+        return Alg(m, ta, tuple((a + e,) for e in range(m.n_exc))), m.unit(a)
+    table = tuple((((x + 1) | (y + 1)) - 1) for x in range(ta) for y in range(ta))
     return Alg(m, ta, (table,)), m.unit(a)
 
 
@@ -250,7 +248,7 @@ def _is_map(table: Sequence[int], dom_size: int, cod_size: int) -> bool:
 
 def is_homomorphism(table: Sequence[int], dom: Alg, cod: Alg) -> bool:
     """Does the total map preserve every structure operation?"""
-    n, m = dom.carrier.size, cod.carrier.size
+    n, m = dom.size, cod.size
     if not _is_map(table, n, m):
         return False
     for arity, f, g in zip(dom.monad.arities, dom.ops, cod.ops):
@@ -275,9 +273,9 @@ def enumerate_homs(dom: Alg, cod: Alg, cap: int) -> list[tuple[int, ...]]:
     for arity, f, g in zip(dom.monad.arities, dom.ops, cod.ops):
         if arity == 0 and forced.setdefault(f[0], g[0]) != g[0]:
             return []
-    table = [forced.get(i, 0) for i in range(dom.carrier.size)]
+    table = [forced.get(i, 0) for i in range(dom.size)]
     free = [i for i in range(len(table)) if i not in forced]
-    m = cod.carrier.size
+    m = cod.size
     if m ** len(free) > cap:
         raise OutOfBoundError(f"hom space too large: {m}^{len(free)}")
     test = any(dom.monad.arities)
@@ -359,18 +357,18 @@ def product_alg(a: Alg, b: Alg) -> Alg:
     """Componentwise structure on the product carrier; index = x*|B| + y."""
     if a.monad != b.monad:
         raise ModelError("algebras over different monads")
-    na, nb = a.carrier.size, b.carrier.size
+    na, nb = a.size, b.size
     ops = tuple(
         tuple(f[arg_code([x // nb for x in args], na)] * nb + g[arg_code([x % nb for x in args], nb)]
               for args in product(range(na * nb), repeat=arity))
         for arity, f, g in zip(a.monad.arities, a.ops, b.ops)
     )
-    return Alg(a.monad, FinSet(na * nb), ops)
+    return Alg(a.monad, na * nb, ops)
 
 
 def admissible(rows: Sequence[int], a: Alg, b: Alg) -> bool:
     """Does the relation carry a subalgebra of the product ``a x b``?"""
-    na, nb = a.carrier.size, b.carrier.size
+    na, nb = a.size, b.size
     for arity, f, g in zip(a.monad.arities, a.ops, b.ops):
         if arity == 0:
             if not rows[f[0]] >> g[0] & 1:
@@ -383,7 +381,7 @@ def admissible(rows: Sequence[int], a: Alg, b: Alg) -> bool:
 
 def admissible_closure(rows: Sequence[int], a: Alg, b: Alg) -> tuple[int, ...]:
     """Smallest relation containing ``rows`` closed under the product structure."""
-    na, nb = a.carrier.size, b.carrier.size
+    na, nb = a.size, b.size
     out = list(rows)
     ops = list(zip(a.monad.arities, a.ops, b.ops))
     for arity, f, g in ops:
@@ -417,14 +415,14 @@ def _all_rels(m: int, n: int) -> Iterator[tuple[int, ...]]:
     return (tuple(mask >> (x * n) & full for x in range(m)) for mask in range(1 << cells))
 
 
-def enumerate_set_rels(a: FinSet, b: FinSet) -> list[tuple[int, ...]]:
-    """Every relation between two sets, as rows, in a stable order."""
-    return list(_all_rels(a.size, b.size))
+def enumerate_set_rels(m: int, n: int) -> list[tuple[int, ...]]:
+    """Every relation between sets of ``m`` and ``n`` elements, as rows, in a stable order."""
+    return list(_all_rels(m, n))
 
 
 def enumerate_alg_rels(a: Alg, b: Alg) -> list[tuple[int, ...]]:
     """Relations that carry a subalgebra of the product, as rows."""
-    return [r for r in _all_rels(a.carrier.size, b.carrier.size) if admissible(r, a, b)]
+    return [r for r in _all_rels(a.size, b.size) if admissible(r, a, b)]
 
 
 # ---------------------------------------------------------------------------
@@ -474,45 +472,42 @@ def check_monad_laws(m: MonadSpec, max_size: int) -> LawReport:
     its failures in (A, B, C) order.
     """
     rep = LawReport()
-    sets = [FinSet(n) for n in range(max_size + 1)]
+    sizes = range(max_size + 1)
 
-    for a in sets:
-        ta = m.apply(a)
-        if tuple(m.extend(m.unit(a), a, a)) != tuple(range(ta.size)):
-            rep.fail(f"extend(unit) != id at |A|={a.size}")
+    for a in sizes:
+        if tuple(m.extend(m.unit(a), a, a)) != tuple(range(m.apply(a))):
+            rep.fail(f"extend(unit) != id at |A|={a}")
         rep.checked += 1
         if not _unit_image_generates(m, a):
-            rep.fail(f"unit image does not generate T A at |A|={a.size}")
+            rep.fail(f"unit image does not generate T A at |A|={a}")
         rep.checked += 1
 
-    exts = {(a.size, b.size): _sweep_space(m, a, b, rep) for a, b in product(sets, repeat=2)
-            if m.apply(b).size or not a.size}
+    exts = {(a, b): _sweep_space(m, a, b, rep) for a, b in product(sizes, repeat=2) if m.apply(b) or not a}
     failed = set()  # (|A|, |B|, |C|) where associativity fails, reported in that order
-    for a, b, c in product(sets, repeat=3):
-        tb = m.apply(b).size
-        if (None in (exts.get((a.size, b.size)), exts.get((b.size, c.size)))
-                or tb ** a.size * m.apply(c).size ** b.size > DIRECT_PAIR_CAP):
+    for a, b, c in product(sizes, repeat=3):
+        tb = m.apply(b)
+        if None in (exts.get((a, b)), exts.get((b, c))) or tb ** a * m.apply(c) ** b > DIRECT_PAIR_CAP:
             continue  # a space with no table, or covered by the decomposition above
-        w, (nf, fcols, fexts), (ng, _, gexts) = _width(tb), exts[a.size, b.size], exts[b.size, c.size]
+        w, (nf, fcols, fexts), (ng, _, gexts) = _width(tb), exts[a, b], exts[b, c]
         # (g+ . f)+ against g+ . f+, for every f and g at once, f-major
         lhs, rhs = ([b"".join(map(gexts.__getitem__, _lanes(col, w))) for col in part] for part in (fcols, fexts))
         if m.extend_columns(lhs, nf * ng, a, c) != rhs:
-            failed.add((a.size, b.size, c.size))
+            failed.add((a, b, c))
         rep.checked += nf * ng
     for a, b, c in sorted(failed):
         rep.fail(f"associativity fails at |A|={a},|B|={b},|C|={c}")
     return rep
 
 
-def _sweep_space(m: MonadSpec, a: FinSet, b: FinSet, rep: LawReport):
+def _sweep_space(m: MonadSpec, a: int, b: int, rep: LawReport):
     """Check the unit and homomorphism laws of every table A -> T B into ``rep``; within
     ``DIRECT_PAIR_CAP``, return ``(n, columns, extension columns)`` of the ``n`` tables
     whose extension is a map."""
-    tb = m.apply(b).size
+    tb = m.apply(b)
     (fa, eta_a), (fb, _) = free_algebra(m, a), free_algebra(m, b)
     splits = _union_splits(a) if m.key == "powerset" else None
-    kept = [] if tb ** a.size <= DIRECT_PAIR_CAP else None  # (n, columns, extension columns) per block
-    for block, n in _blocks(a.size, tb):
+    kept = [] if tb ** a <= DIRECT_PAIR_CAP else None  # (n, columns, extension columns) per block
+    for block, n in _blocks(a, tb):
         cols = m.extend_columns(block, n, a, b)
         if _block_holds(cols, block, n, eta_a, fa, fb, splits):
             rep.checked += n
@@ -522,20 +517,20 @@ def _sweep_space(m: MonadSpec, a: FinSet, b: FinSet, rep: LawReport):
         maps = []
         for f, fext in zip(_rows(block, n, tb), _rows(cols, n, tb), strict=True):
             rep.checked += 1
-            if not _is_map(fext, fa.carrier.size, tb):
-                rep.fail(f"extend(f) not a map at |A|={a.size},|B|={b.size}")
+            if not _is_map(fext, fa.size, tb):
+                rep.fail(f"extend(f) not a map at |A|={a},|B|={b}")
                 continue
             maps.append((f, fext))
-            for i in range(a.size):
+            for i in range(a):
                 if fext[eta_a[i]] != f[i]:
-                    rep.fail(f"extend(f).unit != f at |A|={a.size},|B|={b.size}")
+                    rep.fail(f"extend(f).unit != f at |A|={a},|B|={b}")
                     break
             if not (is_homomorphism(fext, fa, fb) if splits is None
                     else _joins_splits(fext, splits, fb)):
-                rep.fail(f"extension not a homomorphism at |A|={a.size},|B|={b.size}")
+                rep.fail(f"extension not a homomorphism at |A|={a},|B|={b}")
         if kept is not None:
-            kept.append((len(maps), _columns([f for f, _ in maps], a.size, tb),
-                         _columns([e for _, e in maps], fa.carrier.size, tb)))
+            kept.append((len(maps), _columns([f for f, _ in maps], a, tb),
+                         _columns([e for _, e in maps], fa.size, tb)))
     if kept is not None:
         ns, *parts = zip(*kept)
         return sum(ns), *([b"".join(c) for c in zip(*part)] for part in parts)
@@ -546,8 +541,8 @@ def _block_holds(cols, block, n, eta, fa: Alg, fb: Alg, splits) -> bool:
     """Does each of the ``n`` tables packed in ``block`` pass every check of ``_sweep_space``,
     given the columns ``cols`` of their extensions?  Only one-byte lanes are
     tested, and union splits only while T B has at most 16 elements."""
-    tb = fb.carrier.size
-    if tb > (16 if splits else 255) or len(cols) != fa.carrier.size or any(
+    tb = fb.size
+    if tb > (16 if splits else 255) or len(cols) != fa.size or any(
             len(col) != n or col.translate(None, bytes(range(tb))) for col in cols):
         return False
     if any(cols[eta[i]] != col for i, col in enumerate(block)):
@@ -591,7 +586,7 @@ def _rows(cols: Sequence[bytes], n: int, size: int):
     return zip(*(_lanes(col, _width(size)) for col in cols)) if cols else repeat((), n)
 
 
-def _unit_image_generates(m: MonadSpec, a: FinSet) -> bool:
+def _unit_image_generates(m: MonadSpec, a: int) -> bool:
     """T A must be generated by the unit image under the free structure ops."""
     fa, eta = free_algebra(m, a)
     reached, size = set(eta), -1
@@ -599,10 +594,10 @@ def _unit_image_generates(m: MonadSpec, a: FinSet) -> bool:
         size = len(reached)
         reached |= {fa.op(k, args) for k, arity in enumerate(m.arities)
                     for args in product(list(reached), repeat=arity)}
-    return reached == set(range(fa.carrier.size))
+    return reached == set(range(fa.size))
 
 
-def _union_splits(a: FinSet) -> list[tuple[int, int, int]]:
+def _union_splits(a: int) -> list[tuple[int, int, int]]:
     """``(s, r, i)`` for every subset ``s`` in T A (powerset) with two or more
     elements: ``r`` is ``s`` without its lowest element and ``i`` that element's
     singleton.
@@ -613,7 +608,7 @@ def _union_splits(a: FinSet) -> list[tuple[int, int, int]]:
     lookup per element of T A instead of one per pair.
     """
     out = []
-    for mask in range(1, 1 << a.size):
+    for mask in range(1, 1 << a):
         low = mask & -mask
         if mask != low:
             out.append((mask - 1, mask - low - 1, low - 1))
@@ -622,7 +617,7 @@ def _union_splits(a: FinSet) -> list[tuple[int, int, int]]:
 
 def _joins_splits(table: Sequence[int], splits, cod: Alg) -> bool:
     """Does the map ``table`` send each split ``s`` to the join in ``cod`` of its parts' images?"""
-    join, n = cod.ops[0], cod.carrier.size
+    join, n = cod.ops[0], cod.size
     for s, r, i in splits:
         if table[s] != join[table[r] * n + table[i]]:
             return False

@@ -1,14 +1,15 @@
 """Denotational and relational interpretation over a finite model.
 
 Every type denotes a finite enumerated domain: a ``SemSet``, or for a
-type variable the ``FinSet`` or ``Alg`` its environment binds it to (each
-answers ``.size``); a semantic value is an index into its domain, so
-extensional equality is integer equality.  Function domains index tables
-mixed-radix, ``-o`` domains index ``Model._hom_tables`` (one listing per
-algebra pair, at most ``ITER_CAP`` candidates), and polymorphic domains
-index the list of *parametric families*: tuples with one component per
-registered object that preserve every admissible relation between every
-pair of objects.
+type variable the ``FinSet`` or ``Alg`` (a size and operation tables) its
+environment binds it to; each answers ``.size``.  A value is an index into
+its domain, so extensional equality is integer equality, and a type
+application projects at a set's size or at an algebra.  Function domains
+index tables mixed-radix, ``-o`` domains index ``Model._hom_tables`` (one
+listing per algebra pair, at most ``ITER_CAP`` candidates), and polymorphic
+domains index the list of *parametric families*: tuples with one component
+per registered object that preserve every admissible relation between
+every pair of objects.
 
 Quantifiers range over the model's registered objects only: all sets
 and all algebra structures up to the bound, plus the free algebras on
@@ -659,7 +660,7 @@ class Model:
         self.algebras = fm.enumerate_algebras(monad, bound, ITER_CAP)
         self._free: dict[int, tuple[int, tuple[int, ...]]] = {}  # |A| -> (index of T A, unit table)
         for size in free_sizes:
-            alg, eta = fm.free_algebra(monad, fm.FinSet(size))
+            alg, eta = fm.free_algebra(monad, size)
             idx = self.alg_index(alg)
             if idx is None:
                 self.algebras.append(alg)
@@ -711,7 +712,7 @@ class Model:
                 n = self.objects(sort)[i].size
                 rels = [fm.converse(r, n) for r in back]
             elif sort == VSORT:
-                rels = fm.enumerate_set_rels(self.sets[i], self.sets[j])
+                rels = fm.enumerate_set_rels(self.sets[i].size, self.sets[j].size)
             else:
                 rels = fm.enumerate_alg_rels(self.algebras[i], self.algebras[j])
             self._pair_rels[key] = sorted(rels, key=lambda r: (len(pairs := fm.rel_pairs(r)), pairs))
@@ -786,7 +787,7 @@ class Model:
                 raise OutOfBoundError(f"structure table of {ty} too large: operation {name} of arity {arity}"
                                       f" needs {_count(n)}^{arity} entries, more than {STRUCTURE_CAP}")
             ops.append(tuple(self._pointwise(env, ty, k, args) for args in product(range(n), repeat=arity)))
-        return fm.Alg(m, fm.FinSet(n), tuple(ops))
+        return fm.Alg(m, n, tuple(ops))
 
     def _pointwise(self, env: TypeEnv, ty: TypeExpr, k: int, args: Sequence[int]) -> int:
         """Operation ``k`` at each ``^X`` leaf of a computation type,
@@ -1119,29 +1120,29 @@ class Model:
     def _algebra_isos(self, source: fm.Alg, target: fm.Alg) -> Iterator[tuple[int, ...]]:
         """Every bijective homomorphism source -> target, in lexicographic order."""
         # a bijective homomorphism between algebras of one signature is an isomorphism
-        if target.carrier.size == source.carrier.size:
+        if target.size == source.size:
             yield from (h for h in self._hom_tables(source, target) if len(set(h)) == len(h))
 
     def project_poly(
         self,
         poly: PolySem,
         fam_idx: int,
-        target,
+        target: int | fm.Alg,
         binder: str,
         body: TypeExpr,
         env: TypeEnv,
     ) -> int:
-        """Component of a polymorphic value at an arbitrary object.
+        """Component of a polymorphic value at an arbitrary object: ``target``
+        is the size of a set, or an algebra.
 
         Stored components are looked up directly; other objects go through
         transport along an isomorphism to a registered representative, and
         the result is checked to be independent of the isomorphism chosen.
         """
         if poly.sort == VSORT:
-            size = target.size if isinstance(target, fm.FinSet) else target
-            if size >= len(self.sets):
-                raise OutOfBoundError(f"no registered set of size {_count(size)}")
-            return poly.fams[fam_idx][size]
+            if target >= len(self.sets):
+                raise OutOfBoundError(f"no registered set of size {_count(target)}")
+            return poly.fams[fam_idx][target]
         if not isinstance(target, fm.Alg):
             raise InterpError(f"a family over algebras projected at {target!r}, not an algebra")
         idx = self.alg_index(target)
@@ -1149,7 +1150,7 @@ class Model:
             return poly.fams[fam_idx][idx]
         results = []
         for k, cand in enumerate(self.algebras):
-            if cand.carrier.size != target.carrier.size:
+            if cand.size != target.size:
                 continue
             for iso in self._algebra_isos(cand, target):
                 mover = self.transport(
@@ -1163,7 +1164,7 @@ class Model:
                 break
         if not results:
             raise OutOfBoundError(
-                f"no registered algebra isomorphic to carrier size {target.carrier.size}"
+                f"no registered algebra isomorphic to carrier size {target.size}"
             )
         if any(r != results[0] for r in results):
             raise InterpError(f"projection at {body} depends on the isomorphism: {results}")
@@ -1264,7 +1265,7 @@ class Model:
         poly = self.interp_vtype(env, encodings.encode_bang(TyVar(VSORT, "X")))
         comp = poly.comps[fa_idx]
         eta_elt = comp.dom.encode(list(eta))  # type: ignore[attr-defined]
-        ta_size = fa.carrier.size
+        ta_size = fa.size
         to_t = tuple(comp.apply(poly.fams[f][fa_idx], eta_elt) for f in range(poly.size))
         if sorted(to_t) != list(range(ta_size)):
             raise InterpError(

@@ -258,9 +258,9 @@ def verify_free_algebra(model: ip.Model) -> VerificationReport:
         _, fa, eta = model.free_algebra(a)
         to_t, from_t = model.bang_bridge(a)
         for k, b in enumerate(model.algebras):
-            if b.carrier.size > 3:
+            if b.size > 3:
                 continue
-            for f in itertools.product(range(b.carrier.size), repeat=a):
+            for f in itertools.product(range(b.size), repeat=a):
                 homs = _mediating_homs(model, fa, eta, f, b)
                 checked += 1
                 if len(homs) != 1:
@@ -273,7 +273,7 @@ def verify_free_algebra(model: ip.Model) -> VerificationReport:
                 hsem, hval = mediator(tyenv, {"f": fval})
                 table = hsem.table(hval)
                 concrete = homs[0]
-                if any(table[from_t[z]] != concrete[z] for z in range(fa.carrier.size)):
+                if any(table[from_t[z]] != concrete[z] for z in range(fa.size)):
                     failures.append({"a": a, "algebra": k, "f": list(f), "detail": "term mediator differs"})
     return _model_report("free-algebra", model, t0, failures, counts={"instances": checked})
 
@@ -281,10 +281,10 @@ def verify_free_algebra(model: ip.Model) -> VerificationReport:
 def _fake_free_algebra(monad: fm.MonadSpec) -> tuple[fm.Alg, tuple[int, ...]]:
     """A non-free algebra standing in for T 2, with its would-be unit."""
     if monad.key == "identity":
-        return fm.Alg(monad, fm.FinSet(1)), (0, 0)
+        return fm.Alg(monad, 1), (0, 0)
     if monad.key == "exception":
-        return fm.Alg(monad, fm.FinSet(2), ((0,),) * monad.n_exc), (0, 1)
-    return fm.Alg(monad, fm.FinSet(2), ((0, 1, 1, 1),)), (0, 1)
+        return fm.Alg(monad, 2, ((0,),) * monad.n_exc), (0, 1)
+    return fm.Alg(monad, 2, ((0, 1, 1, 1),)), (0, 1)
 
 
 def free_algebra_negative_control(model: ip.Model) -> VerificationReport:
@@ -292,12 +292,12 @@ def free_algebra_negative_control(model: ip.Model) -> VerificationReport:
     t0 = time.perf_counter()
     fake, eta = _fake_free_algebra(model.monad)
     for k, b in enumerate(model.algebras):
-        if b.carrier.size > 3:
+        if b.size > 3:
             continue
-        for f in itertools.product(range(b.carrier.size), repeat=len(eta)):
+        for f in itertools.product(range(b.size), repeat=len(eta)):
             homs = _mediating_homs(model, fake, eta, f, b)
             if len(homs) != 1:
-                witness = {"fake-carrier": fake.carrier.size, "algebra": k, "f": list(f),
+                witness = {"fake-carrier": fake.size, "algebra": k, "f": list(f),
                            "mediators": len(homs)}
                 return _model_report("free-algebra-negative-control", model, t0, [witness])
     # no violation: a control that cannot fail here is out of bound, one
@@ -329,7 +329,7 @@ def verify_bang_cardinality(model: ip.Model, sizes: Sequence[int] = (0, 1, 2)) -
         model.free_algebra(a)  # the count matches |T A| only with T A registered
         # [[!X]] at the name bang_bridge reads, so the two share one family search
         poly = model.interp_vtype(ip.TypeEnv().set(VSORT, "X", fm.FinSet(a)), enc.encode_bang(TyVar(VSORT, "X")))
-        ta = model.monad.apply(fm.FinSet(a)).size
+        ta = model.monad.apply(a)
         counts[f"|A|={a}"] = poly.size
         if poly.size != ta:
             failures.append({"a": a, "families": poly.size, "TA": ta})
@@ -349,7 +349,7 @@ def lifted_rel(model: ip.Model, r: tuple[int, ...], a: int, b: int) -> tuple[int
     """The lifting of R along eta-pairs: smallest admissible relation on T A x T B."""
     _, fa, eta_a = model.free_algebra(a)
     _, fb, eta_b = model.free_algebra(b)
-    base = fm.rows_of(((eta_a[x], eta_b[y]) for x, y in fm.rel_pairs(r)), fa.carrier.size)
+    base = fm.rows_of(((eta_a[x], eta_b[y]) for x, y in fm.rel_pairs(r)), fa.size)
     return fm.admissible_closure(base, fa, fb)
 
 
@@ -363,9 +363,9 @@ def verify_rel_lifting(model: ip.Model) -> VerificationReport:
     failures = []
     checked = 0
     bang_x = enc.encode_bang(TyVar(VSORT, "X"))
-    bounded = [i for i, alg in enumerate(model.algebras) if alg.carrier.size <= model.bound]
+    bounded = [i for i, alg in enumerate(model.algebras) if alg.size <= model.bound]
     # each Q between bounded algebras, with the complement of its bits x*|C_j| + y
-    outside = {(i, j): [(q, ~reduce(or_, (row << x * model.algebras[j].carrier.size for x, row in enumerate(q)), 0))
+    outside = {(i, j): [(q, ~reduce(or_, (row << x * model.algebras[j].size for x, row in enumerate(q)), 0))
                         for q in model.rels_for_pair(CSORT, i, j)] for i in bounded for j in bounded}
     for a in CHECKED_SIZES:
         for b in CHECKED_SIZES:
@@ -382,16 +382,15 @@ def verify_rel_lifting(model: ip.Model) -> VerificationReport:
                 )
                 view = model.interp_rel(rho, bang_x)
                 via_interp = fm.rows_of(
-                    ((to_a[p], to_b[q]) for p, q in view.pairs()), fa.carrier.size
+                    ((to_a[p], to_b[q]) for p, q in view.pairs()), fa.size
                 )
                 # image of the functor applied to the span
                 rl = fm.rel_pairs(r)
-                rset = fm.FinSet(len(rl))
                 p1 = [x for x, _ in rl]
                 p2 = [y for _, y in rl]
-                tp1 = model.monad.tmap(p1, rset, fm.FinSet(a))
-                tp2 = model.monad.tmap(p2, rset, fm.FinSet(b))
-                via_image = fm.admissible_closure(fm.rows_of(zip(tp1, tp2), fa.carrier.size), fa, fb)
+                tp1 = model.monad.tmap(p1, len(rl), a)
+                tp2 = model.monad.tmap(p2, len(rl), b)
+                via_image = fm.admissible_closure(fm.rows_of(zip(tp1, tp2), fa.size), fa, fb)
                 if not (via_closure == via_interp == via_image):
                     failures.append({
                         "a": a, "b": b, "R": rl,
@@ -406,7 +405,7 @@ def verify_rel_lifting(model: ip.Model) -> VerificationReport:
                 eta_r = [(eta_a[x], eta_b[y]) for x, y in rl]
                 for i in bounded:
                     for j in bounded:
-                        n = model.algebras[j].carrier.size
+                        n = model.algebras[j].size
                         images = [(f, g, reduce(or_, [1 << (f[z] * n + g[w]) for z, w in bang_r], 0),
                                    reduce(or_, [1 << (f[z] * n + g[w]) for z, w in eta_r], 0))
                                   for f in model._hom_tables(fa, model.algebras[i])
@@ -432,7 +431,7 @@ def enumerate_natural_transformations(model: ip.Model, n: int) -> tuple[tuple[in
     in ``h`` preserves its graph: the ``ip.link_test`` link ``(p, q)`` of two
     algebras meets the graphs of every ``h`` sending the arguments coded ``p``
     to those coded ``q``, and endomorphisms' links generate each component."""
-    sizes = [alg.carrier.size for alg in model.algebras]
+    sizes = [alg.size for alg in model.algebras]
     links: dict = {}
     for (i, a), (j, b) in itertools.product(enumerate(model.algebras), repeat=2):
         pair = links[(i, j)] = {}
@@ -457,7 +456,7 @@ def _generic_to_nt(model: ip.Model, comps, gen: int, n: int) -> tuple[int, ...]:
     for alg, comp in zip(model.algebras, comps):
         xi = fm.em_map_of(alg)
         fam.append(ip.op_index(
-            comp, n, lambda args: xi[model.monad.tmap(list(args), fm.FinSet(n), alg.carrier)[gen]]))
+            comp, n, lambda args: xi[model.monad.tmap(list(args), n, alg.size)[gen]]))
     return tuple(fam)
 
 
@@ -466,7 +465,7 @@ def verify_algop_correspondence(model: ip.Model, n: int) -> VerificationReport:
     t0 = time.perf_counter()
     fa_idx, fa, eta = model.free_algebra(n)
     failures = []
-    tn = fa.carrier.size
+    tn = fa.size
     nts = enumerate_natural_transformations(model, n)
     poly = model.interp_vtype(ip.TypeEnv(), enc.nary_op_type(n))
     counts = {"natural-transformations": len(nts), "generic-effects": tn,
@@ -506,7 +505,7 @@ def verify_algop_correspondence(model: ip.Model, n: int) -> VerificationReport:
 
 
 def _handle_table(model: ip.Model, a: int, e_idx: int):
-    ta = model.monad.apply(fm.FinSet(a)).size
+    ta = model.monad.apply(a)
     raise_elt = a + e_idx
     return {(p, q): (q if p == raise_elt else p) for p in range(ta) for q in range(ta)}
 
@@ -527,7 +526,7 @@ def verify_handler(model: ip.Model) -> VerificationReport:
         # of e picks the second argument, a unit or another raise point the first
         for a in CHECKED_SIZES:
             tbl = _handle_table(model, a, e_idx)
-            ta = model.monad.apply(fm.FinSet(a)).size
+            ta = model.monad.apply(a)
             _, fa, eta = model.free_algebra(a)
             points = set(eta) | {table[0] for table in fa.ops}
             for p in range(ta):
@@ -541,7 +540,7 @@ def verify_handler(model: ip.Model) -> VerificationReport:
             _, fa, _ = model.free_algebra(a)
             prod = fm.product_alg(fa, fa)
             tbl = _handle_table(model, a, e_idx)
-            n = fa.carrier.size
+            n = fa.size
             table = [tbl[(i // n, i % n)] for i in range(n * n)]
             checked += 1
             if not fm.is_homomorphism(table, prod, fa):
@@ -551,7 +550,7 @@ def verify_handler(model: ip.Model) -> VerificationReport:
             for b in CHECKED_SIZES:
                 ha, hb = _handle_table(model, a, e_idx), _handle_table(model, b, e_idx)
                 for f in itertools.product(range(b), repeat=a):
-                    tf = model.monad.tmap(list(f), fm.FinSet(a), fm.FinSet(b))
+                    tf = model.monad.tmap(list(f), a, b)
                     for p in range(len(tf)):
                         for q in range(len(tf)):
                             checked += 1
@@ -640,7 +639,7 @@ def verify_encoding_props(model: ip.Model) -> VerificationReport:
     oplus_ty = enc.sum_type(CSORT, ty_a, ty_b)
     inl = model._eval(LinLam("a", ty_a, enc.injection(0, ty_a, ty_b, Var("a"), CSORT)))
     inr = model._eval(LinLam("b", ty_b, enc.injection(1, ty_a, ty_b, Var("b"), CSORT)))
-    small = [(i, a) for i, a in enumerate(model.algebras) if a.carrier.size <= model.bound]
+    small = [(i, a) for i, a in enumerate(model.algebras) if a.size <= model.bound]
     for ia, alg_a in small:
         for ib, alg_b in small:
             tyenv = ip.type_env({}, {"A": alg_a, "B": alg_b})
@@ -653,7 +652,7 @@ def verify_encoding_props(model: ip.Model) -> VerificationReport:
             if all(next(model._algebra_isos(alg_c, sum_alg), None) is None for alg_c in model.algebras):
                 return _out_of_bound(
                     "encoding-props", model, t0,
-                    f"the encoded sum of algebras {ia} and {ib} has {sum_alg.carrier.size}"
+                    f"the encoded sum of algebras {ia} and {ib} has {sum_alg.size}"
                     " elements and is isomorphic to no registered algebra",
                 )
             inl_sem, inl_v = inl(tyenv, {})
@@ -670,11 +669,11 @@ def verify_encoding_props(model: ip.Model) -> VerificationReport:
 
     # wrapping isomorphism for every algebra within the bound
     cfwd, cbwd = (model._eval(t) for t in enc.comp_iso_terms(ty_a))
-    for k, alg in [(i, a) for i, a in enumerate(model.algebras) if a.carrier.size <= model.bound]:
+    for k, alg in [(i, a) for i, a in enumerate(model.algebras) if a.size <= model.bound]:
         tyenv = ip.type_env({}, {"A": alg})
         fsem, fv = cfwd(tyenv, {})
         bsem, bv = cbwd(tyenv, {})
-        n = alg.carrier.size
+        n = alg.size
         checked += 1
         if not all(bsem.apply(bv, fsem.apply(fv, x)) == x for x in range(n)):
             failures.append({"law": "wrap-iso-left", "algebra": k})
@@ -691,9 +690,9 @@ def verify_encoding_props(model: ip.Model) -> VerificationReport:
         bsem, bv = bwd(tyenv, {})
         checked += 2
         if not all(fsem.apply(fv, bsem.apply(bv, g)) == g for g in range(fsem.cod.size)):
-            failures.append({"law": "decomposition-left", "carrier": alg.carrier.size})
+            failures.append({"law": "decomposition-left", "carrier": alg.size})
         if not all(bsem.apply(bv, fsem.apply(fv, f)) == f for f in range(bsem.cod.size)):
-            failures.append({"law": "decomposition-right", "carrier": alg.carrier.size})
+            failures.append({"law": "decomposition-right", "carrier": alg.size})
     return _model_report("encoding-props", model, t0, failures, counts={"instances": checked})
 
 
@@ -902,7 +901,7 @@ def _abstraction_failure(model: ip.Model, j: Judgment, counts: dict) -> Optional
         cod_alg = model.interp_ctype(tyenv, j.ascription)
         sizes = [model.interp_vtype(tyenv, ty).size for _, ty in j.gamma]
         for values in itertools.islice(itertools.product(*(range(n) for n in sizes)), 6):
-            table = [evaluate(tyenv, values + (d,)) for d in range(dom_alg.carrier.size)]
+            table = [evaluate(tyenv, values + (d,)) for d in range(dom_alg.size)]
             counts["hom-instances"] += 1
             if not fm.is_homomorphism(table, dom_alg, cod_alg):
                 return {"term": str(j.subject), "law": "homomorphism"}
@@ -945,7 +944,7 @@ def verify_parametric_counts(model: ip.Model, plain_model: Optional[ip.Model] = 
     for n in (0, 1, 2):
         poly = model.interp_vtype(ip.TypeEnv(), enc.nary_op_type(n))
         counts[f"n={n}"] = poly.size
-        tn = model.monad.apply(fm.FinSet(n)).size
+        tn = model.monad.apply(n)
         if poly.size != tn:
             miscounts.append({"n": n, "families": poly.size, "T(n)": tn})
     oracle = plain_model or model

@@ -457,7 +457,7 @@ def test_negative_control_that_finds_nothing_fails_the_run(monkeypatch, capsys):
     # free algebras it is the true one, so only the control changes
     mediating = cli.pl._mediating_homs
     monkeypatch.setattr(cli.pl, "_mediating_homs", lambda model, fa, eta, f, b:
-                        mediating(model, fa, eta, f, b)[:1] or [(0,) * fa.carrier.size])
+                        mediating(model, fa, eta, f, b)[:1] or [(0,) * fa.size])
     code, out, _ = run(capsys, "--format", "json", "verify", "free-algebra")
     check, control = map(json.loads, out.splitlines())
     assert check["status"] == "verified"

@@ -24,7 +24,7 @@ def test_enumerate_sets():
 
 
 def test_exception_algebras_on_two_points():
-    algs = [a for a in fm.enumerate_algebras(EXC, 2, ip.ITER_CAP) if a.carrier.size == 2]
+    algs = [a for a in fm.enumerate_algebras(EXC, 2, ip.ITER_CAP) if a.size == 2]
     assert len(algs) == 2
     assert {a.ops for a in algs} == {((0,),), ((1,),)}
 
@@ -36,14 +36,14 @@ def test_powerset_algebras_on_two_points_against_naive_filter():
         table = ((tbl[0], tbl[1]), (tbl[2], tbl[3]))
         if fm.semilattice_laws_hold(table):
             oracle.append(table)
-    algs = [a for a in fm.enumerate_algebras(POW, 2, ip.ITER_CAP) if a.carrier.size == 2]
+    algs = [a for a in fm.enumerate_algebras(POW, 2, ip.ITER_CAP) if a.size == 2]
     assert sorted(a.ops[0] for a in algs) == sorted(sum(t, ()) for t in oracle)
     assert len(algs) == 2  # min and max
 
 
 def test_single_point_carrier_has_one_algebra():
     for m in (EXC, EXC2, POW, IDM):
-        algs = [a for a in fm.enumerate_algebras(m, 1, ip.ITER_CAP) if a.carrier.size == 1]
+        algs = [a for a in fm.enumerate_algebras(m, 1, ip.ITER_CAP) if a.size == 1]
         assert len(algs) == 1
 
 
@@ -69,20 +69,20 @@ def test_algebras_past_the_cap_fail_before_listing_a_table(monkeypatch):
 
 
 def test_free_algebra_carriers():
-    alg, eta = fm.free_algebra(EXC, fm.FinSet(2))
-    assert alg.carrier.size == 3 and alg.ops == ((2,),)
+    alg, eta = fm.free_algebra(EXC, 2)
+    assert alg.size == 3 and alg.ops == ((2,),)
     assert eta == (0, 1)
-    alg, _ = fm.free_algebra(POW, fm.FinSet(2))
-    assert alg.carrier.size == 3  # nonempty subsets
-    alg, eta = fm.free_algebra(IDM, fm.FinSet(4))
-    assert alg.carrier.size == 4 and eta == (0, 1, 2, 3)
+    alg, _ = fm.free_algebra(POW, 2)
+    assert alg.size == 3  # nonempty subsets
+    alg, eta = fm.free_algebra(IDM, 4)
+    assert alg.size == 4 and eta == (0, 1, 2, 3)
 
 
 @pytest.mark.parametrize("monad", [EXC, POW, IDM], ids=lambda m: m.key)
 def test_small_free_algebras_are_among_the_enumerated_ones(monad):
     for k in range(3):
-        if monad.apply(fm.FinSet(k)).size <= 2:
-            assert fm.free_algebra(monad, fm.FinSet(k))[0] in fm.enumerate_algebras(monad, 2, ip.ITER_CAP)
+        if monad.apply(k) <= 2:
+            assert fm.free_algebra(monad, k)[0] in fm.enumerate_algebras(monad, 2, ip.ITER_CAP)
 
 
 @pytest.mark.parametrize("monad", [EXC, EXC2, POW, IDM], ids=lambda m: f"{m.key}{m.n_exc}")
@@ -92,26 +92,26 @@ def test_a_model_with_free_algebras_holds_each_algebra_once(monad):
 
 
 def test_powerset_free_algebra_is_union():
-    alg, eta = fm.free_algebra(POW, fm.FinSet(2))
+    alg, eta = fm.free_algebra(POW, 2)
     # singletons are masks 1 and 2; their join is {0,1} = mask 3 = index 2
     assert alg.op(0, (eta[0], eta[1])) == 2
 
 
 def test_homomorphism_identity_table():
-    alg = fm.Alg(EXC, fm.FinSet(2), ((0,),))
+    alg = fm.Alg(EXC, 2, ((0,),))
     assert fm.is_homomorphism((0, 1), alg, alg)
 
 
 def test_homomorphism_must_preserve_the_point():
-    dom = fm.Alg(EXC, fm.FinSet(2), ((0,),))
-    cod = fm.Alg(EXC, fm.FinSet(2), ((0,),))
+    dom = fm.Alg(EXC, 2, ((0,),))
+    cod = fm.Alg(EXC, 2, ((0,),))
     assert not fm.is_homomorphism((1, 1), dom, cod)
 
 
 def test_semilattice_hom_tables_by_exhaustion():
     # all 4 maps between the two 2-element semilattices, checked one by one
-    mn = fm.Alg(POW, fm.FinSet(2), ((0, 0, 0, 1),))
-    mx = fm.Alg(POW, fm.FinSet(2), ((0, 1, 1, 1),))
+    mn = fm.Alg(POW, 2, ((0, 0, 0, 1),))
+    mx = fm.Alg(POW, 2, ((0, 1, 1, 1),))
     homs = [tbl for tbl in product(range(2), repeat=2) if fm.is_homomorphism(tbl, mn, mx)]
     # or_mx(t(x),t(y)) = t(or_mn(x,y)): constants always, identity fails, swap works
     oracle = []
@@ -127,17 +127,17 @@ def test_enumerate_homs_matches_brute_force(monad):
     # every algebra at bound 2 plus the free algebras on 0, 1 and 2 points,
     # against a filter of the full table product, order included
     algs = fm.enumerate_algebras(monad, 2, ip.ITER_CAP)
-    algs += [fm.free_algebra(monad, fm.FinSet(n))[0] for n in range(3)]
+    algs += [fm.free_algebra(monad, n)[0] for n in range(3)]
     for dom in algs:
         for cod in algs:
-            brute = [t for t in product(range(cod.carrier.size), repeat=dom.carrier.size)
+            brute = [t for t in product(range(cod.size), repeat=dom.size)
                      if fm.is_homomorphism(t, dom, cod)]
             assert fm.enumerate_homs(dom, cod, ip.ITER_CAP) == brute
 
 
 def test_enumerate_homs_caps_only_the_free_positions():
-    dom, _ = fm.free_algebra(EXC, fm.FinSet(2))  # three elements, the last one pinned
-    cod = fm.Alg(EXC, fm.FinSet(2), ((0,),))
+    dom, _ = fm.free_algebra(EXC, 2)  # three elements, the last one pinned
+    cod = fm.Alg(EXC, 2, ((0,),))
     assert len(fm.enumerate_homs(dom, cod, cap=4)) == 4
     with pytest.raises(fm.OutOfBoundError, match=r"2\^2"):
         fm.enumerate_homs(dom, cod, cap=3)
@@ -146,10 +146,10 @@ def test_enumerate_homs_caps_only_the_free_positions():
 
 def test_carries_subalgebra():
     # a subset is closed iff the diagonal on it is admissible from the algebra to itself
-    alg = fm.Alg(EXC, fm.FinSet(2), ((1,),))
+    alg = fm.Alg(EXC, 2, ((1,),))
     assert fm.admissible((0b01, 0b10), alg, alg)
     assert not fm.admissible((0b01, 0), alg, alg)
-    chain = fm.Alg(POW, fm.FinSet(2), ((0, 1, 1, 1),))
+    chain = fm.Alg(POW, 2, ((0, 1, 1, 1),))
     assert fm.admissible((0b01, 0), chain, chain)  # the bottom of a 2-chain is closed
     assert fm.admissible((0, 0b10), chain, chain)
 
@@ -176,7 +176,7 @@ def _admissible_oracle(pairs, a, b):
     if a.monad.key == "exception" and not all((p, q) in pairs for (p,), (q,) in zip(a.ops, b.ops)):
         return False
     if a.monad.key == "powerset":
-        join_a, join_b, na, nb = a.ops[0], b.ops[0], a.carrier.size, b.carrier.size
+        join_a, join_b, na, nb = a.ops[0], b.ops[0], a.size, b.size
         return all((join_a[x1 * na + x2], join_b[y1 * nb + y2]) in pairs
                    for x1, y1 in pairs for x2, y2 in pairs)
     return True
@@ -184,7 +184,7 @@ def _admissible_oracle(pairs, a, b):
 
 @lru_cache(maxsize=8)
 def _alg_rels_oracle(a, b):
-    return [r for r in _set_rels_oracle(a.carrier.size, b.carrier.size)
+    return [r for r in _set_rels_oracle(a.size, b.size)
             if _admissible_oracle(r, a, b)]
 
 
@@ -210,9 +210,9 @@ def _sample(rels, n=64):
 def test_row_layer_matches_the_pair_set_oracles(monad):
     for a in _algebras(monad):
         for b in _algebras(monad):
-            m, n = a.carrier.size, b.carrier.size
+            m, n = a.size, b.size
             every = _set_rels_oracle(m, n)
-            assert fm.enumerate_set_rels(a.carrier, b.carrier) == [_rows(r, m) for r in every]
+            assert fm.enumerate_set_rels(m, n) == [_rows(r, m) for r in every]
             admissible = _alg_rels_oracle(a, b)
             assert fm.enumerate_alg_rels(a, b) == [_rows(r, m) for r in admissible]
             for r in every if len(every) <= 512 else _sample(every):
@@ -224,11 +224,11 @@ def test_row_layer_matches_the_pair_set_oracles(monad):
 def test_closure_joins_more_than_two_pairs():
     # on the free semilattice over three points a join of three singletons
     # is no join of two, so the closure must iterate past one round
-    f3, _ = fm.free_algebra(POW, fm.FinSet(3))
-    one = fm.Alg(POW, fm.FinSet(1), ((0,),))
+    f3, _ = fm.free_algebra(POW, 3)
+    one = fm.Alg(POW, 1, ((0,),))
     for a, b in ((f3, one), (one, f3)):
-        m = a.carrier.size
-        for r in _set_rels_oracle(m, b.carrier.size):
+        m = a.size
+        for r in _set_rels_oracle(m, b.size):
             assert fm.admissible_closure(_rows(r, m), a, b) == _rows(_closure_oracle(r, a, b), m)
     assert fm.admissible_closure((1, 1, 0, 1, 0, 0, 0), f3, one)[6] == 1  # the singletons join to element 6
 
@@ -279,9 +279,9 @@ def test_rels_for_pair_keeps_the_pair_set_order(monad, monkeypatch):
                 for j in order(range(len(objs))):
                     a, b = objs[i], objs[j]
                     if sort == ip.VSORT:
-                        rels, m, direct = _set_rels_oracle(a.size, b.size), a.size, set_rels(a, b)
+                        rels, m, direct = _set_rels_oracle(a.size, b.size), a.size, set_rels(a.size, b.size)
                     else:
-                        rels, m, direct = _alg_rels_oracle(a, b), a.carrier.size, alg_rels(a, b)
+                        rels, m, direct = _alg_rels_oracle(a, b), a.size, alg_rels(a, b)
                     want = [_rows(r, m) for r in sorted(rels, key=lambda r: (len(r), sorted(r)))]
                     assert model.rels_for_pair(sort, i, j) == want == sorted(direct, key=_rel_order)
             assert calls.count(sort) == len(objs) * (len(objs) + 1) // 2
@@ -289,31 +289,31 @@ def test_rels_for_pair_keeps_the_pair_set_order(monad, monkeypatch):
 
 def test_relation_space_cap_names_both_carriers():
     with pytest.raises(fm.OutOfBoundError) as err:
-        fm.enumerate_set_rels(fm.FinSet(5), fm.FinSet(4))
+        fm.enumerate_set_rels(5, 4)
     assert str(err.value) == (
         "relation space between carriers of sizes 5 and 4 too large:"
         " 20 cells, more than REL_CAP_BITS (16)"
     )
-    fa, _ = fm.free_algebra(fm.MonadSpec("exception", ("e1", "e2", "e3")), fm.FinSet(2))
+    fa, _ = fm.free_algebra(fm.MonadSpec("exception", ("e1", "e2", "e3")), 2)
     with pytest.raises(fm.OutOfBoundError, match="sizes 5 and 5 too large: 25 cells"):
         fm.enumerate_alg_rels(fa, fa)
 
 
 def test_closure_of_empty_contains_raise_pair():
-    fa, _ = fm.free_algebra(EXC, fm.FinSet(1))
-    fb, _ = fm.free_algebra(EXC, fm.FinSet(1))
+    fa, _ = fm.free_algebra(EXC, 1)
+    fb, _ = fm.free_algebra(EXC, 1)
     closed = fm.admissible_closure((0, 0), fa, fb)
     assert closed == (0, 0b10)  # {(1, 1)}
     assert closed == _rows(_closure_oracle(frozenset(), fa, fb), 2)
 
 
 def test_closure_of_diagonal_on_a_semilattice_is_diagonal():
-    alg, _ = fm.free_algebra(POW, fm.FinSet(2))
+    alg, _ = fm.free_algebra(POW, 2)
     assert fm.admissible_closure(fm.diagonal(3), alg, alg) == fm.diagonal(3)
 
 
 def test_closure_of_a_singleton_on_free_exception_algebras():
-    fa, _ = fm.free_algebra(EXC, fm.FinSet(2))
+    fa, _ = fm.free_algebra(EXC, 2)
     closed = fm.admissible_closure((0b010, 0, 0), fa, fa)
     assert fm.rel_pairs(closed) == [(0, 1), (2, 2)]
     assert closed == _rows(_closure_oracle(frozenset({(0, 1)}), fa, fa), 3)
@@ -324,8 +324,8 @@ def _le(r1, r2):
 
 
 def test_closure_is_a_closure_operator():
-    alg, _ = fm.free_algebra(POW, fm.FinSet(2))
-    rels = fm.enumerate_set_rels(alg.carrier, alg.carrier)
+    alg, _ = fm.free_algebra(POW, 2)
+    rels = fm.enumerate_set_rels(alg.size, alg.size)
     for rows in rels[:64]:
         once = fm.admissible_closure(rows, alg, alg)
         assert _le(rows, once)  # extensive
@@ -346,8 +346,8 @@ def test_relation_operations():
 
 
 def test_preimage_of_admissible_relation_along_homs_is_admissible():
-    fa, _ = fm.free_algebra(EXC, fm.FinSet(1))
-    target = fm.Alg(EXC, fm.FinSet(2), ((0,),))
+    fa, _ = fm.free_algebra(EXC, 1)
+    target = fm.Alg(EXC, 2, ((0,),))
     for q in fm.enumerate_alg_rels(target, target):
         for f in fm.enumerate_homs(fa, target, ip.ITER_CAP):
             for g in fm.enumerate_homs(fa, target, ip.ITER_CAP):
@@ -365,23 +365,23 @@ def _extension(m, f, a, b):
     itself (identity and exception), a subset to the union of its elements'
     images (powerset)."""
     if m.key == "powerset":
-        return tuple(reduce(or_, (f[i] + 1 for i in range(a.size) if s + 1 >> i & 1)) - 1
-                     for s in range((1 << a.size) - 1))
-    return tuple(f) + tuple(range(b.size, b.size + m.n_exc))
+        return tuple(reduce(or_, (f[i] + 1 for i in range(a) if s + 1 >> i & 1)) - 1
+                     for s in range((1 << a) - 1))
+    return tuple(f) + tuple(range(b, b + m.n_exc))
 
 
 def _extend_tables(m, tables, a, b):
     """The extension of each of ``tables`` by one ``extend_columns`` call, as rows."""
-    tb, n = m.apply(b).size, len(tables)
-    return list(fm._rows(m.extend_columns(fm._columns(tables, a.size, tb), n, a, b), n, tb))
+    tb, n = m.apply(b), len(tables)
+    return list(fm._rows(m.extend_columns(fm._columns(tables, a, tb), n, a, b), n, tb))
 
 
 @pytest.mark.parametrize("m", [IDM, EXC, EXC2, POW], ids=lambda m: f"{m.key}{len(m.exceptions)}")
 def test_extend_columns_match_the_definition(m):
     # lane k of column s is f+(s) for the k-th table, and extend is the
     # one-table case
-    for a, b in product(map(fm.FinSet, range(4)), repeat=2):
-        tables = list(product(range(m.apply(b).size), repeat=a.size))
+    for a, b in product(range(4), repeat=2):
+        tables = list(product(range(m.apply(b)), repeat=a))
         assert _extend_tables(m, tables, a, b) == [_extension(m, f, a, b) for f in tables]
         assert all(m.extend(f, a, b) == _extension(m, f, a, b) for f in tables)
 
@@ -395,10 +395,9 @@ def test_extend_columns_match_the_definition(m):
 def test_extend_columns_match_the_definition_past_one_byte_lanes(m, a, b, values):
     # T B has 511 (powerset at |B| = 9) or 301 elements, so a lane takes two
     # bytes, and a powerset mask crosses the byte boundary of its lane
-    a, b = fm.FinSet(a), fm.FinSet(b)
-    tb = m.apply(b).size
-    tables = list(product(values, repeat=a.size))
-    cols = m.extend_columns(fm._columns(tables, a.size, tb), len(tables), a, b)
+    tb = m.apply(b)
+    tables = list(product(values, repeat=a))
+    cols = m.extend_columns(fm._columns(tables, a, tb), len(tables), a, b)
     assert fm._width(tb) == 2 and {len(col) for col in cols} == {2 * len(tables)}
     want = [_extension(m, f, a, b) for f in tables]
     assert _extend_tables(m, tables, a, b) == want == [m.extend(f, a, b) for f in tables]
@@ -410,8 +409,7 @@ def test_extend_columns_match_the_definition_past_one_byte_lanes(m, a, b, values
 ], ids=["identity", "exception1", "exception2", "powerset", "powerset-two-byte-lanes"])
 def test_a_table_value_outside_t_b_is_a_model_error(m, b, values):
     # never a ValueError or OverflowError from packing the value into a lane
-    a, b = fm.FinSet(2), fm.FinSet(b)
-    tb = m.apply(b).size
+    a, tb = 2, m.apply(b)
     for v in values:
         with pytest.raises(fm.ModelError, match="table leaves T B"):
             m.extend((0, v), a, b)
@@ -429,20 +427,20 @@ def _is_map(t, n, k):
 def _naive_space(m, a, b, rep):
     """The unit and homomorphism laws of every table A -> T B, each extended
     by its own ``extend`` call, into ``rep``."""
-    ta, tb = m.apply(a).size, m.apply(b).size
+    ta, tb = m.apply(a), m.apply(b)
     eta = m.unit(a)
     fa, fb = fm.free_algebra(m, a)[0], fm.free_algebra(m, b)[0]
-    for f in product(range(tb), repeat=a.size):
+    for f in product(range(tb), repeat=a):
         fext = m.extend(f, a, b)
         rep.checked += 1
         if not _is_map(fext, ta, tb):
-            rep.fail(f"extend(f) not a map at |A|={a.size},|B|={b.size}")
+            rep.fail(f"extend(f) not a map at |A|={a},|B|={b}")
             continue
-        if any(fext[eta[i]] != f[i] for i in range(a.size)):
-            rep.fail(f"extend(f).unit != f at |A|={a.size},|B|={b.size}")
+        if any(fext[eta[i]] != f[i] for i in range(a)):
+            rep.fail(f"extend(f).unit != f at |A|={a},|B|={b}")
         if not (fm._joins_splits(fext, fm._union_splits(a), fb) if m.key == "powerset"
                 else fm.is_homomorphism(fext, fa, fb)):
-            rep.fail(f"extension not a homomorphism at |A|={a.size},|B|={b.size}")
+            rep.fail(f"extension not a homomorphism at |A|={a},|B|={b}")
 
 
 def _monad_laws_naive(m, max_size):
@@ -450,33 +448,33 @@ def _monad_laws_naive(m, max_size):
     (f, g) pair, so the packed blocks and the batched composites of
     ``check_monad_laws`` are checked against independent calls."""
     rep = fm.LawReport()
-    sets = [fm.FinSet(n) for n in range(max_size + 1)]
-    for a in sets:
-        if tuple(m.extend(m.unit(a), a, a)) != tuple(range(m.apply(a).size)):
-            rep.fail(f"extend(unit) != id at |A|={a.size}")
+    sizes = range(max_size + 1)
+    for a in sizes:
+        if tuple(m.extend(m.unit(a), a, a)) != tuple(range(m.apply(a))):
+            rep.fail(f"extend(unit) != id at |A|={a}")
         if not fm._unit_image_generates(m, a):
-            rep.fail(f"unit image does not generate T A at |A|={a.size}")
+            rep.fail(f"unit image does not generate T A at |A|={a}")
         rep.checked += 2
-    for a, b in product(sets, repeat=2):
-        if m.apply(b).size or not a.size:
+    for a, b in product(sizes, repeat=2):
+        if m.apply(b) or not a:
             _naive_space(m, a, b, rep)
-    for a, b, c in product(sets, repeat=3):
-        ta, tb, tc = (m.apply(x).size for x in (a, b, c))
-        if (tb == 0 and a.size > 0) or (tc == 0 and b.size > 0):
+    for a, b, c in product(sizes, repeat=3):
+        ta, tb, tc = (m.apply(x) for x in (a, b, c))
+        if (tb == 0 and a > 0) or (tc == 0 and b > 0):
             continue
-        if tb ** a.size * tc ** b.size > fm.DIRECT_PAIR_CAP:
+        if tb ** a * tc ** b > fm.DIRECT_PAIR_CAP:
             continue
-        for f in product(range(tb), repeat=a.size):
+        for f in product(range(tb), repeat=a):
             fext = m.extend(f, a, b)
             if not _is_map(fext, ta, tb):
                 continue
-            for g in product(range(tc), repeat=b.size):
+            for g in product(range(tc), repeat=b):
                 gext = m.extend(g, b, c)
                 if not _is_map(gext, tb, tc):
                     continue
                 lhs = m.extend([gext[x] for x in f], a, c)
                 if tuple(lhs) != tuple(gext[y] for y in fext):
-                    rep.fail(f"associativity fails at |A|={a.size},|B|={b.size},|C|={c.size}")
+                    rep.fail(f"associativity fails at |A|={a},|B|={b},|C|={c}")
                 rep.checked += 1
     return rep
 
@@ -488,7 +486,7 @@ def _plant(monkeypatch, defect):
     extend_columns = fm.MonadSpec.extend_columns
 
     def planted(self, cols, n, a, b):
-        tb = self.apply(b).size
+        tb = self.apply(b)
         out = extend_columns(self, cols, n, a, b)
         rows = [defect(self, f, a, b, row) for f, row in zip(fm._rows(cols, n, tb), fm._rows(out, n, tb))]
         return fm._columns(rows, len(out), tb)
@@ -499,7 +497,7 @@ def _plant(monkeypatch, defect):
 def _out_of_range_at_size_2(m, f, a, b, row):
     # a value outside T B for every injective table other than the unit at
     # |A| = |B| = 2, seen by every law that reads such an extension
-    if a.size == b.size == 2 and len(set(f)) == 2 and tuple(f) != m.unit(a):
+    if a == b == 2 and len(set(f)) == 2 and tuple(f) != m.unit(a):
         return (99,) + row[1:]
     return row
 
@@ -525,7 +523,7 @@ def test_monad_laws_report_a_defect_in_the_one_table_extend_as_the_left_unit_law
     # extend's one-table case, and only it fails when that reverses T A at |A| = 2
     extend = fm.MonadSpec.extend
     monkeypatch.setattr(fm.MonadSpec, "extend",
-                        lambda self, f, a, b: extend(self, f, a, b)[::-1] if a.size == 2 else extend(self, f, a, b))
+                        lambda self, f, a, b: extend(self, f, a, b)[::-1] if a == 2 else extend(self, f, a, b))
     for m in (IDM, EXC, EXC2, POW):
         assert fm.check_monad_laws(m, 3).failures == ["extend(unit) != id at |A|=2"], m
 
@@ -537,7 +535,7 @@ def test_monad_laws_report_free_algebra_constants_that_miss_a_raise_point(monkey
 
     def planted(m, a):
         alg, eta = free_algebra(m, a)
-        return fm.Alg(m, alg.carrier, ((a.size,),) * len(alg.ops)), eta
+        return fm.Alg(m, alg.size, ((a,),) * len(alg.ops)), eta
 
     monkeypatch.setattr(fm, "free_algebra", planted)
     failures = fm.check_monad_laws(EXC2, 3).failures
@@ -555,7 +553,7 @@ def test_monad_laws_extend_each_table_once(monkeypatch):
     checked, calls, tables = 0, 0, 0
     for m in (IDM, EXC, EXC2, POW):
         checked += fm.check_monad_laws(m, 4).checked
-        size = [m.apply(fm.FinSet(n)).size for n in range(5)]
+        size = [m.apply(n) for n in range(5)]
         spaces = [size[b] ** a for a, b in product(range(5), repeat=2) if size[b] or not a]
         pairs = [size[b] ** a * size[c] ** b for a, b, c in product(range(5), repeat=3)
                  if (size[b] or not a) and (size[c] or not b) and size[b] ** a * size[c] ** b <= fm.DIRECT_PAIR_CAP]
@@ -575,7 +573,7 @@ def _cross_checked_space(m, max_size):
     """The largest table space (|A|, |B|) with |A| >= 2 that the associativity
     cross-check reads with maps ``g`` into T B itself, among them an
     injective extension, which tells every two values of T B apart."""
-    size = lambda n: m.apply(fm.FinSet(n)).size
+    size = lambda n: m.apply(n)
     return max(((a, b) for a, b in product(range(2, max_size + 1), range(1, max_size + 1))
                 if size(b) ** (a + b) <= fm.DIRECT_PAIR_CAP), key=lambda s: size(s[1]) ** s[0])
 
@@ -586,7 +584,7 @@ def _defect_point(m, a, law):
     first raise point (homomorphism, and associativity in a space the
     cross-check reads); the identity monad has no operations, so it moves a
     unit point."""
-    return -1 if law == "map" else m.unit(fm.FinSet(a))[0] if law == "unit" or m.key == "identity" \
+    return -1 if law == "map" else m.unit(a)[0] if law == "unit" or m.key == "identity" \
         else -1 if m.key == "powerset" else a
 
 
@@ -600,12 +598,12 @@ def _broken(col, k, law, tb):
 def _plant_one(monkeypatch, m, a, b, target, law):
     """Plant ``law``'s defect in the extension of table ``target`` of the
     (|A|, |B|) = (a, b) space only, at ``_defect_point``."""
-    tb, at = m.apply(fm.FinSet(b)).size, _defect_point(m, a, law)
+    tb, at = m.apply(b), _defect_point(m, a, law)
     extend_columns = fm.MonadSpec.extend_columns
 
     def planted(self, cols, n, dom, cod):
         out = extend_columns(self, cols, n, dom, cod)
-        tables = list(fm._rows(cols, n, tb)) if self is m and (dom.size, cod.size) == (a, b) else ()
+        tables = list(fm._rows(cols, n, tb)) if self is m and (dom, cod) == (a, b) else ()
         if target in tables:
             out[at] = _broken(out[at], tables.index(target), law, tb)
         return out
@@ -628,14 +626,14 @@ def test_monad_laws_match_the_table_by_table_check_at_block_boundaries(monkeypat
     # test_monad_laws_match_a_naive_check.  (The identity monad has no
     # operations, so every map is a homomorphism.)
     a, b = _cross_checked_space(m, 4) if law == "associativity" else (4, 4)
-    tb = m.apply(fm.FinSet(b)).size
+    tb = m.apply(b)
     tables = list(product(range(tb), repeat=a))
     if len(tables) <= fm.BLOCK:
         monkeypatch.setattr(fm, "BLOCK", len(tables) // 3)
     holds = fm._block_holds
 
     def spy(cols, block, n, eta, fa, fb, splits):
-        planted = (len(block), fb.carrier.size) == (a, tb) and target in fm._rows(block, n, tb)
+        planted = (len(block), fb.size) == (a, tb) and target in fm._rows(block, n, tb)
         verdicts.append((planted, holds(cols, block, n, eta, fa, fb, splits)))
         return verdicts[-1][1]
 
@@ -656,14 +654,14 @@ def test_the_column_test_rejects_a_block_wrong_in_one_lane(m, law):
     # the (3, 3) space is one block of 27 to 343 tables; each law's defect in
     # the first, a middle or the last lane of one extension column is enough
     # to reject it
-    a, b = fm.FinSet(3), fm.FinSet(3)
-    tb = m.apply(b).size
-    (block, n), = fm._blocks(a.size, tb)
+    a, b = 3, 3
+    tb = m.apply(b)
+    (block, n), = fm._blocks(a, tb)
     (fa, eta), (fb, _) = fm.free_algebra(m, a), fm.free_algebra(m, b)
     splits = fm._union_splits(a) if m.key == "powerset" else None
     cols = m.extend_columns(block, n, a, b)
     assert n == tb ** 3 and fm._block_holds(cols, block, n, eta, fa, fb, splits)
-    at = _defect_point(m, a.size, law)
+    at = _defect_point(m, a, law)
     for k in (0, n // 2, n - 1):
         broken = list(cols)
         broken[at] = _broken(cols[at], k, law, tb)
@@ -672,7 +670,7 @@ def test_the_column_test_rejects_a_block_wrong_in_one_lane(m, law):
 
 def _moves_the_full_subset(m, f, a, b, row):
     # a wrong value in T B at the union of all of A, for one table of the (2, 5) space
-    if (a.size, b.size) == (2, 5) and tuple(f) == (3, 17):
+    if (a, b) == (2, 5) and tuple(f) == (3, 17):
         return row[:-1] + ((row[-1] + 1) % 31,)
     return row
 
@@ -687,7 +685,7 @@ def test_a_powerset_space_past_16_elements_goes_table_by_table(monkeypatch, plan
     monkeypatch.setattr(fm, "BLOCK", 100)
     holds, verdicts = fm._block_holds, []
     monkeypatch.setattr(fm, "_block_holds", lambda *args: verdicts.append(holds(*args)) or verdicts[-1])
-    a, b = fm.FinSet(2), fm.FinSet(5)
+    a, b = 2, 5
     rep, naive = fm.LawReport(), fm.LawReport()
     n, cols, exts = fm._sweep_space(POW, a, b, rep)
     _naive_space(POW, a, b, naive)
@@ -699,11 +697,13 @@ def test_a_powerset_space_past_16_elements_goes_table_by_table(monkeypatch, plan
 
 def test_algebra_shape_validation():
     with pytest.raises(fm.ModelError):
-        fm.Alg(EXC, fm.FinSet(2))  # missing the distinguished point
+        fm.Alg(EXC, 2)  # missing the distinguished point
     with pytest.raises(fm.ModelError):
-        fm.Alg(POW, fm.FinSet(2), ((0, 1),))
+        fm.Alg(POW, 2, ((0, 1),))
     with pytest.raises(fm.ModelError):
-        fm.Alg(IDM, fm.FinSet(2), ((0,),))
+        fm.Alg(IDM, 2, ((0,),))
+    with pytest.raises(fm.ModelError, match="negative carrier size"):
+        fm.Alg(IDM, -1)
 
 
 def test_model_config_json_round_trip():

@@ -87,7 +87,7 @@ def test_copies_are_interned_and_unused_values_are_freed():
         lambda: ip.type_env({"Z9": fm.FinSet(1)}),
         lambda: fm.FinSet(99),
         lambda: fm.MonadSpec("exception", ("Z9",)),
-        lambda: fm.Alg(fm.MonadSpec("exception", ("Z9",)), fm.FinSet(99), ((0,),)),
+        lambda: fm.Alg(fm.MonadSpec("exception", ("Z9",)), 99, ((0,),)),
     ):
         t = make()
         assert make() is t
@@ -128,7 +128,7 @@ def test_restricting_to_every_key_makes_no_reference_cycle():
     # environment would keep the result alive
     gc.disable()
     try:
-        env = ip.type_env({"Xcycle": fm.FinSet(2)}, {"Pcycle": fm.Alg(EXC, fm.FinSet(1), ((0,),))})
+        env = ip.type_env({"Xcycle": fm.FinSet(2)}, {"Pcycle": fm.Alg(EXC, 1, ((0,),))})
         rho = ip.diag_relenv(env)
         keys = frozenset(key for key, _ in env.items)
         assert env.restrict(keys) is env and rho.restrict(keys) is rho

@@ -73,6 +73,36 @@ def test_free_algebra_universal_property(exc_free):
     assert rep.counts["instances"] > 0
 
 
+def test_free_algebra_catches_a_second_mediating_homomorphism(exc_free, monkeypatch):
+    # a hom listing that repeats its first mediator breaks uniqueness at the
+    # first instance: |A| = 0, into algebra 0, along the empty map
+    mediating = pl._mediating_homs
+    monkeypatch.setattr(pl, "_mediating_homs", lambda *args: (lambda homs: homs[:1] + homs)(mediating(*args)))
+    rep = pl.verify_free_algebra(exc_free)
+    assert rep.status == "counterexample"
+    assert rep.witness == {"a": 0, "algebra": 0, "f": [], "mediators": 2}
+    monkeypatch.undo()
+    assert pl.verify_free_algebra(exc_free).status == "verified"
+
+
+def test_free_algebra_catches_a_term_mediator_that_differs(exc_free, monkeypatch):
+    # a bridge T A -> [[!A]] that swaps the two unit points at |A| = 2 reads
+    # the let-based term's mediator at the wrong families, so it differs from
+    # the unique homomorphism
+    bridge = exc_free.bang_bridge
+
+    def swapped(size):
+        to_t, from_t = bridge(size)
+        return (to_t, (from_t[1], from_t[0]) + from_t[2:]) if size == 2 else (to_t, from_t)
+
+    monkeypatch.setattr(exc_free, "bang_bridge", swapped)
+    rep = pl.verify_free_algebra(exc_free)
+    assert rep.status == "counterexample"
+    assert rep.witness == {"a": 2, "algebra": 1, "f": [0, 1], "detail": "term mediator differs"}
+    monkeypatch.undo()
+    assert pl.verify_free_algebra(exc_free).status == "verified"
+
+
 def test_negative_control_produces_replayable_witness(exc_free):
     rep = pl.free_algebra_negative_control(exc_free)
     assert rep.status == "counterexample"
@@ -121,20 +151,20 @@ def _unclosed_lifting(model, r, a, b):
     """The eta-pairs of R, without the admissible closure."""
     _, fa, eta_a = model.free_algebra(a)
     _, fb, eta_b = model.free_algebra(b)
-    return fm.rows_of(((eta_a[x], eta_b[y]) for x, y in fm.rel_pairs(r)), fa.carrier.size)
+    return fm.rows_of(((eta_a[x], eta_b[y]) for x, y in fm.rel_pairs(r)), fa.size)
 
 
 def _full_lifting(model, r, a, b):
     """Every pair of T A x T B, whatever R is."""
     _, fa, _ = model.free_algebra(a)
     _, fb, _ = model.free_algebra(b)
-    return ((1 << fb.carrier.size) - 1,) * fa.carrier.size
+    return ((1 << fb.size) - 1,) * fa.size
 
 
 def _adjoint_reference(model):
     """rel-lifting's adjoint failures, one pairwise test of both sides per instance."""
     failures = []
-    bounded = [i for i, alg in enumerate(model.algebras) if alg.carrier.size <= model.bound]
+    bounded = [i for i, alg in enumerate(model.algebras) if alg.size <= model.bound]
     for a, b in itertools.product(pl.CHECKED_SIZES, repeat=2):
         _, fa, eta_a = model.free_algebra(a)
         _, fb, eta_b = model.free_algebra(b)
@@ -181,7 +211,7 @@ def test_lifting_of_diagonal_is_diagonal(exc_free):
 def test_lifting_of_graph_is_graph_of_tmap(exc_free):
     f = (1, 0)
     graph = fm.rows_of(((x, f[x]) for x in range(2)), 2)
-    tf = exc_free.monad.tmap(f, fm.FinSet(2), fm.FinSet(2))
+    tf = exc_free.monad.tmap(f, 2, 2)
     want = fm.rows_of(((z, tf[z]) for z in range(3)), 3)
     assert pl.lifted_rel(exc_free, graph, 2, 2) == want
 
@@ -242,7 +272,7 @@ def _natural_by_application(model, n):
     algs = model.algebras
     body = enc.nary_op_type(n).body
     comps = [model.interp_vtype(ip.type_env({}, {"X": alg}), body) for alg in algs]
-    args_of = [list(itertools.product(range(a.carrier.size), repeat=n)) for a in algs]
+    args_of = [list(itertools.product(range(a.size), repeat=n)) for a in algs]
     homs = {(i, j): model._hom_tables(a, b) for i, a in enumerate(algs) for j, b in enumerate(algs)}
 
     def apply_op(sem, f, args):
@@ -272,7 +302,7 @@ def test_natural_transformations_match_the_application_oracle(monad, exceptions,
     model = pl.build_model(fm.ModelConfig(monad, exceptions, bound), (n,))
     nts = pl.enumerate_natural_transformations(model, n)
     assert nts == _natural_by_application(model, n)
-    assert len(nts) == model.free_algebra(n)[1].carrier.size
+    assert len(nts) == model.free_algebra(n)[1].size
 
 
 @pytest.mark.parametrize("bound", [2, 3])
@@ -319,6 +349,22 @@ def test_algop_catches_naturality_skipped_across_algebras(monkeypatch, monad, ex
     assert rep.witness["detail"] == "cardinalities differ"
 
 
+@pytest.mark.parametrize("monad, exceptions", [("exception", ("e",)), ("powerset", ())], ids=_config_id)
+def test_algop_catches_a_roundtrip_that_swaps_two_generic_effects(monkeypatch, monad, exceptions):
+    # generic effects 0 and 1 swapped still induce natural transformations, so
+    # all three counts agree and only the roundtrip gen -> theta -> gen fails
+    model = pl.build_model(fm.ModelConfig(monad, exceptions, 2), (2,))
+    to_nt = pl._generic_to_nt
+    monkeypatch.setattr(pl, "_generic_to_nt",
+                        lambda model, comps, gen, n: to_nt(model, comps, {0: 1, 1: 0}.get(gen, gen), n))
+    rep = pl.verify_algop_correspondence(model, 2)
+    assert rep.status == "counterexample"
+    assert rep.counts == {"natural-transformations": 3, "generic-effects": 3, "parametric-elements": 3}
+    assert rep.witness == {"detail": "roundtrip differs", "gen": 0, "back": 1}
+    monkeypatch.undo()
+    assert pl.verify_algop_correspondence(model, 2).status == "verified"
+
+
 def test_handler(exc_free):
     rep = pl.verify_handler(exc_free)
     assert rep.status == "verified", rep.witness
@@ -334,7 +380,7 @@ def test_handler_catches_a_raise_index_off_by_one(exc_free, monkeypatch):
     # the case split is checked against the free algebra's own raise point,
     # so a table built from the wrong one is a counterexample
     def planted(model, a, e_idx):
-        ta = model.monad.apply(fm.FinSet(a)).size
+        ta = model.monad.apply(a)
         return {(p, q): (q if p == a + e_idx + 1 else p) for p in range(ta) for q in range(ta)}
 
     monkeypatch.setattr(pl, "_handle_table", planted)
@@ -351,7 +397,7 @@ def test_handler_catches_a_squared_algebra_whose_raise_is_moved(exc_free, monkey
 
     def planted(a, b):
         prod = real(a, b)
-        return fm.Alg(prod.monad, prod.carrier, tuple(((t[0] + 1) % prod.carrier.size,) for t in prod.ops))
+        return fm.Alg(prod.monad, prod.size, tuple(((t[0] + 1) % prod.size,) for t in prod.ops))
 
     monkeypatch.setattr(fm, "product_alg", planted)
     rep = pl.verify_handler(exc_free)
@@ -369,7 +415,7 @@ def test_handler_catches_a_functor_action_that_is_not_natural(exc_free, monkeypa
     assert rep.witness["law"] == "naturality"
     a, b, f, p, q = (rep.witness[k] for k in ("a", "b", "f", "p", "q"))
     ha, hb = pl._handle_table(exc_free, a, 0), pl._handle_table(exc_free, b, 0)
-    tf = real(exc_free.monad, f, fm.FinSet(a), fm.FinSet(b))[::-1]
+    tf = real(exc_free.monad, f, a, b)[::-1]
     assert hb[(tf[p], tf[q])] != tf[ha[(p, q)]]
 
 
@@ -487,8 +533,8 @@ def test_encoding_props_catch_a_zero_type_that_is_not_initial(monkeypatch):
     rep = pl.verify_encoding_props(model)
     assert rep.status == "counterexample"
     k = rep.witness["algebra"]
-    assert rep.witness == {"law": "initiality", "algebra": k, "homs": model.algebras[k].carrier.size}
-    assert model.algebras[k].carrier.size != 1
+    assert rep.witness == {"law": "initiality", "algebra": k, "homs": model.algebras[k].size}
+    assert model.algebras[k].size != 1
 
 
 def _moved_denotation(monkeypatch, model, term):
@@ -845,9 +891,9 @@ def test_monad_laws_catch_a_planted_powerset_extend_defect(monkeypatch, size, de
 
     def planted(self, cols, n, a, b):
         out = extend_columns(self, cols, n, a, b)
-        if self.key != "powerset" or not a.size == b.size == size:
+        if self.key != "powerset" or not a == b == size:
             return out
-        tb = self.apply(b).size
+        tb = self.apply(b)
         rows = [defect(row) if len(set(f)) == size and tuple(f) != self.unit(a) else row
                 for f, row in zip(fm._rows(cols, n, tb), fm._rows(out, n, tb))]
         return fm._columns(rows, len(out), tb)
@@ -987,6 +1033,18 @@ def test_metatheory_catches_an_oracle_lfun_rule_that_returns_an_arrow(monkeypatc
     assert tc.check_unicity([j]).failures
     monkeypatch.undo()
     assert tc.check_unicity([j]).ok
+
+
+def test_metatheory_catches_a_substitution_that_drops_the_replacement(monkeypatch):
+    # a subst_term that returns the body unchanged leaves the substituted
+    # variable free, so the checker rejects the result
+    monkeypatch.setattr(tc, "subst_term", lambda body, var, replacement: body)
+    rep = pl.verify_metatheory(seed=2024)
+    assert rep.status == "counterexample"
+    assert rep.witness["law"] == "substitution"
+    assert rep.witness["detail"].startswith("substituted term rejected: UnboundVar")
+    monkeypatch.undo()
+    assert pl.verify_metatheory(seed=2024).status == "verified"
 
 
 def test_cbpv_catches_u_translated_to_bang(monkeypatch):

@@ -23,8 +23,8 @@ def test_an_extension_needs_a_table_from_a_into_t_b(m):
     # a table with a value outside T B, such as (99,) under the powerset monad
     # or (7,) under the exception monad, has no extension; packed, the two
     # tables (0,) and f are one column of two lanes
-    one = fm.FinSet(1)
-    for f in [(m.apply(one).size,), (7,), (99,), (-1,), (256,), (300,)]:
+    one = 1
+    for f in [(m.apply(one),), (7,), (99,), (-1,), (256,), (300,)]:
         with pytest.raises(fm.ModelError, match="leaves T B"):
             m.extend(f, one, one)
         if 0 <= f[0] < 256:
@@ -44,9 +44,9 @@ def test_projection_must_not_depend_on_the_isomorphism():
     # points (raise point 2), and its two isomorphisms to that algebra
     # transport the family to different elements
     model = ip.Model(EXC, 2, range(3))
-    comps = tuple(fm.FinSet(alg.carrier.size) for alg in model.algebras)
+    comps = tuple(fm.FinSet(alg.size) for alg in model.algebras)
     poly = ip.PolySem(1, CSORT, comps, ((0,) * len(comps),))
-    target = fm.Alg(EXC, fm.FinSet(3), ((0,),))
+    target = fm.Alg(EXC, 3, ((0,),))
     assert model.alg_index(target) is None
     with pytest.raises(ip.InterpError, match="depends on the isomorphism"):
         model.project_poly(poly, 0, target, "X", TyVar(CSORT, "X"), ip.TypeEnv())
@@ -54,10 +54,10 @@ def test_projection_must_not_depend_on_the_isomorphism():
 
 def test_a_family_over_algebras_is_projected_only_at_an_algebra():
     model = ip.Model(IDM, 2)
-    comps = tuple(fm.FinSet(alg.carrier.size) for alg in model.algebras)
+    comps = tuple(fm.FinSet(alg.size) for alg in model.algebras)
     poly = ip.PolySem(1, CSORT, comps, ((0,) * len(comps),))
     with pytest.raises(ip.InterpError, match="not an algebra"):
-        model.project_poly(poly, 0, fm.FinSet(2), "X", TyVar(CSORT, "X"), ip.TypeEnv())
+        model.project_poly(poly, 0, 2, "X", TyVar(CSORT, "X"), ip.TypeEnv())
 
 
 def test_the_two_booleans_must_be_distinct():
