@@ -19,12 +19,22 @@ an isomorphic representative exists, and raises ``OutOfBoundError``
 otherwise.  All enumerations are deterministic, so
 interpretation is reproducible bit for bit.
 
-Interpretations are cached per model, keyed by a type and the
-environment restricted to the type's free variables.  Types (``kernel``),
-model objects (``finmodel``) and environments (``TypeEnv``, ``RelEnv``,
-each memoizing its restrictions) are interned, so a key hashes in O(1) and
-compares by identity.  Build them only through their constructors and never
-mutate them.
+Interpretations are cached per model, keyed by a type's alpha-class
+(``kernel.alpha_canonical``, its representative) and the environment
+restricted to the type's free variables, as a binder's name plays no part
+in a type's meaning: alpha-equal spellings share one domain, one family
+search and one relation view per environment.  A spelling is keyed too, so
+a hit costs no canonical form; a miss looks the class up, and the first
+spelling builds its entry and is the type its messages name.  Types
+(``kernel``), model objects (``finmodel``) and environments (``TypeEnv``,
+``RelEnv``, each memoizing its restrictions) are interned, so a key hashes
+in O(1) and compares by identity.  Build them only through their
+constructors and never mutate them.
+
+A function space whose codomain's size has saturated at ``2**SIZE_BITS + 1``
+is an ``UnindexedFunSem``: a saturated size may bound a count but is never a
+radix, so its ``apply``, ``encode`` and ``table`` raise ``OutOfBoundError``
+naming the type.
 
 A relation view (``AtomRel``, ``FunRel``, ``ForallRel``) has one
 materialized form, ``rows()``: a tuple of int bitmasks in which bit ``b``
@@ -51,7 +61,10 @@ one relation: the least admissible relation where it occurs only covariantly or
 not at all, and the full relation where it occurs only contravariantly.  Where
 it does not occur, that relation's view is the body's own under the rest of the
 environment, since ``interp_rel`` keys on the environment restricted to the
-body's free variables.  Else a *positive* body
+body's free variables.  A body ``X -> C`` with ``X`` not free in ``C`` is read
+at the full relation off ``C``'s one view under the rest of the environment
+(``every_value_related``): components are related iff ``C`` relates each of
+their values to each of the other's, with no view per object pair.  Else a *positive* body
 ``D1 -> ... -> Dn -> X`` (see ``positive_args``; an argument may reach ``X``
 through ``->`` and ``-o``) needs only the least relations its arguments
 generate: components ``u`` at object i and ``v`` at object j are related iff
@@ -112,6 +125,7 @@ from .kernel import (
     TyVar,
     TypeExpr,
     Var,
+    alpha_canonical,
     binder_signs,
     classify_type,
     free_type_var_keys,
@@ -164,13 +178,47 @@ class FunSem(SemSet):
         return (t[::-1] for t in product(range(self.cod.size), repeat=self.dom.size))
 
 
-def fun_sem(dom: SemSet, cod: SemSet) -> FunSem:
-    """The function space, sized ``cod.size**dom.size`` up to ``2**SIZE_BITS``
-    and saturated just past it, far past ``ITER_CAP``: nested function
-    spaces would otherwise build a power tower of Python ints."""
-    if cod.size > 1 and dom.size * log2(cod.size) > SIZE_BITS:
-        return FunSem((1 << SIZE_BITS) + 1, dom, cod)
-    return FunSem(cod.size**dom.size, dom, cod)
+@dataclass(eq=False)
+class UnindexedFunSem(FunSem):
+    """A function space whose codomain's size has saturated: its values have
+    no radix to be read or built by, so ``apply``, ``encode`` and ``table``
+    raise rather than reduce an index modulo a bound."""
+
+    ty: Optional[TypeExpr]  # the type and its environment, named in the error;
+    env: Optional["TypeEnv"]  # None where only the size is asked for
+
+    def _unindexed(self) -> OutOfBoundError:
+        return OutOfBoundError(f"values of {_bound_type(self.ty, self.env)} are not indexed:"
+                               f" its codomain has more than 2**{SIZE_BITS} elements")
+
+    def apply(self, f: int, x: int) -> int:
+        raise self._unindexed()
+
+    def encode(self, table: Sequence[int]) -> int:
+        raise self._unindexed()
+
+    def table(self, f: int) -> tuple[int, ...]:
+        raise self._unindexed()
+
+
+def fun_sem(dom: SemSet, cod: SemSet, ty: Optional[TypeExpr] = None, env: Optional["TypeEnv"] = None) -> FunSem:
+    """The function space ``ty`` under ``env``, sized ``cod.size**dom.size`` up to
+    ``2**SIZE_BITS`` and saturated just past it, far past ``ITER_CAP``:
+    nested function spaces would otherwise build a power tower of Python
+    ints.  A saturated size may bound a count but is never a radix, so a
+    space over a saturated codomain is an ``UnindexedFunSem``."""
+    size = (1 << SIZE_BITS) + 1 if cod.size > 1 and dom.size * log2(cod.size) > SIZE_BITS else cod.size**dom.size
+    if cod.size > 1 << SIZE_BITS:
+        return UnindexedFunSem(size, dom, cod, ty, env)
+    return FunSem(size, dom, cod)
+
+
+def _bound_type(ty: Optional[TypeExpr], env: Optional["TypeEnv"]) -> str:
+    """``ty`` in a message, with what ``env`` binds its free variables to."""
+    binds = "" if env is None else ", ".join(
+        f"{TyVar(s, n)} {'an algebra' if s == CSORT else 'a set'} on {v.size} elements"
+        for (s, n), v in env.restrict(free_type_var_keys(ty)).items)
+    return f"{ty}{binds and f', with {binds},'}"
 
 
 def _count(n: int) -> str:
@@ -549,6 +597,28 @@ def _is_diagonal(view: RelView) -> bool:
     return view.left is view.right and view.fits() and view.rows() == fm.diagonal(view.left.size)
 
 
+def every_value_related(cod: RelView, left: SemSet, right: SemSet) -> Callable[[int, int], bool]:
+    """``test(u, v)``: ``cod`` relates ``u x`` to ``v y`` for every argument
+    ``x`` of the function space ``left`` and ``y`` of ``right``, which is how
+    the full relation on a ``X -> C`` domain relates ``u`` and ``v``.  Reads
+    ``cod``'s rows when they fit, each ``v`` as the mask of its values."""
+    xs, ys = range(left.dom.size), range(right.dom.size)  # type: ignore[attr-defined]
+    if not xs or not ys:
+        return lambda u, v: True
+    if not cod.fits():
+        return lambda u, v: all(cod.contains(left.apply(u, x), right.apply(v, y))  # type: ignore[attr-defined]
+                                for x in xs for y in ys)
+    rows = cod.rows()
+
+    def test(u: int, v: int) -> bool:
+        want = 0
+        for y in ys:
+            want |= 1 << right.apply(v, y)  # type: ignore[attr-defined]
+        return all(rows[left.apply(u, x)] & want == want for x in xs)  # type: ignore[attr-defined]
+
+    return test
+
+
 def positive_args(sort: str, binder: str, body: TypeExpr) -> Optional[list]:
     """The arguments of a positive body ``D1 -> ... -> Dn -> X``, whose whole
     codomain is the binder ``X``: each ``Dk`` as ``(Dk, None)`` when ``X`` is
@@ -723,15 +793,26 @@ class Model:
     def interp_vtype(self, env: TypeEnv, ty: TypeExpr) -> SemSet:
         key = (ty, env.restrict(free_type_var_keys(ty)))
         sem = self._vty.get(key)
-        if sem is None:
-            sem = self._vty[key] = self._interp_vtype(env, ty)
-        return sem
+        return self._alpha_miss(self._vty, key, env, self._interp_vtype) if sem is None else sem
+
+    @staticmethod
+    def _alpha_miss(memo: dict, key: tuple, env, build: Callable):
+        """A cache miss on ``key``, a type and its restricted environment: the
+        entry of the type's alpha-class under that environment, built from this
+        spelling if no other spelling has built it, and kept under both keys."""
+        ty, restricted = key
+        canon = (alpha_canonical(ty), restricted)
+        val = memo.get(canon)
+        if val is None:
+            val = memo[canon] = build(env, ty)
+        memo[key] = val
+        return val
 
     def _interp_vtype(self, env: TypeEnv, ty: TypeExpr) -> SemSet:
         if isinstance(ty, TyVar):
             return env.get(ty.sort, ty.name)
         if isinstance(ty, Arrow):
-            return fun_sem(self.interp_vtype(env, ty.dom), self.interp_vtype(env, ty.cod))
+            return fun_sem(self.interp_vtype(env, ty.dom), self.interp_vtype(env, ty.cod), ty, env)
         if isinstance(ty, Lolli):
             dom_sem, cod_sem = self.interp_vtype(env, ty.dom), self.interp_vtype(env, ty.cod)
             # with no constants every table is a candidate, so the carriers alone
@@ -743,10 +824,8 @@ class Model:
                     raise OutOfBoundError(f"hom space too large: {cod_sem.size}^{_count(dom_sem.size)}")
                 tables = self._hom_tables(*algs)
             except OutOfBoundError as exc:
-                binds = ", ".join(f"{TyVar(s, n)} {'an algebra' if s == CSORT else 'a set'} on {v.size} elements"
-                                  for (s, n), v in env.restrict(free_type_var_keys(ty)).items)
                 raise OutOfBoundError(
-                    f"homomorphisms for {ty}{binds and f', with {binds},'} from the algebra on {dom_sem.size}"
+                    f"homomorphisms for {_bound_type(ty, env)} from the algebra on {dom_sem.size}"
                     f" elements to the algebra on {cod_sem.size}: {exc}"
                 ) from exc
             return HomSem(len(tables), dom_sem, cod_sem, tables)
@@ -768,9 +847,7 @@ class Model:
     def interp_ctype(self, env: TypeEnv, ty: TypeExpr) -> fm.Alg:
         key = (ty, env.restrict(free_type_var_keys(ty)))
         alg = self._cty.get(key)
-        if alg is None:
-            alg = self._cty[key] = self._interp_ctype(env, ty)
-        return alg
+        return self._alpha_miss(self._cty, key, env, self._interp_ctype) if alg is None else alg
 
     def _interp_ctype(self, env: TypeEnv, ty: TypeExpr) -> fm.Alg:
         if classify_type(ty) is not Kind.COMPUTATION:
@@ -814,9 +891,7 @@ class Model:
     def interp_rel(self, rho: RelEnv, ty: TypeExpr) -> RelView:
         key = (ty, rho.restrict(free_type_var_keys(ty)))
         view = self._rel.get(key)
-        if view is None:
-            view = self._rel[key] = self._interp_rel(rho, ty)
-        return view
+        return self._alpha_miss(self._rel, key, rho, self._interp_rel) if view is None else view
 
     def _interp_rel(self, rho: RelEnv, ty: TypeExpr) -> RelView:
         left = self.interp_vtype(rho.rho1, ty)
@@ -851,6 +926,8 @@ class Model:
           (Reynolds 1983; Wadler, "Theorems for free!", 1989); a vacuous
           binder takes the least relation too, whose view is the body's own
           under ``rho``, as ``interp_rel`` keys on the body's free variables;
+          and a contravariant body ``X -> C`` with ``X`` not free in ``C``
+          is read off ``C``'s view under ``rho`` (``every_value_related``);
         - by a positive body's ``least_links`` (``link_test``), wherever they fit;
         - by ``every_relation``, the naive oracle's test.
         ``tables(i)``: the tables ``c`` of a positive body's component at ``i``
@@ -861,6 +938,8 @@ class Model:
         objs = self.objects(sort)
         signs = binder_signs(sort, binder, body)
         args = positive_args(sort, binder, body)
+        from_binder = (isinstance(body, Arrow) and body.dom is TyVar(sort, binder)
+                       and (sort, binder) not in free_type_var_keys(body.cod))
         links: dict = {}  # (i, j) -> least_links
         tests: dict = {}  # (i, j) -> the pair's test
         every = self.every_relation(rho, sort, binder, body)
@@ -873,6 +952,10 @@ class Model:
         def test_for(i: int, j: int) -> Callable[[int, int], bool]:
             m, n = objs[i].size, objs[j].size
             if len(signs) < 2:  # one extreme relation
+                if -1 in signs and from_binder:  # X -> C at the full relation: C's view under rho decides
+                    return every_value_related(self.interp_rel(rho, body.cod),  # type: ignore[attr-defined]
+                                               self.interp_vtype(rho.rho1.set(sort, binder, objs[i]), body),
+                                               self.interp_vtype(rho.rho2.set(sort, binder, objs[j]), body))
                 q = ((1 << n) - 1,) * m if -1 in signs else self._closure(sort, i, j, (0,) * m)
                 return self.interp_rel(rho.set(sort, binder, objs[i], objs[j], q), body).contains
             pair = pair_links(i, j)

@@ -16,7 +16,8 @@ its ``sort`` (``VSORT`` or ``CSORT``): the variable ``TyVar``, the
 quantifier ``Forall``, the type abstraction ``TyLam`` and the type
 application ``TyApp``, so a rule that treats the two sorts alike is
 written once.  ``alpha_eq`` compares types up to renaming of bound
-variables.
+variables, and ``alpha_canonical`` gives each alpha-class one
+representative node, computed once per node.
 
 Judgments ``gamma | delta |- t : B`` carry an ordinary context plus an
 optional stoup ``delta``: at most one binding, restricted to
@@ -133,6 +134,7 @@ class TypeExpr:
 
     _fv = None  # free variables as nodes, cached on first use
     _fvk = None  # the same as (sort, name) keys
+    _canon = None  # the alpha-canonical form, cached on first use; False where it is the node itself
     _kind = None  # the kind, cached on first use
     _prec = PREC_BINDER
 
@@ -523,11 +525,16 @@ def alpha_eq(a: TypeExpr, b: TypeExpr) -> bool:
 
 
 def alpha_canonical(t: TypeExpr) -> TypeExpr:
-    """Rename bound variables to a canonical numbering (for set-based dedup).
+    """The representative of ``t``'s alpha-class: bound variables renamed to
+    a canonical numbering, so alpha-equal types give one node.
 
     The canonical names ``b0, b1, ...`` skip every free name of ``t``, so no
-    free variable is captured.
+    free variable is captured.  Computed once per node, and a canonical
+    node is its own representative.
     """
+    canon = t._canon
+    if canon is not None:
+        return canon or t
     free = {name for _, name in free_type_var_keys(t)}
     names = (name for name in (f"b{i}" for i in itertools.count()) if name not in free)
 
@@ -543,7 +550,12 @@ def alpha_canonical(t: TypeExpr) -> TypeExpr:
             return Forall(t.sort, name, go(t.body, env2))
         raise KindError(f"not a core type expression: {t!r}")
 
-    return go(t, {})
+    canon = go(t, {})
+    # False, not the node: a node holding itself would be a cycle that only the cycle collector frees
+    object.__setattr__(canon, "_canon", False)
+    if canon is not t:
+        object.__setattr__(t, "_canon", canon)
+    return canon
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import os
 import pathlib
+import random
 import resource
 import subprocess
 import sys
@@ -14,6 +15,7 @@ from math import prod
 import pytest
 from hypothesis import assume, event, given, settings, strategies as st
 
+from polyeff import cli
 from polyeff import encodings as enc
 from polyeff import finmodel as fm
 from polyeff import interp as ip
@@ -32,6 +34,7 @@ from polyeff.kernel import (
     Var,
     binder_signs,
     classify_type,
+    free_type_var_keys,
     free_type_vars,
     free_type_vars_term,
 )
@@ -130,6 +133,93 @@ def test_applying_a_value_of_a_saturated_space_computes_one_power():
         tracemalloc.stop()
     assert digits == [1, 0, 2]
     assert peak < 10 << 20
+
+
+# suites cheap enough at bound 3 under every monad to run here, in CLI order;
+# between them they build about 2 500 function spaces
+ROUND_TRIP_SUITES = ("abstraction", "free-algebra", "bang-cardinality", "algop", "handler", "encoding-props",
+                     "parametric-counts")
+
+
+@pytest.mark.parametrize("monad", ["exception", "identity", "powerset"])
+def test_every_function_space_the_suites_build_reads_back_what_it_encodes(monkeypatch, monad):
+    # apply(encode(t), x) == t[x] on each space the suites build at bound 3,
+    # for its least and greatest tables and a few seeded ones; a space over a
+    # saturated codomain has no radix, so it raises instead of reading back
+    # a value reduced modulo the saturated size
+    built = []
+    fun_sem = ip.fun_sem
+    monkeypatch.setattr(ip, "fun_sem", lambda *args: built.append(fun_sem(*args)) or built[-1])
+    for suite in ROUND_TRIP_SUITES:
+        cli.run_suite(suite, fm.ModelConfig(monad=monad, bound=3), 2024)
+    monkeypatch.undo()
+    rng = random.Random(monad)
+    unindexed = too_long = 0
+    for sem in built:
+        if isinstance(sem, ip.UnindexedFunSem):
+            unindexed += 1
+            for call in (lambda: sem.apply(0, 0), lambda: sem.encode([0] * sem.dom.size), lambda: sem.table(0)):
+                with pytest.raises(ip.OutOfBoundError, match=r"^values of .* are not indexed: its codomain has"
+                                                             r" more than 2\*\*64 elements$"):
+                    call()
+            continue
+        n, c = sem.dom.size, sem.cod.size
+        if n and not c:  # no table at all
+            continue
+        if n > 4096:  # too long to tabulate here
+            too_long += 1
+            continue
+        for t in [[0] * n, [c - 1] * n, *([rng.randrange(c) for _ in range(n)] for _ in range(3))]:
+            f = sem.encode(t)
+            assert f < sem.size or sem.size > 1 << 64
+            assert [sem.apply(f, x) for x in range(n)] == t and sem.table(f) == tuple(t), sem
+    assert too_long < 0.01 * len(built), too_long
+    assert unindexed == (monad == "powerset")  # the sum of ROADMAP item 13, below
+
+
+def _check_saturated_sum(model):
+    """The encoded sum of algebra 0 (empty) and algebra 4 (3 elements): the
+    family search finds its families, whose component at the free algebra on
+    3 points (7 elements) has no radix to be read by, and the sum's algebra
+    is out of bound, naming that component's type."""
+    env = ip.type_env({}, {"A": model.algebras[0], "B": model.algebras[4]})
+    ty = enc.sum_type(CSORT, TyVar(CSORT, "A"), TyVar(CSORT, "B"))
+    poly = model.interp_vtype(env, ty)
+    k, _, _ = model.free_algebra(3)
+    comp = poly.comps[k]
+    assert poly.size > 0 and comp.cod.size > 2**64
+    for fam in poly.fams:
+        try:
+            read = comp.apply(fam[k], 0)
+        except ip.OutOfBoundError:
+            read = None
+        assert read is None, f"{fam[k]} read as {read}"
+    try:
+        model.interp_ctype(env, ty)
+    except ip.OutOfBoundError as exc:
+        assert str(exc) == ("values of (^A -o ^X) -> (^B -o ^X) -> ^X, with ^A an algebra on 0 elements, ^B an"
+                            " algebra on 3 elements, ^X an algebra on 7 elements, are not indexed: its codomain"
+                            " has more than 2**64 elements")
+    else:
+        raise AssertionError("the sum's algebra was built")
+
+
+@pytest.mark.parametrize("defect", [None, "apply reduces modulo the saturated size"])
+def test_a_sum_whose_values_pass_2_64_is_out_of_bound_not_a_counterexample(monkeypatch, defect):
+    # ROADMAP item 13.  Under the powerset monad at bound 3 the sum above has
+    # the component (^A -o ^X) -> (^B -o ^X) -> ^X at the 7-element algebra,
+    # whose codomain has more than 2**64 elements.  The family search builds
+    # its values exactly; read modulo the saturated size they matched no
+    # family, and encoding-props reported "family is not parametric", a
+    # false counterexample
+    model = pl.build_model(fm.ModelConfig(monad="powerset", bound=3), range(4))
+    assert (model.algebras[0].size, model.algebras[4].size) == (0, 3)
+    if defect is None:
+        _check_saturated_sum(model)
+        return
+    monkeypatch.setattr(ip.UnindexedFunSem, "apply", ip.FunSem.apply)
+    with pytest.raises(AssertionError, match="read as"):
+        _check_saturated_sum(model)
 
 
 def test_polymorphic_endomap_cardinality(model):
@@ -1429,22 +1519,47 @@ def _battery_cases(model):
             yield env, ty
 
 
+def _nested_vacuous(model, env, ty, met):
+    """Into ``met``: each vacuous quantified type in ``ty``, under the environment an
+    interpretation of ``ty`` in ``env`` meets it in, restricted to its free variables."""
+    if isinstance(ty, (Arrow, Lolli)):
+        _nested_vacuous(model, env, ty.dom, met)
+        _nested_vacuous(model, env, ty.cod, met)
+    elif isinstance(ty, Forall):
+        if not binder_signs(ty.sort, ty.binder, ty.body):
+            met.setdefault((env.restrict(free_type_var_keys(ty)), ty), None)
+        for obj in model.objects(ty.sort):
+            _nested_vacuous(model, env.set(ty.sort, ty.binder, obj), ty.body, met)
+
+
 @pytest.mark.parametrize("monad", ["exception", "identity", "powerset"])
 def test_vacuous_quantifiers_in_closed_form_match_both_oracles(monkeypatch, monad):
-    # every vacuous quantified type the family search meets in the seed-2024
-    # abstraction corpus, and the battery under every type environment
+    # every vacuous quantified type the seed-2024 abstraction corpus meets, and
+    # the battery under every type environment.  The cases are read off the
+    # requests to the three interpreters, each spelling of the binders apart,
+    # with the quantifiers nested in each type under every binding, since the
+    # model's caches share one family search per alpha-class
     model = pl.build_model(fm.ModelConfig(monad=monad), ())
-    met = {}
-    families = model._families
+    requests = {}
 
-    def spy(env, ty, comps):
-        if not binder_signs(ty.sort, ty.binder, ty.body):
-            met.setdefault((env, ty), None)
-        return families(env, ty, comps)
+    def spy(name, env_of):
+        interp = getattr(model, name)
 
-    monkeypatch.setattr(model, "_families", spy)
+        def record(env, ty):
+            for env1 in env_of(env):
+                requests.setdefault((env1.restrict(free_type_var_keys(ty)), ty), None)
+            return interp(env, ty)
+
+        monkeypatch.setattr(model, name, record)
+
+    spy("interp_vtype", lambda env: (env,))
+    spy("interp_ctype", lambda env: (env,))
+    spy("interp_rel", lambda rho: (rho.rho1, rho.rho2))
     assert pl.verify_abstraction(model, seed=2024).status == "verified"
-    monkeypatch.setattr(model, "_families", families)
+    monkeypatch.undo()
+    met = {}
+    for env, ty in requests:
+        _nested_vacuous(model, env, ty, met)
     assert len(met) > 200
     closed, rows_shared = 0, 0
     for env, ty in [*met, *_battery_cases(model)]:
@@ -1632,3 +1747,126 @@ def test_one_compiled_closure_matches_a_fresh_evaluation_per_environment(abstrac
     order.shuffle(at)
     event(f"{len(set(map(id, (e for e, _ in envs))))} type environments")
     assert [_outcome(run, *envs[i]) for i in at] == [fresh[i] for i in at]
+
+
+# spellings of one alpha-class at both sorts, with nested and shadowing
+# binders, each with a decoy: a type of another class that a planted
+# canonical form confuses with the first spelling
+ALPHA_SPELLINGS = (
+    ("forall X. X -> X", "forall Y. Y -> Y", "forall X. X -> Y"),
+    ("forall ^X. ^X -> ^X", "forall ^Y. ^Y -> ^Y", "forall ^X. ^X -> ^P"),
+    ("forall X. forall ^Y. X -> ^Y", "forall A. forall ^B. A -> ^B", "forall X. forall ^Y. ^Y -> ^Y"),
+    ("forall X. forall X. X -> X", "forall Y. forall X. X -> X", "forall X. forall Y. X -> X"),
+    ("forall X. (forall X. X) -> X", "forall Z. (forall Y. Y) -> Z", "forall X. (forall Y. X) -> X"),
+    # a value and a computation binder of one name
+    ("forall X. forall ^X. X -> ^X", "forall Y. forall ^Z. Y -> ^Z", "forall X. forall ^Y. ^Y -> ^Y"),
+    # a free variable named like a canonical binder
+    ("(forall X. X -> b0) -> b0", "(forall Y. Y -> b0) -> b0", "(forall X. X -> X) -> b0"),
+)
+
+
+def _planted_canonical(defect):
+    """``kernel.alpha_canonical`` with one defect: binders keyed by name
+    alone, or the canonical names not skipping the free ones."""
+    def canonical(t):
+        free = {name for _, name in free_type_var_keys(t)}
+        names = (n for n in (f"b{i}" for i in range(100)) if defect == "capture a free b0" or n not in free)
+        key = (lambda sort, name: name) if defect == "ignore the binder's sort" else (lambda sort, name: (sort, name))
+
+        def go(t, env):
+            if isinstance(t, TyVar):
+                return env.get(key(t.sort, t.name), t)
+            if isinstance(t, (Arrow, Lolli)):
+                return type(t)(go(t.dom, env), go(t.cod, env))
+            name = next(names)
+            return Forall(t.sort, name, go(t.body, {**env, key(t.sort, t.binder): TyVar(t.sort, name)}))
+
+        return go(t, {})
+
+    return canonical
+
+
+def _alpha_failures(monad, spellings):
+    """The spelling triples on which a model that interprets the decoy, then
+    both spellings, shares no one domain between the spellings, or gives a
+    domain, algebra or relation other than a fresh model's for each type."""
+    failed = set()
+    for triple in spellings:
+        decoy, first, second = (parse_type(src) for src in (triple[2], *triple[:2]))
+        model = ip.Model(monad, 2)
+        names = pl.env_names(free_type_vars(decoy) | free_type_vars(first))
+        for rho in islice(pl.rel_envs(model, names), 12):
+            env = rho.rho1
+            sems = [model.interp_vtype(env, ty) for ty in (decoy, first, second)]
+            views = [model.interp_rel(rho, ty) for ty in (decoy, first, second)]
+            fresh = [ip.Model(monad, 2) for _ in range(3)]
+            want = [m.interp_vtype(env, ty) for m, ty in zip(fresh, (decoy, second, first))]
+            wviews = [m.interp_rel(rho, ty) for m, ty in zip(fresh, (decoy, second, first))]
+            same = sems[1] is sems[2] and views[1] is views[2]
+            for sem, view, w, wview in zip(sems, views, want, wviews):
+                same &= sem.size == w.size and getattr(sem, "fams", None) == getattr(w, "fams", None)
+                same &= (view.rows() == wview.rows()) if wview.fits() else not view.fits()
+            if classify_type(first) is Kind.COMPUTATION:
+                algs = [model.interp_ctype(env, ty) for ty in (first, second)]
+                same &= algs[0] is algs[1] is ip.Model(monad, 2).interp_ctype(env, second)
+            if not same:
+                failed.add(triple[0])
+                break
+    return failed
+
+
+@pytest.mark.parametrize("monad", [EXC, POW])
+def test_alpha_equal_spellings_share_one_interpretation(monad):
+    assert _alpha_failures(monad, ALPHA_SPELLINGS) == set()
+
+
+@pytest.mark.parametrize("defect, caught", [
+    ("ignore the binder's sort", {"forall X. forall ^X. X -> ^X"}),
+    ("capture a free b0", {"(forall X. X -> b0) -> b0"}),
+])
+def test_planted_canonical_forms_fail_the_alpha_key_check(monkeypatch, defect, caught):
+    monkeypatch.setattr(ip, "alpha_canonical", _planted_canonical(defect))
+    assert _alpha_failures(EXC, ALPHA_SPELLINGS) == caught
+
+
+# bodies X -> C with X not free in C, at both sorts; every registered object
+# pair is tested, the empty set and the empty algebra included
+FROM_BINDER_BODIES = ("forall X. X -> Y", "forall ^X. ^X -> ^Q", "forall X. X -> ^P -o ^P", "forall X. X -> forall Y. ^P")
+
+
+def _from_binder_failures(monad):
+    """The types on which ``relatedness`` disagrees, at some relation
+    environment, object pair and component pair, with the full relation's
+    view or with ``every_relation``."""
+    model = ip.Model(monad, 2)
+    failed = set()
+    for src in FROM_BINDER_BODIES:
+        ty = parse_type(src)
+        sort, binder, body = ty.sort, ty.binder, ty.body
+        objs = model.objects(sort)
+        for rho in islice(pl.rel_envs(model, _free_names(ty)), 40):
+            related, _ = model.relatedness(rho, sort, binder, body)
+            every = model.every_relation(rho, sort, binder, body)
+            for (i, a), (j, b) in product(enumerate(objs), repeat=2):
+                full = model.interp_rel(rho.set(sort, binder, a, b, ((1 << b.size) - 1,) * a.size), body)
+                if any(related(i, j, u, v) != full.contains(u, v) or every(i, j, u, v) != full.contains(u, v)
+                       for u in range(full.left.size) for v in range(full.right.size)):
+                    failed.add(src)
+    return failed
+
+
+@pytest.mark.parametrize("monad", [EXC, fm.MonadSpec("identity"), POW])
+def test_a_binder_that_is_a_whole_arrow_domain_is_decided_by_the_codomain(monad):
+    assert _from_binder_failures(monad) == set()
+
+
+@pytest.mark.parametrize("defect", ["test only x == y", "drop the codomain's relation"])
+def test_planted_arrow_domain_reads_fail_the_full_relation_check(monkeypatch, defect):
+    def planted(cod, left, right):
+        if defect == "drop the codomain's relation":
+            return lambda u, v: True
+        xs = range(min(left.dom.size, right.dom.size))
+        return lambda u, v: all(cod.contains(left.apply(u, x), right.apply(v, x)) for x in xs)
+
+    monkeypatch.setattr(ip, "every_value_related", planted)
+    assert _from_binder_failures(EXC) == set(FROM_BINDER_BODIES)
