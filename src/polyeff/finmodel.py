@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from itertools import product, repeat
+from itertools import permutations, product, repeat
 from typing import Iterable, Iterator, Sequence
 
 from .kernel import KEYWORDS, Interned, hash_consed
@@ -230,6 +230,34 @@ def enumerate_algebras(m: MonadSpec, bound: int, cap: int) -> list[Alg]:
             if semilattice_laws_hold(table):
                 out.append(Alg(m, n, (tuple(v for row in table for v in row),)))
     return out
+
+
+def relabel(alg: Alg, perm: Sequence[int]) -> Alg:
+    """The copy of ``alg`` in which element ``perm[x]`` plays ``x``'s part, so
+    ``perm`` is an isomorphism from ``alg`` to it."""
+    n = alg.size
+    ops = []
+    for arity, table in zip(alg.monad.arities, alg.ops):
+        out = [0] * len(table)
+        for code, args in enumerate(product(range(n), repeat=arity)):
+            out[arg_code([perm[x] for x in args], n)] = perm[table[code]]
+        ops.append(tuple(out))
+    return Alg(alg.monad, n, tuple(ops))
+
+
+def canonical_form(alg: Alg) -> Alg:
+    """The least relabelling of ``alg``'s operation tables over its carrier's
+    permutations, so two algebras are isomorphic iff their canonical forms are
+    one algebra.  Under a signature of constants alone the least relabelling
+    numbers the points in order of first use and the rest after them; otherwise
+    every permutation is tried (a powerset carrier past 4 elements has too many
+    candidate tables to enumerate, see ``enumerate_algebras``)."""
+    n = alg.size
+    if any(alg.monad.arities):
+        return min((relabel(alg, perm) for perm in permutations(range(n))), key=lambda a: a.ops)
+    order = list(dict.fromkeys(table[0] for table in alg.ops))
+    order += sorted(set(range(n)) - set(order))
+    return relabel(alg, [order.index(x) for x in range(n)])
 
 
 def free_algebra(m: MonadSpec, a: int) -> tuple[Alg, tuple[int, ...]]:

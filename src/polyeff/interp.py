@@ -12,11 +12,14 @@ per registered object that preserve every admissible relation between
 every pair of objects.
 
 Quantifiers range over the model's registered objects only: all sets
-and all algebra structures up to the bound, plus the free algebras on
-the set sizes the model is built with, fixed when it is built.
-Projection at other objects goes through a transport isomorphism when
-an isomorphic representative exists, and raises ``OutOfBoundError``
-otherwise.  All enumerations are deterministic, so
+up to the bound, one algebra per isomorphism class of the structures
+up to the bound, and the free algebras on the set sizes the model is
+built with, fixed when it is built.  The graph of an isomorphism is
+admissible, so a family's component at a copy of an algebra is the
+transport of its component at the registered one: a copy adds no
+family.  Projection at other objects goes through a transport
+isomorphism when an isomorphic representative exists, and raises
+``OutOfBoundError`` otherwise.  All enumerations are deterministic, so
 interpretation is reproducible bit for bit.
 
 Interpretations are cached per model, keyed by a type's alpha-class
@@ -722,20 +725,26 @@ class Model:
     (``encodings.register_effect_constants``)."""
 
     def __init__(self, monad: fm.MonadSpec, bound: int, free_sizes: Iterable[int] = ()):
-        """``free_sizes``: the set sizes whose free algebras are registered,
-        each appended to the enumerated algebras unless it is one of them."""
+        """``free_sizes``: the set sizes whose free algebras are registered.
+
+        The model registers one algebra per isomorphism class, keyed by its
+        canonical form (``fm.canonical_form``): the first of the class in
+        ``fm.enumerate_algebras``' lexicographic order, which is that form.
+        A free algebra takes its class's place, so ``free_algebra`` reads
+        T A's own labels; one past the bound joins at the end."""
         self.monad = monad
         self.bound = bound
         self.sets = fm.enumerate_sets(bound)
-        self.algebras = fm.enumerate_algebras(monad, bound, ITER_CAP)
-        self._free: dict[int, tuple[int, tuple[int, ...]]] = {}  # |A| -> (index of T A, unit table)
-        for size in free_sizes:
-            alg, eta = fm.free_algebra(monad, size)
-            idx = self.alg_index(alg)
-            if idx is None:
-                self.algebras.append(alg)
-                idx = len(self.algebras) - 1
-            self._free[size] = (idx, eta)
+        classes: dict[fm.Alg, fm.Alg] = {}  # canonical form -> the class's registered algebra
+        for alg in fm.enumerate_algebras(monad, bound, ITER_CAP):
+            classes.setdefault(fm.canonical_form(alg), alg)
+        free = {size: fm.free_algebra(monad, size) for size in free_sizes}
+        for alg, _ in free.values():
+            classes[fm.canonical_form(alg) if alg.size <= bound else alg] = alg
+        self.algebras = list(classes.values())
+        self._alg_index = {alg: i for i, alg in enumerate(self.algebras)}
+        self._free: dict[int, tuple[int, tuple[int, ...]]] = {  # |A| -> (index of T A, unit table)
+            size: (self._alg_index[alg], eta) for size, (alg, eta) in free.items()}
         self.constants: dict[str, TypeExpr] = encodings.register_effect_constants(monad)
         self._vty: dict = {}
         self._cty: dict = {}
@@ -762,10 +771,7 @@ class Model:
         return idx, self.algebras[idx], eta
 
     def alg_index(self, alg: fm.Alg) -> Optional[int]:
-        for i, a in enumerate(self.algebras):
-            if a == alg:
-                return i
-        return None
+        return self._alg_index.get(alg)
 
     def objects(self, sort: str):
         return self.sets if sort == VSORT else self.algebras

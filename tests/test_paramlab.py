@@ -40,18 +40,21 @@ def test_bang_laws(exc_free):
 def test_bang_laws_catch_a_projection_that_skips_transport(monkeypatch):
     # projecting a family at an algebra the model does not register (here the
     # structure of !A) must move the component along an isomorphism; reading
-    # the registered algebra's component as it is breaks the eta law
-    model = pl.build_model(fm.ModelConfig(), range(3))
-    project = model.project_poly
+    # the registered algebra's component as it is breaks the eta law. With
+    # one exception every such structure is a registered representative, so
+    # bang-laws projects by transport only with two
+    model = pl.build_model(fm.ModelConfig(exceptions=("e1", "e2")), range(3))
+    project, moved = model.project_poly, []
 
     def skipping(poly, fam, target, binder, body, env):
         if poly.sort == CSORT and model.alg_index(target) is None:
+            moved.append(target)
             return poly.fams[fam][next(k for k, a in enumerate(model.algebras) if a.size == target.size)]
         return project(poly, fam, target, binder, body, env)
 
     monkeypatch.setattr(model, "project_poly", skipping)
     rep = pl.verify_bang_laws(model)
-    assert rep.status == "counterexample"
+    assert rep.status == "counterexample" and moved
     assert rep.witness["law"] == "eta"
     # the eta law alone fails with the same witness, and holds without the defect
     bang_a = enc.encode_bang(TyVar(VSORT, "A"))
@@ -182,7 +185,7 @@ def _adjoint_reference(model):
     return failures
 
 
-@pytest.mark.parametrize("lifting, adjoint_failures", [(_unclosed_lifting, 0), (_full_lifting, 2472)],
+@pytest.mark.parametrize("lifting, adjoint_failures", [(_unclosed_lifting, 0), (_full_lifting, 638)],
                          ids=["unclosed", "full"])
 def test_rel_lifting_catches_a_wrong_lifting(monkeypatch, lifting, adjoint_failures):
     # without the closure the adjoint's two sides test the same pairs, so only
@@ -233,12 +236,12 @@ def test_algop_powerset_bound_three():
 
 
 def test_algop_out_of_bound_names_the_algebra_pair():
-    # under powerset the free algebra on 3 points (model index 4) has 7
+    # under powerset the free algebra on 3 points (model index 3) has 7
     # elements, and its endomorphisms have 7^7 candidate tables
     model = pl.build_model(fm.ModelConfig("powerset", (), 2), (3,))
     with pytest.raises(ip.OutOfBoundError) as exc:
         pl.verify_algop_correspondence(model, 3)
-    assert str(exc.value) == ("homomorphisms from algebra 4 on 7 elements to algebra 4 on 7:"
+    assert str(exc.value) == ("homomorphisms from algebra 3 on 7 elements to algebra 3 on 7:"
                               " hom space too large: 7^7")
 
 
@@ -247,7 +250,8 @@ def test_algop_out_of_bound_names_the_algebra_pair():
 def test_every_operation_is_natural_and_a_moved_component_is_not(monad):
     # the family of each operation's tables is one of the natural
     # transformations of its arity, so algop's check of it can pass; moving
-    # one component to another value must leave that set, so it can fail
+    # one component to a value that no natural transformation takes there
+    # must leave that set, so it can fail
     model = ip.Model(monad, 2)
     for k, (name, arity) in enumerate(monad.operations):
         body = enc.nary_op_type(arity).body
@@ -256,8 +260,9 @@ def test_every_operation_is_natural_and_a_moved_component_is_not(monad):
                     for alg, comp in zip(model.algebras, comps))
         nts = pl.enumerate_natural_transformations(model, arity)
         assert fam in nts, name
-        i = max(i for i, comp in enumerate(comps) if comp.size >= 2)
-        moved = fam[:i] + ((fam[i] + 1) % comps[i].size,) + fam[i + 1:]
+        i, v = next((i, v) for i, comp in enumerate(comps) for v in range(comp.size)
+                    if all(nt[i] != v for nt in nts))
+        moved = fam[:i] + (v,) + fam[i + 1:]
         assert moved not in nts, name
 
 
@@ -338,7 +343,14 @@ def test_algop_three_exceptions_fixes_the_fewest_candidates_first(monkeypatch):
 @pytest.mark.parametrize("monad, exceptions, n", [
     ("exception", ("e",), 1), ("exception", ("e",), 2), ("exception", ("e1", "e2"), 2), ("powerset", (), 2),
 ], ids=_config_id)
-def test_algop_catches_naturality_skipped_across_algebras(monkeypatch, monad, exceptions, n):
+def test_algop_catches_naturality_skipped_across_algebras(request, monkeypatch, monad, exceptions, n):
+    # families natural in each algebra's endomorphisms alone are too many, so
+    # algop's counts differ. Under one exception at arity 1 the representatives
+    # (the 1-point algebra and the free algebra on 1 point) admit no more
+    # families than that, so the defect shows only on the full enumeration,
+    # where the free algebra's copy with its point moved is registered too
+    if (monad, exceptions, n) == ("exception", ("e",), 1):
+        request.getfixturevalue("full_enumeration")
     model = pl.build_model(fm.ModelConfig(monad, exceptions, 2), (n,))
     model.interp_vtype(ip.TypeEnv(), enc.nary_op_type(n))  # the parametric elements, before the plant
     search = ip.pairwise_search
@@ -644,7 +656,7 @@ def test_abstraction_counts_evaluations_past_the_bound_as_skips(monkeypatch):
     monkeypatch.setattr(pl, "TermGenerator", lambda seed, interp_safe: SimpleNamespace(random_judgment=lambda: j))
     rep = pl.verify_abstraction(pl.build_model(fm.ModelConfig(bound=3), ()), n_terms=1)
     assert rep.status == "verified", rep.witness
-    assert rep.counts == {"terms": 1, "hom-instances": 0, "out-of-bound-skips": 33}
+    assert rep.counts == {"terms": 1, "hom-instances": 0, "out-of-bound-skips": 77}
 
 
 def test_abstraction_runs_each_closure_once_per_distinct_environment(monkeypatch):
@@ -732,7 +744,7 @@ def test_abstraction_catches_an_evaluator_that_depends_on_the_object(monkeypatch
 def test_abstraction_catches_a_stoup_map_that_leaves_the_carrier(monkeypatch):
     # s89 g90 with the stoup s89 : X -> ^P is one of the seed-2024 stoup
     # judgments whose relational walk tests nothing: its first 40 relation
-    # environments relate no pair at X.  The one type environment whose
+    # environments relate no pair at X.  The first type environment whose
     # homomorphism check runs gives X and ^P one element each, where every
     # map is a homomorphism, so an evaluator off by one, out of the carrier,
     # is the defect that check alone can see
@@ -742,7 +754,7 @@ def test_abstraction_catches_a_stoup_map_that_leaves_the_carrier(monkeypatch):
     rhos = list(itertools.islice(pl.rel_envs(model, [(ip.VSORT, "X"), (ip.CSORT, "P")]), 40))
     assert len(rhos) == 40 and not any(model.interp_rel(rho, TyVar(VSORT, "X")).pairs() for rho in rhos)
     rep = pl.verify_abstraction(model, n_terms=1)
-    assert (rep.status, rep.counts["hom-instances"]) == ("verified", 1), rep.witness
+    assert (rep.status, rep.counts["hom-instances"]) == ("verified", 2), rep.witness
     compile_ = model._compile
 
     def off_by_one(t, gamma, delta):
@@ -761,15 +773,29 @@ def test_relation_axioms_powerset():
     assert rep.status == "verified", rep.witness
 
 
-@pytest.mark.parametrize("sort, i, j, drop, axiom", [
-    (ip.VSORT, 2, 2, "diagonal", {"axiom": "R1", "object": "set:2"}),
-    (ip.CSORT, 1, 1, "diagonal", {"axiom": "R1", "object": "alg:1"}),
-    (ip.VSORT, 1, 2, "full", {"axiom": "R3", "kind": "set-full", "objects": [1, 2]}),
-    (ip.CSORT, 0, 2, "full", {"axiom": "R3", "kind": "alg-full", "objects": [0, 2]}),
+# the pointed sets on 1 and 2 points, named by their tables and id'd by
+# size and point: the model registers both, at indices 0 and 1
+EXC = fm.MonadSpec("exception", ("e",))
+PT1_0, PT2_0 = fm.Alg(EXC, 1, ((0,),)), fm.Alg(EXC, 2, ((0,),))
+
+
+def _object(model, sort, obj):
+    """The index in ``model`` of a set, given by its size, or of an algebra."""
+    return model.objects(sort).index(fm.FinSet(obj) if sort == ip.VSORT else obj)
+
+
+@pytest.mark.parametrize("sort, a, b, drop, axiom", [
+    pytest.param(ip.VSORT, 2, 2, "diagonal", {"axiom": "R1", "object": "set:2"}, id="v-2-2-diagonal-axiom0"),
+    pytest.param(ip.CSORT, PT2_0, PT2_0, "diagonal", {"axiom": "R1", "object": "alg:1"}, id="c-2:0-2:0-diagonal"),
+    pytest.param(ip.VSORT, 1, 2, "full", {"axiom": "R3", "kind": "set-full", "objects": [1, 2]},
+                 id="v-1-2-full-axiom2"),
+    pytest.param(ip.CSORT, PT1_0, PT2_0, "full", {"axiom": "R3", "kind": "alg-full", "objects": [0, 1]},
+                 id="c-1:0-2:0-full"),
 ])
-def test_relation_axioms_check_the_model_listing(monkeypatch, sort, i, j, drop, axiom):
+def test_relation_axioms_check_the_model_listing(monkeypatch, sort, a, b, drop, axiom):
     # a listing that misses one pair's diagonal or full relation is caught
     model = pl.build_model(fm.ModelConfig(), ())
+    i, j = _object(model, sort, a), _object(model, sort, b)
     m, n = (model.objects(sort)[k].size for k in (i, j))
     missing = fm.diagonal(m) if drop == "diagonal" else ((1 << n) - 1,) * m
     listed = model.rels_for_pair
@@ -841,13 +867,24 @@ def _r2_reference(model):
     return failures
 
 
-@pytest.mark.parametrize("sort, k, drop", [(ip.VSORT, 2, -2), (ip.CSORT, 1, -2), (ip.VSORT, 2, 5), (ip.CSORT, 1, 1)])
-def test_relation_axioms_catch_a_dropped_relation_by_r2(monkeypatch, sort, k, drop):
+@pytest.mark.parametrize("sort, obj, drop, full", [
+    pytest.param(ip.VSORT, 2, -2, False, id="v-2--2"),
+    pytest.param(ip.CSORT, PT2_0, -2, True, id="c-2:0--2-full-enumeration"),
+    pytest.param(ip.VSORT, 2, 5, False, id="v-2-5"),
+    pytest.param(ip.CSORT, PT2_0, 1, False, id="c-2:0-1"),
+])
+def test_relation_axioms_catch_a_dropped_relation_by_r2(request, monkeypatch, sort, obj, drop, full):
     # dropping one relation that is neither empty, full nor diagonal from a
     # listing fails R2 (and R3 too when the relation is an intersection of two
     # others); R2 records the failures of a pairwise loop, in its order. The
-    # last two drops fail R2 along several pairs of maps for one R.
+    # last two drops fail R2 along several pairs of maps for one R. A co-atom
+    # of an algebra's listing is the preimage of another listed relation only
+    # along an isomorphism from a copy of the algebra, which the full
+    # enumeration registers and the representatives model does not
+    if full:
+        request.getfixturevalue("full_enumeration")
     model = pl.build_model(fm.ModelConfig(), ())
+    k = _object(model, sort, obj)
     listed = model.rels_for_pair
     missing = listed(sort, k, k)[drop]
     assert missing not in (fm.diagonal(2), (0, 0), (3, 3))
@@ -859,6 +896,8 @@ def test_relation_axioms_catch_a_dropped_relation_by_r2(monkeypatch, sort, k, dr
     assert r2 and r2 == _r2_reference(model)
     if drop == -2:  # a co-atom is no intersection of two other relations
         assert rep.witness == r2[0]
+    else:  # the other drops are, and R3 meets each of those pairs once
+        assert any(f["axiom"] == "R3" for f in failures)
 
 
 def test_monad_laws_report():
@@ -943,7 +982,7 @@ def test_two_exception_reach_of_the_least_relation_search():
                 continue
             assert naive == model.interp_vtype(env, ty).fams, (model, a)
             compared += 1
-    assert compared == 4  # |A| = 0, 1, 2 on the plain model, |A| = 0 on the free one
+    assert compared == 5  # |A| = 0, 1, 2 on the plain model, |A| = 0, 1 on the free one
 
 
 def test_naive_oracle_matches_propagation(exc_plain):
