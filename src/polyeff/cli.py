@@ -244,6 +244,9 @@ def run_suite(name: str, cfg: fm.ModelConfig, seed: int, n: int = 2) -> list[pl.
 
 
 def cmd_verify(args) -> int:
+    if args.n < 0:
+        print(f"--n must be a natural number, not {args.n}", file=sys.stderr)
+        return 2
     cfg = load_config(args)
     suites = list(SUITES) if args.suite == "all" else [args.suite]
     status = 0

@@ -1386,10 +1386,11 @@ class Model:
         fam = []
         for aset, comp in zip(self.sets, comps):
             to_t, _ = self.bang_bridge(aset.size)
+            raised = self.free_algebra(aset.size)[1].ops[e_idx][0]
             dom = comp.dom  # type: ignore[attr-defined]
             # the raise point of e picks the second branch, any other point the first
             pqs = [(dom.apply(u, i0), dom.apply(u, i1)) for u in range(dom.size)]
-            fam.append(comp.encode([q if to_t[p] == aset.size + e_idx else p for p, q in pqs]))  # type: ignore[attr-defined]
+            fam.append(comp.encode([q if to_t[p] == raised else p for p, q in pqs]))  # type: ignore[attr-defined]
         return comps, tuple(fam)
 
     def constant_value(self, name: str) -> int:

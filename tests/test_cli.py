@@ -186,6 +186,15 @@ def test_verify_unknown_suite_is_usage_error(capsys):
     assert main(["verify", "nonsense"]) == 2
 
 
+@pytest.mark.parametrize("monad", fm.MONADS)
+def test_a_negative_arity_is_a_usage_error_before_any_model(monkeypatch, capsys, monad):
+    # each monad failed its own way: a carrier error, a negative size, a traceback
+    built = []
+    monkeypatch.setattr(cli.pl, "build_model", lambda *args: built.append(args))
+    code, out, err = run(capsys, "--monad", monad, "verify", "algop", "--n", "-1")
+    assert (code, out, err, built) == (2, "", "--n must be a natural number, not -1\n", [])
+
+
 def test_config_file_roundtrip(tmp_path, capsys):
     cfg = tmp_path / "model.json"
     cfg.write_text('{"monad": "exception", "E": ["e"], "bound": 2, "include-free-algebras": true}')
