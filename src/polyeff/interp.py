@@ -17,9 +17,11 @@ up to the bound, and the free algebras on the set sizes the model is
 built with, fixed when it is built.  The graph of an isomorphism is
 admissible, so a family's component at a copy of an algebra is the
 transport of its component at the registered one: a copy adds no
-family.  Projection at other objects goes through a transport
-isomorphism when an isomorphic representative exists, and raises
-``OutOfBoundError`` otherwise.  All enumerations are deterministic, so
+family.  A projection at a copy is transported from the component at
+its class's registered algebra, which ``Model.representative`` finds by
+the copy's canonical form or, past the bound, by its size, along each
+isomorphism; at an algebra isomorphic to none it raises
+``OutOfBoundError``.  All enumerations are deterministic, so
 interpretation is reproducible bit for bit.
 
 Interpretations are cached per model, keyed by a type's alpha-class
@@ -731,18 +733,22 @@ class Model:
         canonical form (``fm.canonical_form``): the first of the class in
         ``fm.enumerate_algebras``' lexicographic order, which is that form.
         A free algebra takes its class's place, so ``free_algebra`` reads
-        T A's own labels; one past the bound joins at the end."""
+        T A's own labels; one past the bound joins at the end, keyed by its
+        size, since |T A| grows strictly with |A|.  ``representative`` finds
+        a copy's class by the same key, and a projection at the copy is the
+        transport of the component at the class's registered algebra."""
         self.monad = monad
         self.bound = bound
         self.sets = fm.enumerate_sets(bound)
-        classes: dict[fm.Alg, fm.Alg] = {}  # canonical form -> the class's registered algebra
+        classes: dict[fm.Alg | int, fm.Alg] = {}  # class key (``_class_key``) -> the class's registered algebra
         for alg in fm.enumerate_algebras(monad, bound, ITER_CAP):
-            classes.setdefault(fm.canonical_form(alg), alg)
+            classes.setdefault(self._class_key(alg), alg)
         free = {size: fm.free_algebra(monad, size) for size in free_sizes}
         for alg, _ in free.values():
-            classes[fm.canonical_form(alg) if alg.size <= bound else alg] = alg
+            classes[self._class_key(alg)] = alg
         self.algebras = list(classes.values())
         self._alg_index = {alg: i for i, alg in enumerate(self.algebras)}
+        self._classes = {key: i for i, key in enumerate(classes)}
         self._free: dict[int, tuple[int, tuple[int, ...]]] = {  # |A| -> (index of T A, unit table)
             size: (self._alg_index[alg], eta) for size, (alg, eta) in free.items()}
         self.constants: dict[str, TypeExpr] = encodings.register_effect_constants(monad)
@@ -772,6 +778,21 @@ class Model:
 
     def alg_index(self, alg: fm.Alg) -> Optional[int]:
         return self._alg_index.get(alg)
+
+    def _class_key(self, alg: fm.Alg):
+        """The canonical form within the bound; past it the size, which one free algebra at most has."""
+        return fm.canonical_form(alg) if alg.size <= self.bound else alg.size
+
+    def representative(self, alg: fm.Alg) -> tuple[Optional[int], list[tuple[int, ...]]]:
+        """The index of the registered algebra of ``alg``'s class and the
+        isomorphisms from it to ``alg`` in lexicographic order, or ``(None,
+        [])`` where no registered algebra is isomorphic to ``alg``."""
+        idx = self._classes.get(self._class_key(alg))
+        if idx is None:
+            return None, []
+        # a bijective homomorphism between algebras of one signature is an isomorphism
+        isos = [h for h in self._hom_tables(self.algebras[idx], alg) if len(set(h)) == len(h) == alg.size]
+        return (idx, isos) if isos else (None, [])
 
     def objects(self, sort: str):
         return self.sets if sort == VSORT else self.algebras
@@ -1152,82 +1173,40 @@ class Model:
 
     # -- transport ----------------------------------------------------------
 
-    def transport(
-        self,
-        ty: TypeExpr,
-        env_src: TypeEnv,
-        env_dst: TypeEnv,
-        iso: dict,
-    ) -> Callable[[int], int]:
-        """The canonical bijection [[ty]]src -> [[ty]]dst induced by an
-        isomorphism of environments (one bijection table per type variable)."""
-        src = self.interp_vtype(env_src, ty)
-        dst = self.interp_vtype(env_dst, ty)
+    def transport(self, ty: TypeExpr, key: tuple[str, str], env_src: TypeEnv, env_dst: TypeEnv,
+                  iso: Sequence[int]) -> Callable[[int], int]:
+        """The canonical bijection [[ty]]src -> [[ty]]dst induced by the
+        bijection ``iso`` from the object ``env_src`` binds the variable
+        ``key`` to onto the one ``env_dst`` binds it to; the environments
+        agree elsewhere.  Where ``key`` is not free in ``ty``, under a binder
+        that shadows it too, the two domains are one object, since an
+        interpretation keys on the free variables, so the mover is the identity."""
+        if key not in free_type_var_keys(ty):
+            return lambda x: x
         if isinstance(ty, TyVar):
-            table = iso.get((ty.sort, ty.name))
-            if table is None:
-                return lambda x: x
-            return lambda x: table[x]
+            return lambda x: iso[x]
+        src, dst = self.interp_vtype(env_src, ty), self.interp_vtype(env_dst, ty)
         if isinstance(ty, (Arrow, Lolli)):
-            inv = {key: _invert(tbl) for key, tbl in iso.items()}
-            dom_back = self.transport(ty.dom, env_dst, env_src, inv)
-            cod_fwd = self.transport(ty.cod, env_src, env_dst, iso)
-
-            def go(f: int) -> int:
-                table = [
-                    cod_fwd(src.apply(f, dom_back(y)))  # type: ignore[attr-defined]
-                    for y in range(dst.dom.size)  # type: ignore[attr-defined]
-                ]
-                return dst.encode(table)  # type: ignore[attr-defined]
-
-            return go
+            dom_back = self.transport(ty.dom, key, env_dst, env_src, _invert(iso))
+            cod_fwd = self.transport(ty.cod, key, env_src, env_dst, iso)
+            return lambda f: dst.encode([cod_fwd(src.apply(f, dom_back(y)))  # type: ignore[attr-defined]
+                                         for y in range(dst.dom.size)])  # type: ignore[attr-defined]
         if isinstance(ty, Forall):
-            sort = ty.sort
-            movers = []
-            for obj in self.objects(sort):
-                iso2 = dict(iso)
-                iso2[(sort, ty.binder)] = tuple(range(obj.size))
-                movers.append(
-                    self.transport(
-                        ty.body,
-                        env_src.set(sort, ty.binder, obj),
-                        env_dst.set(sort, ty.binder, obj),
-                        iso2,
-                    )
-                )
-
-            def gofam(f: int) -> int:
-                fam = src.fams[f]  # type: ignore[attr-defined]
-                moved = tuple(mv(c) for mv, c in zip(movers, fam))
-                return dst.encode(moved)  # type: ignore[attr-defined]
-
-            return gofam
+            movers = [self.transport(ty.body, key, env_src.set(ty.sort, ty.binder, obj),
+                                     env_dst.set(ty.sort, ty.binder, obj), iso) for obj in self.objects(ty.sort)]
+            return lambda f: dst.encode(  # type: ignore[attr-defined]
+                tuple(mv(c) for mv, c in zip(movers, src.fams[f])))  # type: ignore[attr-defined]
         raise InterpError(f"cannot transport at {ty!r}")
 
     # -- projection -----------------------------------------------------------
 
-    def _algebra_isos(self, source: fm.Alg, target: fm.Alg) -> Iterator[tuple[int, ...]]:
-        """Every bijective homomorphism source -> target, in lexicographic order."""
-        # a bijective homomorphism between algebras of one signature is an isomorphism
-        if target.size == source.size:
-            yield from (h for h in self._hom_tables(source, target) if len(set(h)) == len(h))
-
-    def project_poly(
-        self,
-        poly: PolySem,
-        fam_idx: int,
-        target: int | fm.Alg,
-        binder: str,
-        body: TypeExpr,
-        env: TypeEnv,
-    ) -> int:
+    def project_poly(self, poly: PolySem, fam_idx: int, target: int | fm.Alg, binder: str, body: TypeExpr,
+                     env: TypeEnv) -> int:
         """Component of a polymorphic value at an arbitrary object: ``target``
-        is the size of a set, or an algebra.
-
-        Stored components are looked up directly; other objects go through
-        transport along an isomorphism to a registered representative, and
-        the result is checked to be independent of the isomorphism chosen.
-        """
+        is the size of a set, or an algebra.  A registered object's is read
+        directly; another algebra's is the component at its class's
+        registered algebra (``representative``), transported along each
+        isomorphism to ``target``, and the results must agree."""
         if poly.sort == VSORT:
             if target >= len(self.sets):
                 raise OutOfBoundError(f"no registered set of size {_count(target)}")
@@ -1237,24 +1216,11 @@ class Model:
         idx = self.alg_index(target)
         if idx is not None:
             return poly.fams[fam_idx][idx]
-        results = []
-        for k, cand in enumerate(self.algebras):
-            if cand.size != target.size:
-                continue
-            for iso in self._algebra_isos(cand, target):
-                mover = self.transport(
-                    body,
-                    env.set(CSORT, binder, cand),
-                    env.set(CSORT, binder, target),
-                    {(CSORT, binder): iso},
-                )
-                results.append(mover(poly.fams[fam_idx][k]))
-            if results:
-                break
-        if not results:
-            raise OutOfBoundError(
-                f"no registered algebra isomorphic to carrier size {target.size}"
-            )
+        k, isos = self.representative(target)
+        if k is None:
+            raise OutOfBoundError(f"no registered algebra isomorphic to carrier size {target.size}")
+        src, dst = env.set(CSORT, binder, self.algebras[k]), env.set(CSORT, binder, target)
+        results = [self.transport(body, (CSORT, binder), src, dst, iso)(poly.fams[fam_idx][k]) for iso in isos]
         if any(r != results[0] for r in results):
             raise InterpError(f"projection at {body} depends on the isomorphism: {results}")
         return results[0]

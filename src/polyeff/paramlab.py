@@ -302,8 +302,8 @@ def free_algebra_negative_control(model: ip.Model) -> VerificationReport:
                 return _model_report("free-algebra-negative-control", model, t0, [witness])
     # no violation: a control that cannot fail here is out of bound, one
     # that could have failed and did not is reported verified (a failed control)
-    free = model._free.get(len(eta))
-    if free is not None and next(model._algebra_isos(fake, model.algebras[free[0]]), None) is not None:
+    idx, _ = model.representative(fake)
+    if idx is not None and idx == model.representative(fm.free_algebra(model.monad, len(eta))[0])[0]:
         return _out_of_bound("free-algebra-negative-control", model, t0,
                              f"the stand-in algebra is isomorphic to the free algebra on {len(eta)} points")
     return _model_report("free-algebra-negative-control", model, t0, [])
@@ -649,7 +649,7 @@ def verify_encoding_props(model: ip.Model) -> VerificationReport:
                 return _out_of_bound("encoding-props", model, t0, str(exc))
             # mediation is unique only if some registered algebra can stand
             # for the sum itself; otherwise the bound, not the law, decides
-            if all(next(model._algebra_isos(alg_c, sum_alg), None) is None for alg_c in model.algebras):
+            if model.representative(sum_alg)[0] is None:
                 return _out_of_bound(
                     "encoding-props", model, t0,
                     f"the encoded sum of algebras {ia} and {ib} has {sum_alg.size}"

@@ -100,6 +100,9 @@ ROWS = [
         "a vacuous type redex did not end in 15 min at seed 3 before vacuous quantifiers were decided in closed form",
         [run(f"--bound 3 verify abstraction --seed {s} --format json") for s in SEEDS],
         "verify_abstraction_bound3_seeds.jsonl", timeout=60),
+    Row("bang-laws-two-exceptions-bound3", "the one configuration that projects by transport at scale: 948 copies of"
+        " an algebra, each looked up by its class", [run("--exceptions e1,e2 --bound 3 verify bang-laws --format json")],
+        "verify_bang_laws_two_exceptions_bound3.jsonl", timeout=60),
     Row("relations-bound3", "rel-lifting and rel-axioms at bound 3 over row tables",
         [run(f"--bound 3 verify {suite} --format json") for suite in ("rel-lifting", "rel-axioms")],
         "verify_bound3_relations.jsonl", timeout=30),

@@ -136,3 +136,68 @@ def test_the_model_oracle_catches_a_class_kept_twice_and_a_class_dropped(monkeyp
     assert _class_disagreements(model)
     if plant == "dropped":  # a quantifier over algebras misses the class's families too
         assert _size_disagreements(model, full)
+
+
+# ---------------------------------------------------------------------------
+# the class lookup
+
+
+def _copies(alg: fm.Alg) -> set:
+    """``alg`` relabelled by every permutation of its carrier up to 5 elements,
+    past that by its cyclic shifts and their reversals."""
+    n = alg.size
+    perms = permutations(range(n)) if n <= 5 else [
+        p for k in range(n) for p in ([(x + k) % n for x in range(n)], [(k - x) % n for x in range(n)])]
+    return {fm.relabel(alg, perm) for perm in perms}
+
+
+def _scanned(model: ip.Model, alg: fm.Alg):
+    """The registered algebra isomorphic to ``alg`` and its isomorphisms to it,
+    by the exhaustive scan; an ``OutOfBoundError`` where a hom space passes the cap."""
+    try:
+        found = [(i, isos) for i, b in enumerate(model.algebras) if (isos := _isos(b, alg))]
+    except ip.OutOfBoundError:
+        return ip.OutOfBoundError
+    assert len(found) <= 1  # one registered algebra per class
+    return found[0] if found else (None, [])
+
+
+def _lookup_disagreements(model: ip.Model) -> list:
+    """Each relabelled copy of an enumerated algebra, of one a size past the
+    bound (most isomorphic to no registered algebra) where that listing fits,
+    or of a registered free algebra past the bound, for which
+    ``representative`` and the scan differ."""
+    try:
+        listed = fm.enumerate_algebras(model.monad, model.bound + 1, ip.ITER_CAP)
+    except ip.OutOfBoundError:
+        listed = fm.enumerate_algebras(model.monad, model.bound, ip.ITER_CAP)
+    past = [model.free_algebra(size)[1] for size in range(model.bound + 1)]
+    copies = set().union(*map(_copies, listed), *(_copies(alg) for alg in past if alg.size > model.bound))
+    bad = []
+    for copy in sorted(copies, key=lambda a: (a.size, a.ops)):
+        try:
+            got = model.representative(copy)
+        except ip.OutOfBoundError:
+            got = ip.OutOfBoundError
+        if got != _scanned(model, copy):
+            bad.append((copy, got))
+    return bad
+
+
+LOOKUPS = [(name, bound) for name in MONADS for bound in range(4)] + [("powerset", 4)]
+
+
+@pytest.mark.parametrize("name, bound", LOOKUPS)
+def test_the_class_lookup_agrees_with_the_isomorphism_scan(name, bound):
+    assert _lookup_disagreements(ip.Model(MONADS[name], bound, range(bound + 1))) == []
+
+
+@pytest.mark.parametrize("name, bound", [("two-exceptions", 2), ("two-exceptions", 3), ("powerset", 3)])
+def test_the_lookup_oracle_catches_the_first_algebra_of_the_size(monkeypatch, name, bound):
+    # each of these models registers two classes on some carrier size
+    def first_of_size(self, alg):
+        idx = next((i for i, b in enumerate(self.algebras) if b.size == alg.size), None)
+        return (idx, _isos(self.algebras[idx], alg)) if idx is not None else (None, [])
+
+    monkeypatch.setattr(ip.Model, "representative", first_of_size)
+    assert _lookup_disagreements(ip.Model(MONADS[name], bound, range(bound + 1)))

@@ -7,6 +7,7 @@ No test here relies on a bare ``assert``: the file is also run under
 
 import pytest
 
+from polyeff import encodings as enc
 from polyeff import finmodel as fm
 from polyeff import interp as ip
 from polyeff import randterms as rt
@@ -14,6 +15,7 @@ from polyeff import typecheck as tc
 from polyeff.kernel import CSORT, VSORT, TyApp, TyLam, TyVar, Var
 
 EXC = fm.MonadSpec("exception", ("e",))
+EXC2 = fm.MonadSpec("exception", ("e1", "e2"))
 IDM = fm.MonadSpec("identity")
 
 
@@ -50,6 +52,23 @@ def test_projection_must_not_depend_on_the_isomorphism():
     assert model.alg_index(target) is None
     with pytest.raises(ip.InterpError, match="depends on the isomorphism"):
         model.project_poly(poly, 0, target, "X", TyVar(CSORT, "X"), ip.TypeEnv())
+
+
+def test_a_projection_at_an_algebra_isomorphic_to_no_registered_one_is_out_of_bound():
+    # at bound 2 under E={e1,e2} the one registered algebra on 4 elements is
+    # the free one on 2 points; encoding-props' sum of algebras 1 and 1 has 4
+    # elements too, but its two raise points coincide, and no algebra on 5
+    # elements is registered
+    model = ip.Model(EXC2, 2, range(3))
+    a, b = TyVar(CSORT, "A"), TyVar(CSORT, "B")
+    total = model.interp_ctype(ip.type_env({}, {"A": model.algebras[1], "B": model.algebras[1]}),
+                               enc.sum_type(CSORT, a, b))
+    assert total.size == 4 and total.ops[0] == total.ops[1]
+    comps = tuple(fm.FinSet(alg.size) for alg in model.algebras)
+    poly = ip.PolySem(1, CSORT, comps, ((0,) * len(comps),))
+    for target in (total, fm.Alg(EXC2, 5, ((0,), (1,)))):
+        with pytest.raises(ip.OutOfBoundError, match=f"no registered algebra isomorphic to carrier size {target.size}"):
+            model.project_poly(poly, 0, target, "X", TyVar(CSORT, "X"), ip.TypeEnv())
 
 
 def test_a_family_over_algebras_is_projected_only_at_an_algebra():
