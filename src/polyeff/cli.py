@@ -154,7 +154,7 @@ def cmd_eval(args) -> int:
     try:
         model = _free(cfg)
         term = enc.elaborate_term(surface.parse_term(args.term), constants=model.constants)
-        ty, run = model._compile(term, (), None)
+        ty, stage = model._compile(term, (), None)
         free = free_type_vars_term(term)
         if free:
             names = ", ".join(sorted(map(str, free)))
@@ -166,7 +166,7 @@ def cmd_eval(args) -> int:
         if ip.decoded_entries(sem) > ip.ITER_CAP:
             raise ip.OutOfBoundError(f"eval prints a value entry by entry, but one of {ty} has more than ITER_CAP"
                                      f" ({ip.ITER_CAP}) entries")
-        val = run(ip.TypeEnv(), {})
+        val = stage(ip.TypeEnv())({})
     except surface.SyntaxErr as exc:
         print(str(exc), file=sys.stderr)
         return 2

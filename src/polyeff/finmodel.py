@@ -41,7 +41,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from itertools import permutations, product, repeat
-from typing import Iterable, Iterator, Sequence
+from math import factorial
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .kernel import KEYWORDS, Interned, hash_consed
 
@@ -290,6 +291,16 @@ def is_homomorphism(table: Sequence[int], dom: Alg, cod: Alg) -> bool:
     return True
 
 
+def _pinned(dom: Alg, cod: Alg) -> Optional[dict[int, int]]:
+    """The image in ``cod`` of each constant of ``dom``, which every homomorphism
+    sends there; None where one point of ``dom`` is two constants that ``cod`` separates."""
+    forced: dict[int, int] = {}
+    for arity, f, g in zip(dom.monad.arities, dom.ops, cod.ops):
+        if arity == 0 and forced.setdefault(f[0], g[0]) != g[0]:
+            return None
+    return forced
+
+
 def enumerate_homs(dom: Alg, cod: Alg, cap: int) -> list[tuple[int, ...]]:
     """All homomorphism tables dom -> cod, in lexicographic order.
 
@@ -297,10 +308,9 @@ def enumerate_homs(dom: Alg, cod: Alg, cap: int) -> list[tuple[int, ...]]:
     are enumerated, and a signature of constants alone needs no further
     test; more than ``cap`` choices raise ``OutOfBoundError``.
     """
-    forced: dict[int, int] = {}
-    for arity, f, g in zip(dom.monad.arities, dom.ops, cod.ops):
-        if arity == 0 and forced.setdefault(f[0], g[0]) != g[0]:
-            return []
+    forced = _pinned(dom, cod)
+    if forced is None:
+        return []
     table = [forced.get(i, 0) for i in range(dom.size)]
     free = [i for i in range(len(table)) if i not in forced]
     m = cod.size
@@ -312,6 +322,27 @@ def enumerate_homs(dom: Alg, cod: Alg, cap: int) -> list[tuple[int, ...]]:
         for p, v in zip(free, choice):
             table[p] = v
         if not test or is_homomorphism(table, dom, cod):
+            out.append(tuple(table))
+    return out
+
+
+def enumerate_isos(dom: Alg, cod: Alg, cap: int) -> list[tuple[int, ...]]:
+    """All isomorphisms dom -> cod, in lexicographic order: the bijections that
+    send each constant to its image (``_pinned``), ``k!`` candidates for ``k``
+    unpinned points, each tested by ``is_homomorphism``; more than ``cap``
+    candidates raise ``OutOfBoundError``."""
+    forced = _pinned(dom, cod)
+    if forced is None or dom.size != cod.size or len(set(forced.values())) < len(forced):
+        return []
+    free = [i for i in range(dom.size) if i not in forced]
+    if factorial(len(free)) > cap:
+        raise OutOfBoundError(f"isomorphism space too large: {len(free)}! candidates")
+    table = [forced.get(i, 0) for i in range(dom.size)]
+    out = []
+    for choice in permutations(sorted(set(range(cod.size)) - set(forced.values()))):
+        for p, v in zip(free, choice):
+            table[p] = v
+        if is_homomorphism(table, dom, cod):
             out.append(tuple(table))
     return out
 

@@ -89,17 +89,16 @@ Generated tables may pass ``ITER_CAP``; listed domains may not.
 ``enumerate_families_naive``, the oracle, tests every pair by ``every_relation``
 alone, never through ``relatedness`` or the closed form.
 
-Terms are typechecked once per judgment: ``Model._compile`` checks the
-root with ``typecheck.synth``, reads every other node's type off its
-subterms' through a scope dict in which the stoup is one more binding, and
-returns that type with a closure that only interprets types, encodes and
-applies; ``Model._eval`` wraps it as an evaluator that also returns the
-value's domain.  An abstraction run over more than ``ITER_CAP`` arguments
-raises ``OutOfBoundError``.  A compiled evaluator holds its model, so it is
-never cached on the model: that memo would be a cycle that only the cycle
-collector frees.  ``paramlab``'s abstraction check keeps its outcomes
-instead, per judgment, keyed by the type environment and the bindings'
-values, and drops them with the judgment.
+Terms are typechecked once per judgment and staged once per type
+environment.  ``Model._compile`` checks the root with ``typecheck.synth``,
+reads every other node's type off its subterms' through a scope dict in
+which the stoup is one more binding, and returns that type with ``stage``:
+``stage(tyenv)`` does each node's type-level work once (its domain, an
+abstraction's ``ITER_CAP`` check, a constant's value, a type application's
+projector from ``project_poly``) and returns ``run(tmenv) -> value``, which
+only encodes and applies; an abstraction's body over an empty domain never
+runs, so it is not staged.  A staged term holds its model, so no model
+caches one, which would make a cycle: ``paramlab`` keeps them per judgment.
 """
 
 from __future__ import annotations
@@ -790,8 +789,7 @@ class Model:
         idx = self._classes.get(self._class_key(alg))
         if idx is None:
             return None, []
-        # a bijective homomorphism between algebras of one signature is an isomorphism
-        isos = [h for h in self._hom_tables(self.algebras[idx], alg) if len(set(h)) == len(h) == alg.size]
+        isos = fm.enumerate_isos(self.algebras[idx], alg, ITER_CAP)
         return (idx, isos) if isos else (None, [])
 
     def objects(self, sort: str):
@@ -1200,100 +1198,105 @@ class Model:
 
     # -- projection -----------------------------------------------------------
 
-    def project_poly(self, poly: PolySem, fam_idx: int, target: int | fm.Alg, binder: str, body: TypeExpr,
-                     env: TypeEnv) -> int:
-        """Component of a polymorphic value at an arbitrary object: ``target``
-        is the size of a set, or an algebra.  A registered object's is read
-        directly; another algebra's is the component at its class's
+    def project_poly(self, poly: PolySem, target: int | fm.Alg, binder: str, body: TypeExpr,
+                     env: TypeEnv) -> Callable[[int], int]:
+        """The projector of a polymorphic value at an arbitrary object: ``target``
+        is the size of a set, or an algebra.  A registered object's component is
+        read directly; another algebra's is the component at its class's
         registered algebra (``representative``), transported along each
-        isomorphism to ``target``, and the results must agree."""
+        isomorphism to ``target`` by movers built once, and the results must agree."""
         if poly.sort == VSORT:
             if target >= len(self.sets):
                 raise OutOfBoundError(f"no registered set of size {_count(target)}")
-            return poly.fams[fam_idx][target]
+            return lambda fam: poly.fams[fam][target]  # type: ignore[index]
         if not isinstance(target, fm.Alg):
             raise InterpError(f"a family over algebras projected at {target!r}, not an algebra")
         idx = self.alg_index(target)
         if idx is not None:
-            return poly.fams[fam_idx][idx]
+            return lambda fam: poly.fams[fam][idx]
         k, isos = self.representative(target)
         if k is None:
             raise OutOfBoundError(f"no registered algebra isomorphic to carrier size {target.size}")
         src, dst = env.set(CSORT, binder, self.algebras[k]), env.set(CSORT, binder, target)
-        results = [self.transport(body, (CSORT, binder), src, dst, iso)(poly.fams[fam_idx][k]) for iso in isos]
-        if any(r != results[0] for r in results):
-            raise InterpError(f"projection at {body} depends on the isomorphism: {results}")
-        return results[0]
+        movers = [self.transport(body, (CSORT, binder), src, dst, iso) for iso in isos]
+
+        def project(fam: int) -> int:
+            results = [mv(poly.fams[fam][k]) for mv in movers]
+            if any(r != results[0] for r in results):
+                raise InterpError(f"projection at {body} depends on the isomorphism: {results}")
+            return results[0]
+
+        return project
 
     # -- term interpretation ---------------------------------------------
 
-    def _eval(self, t: TermExpr, gamma=(), delta=None) -> Callable[[TypeEnv, dict], tuple[SemSet, int]]:
-        """``t`` in ``gamma | delta``, compiled once: ``(tyenv, tmenv) -> (domain, value)``."""
-        ty, run = self._compile(t, gamma, delta)
-        return lambda tyenv, tmenv: (self.interp_vtype(tyenv, ty), run(tyenv, tmenv))
-
-    def _compile(self, t: TermExpr, gamma, delta) -> tuple[TypeExpr, Callable[[TypeEnv, dict], int]]:
-        """The type of ``t`` in ``gamma | delta``, and ``t`` as a closure
-        ``(tyenv, tmenv) -> value``; the static work (see the module
-        docstring) is done here, once."""
+    def _compile(self, t: TermExpr, gamma, delta) -> tuple[TypeExpr, Callable[[TypeEnv], Callable[[dict], int]]]:
+        """The type of ``t`` in ``gamma | delta``, and ``stage``: ``stage(tyenv)`` does every
+        node's type-level work once and returns ``run(tmenv) -> value`` (see the module docstring)."""
         tc.synth(gamma, delta, t, self.constants)
 
-        def build(t: TermExpr, scope: dict) -> tuple[TypeExpr, Callable[[TypeEnv, dict], int]]:
+        def build(t: TermExpr, scope: dict) -> tuple[TypeExpr, Callable[[TypeEnv], Callable[[dict], int]]]:
             if isinstance(t, Var):
                 name = t.name
-                ty = scope[name] if name in scope else self.constants[name]
-                return ty, lambda tyenv, tmenv: tmenv[name] if name in tmenv else self.constant_value(name)
+                if name in scope:
+                    return scope[name], lambda tyenv: lambda tmenv: tmenv[name] if name in tmenv else self.constant_value(name)
+                return self.constants[name], lambda tyenv: partial(lambda v, tmenv: v, self.constant_value(name))
             if isinstance(t, (Lam, LinLam)):
                 var = t.var
-                body_ty, run_body = build(t.body, scope | {var: t.ann})
+                body_ty, stage_body = build(t.body, scope | {var: t.ann})
                 ty = (Lolli if isinstance(t, LinLam) else Arrow)(t.ann, body_ty)
 
-                def lam(tyenv: TypeEnv, tmenv: dict) -> int:
+                def lam(tyenv: TypeEnv) -> Callable[[dict], int]:
                     sem = self.interp_vtype(tyenv, ty)
                     n = sem.dom.size  # type: ignore[attr-defined]
                     if n > ITER_CAP:
                         raise OutOfBoundError(f"abstraction over {ty.dom} tabulates {_count(n)} arguments,"
                                               f" more than ITER_CAP ({ITER_CAP})")
-                    tm2 = dict(tmenv)
-                    table = []
-                    for d in range(n):
-                        tm2[var] = d
-                        table.append(run_body(tyenv, tm2))
-                    # a -o table that is not a homomorphism in its stoup fails to encode
-                    return sem.encode(table)  # type: ignore[attr-defined]
+                    run_body = stage_body(tyenv) if n else None  # a body over no argument never runs
+
+                    def run(tmenv: dict) -> int:
+                        tm2 = dict(tmenv)
+                        table = []
+                        for d in range(n):
+                            tm2[var] = d
+                            table.append(run_body(tm2))  # type: ignore[misc]
+                        # a -o table that is not a homomorphism in its stoup fails to encode
+                        return sem.encode(table)  # type: ignore[attr-defined]
+
+                    return run
 
                 return ty, lam
             if isinstance(t, App):
-                head, run_fn = build(t.fn, scope)
-                _, run_arg = build(t.arg, scope)
+                (head, stage_fn), (_, stage_arg) = build(t.fn, scope), build(t.arg, scope)
 
-                def app(tyenv: TypeEnv, tmenv: dict) -> int:
-                    sem = self.interp_vtype(tyenv, head)
-                    return sem.apply(run_fn(tyenv, tmenv), run_arg(tyenv, tmenv))  # type: ignore[attr-defined]
+                def app(tyenv: TypeEnv) -> Callable[[dict], int]:
+                    apply = self.interp_vtype(tyenv, head).apply  # type: ignore[attr-defined]
+                    run_fn, run_arg = stage_fn(tyenv), stage_arg(tyenv)
+                    return lambda tmenv: apply(run_fn(tmenv), run_arg(tmenv))
 
                 return head.cod, app  # type: ignore[attr-defined]
             if isinstance(t, TyLam):
                 sort, binder = t.sort, t.binder
-                body_ty, run_body = build(t.body, scope)
+                body_ty, stage_body = build(t.body, scope)
                 forall_ty = Forall(sort, binder, body_ty)
 
-                def tylam(tyenv: TypeEnv, tmenv: dict) -> int:
-                    poly = self.interp_vtype(tyenv, forall_ty)
-                    fam = tuple(run_body(tyenv.set(sort, binder, obj), tmenv) for obj in self.objects(sort))
+                def tylam(tyenv: TypeEnv) -> Callable[[dict], int]:
+                    encode = self.interp_vtype(tyenv, forall_ty).encode  # type: ignore[attr-defined]
+                    runs = [stage_body(tyenv.set(sort, binder, obj)) for obj in self.objects(sort)]
                     # a family that is not parametric fails to encode
-                    return poly.encode(fam)  # type: ignore[attr-defined]
+                    return lambda tmenv: encode([run(tmenv) for run in runs])
 
                 return forall_ty, tylam
             # synth has checked t, so it is a type application
-            head, run_fn = build(t.fn, scope)  # type: ignore[attr-defined]
+            head, stage_fn = build(t.fn, scope)  # type: ignore[attr-defined]
             arg, sort = t.arg, head.sort  # type: ignore[attr-defined]
 
-            def tyapp(tyenv: TypeEnv, tmenv: dict) -> int:
-                poly = self.interp_vtype(tyenv, head)
-                fam = run_fn(tyenv, tmenv)
+            def tyapp(tyenv: TypeEnv) -> Callable[[dict], int]:
+                poly, run_fn = self.interp_vtype(tyenv, head), stage_fn(tyenv)
                 # project at an algebra, or at the size of a set
                 target = self.interp_ctype(tyenv, arg) if sort == CSORT else self.interp_vtype(tyenv, arg).size
-                return self.project_poly(poly, fam, target, head.binder, head.body, tyenv)  # type: ignore[arg-type, attr-defined]
+                project = self.project_poly(poly, target, head.binder, head.body, tyenv)  # type: ignore[arg-type, attr-defined]
+                return lambda tmenv: project(run_fn(tmenv))
 
             return subst_type(head.body, TyVar(head.sort, head.binder), arg), tyapp  # type: ignore[attr-defined]
 
@@ -1302,7 +1305,7 @@ class Model:
     def two_values(self) -> tuple[int, int]:
         """Indices of the two inhabitants of [[1 + 1]] (left first)."""
         if self._two is None:
-            vals = [self._eval(encodings.two_value(which))(TypeEnv(), {})[1] for which in (0, 1)]
+            vals = [self._compile(encodings.two_value(which), (), None)[1](TypeEnv())({}) for which in (0, 1)]
             if vals[0] == vals[1]:
                 raise InterpError(f"the two boolean values coincide: both are {vals[0]}")
             self._two = (vals[0], vals[1])

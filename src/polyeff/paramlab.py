@@ -19,7 +19,7 @@ import itertools
 import json
 import time
 from dataclasses import dataclass
-from functools import reduce
+from functools import cache, reduce
 from operator import and_, or_
 from typing import Iterable, Optional, Sequence
 
@@ -166,16 +166,17 @@ def semantically_equal(
     cnames: Sequence[str] = (),
 ) -> Optional[dict]:
     """Exhaustively compare two judgments' denotations; None, or a witness."""
-    (ty_l, run_l), (ty_r, run_r) = model._compile(lhs, gamma, delta), model._compile(rhs, gamma, delta)
+    (ty_l, stage_l), (ty_r, stage_r) = model._compile(lhs, gamma, delta), model._compile(rhs, gamma, delta)
     if not alpha_eq(ty_l, ty_r):
         return {"detail": f"type mismatch: {ty_l} vs {ty_r}"}
+    stage_l, stage_r = cache(stage_l), cache(stage_r)  # each side staged once per type environment
     bindings = list(gamma) + ([delta] if delta is not None else [])
     names = [(VSORT, n) for n in vnames] + [(CSORT, n) for n in cnames]
     for tyenv in type_envs(model, names):
         dom_sizes = [model.interp_vtype(tyenv, ty).size for _, ty in bindings]
         for values in itertools.product(*(range(n) for n in dom_sizes)):
             tmenv = {name: v for (name, _), v in zip(bindings, values)}
-            lv, rv = run_l(tyenv, tmenv), run_r(tyenv, tmenv)
+            lv, rv = stage_l(tyenv)(tmenv), stage_r(tyenv)(tmenv)
             if lv != rv:
                 return {
                     "env": {n: v for n, v in tmenv.items()},
@@ -251,9 +252,10 @@ def verify_free_algebra(model: ip.Model) -> VerificationReport:
     checked = 0
     f_ty, bang_x = Arrow(TyVar(VSORT, "X"), TyVar(CSORT, "Y")), enc.encode_bang(TyVar(VSORT, "X"))
     gamma = (("f", f_ty),)
-    mediator = model._eval(LinLam(
+    mediator_ty, stage = model._compile(LinLam(
         "y", bang_x, enc.elaborate_term(parse_term("let x <= y in f x"), gamma=gamma, delta=("y", bang_x)),
-    ), gamma)
+    ), gamma, None)
+    staged = cache(stage)  # staged once per type environment
     for a in CHECKED_SIZES:
         _, fa, eta = model.free_algebra(a)
         to_t, from_t = model.bang_bridge(a)
@@ -270,8 +272,7 @@ def verify_free_algebra(model: ip.Model) -> VerificationReport:
                 tyenv = ip.type_env({"X": fm.FinSet(a)}, {"Y": b})
                 fsem = model.interp_vtype(tyenv, f_ty)
                 fval = fsem.encode(list(f))
-                hsem, hval = mediator(tyenv, {"f": fval})
-                table = hsem.table(hval)
+                table = model.interp_vtype(tyenv, mediator_ty).table(staged(tyenv)({"f": fval}))
                 concrete = homs[0]
                 if any(table[from_t[z]] != concrete[z] for z in range(fa.size)):
                     failures.append({"a": a, "algebra": k, "f": list(f), "detail": "term mediator differs"})
@@ -637,8 +638,8 @@ def verify_encoding_props(model: ip.Model) -> VerificationReport:
     # binary coproducts: unique mediation through the injections
     ty_a, ty_b = TyVar(CSORT, "A"), TyVar(CSORT, "B")
     oplus_ty = enc.sum_type(CSORT, ty_a, ty_b)
-    inl = model._eval(LinLam("a", ty_a, enc.injection(0, ty_a, ty_b, Var("a"), CSORT)))
-    inr = model._eval(LinLam("b", ty_b, enc.injection(1, ty_a, ty_b, Var("b"), CSORT)))
+    inl = model._compile(LinLam("a", ty_a, enc.injection(0, ty_a, ty_b, Var("a"), CSORT)), (), None)
+    inr = model._compile(LinLam("b", ty_b, enc.injection(1, ty_a, ty_b, Var("b"), CSORT)), (), None)
     small = [(i, a) for i, a in enumerate(model.algebras) if a.size <= model.bound]
     for ia, alg_a in small:
         for ib, alg_b in small:
@@ -655,9 +656,7 @@ def verify_encoding_props(model: ip.Model) -> VerificationReport:
                     f"the encoded sum of algebras {ia} and {ib} has {sum_alg.size}"
                     " elements and is isomorphic to no registered algebra",
                 )
-            inl_sem, inl_v = inl(tyenv, {})
-            inr_sem, inr_v = inr(tyenv, {})
-            injections = inl_sem.table(inl_v) + inr_sem.table(inr_v)
+            injections = sum((model.interp_vtype(tyenv, ty).table(stage(tyenv)({})) for ty, stage in (inl, inr)), ())
             for ic, alg_c in enumerate(model.algebras):
                 for u in model._hom_tables(alg_a, alg_c):
                     for v in model._hom_tables(alg_b, alg_c):
@@ -668,11 +667,10 @@ def verify_encoding_props(model: ip.Model) -> VerificationReport:
                                              "u": list(u), "v": list(v), "mediators": len(meds)})
 
     # wrapping isomorphism for every algebra within the bound
-    cfwd, cbwd = (model._eval(t) for t in enc.comp_iso_terms(ty_a))
+    wrap = [model._compile(t, (), None) for t in enc.comp_iso_terms(ty_a)]
     for k, alg in [(i, a) for i, a in enumerate(model.algebras) if a.size <= model.bound]:
         tyenv = ip.type_env({}, {"A": alg})
-        fsem, fv = cfwd(tyenv, {})
-        bsem, bv = cbwd(tyenv, {})
+        (fsem, fv), (bsem, bv) = ((model.interp_vtype(tyenv, ty), stage(tyenv)({})) for ty, stage in wrap)
         n = alg.size
         checked += 1
         if not all(bsem.apply(bv, fsem.apply(fv, x)) == x for x in range(n)):
@@ -683,11 +681,10 @@ def verify_encoding_props(model: ip.Model) -> VerificationReport:
             failures.append({"law": "wrap-iso-right", "algebra": k})
 
     # function-space decomposition through !
-    fwd, bwd = (model._eval(t) for t in enc.girard_iso_terms(TyVar(VSORT, "A"), TyVar(CSORT, "B")))
+    girard = [model._compile(t, (), None) for t in enc.girard_iso_terms(TyVar(VSORT, "A"), TyVar(CSORT, "B"))]
     for alg in model.algebras:
         tyenv = ip.type_env({"A": fm.FinSet(2)}, {"B": alg})
-        fsem, fv = fwd(tyenv, {})
-        bsem, bv = bwd(tyenv, {})
+        (fsem, fv), (bsem, bv) = ((model.interp_vtype(tyenv, ty), stage(tyenv)({})) for ty, stage in girard)
         checked += 2
         if not all(fsem.apply(fv, bsem.apply(bv, g)) == g for g in range(fsem.cod.size)):
             failures.append({"law": "decomposition-left", "carrier": alg.size})
@@ -838,39 +835,38 @@ def verify_identity_extension(model: ip.Model) -> VerificationReport:
                          counts={"types": len(battery)})
 
 
-def _memo_run(run, names):
-    """``run`` as ``evaluate(tyenv, values)``, with ``values`` bound to
-    ``names`` in order, run once per distinct ``(tyenv, values)``.  An
-    out-of-bound outcome is stored too, and raised again at every lookup."""
-    outcomes: dict = {}
+def _memo_run(stage, names):
+    """``stage`` as ``evaluate(tyenv, values)``, with ``values`` bound to ``names``
+    in order: staged once per distinct ``tyenv``, run once per distinct ``(tyenv,
+    values)``.  An out-of-bound outcome is stored too, and raised again at every lookup."""
+    outcomes: dict = {}  # tyenv -> its run, (tyenv, values) -> the value
 
-    def evaluate(tyenv: ip.TypeEnv, values: tuple) -> int:
-        key = (tyenv, values)
+    def outcome(key, compute):
         if key not in outcomes:
             try:
-                outcomes[key] = run(tyenv, dict(zip(names, values)))
+                outcomes[key] = compute()
             except ip.OutOfBoundError as exc:
                 outcomes[key] = exc.with_traceback(None)
-        out = outcomes[key]
-        if isinstance(out, ip.OutOfBoundError):
-            raise out
-        return out
+        if isinstance(outcomes[key], ip.OutOfBoundError):
+            raise outcomes[key]
+        return outcomes[key]
 
-    return evaluate
+    return lambda tyenv, values: outcome(
+        (tyenv, values), lambda: outcome(tyenv, lambda: stage(tyenv))(dict(zip(names, values))))
 
 
 def _abstraction_failure(model: ip.Model, j: Judgment, counts: dict) -> Optional[dict]:
     """The first failure of judgment ``j``'s checks, or None; its
     homomorphism instances and out-of-bound skips are added to ``counts``.
 
-    The compiled closure runs once per distinct (type environment, binding
-    values), which both checks share.  The ascription's view is built once
-    per relation environment, at its first pair whose two evaluations
-    succeed: built before, it could be out of bound (a hom space past the
-    cap) where every evaluation is out of bound, skipped and counted."""
+    The term is staged once per distinct type environment and run once per
+    distinct (type environment, binding values), which both checks share.
+    The ascription's view is built once per relation environment, at its first
+    pair whose two evaluations succeed: built before, it could be out of bound (a
+    hom space past the cap) where every evaluation is out of bound, skipped and counted."""
     names = env_names(tc._ctx_ftv(j.gamma, j.delta) | free_type_vars_term(j.subject) | free_type_vars(j.ascription))
     bindings = list(j.gamma) + ([j.delta] if j.delta is not None else [])
-    # typechecked once, run once per distinct environment
+    # typechecked once, staged once per type environment, run once per distinct values
     evaluate = _memo_run(model._compile(j.subject, j.gamma, j.delta)[1], [name for name, _ in bindings])
     for rho in itertools.islice(rel_envs(model, names), 40):
         pair_lists: list[list[tuple[int, int]]] = []

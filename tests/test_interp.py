@@ -101,12 +101,12 @@ def test_nested_function_spaces_saturate_their_size():
 
 
 def test_an_abstraction_past_iter_cap_arguments_is_out_of_bound():
-    # at bound 3, (X -> X) -> X has 3**27 elements: the abstraction raises before it tabulates any
+    # at bound 3, (X -> X) -> X has 3**27 elements: staging the abstraction raises, before any run
     model = ip.Model(EXC, 3)
-    _, run = model._compile(parse_term("fun f:(X -> X) -> X => g"), (("g", TyVar(VSORT, "X")),), None)
+    _, stage = model._compile(parse_term("fun f:(X -> X) -> X => g"), (("g", TyVar(VSORT, "X")),), None)
     with pytest.raises(ip.OutOfBoundError, match=r"^abstraction over \(X -> X\) -> X tabulates 7625597484987 arguments,"
                                                  r" more than ITER_CAP \(400000\)$"):
-        run(ip.type_env({"X": fm.FinSet(3)}, {}), {"g": 0})
+        stage(ip.type_env({"X": fm.FinSet(3)}, {}))
 
 
 def test_saturated_sizes_print_as_a_bound():
@@ -405,7 +405,8 @@ def test_materialized_relation_matches_view(model):
 
 def test_identity_function_denotation(model):
     env = ip.type_env({"B": fm.FinSet(3)})
-    sem, val = model._eval(parse_term("fun x:B => x"))(env, {})
+    ty, stage = model._compile(parse_term("fun x:B => x"), (), None)
+    sem, val = model.interp_vtype(env, ty), stage(env)({})
     assert sem is model.interp_vtype(env, parse_type("B -> B"))
     assert sem.table(val) == (0, 1, 2)
 
@@ -415,11 +416,11 @@ def test_an_evaluator_synthesizes_once_however_often_it_runs(free_model, monkeyp
     bang = enc.elaborate_term(parse_term("bang t"), gamma=gamma)
     synth, calls = tc.synth, []
     monkeypatch.setattr(tc, "synth", lambda *args: calls.append(args) or synth(*args))
-    run = free_model._eval(bang, gamma)
+    _, stage = free_model._compile(bang, gamma, None)
     assert len(calls) == 1
     for size in (1, 2):
         for t in range(size):
-            run(ip.type_env({"A": fm.FinSet(size)}), {"t": t})
+            stage(ip.type_env({"A": fm.FinSet(size)}))({"t": t})
     assert len(calls) == 1
 
 
@@ -431,7 +432,7 @@ def test_thunk_applies_the_continuation(free_model):
     env = ip.type_env({"A": fm.FinSet(2)})
     poly = model.interp_vtype(env, enc.encode_bang(TyVar(VSORT, "A")))
     for tval in range(2):
-        _, fam = model._eval(bang, gamma)(env, {"t": tval})
+        fam = model._compile(bang, gamma, None)[1](env)({"t": tval})
         for k, alg in enumerate(model.algebras):
             comp = poly.comps[k]
             for f in range(comp.dom.size):
@@ -552,10 +553,11 @@ def test_projection_at_registered_object_is_direct(free_model):
     model = free_model
     term = parse_term("Fun ^X => fun x:^X => x")
     j = Judgment((), None, term)
-    poly, fam = model._eval(term)(ip.TypeEnv(), {})
+    ty, stage = model._compile(term, (), None)
+    poly, fam = model.interp_vtype(ip.TypeEnv(), ty), stage(ip.TypeEnv())({})
     assert poly is model.interp_vtype(ip.TypeEnv(), tc.typecheck(j))
     for k, alg in enumerate(model.algebras):
-        got = model.project_poly(poly, fam, alg, "X", parse_type("^X -> ^X"), ip.TypeEnv())
+        got = model.project_poly(poly, alg, "X", parse_type("^X -> ^X"), ip.TypeEnv())(fam)
         assert got == poly.fams[fam][k]
 
 
@@ -571,17 +573,18 @@ def test_projection_independent_of_isomorphism(free_model):
     con = model.constant_value("raise^e")
     scheme = model.constants["raise^e"]
     poly = model.interp_vtype(ip.TypeEnv(), scheme)
-    got = model.project_poly(poly, con, copy, "X", TyVar(CSORT, "X"), ip.TypeEnv())
+    got = model.project_poly(poly, copy, "X", TyVar(CSORT, "X"), ip.TypeEnv())(con)
     assert got == copy.ops[0][0]
 
 
 def test_projection_out_of_bound(model):
     term = parse_term("Fun X => fun x:X => x")
     j = Judgment((), None, term)
-    poly, fam = model._eval(term)(ip.TypeEnv(), {})
+    ty, stage = model._compile(term, (), None)
+    poly, fam = model.interp_vtype(ip.TypeEnv(), ty), stage(ip.TypeEnv())({})
     assert poly is model.interp_vtype(ip.TypeEnv(), tc.typecheck(j))
     with pytest.raises(ip.OutOfBoundError):
-        model.project_poly(poly, fam, 7, "X", parse_type("X -> X"), ip.TypeEnv())
+        model.project_poly(poly, 7, "X", parse_type("X -> X"), ip.TypeEnv())(fam)
 
 
 def test_projection_from_polymorphic_computation_is_homomorphism(free_model):
@@ -650,7 +653,7 @@ def test_opposite_relation_property(model):
 
 def test_env_must_cover_variables(model):
     with pytest.raises(ip.InterpError, match="no value for 'x'"):
-        model._eval(Var("x"), (("x", TyVar(VSORT, "B")),))(ip.type_env({"B": fm.FinSet(2)}), {})
+        model._compile(Var("x"), (("x", TyVar(VSORT, "B")),), None)[1](ip.type_env({"B": fm.FinSet(2)}))({})
 
 
 def test_linear_lambda_must_be_homomorphism(free_model):
@@ -659,7 +662,8 @@ def test_linear_lambda_must_be_homomorphism(free_model):
     model = free_model
     j = Judgment((), None, parse_term("lfun x:^A => x"))
     env = ip.type_env({}, {"A": model.algebras[1]})
-    sem, val = model._eval(j.subject)(env, {})
+    ty, stage = model._compile(j.subject, (), None)
+    sem, val = model.interp_vtype(env, ty), stage(env)({})
     assert sem is model.interp_vtype(env, tc.typecheck(j))
     assert sem.table(val) == (0, 1)
 
@@ -669,7 +673,8 @@ def test_value_dump_shapes(free_model):
     j = Judgment((), None, parse_term("fun x:B => x"))
     ty = tc.typecheck(j)
     env = ip.type_env({"B": fm.FinSet(2)})
-    sem, val = model._eval(j.subject)(env, {})
+    compiled, stage = model._compile(j.subject, (), None)
+    sem, val = model.interp_vtype(env, compiled), stage(env)({})
     assert sem is model.interp_vtype(env, ty)
     assert ip.decode_value(model, sem, val) == [0, 1]
     assert ip.semset_to_json(model, sem) == {
@@ -1683,10 +1688,10 @@ def abstraction_environments(model, j, relenvs=40, value_envs=3, tyenvs=4, hom_e
     return out
 
 
-def _outcome(run, tyenv, tmenv):
+def _outcome(stage, tyenv, tmenv):
     # any error but out-of-bound fails the test: the judgments are well typed
     try:
-        return run(tyenv, dict(tmenv))
+        return stage(tyenv)(dict(tmenv))
     except ip.OutOfBoundError:
         return "out-of-bound"
 
@@ -1705,13 +1710,69 @@ def test_a_compiled_judgment_runs_without_synthesizing_types(abstraction_model, 
         if not envs:  # verify_abstraction evaluates nothing here either
             continue
         calls.clear()
-        _, run = model._compile(j.subject, j.gamma, j.delta)
+        _, stage = model._compile(j.subject, j.gamma, j.delta)
         assert len(calls) == 1
         for env in envs:
-            _outcome(run, *env)
+            _outcome(stage, *env)
         assert len(calls) == 1
         checked += len(envs) > 1
     assert checked >= 10
+
+
+TYPE_LEVEL = ("interp_vtype", "interp_ctype", "project_poly", "representative", "transport")
+
+
+def test_a_staged_run_does_no_type_level_work(abstraction_model, monkeypatch):
+    # stage(tyenv) interprets every node's type and builds every projector;
+    # the run it returns only encodes and applies.  Over the seed-2024
+    # abstraction corpus, and the eta law of bang-laws under E={e1,e2}, whose
+    # projections at copies of algebras look up a class and transport
+    gen = TermGenerator(2024, interp_safe=True)
+    jobs = [(abstraction_model, j.subject, j.gamma, j.delta, abstraction_environments(abstraction_model, j))
+            for j in (gen.random_judgment() for _ in range(100))]
+    two = pl.build_model(fm.ModelConfig(exceptions=("e1", "e2")), range(3))
+    bang_a = enc.encode_bang(TyVar(VSORT, "A"))
+    eta = enc.elaborate_term(parse_term("let x <= y in bang x"), delta=("y", bang_a))
+    jobs.append((two, eta, (), ("y", bang_a), [(env, {"y": v}) for env in pl.type_envs(two, [(VSORT, "A")])
+                                                for v in range(two.interp_vtype(env, bang_a).size)]))
+    calls, phase = {"stage": Counter(), "run": Counter()}, ["stage"]
+    for model in (abstraction_model, two):
+        for name in TYPE_LEVEL:
+            method = getattr(model, name)
+            monkeypatch.setattr(model, name, lambda *args, _m=method, _n=name: calls[phase[0]].update([_n]) or _m(*args))
+    runs = []
+    for model, t, gamma, delta, envs in jobs:
+        stage, staged = model._compile(t, gamma, delta)[1], {}
+        for tyenv, tmenv in envs:
+            if tyenv not in staged:
+                try:
+                    staged[tyenv] = stage(tyenv)
+                except ip.OutOfBoundError:
+                    staged[tyenv] = None
+            if staged[tyenv] is not None:
+                runs.append((staged[tyenv], tmenv))
+    phase[0] = "run"
+    for run, tmenv in runs:
+        try:
+            run(dict(tmenv))
+        except ip.OutOfBoundError:
+            pass
+    assert len(runs) > 1000
+    assert all(calls["stage"][name] for name in TYPE_LEVEL), calls["stage"]
+    assert calls["run"] == Counter()
+
+
+def test_the_body_of_an_abstraction_over_an_empty_domain_is_not_staged():
+    # at bound 3, (X -> X) -> X over a 3-element X has 3**27 elements, so the
+    # inner abstraction alone is out of bound; under z:0 it never runs
+    model = ip.Model(EXC, 3)
+    gamma, env = (("u", parse_type("1")),), ip.type_env({"X": fm.FinSet(3)})
+    term = parse_term("fun z:0 => fun f:(X -> X) -> X => u")
+    ty, stage = model._compile(term, gamma, None)
+    assert (stage(env)({"u": 0}), model.interp_vtype(env, ty).size) == (0, 1)
+    _, stage_body = model._compile(term.body, gamma + (("z", term.ann),), None)
+    with pytest.raises(ip.OutOfBoundError, match=r"^abstraction over \(X -> X\) -> X tabulates 7625597484987 arguments"):
+        stage_body(env)
 
 
 @pytest.mark.parametrize("options, count", [({}, 200), ({"interp_safe": True}, 100)],
@@ -1734,13 +1795,14 @@ def test_a_compile_returns_the_checked_type(abstraction_model, options, count):
 def test_a_binder_that_shadows_a_context_variable_evaluates_as_its_renaming(free_model, term, renamed):
     model = free_model
     gamma = (("x", TyVar(VSORT, "B")), ("g", parse_type("A -> B")), ("h", parse_type("^Q -o ^Q")))
-    (ty, run), (ty2, run2) = (model._compile(parse_term(t), gamma, None) for t in (term, renamed))
+    (ty, stage), (ty2, stage2) = (model._compile(parse_term(t), gamma, None) for t in (term, renamed))
     assert ty is ty2
     for tyenv in islice(pl.type_envs(model, [(VSORT, "A"), (VSORT, "B"), (CSORT, "Q")]), 30):
         sizes = [model.interp_vtype(tyenv, t).size for _, t in gamma]
+        run, run2 = stage(tyenv), stage2(tyenv)
         for values in product(*map(range, sizes)):
             tmenv = {n: v for (n, _), v in zip(gamma, values)}
-            assert run(tyenv, dict(tmenv)) == run2(tyenv, dict(tmenv))
+            assert run(dict(tmenv)) == run2(dict(tmenv))
 
 
 @settings(deadline=None, max_examples=60)  # an example may interpret new types on first use
@@ -1752,12 +1814,14 @@ def test_one_compiled_closure_matches_a_fresh_evaluation_per_environment(abstrac
     j = TermGenerator(seed, interp_safe=True).random_judgment()
     envs = abstraction_environments(model, j)
     assume(len(envs) > 1)
-    fresh = [_outcome(lambda e, m: model._eval(j.subject, j.gamma, j.delta)(e, m)[1], *env) for env in envs]
-    _, run = model._compile(j.subject, j.gamma, j.delta)
+    fresh = [_outcome(model._compile(j.subject, j.gamma, j.delta)[1], *env) for env in envs]
+    _, stage = model._compile(j.subject, j.gamma, j.delta)
     at = list(range(len(envs)))
     order.shuffle(at)
     event(f"{len(set(map(id, (e for e, _ in envs))))} type environments")
-    assert [_outcome(run, *envs[i]) for i in at] == [fresh[i] for i in at]
+    # one run per type environment, staged at its first use, serves every run there
+    staged = cache(stage)
+    assert [_outcome(staged, *envs[i]) for i in at] == [fresh[i] for i in at]
 
 
 # spellings of one alpha-class at both sorts, with nested and shadowing

@@ -1,4 +1,5 @@
-"""The module layering, read from the sources: syntax sits below semantics."""
+"""The module layering, read from the sources: syntax sits below semantics,
+and no source checks anything in an ``assert``."""
 
 import ast
 import os
@@ -44,3 +45,11 @@ def test_the_model_layer_imports_only_the_kernel():
         capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": str(SOURCES.parent)},
     ).stdout
     assert out.strip() == str(["polyeff", "polyeff.finmodel", "polyeff.kernel"])
+
+
+def test_no_module_checks_anything_in_an_assert():
+    # python -O strips every assert statement, so a semantic check written as
+    # one would vanish there: the package raises typed errors instead
+    found = [f"{path.relative_to(SOURCES)}:{node.lineno}" for path in sorted(SOURCES.rglob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.Assert)]
+    assert found == []

@@ -46,11 +46,12 @@ def test_bang_laws_catch_a_projection_that_skips_transport(monkeypatch):
     model = pl.build_model(fm.ModelConfig(exceptions=("e1", "e2")), range(3))
     project, moved = model.project_poly, []
 
-    def skipping(poly, fam, target, binder, body, env):
+    def skipping(poly, target, binder, body, env):
         if poly.sort == CSORT and model.alg_index(target) is None:
             moved.append(target)
-            return poly.fams[fam][next(k for k, a in enumerate(model.algebras) if a.size == target.size)]
-        return project(poly, fam, target, binder, body, env)
+            k = next(k for k, a in enumerate(model.algebras) if a.size == target.size)
+            return lambda fam: poly.fams[fam][k]
+        return project(poly, target, binder, body, env)
 
     monkeypatch.setattr(model, "project_poly", skipping)
     rep = pl.verify_bang_laws(model)
@@ -498,9 +499,9 @@ def test_encoding_props(exc_free):
 
 def _wrap_iso_failures(model, k):
     """The wrapping-isomorphism laws that fail at algebra ``k``, checked alone."""
-    fwd, bwd = (model._eval(t) for t in enc.comp_iso_terms(TyVar(CSORT, "A")))
+    compiled = [model._compile(t, (), None) for t in enc.comp_iso_terms(TyVar(CSORT, "A"))]
     tyenv = ip.type_env({}, {"A": model.algebras[k]})
-    (fsem, fv), (bsem, bv) = fwd(tyenv, {}), bwd(tyenv, {})
+    (fsem, fv), (bsem, bv) = ((model.interp_vtype(tyenv, ty), stage(tyenv)({})) for ty, stage in compiled)
     left = all(bsem.apply(bv, fsem.apply(fv, x)) == x for x in range(model.algebras[k].size))
     right = all(fsem.apply(fv, bsem.apply(bv, w)) == w for w in range(bsem.dom.size))
     return [law for law, holds in (("wrap-iso-left", left), ("wrap-iso-right", right)) if not holds]
@@ -511,20 +512,7 @@ def test_encoding_props_catch_a_wrap_iso_backward_map_that_is_not_the_inverse(mo
     # parametricity, so the defect is planted in its denotation: another
     # homomorphism of the same hom space, wherever there is one
     model = pl.build_model(fm.ModelConfig(), range(3))
-    bwd_term = enc.comp_iso_terms(TyVar(CSORT, "A"))[1]
-    compile_term = model._eval
-
-    def planted(t, *scope):
-        run = compile_term(t, *scope)
-        if t != bwd_term:
-            return run
-
-        def another(tyenv, tmenv):
-            sem, v = run(tyenv, tmenv)
-            return sem, next((w for w in range(len(sem.tables)) if w != v), v)
-        return another
-
-    monkeypatch.setattr(model, "_eval", planted)
+    _moved_denotation(monkeypatch, model, enc.comp_iso_terms(TyVar(CSORT, "A"))[1])
     rep = pl.verify_encoding_props(model)
     assert rep.status == "counterexample"
     witness = json.loads(rep.to_json())["witness"]
@@ -551,19 +539,23 @@ def test_encoding_props_catch_a_zero_type_that_is_not_initial(monkeypatch):
 
 def _moved_denotation(monkeypatch, model, term):
     """Compile ``term`` to another value of its space, and every other term as it is."""
-    compile_term = model._eval
+    compile_term = model._compile
 
-    def planted(t, *scope):
-        run = compile_term(t, *scope)
+    def planted(t, gamma, delta):
+        ty, stage = compile_term(t, gamma, delta)
         if t != term:
-            return run
+            return ty, stage
 
-        def another(tyenv, tmenv):
-            sem, v = run(tyenv, tmenv)
-            return sem, next((w for w in range(sem.size) if w != v), v)
-        return another
+        def another(tyenv):
+            sem, run = model.interp_vtype(tyenv, ty), stage(tyenv)
 
-    monkeypatch.setattr(model, "_eval", planted)
+            def moved(tmenv):
+                v = run(tmenv)
+                return next((w for w in range(sem.size) if w != v), v)
+            return moved
+        return ty, another
+
+    monkeypatch.setattr(model, "_compile", planted)
 
 
 def test_encoding_props_catch_a_left_injection_that_is_not_the_encoded_one(monkeypatch):
@@ -660,19 +652,26 @@ def test_abstraction_counts_evaluations_past_the_bound_as_skips(monkeypatch):
 
 
 def test_abstraction_runs_each_closure_once_per_distinct_environment(monkeypatch):
-    # a judgment's closure runs once per (type environment, binding values);
-    # a compile builds its subterms' closures itself, so every one counted is a judgment's
+    # a judgment is staged once per type environment and run once per (type
+    # environment, binding values); a compile builds its subterms' stages
+    # itself, so every one counted is a judgment's
     model = pl.build_model(fm.ModelConfig(), ())
-    compile_, judgments, runs = model._compile, itertools.count(), []
+    compile_, judgments, stages, runs = model._compile, itertools.count(), [], []
 
     def counting(t, gamma, delta):
-        ty, run = compile_(t, gamma, delta)
+        ty, stage = compile_(t, gamma, delta)
         k, names = next(judgments), [n for n, _ in gamma] + ([delta[0]] if delta else [])
-        return ty, lambda tyenv, tmenv: runs.append((k, tyenv, tuple(tmenv[n] for n in names))) or run(tyenv, tmenv)
+
+        def staging(tyenv):
+            stages.append((k, tyenv))
+            run = stage(tyenv)
+            return lambda tmenv: runs.append((k, tyenv, tuple(tmenv[n] for n in names))) or run(tmenv)
+        return ty, staging
 
     monkeypatch.setattr(model, "_compile", counting)
     rep = pl.verify_abstraction(model, seed=2024)
     assert len(runs) == len(set(runs)) > 100
+    assert len(stages) == len(set(stages)) > 100 and len(stages) < len(runs)
     recorded = (DATA / "verify_all.jsonl").read_text().splitlines()
     assert rep.to_json(include_runtime=False) in recorded  # the recorded abstraction line
 
@@ -735,7 +734,7 @@ def test_abstraction_catches_an_evaluator_that_depends_on_the_object(monkeypatch
     monkeypatch.setattr(pl, "TermGenerator", lambda seed, interp_safe: SimpleNamespace(random_judgment=lambda: j))
     model = pl.build_model(fm.ModelConfig(), ())
     monkeypatch.setattr(model, "_compile", lambda t, gamma, delta: (
-        parse_type("X"), lambda tyenv, tmenv: tyenv.get(ip.VSORT, "X").size - 1))
+        parse_type("X"), lambda tyenv: lambda tmenv: tyenv.get(ip.VSORT, "X").size - 1))
     rep = pl.verify_abstraction(model, n_terms=1)
     assert rep.status == "counterexample"
     assert rep.witness == {"term": "x", "type": "X", "lhs": 0, "rhs": 1}
@@ -758,8 +757,12 @@ def test_abstraction_catches_a_stoup_map_that_leaves_the_carrier(monkeypatch):
     compile_ = model._compile
 
     def off_by_one(t, gamma, delta):
-        ty, run = compile_(t, gamma, delta)
-        return ty, lambda tyenv, tmenv: run(tyenv, tmenv) + 1
+        ty, stage = compile_(t, gamma, delta)
+
+        def staging(tyenv):
+            run = stage(tyenv)
+            return lambda tmenv: run(tmenv) + 1
+        return ty, staging
 
     monkeypatch.setattr(model, "_compile", off_by_one)
     rep = pl.verify_abstraction(model, n_terms=1)

@@ -51,7 +51,7 @@ def test_projection_must_not_depend_on_the_isomorphism():
     target = fm.Alg(EXC, 3, ((0,),))
     assert model.alg_index(target) is None
     with pytest.raises(ip.InterpError, match="depends on the isomorphism"):
-        model.project_poly(poly, 0, target, "X", TyVar(CSORT, "X"), ip.TypeEnv())
+        model.project_poly(poly, target, "X", TyVar(CSORT, "X"), ip.TypeEnv())(0)
 
 
 def test_a_projection_at_an_algebra_isomorphic_to_no_registered_one_is_out_of_bound():
@@ -68,7 +68,7 @@ def test_a_projection_at_an_algebra_isomorphic_to_no_registered_one_is_out_of_bo
     poly = ip.PolySem(1, CSORT, comps, ((0,) * len(comps),))
     for target in (total, fm.Alg(EXC2, 5, ((0,), (1,)))):
         with pytest.raises(ip.OutOfBoundError, match=f"no registered algebra isomorphic to carrier size {target.size}"):
-            model.project_poly(poly, 0, target, "X", TyVar(CSORT, "X"), ip.TypeEnv())
+            model.project_poly(poly, target, "X", TyVar(CSORT, "X"), ip.TypeEnv())
 
 
 def test_a_family_over_algebras_is_projected_only_at_an_algebra():
@@ -76,7 +76,7 @@ def test_a_family_over_algebras_is_projected_only_at_an_algebra():
     comps = tuple(fm.FinSet(alg.size) for alg in model.algebras)
     poly = ip.PolySem(1, CSORT, comps, ((0,) * len(comps),))
     with pytest.raises(ip.InterpError, match="not an algebra"):
-        model.project_poly(poly, 0, 2, "X", TyVar(CSORT, "X"), ip.TypeEnv())
+        model.project_poly(poly, 2, "X", TyVar(CSORT, "X"), ip.TypeEnv())
 
 
 def test_the_two_booleans_must_be_distinct():
