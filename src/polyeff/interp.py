@@ -351,12 +351,11 @@ class RelEnv(Interned):
         nl, nr = left.size, right.size
         if not fm.in_carriers(rel, nl, nr):
             raise InterpError(f"relation escapes its carriers {nl}x{nr}")
-        rest = tuple(it for it in self.rels if it[0] != (sort, name))
-        return RelEnv(
-            self.rho1.set(sort, name, left),
-            self.rho2.set(sort, name, right),
-            tuple(sorted(rest + (((sort, name), rel),))),
-        )
+        key = (sort, name)
+        rels = [it for it in self.rels if it[0] != key]
+        rels.append((key, rel))
+        rels.sort()  # by key: the keys are distinct
+        return RelEnv(self.rho1.set(sort, name, left), self.rho2.set(sort, name, right), tuple(rels))
 
     def restrict(self, keys: frozenset) -> "RelEnv":
         """Both environments and the relations, restricted to ``keys``;

@@ -124,13 +124,28 @@ def _envs(root, names: Sequence[tuple[str, str]], choices):
     ``c`` of ``choices(sort)``.  The walk is depth first with the last name
     varying fastest, the order of ``itertools.product`` over the choices.
     Each prefix is built once, and ``choices`` is asked again under each
-    prefix, so a walk cut off by ``islice`` lists nothing past the cut."""
+    prefix, so a walk cut off by ``islice`` lists nothing past the cut.
+
+    The walk keeps a stack: ``prefixes[k]`` binds the first ``k`` names and
+    ``pending[k]`` lists the choices for name ``k`` under it."""
     if not names:
         yield root
         return
-    (sort, name), rest = names[0], names[1:]
-    for c in choices(sort):
-        yield from _envs(root.set(sort, name, *c), rest, choices)
+    last = len(names) - 1
+    prefixes, pending = [root], [iter(choices(names[0][0]))]
+    while pending:
+        c = next(pending[-1], None)
+        if c is None:
+            prefixes.pop()
+            pending.pop()
+            continue
+        k = len(pending) - 1
+        env = prefixes[k].set(*names[k], *c)
+        if k == last:
+            yield env
+        else:
+            prefixes.append(env)
+            pending.append(iter(choices(names[k + 1][0])))
 
 
 def type_envs(model: ip.Model, names: Sequence[tuple[str, str]]):
@@ -835,24 +850,36 @@ def verify_identity_extension(model: ip.Model) -> VerificationReport:
                          counts={"types": len(battery)})
 
 
+def _outcome(f, arg):
+    """``f(arg)``, or the ``OutOfBoundError`` it raises, stored without its traceback."""
+    try:
+        return f(arg)
+    except ip.OutOfBoundError as exc:
+        return exc.with_traceback(None)
+
+
 def _memo_run(stage, names):
     """``stage`` as ``evaluate(tyenv, values)``, with ``values`` bound to ``names``
     in order: staged once per distinct ``tyenv``, run once per distinct ``(tyenv,
-    values)``.  An out-of-bound outcome is stored too, and raised again at every lookup."""
-    outcomes: dict = {}  # tyenv -> its run, (tyenv, values) -> the value
+    values)``.  One dict holds both, ``tyenv`` -> its run and ``(tyenv, values)``
+    -> the value, so a hit is one read.  An out-of-bound outcome is stored too,
+    and raised again at every lookup with a fresh traceback: raised as it is, it
+    would keep the frames of every earlier raise."""
+    memo: dict = {}
 
-    def outcome(key, compute):
-        if key not in outcomes:
-            try:
-                outcomes[key] = compute()
-            except ip.OutOfBoundError as exc:
-                outcomes[key] = exc.with_traceback(None)
-        if isinstance(outcomes[key], ip.OutOfBoundError):
-            raise outcomes[key]
-        return outcomes[key]
+    def evaluate(tyenv, values):
+        out = memo.get((tyenv, values))
+        if out is None:
+            run = memo.get(tyenv)
+            if run is None:
+                run = memo[tyenv] = _outcome(stage, tyenv)
+            out = memo[tyenv, values] = (
+                run if isinstance(run, ip.OutOfBoundError) else _outcome(run, dict(zip(names, values))))
+        if isinstance(out, ip.OutOfBoundError):
+            raise out.with_traceback(None)
+        return out
 
-    return lambda tyenv, values: outcome(
-        (tyenv, values), lambda: outcome(tyenv, lambda: stage(tyenv))(dict(zip(names, values))))
+    return evaluate
 
 
 def _abstraction_failure(model: ip.Model, j: Judgment, counts: dict) -> Optional[dict]:
@@ -860,28 +887,39 @@ def _abstraction_failure(model: ip.Model, j: Judgment, counts: dict) -> Optional
     homomorphism instances and out-of-bound skips are added to ``counts``.
 
     The term is staged once per distinct type environment and run once per
-    distinct (type environment, binding values), which both checks share.
+    distinct (type environment, binding values), which both checks share, and
+    each view's pairs are listed once.
     The ascription's view is built once per relation environment, at its first
     pair whose two evaluations succeed: built before, it could be out of bound (a
-    hom space past the cap) where every evaluation is out of bound, skipped and counted."""
+    hom space past the cap) where every evaluation is out of bound, skipped and counted.
+    The homomorphism check skips and counts out-of-bound instances too: one
+    skip per type environment whose domains are out of bound, and one per
+    binding values whose evaluation is."""
     names = env_names(tc._ctx_ftv(j.gamma, j.delta) | free_type_vars_term(j.subject) | free_type_vars(j.ascription))
     bindings = list(j.gamma) + ([j.delta] if j.delta is not None else [])
     # typechecked once, staged once per type environment, run once per distinct values
     evaluate = _memo_run(model._compile(j.subject, j.gamma, j.delta)[1], [name for name, _ in bindings])
+    listed: dict = {}  # view -> its pairs
     for rho in itertools.islice(rel_envs(model, names), 40):
         pair_lists: list[list[tuple[int, int]]] = []
         try:
             for _, ty in bindings:  # the product is empty from the first empty list on
-                pair_lists.append(model.interp_rel(rho, ty).pairs())
-                if not pair_lists[-1]:
+                view = model.interp_rel(rho, ty)
+                pairs = listed.get(view)
+                if pairs is None:
+                    pairs = listed[view] = view.pairs()
+                pair_lists.append(pairs)
+                if not pairs:
                     break
         except ip.OutOfBoundError:
             continue
         result_rel = None
+        rho1, rho2 = rho.rho1, rho.rho2
         for values in itertools.islice(itertools.product(*pair_lists), 60):
+            lefts, rights = zip(*values) if values else ((), ())
             try:
-                l = evaluate(rho.rho1, tuple(v1 for v1, _ in values))
-                r = evaluate(rho.rho2, tuple(v2 for _, v2 in values))
+                l = evaluate(rho1, lefts)
+                r = evaluate(rho2, rights)
             except ip.OutOfBoundError:
                 counts["out-of-bound-skips"] += 1
                 continue
@@ -893,11 +931,19 @@ def _abstraction_failure(model: ip.Model, j: Judgment, counts: dict) -> Optional
         return None
     # a stoup judgment: the induced map is a structure homomorphism
     for tyenv in itertools.islice(type_envs(model, names), 4):
-        dom_alg = model.interp_ctype(tyenv, j.delta[1])
-        cod_alg = model.interp_ctype(tyenv, j.ascription)
-        sizes = [model.interp_vtype(tyenv, ty).size for _, ty in j.gamma]
+        try:
+            dom_alg = model.interp_ctype(tyenv, j.delta[1])
+            cod_alg = model.interp_ctype(tyenv, j.ascription)
+            sizes = [model.interp_vtype(tyenv, ty).size for _, ty in j.gamma]
+        except ip.OutOfBoundError:
+            counts["out-of-bound-skips"] += 1
+            continue
         for values in itertools.islice(itertools.product(*(range(n) for n in sizes)), 6):
-            table = [evaluate(tyenv, values + (d,)) for d in range(dom_alg.size)]
+            try:
+                table = [evaluate(tyenv, values + (d,)) for d in range(dom_alg.size)]
+            except ip.OutOfBoundError:
+                counts["out-of-bound-skips"] += 1
+                continue
             counts["hom-instances"] += 1
             if not fm.is_homomorphism(table, dom_alg, cod_alg):
                 return {"term": str(j.subject), "law": "homomorphism"}

@@ -3,7 +3,7 @@
 import itertools
 import json
 from collections import Counter
-from functools import reduce
+from functools import cache, reduce
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -726,34 +726,26 @@ def test_the_environment_walk_is_the_product_and_lists_only_the_pairs_it_binds(m
     assert sum(len(ns) > 1 for ns in names) > 10  # walks of more than one variable
 
 
-def test_abstraction_catches_an_evaluator_that_depends_on_the_object(monkeypatch):
-    # x:X |- x : X run as "the last element of X" is not relationally
-    # parametric: 0 in the 1-element set and 0 in the 2-element one are
-    # related by {(0, 0)}, and the results 0 and 1 are not
-    j = Judgment((("x", parse_type("X")),), None, parse_term("x"), parse_type("X"))
-    monkeypatch.setattr(pl, "TermGenerator", lambda seed, interp_safe: SimpleNamespace(random_judgment=lambda: j))
-    model = pl.build_model(fm.ModelConfig(), ())
+# abstraction's two planted defects, each a judgment and an evaluator that
+# breaks it: x:X |- x : X run as "the last element of X" is not relationally
+# parametric, since 0 in the 1-element set and 0 in the 2-element one are
+# related by {(0, 0)} and the results 0 and 1 are not.  s89 g90 with the stoup
+# s89 : X -> ^P is one of the seed-2024 stoup judgments whose relational walk
+# tests nothing: its first 40 relation environments relate no pair at X.  The
+# first type environment whose homomorphism check runs gives X and ^P one
+# element each, where every map is a homomorphism, so an evaluator off by one,
+# out of the carrier, is the defect that check alone can see
+OBJECT_DEPENDENT = Judgment((("x", parse_type("X")),), None, parse_term("x"), parse_type("X"))
+LEAVES_THE_CARRIER = Judgment((("g90", TyVar(VSORT, "X")),), ("s89", parse_type("X -> ^P")), parse_term("s89 g90"),
+                              TyVar(CSORT, "P"))
+
+
+def _plant_object_dependent(monkeypatch, model):
     monkeypatch.setattr(model, "_compile", lambda t, gamma, delta: (
         parse_type("X"), lambda tyenv: lambda tmenv: tyenv.get(ip.VSORT, "X").size - 1))
-    rep = pl.verify_abstraction(model, n_terms=1)
-    assert rep.status == "counterexample"
-    assert rep.witness == {"term": "x", "type": "X", "lhs": 0, "rhs": 1}
 
 
-def test_abstraction_catches_a_stoup_map_that_leaves_the_carrier(monkeypatch):
-    # s89 g90 with the stoup s89 : X -> ^P is one of the seed-2024 stoup
-    # judgments whose relational walk tests nothing: its first 40 relation
-    # environments relate no pair at X.  The first type environment whose
-    # homomorphism check runs gives X and ^P one element each, where every
-    # map is a homomorphism, so an evaluator off by one, out of the carrier,
-    # is the defect that check alone can see
-    j = Judgment((("g90", TyVar(VSORT, "X")),), ("s89", parse_type("X -> ^P")), parse_term("s89 g90"), TyVar(CSORT, "P"))
-    monkeypatch.setattr(pl, "TermGenerator", lambda seed, interp_safe: SimpleNamespace(random_judgment=lambda: j))
-    model = pl.build_model(fm.ModelConfig(), ())
-    rhos = list(itertools.islice(pl.rel_envs(model, [(ip.VSORT, "X"), (ip.CSORT, "P")]), 40))
-    assert len(rhos) == 40 and not any(model.interp_rel(rho, TyVar(VSORT, "X")).pairs() for rho in rhos)
-    rep = pl.verify_abstraction(model, n_terms=1)
-    assert (rep.status, rep.counts["hom-instances"]) == ("verified", 2), rep.witness
+def _plant_off_by_one(monkeypatch, model):
     compile_ = model._compile
 
     def off_by_one(t, gamma, delta):
@@ -765,9 +757,212 @@ def test_abstraction_catches_a_stoup_map_that_leaves_the_carrier(monkeypatch):
         return ty, staging
 
     monkeypatch.setattr(model, "_compile", off_by_one)
+
+
+PLANTED = {"object-dependent": (OBJECT_DEPENDENT, _plant_object_dependent),
+           "off-by-one-stoup-map": (LEAVES_THE_CARRIER, _plant_off_by_one)}
+
+
+def test_abstraction_catches_an_evaluator_that_depends_on_the_object(monkeypatch):
+    monkeypatch.setattr(pl, "TermGenerator", lambda seed, interp_safe: SimpleNamespace(
+        random_judgment=lambda: OBJECT_DEPENDENT))
+    model = pl.build_model(fm.ModelConfig(), ())
+    _plant_object_dependent(monkeypatch, model)
+    rep = pl.verify_abstraction(model, n_terms=1)
+    assert rep.status == "counterexample"
+    assert rep.witness == {"term": "x", "type": "X", "lhs": 0, "rhs": 1}
+
+
+def test_abstraction_catches_a_stoup_map_that_leaves_the_carrier(monkeypatch):
+    monkeypatch.setattr(pl, "TermGenerator", lambda seed, interp_safe: SimpleNamespace(
+        random_judgment=lambda: LEAVES_THE_CARRIER))
+    model = pl.build_model(fm.ModelConfig(), ())
+    rhos = list(itertools.islice(pl.rel_envs(model, [(ip.VSORT, "X"), (ip.CSORT, "P")]), 40))
+    assert len(rhos) == 40 and not any(model.interp_rel(rho, TyVar(VSORT, "X")).pairs() for rho in rhos)
+    rep = pl.verify_abstraction(model, n_terms=1)
+    assert (rep.status, rep.counts["hom-instances"]) == ("verified", 2), rep.witness
+    _plant_off_by_one(monkeypatch, model)
     rep = pl.verify_abstraction(model, n_terms=1)
     assert rep.status == "counterexample"
     assert rep.witness == {"term": "s89 g90", "law": "homomorphism"}
+
+
+def _recursive_walk(root, names, choices):
+    """The environment walk as ``paramlab._envs`` wrote it before it kept a
+    stack: one generator per bound name."""
+    if not names:
+        yield root
+        return
+    (sort, name), rest = names[0], names[1:]
+    for c in choices(sort):
+        yield from _recursive_walk(root.set(sort, name, *c), rest, choices)
+
+
+def _rel_choices(model):
+    """``paramlab.rel_envs``' choices: each object pair with each admissible relation."""
+    def choices(sort):
+        objs = model.objects(sort)
+        return ((a, b, r) for (i, a), (k, b) in itertools.product(enumerate(objs), repeat=2)
+                for r in model.rels_for_pair(sort, i, k))
+    return choices
+
+
+def _reference_abstraction_failure(model, j, counts):
+    """``paramlab._abstraction_failure`` as a plain loop, the reference of its
+    rewrite: the recursive walk, every evaluation run afresh, each
+    binding's pairs listed under each relation environment, and an
+    out-of-bound homomorphism instance, domains included, skipped and counted."""
+    names = pl.env_names(tc._ctx_ftv(j.gamma, j.delta) | free_type_vars_term(j.subject) | free_type_vars(j.ascription))
+    bindings = list(j.gamma) + ([j.delta] if j.delta is not None else [])
+    stage = cache(model._compile(j.subject, j.gamma, j.delta)[1])  # an out-of-bound staging is redone
+
+    def evaluate(tyenv, values):
+        return stage(tyenv)({name: v for (name, _), v in zip(bindings, values)})
+
+    for rho in itertools.islice(_recursive_walk(ip.RelEnv(ip.TypeEnv(), ip.TypeEnv()), names, _rel_choices(model)), 40):
+        pair_lists = []
+        try:
+            for _, ty in bindings:
+                pair_lists.append(model.interp_rel(rho, ty).pairs())
+                if not pair_lists[-1]:
+                    break
+        except ip.OutOfBoundError:
+            continue
+        result_rel = None
+        for values in itertools.islice(itertools.product(*pair_lists), 60):
+            try:
+                l = evaluate(rho.rho1, tuple(v1 for v1, _ in values))
+                r = evaluate(rho.rho2, tuple(v2 for _, v2 in values))
+            except ip.OutOfBoundError:
+                counts["out-of-bound-skips"] += 1
+                continue
+            if result_rel is None:
+                result_rel = model.interp_rel(rho, j.ascription)
+            if not result_rel.contains(l, r):
+                return {"term": str(j.subject), "type": str(j.ascription), "lhs": l, "rhs": r}
+    if j.delta is None:
+        return None
+    for tyenv in itertools.islice(_recursive_walk(ip.TypeEnv(), names, lambda sort: zip(model.objects(sort))), 4):
+        try:
+            dom_alg = model.interp_ctype(tyenv, j.delta[1])
+            cod_alg = model.interp_ctype(tyenv, j.ascription)
+            sizes = [model.interp_vtype(tyenv, ty).size for _, ty in j.gamma]
+        except ip.OutOfBoundError:
+            counts["out-of-bound-skips"] += 1
+            continue
+        for values in itertools.islice(itertools.product(*(range(n) for n in sizes)), 6):
+            try:
+                table = [evaluate(tyenv, values + (d,)) for d in range(dom_alg.size)]
+            except ip.OutOfBoundError:
+                counts["out-of-bound-skips"] += 1
+                continue
+            counts["hom-instances"] += 1
+            if not fm.is_homomorphism(table, dom_alg, cod_alg):
+                return {"term": str(j.subject), "law": "homomorphism"}
+    return None
+
+
+def _agree_with_the_reference(judgments, model, reference_model):
+    """Each judgment's failure and counts from ``paramlab._abstraction_failure``
+    and from the reference loop, each on its own model; raises on the first
+    disagreement and returns the pairs."""
+    results = []
+    for k, j in enumerate(judgments):
+        got, want = ({"hom-instances": 0, "out-of-bound-skips": 0} for _ in range(2))
+        got_failure = pl._abstraction_failure(model, j, got)
+        want_failure = _reference_abstraction_failure(reference_model, j, want)
+        if (got_failure, got) != (want_failure, want):
+            raise AssertionError(f"judgment {k}, {j.subject}: {(got_failure, got)} != {(want_failure, want)}")
+        results.append((got_failure, got))
+    return results
+
+
+@pytest.mark.parametrize("bound, seed", [(2, s) for s in (*range(1, 11), 2024)] + [(3, s) for s in (1, 2, 3, 7)],
+                         ids=lambda v: str(v))
+def test_the_abstraction_check_agrees_with_the_plain_reference_loop(bound, seed):
+    # the same failure and the same counts, judgment by judgment, over the
+    # judgments verify_abstraction draws; at bound 3, seed 7 skips homomorphism
+    # instances whose -o space has 3^26 candidate tables
+    gen = TermGenerator(seed, interp_safe=True)
+    judgments = [gen.random_judgment() for _ in range(100)]
+    config = fm.ModelConfig(bound=bound)
+    results = _agree_with_the_reference(judgments, pl.build_model(config, ()), pl.build_model(config, ()))
+    if (bound, seed) == (3, 7):
+        if sum(counts["out-of-bound-skips"] for _, counts in results) == 0:
+            raise AssertionError("no skip at bound 3, seed 7")
+
+
+@pytest.mark.parametrize("defect", sorted(PLANTED))
+def test_the_abstraction_check_agrees_with_the_plain_reference_loop_on_a_planted_defect(monkeypatch, defect):
+    j, plant = PLANTED[defect]
+    model, reference_model = pl.build_model(fm.ModelConfig(), ()), pl.build_model(fm.ModelConfig(), ())
+    plant(monkeypatch, model)
+    plant(monkeypatch, reference_model)
+    [(failure, _)] = _agree_with_the_reference([j], model, reference_model)
+    if failure is None:
+        raise AssertionError(f"the {defect} defect is not caught")
+
+
+def test_abstraction_counts_homomorphism_instances_past_the_bound_as_skips(monkeypatch):
+    # at bound 3 the stoup judgment's lfun over ^P -> ^P is out of bound at the
+    # 3-element ^P (3^26 candidate tables): its three homomorphism instances
+    # there are skipped and counted, as the relational walk's 1314 are, and
+    # the 1-element and 2-element ^P give three instances that are checked
+    j = Judgment((("g", parse_type("^P")),), ("s", parse_type("^P -> ^P")), parse_term("(lfun v:^P -> ^P => v g) s"),
+                 parse_type("^P"))
+    monkeypatch.setattr(pl, "TermGenerator", lambda seed, interp_safe: SimpleNamespace(random_judgment=lambda: j))
+    rep = pl.verify_abstraction(pl.build_model(fm.ModelConfig(bound=3), ()), n_terms=1)
+    assert rep.status == "verified", rep.witness
+    assert rep.counts == {"terms": 1, "hom-instances": 3, "out-of-bound-skips": 1317}
+
+
+@pytest.mark.parametrize("where", ["run", "stage"])
+def test_a_stored_out_of_bound_outcome_is_raised_with_a_fresh_traceback(where):
+    # the memo stores an out-of-bound outcome once and raises it at each
+    # lookup; raised as it is, the same exception object would keep the
+    # frames of every earlier raise, one more set per lookup
+    calls = []
+
+    def out_of_bound(_):
+        calls.append(where)
+        raise ip.OutOfBoundError("past the cap")
+
+    stage = out_of_bound if where == "stage" else lambda tyenv: out_of_bound
+    evaluate = pl._memo_run(stage, ["x"])
+    depths, errors = [], set()
+    for _ in range(50):
+        with pytest.raises(ip.OutOfBoundError, match="past the cap") as info:
+            evaluate(ip.TypeEnv(), (0,))
+        errors.add(id(info.value))
+        tb, depth = info.value.__traceback__, 0
+        while tb is not None:
+            tb, depth = tb.tb_next, depth + 1
+        depths.append(depth)
+    assert calls == [where]  # computed once, stored
+    assert len(errors) == 1 and set(depths) == {depths[0]}, depths
+
+
+@pytest.mark.parametrize("bound", [2, 3])
+def test_a_cut_walk_asks_for_choices_no_more_often_than_the_recursive_walk(bound):
+    # the seed-2024 abstraction walks, cut at 40 relation environments and 4
+    # type environments as verify_abstraction cuts them: the stack walk lists
+    # the same environments and asks for no more choices
+    model = pl.build_model(fm.ModelConfig(bound=bound), ())
+    gen = TermGenerator(2024, interp_safe=True)
+    judgments = [gen.random_judgment() for _ in range(100)]
+    for j in judgments:
+        ns = pl.env_names(tc._ctx_ftv(j.gamma, j.delta) | free_type_vars_term(j.subject) | free_type_vars(j.ascription))
+        for root, choices, cut in ((ip.RelEnv(ip.TypeEnv(), ip.TypeEnv()), _rel_choices(model), 40),
+                                   (ip.TypeEnv(), lambda sort: zip(model.objects(sort)), 4)):
+            asked = {"stack": 0, "recursive": 0}
+
+            def counting(walk):
+                return lambda sort: asked.__setitem__(walk, asked[walk] + 1) or choices(sort)
+
+            stack = list(itertools.islice(pl._envs(root, ns, counting("stack")), cut))
+            recursive = list(itertools.islice(_recursive_walk(root, ns, counting("recursive")), cut))
+            assert stack == recursive, ns
+            assert asked["stack"] <= asked["recursive"], (ns, asked)
 
 
 def test_relation_axioms_powerset():

@@ -100,6 +100,9 @@ ROWS = [
         "a vacuous type redex did not end in 15 min at seed 3 before vacuous quantifiers were decided in closed form",
         [run(f"--bound 3 verify abstraction --seed {s} --format json") for s in SEEDS],
         "verify_abstraction_bound3_seeds.jsonl", timeout=60),
+    Row("abstraction-bound3-seed7", "recorded at the change that counts an out-of-bound homomorphism instance as a skip:"
+        " before it, the stoup check of (^P -> ^P) -o (forall B46. ^P), a 3^26 hom space, ended the suite with exit 3",
+        [run("--bound 3 verify abstraction --seed 7 --format json")], "verify_abstraction_bound3_seed7.jsonl", timeout=60),
     Row("bang-laws-two-exceptions-bound3", "the one configuration that projects by transport at scale: each type"
         " application is staged once per type environment, so 24 class lookups build the movers of every projection"
         " at a copy of an algebra", [run("--exceptions e1,e2 --bound 3 verify bang-laws --format json")],
