@@ -50,8 +50,12 @@ from .kernel import (
     subst_type,
 )
 
-VALUE_TYVARS = ("X", "Y")
-COMP_TYVARS = ("P", "Q")
+# the tables a draw indexes: their order fixes the element each index picks
+VALUE_TYVARS = (TyVar(VSORT, "X"), TyVar(VSORT, "Y"))
+COMP_TYVARS = (TyVar(CSORT, "P"), TyVar(CSORT, "Q"))
+BASE_TYVARS = VALUE_TYVARS + COMP_TYVARS
+SHAPES = ("var", "arrow", "forallv", "forallc", "lolli")
+COMP_SHAPES = SHAPES[:-1]  # a computation type is no -o
 FUEL = 5  # the depth of the terms grown for one goal
 TYPE_DEPTH = 2  # the depth of a random type whose caller names none
 APP_WEIGHT = 0.1  # the chance that a grown term is wrapped into a term redex
@@ -64,26 +68,44 @@ class GeneratorError(Exception):
 
 class TermGenerator:
     def __init__(self, seed: int, interp_safe: bool = False):
-        self.rng = random.Random(seed)
+        rng = random.Random(seed)
+        self._bits, self._random = rng.getrandbits, rng.random
         # restrict type-application arguments to variables, so every
         # projection stays at a registered object of a bounded model
         self.interp_safe = interp_safe
         self._counter = 0
 
+    def _below(self, n: int) -> int:
+        """A uniform draw from ``range(n)``, by the algorithm of CPython's
+        ``Random._randbelow_with_getrandbits`` (3.10 to 3.13): ``choice``,
+        ``randint`` and ``shuffle`` draw through it, so the corpora are the
+        ones those methods drew."""
+        if n < 1:  # getrandbits(0) is always 0, so the loop below would never end
+            raise IndexError("cannot draw from an empty range")
+        k = n.bit_length()
+        r = self._bits(k)
+        while r >= n:
+            r = self._bits(k)
+        return r
+
+    def _shuffle(self, seq: list) -> None:
+        """Shuffle ``seq`` in place as ``Random.shuffle`` does: a reversed Fisher-Yates."""
+        for i in range(len(seq) - 1, 0, -1):
+            j = self._below(i + 1)
+            seq[i], seq[j] = seq[j], seq[i]
+
     # -- types ----------------------------------------------------------
 
     def random_type(self, depth: int = TYPE_DEPTH, want: Optional[Kind] = None) -> TypeExpr:
-        rng = self.rng
+        below = self._below
         if depth <= 0:
             if want is Kind.COMPUTATION:
-                return TyVar(CSORT, rng.choice(COMP_TYVARS))
+                return COMP_TYVARS[below(2)]
             if want is Kind.VALUE:
-                return TyVar(VSORT, rng.choice(VALUE_TYVARS))
-            return rng.choice([TyVar(VSORT, rng.choice(VALUE_TYVARS)), TyVar(CSORT, rng.choice(COMP_TYVARS))])
-        shapes = ["var", "arrow", "forallv", "forallc"]
-        if want is not Kind.COMPUTATION:
-            shapes.append("lolli")
-        shape = rng.choice(shapes)
+                return VALUE_TYVARS[below(2)]
+            leaves = VALUE_TYVARS[below(2)], COMP_TYVARS[below(2)]
+            return leaves[below(2)]
+        shape = COMP_SHAPES[below(4)] if want is Kind.COMPUTATION else SHAPES[below(5)]
         if shape == "var":
             return self.random_type(0, want)
         if shape == "arrow":
@@ -99,12 +121,12 @@ class TermGenerator:
         if shape == "forallv":
             body = self.random_type(depth - 1, want)
             # keep the bound variable in play occasionally
-            if want is not Kind.COMPUTATION and self.rng.random() < 0.5:
-                body = Arrow(TyVar(VSORT, binder), body) if self.rng.random() < 0.5 else TyVar(VSORT, binder)
+            if want is not Kind.COMPUTATION and self._random() < 0.5:
+                body = Arrow(TyVar(VSORT, binder), body) if self._random() < 0.5 else TyVar(VSORT, binder)
             return Forall(VSORT, binder, body)
         body = self.random_type(depth - 1, want)
-        if want is not Kind.COMPUTATION and self.rng.random() < 0.5:
-            body = TyVar(CSORT, binder) if self.rng.random() < 0.5 else Arrow(TyVar(CSORT, binder), body)
+        if want is not Kind.COMPUTATION and self._random() < 0.5:
+            body = TyVar(CSORT, binder) if self._random() < 0.5 else Arrow(TyVar(CSORT, binder), body)
         return Forall(CSORT, binder, body)
 
     def _fresh(self) -> int:
@@ -114,7 +136,6 @@ class TermGenerator:
     # -- terms ----------------------------------------------------------
 
     def term_for(self, gamma, delta, goal: TypeExpr, fuel: int) -> Optional[TermExpr]:
-        rng = self.rng
         options = []
         # variables and the stoup axiom
         if delta is not None:
@@ -135,7 +156,7 @@ class TermGenerator:
                 options += [("spine", spine) for spine in self._spines(gamma, delta, goal)]
         if not options:
             return None
-        rng.shuffle(options)
+        self._shuffle(options)
         for kind, payload in options:
             t = self._try(kind, payload, gamma, delta, goal, fuel)
             if t is not None:
@@ -146,18 +167,17 @@ class TermGenerator:
         """``t`` in redexes that reduce to it: with chance ``APP_WEIGHT`` an
         abstraction applied to a context variable, or a linear one to the stoup;
         with chance ``TYAPP_WEIGHT`` a vacuous type abstraction applied to a type."""
-        rng = self.rng
         scope = list(gamma) + ([delta] if delta is not None else [])
-        if scope and rng.random() < APP_WEIGHT:
-            name, ty = rng.choice(scope)
+        if scope and self._random() < APP_WEIGHT:
+            name, ty = scope[self._below(len(scope))]
             x = f"v{self._fresh()}"
             if delta is not None and name == delta[0]:  # the stoup goes to a linear head
                 t = App(LinLam(x, ty, subst_term(t, name, Var(x))), Var(name))
             else:
                 t = App(Lam(x, ty, t), Var(name))
-        if rng.random() < TYAPP_WEIGHT:
-            want = Kind.COMPUTATION if rng.random() < 0.5 else Kind.VALUE
-            arg = self.random_type(0 if self.interp_safe else rng.randint(0, 1), want)
+        if self._random() < TYAPP_WEIGHT:
+            want = Kind.COMPUTATION if self._random() < 0.5 else Kind.VALUE
+            arg = self.random_type(0 if self.interp_safe else self._below(2), want)
             # the argument's kind picks the sort: a value binder may still draw a computation type
             sort = CSORT if classify_type(arg) is Kind.COMPUTATION else VSORT
             t = TyApp(sort, TyLam(sort, f"B{self._fresh()}", t), arg)
@@ -178,8 +198,9 @@ class TermGenerator:
             return None if body is None else LinLam(x, goal.dom, body)
         if kind == "tylam":
             bound = TyVar(goal.sort, goal.binder)
-            if bound in tc._ctx_ftv(gamma, delta):
-                taken = {v.name for v in tc._ctx_ftv(gamma, delta) | free_type_vars(goal.body)}
+            ctx_ftv = tc._ctx_ftv(gamma, delta)
+            if bound in ctx_ftv:
+                taken = {v.name for v in ctx_ftv | free_type_vars(goal.body)}
                 new = fresh_name(goal.binder, taken)
                 body_ty = subst_type(goal.body, bound, TyVar(goal.sort, new))
                 binder = new
@@ -206,9 +227,8 @@ class TermGenerator:
     def _spines(self, gamma, delta, goal):
         """Each way to apply a variable to types and terms until its type is
         the goal: the head's name, its steps and the step given the stoup."""
-        rng = self.rng
-        tyvars = sorted(free_type_vars(goal), key=lambda v: (v.sort, v.name))
-        tyvars += [TyVar(VSORT, n) for n in VALUE_TYVARS] + [TyVar(CSORT, n) for n in COMP_TYVARS]
+        goal_cls = type(goal)
+        insts = None  # the type variables a quantifier is instantiated at, by its sort
         out = []
         for name, ty in list(dict(gamma).items()) + ([delta] if delta is not None else []):
             stoup_head = delta is not None and name == delta[0]
@@ -218,12 +238,17 @@ class TermGenerator:
                     linear = len(steps) if isinstance(ty, Lolli) else linear
                     steps.append(ty)
                     ty = ty.cod
-                else:  # a computation type variable also instantiates a value binder
-                    arg = rng.choice([v for v in tyvars if ty.sort == VSORT or v.sort == CSORT])
+                else:
+                    if insts is None:  # a computation type variable also instantiates a value binder
+                        tyvars = [*sorted(free_type_vars(goal), key=lambda v: (v.sort, v.name)), *BASE_TYVARS]
+                        insts = {VSORT: tyvars, CSORT: [v for v in tyvars if v.sort == CSORT]}
+                    choices = insts[ty.sort]
+                    arg = choices[self._below(len(choices))]
                     steps.append(arg)
                     ty = subst_type(ty.body, TyVar(ty.sort, ty.binder), arg)
                 # under a stoup, the stoup variable heads no -o step and a context head gives it to one
-                if alpha_eq(ty, goal) and (delta is None or (linear is None) == stoup_head):
+                routed = delta is None or (linear is None) == stoup_head
+                if routed and type(ty) is goal_cls and alpha_eq(ty, goal):
                     out.append((name, tuple(steps), linear))
         return out
 
@@ -232,8 +257,8 @@ class TermGenerator:
     def random_context(self, n: Optional[int] = None):
         """``n`` random bindings (0 to 2 by default) and their arguments."""
         if n is None:
-            n = self.rng.randint(0, 2)
-        ctx = tuple((f"g{self._fresh()}", self.random_type(self.rng.randint(0, 2))) for _ in range(n))
+            n = self._below(3)
+        ctx = tuple((f"g{self._fresh()}", self.random_type(self._below(3))) for _ in range(n))
         return ctx + tuple(self._arguments(ty for _, ty in ctx))
 
     def _arguments(self, types):
@@ -247,10 +272,10 @@ class TermGenerator:
     def random_judgment(self) -> Judgment:
         for _ in range(200):
             gamma = self.random_context()
-            if self.rng.random() < 0.4:
-                delta = (f"s{self._fresh()}", self.random_type(self.rng.randint(0, 1), Kind.COMPUTATION))
+            if self._random() < 0.4:
+                delta = (f"s{self._fresh()}", self.random_type(self._below(2), Kind.COMPUTATION))
                 gamma += tuple(self._arguments([delta[1]]))
-                goal = self.random_type(self.rng.randint(0, 2), Kind.COMPUTATION)
+                goal = self.random_type(self._below(3), Kind.COMPUTATION)
             else:
                 delta = None
                 goal = self.random_type()
@@ -268,28 +293,28 @@ class TermGenerator:
 
     def random_subst_sample(self, part: int) -> tc.SubstSample:
         for _ in range(400):
-            gamma = self.random_context(self.rng.randint(0, 1))
+            gamma = self.random_context(self._below(2))
             x = f"x{self._fresh()}"
             if part == 1:
-                a = self.random_type(self.rng.randint(0, 2))
-                use_stoup = self.rng.random() < 0.3
+                a = self.random_type(self._below(3))
+                use_stoup = self._random() < 0.3
                 if use_stoup:
                     delta = (f"s{self._fresh()}", self.random_type(1, Kind.COMPUTATION))
-                    goal = self.random_type(self.rng.randint(0, 2), Kind.COMPUTATION)
+                    goal = self.random_type(self._below(3), Kind.COMPUTATION)
                 else:
                     delta = None
-                    goal = self.random_type(self.rng.randint(0, 2))
+                    goal = self.random_type(self._below(3))
                 t = self.term_for(gamma + ((x, a),), delta, goal, FUEL)
                 s = None if t is None else self.term_for(gamma, None, a, FUEL)
                 if s is None:
                     continue
                 return tc.SubstSample(1, gamma, delta, x, a, t, s)
-            a = self.random_type(self.rng.randint(0, 1), Kind.COMPUTATION)
-            goal = self.random_type(self.rng.randint(0, 2), Kind.COMPUTATION)
+            a = self.random_type(self._below(2), Kind.COMPUTATION)
+            goal = self.random_type(self._below(3), Kind.COMPUTATION)
             t = self.term_for(gamma, (x, a), goal, FUEL)
             if t is None:  # nothing to substitute into, so no s is searched for
                 continue
-            use_stoup = self.rng.random() < 0.5
+            use_stoup = self._random() < 0.5
             if use_stoup:
                 delta = (f"s{self._fresh()}", self.random_type(1, Kind.COMPUTATION))
                 s = self.term_for(gamma, delta, a, FUEL)

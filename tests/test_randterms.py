@@ -1,6 +1,9 @@
 """The seeded judgment generator: determinism, well-typedness and the
 typing rules its corpora cover."""
 
+import functools
+import hashlib
+import random
 from collections import Counter
 
 import pytest
@@ -156,11 +159,87 @@ def rule_counts(judgments) -> Counter:
     return counts
 
 
+@functools.cache
 def seed_corpus(seed, interp_safe):
-    """The corpus verify_metatheory (200 judgments) or verify_abstraction
-    (100, ``interp_safe``) draws at ``seed``."""
+    """The judgments and substitution samples verify_metatheory (200 and 100)
+    or verify_abstraction (100 ``interp_safe`` judgments, no samples) draws at ``seed``."""
     gen = TermGenerator(seed, interp_safe=interp_safe)
-    return [gen.random_judgment() for _ in range(100 if interp_safe else 200)]
+    judgments = [gen.random_judgment() for _ in range(100 if interp_safe else 200)]
+    if interp_safe:
+        return judgments, []
+    return judgments, [gen.random_subst_sample(part) for part in (1, 2) for _ in range(50)]
+
+
+def corpus_digest(seed, interp_safe):
+    judgments, samples = seed_corpus(seed, interp_safe)
+    return hashlib.sha256("\n".join(map(repr, judgments + samples)).encode()).hexdigest()[:16]
+
+
+# seed -> (metatheory digest, abstraction digest), recorded while the generator
+# still drew through random.Random's choice, randint and shuffle
+CORPUS_DIGESTS = {
+    1: ("6cf66c9655d91d7e", "58ca415e1fa9b2a9"),
+    2: ("ee73cb0f3afb28da", "1caf3a930be5f73d"),
+    3: ("2cccc65c5952d816", "bc3cf6a7da9a7570"),
+    4: ("452067f78e82497d", "867778fccac44d8c"),
+    5: ("1889c1f3067fa01e", "0b48133b2c5b24bd"),
+    6: ("3ebaa5d591c2b7ce", "7e3101fbf35f2ce6"),
+    7: ("8e7d5807afd6ac06", "60009af913b7ad2d"),
+    8: ("01a5d8eab9b9f79a", "0b0210a1e5e0fcb8"),
+    9: ("8cd6635054792448", "bcfe4f792c855dde"),
+    10: ("419d313545b5518a", "8e9a2a3af66133b8"),
+    11: ("f8d7038a40dab218", "a4c775bbf6c6054b"),
+    12: ("0aaaeafc3c1fa108", "acf1b1f61e6dbde6"),
+    13: ("044f7e68c79bac1b", "6062041f10c3d98a"),
+    14: ("7d61616e7aebcb01", "891ee547e9e1e587"),
+    15: ("4a2ede433cc0b034", "34e24d13d5298017"),
+    16: ("35e023cab2f7d8d5", "5a5e65e1dcb341e4"),
+    17: ("c4e6a2eba68952ab", "36ad74e9e981a91c"),
+    18: ("cbe1df234febe68a", "a1d8673ca90cf07b"),
+    19: ("45f61cb73e08c0f0", "d2921bb329db967c"),
+    20: ("4363f75b1c69dce7", "a108026ee79168ab"),
+    2024: ("3ae47dcf5c59ae06", "69ca2d2addcb2c1f"),
+}
+
+
+@pytest.mark.parametrize("seed", CORPUS_DIGESTS)
+def test_the_seeded_corpora_are_pinned_draw_for_draw(seed):
+    assert (corpus_digest(seed, False), corpus_digest(seed, True)) == CORPUS_DIGESTS[seed]
+
+
+DRAWS = st.one_of(
+    st.tuples(st.just("choice"), st.integers(1, 70)),
+    st.tuples(st.just("randint"), st.integers(0, 70)),
+    st.tuples(st.just("shuffle"), st.integers(0, 12)),
+    st.tuples(st.just("random"), st.just(0)),
+)
+
+
+@settings(deadline=None, max_examples=200)
+@given(seed=st.integers(0, 2**64), draws=st.lists(DRAWS, max_size=30))
+def test_the_owned_draws_match_the_stdlib_methods(seed, draws):
+    # a choice is seq[_below(len(seq))] and randint(0, n) is _below(n + 1)
+    gen, ref = TermGenerator(seed), random.Random(seed)
+    for kind, n in draws:
+        seq = list(range(n))
+        if kind == "choice":
+            assert seq[gen._below(n)] == ref.choice(seq)
+        elif kind == "randint":
+            assert gen._below(n + 1) == ref.randint(0, n)
+        elif kind == "shuffle":
+            mine = seq[:]
+            gen._shuffle(mine)
+            ref.shuffle(seq)
+            assert mine == seq
+        else:
+            assert gen._random() == ref.random()
+
+
+@pytest.mark.parametrize("n", [0, -2])
+def test_an_empty_draw_raises_as_an_empty_choice_does(n):
+    # getrandbits(0) is always 0, so a draw from range(0) would loop for ever
+    with pytest.raises(IndexError):
+        TermGenerator(1)._below(n)
 
 
 # every seed in 1-20 and 2024 whose two corpora hold every former, route and kind of redex
@@ -170,7 +249,7 @@ COVERED_SEEDS = (*range(1, 13), 14, *range(16, 21), 2024)
 @pytest.mark.parametrize("seed", COVERED_SEEDS)
 @pytest.mark.parametrize("interp_safe", [False, True])
 def test_default_seed_corpus_covers_every_rule(seed, interp_safe):
-    counts = rule_counts(seed_corpus(seed, interp_safe))
+    counts = rule_counts(seed_corpus(seed, interp_safe)[0])
     formers = ("Var", "Lam", "LinLam", "App", "TyLamV", "TyLamC", "TyAppV", "TyAppC")
     missing = [k for k in formers + ROUTES + REDEXES if not counts[k]]
     assert not missing, dict(counts)
